@@ -1,0 +1,92 @@
+//! Pinned golden outputs of the integer engine.
+//!
+//! The determinism suites compare two paths of the *current* code against
+//! each other (threads, SIMD, GEMM class, pulsed vs batch); a change that
+//! moved every path the same way would pass them all. These hashes pin the
+//! absolute bits instead: the logits of every tiny-zoo model compiled
+//! through the IR pipeline on a seeded batch, and the windows of one
+//! pulsed stream. A kernel rewrite that is meant to be bitwise neutral must
+//! leave both hashes unchanged; a deliberate numeric change must update
+//! them in the same commit and say why.
+
+use edd_ir::{CompiledModel, PassConfig, PulsedModel};
+use edd_runtime::{StreamModel, StreamSession};
+use edd_tensor::Array;
+use edd_zoo::{prepare_tiny_zoo, synthetic_signal};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+const ZOO_SEED: u64 = 11;
+const BATCH: usize = 8;
+
+/// FNV-1a over the f32 bit patterns, little-endian.
+fn fnv1a(values: impl IntoIterator<Item = f32>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for v in values {
+        for b in v.to_bits().to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The tiny zoo through the deploy pipeline the benchmark and serving
+/// use: `prepare_tiny_zoo` → `lower_to_graph` → `edd_ir::lower` →
+/// `CompiledModel`.
+fn compiled_zoo() -> Vec<(String, CompiledModel)> {
+    prepare_tiny_zoo(ZOO_SEED)
+        .iter()
+        .map(|(arch, qat, calib)| {
+            let float = edd_core::lower_to_graph(qat, arch, calib).expect("lower_to_graph");
+            let (lowered, _) = edd_ir::lower(&float, &PassConfig::all()).expect("lower");
+            let model = CompiledModel::from_graph(lowered).expect("compile");
+            (arch.name.clone(), model)
+        })
+        .collect()
+}
+
+#[test]
+fn zoo_logits_match_pinned_hashes() {
+    let want: [(&str, u64); 3] = [
+        ("edd-tiny-quant-demo", 4_174_175_781_691_938_491),
+        ("edd-tiny-int8", 6_213_582_670_224_689_562),
+        ("edd-tiny-int4", 1_824_915_496_353_919_346),
+    ];
+    let mut rng = StdRng::seed_from_u64(2026);
+    let x = Array::randn(&[BATCH, 3, 16, 16], 1.0, &mut rng);
+    let got: Vec<(String, u64)> = compiled_zoo()
+        .iter()
+        .map(|(name, m)| {
+            let logits = m.forward(&x).expect("forward");
+            (name.clone(), fnv1a(logits.data().iter().copied()))
+        })
+        .collect();
+    let got_ref: Vec<(&str, u64)> = got.iter().map(|(n, h)| (n.as_str(), *h)).collect();
+    assert_eq!(
+        got_ref, want,
+        "zoo logits drifted from the pinned golden hashes"
+    );
+}
+
+#[test]
+fn pulsed_stream_matches_pinned_hash() {
+    const WANT: (usize, u64) = (9, 18_185_765_228_479_952_876);
+    let (_, model) = compiled_zoo().remove(1);
+    let [c, h, w] = model.graph().meta.input_shape;
+    let signal = synthetic_signal(c, w, 3 * h, 2026);
+    let pulsed = PulsedModel::from_graph(model.graph(), h / 4).expect("pulse");
+    let mut session = StreamSession::new(pulsed);
+    let mut windows = Vec::new();
+    for row in &signal {
+        if let Some(win) = session.push(row).expect("push") {
+            windows.push(win);
+        }
+    }
+    let hash = fnv1a(windows.iter().flat_map(|w| w.logits.iter().copied()));
+    assert_eq!(
+        (windows.len(), hash),
+        WANT,
+        "pulsed stream windows drifted from the pinned golden hash"
+    );
+}

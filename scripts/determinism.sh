@@ -47,5 +47,8 @@ cargo test --locked -q -p edd-core --test sweep_determinism
 # carried state must stay bounded by the window geometry regardless of
 # stream length.
 cargo test --locked -q -p edd-zoo --test pulse_determinism
+# Golden leg: the tiny zoo's logits and one pulsed stream's windows must
+# hash to the values pinned in the test on every leg of the matrix.
+cargo test --locked -q -p edd-zoo --test golden_outputs
 
 echo "DETERMINISM_RESULT: PASS"
