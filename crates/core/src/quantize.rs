@@ -348,8 +348,8 @@ impl edd_runtime::BatchModel for QuantizedModel {
                 images.len()
             )));
         }
-        let x = Array::from_vec(
-            images.to_vec(),
+        let x = Array::from_slice(
+            images,
             &[batch, self.input_channels, self.image_size, self.image_size],
         )?;
         let logits = self.forward(&x)?.data().to_vec();
@@ -484,6 +484,25 @@ mod tests {
         let block4: usize = q4.blocks.iter().map(QMbConv::weight_bytes).sum();
         assert_eq!(block4 * 2, block8 + block8 % 2);
         assert!(q4.weight_bytes() < q8.weight_bytes());
+    }
+
+    #[test]
+    fn infer_batch_leaves_the_buffer_pool_steady() {
+        let arch = derived();
+        let mut rng = StdRng::seed_from_u64(68);
+        let model = QatModel::new(&arch, &mut rng);
+        let calib = calibrate(&model, &calib_batches(&mut rng, 1)).unwrap();
+        let q = QuantizedModel::compile(&model, &arch, &calib);
+        let images = Array::randn(&[32, 3, 16, 16], 1.0, &mut rng);
+        // Warm-up fills the pool's bins for this batch's buffer lengths.
+        for _ in 0..3 {
+            q.infer_batch(images.data(), 32).unwrap();
+        }
+        let before = edd_tensor::recycle::retained_bytes();
+        for _ in 0..100 {
+            q.infer_batch(images.data(), 32).unwrap();
+        }
+        assert_eq!(edd_tensor::recycle::retained_bytes(), before);
     }
 
     #[test]

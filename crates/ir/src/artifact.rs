@@ -14,9 +14,12 @@
 //! Robustness: the CRC rejects bit flips and truncation before parsing
 //! begins; every count is bounds-checked against the remaining payload
 //! ([`ByteReader::get_count`]); and decoded specs are cross-validated
-//! against their geometry (weight/bias/requant lengths, clamp-bound
-//! ordering) before graph fact inference runs. A corrupt file yields a
-//! clean [`SnapshotError`], never a panic.
+//! against their geometry (weight/bias/requant lengths, clamp bounds
+//! ordered and inside the i8 range) and against the kernels' numeric
+//! domain (every requantizer [`Requant::is_well_formed`]) before graph
+//! fact inference runs. A corrupt or hostile file yields a clean
+//! [`SnapshotError`], never a panic or a result that depends on the SIMD
+//! path.
 
 use crate::exec::CompiledModel;
 use crate::graph::{Graph, GraphMeta, Node, Op, QAddOp};
@@ -309,7 +312,7 @@ fn decode_op(r: &mut ByteReader<'_>, id: usize) -> Result<Op> {
                     && spec.requant.len() == spec.out_channels
                     && spec.kernel > 0
                     && spec.stride > 0
-                    && spec.lo <= spec.hi,
+                    && clamp_in_range(spec.lo, spec.hi),
                 id,
                 "qconv",
             )?;
@@ -344,7 +347,7 @@ fn decode_op(r: &mut ByteReader<'_>, id: usize) -> Result<Op> {
                     && spec.requant.len() == spec.channels
                     && spec.kernel > 0
                     && spec.stride > 0
-                    && spec.lo <= spec.hi,
+                    && clamp_in_range(spec.lo, spec.hi),
                 id,
                 "qdwconv",
             )?;
@@ -362,10 +365,7 @@ fn decode_op(r: &mut ByteReader<'_>, id: usize) -> Result<Op> {
                 if !present {
                     return Ok(None);
                 }
-                Ok(Some(Requant {
-                    mult: r.get_i32()?,
-                    shift: r.get_i32()?,
-                }))
+                decode_requant(r).map(Some)
             };
             let rq_a = get_rq(flags & 1 != 0)?;
             let rq_b = get_rq(flags & 2 != 0)?;
@@ -400,6 +400,11 @@ fn decode_op(r: &mut ByteReader<'_>, id: usize) -> Result<Op> {
         other => return Err(corrupt(format!("node {id}: unknown op tag {other}"))),
     };
     Ok(op)
+}
+
+/// Requantizing layers clamp into `[lo, hi]` and store the result as i8.
+fn clamp_in_range(lo: i32, hi: i32) -> bool {
+    -128 <= lo && lo <= hi && hi <= 127
 }
 
 fn check(ok: bool, id: usize, what: &str) -> Result<()> {
@@ -460,18 +465,29 @@ fn decode_requants(r: &mut ByteReader<'_>) -> Result<Vec<Requant>> {
     let n = r.get_count(8)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        out.push(Requant {
-            mult: r.get_i32()?,
-            shift: r.get_i32()?,
-        });
+        out.push(decode_requant(r)?);
     }
     Ok(out)
+}
+
+fn decode_requant(r: &mut ByteReader<'_>) -> Result<Requant> {
+    let rq = Requant {
+        mult: r.get_i32()?,
+        shift: r.get_i32()?,
+    };
+    if !rq.is_well_formed() {
+        return Err(corrupt(format!(
+            "requantizer {rq:?} is outside the kernels' domain \
+             (mult in [2^30, 2^31), left shift under 128 bits)"
+        )));
+    }
+    Ok(rq)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{ConvOp, LinearOp};
+    use crate::graph::{ConvOp, DwConvOp, LinearOp};
     use crate::passes::{lower, PassConfig};
     use edd_runtime::BatchModel;
 
@@ -518,6 +534,22 @@ mod tests {
             0.04,
             Some(4),
         );
+        let dw = add(
+            &mut g,
+            "dw",
+            Op::DwConv2d(Box::new(DwConvOp {
+                w: (0..4 * 9).map(|_| next()).collect(),
+                channels: 4,
+                kernel: 3,
+                stride: 1,
+                padding: 1,
+                bias: None,
+                relu6: true,
+            })),
+            vec![c1],
+            0.04,
+            Some(8),
+        );
         let c2 = add(
             &mut g,
             "c2",
@@ -531,7 +563,7 @@ mod tests {
                 bias: Some((0..4).map(|_| next()).collect()),
                 relu6: false,
             })),
-            vec![c1],
+            vec![dw],
             0.04,
             Some(8),
         );
@@ -604,6 +636,69 @@ mod tests {
         // A training snapshot's container must not parse as a model.
         let snap = edd_runtime::snapshot::encode_container(b"not a model");
         assert!(from_bytes(&snap).is_err());
+    }
+
+    /// Rebuilds `g` with `edit` applied to every op, encodes it (a valid
+    /// CRC over the edited payload) and decodes it again.
+    fn reencoded(g: &Graph, edit: impl Fn(&mut Op)) -> Result<Graph> {
+        let mut h = Graph::new(g.meta.clone());
+        for n in g.nodes() {
+            let mut n = n.clone();
+            edit(&mut n.op);
+            h.add(n).unwrap();
+        }
+        h.set_output(g.output().unwrap()).unwrap();
+        from_bytes(&to_bytes(&h).unwrap())
+    }
+
+    #[test]
+    fn hostile_requantizers_and_clamps_are_rejected() {
+        let g = lowered();
+        for tag in ["qconv", "qdwconv", "qadd"] {
+            assert!(
+                g.nodes().iter().any(|n| n.op.mnemonic() == tag),
+                "test graph lacks a {tag} node"
+            );
+        }
+        assert!(reencoded(&g, |_| {}).is_ok(), "unedited graph must load");
+        // A shift the debug build's `apply` cannot perform (i128 << 169),
+        // and a negative multiplier the AVX2 requantizer reads unsigned.
+        type RqEdit = fn(&mut Requant);
+        let hostile: [(&str, RqEdit); 3] = [
+            ("shift 200", |rq| rq.shift = 200),
+            ("negative mult", |rq| rq.mult = -rq.mult),
+            ("unnormalized mult", |rq| rq.mult = 1 << 29),
+        ];
+        for (what, f) in hostile {
+            let requants = |op: &mut Op| match op {
+                Op::QConv(s) => s.requant.iter_mut().for_each(f),
+                Op::QDwConv(s) => s.requant.iter_mut().for_each(f),
+                _ => {}
+            };
+            assert!(reencoded(&g, requants).is_err(), "conv/dw {what}");
+            let adds = |op: &mut Op| {
+                if let Op::QAdd(a) = op {
+                    if let Some(rq) = a.rq_b.as_mut() {
+                        f(rq);
+                    }
+                }
+            };
+            assert!(reencoded(&g, adds).is_err(), "qadd {what}");
+        }
+        // Clamp bounds outside the i8 range `apply_i8` and the narrowing
+        // store assume.
+        let wide_conv = |op: &mut Op| {
+            if let Op::QConv(s) = op {
+                (s.lo, s.hi) = (-1000, 1000);
+            }
+        };
+        assert!(reencoded(&g, wide_conv).is_err(), "conv clamp");
+        let wide_dw = |op: &mut Op| {
+            if let Op::QDwConv(s) = op {
+                (s.lo, s.hi) = (-1000, 1000);
+            }
+        };
+        assert!(reencoded(&g, wide_dw).is_err(), "dw clamp");
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! the sharded `serve::Server` exactly like a directly compiled
 //! `QuantizedModel`.
 
-use crate::graph::{DType, Graph, Op, QAddOp};
-use edd_nn::{q_global_avg_pool, QConv2d, QDwConv2d, QLinear, QTensor, ACT_QMAX};
+use crate::graph::{DType, Graph, Op};
+use edd_nn::{q_global_avg_pool, QAddTables, QConv2d, QDwConv2d, QLinear, QTensor};
 use edd_runtime::BatchModel;
 use edd_tensor::{Array, Result, TensorError};
 
@@ -31,8 +31,8 @@ enum Layer {
     Dw(QDwConv2d),
     /// Standalone integer ReLU6 clamp.
     Relu6 { hi: i8 },
-    /// Integer residual add.
-    Add(QAddOp),
+    /// Integer residual add with its operand tables.
+    Add { add: QAddTables, out_scale: f32 },
     /// Integer global average pool.
     Gap,
     /// Quantized classifier head with rebuilt panels.
@@ -118,7 +118,10 @@ impl CompiledModel {
                 Op::QConv(s) => Layer::Conv(QConv2d::from_spec(s.as_ref().clone())),
                 Op::QDwConv(s) => Layer::Dw(QDwConv2d::from_spec(s.as_ref().clone())),
                 Op::QRelu6 { hi } => Layer::Relu6 { hi: *hi },
-                Op::QAdd(a) => Layer::Add(*a.as_ref()),
+                Op::QAdd(a) => Layer::Add {
+                    add: QAddTables::new(a.rq_a, a.rq_b),
+                    out_scale: a.out_scale,
+                },
                 Op::QGlobalAvgPool => Layer::Gap,
                 Op::QLinear(s) => Layer::Linear(QLinear::from_spec(s.as_ref().clone())),
                 float => {
@@ -203,10 +206,10 @@ impl CompiledModel {
                         scale: q.scale,
                     })
                 }
-                Layer::Add(op) => {
+                Layer::Add { add, out_scale } => {
                     let a = value(&values, node.inputs[0])?.as_q()?;
                     let b = value(&values, node.inputs[1])?.as_q()?;
-                    Value::Q(qadd(op, a, b)?)
+                    Value::Q(qadd(add, *out_scale, a, b)?)
                 }
                 Layer::Gap => Value::Q(q_global_avg_pool(value(&values, node.inputs[0])?.as_q()?)?),
                 Layer::Linear(l) => Value::F(l.forward(value(&values, node.inputs[0])?.as_q()?)?),
@@ -239,34 +242,21 @@ fn value(values: &[Option<Value>], id: usize) -> Result<&Value> {
     })
 }
 
-/// The integer residual add: each operand is brought onto the output grid
-/// by its optional requant, summed in i32, and clamped to the int8
-/// activation range — the exact loop `QMbConv::forward` runs.
-fn qadd(op: &QAddOp, a: &QTensor, b: &QTensor) -> Result<QTensor> {
+/// The integer residual add on two equally shaped operands — the add
+/// `QMbConv::forward` runs.
+fn qadd(add: &QAddTables, out_scale: f32, a: &QTensor, b: &QTensor) -> Result<QTensor> {
     if a.shape != b.shape {
         return Err(TensorError::InvalidArgument(format!(
             "qadd operand shapes differ: {:?} vs {:?}",
             a.shape, b.shape
         )));
     }
-    let term = |rq: &Option<edd_tensor::qkernel::Requant>, v: i8| -> i32 {
-        match rq {
-            Some(rq) => rq.apply(i32::from(v)),
-            None => i32::from(v),
-        }
-    };
-    let data = a
-        .data
-        .iter()
-        .zip(&b.data)
-        .map(|(&va, &vb)| {
-            (term(&op.rq_a, va) + term(&op.rq_b, vb)).clamp(-ACT_QMAX, ACT_QMAX) as i8
-        })
-        .collect();
+    let mut data = a.data.clone();
+    add.add_assign(&mut data, &b.data);
     Ok(QTensor {
         data,
         shape: a.shape.clone(),
-        scale: op.out_scale,
+        scale: out_scale,
     })
 }
 
@@ -291,7 +281,7 @@ impl BatchModel for CompiledModel {
             )));
         }
         let [c, h, w] = self.input_shape;
-        let x = Array::from_vec(images.to_vec(), &[batch, c, h, w])?;
+        let x = Array::from_slice(images, &[batch, c, h, w])?;
         Ok(self.forward(&x)?.data().to_vec())
     }
 }
@@ -420,6 +410,21 @@ mod tests {
             one.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             logits[..3].iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn infer_batch_leaves_the_buffer_pool_steady() {
+        let (m, _) = compile(&float_graph(), &PassConfig::all()).unwrap();
+        let x = input(32);
+        // Warm-up fills the pool's bins for this batch's buffer lengths.
+        for _ in 0..3 {
+            m.infer_batch(x.data(), 32).unwrap();
+        }
+        let before = edd_tensor::recycle::retained_bytes();
+        for _ in 0..100 {
+            m.infer_batch(x.data(), 32).unwrap();
+        }
+        assert_eq!(edd_tensor::recycle::retained_bytes(), before);
     }
 
     #[test]

@@ -38,8 +38,8 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use crate::graph::{DType, Graph, Op, QAddOp};
-use edd_nn::{QConv2d, QConvSpec, QDwConv2d, QLinear, QTensor, ACT_QMAX};
+use crate::graph::{DType, Graph, Op};
+use edd_nn::{QAddTables, QConv2d, QConvSpec, QDwConv2d, QLinear, QTensor, ACT_QMAX};
 use edd_runtime::{ByteReader, ByteWriter, StreamModel, StreamWindow};
 use edd_tensor::qkernel::Requant;
 use edd_tensor::{Array, Result, TensorError};
@@ -122,11 +122,11 @@ enum PNode {
     /// Float → int8 boundary, row at a time.
     Quantize { scale: f32 },
     /// Conv/dwconv strip twin with ring-buffered carried rows.
-    Conv { kern: PKern, geom: ConvGeom },
+    Conv { kern: Box<PKern>, geom: ConvGeom },
     /// Standalone integer ReLU6 clamp.
     Relu6 { hi: i8 },
     /// Integer residual add over two row queues.
-    Add { op: QAddOp, row_len: usize },
+    Add { add: QAddTables, row_len: usize },
     /// Incremental integer global average pool.
     Gap {
         channels: usize,
@@ -246,7 +246,7 @@ impl PulsedProgram {
                         ..s.as_ref().clone()
                     });
                     PNode::Conv {
-                        kern: PKern::Std(twin),
+                        kern: Box::new(PKern::Std(twin)),
                         geom,
                     }
                 }
@@ -272,7 +272,7 @@ impl PulsedProgram {
                         ..s.as_ref().clone()
                     });
                     PNode::Conv {
-                        kern: PKern::Dw(twin),
+                        kern: Box::new(PKern::Dw(twin)),
                         geom,
                     }
                 }
@@ -285,7 +285,7 @@ impl PulsedProgram {
                     let [c, ..] = spatial(in_fact(0), "QAdd")?;
                     out_scale[id] = Some(a.out_scale);
                     PNode::Add {
-                        op: *a.as_ref(),
+                        add: QAddTables::new(a.rq_a, a.rq_b),
                         row_len: c * w,
                     }
                 }
@@ -606,7 +606,7 @@ impl PulsedState {
                 for (_, row) in &msgs {
                     let f = row.as_f()?;
                     // Same element-wise kernel the batch boundary runs.
-                    let a = Array::from_vec(f.to_vec(), &[f.len()])?;
+                    let a = Array::from_slice(f, &[f.len()])?;
                     out.push(Row::Q(QTensor::quantize(&a, *scale).data));
                 }
                 Ok(out)
@@ -659,7 +659,7 @@ impl PulsedState {
                 }
                 Ok(out)
             }
-            (PNode::Add { op, row_len }, NState::Pair(queues)) => {
+            (PNode::Add { add, row_len }, NState::Pair(queues)) => {
                 for (port, row) in msgs {
                     let q = row.as_q()?;
                     if q.len() != *row_len {
@@ -675,9 +675,10 @@ impl PulsedState {
                 }
                 let mut out = Vec::new();
                 while !queues[0].is_empty() && !queues[1].is_empty() {
-                    let a = queues[0].pop_front().expect("checked non-empty");
+                    let mut a = queues[0].pop_front().expect("checked non-empty");
                     let b = queues[1].pop_front().expect("checked non-empty");
-                    out.push(Row::Q(qadd_row(op, &a, &b)));
+                    add.add_assign(&mut a, &b);
+                    out.push(Row::Q(a));
                 }
                 Ok(out)
             }
@@ -895,23 +896,6 @@ fn push_ring_row(
         ring.rows.clear();
     }
     Ok(())
-}
-
-/// The integer residual add on one row pair — the exact per-element loop
-/// the batch engine runs.
-fn qadd_row(op: &QAddOp, a: &[i8], b: &[i8]) -> Vec<i8> {
-    let term = |rq: &Option<Requant>, v: i8| -> i32 {
-        match rq {
-            Some(rq) => rq.apply(i32::from(v)),
-            None => i32::from(v),
-        }
-    };
-    a.iter()
-        .zip(b)
-        .map(|(&va, &vb)| {
-            (term(&op.rq_a, va) + term(&op.rq_b, vb)).clamp(-ACT_QMAX, ACT_QMAX) as i8
-        })
-        .collect()
 }
 
 /// One in-flight sliding window.

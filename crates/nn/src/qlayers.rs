@@ -811,6 +811,9 @@ pub struct QDwConv2d {
     /// Dense per-channel taps, materialized once at compile time (int4
     /// weights are unpacked here exactly once, not per forward call).
     taps: Vec<i8>,
+    /// The same taps as `(w[kx], w[kx + 1])` i16 pairs for the AVX2
+    /// paired-tap kernel ([`qkernel::dw_tap_pairs`]).
+    tap_pairs: Vec<i32>,
 }
 
 impl QDwConv2d {
@@ -853,12 +856,17 @@ impl QDwConv2d {
     }
 
     /// Builds the executable layer from a compiled spec, materializing the
-    /// dense tap cache.
+    /// dense tap cache and its tap-pair form.
     #[must_use]
     pub fn from_spec(spec: QDwConvSpec) -> Self {
         let taps = spec.weights.to_dense();
+        let tap_pairs = qkernel::dw_tap_pairs(&taps, spec.kernel);
         stats::record_pack_panel_built();
-        QDwConv2d { spec, taps }
+        QDwConv2d {
+            spec,
+            taps,
+            tap_pairs,
+        }
     }
 
     /// The plain-data compiled form of this layer.
@@ -893,6 +901,7 @@ impl QDwConv2d {
         let (oh, ow) = (geom.out_h(), geom.out_w());
         let plane = oh * ow;
         let taps = sp.kernel * sp.kernel;
+        let pairs = sp.kernel * sp.kernel.div_ceil(2);
         let mut out = vec![0i8; b * c * plane];
         // Accumulate every channel of one image, then requantize all rows
         // in a single vectorized pass (one row per channel).
@@ -904,6 +913,7 @@ impl QDwConv2d {
                     &mut acc[ch * plane..(ch + 1) * plane],
                     image,
                     &self.taps[ch * taps..(ch + 1) * taps],
+                    &self.tap_pairs[ch * pairs..(ch + 1) * pairs],
                     &geom,
                 );
             }
@@ -1131,6 +1141,58 @@ pub fn q_global_avg_pool(x: &QTensor) -> Result<QTensor> {
     })
 }
 
+/// A compiled integer residual add in a fixed output grid: each operand is
+/// brought onto the grid by its optional [`Requant`] (`None`: the operand
+/// already lives on it and its raw value is used), the two terms are
+/// summed in i32 (saturating) and the sum is clamped to the int8
+/// activation range.
+///
+/// An i8 operand has only 256 values, so each operand's requantization is
+/// tabulated once when the add is compiled: `term_a[v as u8]` is operand
+/// `a`'s value `v` on the output grid. Per element the add is then two
+/// table loads, an add and a clamp, with no 64-bit multiply-and-shift. The
+/// batch executor, the pulsed executor and [`QMbConv`] all run this one
+/// add.
+#[derive(Clone, Debug)]
+pub struct QAddTables {
+    term_a: Box<[i32; 256]>,
+    term_b: Box<[i32; 256]>,
+}
+
+impl QAddTables {
+    /// Tabulates both operands' requantizers.
+    #[must_use]
+    pub fn new(rq_a: Option<Requant>, rq_b: Option<Requant>) -> Self {
+        let table = |rq: Option<Requant>| {
+            let mut t = Box::new([0i32; 256]);
+            for v in i8::MIN..=i8::MAX {
+                let v32 = i32::from(v);
+                t[usize::from(v as u8)] = rq.map_or(v32, |rq| rq.apply(v32));
+            }
+            t
+        };
+        QAddTables {
+            term_a: table(rq_a),
+            term_b: table(rq_b),
+        }
+    }
+
+    /// The residual add in place on the first operand:
+    /// `a[i] = clamp(term_a[a[i]] + term_b[b[i]], -127, 127)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the operands differ in length.
+    pub fn add_assign(&self, a: &mut [i8], b: &[i8]) {
+        assert_eq!(a.len(), b.len(), "QAddTables: operand lengths differ");
+        for (x, &y) in a.iter_mut().zip(b) {
+            let sum = self.term_a[usize::from(*x as u8)]
+                .saturating_add(self.term_b[usize::from(y as u8)]);
+            *x = sum.clamp(-ACT_QMAX, ACT_QMAX) as i8;
+        }
+    }
+}
+
 /// Calibrated activation scales for one compiled [`QMbConv`] block.
 #[derive(Debug, Clone, Copy)]
 pub struct MbConvScales {
@@ -1151,8 +1213,9 @@ pub struct QMbConv {
     depthwise: QDwConv2d,
     project: QConv2d,
     /// Rescales the block *input* into the block-output grid for the
-    /// residual add (`None` for non-residual blocks).
-    residual: Option<Requant>,
+    /// residual add, with the add compiled from it (`None` for
+    /// non-residual blocks).
+    residual: Option<(Requant, QAddTables)>,
     out_scale: f32,
 }
 
@@ -1182,9 +1245,11 @@ impl QMbConv {
             scales.block_out,
             false,
         );
-        let residual = mb
-            .has_residual()
-            .then(|| Requant::from_scale(f64::from(in_scale) / f64::from(scales.block_out)));
+        let residual = mb.has_residual().then(|| {
+            let rq = Requant::from_scale(f64::from(in_scale) / f64::from(scales.block_out));
+            // The projection output is already on the block-output grid.
+            (rq, QAddTables::new(None, Some(rq)))
+        });
         QMbConv {
             expand,
             depthwise,
@@ -1230,7 +1295,7 @@ impl QMbConv {
     /// `None` for non-residual blocks.
     #[must_use]
     pub fn residual(&self) -> Option<&Requant> {
-        self.residual.as_ref()
+        self.residual.as_ref().map(|(rq, _)| rq)
     }
 
     /// Runs the quantized block on an NCHW [`QTensor`].
@@ -1245,13 +1310,8 @@ impl QMbConv {
         };
         h = self.depthwise.forward(&h)?;
         let mut h = self.project.forward(&h)?;
-        if let Some(rq) = &self.residual {
-            // Both operands live in the block-output grid: the projection
-            // was requantized into it, the input is rescaled here.
-            for (hq, &xq) in h.data.iter_mut().zip(&x.data) {
-                let sum = i32::from(*hq) + rq.apply(i32::from(xq));
-                *hq = sum.clamp(-ACT_QMAX, ACT_QMAX) as i8;
-            }
+        if let Some((_, add)) = &self.residual {
+            add.add_assign(&mut h.data, &x.data);
         }
         Ok(h)
     }
@@ -1482,6 +1542,34 @@ mod tests {
             "worst {worst}, step {}",
             scales.block_out
         );
+    }
+
+    #[test]
+    fn qadd_tables_match_requant_apply_on_every_pair() {
+        // Ratios below and above one, and one large enough that `apply`
+        // saturates to the i32 range (the table sum must saturate too).
+        let rqs = [
+            None,
+            Some(Requant::from_scale(0.37)),
+            Some(Requant::from_scale(2.9)),
+            Some(Requant::from_scale(2f64.powi(40))),
+        ];
+        let term = |rq: Option<Requant>, v: i8| rq.map_or(i32::from(v), |rq| rq.apply(v.into()));
+        let all: Vec<i8> = (i8::MIN..=i8::MAX).collect();
+        for rq_a in rqs {
+            for rq_b in rqs {
+                let add = QAddTables::new(rq_a, rq_b);
+                for &va in &all {
+                    let mut a = vec![va; all.len()];
+                    add.add_assign(&mut a, &all);
+                    for (&got, &vb) in a.iter().zip(&all) {
+                        let want = (i64::from(term(rq_a, va)) + i64::from(term(rq_b, vb)))
+                            .clamp(-127, 127);
+                        assert_eq!(i64::from(got), want, "{rq_a:?} {rq_b:?} a={va} b={vb}");
+                    }
+                }
+            }
+        }
     }
 
     fn calibrate_mbconv_for_tests(mb: &MbConv, x: &Array) -> MbConvScales {

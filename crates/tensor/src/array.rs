@@ -62,6 +62,20 @@ impl Drop for Array {
     }
 }
 
+/// Errors unless `len` elements fill `shape` exactly.
+fn check_volume(len: usize, shape: &[usize]) -> Result<()> {
+    if len != num_elements(shape) {
+        return Err(TensorError::InvalidShape {
+            shape: shape.to_vec(),
+            reason: format!(
+                "data length {len} does not match shape volume {}",
+                num_elements(shape)
+            ),
+        });
+    }
+    Ok(())
+}
+
 impl Array {
     /// Creates an array of `shape` filled with zeros.
     #[must_use]
@@ -116,20 +130,35 @@ impl Array {
     /// Returns [`TensorError::InvalidShape`] if `data.len()` does not equal
     /// the number of elements implied by `shape`.
     pub fn from_vec(data: Vec<f32>, shape: &[usize]) -> Result<Self> {
-        if data.len() != num_elements(shape) {
-            return Err(TensorError::InvalidShape {
-                shape: shape.to_vec(),
-                reason: format!(
-                    "data length {} does not match shape volume {}",
-                    data.len(),
-                    num_elements(shape)
-                ),
-            });
-        }
+        check_volume(data.len(), shape)?;
         Ok(Array {
             shape: shape.to_vec(),
             data,
         })
+    }
+
+    /// Creates an array holding a copy of `data`, in a buffer taken from
+    /// the recycling pool.
+    ///
+    /// This is how borrowed request data (an image batch handed to an
+    /// engine) should enter an `Array`: the array's `Drop` parks its
+    /// buffer in the pool, so the buffer must have come from there too.
+    /// Wrapping a freshly allocated vector with [`from_vec`] instead parks
+    /// one buffer per call that the pool never handed out, so a caller
+    /// that does this per request grows the pool by one buffer per request
+    /// until the per-thread cap.
+    ///
+    /// [`from_vec`]: Self::from_vec
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::InvalidShape`] if `data.len()` does not equal
+    /// the number of elements implied by `shape`.
+    pub fn from_slice(data: &[f32], shape: &[usize]) -> Result<Self> {
+        check_volume(data.len(), shape)?;
+        let mut array = Self::uninit(shape);
+        array.data.copy_from_slice(data);
+        Ok(array)
     }
 
     /// Creates an array with entries drawn from `N(0, std^2)` using `rng`.

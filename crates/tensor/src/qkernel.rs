@@ -217,6 +217,21 @@ impl Requant {
         f64::from(self.mult) * pow2(self.shift - 31)
     }
 
+    /// Whether this pair is in the domain the kernels are written for:
+    /// `mult` normalized to `[2^30, 2^31)` (what [`from_scale`] always
+    /// produces, and what the AVX2 requantizer's unsigned multiply
+    /// assumes), and a `shift` for which [`apply`] neither overflows
+    /// computing `31 - shift` nor shifts left by 128 bits or more. Decoders
+    /// of outside input reject pairs that fail this.
+    ///
+    /// [`from_scale`]: Self::from_scale
+    /// [`apply`]: Self::apply
+    #[must_use]
+    pub fn is_well_formed(&self) -> bool {
+        let total_shift = 31 - i64::from(self.shift);
+        self.mult >= 1 << 30 && total_shift > -128 && total_shift <= i64::from(i32::MAX)
+    }
+
     /// Rescales an i32 accumulator: `round_half_away(acc · real())`,
     /// saturated to the i32 range.
     #[must_use]
@@ -269,17 +284,20 @@ fn pow2(e: i32) -> f64 {
 /// one [`Requant`] per row (per output channel), clamping to `[lo, hi]`.
 ///
 /// Per row the multiplier's `31 - shift` and rounding nudge are hoisted
-/// and the common case (`0 < 31 - shift < 63`, i.e. every real layer scale
-/// ratio) runs a vectorizable row kernel; degenerate shifts fall back to
-/// the per-element [`Requant::apply_i8`]. The row kernel computes exactly
-/// the same `i64` product / nudge / shift / clamp sequence as `apply_i8`
-/// (clamping straight to `[lo, hi] ⊆ i32` instead of clamping to the i32
+/// and the common case (a normalized positive `mult` with
+/// `0 < 31 - shift < 63`, i.e. every real layer scale ratio) runs a
+/// vectorizable row kernel; degenerate multipliers fall back to the
+/// per-element [`Requant::apply_i8`]. The row kernel computes exactly the
+/// same `i64` product / nudge / shift / clamp sequence as `apply_i8`
+/// (clamping straight to `[lo, hi] ⊆ i8` instead of clamping to the i32
 /// range first, which cannot change the result), so this is bitwise
 /// identical to the element-wise loop on every path.
 ///
 /// # Panics
 ///
-/// Panics on inconsistent lengths.
+/// Panics on inconsistent lengths, or when `[lo, hi]` is empty or not
+/// within the i8 range (the vector kernel narrows with saturating packs,
+/// which equal the scalar `as i8` only inside that range).
 pub fn requantize_rows_into(
     dst: &mut [i8],
     acc: &[i32],
@@ -298,14 +316,19 @@ pub fn requantize_rows_into(
         per_row.len() * cols,
         "requantize_rows_into: rows/cols mismatch"
     );
+    assert!(
+        -128 <= lo && lo <= hi && hi <= 127,
+        "requantize_rows_into: clamp [{lo}, {hi}] outside the i8 range"
+    );
     for ((d_row, a_row), rq) in dst
         .chunks_exact_mut(cols)
         .zip(acc.chunks_exact(cols))
         .zip(per_row)
     {
         let ts = 31 - rq.shift;
-        if ts <= 0 || ts >= 63 {
-            // Degenerate multipliers (>= 1 or flushing to zero): cold path.
+        if ts <= 0 || ts >= 63 || rq.mult <= 0 {
+            // Degenerate multipliers (>= 1, flushing to zero, or not
+            // positive): cold path.
             for (d, &a) in d_row.iter_mut().zip(a_row) {
                 *d = rq.apply_i8(a, lo, hi);
             }
@@ -315,11 +338,12 @@ pub fn requantize_rows_into(
     }
 }
 
-/// Row kernel for the common requant case (`0 < ts < 63`). Dispatched by
-/// hand: the AVX2 twin is a genuinely different instruction sequence
-/// (unsigned 32x32→64 multiplies + logical shifts + 64-bit clamps), kept
-/// bit-identical by integer exactness rather than by recompilation, and
-/// pinned to the scalar body by the kernel-dispatch test.
+/// Row kernel for the common requant case (`mult > 0`, `0 < ts < 63`,
+/// `-128 <= lo <= hi <= 127`). Dispatched by hand: the AVX2 twin is a
+/// genuinely different instruction sequence (unsigned 32x32→64 multiplies,
+/// a magnitude cap and 32-bit clamps), kept bit-identical by integer
+/// exactness rather than by recompilation, and pinned to the scalar body by
+/// the kernel-dispatch test.
 fn requantize_row_fast(dst: &mut [i8], acc: &[i32], mult: i32, ts: i32, lo: i32, hi: i32) {
     #[cfg(target_arch = "x86_64")]
     if crate::kernel::use_avx2() {
@@ -346,13 +370,24 @@ fn requantize_row_fast_scalar(dst: &mut [i8], acc: &[i32], mult: i32, ts: i32, l
     }
 }
 
-/// AVX2 requant row: 8 accumulators per iteration. The sign is peeled off
-/// (`|i32::MIN|` zero-extends to exactly `2^31`), the magnitude goes
-/// through `_mm256_mul_epu32` (the low 32 bits of each 64-bit lane hold the
-/// magnitude, the high 32 are zero, so the unsigned multiply is the full
-/// 63-bit product `|acc| * mult < 2^62`), nudge-add and logical shift stay
-/// in the positive range, and the sign is re-applied before a 64-bit
-/// compare/blend clamp — term for term the scalar body's arithmetic.
+/// AVX2 requant row: 8 accumulators per iteration, narrowed to 8 bytes
+/// with one store.
+///
+/// The sign is peeled off (`|i32::MIN|` reads as exactly `2^31` unsigned)
+/// and the magnitudes of the even and odd lanes go through
+/// `_mm256_mul_epu32` — the full product `|acc| · mult < 2^62`, since
+/// `mult` is positive. Nudge-add and logical shift stay in the positive
+/// range. The shifted magnitude is then capped at `2^31 - 1`: every
+/// magnitude at or above the cap clamps to `lo` or `hi` anyway, because
+/// `[lo, hi] ⊆ [-128, 127]`. The capped values fit 32-bit lanes, where the
+/// sign is re-applied and the `min/max_epi32` clamp runs. After the clamp
+/// every lane is in the i8 range, so the saturating `packs` narrowing
+/// equals the scalar body's `as i8`.
+///
+/// # Safety
+///
+/// The CPU must support AVX2; `mult > 0`, `0 < ts < 63` and
+/// `-128 <= lo <= hi <= 127` (the contract of [`requantize_row_fast`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn requantize_row_fast_avx2(
@@ -364,57 +399,52 @@ unsafe fn requantize_row_fast_avx2(
     hi: i32,
 ) {
     use std::arch::x86_64::*;
-    debug_assert!((1..63).contains(&ts));
-    let n = dst.len();
-    let mult_v = _mm256_set1_epi64x(i64::from(mult));
+    debug_assert!((1..63).contains(&ts) && mult > 0);
+    debug_assert!(-128 <= lo && lo <= hi && hi <= 127);
+    let n = dst.len().min(acc.len());
+    let mult_v = _mm256_set1_epi32(mult);
     let nudge_v = _mm256_set1_epi64x(1i64 << (ts - 1));
-    let lo_v = _mm256_set1_epi64x(i64::from(lo));
-    let hi_v = _mm256_set1_epi64x(i64::from(hi));
+    let cap_v = _mm256_set1_epi64x(i64::from(i32::MAX));
+    let lo_v = _mm256_set1_epi32(lo);
+    let hi_v = _mm256_set1_epi32(hi);
     let count = _mm_cvtsi32_si128(ts);
     let mut j = 0;
     while j + 8 <= n {
+        // SAFETY: j + 8 <= n bounds the 32-byte load and the 8-byte store.
         let x = _mm256_loadu_si256(acc.as_ptr().add(j).cast());
         let sign = _mm256_srai_epi32::<31>(x);
         let absx = _mm256_sub_epi32(_mm256_xor_si256(x, sign), sign);
-        let mag_lo = _mm256_cvtepu32_epi64(_mm256_castsi256_si128(absx));
-        let mag_hi = _mm256_cvtepu32_epi64(_mm256_extracti128_si256::<1>(absx));
-        let sgn_lo = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(sign));
-        let sgn_hi = _mm256_cvtepi32_epi64(_mm256_extracti128_si256::<1>(sign));
-        let v_lo = requant4(mag_lo, sgn_lo, mult_v, nudge_v, count, lo_v, hi_v);
-        let v_hi = requant4(mag_hi, sgn_hi, mult_v, nudge_v, count, lo_v, hi_v);
-        let mut tmp = [0i64; 8];
-        _mm256_storeu_si256(tmp.as_mut_ptr().cast(), v_lo);
-        _mm256_storeu_si256(tmp.as_mut_ptr().add(4).cast(), v_hi);
-        for (d, &v) in dst[j..j + 8].iter_mut().zip(&tmp) {
-            *d = v as i8;
-        }
+        let even = requant_magnitude(absx, mult_v, nudge_v, count, cap_v);
+        let odd = requant_magnitude(_mm256_srli_epi64::<32>(absx), mult_v, nudge_v, count, cap_v);
+        let mag = _mm256_or_si256(even, _mm256_slli_epi64::<32>(odd));
+        let signed = _mm256_sub_epi32(_mm256_xor_si256(mag, sign), sign);
+        let v = _mm256_max_epi32(lo_v, _mm256_min_epi32(hi_v, signed));
+        let words = _mm_packs_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v));
+        _mm_storel_epi64(
+            dst.as_mut_ptr().add(j).cast(),
+            _mm_packs_epi16(words, words),
+        );
         j += 8;
     }
     requantize_row_fast_scalar(&mut dst[j..], &acc[j..], mult, ts, lo, hi);
 }
 
-/// One 4-lane requant step: `clamp(sign * ((mag * mult + nudge) >> ts))`.
+/// `min((m · mult + nudge) >> ts, 2^31 - 1)` over the unsigned low halves
+/// of the four 64-bit lanes of `m`; the result sits in the low half of each
+/// lane, the high half zero.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[inline]
-unsafe fn requant4(
-    mag: std::arch::x86_64::__m256i,
-    sign64: std::arch::x86_64::__m256i,
+unsafe fn requant_magnitude(
+    m: std::arch::x86_64::__m256i,
     mult: std::arch::x86_64::__m256i,
     nudge: std::arch::x86_64::__m256i,
     count: std::arch::x86_64::__m128i,
-    lo: std::arch::x86_64::__m256i,
-    hi: std::arch::x86_64::__m256i,
+    cap: std::arch::x86_64::__m256i,
 ) -> std::arch::x86_64::__m256i {
     use std::arch::x86_64::*;
-    let prod = _mm256_mul_epu32(mag, mult);
-    let shifted = _mm256_srl_epi64(_mm256_add_epi64(prod, nudge), count);
-    // Conditional negate: (v ^ s) - s with s = 0 or -1 across the lane.
-    let signed = _mm256_sub_epi64(_mm256_xor_si256(shifted, sign64), sign64);
-    let too_hi = _mm256_cmpgt_epi64(signed, hi);
-    let v = _mm256_blendv_epi8(signed, hi, too_hi);
-    let too_lo = _mm256_cmpgt_epi64(lo, v);
-    _mm256_blendv_epi8(v, lo, too_lo)
+    let q = _mm256_srl_epi64(_mm256_add_epi64(_mm256_mul_epu32(m, mult), nudge), count);
+    _mm256_blendv_epi8(q, cap, _mm256_cmpgt_epi64(q, cap))
 }
 
 // ---------------------------------------------------------------------------
@@ -854,79 +884,184 @@ pub fn qim2col_into(out: &mut [i8], input: &[i8], geom: &Conv2dGeometry) {
     }
 }
 
+/// Packs depthwise taps into the `(w[kx], w[kx + 1])` i16 pairs the AVX2
+/// depthwise kernel multiplies with `_mm256_madd_epi16`: each `k`-wide tap
+/// row becomes `k.div_ceil(2)` i32 words, the low half `w[kx]` and the high
+/// half `w[kx + 1]` (zero past the row end for odd `k`). Any number of
+/// whole `k × k` channel kernels can be packed at once; channel `c`'s pairs
+/// are then `pairs[c · k · kp .. (c + 1) · k · kp]` with
+/// `kp = k.div_ceil(2)`.
+///
+/// # Panics
+///
+/// Panics if `k` is zero or `w` is not a whole number of `k`-wide rows.
+#[must_use]
+pub fn dw_tap_pairs(w: &[i8], k: usize) -> Vec<i32> {
+    assert!(
+        k > 0 && w.len().is_multiple_of(k),
+        "dw_tap_pairs: taps are not whole rows"
+    );
+    let half = |v: i8| u32::from(i16::from(v) as u16);
+    w.chunks_exact(k)
+        .flat_map(|row| {
+            row.chunks(2).map(|p| {
+                let hi = p.get(1).copied().unwrap_or(0);
+                (half(p[0]) | (half(hi) << 16)) as i32
+            })
+        })
+        .collect()
+}
+
 /// Quantized depthwise stencil for one channel plane: `out[oh, ow](i32)
 /// = w[k, k] ⊛ input[ih, iw]` with stride/padding from `geom` (interpreted
-/// single-channel), overwriting `out`. Taps accumulate in ascending
-/// `(ky, kx)` order; integer math keeps any reordering exact anyway.
+/// single-channel), overwriting `out`. `pairs` is the same kernel packed by
+/// [`dw_tap_pairs`]. Taps accumulate in ascending `(ky, kx)` order; integer
+/// math keeps any reordering exact anyway.
 ///
 /// Dispatched by hand (not `avx2_dispatch!`): the AVX2 twin for the
-/// stride-1, `ow >= 8` common case is a real widening-multiply kernel over
-/// a horizontally zero-padded plane, not a recompile of the scalar body;
+/// stride-1, `ow >= 8` case is a paired-tap `madd` kernel over a
+/// horizontally zero-padded plane, not a recompile of the scalar body;
 /// integer exactness keeps the paths equal (pinned by the dispatch test).
-pub fn qdw_plane_into(out: &mut [i32], input: &[i8], w: &[i8], geom: &Conv2dGeometry) {
+///
+/// # Panics
+///
+/// Panics if `w` or `pairs` does not hold one `k × k` kernel, or if
+/// `input`/`out` do not match `geom`.
+pub fn qdw_plane_into(
+    out: &mut [i32],
+    input: &[i8],
+    w: &[i8],
+    pairs: &[i32],
+    geom: &Conv2dGeometry,
+) {
+    let k = geom.kernel;
+    assert_eq!(w.len(), k * k, "qdw_plane_into: bad kernel length");
+    assert_eq!(
+        pairs.len(),
+        k * k.div_ceil(2),
+        "qdw_plane_into: bad tap-pair length"
+    );
+    assert_eq!(
+        input.len(),
+        geom.in_h * geom.in_w,
+        "qdw_plane_into: bad input length"
+    );
+    assert_eq!(
+        out.len(),
+        geom.out_h() * geom.out_w(),
+        "qdw_plane_into: bad out length"
+    );
     #[cfg(target_arch = "x86_64")]
     if crate::kernel::use_avx2() && geom.stride == 1 && geom.out_w() >= 8 {
-        // SAFETY: AVX2 support verified at runtime just above.
-        return unsafe { qdw_plane_s1_avx2(out, input, w, geom) };
+        // SAFETY: AVX2 support verified at runtime just above; the lengths
+        // and the stride-1 / `ow >= 8` shape the kernel relies on are
+        // asserted or tested just above.
+        return unsafe { qdw_plane_s1_avx2(out, input, pairs, geom) };
     }
     qdw_plane_into_scalar(out, input, w, geom);
 }
 
-/// AVX2 stride-1 depthwise plane: the input is staged into a horizontally
-/// zero-padded scratch plane (`pw = iw + 2·pad`), so every horizontal tap
-/// of an 8-wide output group is one unconditional 8-byte load; vertical
-/// padding is a per-output-row tap clip. Per tap: sign-extend 8 bytes to
-/// i16, `_mm_mullo_epi16` against the broadcast weight (exact —
-/// `|w·x| <= 127² < 2^15`), widen to i32, accumulate. The last column
-/// group is anchored at `ow - 8`, recomputing overlapped outputs —
+/// AVX2 stride-1 depthwise plane, two taps per multiply.
+///
+/// The input is sign-extended once into a horizontally zero-padded i16
+/// scratch plane (`pw = iw + 2·pad`); vertical padding is a per-output-row
+/// tap clip. In that plane the taps `(kx, kx + 1)` of output `j` are the
+/// adjacent i16 pair at `j + kx`, so one unaligned 32-byte load at `kx`
+/// holds them for the even outputs `j = 0, 2, …, 14` of a 16-wide group
+/// and a load at `kx + 1` holds them for the odd ones.
+/// `_mm256_madd_epi16` against the broadcast `(w[kx], w[kx + 1])` pair
+/// forms both products and their sum exactly (`|x·w| <= 128²`, so a pair
+/// sum stays far inside i32), with no shuffle inside the tap loop; the
+/// even and odd accumulators are interleaved once per group. An odd
+/// kernel's last tap is paired with a zero weight. Outputs go 16 per group
+/// when `ow >= 16` and 8 per group (128-bit twin) otherwise; the last
+/// group is anchored at the row end, recomputing overlapped outputs —
 /// identical values, integer math.
+///
+/// # Safety
+///
+/// The CPU must support AVX2; `geom.stride == 1`, `geom.out_w() >= 8`,
+/// `input.len() == in_h · in_w`, `out.len() == out_h · out_w` and
+/// `pairs.len() == k · k.div_ceil(2)`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn qdw_plane_s1_avx2(out: &mut [i32], input: &[i8], w: &[i8], geom: &Conv2dGeometry) {
+unsafe fn qdw_plane_s1_avx2(out: &mut [i32], input: &[i8], pairs: &[i32], geom: &Conv2dGeometry) {
     use std::arch::x86_64::*;
     let k = geom.kernel;
+    let kp = k.div_ceil(2);
     let (ih, iw) = (geom.in_h, geom.in_w);
     let (oh, ow) = (geom.out_h(), geom.out_w());
     debug_assert_eq!(input.len(), ih * iw);
-    debug_assert_eq!(w.len(), k * k);
+    debug_assert_eq!(pairs.len(), k * kp);
     debug_assert_eq!(out.len(), oh * ow);
     debug_assert!(geom.stride == 1 && ow >= 8);
     let pad = geom.padding;
+    // Stride 1: ow = pw - k + 1. One slack element past the last row: the
+    // odd-output load of an odd kernel's last (zero-weight) pair reads it.
     let pw = iw + 2 * pad;
-    let mut padded = crate::scratch::alloc_i8(ih * pw);
+    let mut padded = crate::scratch::alloc_i16_zeroed(ih * pw + 1);
     for (prow, irow) in padded.chunks_exact_mut(pw).zip(input.chunks_exact(iw)) {
-        prow[..pad].fill(0);
-        prow[pad..pad + iw].copy_from_slice(irow);
-        prow[pad + iw..].fill(0);
+        for (d, &s) in prow[pad..pad + iw].iter_mut().zip(irow) {
+            *d = i16::from(s);
+        }
     }
     let pp = padded.as_ptr();
+    let op = out.as_mut_ptr();
     for oy in 0..oh {
         // Vertical clip: taps whose source row falls outside the image
         // contribute zero, exactly as the scalar body's valid_out_range.
         let ky0 = pad.saturating_sub(oy).min(k);
         let ky1 = k.min((ih + pad).saturating_sub(oy));
-        let orow = &mut out[oy * ow..(oy + 1) * ow];
-        let mut x0 = 0usize;
-        loop {
-            let mut acc = _mm256_setzero_si256();
-            for ky in ky0..ky1 {
-                let sy = oy + ky - pad;
-                // SAFETY: x0 <= ow - 8 and kx <= k - 1, so the 8-byte load
-                // ends at sy*pw + (ow - 8 + k - 1 + 7) = sy*pw + pw - 1,
-                // inside the padded plane.
-                let base = pp.add(sy * pw + x0);
-                for kx in 0..k {
-                    let wv = _mm_set1_epi16(i16::from(w[ky * k + kx]));
-                    let bytes = _mm_loadl_epi64(base.add(kx).cast());
-                    let prods = _mm_mullo_epi16(_mm_cvtepi8_epi16(bytes), wv);
-                    acc = _mm256_add_epi32(acc, _mm256_cvtepi16_epi32(prods));
+        // SAFETY (every load and store below): a group starts at
+        // x0 <= ow - width, so a load of `width` i16 at tap offset
+        // kx + 1 <= k ends at sy*pw + ow - 1 + k = sy*pw + pw — the next
+        // row's first element or the slack element — and the stores end
+        // at oy*ow + ow.
+        let orow = op.add(oy * ow);
+        let src = |ky: usize, x0: usize| pp.add((oy + ky - pad) * pw + x0);
+        if ow >= 16 {
+            let mut x0 = 0usize;
+            loop {
+                let (mut even, mut odd) = (_mm256_setzero_si256(), _mm256_setzero_si256());
+                for ky in ky0..ky1 {
+                    let base = src(ky, x0);
+                    let wrow = &pairs[ky * kp..(ky + 1) * kp];
+                    for (p, &pair) in wrow.iter().enumerate() {
+                        let wv = _mm256_set1_epi32(pair);
+                        let a = _mm256_loadu_si256(base.add(2 * p).cast());
+                        let b = _mm256_loadu_si256(base.add(2 * p + 1).cast());
+                        even = _mm256_add_epi32(even, _mm256_madd_epi16(a, wv));
+                        odd = _mm256_add_epi32(odd, _mm256_madd_epi16(b, wv));
+                    }
                 }
+                let lo = _mm256_unpacklo_epi32(even, odd);
+                let hi = _mm256_unpackhi_epi32(even, odd);
+                let first = _mm256_permute2x128_si256::<0x20>(lo, hi);
+                let second = _mm256_permute2x128_si256::<0x31>(lo, hi);
+                _mm256_storeu_si256(orow.add(x0).cast(), first);
+                _mm256_storeu_si256(orow.add(x0 + 8).cast(), second);
+                if x0 + 16 >= ow {
+                    break;
+                }
+                x0 = (x0 + 16).min(ow - 16);
             }
-            _mm256_storeu_si256(orow.as_mut_ptr().add(x0).cast(), acc);
-            if x0 + 8 >= ow {
-                break;
+        } else {
+            for x0 in [0, ow - 8] {
+                let (mut even, mut odd) = (_mm_setzero_si128(), _mm_setzero_si128());
+                for ky in ky0..ky1 {
+                    let base = src(ky, x0);
+                    let wrow = &pairs[ky * kp..(ky + 1) * kp];
+                    for (p, &pair) in wrow.iter().enumerate() {
+                        let wv = _mm_set1_epi32(pair);
+                        let a = _mm_loadu_si128(base.add(2 * p).cast());
+                        let b = _mm_loadu_si128(base.add(2 * p + 1).cast());
+                        even = _mm_add_epi32(even, _mm_madd_epi16(a, wv));
+                        odd = _mm_add_epi32(odd, _mm_madd_epi16(b, wv));
+                    }
+                }
+                _mm_storeu_si128(orow.add(x0).cast(), _mm_unpacklo_epi32(even, odd));
+                _mm_storeu_si128(orow.add(x0 + 4).cast(), _mm_unpackhi_epi32(even, odd));
             }
-            x0 = (x0 + 8).min(ow - 8);
         }
     }
 }
@@ -946,6 +1081,11 @@ fn qdw_plane_into_scalar(out: &mut [i32], input: &[i8], w: &[i8], geom: &Conv2dG
             let wv = i32::from(w[ky * k + kx]);
             let (oy0, oy1) = valid_out_range(ky, pad, stride, ih, oh);
             let (ox0, ox1) = valid_out_range(kx, pad, stride, iw, ow);
+            if oy0 == oy1 || ox0 == ox1 {
+                // The tap reads only padding (a plane narrower than the
+                // padding, e.g. in_w = 1 with pad 1); `sx0` would go below 0.
+                continue;
+            }
             let sx0 = ox0 * stride + kx - pad;
             for oy in oy0..oy1 {
                 let sy = oy * stride + ky - pad;
@@ -1104,42 +1244,42 @@ mod tests {
         qgemm_block_scalar(&mut want, &a, &b, m, k, n);
         assert_eq!(got, want);
 
-        let geom = Conv2dGeometry {
-            in_channels: 1,
-            in_h: 11,
-            in_w: 9,
-            kernel: 3,
-            stride: 2,
-            padding: 1,
-        };
-        let input = randq(geom.in_h * geom.in_w, 127, &mut rng);
-        let w = randq(9, 127, &mut rng);
-        let plane = geom.out_h() * geom.out_w();
-        let mut got = vec![0i32; plane];
-        let mut want = vec![0i32; plane];
-        qdw_plane_into(&mut got, &input, &w, &geom);
-        qdw_plane_into_scalar(&mut want, &input, &w, &geom);
-        assert_eq!(got, want);
-
-        // Stride-1 16x16 hits the dedicated AVX2 depthwise kernel (padded
-        // plane + overlapped last group) on machines that have it.
-        for k in [3usize, 5, 7] {
-            let geom = Conv2dGeometry {
-                in_channels: 1,
-                in_h: 16,
-                in_w: 16,
-                kernel: k,
-                stride: 1,
-                padding: k / 2,
-            };
-            let input = randq(16 * 16, 127, &mut rng);
+        // Depthwise planes over every shape class the dispatch can see:
+        // ow < 8 and stride 2 (scalar), ow in 8..16, 16n and 16n + r
+        // (paired-tap AVX2 kernel), and the pulse strip (in_h = k, pad 0).
+        // Activations sit at ±127, the largest products the kernel forms.
+        let extremes: Vec<i8> = (0..40 * 40)
+            .map(|_| if rng.gen_bool(0.5) { 127 } else { -127 })
+            .collect();
+        for k in [1usize, 3, 5, 7] {
             let w = randq(k * k, 127, &mut rng);
-            let plane = geom.out_h() * geom.out_w();
-            let mut got = vec![i32::MIN; plane];
-            let mut want = vec![0i32; plane];
-            qdw_plane_into(&mut got, &input, &w, &geom);
-            qdw_plane_into_scalar(&mut want, &input, &w, &geom);
-            assert_eq!(got, want, "k={k}");
+            let pairs = dw_tap_pairs(&w, k);
+            for stride in [1usize, 2] {
+                for padding in 0..=k / 2 {
+                    for in_h in 1..=40 {
+                        for in_w in 1..=40 {
+                            if in_h + 2 * padding < k || in_w + 2 * padding < k {
+                                continue;
+                            }
+                            let geom = Conv2dGeometry {
+                                in_channels: 1,
+                                in_h,
+                                in_w,
+                                kernel: k,
+                                stride,
+                                padding,
+                            };
+                            let input = &extremes[..in_h * in_w];
+                            let plane = geom.out_h() * geom.out_w();
+                            let mut got = vec![i32::MIN; plane];
+                            let mut want = vec![0i32; plane];
+                            qdw_plane_into(&mut got, input, &w, &pairs, &geom);
+                            qdw_plane_into_scalar(&mut want, input, &w, &geom);
+                            assert_eq!(got, want, "{geom:?}");
+                        }
+                    }
+                }
+            }
         }
 
         // Prepacked maddubs block vs its scalar layout walk.
@@ -1174,6 +1314,47 @@ mod tests {
                     rq.apply_i8(acc[idx], -128, 127),
                     "row={row} col={c}"
                 );
+            }
+        }
+
+        // Every `31 - shift` class (the cold paths at <= 0 and >= 63, and
+        // each fast-path shift between), edge multipliers, the extreme
+        // accumulators and each clamp floor the engine uses. 37 columns
+        // cover full 8-lane groups and a scalar tail.
+        let edges = [i32::MIN, i32::MAX, 1, -1, 0];
+        let cols = 37;
+        let acc: Vec<i32> = (0..cols)
+            .map(|c| {
+                edges
+                    .get(c)
+                    .copied()
+                    .unwrap_or_else(|| rng.gen_range(i32::MIN..=i32::MAX) >> (c % 31))
+            })
+            .collect();
+        for lo in [-128, -127, 0] {
+            for hi in [127, 6] {
+                for ts in -2..=64 {
+                    let rqs: Vec<Requant> = [1 << 30, i32::MAX, rng.gen_range(1 << 30..i32::MAX)]
+                        .iter()
+                        .map(|&mult| Requant {
+                            mult,
+                            shift: 31 - ts,
+                        })
+                        .collect();
+                    let acc: Vec<i32> = rqs.iter().flat_map(|_| acc.iter().copied()).collect();
+                    let mut got = vec![0i8; acc.len()];
+                    requantize_rows_into(&mut got, &acc, &rqs, cols, lo, hi);
+                    for (row, rq) in rqs.iter().enumerate() {
+                        for c in 0..cols {
+                            let a = acc[row * cols + c];
+                            assert_eq!(
+                                got[row * cols + c],
+                                rq.apply_i8(a, lo, hi),
+                                "{rq:?} acc={a} clamp=[{lo}, {hi}]"
+                            );
+                        }
+                    }
+                }
             }
         }
     }
@@ -1282,7 +1463,7 @@ mod tests {
         let w = randq(9, 127, &mut rng);
         let (oh, ow) = (geom.out_h(), geom.out_w());
         let mut got = vec![0i32; oh * ow];
-        qdw_plane_into(&mut got, &input, &w, &geom);
+        qdw_plane_into(&mut got, &input, &w, &dw_tap_pairs(&w, 3), &geom);
         for oy in 0..oh {
             for ox in 0..ow {
                 let mut want = 0i32;

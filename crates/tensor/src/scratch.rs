@@ -287,6 +287,12 @@ scratch_view! {
 }
 
 scratch_view! {
+    /// A bump-allocated `i16` buffer borrowed from the arena (sign-extended
+    /// depthwise planes). Same lifetime rules as [`ScratchBuf`].
+    ScratchBufI16, i16, alloc_i16, alloc_i16_zeroed
+}
+
+scratch_view! {
     /// A bump-allocated `i32` buffer borrowed from the arena (qGEMM
     /// accumulators). Same lifetime rules as [`ScratchBuf`].
     ScratchBufI32, i32, alloc_i32, alloc_i32_zeroed

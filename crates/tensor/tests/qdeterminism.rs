@@ -14,8 +14,8 @@
 
 use edd_tensor::kernel::set_num_threads;
 use edd_tensor::qkernel::{
-    pack_i4, qdw_plane_into, qim2col_into, qmatmul_into, requantize_rows_into, unpack_i4_into,
-    Requant,
+    dw_tap_pairs, pack_i4, qdw_plane_into, qim2col_into, qmatmul_into, requantize_rows_into,
+    unpack_i4_into, Requant,
 };
 use edd_tensor::Conv2dGeometry;
 use rand::rngs::StdRng;
@@ -83,7 +83,7 @@ fn run_workload() -> (Vec<i8>, Vec<i32>, Vec<i8>, Vec<i32>) {
     let plane = qdata(dw_geom.in_h * dw_geom.in_w, 33);
     let taps = qdata(9, 44);
     let mut dw = vec![0i32; dw_geom.out_h() * dw_geom.out_w()];
-    qdw_plane_into(&mut dw, &plane, &taps, &dw_geom);
+    qdw_plane_into(&mut dw, &plane, &taps, &dw_tap_pairs(&taps, 3), &dw_geom);
 
     (cols, acc, out, dw)
 }
