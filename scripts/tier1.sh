@@ -13,7 +13,9 @@
 #      and the telemetry histogram / InferStats accounting tests;
 #   7. docs gate: rustdoc for the whole workspace with warnings denied
 #      (broken intra-doc links and malformed doc comments are errors),
-#      plus a release build of every example in examples/.
+#      plus a release build of every example in examples/;
+#   8. the benchmark package's unit tests (benchmark/ is a package of its
+#      own, outside the workspace, so step 4 does not reach it).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,5 +27,6 @@ cargo test --locked -q -p edd-tensor
 cargo test --locked -q -p edd-runtime
 RUSTDOCFLAGS="-D warnings" cargo doc --locked --no-deps --workspace
 cargo build --locked --release --examples
+cargo test --locked --offline -q --manifest-path benchmark/Cargo.toml
 
 echo "tier1: all green"
