@@ -1,8 +1,8 @@
 //! Steady-state cost of pulsed (streaming) inference.
 //!
-//! Each tiny-zoo integer engine is lifted into the IR
-//! (`QuantizedModel::to_graph`), converted into a pulsed model
-//! ([`edd_ir::PulsedModel`]), and fed a long synthetic signal one
+//! Each tiny-zoo integer engine's lowered graph
+//! ([`edd_zoo::compile_tiny_zoo`]) is converted into a pulsed model
+//! ([`edd_ir::PulsedModel`]) and fed a long synthetic signal one
 //! row-slice at a time after the rings are primed and the sliding-window
 //! coordinator has reached steady state. Reported per model:
 //!
@@ -24,7 +24,7 @@
 //! Run: `cargo run --release -p edd-bench --bin exp_pulse [--quick]`
 
 use edd_bench::print_header;
-use edd_ir::{CompiledModel, PulsedModel};
+use edd_ir::{PassConfig, PulsedModel};
 use edd_runtime::telemetry::Histogram;
 use edd_runtime::StreamSession;
 use edd_tensor::Array;
@@ -56,8 +56,8 @@ fn main() {
     println!("measuring {rows} pushed rows per model after warmup (rings primed)\n");
 
     let mut results = Vec::new();
-    for (name, q) in compile_tiny_zoo(0x0DD5EED) {
-        let g = q.to_graph(&name).expect("to_graph");
+    for (name, oracle, _) in compile_tiny_zoo(0x0DD5EED, &PassConfig::all()) {
+        let g = oracle.graph();
         let [c, h, w] = g.meta.input_shape;
         let hop = (h / 2).max(1);
 
@@ -65,7 +65,7 @@ fn main() {
         // engine bitwise on the same rows, under this process's exact
         // EDD_NUM_THREADS / EDD_SIMD / EDD_GEMM environment.
         let check_rows = synthetic_signal(c, w, h, SIGNAL_SEED);
-        let mut check = StreamSession::new(PulsedModel::from_graph(&g, hop).expect("pulse"));
+        let mut check = StreamSession::new(PulsedModel::from_graph(g, hop).expect("pulse"));
         let mut first = None;
         for row in &check_rows {
             if let Some(win) = check.push(row).expect("push") {
@@ -73,7 +73,6 @@ fn main() {
             }
         }
         let first = first.expect("one full window emits one result");
-        let oracle = CompiledModel::from_graph(g.clone()).expect("compile");
         let buf = signal_window(&check_rows, 0, h, c, w);
         let want = oracle
             .forward(&Array::from_vec(buf, &[1, c, h, w]).expect("shape"))
@@ -89,7 +88,7 @@ fn main() {
         // Warmup: one window plus one hop, so every ring is primed and the
         // coordinator is cycling windows, then measure `rows` pushes.
         let warm = h + hop;
-        let pulsed = PulsedModel::from_graph(&g, hop).expect("pulse");
+        let pulsed = PulsedModel::from_graph(g, hop).expect("pulse");
         let mut session = StreamSession::new(pulsed);
         for r in 0..warm {
             session

@@ -2,10 +2,10 @@
 //! prediction.
 //!
 //! Compiles the demo derived architecture ([`edd_zoo::tiny_derived_arch`],
-//! mixed Φ = 4/8/8-bit) into the true integer inference engine twice —
-//! once at its searched mixed precisions and once at uniform int8 — and
-//! measures batched throughput through `edd_runtime::InferServer` against
-//! the f32 fake-quant reference. The same architecture is then priced by
+//! mixed Φ = 4/8/8-bit) through the `edd-ir` pipeline into the true
+//! integer inference engine twice — once at its searched mixed precisions
+//! and once at uniform int8 — and measures batched throughput through
+//! `edd_runtime::InferServer` against the f32 fake-quant reference. The same architecture is then priced by
 //! the Stage-1 dedicated-accelerator model (`edd_hw::accel`), and the
 //! measured speedup ratios are compared against the predicted ones.
 //!
@@ -19,8 +19,9 @@
 //! Run: `cargo run --release -p edd-bench --bin exp_quantized [--quick]`
 
 use edd_bench::print_header;
-use edd_core::{calibrate, DerivedArch, QatModel, QuantizedModel};
+use edd_core::{calibrate, lower_to_graph, DerivedArch, QatModel, ENGINE_MAX_BITS};
 use edd_hw::{predicted_throughput_fps, AccelDevice};
+use edd_ir::{CompiledModel, PassConfig};
 use edd_nn::Module;
 use edd_runtime::InferServer;
 use edd_tensor::{Array, Tensor};
@@ -39,7 +40,7 @@ fn q_per_op(arch: &DerivedArch, block_bits: &[u32]) -> Vec<u32> {
 }
 
 /// Measured images/s serving `iters` batches through an [`InferServer`].
-fn measure_engine(model: QuantizedModel, images: &[f32], batch: usize, iters: usize) -> f64 {
+fn measure_engine(model: CompiledModel, images: &[f32], batch: usize, iters: usize) -> f64 {
     let server = InferServer::new(model);
     server.infer(images, batch).expect("warmup batch");
     let start = Instant::now();
@@ -78,15 +79,21 @@ fn main() {
         .collect();
     let calib = calibrate(&model, &calib_data).expect("calibration");
     let calib8 = calibrate(&model8, &calib_data).expect("calibration");
-    let qmixed = QuantizedModel::compile(&model, &arch, &calib);
-    let q8 = QuantizedModel::compile(&model8, &arch8, &calib8);
+    let graph = lower_to_graph(&model, &arch, &calib).expect("lowering");
+    let (qmixed, _) = edd_ir::compile(&graph, &PassConfig::all()).expect("compile");
+    let graph8 = lower_to_graph(&model8, &arch8, &calib8).expect("lowering");
+    let (q8, _) = edd_ir::compile(&graph8, &PassConfig::all()).expect("compile");
 
     print_header("Integer engine throughput vs Stage-1 Perf^q prediction");
+    let block_bits: Vec<u32> = arch
+        .blocks
+        .iter()
+        .map(|b| b.quant_bits.min(ENGINE_MAX_BITS))
+        .collect();
     println!(
-        "arch {} ({} blocks, Φ = {:?}), batch {batch}, {iters} timed batches\n",
+        "arch {} ({} blocks, Φ = {block_bits:?}), batch {batch}, {iters} timed batches\n",
         arch.name,
         arch.blocks.len(),
-        qmixed.block_bits()
     );
 
     let images = calib_data[0].data().to_vec();
@@ -99,8 +106,8 @@ fn main() {
     }
     let f32_fps = batch as f64 * iters as f64 / start.elapsed().as_secs_f64();
 
-    let bytes_mixed = qmixed.weight_bytes();
-    let bytes8 = q8.weight_bytes();
+    let bytes_mixed = qmixed.graph().weight_bytes();
+    let bytes8 = q8.graph().weight_bytes();
     let int8_fps = measure_engine(q8, &images, batch, iters);
     let mixed_fps = measure_engine(qmixed, &images, batch, iters);
 

@@ -25,6 +25,7 @@
 //! Run: `cargo run --release -p edd-bench --bin exp_serve [--quick]`
 
 use edd_bench::print_header;
+use edd_ir::{CompiledModel, PassConfig};
 use edd_runtime::telemetry::Histogram;
 use edd_runtime::{BatchModel, BatcherConfig, ModelServeStats, ServeConfig, Server, Ticket};
 use edd_tensor::Array;
@@ -149,15 +150,16 @@ fn main() {
     };
 
     // ---- Leg 1: the real compiled zoo, end to end. ----
-    let zoo: Vec<(String, Arc<edd_core::QuantizedModel>)> = edd_zoo::compile_tiny_zoo(0x0DD5EED)
-        .into_iter()
-        .map(|(name, model)| (name, Arc::new(model)))
-        .collect();
+    let zoo: Vec<(String, Arc<CompiledModel>)> =
+        edd_zoo::compile_tiny_zoo(0x0DD5EED, &PassConfig::all())
+            .into_iter()
+            .map(|(name, model, _)| (name, Arc::new(model)))
+            .collect();
     let num_models = zoo.len();
     assert_eq!(zoo[0].1.image_len(), IMAGE_LEN, "zoo serves 16x16 RGB");
     // Keep handles past Server::start so the engine leg can call the same
     // compiled models directly, without the serving front end in between.
-    let engines: Vec<(String, Arc<edd_core::QuantizedModel>)> = zoo.clone();
+    let engines = zoo.clone();
 
     // A small pool of fixed random images, cycled by every producer, so
     // input generation stays off the measured path.
@@ -249,7 +251,7 @@ struct EngineLatency {
 /// untimed warmup each) and summarizes the latency distribution with the
 /// same [`Histogram`] percentile convention the serving stats use.
 fn drive_engines(
-    engines: &[(String, Arc<edd_core::QuantizedModel>)],
+    engines: &[(String, Arc<CompiledModel>)],
     pool: &[Vec<f32>],
     iters: usize,
 ) -> Vec<EngineLatency> {

@@ -928,7 +928,7 @@ mod tests {
                 target: key.into(),
                 epoch: 0,
                 val_acc: 0.5,
-                perf_ms: 3.141_592_653_589_793,
+                perf_ms: std::f64::consts::PI,
                 resource: 128.0,
                 arch_json: "{\"blocks\":[]}".into(),
             }],

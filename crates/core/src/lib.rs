@@ -70,7 +70,7 @@ pub use lower::lower_to_graph;
 pub use pareto::ParetoPoint;
 pub use perf_model::{estimate, PerfEstimate, PerfTables};
 pub use qat::QatModel;
-pub use quantize::{calibrate, Calibration, QuantizedModel, ENGINE_MAX_BITS};
+pub use quantize::{calibrate, Calibration, ENGINE_MAX_BITS};
 pub use search::{CoSearch, CoSearchConfig, EpochRecord, SearchOutcome};
 pub use space::{BlockPlan, SearchSpace};
 pub use supernet::{SampledPath, SuperNet};

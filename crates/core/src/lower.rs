@@ -1,13 +1,13 @@
 //! Lowering a trained, calibrated model into the `edd-ir` graph.
 //!
-//! This is the frontend of the IR pipeline: it walks a [`QatModel`] in the
-//! same stem → blocks → head → pool → classifier order that
-//! [`QuantizedModel::compile`](crate::QuantizedModel::compile) hard-codes, but emits *annotated float
-//! graph nodes* instead of compiled layers. Each quantization boundary
-//! carries its calibrated activation scale and each parameterized op its
-//! Φ-searched weight precision, so `edd_ir::passes::lower` can reproduce
-//! the direct compilation bit-for-bit — the equivalence suite in
-//! `crates/zoo/tests` holds the two paths to exact output equality.
+//! This is the frontend of the integer compiler: it walks a [`QatModel`]
+//! in stem → blocks → head → pool → classifier order and emits *annotated
+//! float graph nodes*. Each quantization boundary carries its calibrated
+//! activation scale and each parameterized op its Φ-searched weight
+//! precision, which `edd_ir::passes::lower` consumes to quantize the
+//! graph. Every integer engine in the workspace comes out of this
+//! function followed by `edd_ir::compile` (or `edd_ir::lower` plus
+//! `CompiledModel::from_graph`).
 //!
 //! Keeping this in `edd-core` (not `edd-ir`) preserves the layering: the
 //! IR crate knows nothing about search, QAT, or calibration; this module
@@ -131,19 +131,16 @@ fn dw_stage(
     ))
 }
 
-/// Lowers a trained [`QatModel`] into an annotated float [`Graph`]: the
-/// IR-pipeline equivalent of handing the model to
-/// [`QuantizedModel::compile`]. Weights are copied out of the model,
-/// activation scales come from `calib`, and per-block weight precisions
-/// from the arch's searched Φ (clamped to [`ENGINE_MAX_BITS`], exactly as
-/// the direct compiler does).
+/// Lowers a trained [`QatModel`] into an annotated float [`Graph`].
+/// Weights are copied out of the model, activation scales come from
+/// `calib`, and per-block weight precisions from the arch's searched Φ
+/// (clamped to [`ENGINE_MAX_BITS`]; stem, head and classifier run at the
+/// ceiling, mirroring [`QatModel`]'s full-precision first/last layers).
 ///
 /// # Errors
 ///
 /// Errors when `calib` has a different block count than the model, or
 /// when a block that expands is missing its expand-stage scale.
-///
-/// [`QuantizedModel::compile`]: crate::quantize::QuantizedModel::compile
 pub fn lower_to_graph(model: &QatModel, arch: &DerivedArch, calib: &Calibration) -> Result<Graph> {
     if calib.blocks.len() != model.blocks().len() {
         return Err(TensorError::InvalidArgument(format!(
@@ -207,9 +204,9 @@ pub fn lower_to_graph(model: &QatModel, arch: &DerivedArch, calib: &Calibration)
             false,
         )?;
         if mb.has_residual() {
-            // Operand order matters for exactness: the projection output
-            // already lives on the block-output grid (passes through raw),
-            // the block input is requantized — matching QMbConv's loop.
+            // Operand order fixes the bits: the projection output already
+            // lives on the block-output grid (passes through raw), the
+            // block input is requantized onto it (see `lower_quantized`).
             h = g.add(node(
                 format!("block{i}.residual"),
                 Op::Add,

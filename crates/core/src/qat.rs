@@ -66,8 +66,8 @@ impl QatModel {
     }
 
     /// The stem convolution. Exposed (with the other stage accessors) so
-    /// the post-training integer compiler in [`crate::quantize`] can fold
-    /// and calibrate the network stage by stage.
+    /// calibration ([`crate::quantize`]) and the IR lowering
+    /// ([`crate::lower`]) can walk the network stage by stage.
     #[must_use]
     pub fn stem(&self) -> &Conv2d {
         &self.stem

@@ -1,24 +1,19 @@
-//! Post-training compilation of a derived network into a true integer
+//! Post-training calibration of a derived network for the integer
 //! inference engine.
 //!
 //! The co-search picks a per-block weight precision Φ; [`QatModel`] trains
 //! the derived network under those precisions with straight-through fake
-//! quantization, but still executes in f32. This module closes the loop:
-//! [`calibrate`] replays the float network over sample data to fix every
-//! activation scale, and [`QuantizedModel::compile`] folds batch norms,
-//! quantizes weights per output channel at each block's searched bits
-//! (bit-packing int4 for low-Φ blocks), and assembles the
-//! `edd_nn::qlayers` graph so a forward pass runs entirely in int8/int4 ×
+//! quantization, but still executes in f32. [`calibrate`] replays the float
+//! network over sample data to fix every activation scale. The model, its
+//! arch and the [`Calibration`] then lower to an `edd-ir` graph
+//! ([`lower_to_graph`](crate::lower_to_graph)), and `edd_ir::compile` folds
+//! batch norms, quantizes weights per output channel at each block's
+//! searched bits (bit-packing int4 for low-Φ blocks) and builds an
+//! `edd_ir::CompiledModel` whose forward pass runs entirely in int8/int4 ×
 //! int8 → i32 arithmetic with fixed-point requantization — the arithmetic
 //! the paper's FPGA/GPU implementations actually perform.
-//!
-//! [`QuantizedModel`] implements [`edd_runtime::BatchModel`], so it drops
-//! into an [`edd_runtime::InferServer`] for batched serving with
-//! request/latency telemetry.
 
-use crate::derive::DerivedArch;
 use crate::qat::QatModel;
-use edd_nn::qlayers::{q_global_avg_pool, MbConvScales, QConv2d, QLinear, QMbConv, QTensor};
 use edd_nn::{Module, QuantizableModule};
 use edd_tensor::qkernel;
 use edd_tensor::{Array, Result, Tensor, TensorError};
@@ -26,6 +21,18 @@ use edd_tensor::{Array, Result, Tensor, TensorError};
 /// Weight precision ceiling of the integer engine: searched widths above
 /// 8 bits execute as int8 (activations are always int8).
 pub const ENGINE_MAX_BITS: u32 = 8;
+
+/// Calibrated activation scales for one MBConv block.
+#[derive(Debug, Clone, Copy)]
+pub struct MbConvScales {
+    /// Scale after the expand conv + BN + ReLU6 (when the block expands).
+    pub expand_out: Option<f32>,
+    /// Scale after the depthwise conv + BN + ReLU6.
+    pub dw_out: f32,
+    /// Scale of the block output (after the projection BN and, when the
+    /// block has one, the residual add).
+    pub block_out: f32,
+}
 
 /// Calibrated activation scales for every boundary of a derived network.
 #[derive(Debug, Clone)]
@@ -118,268 +125,16 @@ pub fn calibrate(model: &QatModel, batches: &[Array]) -> Result<Calibration> {
     })
 }
 
-/// A derived network compiled to integer arithmetic: int8 activations
-/// throughout, weights at each block's Φ-searched precision (int4
-/// bit-packed when ≤ 4 bits), i32 accumulators, fixed-point
-/// requantization. Stem, head and classifier run at 8-bit weights,
-/// mirroring [`QatModel`]'s full-precision first/last-layer convention.
-#[derive(Debug)]
-pub struct QuantizedModel {
-    stem: QConv2d,
-    blocks: Vec<QMbConv>,
-    head: QConv2d,
-    classifier: QLinear,
-    input_scale: f32,
-    block_bits: Vec<u32>,
-    input_channels: usize,
-    image_size: usize,
-    num_classes: usize,
-}
-
-impl QuantizedModel {
-    /// Compiles a trained [`QatModel`] at the precisions searched in
-    /// `arch`, with activation scales from `calib`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `calib` has a different block count than the model
-    /// (calibrated against a different architecture).
-    #[must_use]
-    pub fn compile(model: &QatModel, arch: &DerivedArch, calib: &Calibration) -> Self {
-        assert_eq!(
-            calib.blocks.len(),
-            model.blocks().len(),
-            "QuantizedModel::compile: calibration/model block count mismatch"
-        );
-        let stem = QConv2d::compile(
-            model.stem(),
-            Some(model.stem_bn()),
-            ENGINE_MAX_BITS,
-            calib.input,
-            calib.stem_out,
-            true,
-        );
-        let mut in_scale = calib.stem_out;
-        let mut blocks = Vec::with_capacity(model.blocks().len());
-        let mut block_bits = Vec::with_capacity(model.blocks().len());
-        for ((mb, spec), scales) in model.blocks().iter().zip(&calib.blocks) {
-            let bits = spec.map_or(ENGINE_MAX_BITS, |s| s.bits.min(ENGINE_MAX_BITS));
-            blocks.push(QMbConv::compile(mb, bits, in_scale, scales));
-            block_bits.push(bits);
-            in_scale = scales.block_out;
-        }
-        let head = QConv2d::compile(
-            model.head(),
-            Some(model.head_bn()),
-            ENGINE_MAX_BITS,
-            in_scale,
-            calib.head_out,
-            true,
-        );
-        let classifier = QLinear::compile(model.classifier(), ENGINE_MAX_BITS, calib.head_out);
-        let s = &arch.space;
-        QuantizedModel {
-            stem,
-            blocks,
-            head,
-            classifier,
-            input_scale: calib.input,
-            block_bits,
-            input_channels: s.input_channels,
-            image_size: s.image_size,
-            num_classes: s.num_classes,
-        }
-    }
-
-    /// Runs the integer network on a float NCHW batch, returning f32
-    /// logits `[batch, num_classes]`. The input is quantized once at the
-    /// calibrated scale; everything between that and the classifier's
-    /// final dequantization is int8/int4 × int8 → i32 arithmetic.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from the quantized layers.
-    pub fn forward(&self, x: &Array) -> Result<Array> {
-        let mut h = self.stem.forward(&QTensor::quantize(x, self.input_scale))?;
-        for b in &self.blocks {
-            h = b.forward(&h)?;
-        }
-        let h = self.head.forward(&h)?;
-        let h = q_global_avg_pool(&h)?;
-        self.classifier.forward(&h)
-    }
-
-    /// Scale the input image is quantized at.
-    #[must_use]
-    pub fn input_scale(&self) -> f32 {
-        self.input_scale
-    }
-
-    /// Effective per-block weight precisions (searched bits clamped to the
-    /// engine ceiling).
-    #[must_use]
-    pub fn block_bits(&self) -> &[u32] {
-        &self.block_bits
-    }
-
-    /// Rebuilds the compiled engine as a lowered `edd-ir` graph — the
-    /// exact specs this model executes, node for node, so downstream
-    /// consumers (the pulsed executor, artifacts) run bit-identically to
-    /// [`QuantizedModel::forward`] without retracing the float frontend.
-    ///
-    /// The residual adds follow the engine's operand convention: the
-    /// projection output arrives already on the block-output grid
-    /// (`rq_a: None`), the block input is rescaled onto it (`rq_b` = the
-    /// compiled residual requantizer).
-    ///
-    /// # Errors
-    ///
-    /// Propagates graph-construction errors (unreachable for a model
-    /// compiled by [`QuantizedModel::compile`]).
-    pub fn to_graph(&self, name: &str) -> Result<edd_ir::Graph> {
-        use edd_ir::{Graph, GraphMeta, Node, Op, QAddOp};
-        let mut g = Graph::new(GraphMeta {
-            name: name.to_string(),
-            input_shape: [self.input_channels, self.image_size, self.image_size],
-            num_classes: self.num_classes,
-        });
-        let node = |name: String, op: Op, inputs: Vec<usize>| Node {
-            name,
-            op,
-            inputs,
-            scale: None,
-            bits: None,
-        };
-        let input = g.add(node("input".into(), Op::Input, vec![]))?;
-        let q = g.add(node(
-            "quantize".into(),
-            Op::Quantize {
-                scale: self.input_scale,
-            },
-            vec![input],
-        ))?;
-        let mut h = g.add(node(
-            "stem.conv".into(),
-            Op::QConv(Box::new(self.stem.spec().clone())),
-            vec![q],
-        ))?;
-        for (i, b) in self.blocks.iter().enumerate() {
-            let block_in = h;
-            if let Some(e) = b.expand() {
-                h = g.add(node(
-                    format!("block{i}.expand"),
-                    Op::QConv(Box::new(e.spec().clone())),
-                    vec![h],
-                ))?;
-            }
-            h = g.add(node(
-                format!("block{i}.dw"),
-                Op::QDwConv(Box::new(b.depthwise().spec().clone())),
-                vec![h],
-            ))?;
-            h = g.add(node(
-                format!("block{i}.project"),
-                Op::QConv(Box::new(b.project().spec().clone())),
-                vec![h],
-            ))?;
-            if let Some(rq) = b.residual() {
-                h = g.add(node(
-                    format!("block{i}.residual"),
-                    Op::QAdd(Box::new(QAddOp {
-                        rq_a: None,
-                        rq_b: Some(*rq),
-                        out_scale: b.out_scale(),
-                    })),
-                    vec![h, block_in],
-                ))?;
-            }
-        }
-        let head = g.add(node(
-            "head.conv".into(),
-            Op::QConv(Box::new(self.head.spec().clone())),
-            vec![h],
-        ))?;
-        let gap = g.add(node("gap".into(), Op::QGlobalAvgPool, vec![head]))?;
-        let fc = g.add(node(
-            "classifier".into(),
-            Op::QLinear(Box::new(self.classifier.spec().clone())),
-            vec![gap],
-        ))?;
-        g.set_output(fc)?;
-        Ok(g)
-    }
-
-    /// Total bytes of quantized weight storage (int4 blocks count packed).
-    #[must_use]
-    pub fn weight_bytes(&self) -> usize {
-        self.stem.weight_bytes()
-            + self.blocks.iter().map(QMbConv::weight_bytes).sum::<usize>()
-            + self.head.weight_bytes()
-            + self.classifier.weight_bytes()
-    }
-}
-
-/// The multi-tenant serving front end (`edd_runtime::serve`) shares one
-/// compiled engine immutably across worker shards, so `QuantizedModel`
-/// must stay `Send + Sync` — plain owned buffers, no interior mutability.
-/// This assertion turns any future `Rc`/`RefCell`/raw-pointer regression
-/// into a compile error at the crate boundary that relies on it.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<QuantizedModel>();
-};
-
-impl edd_runtime::BatchModel for QuantizedModel {
-    type Error = TensorError;
-
-    fn image_len(&self) -> usize {
-        self.input_channels * self.image_size * self.image_size
-    }
-
-    fn num_classes(&self) -> usize {
-        self.num_classes
-    }
-
-    fn infer_batch(&self, images: &[f32], batch: usize) -> Result<Vec<f32>> {
-        let expect = batch * self.image_len();
-        if images.len() != expect {
-            return Err(TensorError::InvalidArgument(format!(
-                "infer_batch: expected {expect} values for batch {batch}, got {}",
-                images.len()
-            )));
-        }
-        let x = Array::from_slice(
-            images,
-            &[batch, self.input_channels, self.image_size, self.image_size],
-        )?;
-        let logits = self.forward(&x)?.data().to_vec();
-        // Mirror the kernel-selection and panel-cache counters into the
-        // `infer.*` telemetry namespace so serving traces show which GEMM
-        // paths the engine took, next to the latency the server records.
-        // The snapshot is cumulative across the process, so gauges (latest
-        // value wins) are the right shape — not counters, which would
-        // double-add on every request.
-        let ks = edd_tensor::stats::snapshot();
-        edd_runtime::telemetry::gauge("infer.select_vecmat", ks.select_vecmat);
-        edd_runtime::telemetry::gauge("infer.select_skinny_n", ks.select_skinny_n);
-        edd_runtime::telemetry::gauge("infer.select_square", ks.select_square);
-        edd_runtime::telemetry::gauge("infer.select_conv", ks.select_conv);
-        edd_runtime::telemetry::gauge("infer.select_generic", ks.select_generic);
-        edd_runtime::telemetry::gauge("infer.pack_panels_built", ks.pack_panels_built);
-        edd_runtime::telemetry::gauge("infer.pack_panel_hits", ks.pack_panel_hits);
-        edd_runtime::telemetry::gauge("infer.pack_panel_misses", ks.pack_panel_misses);
-        Ok(logits)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::arch_params::ArchParams;
+    use crate::derive::DerivedArch;
+    use crate::lower::lower_to_graph;
     use crate::space::SearchSpace;
     use crate::target::DeviceTarget;
     use edd_hw::FpgaDevice;
-    use edd_runtime::{BatchModel, InferServer};
+    use edd_ir::{Graph, Op, PassConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -395,6 +150,12 @@ mod tests {
         (0..n)
             .map(|_| Array::randn(&[2, 3, 16, 16], 1.0, rng))
             .collect()
+    }
+
+    /// The quantized graph the integer engine executes.
+    fn lowered(model: &QatModel, arch: &DerivedArch, calib: &Calibration) -> Graph {
+        let float = lower_to_graph(model, arch, calib).unwrap();
+        edd_ir::lower(&float, &PassConfig::all()).unwrap().0
     }
 
     /// Float reference: the QAT model's own (fake-quantized) eval forward.
@@ -413,7 +174,7 @@ mod tests {
         let model = QatModel::new(&arch, &mut rng);
         model.set_training(false);
         let calib = calibrate(&model, &calib_batches(&mut rng, 3)).unwrap();
-        let q = QuantizedModel::compile(&model, &arch, &calib);
+        let q = edd_ir::CompiledModel::from_graph(lowered(&model, &arch, &calib)).unwrap();
         let x = Array::randn(&[2, 3, 16, 16], 1.0, &mut rng);
         let got = q.forward(&x).unwrap();
         let want = float_logits(&model, &x);
@@ -455,8 +216,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(64);
         let model = QatModel::new(&arch, &mut rng);
         let calib = calibrate(&model, &calib_batches(&mut rng, 1)).unwrap();
-        let q = QuantizedModel::compile(&model, &arch, &calib);
-        assert!(q.block_bits().iter().all(|&b| b == 8));
+        let g = lowered(&model, &arch, &calib);
+        let bits: Vec<u32> = g.nodes().iter().filter_map(|n| n.bits).collect();
+        assert!(!bits.is_empty());
+        assert!(bits.iter().all(|&b| b == 8), "{bits:?}");
     }
 
     #[test]
@@ -473,56 +236,21 @@ mod tests {
         let m8 = QatModel::new(&arch8, &mut StdRng::seed_from_u64(66));
         let m4 = QatModel::new(&arch4, &mut StdRng::seed_from_u64(66));
         let batches = calib_batches(&mut rng, 1);
-        let c8 = calibrate(&m8, &batches).unwrap();
-        let c4 = calibrate(&m4, &batches).unwrap();
-        let q8 = QuantizedModel::compile(&m8, &arch8, &c8);
-        let q4 = QuantizedModel::compile(&m4, &arch4, &c4);
-        assert_eq!(q4.block_bits(), &[4, 4, 4]);
+        let g8 = lowered(&m8, &arch8, &calibrate(&m8, &batches).unwrap());
+        let g4 = lowered(&m4, &arch4, &calibrate(&m4, &batches).unwrap());
         // Stem/head/classifier stay int8 in both, so the total shrinks by
-        // exactly half the block weight bytes.
-        let block8: usize = q8.blocks.iter().map(QMbConv::weight_bytes).sum();
-        let block4: usize = q4.blocks.iter().map(QMbConv::weight_bytes).sum();
-        assert_eq!(block4 * 2, block8 + block8 % 2);
-        assert!(q4.weight_bytes() < q8.weight_bytes());
-    }
-
-    #[test]
-    fn infer_batch_leaves_the_buffer_pool_steady() {
-        let arch = derived();
-        let mut rng = StdRng::seed_from_u64(68);
-        let model = QatModel::new(&arch, &mut rng);
-        let calib = calibrate(&model, &calib_batches(&mut rng, 1)).unwrap();
-        let q = QuantizedModel::compile(&model, &arch, &calib);
-        let images = Array::randn(&[32, 3, 16, 16], 1.0, &mut rng);
-        // Warm-up fills the pool's bins for this batch's buffer lengths.
-        for _ in 0..3 {
-            q.infer_batch(images.data(), 32).unwrap();
-        }
-        let before = edd_tensor::recycle::retained_bytes();
-        for _ in 0..100 {
-            q.infer_batch(images.data(), 32).unwrap();
-        }
-        assert_eq!(edd_tensor::recycle::retained_bytes(), before);
-    }
-
-    #[test]
-    fn serves_through_infer_server_with_telemetry_counters() {
-        let arch = derived();
-        let mut rng = StdRng::seed_from_u64(67);
-        let model = QatModel::new(&arch, &mut rng);
-        let calib = calibrate(&model, &calib_batches(&mut rng, 1)).unwrap();
-        let q = QuantizedModel::compile(&model, &arch, &calib);
-        assert_eq!(q.image_len(), 3 * 16 * 16);
-        assert_eq!(BatchModel::num_classes(&q), 4);
-        let server = InferServer::new(q);
-        let images: Vec<f32> = Array::randn(&[2, 3, 16, 16], 1.0, &mut rng).data().to_vec();
-        let logits = server.infer(&images, 2).unwrap();
-        assert_eq!(logits.len(), 2 * 4);
-        // A second, different batch size through the same server.
-        server.infer(&images[..3 * 16 * 16], 1).unwrap();
-        let stats = server.stats();
-        assert_eq!(stats.requests, 2);
-        assert_eq!(stats.images, 3);
-        assert!(server.infer(&images[..10], 1).is_err());
+        // exactly the bytes the int4 block layers save: `len − ⌈len/2⌉`.
+        let saved: usize = g4
+            .nodes()
+            .iter()
+            .filter(|n| n.bits == Some(4))
+            .map(|n| match &n.op {
+                Op::QConv(s) => s.weights.len() / 2,
+                Op::QDwConv(s) => s.weights.len() / 2,
+                _ => 0,
+            })
+            .sum();
+        assert!(saved > 0);
+        assert_eq!(g8.weight_bytes() - g4.weight_bytes(), saved);
     }
 }

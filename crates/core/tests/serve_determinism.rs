@@ -8,16 +8,17 @@
 //! `EDD_NUM_THREADS` × `EDD_SIMD` × shard-count matrix.
 
 use edd_core::{
-    calibrate, ArchParams, DerivedArch, DeviceTarget, QatModel, QuantizedModel, SearchSpace,
+    calibrate, lower_to_graph, ArchParams, DerivedArch, DeviceTarget, QatModel, SearchSpace,
 };
 use edd_hw::FpgaDevice;
+use edd_ir::{CompiledModel, PassConfig};
 use edd_runtime::{BatcherConfig, InferServer, ServeConfig, Server};
 use edd_tensor::Array;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-fn compiled_tiny(seed: u64) -> QuantizedModel {
+fn compiled_tiny(seed: u64) -> CompiledModel {
     let mut rng = StdRng::seed_from_u64(seed);
     let space = SearchSpace::tiny(3, 16, 4, vec![4, 8, 16]);
     let target = DeviceTarget::FpgaPipelined(FpgaDevice::zc706());
@@ -28,7 +29,8 @@ fn compiled_tiny(seed: u64) -> QuantizedModel {
         .map(|_| Array::randn(&[2, 3, 16, 16], 1.0, &mut rng))
         .collect();
     let calib = calibrate(&model, &batches).unwrap();
-    QuantizedModel::compile(&model, &arch, &calib)
+    let graph = lower_to_graph(&model, &arch, &calib).unwrap();
+    edd_ir::compile(&graph, &PassConfig::all()).unwrap().0
 }
 
 fn request_images(n: usize, image_len: usize) -> Vec<Vec<f32>> {
@@ -45,7 +47,7 @@ fn bits(xs: &[f32]) -> Vec<u32> {
 
 /// Pushes every request through a server with the given shard count and
 /// returns each request's logits, in submission order.
-fn serve_all(model: &Arc<QuantizedModel>, images: &[Vec<f32>], shards: usize) -> Vec<Vec<f32>> {
+fn serve_all(model: &Arc<CompiledModel>, images: &[Vec<f32>], shards: usize) -> Vec<Vec<f32>> {
     let server = Server::start(
         vec![("tiny".to_owned(), Arc::clone(model))],
         ServeConfig {

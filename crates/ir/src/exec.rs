@@ -8,9 +8,9 @@
 //! so the forward pass is a plain loop with no scheduling.
 //!
 //! The model implements [`edd_runtime::BatchModel`], which is all the
-//! serving layer needs: a hot-loaded artifact drops into `InferServer` and
-//! the sharded `serve::Server` exactly like a directly compiled
-//! `QuantizedModel`.
+//! serving layer needs: a model compiled in process and one hot-loaded
+//! from an artifact both drop into `InferServer` and the sharded
+//! `serve::Server`.
 
 use crate::graph::{DType, Graph, Op};
 use edd_nn::{q_global_avg_pool, QAddTables, QConv2d, QDwConv2d, QLinear, QTensor};
@@ -242,8 +242,7 @@ fn value(values: &[Option<Value>], id: usize) -> Result<&Value> {
     })
 }
 
-/// The integer residual add on two equally shaped operands — the add
-/// `QMbConv::forward` runs.
+/// The integer residual add on two equally shaped operands.
 fn qadd(add: &QAddTables, out_scale: f32, a: &QTensor, b: &QTensor) -> Result<QTensor> {
     if a.shape != b.shape {
         return Err(TensorError::InvalidArgument(format!(
@@ -286,9 +285,9 @@ impl BatchModel for CompiledModel {
     }
 }
 
-// Hot-loaded models are shared immutably across serving shards, exactly
-// like a directly compiled `QuantizedModel`; keep that property checked
-// at compile time.
+// Compiled models are shared immutably across serving shards, so they
+// must stay `Send + Sync` — plain owned buffers, no interior mutability;
+// keep that property checked at compile time.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<CompiledModel>();

@@ -99,9 +99,9 @@ pub struct BatchNormOp {
 ///
 /// Each operand is brought onto the output grid by an optional q31
 /// [`Requant`]; `None` means the operand already lives on that grid and
-/// its raw int8 value is used directly. This mirrors `QMbConv`'s residual
-/// loop exactly: the projection output (same grid) passes through raw,
-/// the block input is requantized by `in_scale/out_scale`.
+/// its raw int8 value is used directly. In an MBConv residual the
+/// projection output (same grid) passes through raw and the block input
+/// is requantized by `in_scale/out_scale`.
 #[derive(Clone, Copy, Debug)]
 pub struct QAddOp {
     /// Requant for the first operand (`None` = same grid, raw value).
@@ -368,6 +368,22 @@ impl Graph {
     #[must_use]
     pub fn nodes(&self) -> &[Node] {
         &self.nodes
+    }
+
+    /// Bytes of quantized weight storage held by the `QConv`, `QDwConv`
+    /// and `QLinear` nodes ([`edd_nn::QWeights::storage_bytes`]: int4
+    /// layers count packed). Zero for a graph not yet lowered.
+    #[must_use]
+    pub fn weight_bytes(&self) -> usize {
+        self.nodes
+            .iter()
+            .map(|n| match &n.op {
+                Op::QConv(s) => s.weights.storage_bytes(),
+                Op::QDwConv(s) => s.weights.storage_bytes(),
+                Op::QLinear(s) => s.weights.storage_bytes(),
+                _ => 0,
+            })
+            .sum()
     }
 
     pub(crate) fn node_mut(&mut self, id: usize) -> &mut Node {

@@ -2,10 +2,9 @@
 //! the quantized inference engine.
 //!
 //! The EDD co-search emits a `DerivedArch`; training/calibration attach
-//! weights and activation scales. Previously `edd-core::quantize` lowered
-//! that directly into `edd-nn` quantized layers with special-cased fusion
-//! decisions baked into the lowering code. This crate makes the lowering
-//! a first-class, inspectable pipeline:
+//! weights and activation scales. This crate is the workspace's one
+//! integer compiler: it turns that trained model into a runnable integer
+//! engine through a first-class, inspectable pipeline:
 //!
 //! 1. **[`graph`]** — a typed graph of ops (nodes) over tensors (edges),
 //!    each node carrying inferred shape/dtype [`Fact`]s plus the
@@ -17,10 +16,12 @@
 //!    annotated precisions, 1×1 direct-conv bypass, and dead-branch
 //!    elimination. Every optional pass preserves the quantized output
 //!    bit-for-bit (see the [`passes`] docs for why), which the test suite
-//!    enforces per pass against the unoptimized lowering.
+//!    enforces per pass against the unoptimized lowering
+//!    ([`PassConfig::none`]), with the absolute bits pinned by golden
+//!    hashes.
 //! 4. **[`exec`]** — [`CompiledModel`] runs the lowered graph and
-//!    implements `edd_runtime::BatchModel`, so it serves behind the same
-//!    batching front end as a directly compiled `QuantizedModel`.
+//!    implements `edd_runtime::BatchModel`, so it serves behind the
+//!    batching front end (`InferServer`, the sharded `serve::Server`).
 //! 5. **[`artifact`]** — a versioned, CRC-checked binary format (the
 //!    snapshot container with an artifact magic) storing tensors as raw
 //!    bits; `edd compile` writes artifacts, `edd serve` hot-loads them.

@@ -283,7 +283,7 @@ fn scale_of(g: &Graph, id: usize) -> Result<f32> {
 
 /// Requant bringing an operand at `s_in` onto the `s_out` grid, or `None`
 /// when the scales are bit-identical (the operand already lives there).
-/// The f64 division matches `QMbConv::compile`'s residual requant exactly.
+/// The scale ratio is formed in f64, like every other requantizer.
 fn operand_requant(s_in: f32, s_out: f32) -> Option<Requant> {
     if s_in.to_bits() == s_out.to_bits() {
         None
@@ -294,19 +294,17 @@ fn operand_requant(s_in: f32, s_out: f32) -> Option<Requant> {
 
 /// Lowers an annotated float graph into the quantized op set. This is the
 /// mandatory compilation step: every float op becomes its integer
-/// counterpart at the scales/bits the frontend annotated, reproducing the
-/// direct `QuantizedModel::compile` arithmetic exactly:
+/// counterpart at the scales/bits the frontend annotated:
 ///
 /// * the input gains an explicit [`Op::Quantize`] boundary at the
 ///   calibrated input scale;
 /// * a conv/dw-conv whose sole consumer is a batch norm is compiled
-///   *together with it* through `QConvSpec::quantize`'s BN-fold path
-///   (identically to `QConv2d::compile(conv, Some(bn), …)`);
+///   *together with it* through `QConvSpec::quantize`'s BN-fold path;
 /// * a standalone ReLU6 becomes a [`Op::QRelu6`] clamp on its producer's
 ///   grid;
 /// * a residual [`Op::Add`] becomes a [`Op::QAdd`] in the output grid,
 ///   first operand raw when already on that grid, second requantized via
-///   the same f64 scale ratio as `QMbConv`;
+///   the f64 scale ratio `s_b / s_out`;
 /// * the classifier lowers through `QLinearSpec::quantize`.
 ///
 /// All `QConv` nodes are emitted with `direct = false`; the bypass pass
@@ -488,10 +486,10 @@ pub fn lower_quantized(g: &Graph) -> Result<Graph> {
                 let out_scale = scale_of(g, id)?;
                 let s_a = scale_of(g, n.inputs[0])?;
                 let s_b = scale_of(g, n.inputs[1])?;
-                // The second operand is always requantized (matching the
-                // QMbConv residual loop, which rescales the block input
-                // unconditionally); the first passes through raw when it
-                // already lives on the output grid.
+                // The second operand (the block input of an MBConv
+                // residual) is always requantized; the first passes
+                // through raw when it already lives on the output grid.
+                // The golden hashes pin this arithmetic.
                 let rq_b = Some(Requant::from_scale(f64::from(s_b) / f64::from(out_scale)));
                 map[id] = out.add(Node {
                     name: n.name.clone(),

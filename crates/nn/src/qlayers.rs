@@ -1,30 +1,30 @@
-//! Integer quantized inference layers: compiled, BN-folded counterparts of
-//! [`Conv2d`], [`DwConv2d`], [`Linear`] and [`MbConv`] executing entirely
-//! in integer arithmetic on [`edd_tensor::qkernel`].
+//! Integer quantized inference layers: BN-folded convolution, depthwise
+//! convolution and linear layers executing entirely in integer arithmetic
+//! on [`edd_tensor::qkernel`].
 //!
 //! # Compilation model
 //!
-//! A float layer is *compiled* once into its quantized form: batch norm is
-//! folded into the convolution weights and bias (`w' = w · γ/√(σ²+ε)`,
-//! `b' = β − μ · γ/√(σ²+ε)`), the folded weights are quantized symmetrically
-//! **per output channel** at the block's Φ-searched bit-width (int8
-//! storage, bit-packed int4 when the searched width is ≤ 4 bits), and the
-//! bias is pre-quantized into the i32 accumulator domain at scale
-//! `s_in · s_w[c]`. Activations travel between layers as [`QTensor`]s —
-//! int8 with one per-tensor scale fixed ahead of time by a calibration
-//! pass — so a forward pass performs no float arithmetic until the final
-//! classifier dequantizes its logits.
+//! Each layer has a plain-data *spec* ([`QConvSpec`], [`QDwConvSpec`],
+//! [`QLinearSpec`]) and one executable form built from it by `from_spec`.
+//! A spec's `quantize` constructor folds batch norm into the convolution
+//! weights and bias (`w' = w · γ/√(σ²+ε)`, `b' = β − μ · γ/√(σ²+ε)`),
+//! quantizes the folded weights symmetrically **per output channel** at
+//! the block's Φ-searched bit-width (int8 storage, bit-packed int4 when
+//! the searched width is ≤ 4 bits), and pre-quantizes the bias into the
+//! i32 accumulator domain at scale `s_in · s_w[c]`. The `edd-ir` quantize
+//! lowering is the one caller that turns a trained network into specs.
+//! Activations travel between layers as [`QTensor`]s — int8 with one
+//! per-tensor scale fixed ahead of time by a calibration pass — so a
+//! forward pass performs no float arithmetic until the final classifier
+//! dequantizes its logits.
 //!
 //! ReLU6 fuses into the requantization clamp: the activation bound `6.0`
 //! maps to `round(6/s_out)` in the output grid, so clamping the requantized
 //! accumulator to `[0, min(127, round(6/s_out))]` is the integer image of
 //! `relu6`. Residual adds rescale both operands into the block-output grid
-//! with [`Requant`] multipliers and add saturating in i32.
+//! with [`Requant`] multipliers and add saturating in i32 ([`QAddTables`]).
 
 use crate::bn::BatchNorm2d;
-use crate::conv::{Conv2d, DwConv2d};
-use crate::linear::Linear;
-use crate::mbconv::MbConv;
 use edd_tensor::kernel::{pack, pool, select};
 use edd_tensor::qkernel::{
     self, pack_i4, qdw_plane_into, qim2col_into, qmatmul_into, qmatmul_prepacked_into,
@@ -90,12 +90,11 @@ impl QTensor {
 
 /// Quantized weight storage: dense int8, or bit-packed int4 for low-Φ
 /// blocks (two sign-extended nibbles per byte — half the bytes of dense
-/// int8 storage). This is the *model* form that [`weight_bytes`] reports;
-/// the layers additionally cache a microkernel-native execution form
-/// (k4-padded rows or packed B-panels) built once at compile time, so no
-/// unpacking happens on the forward path.
-///
-/// [`weight_bytes`]: QConv2d::weight_bytes
+/// int8 storage). This is the *model* form that
+/// [`storage_bytes`](QWeights::storage_bytes) reports; the layers
+/// additionally cache a microkernel-native execution form (k4-padded rows
+/// or packed B-panels) built once by `from_spec`, so no unpacking happens
+/// on the forward path.
 #[derive(Debug, Clone)]
 pub enum QWeights {
     /// One i8 per weight.
@@ -273,9 +272,10 @@ pub fn clamp_bounds(relu6: bool, out_scale: f32) -> (i32, i32) {
 
 /// Folds per-channel batch-norm factors `(mul, add)` into a `[rows, cols]`
 /// weight matrix and its bias, in place: `w[o,:] *= mul[o]`,
-/// `b[o] = b[o]·mul[o] + add[o]`. Shared by the layer compilers below and
-/// the `edd-ir` BN-folding pass, so both paths produce bit-identical folded
-/// floats (and therefore bit-identical quantized specs).
+/// `b[o] = b[o]·mul[o] + add[o]`. Shared by the spec `quantize`
+/// constructors below and the `edd-ir` BN-folding pass, so folding before
+/// or during quantization produces bit-identical folded floats (and
+/// therefore bit-identical quantized specs).
 ///
 /// # Panics
 ///
@@ -360,9 +360,9 @@ impl QConvSpec {
     /// are the calibrated activation scales on either side, `relu6` fuses
     /// the activation clamp, and `direct` requests the 1×1 im2col bypass.
     ///
-    /// Both the direct [`QConv2d::compile`] path and the `edd-ir` quantize
-    /// lowering funnel through this function, so their specs are
-    /// bit-identical by construction.
+    /// The `edd-ir` quantize lowering builds every convolution spec here,
+    /// with or without its batch norm folded in beforehand; both routes
+    /// fold through [`fold_bn`], so their specs are bit-identical.
     ///
     /// # Panics
     ///
@@ -440,52 +440,6 @@ pub struct QConv2d {
 }
 
 impl QConv2d {
-    /// Compiles a float convolution (optionally fused with the batch norm
-    /// that follows it) into integer form.
-    ///
-    /// `bits` is the Φ-searched weight precision (≤ 4 packs int4; the
-    /// engine ceiling is 8), `in_scale`/`out_scale` are the calibrated
-    /// activation scales on either side, and `relu6` fuses the activation
-    /// clamp.
-    ///
-    /// # Panics
-    ///
-    /// Panics if BN channel count does not match the convolution.
-    #[must_use]
-    pub fn compile(
-        conv: &Conv2d,
-        bn: Option<&BatchNorm2d>,
-        bits: u32,
-        in_scale: f32,
-        out_scale: f32,
-        relu6: bool,
-    ) -> Self {
-        let w = conv.weight().value();
-        let shape = w.shape().to_vec();
-        let (out_c, in_c, k) = (shape[0], shape[1], shape[2]);
-        let bias = conv.bias().map(|b| b.value().data().to_vec());
-        let fold = bn.map(bn_fold_factors);
-        let direct = k == 1 && conv.stride() == 1 && conv.padding() == 0;
-        let spec = QConvSpec::quantize(
-            &QConvSource {
-                w: w.data(),
-                out_channels: out_c,
-                in_channels: in_c,
-                kernel: k,
-                stride: conv.stride(),
-                padding: conv.padding(),
-                bias: bias.as_deref(),
-                bn: fold.as_ref().map(|(m, a)| (m.as_slice(), a.as_slice())),
-            },
-            bits,
-            in_scale,
-            out_scale,
-            relu6,
-            direct,
-        );
-        Self::from_spec(spec)
-    }
-
     /// Builds the executable layer from a compiled spec (e.g. one decoded
     /// from an `edd-ir` artifact), rebuilding the microkernel-native weight
     /// panel. An ineligible `direct` request is quietly dropped rather than
@@ -499,18 +453,6 @@ impl QConv2d {
         pack::pack_lhs_i8(&mut wq_k4, &q, spec.out_channels, cols);
         stats::record_pack_panel_built();
         QConv2d { spec, wq_k4 }
-    }
-
-    /// The plain-data compiled form of this layer.
-    #[must_use]
-    pub fn spec(&self) -> &QConvSpec {
-        &self.spec
-    }
-
-    /// Bytes of quantized weight storage.
-    #[must_use]
-    pub fn weight_bytes(&self) -> usize {
-        self.spec.weights.storage_bytes()
     }
 
     /// Runs the quantized convolution on an NCHW [`QTensor`].
@@ -537,9 +479,8 @@ impl QConv2d {
         let mut out = vec![0i8; b * row_len];
         let mut acc = scratch::alloc_i32(row_len);
         // 1×1 stride-1 convolutions read the image as the column matrix
-        // directly (the expand/project/head case). The compile path sets
-        // the flag for every eligible shape; graph-lowered specs only carry
-        // it once the bypass pass has run.
+        // directly (the expand/project/head case). Graph-lowered specs
+        // carry the flag once the bypass pass has run.
         let direct = sp.direct;
         let img = c * h * w;
         if select::select_class(sp.out_channels, plane, true).is_some() {
@@ -817,44 +758,6 @@ pub struct QDwConv2d {
 }
 
 impl QDwConv2d {
-    /// Compiles a float depthwise convolution fused with its batch norm.
-    /// Parameters mirror [`QConv2d::compile`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if BN channel count does not match the convolution.
-    #[must_use]
-    pub fn compile(
-        dw: &DwConv2d,
-        bn: Option<&BatchNorm2d>,
-        bits: u32,
-        in_scale: f32,
-        out_scale: f32,
-        relu6: bool,
-    ) -> Self {
-        let w = dw.weight().value();
-        let shape = w.shape().to_vec();
-        let (ch, k) = (shape[0], shape[1]);
-        let bias = dw.bias().map(|b| b.value().data().to_vec());
-        let fold = bn.map(bn_fold_factors);
-        let spec = QDwConvSpec::quantize(
-            &QDwConvSource {
-                w: w.data(),
-                channels: ch,
-                kernel: k,
-                stride: dw.stride(),
-                padding: dw.padding(),
-                bias: bias.as_deref(),
-                bn: fold.as_ref().map(|(m, a)| (m.as_slice(), a.as_slice())),
-            },
-            bits,
-            in_scale,
-            out_scale,
-            relu6,
-        );
-        Self::from_spec(spec)
-    }
-
     /// Builds the executable layer from a compiled spec, materializing the
     /// dense tap cache and its tap-pair form.
     #[must_use]
@@ -867,18 +770,6 @@ impl QDwConv2d {
             taps,
             tap_pairs,
         }
-    }
-
-    /// The plain-data compiled form of this layer.
-    #[must_use]
-    pub fn spec(&self) -> &QDwConvSpec {
-        &self.spec
-    }
-
-    /// Bytes of quantized weight storage.
-    #[must_use]
-    pub fn weight_bytes(&self) -> usize {
-        self.spec.weights.storage_bytes()
     }
 
     /// Runs the quantized depthwise convolution on an NCHW [`QTensor`].
@@ -1009,24 +900,6 @@ pub struct QLinear {
 }
 
 impl QLinear {
-    /// Compiles a float linear layer at `bits` weight precision with
-    /// per-output-channel scales (columns of the `[in, out]` weight).
-    #[must_use]
-    pub fn compile(lin: &Linear, bits: u32, in_scale: f32) -> Self {
-        let w = lin.weight().value();
-        let shape = w.shape().to_vec();
-        let (in_f, out_f) = (shape[0], shape[1]);
-        let spec = QLinearSpec::quantize(
-            w.data(),
-            in_f,
-            out_f,
-            lin.bias().value().data(),
-            bits,
-            in_scale,
-        );
-        Self::from_spec(spec)
-    }
-
     /// Builds the executable layer from a compiled spec, rebuilding both
     /// GEMM-mode weight caches.
     #[must_use]
@@ -1049,12 +922,6 @@ impl QLinear {
     #[must_use]
     pub fn spec(&self) -> &QLinearSpec {
         &self.spec
-    }
-
-    /// Bytes of quantized weight storage.
-    #[must_use]
-    pub fn weight_bytes(&self) -> usize {
-        self.spec.weights.storage_bytes()
     }
 
     /// Runs the quantized classifier on a `[batch, in_features]`
@@ -1151,8 +1018,7 @@ pub fn q_global_avg_pool(x: &QTensor) -> Result<QTensor> {
 /// tabulated once when the add is compiled: `term_a[v as u8]` is operand
 /// `a`'s value `v` on the output grid. Per element the add is then two
 /// table loads, an add and a clamp, with no 64-bit multiply-and-shift. The
-/// batch executor, the pulsed executor and [`QMbConv`] all run this one
-/// add.
+/// batch and pulsed executors both run this one add.
 #[derive(Clone, Debug)]
 pub struct QAddTables {
     term_a: Box<[i32; 256]>,
@@ -1193,130 +1059,6 @@ impl QAddTables {
     }
 }
 
-/// Calibrated activation scales for one compiled [`QMbConv`] block.
-#[derive(Debug, Clone, Copy)]
-pub struct MbConvScales {
-    /// Scale after the expand conv + BN + ReLU6 (when the block expands).
-    pub expand_out: Option<f32>,
-    /// Scale after the depthwise conv + BN + ReLU6.
-    pub dw_out: f32,
-    /// Scale of the block output (after the projection BN and, when the
-    /// block has one, the residual add).
-    pub block_out: f32,
-}
-
-/// A compiled quantized MBConv block: expand → depthwise → project with
-/// folded batch norms, fused ReLU6 clamps, and an integer residual add.
-#[derive(Debug)]
-pub struct QMbConv {
-    expand: Option<QConv2d>,
-    depthwise: QDwConv2d,
-    project: QConv2d,
-    /// Rescales the block *input* into the block-output grid for the
-    /// residual add, with the add compiled from it (`None` for
-    /// non-residual blocks).
-    residual: Option<(Requant, QAddTables)>,
-    out_scale: f32,
-}
-
-impl QMbConv {
-    /// Compiles a float MBConv block at `bits` weight precision with
-    /// calibrated activation scales.
-    #[must_use]
-    pub fn compile(mb: &MbConv, bits: u32, in_scale: f32, scales: &MbConvScales) -> Self {
-        let expand = mb.expand().map(|(conv, bn)| {
-            let s_out = scales.expand_out.expect("expand scale calibrated");
-            QConv2d::compile(conv, Some(bn), bits, in_scale, s_out, true)
-        });
-        let dw_in = scales.expand_out.unwrap_or(in_scale);
-        let depthwise = QDwConv2d::compile(
-            mb.depthwise(),
-            Some(mb.dw_bn()),
-            bits,
-            dw_in,
-            scales.dw_out,
-            true,
-        );
-        let project = QConv2d::compile(
-            mb.project(),
-            Some(mb.proj_bn()),
-            bits,
-            scales.dw_out,
-            scales.block_out,
-            false,
-        );
-        let residual = mb.has_residual().then(|| {
-            let rq = Requant::from_scale(f64::from(in_scale) / f64::from(scales.block_out));
-            // The projection output is already on the block-output grid.
-            (rq, QAddTables::new(None, Some(rq)))
-        });
-        QMbConv {
-            expand,
-            depthwise,
-            project,
-            residual,
-            out_scale: scales.block_out,
-        }
-    }
-
-    /// Bytes of quantized weight storage across all stages.
-    #[must_use]
-    pub fn weight_bytes(&self) -> usize {
-        self.expand.as_ref().map_or(0, QConv2d::weight_bytes)
-            + self.depthwise.weight_bytes()
-            + self.project.weight_bytes()
-    }
-
-    /// Scale of the block output.
-    #[must_use]
-    pub fn out_scale(&self) -> f32 {
-        self.out_scale
-    }
-
-    /// The compiled expand stage (absent for expand-ratio-1 blocks).
-    #[must_use]
-    pub fn expand(&self) -> Option<&QConv2d> {
-        self.expand.as_ref()
-    }
-
-    /// The compiled depthwise stage.
-    #[must_use]
-    pub fn depthwise(&self) -> &QDwConv2d {
-        &self.depthwise
-    }
-
-    /// The compiled projection stage.
-    #[must_use]
-    pub fn project(&self) -> &QConv2d {
-        &self.project
-    }
-
-    /// The residual-input requantizer (block input → block-output grid),
-    /// `None` for non-residual blocks.
-    #[must_use]
-    pub fn residual(&self) -> Option<&Requant> {
-        self.residual.as_ref().map(|(rq, _)| rq)
-    }
-
-    /// Runs the quantized block on an NCHW [`QTensor`].
-    ///
-    /// # Errors
-    ///
-    /// Rejects inputs inconsistent with the compiled block.
-    pub fn forward(&self, x: &QTensor) -> Result<QTensor> {
-        let mut h = match &self.expand {
-            Some(e) => e.forward(x)?,
-            None => x.clone(),
-        };
-        h = self.depthwise.forward(&h)?;
-        let mut h = self.project.forward(&h)?;
-        if let Some((_, add)) = &self.residual {
-            add.add_assign(&mut h.data, &x.data);
-        }
-        Ok(h)
-    }
-}
-
 /// Validates an NCHW input against the compiled channel count and scale,
 /// returning `[b, c, h, w]`.
 fn checked_nchw(x: &QTensor, channels: usize, scale: f32, what: &str) -> Result<[usize; 4]> {
@@ -1344,6 +1086,8 @@ fn check_scale(got: f32, want: f32, what: &str) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conv::{Conv2d, DwConv2d};
+    use crate::linear::Linear;
     use crate::module::{Module, QuantSpec, QuantizableModule};
     use edd_tensor::Tensor;
     use rand::rngs::StdRng;
@@ -1375,6 +1119,20 @@ mod tests {
         )
     }
 
+    /// A bias-free `[out_c, in_c, k, k]` convolution source over `w`.
+    fn plain_source(w: &[f32], out_c: usize, in_c: usize, k: usize) -> QConvSource<'_> {
+        QConvSource {
+            w,
+            out_channels: out_c,
+            in_channels: in_c,
+            kernel: k,
+            stride: 1,
+            padding: k / 2,
+            bias: None,
+            bn: None,
+        }
+    }
+
     #[test]
     fn qconv_matches_fake_quant_oracle_within_rounding() {
         let mut rng = StdRng::seed_from_u64(41);
@@ -1390,7 +1148,7 @@ mod tests {
                 .unwrap();
             let out_range = qkernel::max_abs(oracle.value().data());
             let out_scale = qkernel::scale_for(out_range, 8);
-            let q = QConv2d::compile_per_tensor_for_tests(&conv, bits, in_scale, out_scale);
+            let q = per_tensor_qconv(&conv, bits, in_scale, out_scale);
             let got = q.forward(&QTensor::quantize(&x, in_scale)).unwrap();
             let got = got.dequantize();
             for (g, o) in got.data().iter().zip(oracle.value().data()) {
@@ -1402,43 +1160,41 @@ mod tests {
         }
     }
 
-    impl QConv2d {
-        /// Test-only compile with per-tensor weight scales, so the engine
-        /// grid matches the per-tensor fake-quant oracle exactly.
-        fn compile_per_tensor_for_tests(
-            conv: &Conv2d,
-            bits: u32,
-            in_scale: f32,
-            out_scale: f32,
-        ) -> Self {
-            let q = Self::compile(conv, None, bits, in_scale, out_scale, false);
-            let mut spec = q.spec().clone();
-            let w = conv.weight().value();
-            let shape = w.shape().to_vec();
-            let qm = qkernel::qmax(bits);
-            let s = qkernel::scale_for(qkernel::max_abs(w.data()), bits);
-            let mut qw = vec![0i8; w.len()];
-            quantize_i8_into(&mut qw, w.data(), s, qm);
-            spec.weights = QWeights::new(qw, bits);
-            spec.requant = (0..shape[0])
-                .map(|_| {
-                    Requant::from_scale(f64::from(in_scale) * f64::from(s) / f64::from(out_scale))
-                })
-                .collect();
-            spec.bias_q = conv.bias().map_or_else(
-                || vec![0i32; shape[0]],
-                |b| {
-                    b.value()
-                        .data()
-                        .iter()
-                        .map(|&v| {
-                            (f64::from(v) / (f64::from(in_scale) * f64::from(s))).round() as i32
-                        })
-                        .collect()
-                },
-            );
-            Self::from_spec(spec)
-        }
+    /// A `QConv2d` with one per-tensor weight scale (instead of the
+    /// engine's per-channel ones), so its grid matches the per-tensor
+    /// fake-quant oracle exactly.
+    fn per_tensor_qconv(conv: &Conv2d, bits: u32, in_scale: f32, out_scale: f32) -> QConv2d {
+        let w = conv.weight().value();
+        let shape = w.shape().to_vec();
+        let bias = conv.bias().map(|b| b.value().data().to_vec());
+        let mut spec = QConvSpec::quantize(
+            &QConvSource {
+                bias: bias.as_deref(),
+                ..plain_source(w.data(), shape[0], shape[1], shape[2])
+            },
+            bits,
+            in_scale,
+            out_scale,
+            false,
+            false,
+        );
+        let qm = qkernel::qmax(bits);
+        let s = qkernel::scale_for(qkernel::max_abs(w.data()), bits);
+        let mut qw = vec![0i8; w.len()];
+        quantize_i8_into(&mut qw, w.data(), s, qm);
+        spec.weights = QWeights::new(qw, bits);
+        spec.requant = (0..shape[0])
+            .map(|_| Requant::from_scale(f64::from(in_scale) * f64::from(s) / f64::from(out_scale)))
+            .collect();
+        spec.bias_q = bias.map_or_else(
+            || vec![0i32; shape[0]],
+            |b| {
+                b.iter()
+                    .map(|&v| (f64::from(v) / (f64::from(in_scale) * f64::from(s))).round() as i32)
+                    .collect()
+            },
+        );
+        QConv2d::from_spec(spec)
     }
 
     #[test]
@@ -1459,7 +1215,19 @@ mod tests {
             .unwrap();
         let out_range = qkernel::max_abs(float.value().data());
         let out_scale = qkernel::scale_for(out_range, 8);
-        let q = QConv2d::compile(&conv, Some(&bn), 8, in_scale, out_scale, false);
+        let w = conv.weight().value();
+        let (mul, add) = bn_fold_factors(&bn);
+        let q = QConv2d::from_spec(QConvSpec::quantize(
+            &QConvSource {
+                bn: Some((&mul, &add)),
+                ..plain_source(w.data(), 6, 4, 3)
+            },
+            8,
+            in_scale,
+            out_scale,
+            false,
+            false,
+        ));
         let got = q
             .forward(&QTensor::quantize(&x, in_scale))
             .unwrap()
@@ -1481,7 +1249,22 @@ mod tests {
         let x = on_grid_input(&[2, 5, 7, 7], in_scale, &mut rng);
         let float = dw.forward(&Tensor::constant(x.clone())).unwrap().relu6();
         let out_scale = qkernel::scale_for(qkernel::max_abs(float.value().data()), 8);
-        let q = QDwConv2d::compile(&dw, None, 8, in_scale, out_scale, true);
+        let w = dw.weight().value();
+        let q = QDwConv2d::from_spec(QDwConvSpec::quantize(
+            &QDwConvSource {
+                w: w.data(),
+                channels: 5,
+                kernel: 3,
+                stride: 1,
+                padding: 1,
+                bias: None,
+                bn: None,
+            },
+            8,
+            in_scale,
+            out_scale,
+            true,
+        ));
         let got = q
             .forward(&QTensor::quantize(&x, in_scale))
             .unwrap()
@@ -1501,7 +1284,14 @@ mod tests {
         let in_scale = 0.01;
         let x = on_grid_input(&[3, 12], in_scale, &mut rng);
         let float = lin.forward(&Tensor::constant(x.clone())).unwrap();
-        let q = QLinear::compile(&lin, 8, in_scale);
+        let q = QLinear::from_spec(QLinearSpec::quantize(
+            lin.weight().value().data(),
+            12,
+            4,
+            lin.bias().value().data(),
+            8,
+            in_scale,
+        ));
         let got = q.forward(&QTensor::quantize(&x, in_scale)).unwrap();
         for (g, f) in got.data().iter().zip(float.value().data()) {
             assert!((g - f).abs() <= 0.02, "got {g}, float {f}");
@@ -1511,37 +1301,14 @@ mod tests {
     #[test]
     fn int4_weights_halve_storage() {
         let mut rng = StdRng::seed_from_u64(46);
-        let conv = Conv2d::same(8, 8, 3, 1, &mut rng);
-        let q8 = QConv2d::compile(&conv, None, 8, 0.02, 0.02, false);
-        let q4 = QConv2d::compile(&conv, None, 4, 0.02, 0.02, false);
-        assert_eq!(q8.weight_bytes(), 8 * 8 * 9);
-        assert_eq!(q4.weight_bytes(), 8 * 8 * 9 / 2);
-    }
-
-    #[test]
-    fn qmbconv_residual_add_stays_in_range() {
-        let mut rng = StdRng::seed_from_u64(47);
-        let mb = MbConv::new(4, 4, 3, 2, 1, &mut rng);
-        mb.set_training(false);
-        assert!(mb.has_residual());
-        let in_scale = 0.05;
-        let x = on_grid_input(&[1, 4, 6, 6], in_scale, &mut rng);
-        let float = mb.forward(&Tensor::constant(x.clone())).unwrap();
-        // Calibrate stage scales from the float pass.
-        let scales = calibrate_mbconv_for_tests(&mb, &x);
-        let q = QMbConv::compile(&mb, 8, in_scale, &scales);
-        let got = q.forward(&QTensor::quantize(&x, in_scale)).unwrap();
-        assert_eq!(got.shape, vec![1, 4, 6, 6]);
-        let got = got.dequantize();
-        let mut worst = 0.0f32;
-        for (g, f) in got.data().iter().zip(float.value().data()) {
-            worst = worst.max((g - f).abs());
-        }
-        assert!(
-            worst <= scales.block_out * 4.0 + 0.05,
-            "worst {worst}, step {}",
-            scales.block_out
-        );
+        let w: Vec<f32> = (0..8 * 8 * 9).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let bytes = |bits| {
+            QConvSpec::quantize(&plain_source(&w, 8, 8, 3), bits, 0.02, 0.02, false, false)
+                .weights
+                .storage_bytes()
+        };
+        assert_eq!(bytes(8), 8 * 8 * 9);
+        assert_eq!(bytes(4), 8 * 8 * 9 / 2);
     }
 
     #[test]
@@ -1572,27 +1339,6 @@ mod tests {
         }
     }
 
-    fn calibrate_mbconv_for_tests(mb: &MbConv, x: &Array) -> MbConvScales {
-        let xt = Tensor::constant(x.clone());
-        let mut h = xt.clone();
-        let expand_out = mb.expand().map(|(conv, bn)| {
-            h = bn.forward_relu6(&conv.forward(&h).unwrap()).unwrap();
-            qkernel::scale_for(qkernel::max_abs(h.value().data()), 8)
-        });
-        h = mb
-            .dw_bn()
-            .forward_relu6(&mb.depthwise().forward(&h).unwrap())
-            .unwrap();
-        let dw_out = qkernel::scale_for(qkernel::max_abs(h.value().data()), 8);
-        let y = mb.forward(&xt).unwrap();
-        let block_out = qkernel::scale_for(qkernel::max_abs(y.value().data()), 8);
-        MbConvScales {
-            expand_out,
-            dw_out,
-            block_out,
-        }
-    }
-
     #[test]
     fn global_avg_pool_averages_on_same_scale() {
         let x = QTensor {
@@ -1608,9 +1354,15 @@ mod tests {
 
     #[test]
     fn scale_mismatch_is_rejected() {
-        let mut rng = StdRng::seed_from_u64(48);
-        let conv = Conv2d::same(2, 2, 3, 1, &mut rng);
-        let q = QConv2d::compile(&conv, None, 8, 0.02, 0.02, false);
+        let w = vec![0.1f32; 2 * 2 * 9];
+        let q = QConv2d::from_spec(QConvSpec::quantize(
+            &plain_source(&w, 2, 2, 3),
+            8,
+            0.02,
+            0.02,
+            false,
+            false,
+        ));
         let x = QTensor {
             data: vec![0; 2 * 4 * 4],
             shape: vec![1, 2, 4, 4],

@@ -4,7 +4,7 @@
 //! one requantization rounding step of the fake-quant f32 oracle evaluated
 //! on the same quantization grids.
 
-use edd_nn::{Conv2d, QConv2d, QTensor};
+use edd_nn::{Conv2d, QConv2d, QConvSource, QConvSpec, QTensor};
 use edd_tensor::qkernel::{max_abs, qmax, scale_for};
 use edd_tensor::{Array, Tensor};
 use proptest::prelude::*;
@@ -22,7 +22,7 @@ fn on_grid_input(shape: &[usize], scale: f32, rng: &mut StdRng) -> Array {
 }
 
 /// Per-output-channel fake quantization of conv weights on exactly the
-/// grid `QConv2d::compile` uses (`s_r = max_abs(row)/qmax`). Returns the
+/// grid `QConvSpec::quantize` uses (`s_r = max_abs(row)/qmax`). Returns the
 /// fake-quantized weights and the largest per-channel scale.
 fn fake_quant_per_channel(w: &Array, bits: u32) -> (Array, f32) {
     let shape = w.shape().to_vec();
@@ -67,8 +67,26 @@ proptest! {
         let oracle = oracle.value_clone();
 
         let out_scale = scale_for(max_abs(oracle.data()), 8);
-        let q = QConv2d::compile(&conv, None, bits, in_scale, out_scale, false);
-        let got = q.forward(&xq).unwrap().dequantize();
+        let w = conv.weight().value();
+        let bias = conv.bias().map(|b| b.value().data().to_vec());
+        let spec = QConvSpec::quantize(
+            &QConvSource {
+                w: w.data(),
+                out_channels: cout,
+                in_channels: cin,
+                kernel: k,
+                stride: 1,
+                padding: k / 2,
+                bias: bias.as_deref(),
+                bn: None,
+            },
+            bits,
+            in_scale,
+            out_scale,
+            false,
+            k == 1,
+        );
+        let got = QConv2d::from_spec(spec).forward(&xq).unwrap().dequantize();
 
         // One output rounding step, plus the bias-quantization error
         // (≤ half an accumulator step, s_in·s_w/2) and fixed-point slack.
@@ -92,7 +110,23 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let conv = Conv2d::new(cin, cout, 3, stride, 1, false, &mut rng);
         let (in_scale, out_scale) = (0.03f32, 0.04f32);
-        let q = QConv2d::compile(&conv, None, bits, in_scale, out_scale, true);
+        let q = QConv2d::from_spec(QConvSpec::quantize(
+            &QConvSource {
+                w: conv.weight().value().data(),
+                out_channels: cout,
+                in_channels: cin,
+                kernel: 3,
+                stride,
+                padding: 1,
+                bias: None,
+                bn: None,
+            },
+            bits,
+            in_scale,
+            out_scale,
+            true,
+            false,
+        ));
         let x = on_grid_input(&[1, cin, 9, 9], in_scale, &mut rng);
         let y = q.forward(&QTensor::quantize(&x, in_scale)).unwrap();
         let expect = (9 + 2 - 3) / stride + 1;

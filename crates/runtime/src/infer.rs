@@ -3,7 +3,7 @@
 //!
 //! `edd-runtime` sits below the model crates in the workspace graph, so the
 //! server is generic over anything that can turn a batch of images into a
-//! batch of logits — the integer `QuantizedModel` in `edd-core`
+//! batch of logits — the integer engine `edd_ir::CompiledModel`
 //! implements [`BatchModel`] and is the intended occupant. The server
 //! counts requests and images, tracks total and worst-case wall time, and
 //! mirrors every request into the global [`telemetry`]

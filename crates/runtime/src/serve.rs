@@ -29,8 +29,8 @@
 //!
 //! Determinism: batching changes *which* images share a batch, so serving
 //! is only output-deterministic if the model's per-image results do not
-//! depend on batch composition. The integer engine (`edd-core`'s
-//! `QuantizedModel`) guarantees this — i32 accumulation is exact — and
+//! depend on batch composition. The integer engine (`edd-ir`'s
+//! `CompiledModel`) guarantees this — i32 accumulation is exact — and
 //! `crates/core/tests/serve_determinism.rs` proves outputs are
 //! bitwise-identical across 1-shard and 4-shard servers and against the
 //! synchronous path.

@@ -787,9 +787,15 @@ pub fn im2col_into(out: &mut [f32], input: &[f32], geom: &Conv2dGeometry) {
         // (zeros for the padded region), so no upfront fill is needed.
         let (oy0, oy1) = crate::kernel::valid_out_range(ky, pad, stride, ih, oh);
         let (ox0, ox1) = crate::kernel::valid_out_range(kx, pad, stride, iw, ow);
+        let dst = &mut out[row * cols..(row + 1) * cols];
+        if ox0 >= ox1 {
+            // The tap reads only padding (a plane narrower than its
+            // padding): no source column exists, so `sx0` would underflow.
+            dst.fill(0.0);
+            continue;
+        }
         let sx0 = ox0 * stride + kx - pad;
         let src_c = &input[ch * ih * iw..(ch + 1) * ih * iw];
-        let dst = &mut out[row * cols..(row + 1) * cols];
         dst[..oy0 * ow].fill(0.0);
         dst[oy1 * ow..].fill(0.0);
         for oy in oy0..oy1 {
@@ -857,6 +863,10 @@ pub fn col2im_into(cols: &[f32], geom: &Conv2dGeometry, out: &mut [f32]) {
         // results stay bitwise identical.
         let (oy0, oy1) = crate::kernel::valid_out_range(ky, pad, stride, ih, oh);
         let (ox0, ox1) = crate::kernel::valid_out_range(kx, pad, stride, iw, ow);
+        if ox0 >= ox1 {
+            // Every contribution of this tap lands in padding.
+            continue;
+        }
         let sx0 = ox0 * stride + kx - pad;
         let src = &cols[row * oh * ow..(row + 1) * oh * ow];
         let dst_c = &mut out[ch * ih * iw..(ch + 1) * ih * iw];

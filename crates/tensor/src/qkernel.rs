@@ -862,9 +862,15 @@ pub fn qim2col_into(out: &mut [i8], input: &[i8], geom: &Conv2dGeometry) {
         let kx = row % k;
         let (oy0, oy1) = valid_out_range(ky, pad, stride, ih, oh);
         let (ox0, ox1) = valid_out_range(kx, pad, stride, iw, ow);
+        let dst = &mut out[row * cols..(row + 1) * cols];
+        if ox0 >= ox1 {
+            // The tap reads only padding (a plane narrower than its
+            // padding): no source column exists, so `sx0` would underflow.
+            dst.fill(0);
+            continue;
+        }
         let sx0 = ox0 * stride + kx - pad;
         let src_c = &input[ch * ih * iw..(ch + 1) * ih * iw];
-        let dst = &mut out[row * cols..(row + 1) * cols];
         dst[..oy0 * ow].fill(0);
         dst[oy1 * ow..].fill(0);
         for oy in oy0..oy1 {
@@ -1422,28 +1428,77 @@ mod tests {
         }
     }
 
+    /// Input index that im2col tap `row` reads at output `(oy, ox)`, or
+    /// `None` where it samples zero padding: the per-element definition
+    /// the im2col and col2im bodies must all agree with.
+    fn tap_source(geom: &Conv2dGeometry, row: usize, oy: usize, ox: usize) -> Option<usize> {
+        let k = geom.kernel;
+        let (ch, ky, kx) = (row / (k * k), (row / k) % k, row % k);
+        let sy = (oy * geom.stride + ky).checked_sub(geom.padding)?;
+        let sx = (ox * geom.stride + kx).checked_sub(geom.padding)?;
+        (sy < geom.in_h && sx < geom.in_w).then_some((ch * geom.in_h + sy) * geom.in_w + sx)
+    }
+
+    /// Checks `qim2col_into`, the f32 `im2col_into` and `col2im_into` on one
+    /// geometry against [`tap_source`].
+    fn check_im2col_bodies(geom: &Conv2dGeometry, rng: &mut StdRng) {
+        let (oh, ow) = (geom.out_h(), geom.out_w());
+        let rows = geom.in_channels * geom.kernel * geom.kernel;
+        let cols = oh * ow;
+        let q = randq(geom.in_channels * geom.in_h * geom.in_w, 127, rng);
+        let f: Vec<f32> = q.iter().map(|&v| f32::from(v)).collect();
+        let mut qcols = vec![0i8; rows * cols];
+        qim2col_into(&mut qcols, &q, geom);
+        let mut fcols = vec![0.0f32; rows * cols];
+        crate::im2col_into(&mut fcols, &f, geom);
+        // col2im scatters the columns back onto the image; integer-valued
+        // entries keep every partial sum exact, so order does not matter.
+        let mut img = vec![0.0f32; f.len()];
+        crate::col2im_into(&fcols, geom, &mut img);
+        let mut want_img = vec![0.0f32; f.len()];
+        for row in 0..rows {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let at = row * cols + oy * ow + ox;
+                    let src = tap_source(geom, row, oy, ox);
+                    let want = src.map_or(0, |i| q[i]);
+                    assert_eq!(qcols[at], want, "qim2col {geom:?} tap {row} at ({oy},{ox})");
+                    assert_eq!(fcols[at], f32::from(want), "im2col {geom:?} tap {row}");
+                    if let Some(i) = src {
+                        want_img[i] += fcols[at];
+                    }
+                }
+            }
+        }
+        assert_eq!(img, want_img, "col2im {geom:?}");
+    }
+
     #[test]
     fn qim2col_matches_f32_im2col() {
+        // Every kernel the search spaces use plus 1×1, both strides, every
+        // padding up to "same", and planes from 1×1 up — including planes
+        // narrower than their padding, whose edge taps read only zeros.
         let mut rng = StdRng::seed_from_u64(17);
-        for (stride, padding) in [(1usize, 1usize), (2, 1), (1, 0), (2, 2)] {
-            let geom = Conv2dGeometry {
-                in_channels: 3,
-                in_h: 7,
-                in_w: 6,
-                kernel: 3,
-                stride,
-                padding,
-            };
-            let q = randq(3 * 7 * 6, 127, &mut rng);
-            let f: Vec<f32> = q.iter().map(|&v| f32::from(v)).collect();
-            let rows = 3 * 9;
-            let cols = geom.out_h() * geom.out_w();
-            let mut qcols = vec![0i8; rows * cols];
-            qim2col_into(&mut qcols, &q, &geom);
-            let mut fcols = vec![0.0f32; rows * cols];
-            crate::im2col_into(&mut fcols, &f, &geom);
-            for (a, b) in qcols.iter().zip(&fcols) {
-                assert_eq!(f32::from(*a), *b, "stride={stride} pad={padding}");
+        for kernel in [1usize, 3, 5, 7] {
+            for stride in [1usize, 2] {
+                for padding in 0..=kernel / 2 {
+                    for in_h in 1..=9 {
+                        for in_w in 1..=9 {
+                            if in_h + 2 * padding < kernel || in_w + 2 * padding < kernel {
+                                continue;
+                            }
+                            let geom = Conv2dGeometry {
+                                in_channels: 2,
+                                in_h,
+                                in_w,
+                                kernel,
+                                stride,
+                                padding,
+                            };
+                            check_im2col_bodies(&geom, &mut rng);
+                        }
+                    }
+                }
             }
         }
     }

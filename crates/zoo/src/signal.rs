@@ -101,8 +101,9 @@ mod tests {
         let rows = synthetic_signal(2, 3, 5, 1);
         let win = signal_window(&rows, 1, 4, 2, 3);
         assert_eq!(win.len(), 2 * 4 * 3);
-        // Channel 1, window-row 2 is stream row 3's second channel.
-        assert_eq!(win[(1 * 4 + 2) * 3..(1 * 4 + 2) * 3 + 3], rows[3][3..6]);
+        // Channel 1, window-row 2 is stream row 3's second channel, at
+        // offset (channel · window + row) · width = (1·4 + 2)·3 = 18.
+        assert_eq!(win[18..21], rows[3][3..6]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use edd_core::{
     calibrate, lower_to_graph, BlockChoice, Calibration, DerivedArch, DeviceTarget, QatModel,
-    QuantizedModel, SearchSpace,
+    SearchSpace,
 };
 use edd_ir::{CompiledModel, PassConfig, PassReport};
 use edd_nn::{
@@ -104,8 +104,8 @@ pub fn tiny_vgg<R: Rng + ?Sized>(image_size: usize, num_classes: usize, rng: &mu
 /// quantized-inference engine end to end (examples, `edd qinfer`, the
 /// `exp_quantized` bench): three MBConv blocks over 16×16 RGB inputs with
 /// mixed searched precisions Φ = {4, 8, 8} bits, so the compiled
-/// [`edd_core::QuantizedModel`] gets both the bit-packed int4 path and the
-/// int8 path.
+/// [`CompiledModel`] gets both the bit-packed int4 path and the int8
+/// path.
 #[must_use]
 pub fn tiny_derived_arch() -> DerivedArch {
     tiny_quant_arch("edd-tiny-quant-demo", [3, 5, 3], [4, 4, 4], [4, 8, 8])
@@ -158,11 +158,9 @@ pub fn tiny_model_zoo() -> Vec<DerivedArch> {
 }
 
 /// The deterministic front half of the tiny-zoo deploy pipeline — random
-/// QAT weights and activation calibration per architecture — shared by
-/// the direct compiler ([`compile_tiny_zoo`]) and the IR pipeline
-/// ([`compile_tiny_zoo_ir`]) so both consume *identical* trained models
-/// and scales. Deterministic in `seed` (the RNG stream is unchanged from
-/// the original `compile_tiny_zoo`, so existing goldens hold).
+/// QAT weights and activation calibration per architecture — for callers
+/// that lower the models themselves (the benchmark). [`compile_tiny_zoo`]
+/// runs the back half. Deterministic in `seed`.
 #[must_use]
 pub fn prepare_tiny_zoo(seed: u64) -> Vec<(DerivedArch, QatModel, Calibration)> {
     tiny_model_zoo()
@@ -180,33 +178,14 @@ pub fn prepare_tiny_zoo(seed: u64) -> Vec<(DerivedArch, QatModel, Calibration)> 
         .collect()
 }
 
-/// Trains nothing, but runs the full deploy pipeline — random QAT
-/// weights, activation calibration, integer compilation — for each
-/// architecture in [`tiny_model_zoo`], returning `(name, engine)` pairs
-/// ready to serve. Deterministic in `seed`.
+/// Trains nothing, but runs the full deploy pipeline for each
+/// architecture in [`tiny_model_zoo`]: random QAT weights, activation
+/// calibration ([`prepare_tiny_zoo`]), lowering to the annotated float
+/// graph, the configured passes, and the executable [`CompiledModel`].
+/// Returns `(name, engine, report)` triples ready to serve; deterministic
+/// in `seed`.
 #[must_use]
-pub fn compile_tiny_zoo(seed: u64) -> Vec<(String, QuantizedModel)> {
-    prepare_tiny_zoo(seed)
-        .iter()
-        .map(|(arch, model, calib)| {
-            (
-                arch.name.clone(),
-                QuantizedModel::compile(model, arch, calib),
-            )
-        })
-        .collect()
-}
-
-/// The same zoo compiled through the `edd-ir` pipeline instead of the
-/// direct compiler: lower each trained model to the annotated float
-/// graph, run the configured passes, and build the executable
-/// [`CompiledModel`]. The equivalence suite holds this bitwise equal to
-/// [`compile_tiny_zoo`] for every pass configuration.
-#[must_use]
-pub fn compile_tiny_zoo_ir(
-    seed: u64,
-    cfg: &PassConfig,
-) -> Vec<(String, CompiledModel, PassReport)> {
+pub fn compile_tiny_zoo(seed: u64, cfg: &PassConfig) -> Vec<(String, CompiledModel, PassReport)> {
     prepare_tiny_zoo(seed)
         .iter()
         .map(|(arch, model, calib)| {
@@ -329,13 +308,13 @@ mod tests {
                 assert!(arch.space.quant_bits.contains(&b.quant_bits));
             }
         }
-        let compiled = compile_tiny_zoo(7);
+        let compiled = compile_tiny_zoo(7, &PassConfig::all());
         assert_eq!(compiled.len(), 3);
         // Same seed → same engines (bitwise); the pipeline is deterministic.
-        let again = compile_tiny_zoo(7);
+        let again = compile_tiny_zoo(7, &PassConfig::all());
         let mut rng = StdRng::seed_from_u64(40);
         let x = Array::randn(&[1, 3, 16, 16], 1.0, &mut rng);
-        for ((name, q), (_, q2)) in compiled.iter().zip(&again) {
+        for ((name, q, _), (_, q2, _)) in compiled.iter().zip(&again) {
             let a = q.forward(&x).unwrap();
             let b = q2.forward(&x).unwrap();
             assert_eq!(a.data(), b.data(), "{name} not reproducible");

@@ -1,16 +1,17 @@
 //! End-to-end artifact deployment: a tiny zoo model compiled through the
 //! IR pipeline, serialized to a `.eddm` artifact on disk, hot-loaded back,
 //! and served through the dynamic-batching [`edd_runtime::Server`] — all
-//! compared bitwise against the *direct* `QuantizedModel::compile` path
-//! answering the same requests synchronously. This is the CI determinism
-//! leg's compile → artifact → hot-load → serve contract: 1-shard and
-//! 4-shard serving of the reloaded model must equal the sync reference
-//! exactly, on every `EDD_NUM_THREADS` × `EDD_SIMD` × `EDD_GEMM` combo.
+//! compared bitwise against the in-process [`CompiledModel`] the artifact
+//! was written from, answering the same requests synchronously. This is
+//! the CI determinism leg's compile → artifact → hot-load → serve
+//! contract: 1-shard and 4-shard serving of the reloaded model must equal
+//! the sync reference exactly, on every `EDD_NUM_THREADS` × `EDD_SIMD` ×
+//! `EDD_GEMM` combo.
 
 use edd_ir::{artifact, CompiledModel, PassConfig};
 use edd_runtime::{BatchModel, BatcherConfig, InferServer, ServeConfig, Server};
 use edd_tensor::Array;
-use edd_zoo::{compile_tiny_zoo, compile_tiny_zoo_ir};
+use edd_zoo::compile_tiny_zoo;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
@@ -65,30 +66,27 @@ fn serve_all(model: &Arc<CompiledModel>, images: &[Vec<f32>], shards: usize) -> 
 }
 
 #[test]
-fn hot_loaded_artifact_serves_bitwise_identical_to_direct_compile() {
+fn hot_loaded_artifact_serves_bitwise_identical_to_in_process_model() {
     let dir = temp_dir("serve");
-    let direct = compile_tiny_zoo(SEED);
-    let ir = compile_tiny_zoo_ir(SEED, &PassConfig::all());
-
-    for ((name, reference_model), (_, compiled, _)) in direct.iter().zip(&ir) {
+    for (name, compiled, _) in &compile_tiny_zoo(SEED, &PassConfig::all()) {
         // Compile → artifact on disk → hot-load.
         let path = dir.join(name).with_extension(artifact::ARTIFACT_EXT);
         artifact::save(&path, compiled.graph()).unwrap();
         let loaded = Arc::new(artifact::load(&path).unwrap());
         assert_eq!(loaded.name(), name);
-        assert_eq!(loaded.image_len(), reference_model.image_len());
-        assert_eq!(loaded.num_classes(), reference_model.num_classes());
+        assert_eq!(loaded.image_len(), compiled.image_len());
+        assert_eq!(loaded.num_classes(), compiled.num_classes());
 
-        // Synchronous reference through the *direct* engine.
-        let images = request_images(24, reference_model.image_len());
-        let sync = InferServer::new(reference_model);
+        // Synchronous reference through the in-process engine.
+        let images = request_images(24, compiled.image_len());
+        let sync = InferServer::new(compiled);
         let reference: Vec<Vec<f32>> = images
             .iter()
             .map(|img| sync.infer(img, 1).unwrap())
             .collect();
 
         // The hot-loaded artifact served with 1 and 4 shards matches the
-        // direct sync path bit for bit.
+        // in-process sync path bit for bit.
         for shards in [1usize, 4] {
             let served = serve_all(&loaded, &images, shards);
             for (i, (got, want)) in served.iter().zip(&reference).enumerate() {
@@ -106,7 +104,7 @@ fn hot_loaded_artifact_serves_bitwise_identical_to_direct_compile() {
 
 #[test]
 fn artifact_roundtrip_preserves_graph_bytes_for_zoo_models() {
-    for (name, compiled, _) in &compile_tiny_zoo_ir(SEED, &PassConfig::all()) {
+    for (name, compiled, _) in &compile_tiny_zoo(SEED, &PassConfig::all()) {
         let encoded = artifact::to_bytes(compiled.graph()).unwrap();
         let decoded = artifact::from_bytes(&encoded).unwrap();
         let re_encoded = artifact::to_bytes(&decoded).unwrap();

@@ -9,10 +9,10 @@
 //! leave both hashes unchanged; a deliberate numeric change must update
 //! them in the same commit and say why.
 
-use edd_ir::{CompiledModel, PassConfig, PulsedModel};
-use edd_runtime::{StreamModel, StreamSession};
+use edd_ir::{PassConfig, PulsedModel};
+use edd_runtime::StreamSession;
 use edd_tensor::Array;
-use edd_zoo::{prepare_tiny_zoo, synthetic_signal};
+use edd_zoo::{compile_tiny_zoo, synthetic_signal};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -31,21 +31,6 @@ fn fnv1a(values: impl IntoIterator<Item = f32>) -> u64 {
     h
 }
 
-/// The tiny zoo through the deploy pipeline the benchmark and serving
-/// use: `prepare_tiny_zoo` → `lower_to_graph` → `edd_ir::lower` →
-/// `CompiledModel`.
-fn compiled_zoo() -> Vec<(String, CompiledModel)> {
-    prepare_tiny_zoo(ZOO_SEED)
-        .iter()
-        .map(|(arch, qat, calib)| {
-            let float = edd_core::lower_to_graph(qat, arch, calib).expect("lower_to_graph");
-            let (lowered, _) = edd_ir::lower(&float, &PassConfig::all()).expect("lower");
-            let model = CompiledModel::from_graph(lowered).expect("compile");
-            (arch.name.clone(), model)
-        })
-        .collect()
-}
-
 #[test]
 fn zoo_logits_match_pinned_hashes() {
     let want: [(&str, u64); 3] = [
@@ -55,9 +40,9 @@ fn zoo_logits_match_pinned_hashes() {
     ];
     let mut rng = StdRng::seed_from_u64(2026);
     let x = Array::randn(&[BATCH, 3, 16, 16], 1.0, &mut rng);
-    let got: Vec<(String, u64)> = compiled_zoo()
+    let got: Vec<(String, u64)> = compile_tiny_zoo(ZOO_SEED, &PassConfig::all())
         .iter()
-        .map(|(name, m)| {
+        .map(|(name, m, _)| {
             let logits = m.forward(&x).expect("forward");
             (name.clone(), fnv1a(logits.data().iter().copied()))
         })
@@ -72,7 +57,7 @@ fn zoo_logits_match_pinned_hashes() {
 #[test]
 fn pulsed_stream_matches_pinned_hash() {
     const WANT: (usize, u64) = (9, 18_185_765_228_479_952_876);
-    let (_, model) = compiled_zoo().remove(1);
+    let (_, model, _) = compile_tiny_zoo(ZOO_SEED, &PassConfig::all()).remove(1);
     let [c, h, w] = model.graph().meta.input_shape;
     let signal = synthetic_signal(c, w, 3 * h, 2026);
     let pulsed = PulsedModel::from_graph(model.graph(), h / 4).expect("pulse");

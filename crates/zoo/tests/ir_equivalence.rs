@@ -1,21 +1,20 @@
-//! Per-pass bitwise equivalence of the `edd-ir` compilation pipeline
-//! against the direct `QuantizedModel::compile` path, on the real tiny
-//! zoo (mixed int4/int8 precisions, expanding and non-expanding MBConv
-//! blocks, residual connections).
+//! Per-pass bitwise equivalence of the `edd-ir` compilation pipeline on
+//! the real tiny zoo (mixed int4/int8 precisions, expanding and
+//! non-expanding MBConv blocks, residual connections).
 //!
-//! Both paths consume the *identical* trained weights and calibration
-//! (`prepare_tiny_zoo` shares the RNG stream), so any output difference
-//! is a lowering or pass bug, not noise. Every individual pass and the
-//! full pipeline must produce logits whose f32 bit patterns match the
-//! direct engine exactly. The determinism CI leg re-runs this test across
-//! the `EDD_NUM_THREADS` × `EDD_SIMD` × `EDD_GEMM` matrix, which the
-//! equivalence inherits for free since both paths execute the same
-//! `edd-nn` kernels.
+//! The reference is the bare quantize lowering (`PassConfig::none()`):
+//! every individual pass and the full pipeline must produce logits whose
+//! f32 bit patterns match it exactly, so any difference is a pass bug,
+//! not noise. The absolute bits of the optimized pipeline are pinned by
+//! `golden_outputs.rs`. The determinism CI leg re-runs this test across
+//! the `EDD_NUM_THREADS` × `EDD_SIMD` × `EDD_GEMM` matrix.
+
+mod common;
 
 use edd_ir::PassConfig;
 use edd_runtime::BatchModel;
 use edd_tensor::Array;
-use edd_zoo::{compile_tiny_zoo, compile_tiny_zoo_ir};
+use edd_zoo::compile_tiny_zoo;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -33,30 +32,18 @@ fn test_batch(image_len: usize) -> Vec<f32> {
     x.data().to_vec()
 }
 
-/// Every pass configuration exercised one pass at a time, plus the
-/// empty and full pipelines.
-fn configs() -> Vec<(&'static str, PassConfig)> {
-    let mut out = vec![("none", PassConfig::none())];
-    for name in edd_ir::PASS_NAMES {
-        let mut cfg = PassConfig::none();
-        cfg.set(name, true).unwrap();
-        out.push((name, cfg));
-    }
-    out.push(("all", PassConfig::all()));
-    out
-}
-
 #[test]
-fn ir_pipeline_matches_direct_compile_for_every_pass_config() {
-    let direct = compile_tiny_zoo(SEED);
-    let x = test_batch(direct[0].1.image_len());
-    let reference: Vec<(String, Vec<f32>)> = direct
+fn every_pass_config_matches_the_unoptimized_lowering() {
+    let bare = compile_tiny_zoo(SEED, &PassConfig::none());
+    let x = test_batch(bare[0].1.image_len());
+    let reference: Vec<(String, Vec<f32>)> = bare
         .iter()
-        .map(|(name, q)| (name.clone(), q.infer_batch(&x, BATCH).unwrap()))
+        .map(|(name, m, _)| (name.clone(), m.infer_batch(&x, BATCH).unwrap()))
         .collect();
 
-    for (label, cfg) in configs() {
-        let ir = compile_tiny_zoo_ir(SEED, &cfg);
+    // Skip `none`, the reference itself.
+    for (label, cfg) in common::pass_configs().into_iter().skip(1) {
+        let ir = compile_tiny_zoo(SEED, &cfg);
         assert_eq!(ir.len(), reference.len());
         for ((name, want), (ir_name, compiled, _)) in reference.iter().zip(&ir) {
             assert_eq!(name, ir_name);
@@ -64,7 +51,7 @@ fn ir_pipeline_matches_direct_compile_for_every_pass_config() {
             assert_eq!(
                 bits(want),
                 bits(&got),
-                "IR pipeline with passes `{label}` diverges from direct compile on {name}"
+                "passes `{label}` diverge from the unoptimized lowering on {name}"
             );
         }
     }
@@ -72,8 +59,8 @@ fn ir_pipeline_matches_direct_compile_for_every_pass_config() {
 
 #[test]
 fn full_pipeline_optimizes_and_reports() {
-    let ir = compile_tiny_zoo_ir(SEED, &PassConfig::all());
-    let bare = compile_tiny_zoo_ir(SEED, &PassConfig::none());
+    let ir = compile_tiny_zoo(SEED, &PassConfig::all());
+    let bare = compile_tiny_zoo(SEED, &PassConfig::none());
     for ((name, opt, report), (_, raw, raw_report)) in ir.iter().zip(&bare) {
         // Three conv+BN stages per MBConv block at most, plus stem and
         // head: every one must fold, and every ReLU6 must fuse.
@@ -88,8 +75,8 @@ fn full_pipeline_optimizes_and_reports() {
             "{name}: every compiled conv came from a conv+BN pair"
         );
         assert!(report.relu6_fused >= 4, "{name}");
-        // The zoo nets carry 1×1 expand/project/head convs — the direct
-        // path must be selected for them.
+        // The zoo nets carry 1×1 expand/project/head convs — the im2col
+        // bypass must be selected for them.
         assert!(report.bypassed_1x1 >= 3, "{name}");
         assert!(report.dce_removed > 0, "{name}");
         // Fusion shrinks the executable graph.
@@ -111,7 +98,7 @@ fn full_pipeline_optimizes_and_reports() {
 
 #[test]
 fn ir_models_are_batch_invariant() {
-    let (_, compiled, _) = &compile_tiny_zoo_ir(SEED, &PassConfig::all())[0];
+    let (_, compiled, _) = &compile_tiny_zoo(SEED, &PassConfig::all())[0];
     let x = test_batch(compiled.image_len());
     let batched = compiled.infer_batch(&x, BATCH).unwrap();
     let classes = compiled.num_classes();

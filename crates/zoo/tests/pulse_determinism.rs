@@ -2,21 +2,22 @@
 //! engines, on the real tiny zoo (mixed int4/int8 precisions, expanding
 //! and non-expanding MBConv blocks, residual connections).
 //!
-//! Each engine is lifted into the IR via `QuantizedModel::to_graph` (or
-//! taken straight from the `edd-ir` pass pipeline) and converted into a
-//! [`edd_ir::PulsedModel`] that consumes the shared synthetic signal one
-//! row-slice at a time. Every emitted window's logits must match the
-//! batch engine run on the identical window bit for bit, a mid-signal
-//! save/restore must resume bit-identically, and carried state must not
-//! grow with stream length. The determinism CI leg re-runs this suite
+//! Each engine's lowered graph comes out of the `edd-ir` pass pipeline and
+//! is converted into a [`edd_ir::PulsedModel`] that consumes the shared
+//! synthetic signal one row-slice at a time. Every emitted window's logits
+//! must match the batch engine run on the identical window bit for bit, a
+//! mid-signal save/restore must resume bit-identically, and carried state
+//! must not grow with stream length. The determinism CI leg re-runs this suite
 //! across the `EDD_NUM_THREADS` × `EDD_SIMD` × `EDD_GEMM` matrix, which
 //! the equivalence inherits for free since pulsed and batch paths execute
 //! the same `edd-nn` kernels on the same i32-exact accumulators.
 
-use edd_ir::{PassConfig, PulsedModel};
+mod common;
+
+use edd_ir::{CompiledModel, Graph, PassConfig, PulsedModel};
 use edd_runtime::{StreamModel, StreamSession, StreamWindow};
 use edd_tensor::Array;
-use edd_zoo::{compile_tiny_zoo, compile_tiny_zoo_ir, signal_window, synthetic_signal};
+use edd_zoo::{compile_tiny_zoo, signal_window, synthetic_signal};
 
 const SEED: u64 = 11;
 const SIGNAL_SEED: u64 = 2024;
@@ -41,7 +42,7 @@ fn stream_all(pulsed: PulsedModel, signal: &[Vec<f32>]) -> (Vec<StreamWindow>, u
 /// rows, bit for bit.
 fn assert_windows_match_batch(
     name: &str,
-    oracle: &edd_ir::CompiledModel,
+    oracle: &CompiledModel,
     signal: &[Vec<f32>],
     windows: &[StreamWindow],
     shape: [usize; 3],
@@ -63,21 +64,26 @@ fn assert_windows_match_batch(
     }
 }
 
-/// Every tiny-zoo integer engine, lifted through `to_graph`, must stream
-/// bit-identically to its own batch execution — across a divisor hop and
-/// a non-divisor hop (windows straddle ring trims differently).
+/// The first tiny-zoo model's fully optimized graph.
+fn first_zoo_graph() -> (String, Graph) {
+    let (name, compiled, _) = compile_tiny_zoo(SEED, &PassConfig::all()).remove(0);
+    (name, compiled.graph().clone())
+}
+
+/// Every tiny-zoo integer engine must stream bit-identically to its own
+/// batch execution — across a divisor hop and a non-divisor hop (windows
+/// straddle ring trims differently).
 #[test]
 fn pulsed_matches_batch_on_every_zoo_engine() {
-    for (name, q) in compile_tiny_zoo(SEED) {
-        let g = q.to_graph(&name).expect("to_graph");
+    for (name, oracle, _) in compile_tiny_zoo(SEED, &PassConfig::all()) {
+        let g = oracle.graph();
         let [c, h, w] = g.meta.input_shape;
         let signal = synthetic_signal(c, w, h + 3 * h / 2, SIGNAL_SEED);
         for hop in [h / 2, (h / 3).max(1) + 1] {
-            let pulsed = PulsedModel::from_graph(&g, hop).expect("pulse");
+            let pulsed = PulsedModel::from_graph(g, hop).expect("pulse");
             assert_eq!(pulsed.window_rows(), h);
             assert_eq!(pulsed.delay_rows(), h - 1, "{name}: classifier delay");
             let (windows, _) = stream_all(pulsed, &signal);
-            let oracle = edd_ir::CompiledModel::from_graph(g.clone()).expect("compile");
             assert_windows_match_batch(&name, &oracle, &signal, &windows, [c, h, w]);
             // Window starts are hop-spaced from row 0.
             for (i, win) in windows.iter().enumerate() {
@@ -88,19 +94,22 @@ fn pulsed_matches_batch_on_every_zoo_engine() {
     }
 }
 
-/// The pass-pipeline path: a fully-optimized `edd-ir` graph (BN folded,
-/// ReLU6 fused, 1×1 bypassed, DCE'd) pulses bit-identically too.
+/// Every pass configuration pulses bit-identically to its own batch
+/// engine: the bare lowering (standalone `QRelu6` clamps, 1×1 convs through
+/// im2col strips), each pass alone, and the full pipeline.
 #[test]
 fn pulsed_matches_batch_through_ir_pass_pipeline() {
-    let (name, compiled, _) = compile_tiny_zoo_ir(SEED, &PassConfig::all())
-        .into_iter()
-        .next()
-        .expect("zoo nonempty");
-    let [c, h, w] = compiled.graph().meta.input_shape;
-    let signal = synthetic_signal(c, w, 3 * h, SIGNAL_SEED ^ 1);
-    let pulsed = PulsedModel::from_graph(compiled.graph(), h / 2).expect("pulse");
-    let (windows, _) = stream_all(pulsed, &signal);
-    assert_windows_match_batch(&name, &compiled, &signal, &windows, [c, h, w]);
+    for (label, cfg) in common::pass_configs() {
+        for (name, compiled, _) in compile_tiny_zoo(SEED, &cfg) {
+            let [c, h, w] = compiled.graph().meta.input_shape;
+            let signal = synthetic_signal(c, w, 3 * h, SIGNAL_SEED ^ 1);
+            let pulsed = PulsedModel::from_graph(compiled.graph(), h / 2).expect("pulse");
+            let (windows, _) = stream_all(pulsed, &signal);
+            assert_eq!(windows.len(), 5, "{name} / {label}");
+            let tag = format!("{name} / passes `{label}`");
+            assert_windows_match_batch(&tag, &compiled, &signal, &windows, [c, h, w]);
+        }
+    }
 }
 
 /// A stream interrupted mid-window, serialized, and resumed on a freshly
@@ -108,8 +117,7 @@ fn pulsed_matches_batch_through_ir_pass_pipeline() {
 /// the cut matches the uninterrupted run.
 #[test]
 fn streaming_resume_mid_signal_is_bitwise() {
-    let (name, q) = compile_tiny_zoo(SEED).remove(0);
-    let g = q.to_graph(&name).expect("to_graph");
+    let (name, g) = first_zoo_graph();
     let [c, h, w] = g.meta.input_shape;
     let hop = (h / 4).max(1);
     let rows = 3 * h;
@@ -154,8 +162,7 @@ fn streaming_resume_mid_signal_is_bitwise() {
 /// worth of rows peaks at exactly the same state bytes as streaming 2.
 #[test]
 fn carried_state_is_stream_length_independent() {
-    let (name, q) = compile_tiny_zoo(SEED).remove(0);
-    let g = q.to_graph(&name).expect("to_graph");
+    let (name, g) = first_zoo_graph();
     let [c, h, w] = g.meta.input_shape;
     let hop = h / 2;
     let peak = |rows: usize| {

@@ -2,15 +2,17 @@
 //!
 //! Pipeline: derived arch (mixed Φ = 4/8/8-bit) → QAT model → brief
 //! quantization-aware training on SynthImageNet → activation calibration →
-//! compile to the integer engine ([`edd::core::QuantizedModel`]) → serve
-//! batches through [`edd::runtime::InferServer`]. Everything between the
+//! lower to the IR ([`edd::core::lower_to_graph`]) → compile to the integer
+//! engine ([`edd::ir::CompiledModel`]) → serve batches through
+//! [`edd::runtime::InferServer`]. Everything between the
 //! input quantization and the classifier's dequantized logits runs in
 //! int8/int4 × int8 → i32 arithmetic.
 //!
 //! Run: `cargo run --release --example quantized_infer`
 
-use edd::core::{calibrate, QatModel, QuantizedModel};
+use edd::core::{calibrate, lower_to_graph, QatModel};
 use edd::data::{SynthConfig, SynthDataset};
+use edd::ir::PassConfig;
 use edd::nn::Module;
 use edd::runtime::InferServer;
 use edd::tensor::optim::Sgd;
@@ -43,12 +45,13 @@ fn main() {
     // integer arithmetic at the searched per-block precisions.
     let calib_batches: Vec<_> = train.iter().map(|b| b.images.clone()).collect();
     let calib = calibrate(&model, &calib_batches).expect("calibration");
-    let q = QuantizedModel::compile(&model, &arch, &calib);
+    let graph = lower_to_graph(&model, &arch, &calib).expect("lowering");
+    let (q, _) = edd::ir::compile(&graph, &PassConfig::all()).expect("compile");
     println!(
-        "\ncompiled integer engine: block bits {:?}, {} weight bytes, input scale {:.5}",
-        q.block_bits(),
-        q.weight_bytes(),
-        q.input_scale()
+        "\ncompiled integer engine: {} nodes, {} weight bytes, input scale {:.5}",
+        q.graph().len(),
+        q.graph().weight_bytes(),
+        calib.input
     );
 
     // Serve the test set through the batched inference entry point and

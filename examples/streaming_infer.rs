@@ -1,20 +1,20 @@
 //! Pulsed streaming inference with bounded memory.
 //!
 //! Pipeline: derived arch → brief QAT → calibration → integer engine
-//! ([`edd::core::QuantizedModel`]) → lift into the IR (`to_graph`) →
-//! convert to a pulsed model ([`edd::ir::PulsedModel`]) that consumes a
-//! long signal one row-slice at a time. Each conv keeps only a small ring
-//! of rows, so carried state is bounded by the window geometry — the
-//! stream can be arbitrarily long. Every emitted sliding-window
+//! compiled through the IR ([`edd::ir::CompiledModel`]) → its lowered
+//! graph converted to a pulsed model ([`edd::ir::PulsedModel`]) that
+//! consumes a long signal one row-slice at a time. Each conv keeps only a
+//! small ring of rows, so carried state is bounded by the window geometry
+//! — the stream can be arbitrarily long. Every emitted sliding-window
 //! classification is checked bitwise against the batch engine run on the
 //! identical rows, and the stream is interrupted, serialized, and resumed
 //! mid-window to show state save/restore continues bit-for-bit.
 //!
 //! Run: `cargo run --release --example streaming_infer`
 
-use edd::core::{calibrate, QatModel, QuantizedModel};
+use edd::core::{calibrate, lower_to_graph, QatModel};
 use edd::data::{SynthConfig, SynthDataset};
-use edd::ir::{CompiledModel, PulsedModel};
+use edd::ir::{PassConfig, PulsedModel};
 use edd::nn::Module;
 use edd::runtime::{StreamModel, StreamSession};
 use edd::tensor::optim::Sgd;
@@ -44,14 +44,14 @@ fn main() {
     model.set_training(false);
     let calib_batches: Vec<_> = train.iter().map(|b| b.images.clone()).collect();
     let calib = calibrate(&model, &calib_batches).expect("calibration");
-    let q = QuantizedModel::compile(&model, &arch, &calib);
+    let float_graph = lower_to_graph(&model, &arch, &calib).expect("lowering");
+    let (oracle, _) = edd::ir::compile(&float_graph, &PassConfig::all()).expect("compile");
 
-    // Lift the engine into the IR and pulse it: one 16-row window, new
-    // window every 4 rows.
-    let graph = q.to_graph(&arch.name).expect("to_graph");
+    // Pulse the compiled graph: one 16-row window, new window every 4 rows.
+    let graph = oracle.graph();
     let [channels, window, width] = graph.meta.input_shape;
     let hop = 4;
-    let pulsed = PulsedModel::from_graph(&graph, hop).expect("pulse conversion");
+    let pulsed = PulsedModel::from_graph(graph, hop).expect("pulse conversion");
     println!(
         "\npulsed `{}`: {} floats/slice, window {window} rows, hop {hop}, delay {} rows",
         arch.name,
@@ -77,7 +77,7 @@ fn main() {
         windows.len(),
         snapshot.len()
     );
-    let mut session = StreamSession::new(PulsedModel::from_graph(&graph, hop).expect("pulse"));
+    let mut session = StreamSession::new(PulsedModel::from_graph(graph, hop).expect("pulse"));
     session.restore_state(&snapshot).expect("restore");
     for row in &signal[cut..] {
         if let Some(w) = session.push(row).expect("push") {
@@ -86,7 +86,6 @@ fn main() {
     }
 
     // Verify every emitted window bitwise against the batch engine.
-    let oracle = CompiledModel::from_graph(graph).expect("batch compile");
     for w in &windows {
         let buf = signal_window(&signal, w.start_row as usize, window, channels, width);
         let x = Array::from_vec(buf, &[1, channels, window, width]).expect("window shape");

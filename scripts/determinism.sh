@@ -31,9 +31,10 @@ cargo test --locked -q -p edd-core --test determinism
 # bit, whatever batches the coalescer happens to form.
 cargo test --locked -q -p edd-core --test serve_determinism
 # IR-pipeline leg: every edd-ir pass configuration must reproduce the
-# direct QuantizedModel::compile outputs bitwise on the tiny zoo, and a
+# unoptimized lowering (--passes none) bitwise on the tiny zoo, and a
 # model pushed through compile -> .eddm artifact -> hot-load -> sharded
-# serving must match the direct sync path bit for bit.
+# serving must match the in-process compiled model's sync path bit for
+# bit.
 cargo test --locked -q -p edd-zoo --test ir_equivalence
 cargo test --locked -q -p edd-zoo --test artifact_serve
 # Sweep leg: a 3-target sweep (shared weight phase, per-target arch steps
@@ -41,8 +42,9 @@ cargo test --locked -q -p edd-zoo --test artifact_serve
 # architectures, Pareto fronts, and histories across 4-vs-1 worker
 # threads and across a kill/resume through a sweep-*.edds snapshot.
 cargo test --locked -q -p edd-core --test sweep_determinism
-# Pulse leg: streaming (pulsed) execution of every tiny-zoo engine must
-# match the batch engine bit for bit on identical sliding windows, a
+# Pulse leg: streaming (pulsed) execution of every tiny-zoo engine, under
+# every pass configuration, must match the batch engine bit for bit on
+# identical sliding windows, a
 # stream interrupted and resumed mid-window must continue bitwise, and
 # carried state must stay bounded by the window geometry regardless of
 # stream length.

@@ -3,7 +3,8 @@
 #
 #   1. release build of the full workspace (benches compile here too);
 #   2. format gate: rustfmt clean across the workspace;
-#   3. lint gate: clippy clean across the workspace;
+#   3. lint gate: clippy clean across the workspace, test code, benches
+#      and examples included (--all-targets);
 #   4. the default test suite;
 #   5. the tensor crate's suite on its own, which carries the kernel
 #      oracle, gradcheck, and thread-determinism tests;
@@ -21,7 +22,7 @@ cd "$(dirname "$0")/.."
 
 cargo build --locked --release --workspace
 cargo fmt --check
-cargo clippy --locked --workspace -- -D warnings
+cargo clippy --locked --workspace --all-targets -- -D warnings
 cargo test --locked -q --workspace
 cargo test --locked -q -p edd-tensor
 cargo test --locked -q -p edd-runtime

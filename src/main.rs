@@ -28,7 +28,7 @@
 
 use edd::core::{
     calibrate, lower_to_graph, Calibration, CoSearch, CoSearchConfig, DerivedArch, DeviceTarget,
-    QatModel, QuantizedModel, SearchSpace, SweepSearch,
+    QatModel, SearchSpace, SweepSearch, ENGINE_MAX_BITS,
 };
 use edd::data::{SynthConfig, SynthDataset};
 use edd::hw::gpu::GpuPrecision;
@@ -43,6 +43,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 /// Parsed command-line options: positional subcommand + `--key value`
 /// flags.
@@ -133,7 +134,7 @@ fn install_trace_sink(args: &Args) -> Result<bool, String> {
     };
     let sink = edd::runtime::JsonlSink::create(std::path::Path::new(path))
         .map_err(|e| format!("opening trace file {path}: {e}"))?;
-    edd::runtime::telemetry::set_global(std::sync::Arc::new(sink));
+    edd::runtime::telemetry::set_global(Arc::new(sink));
     Ok(true)
 }
 
@@ -415,8 +416,8 @@ fn train_and_calibrate(
 
 /// Serves every test batch through `server`, reporting top-1 accuracy and
 /// measured throughput.
-fn report_served_accuracy<M: edd::runtime::BatchModel>(
-    server: &InferServer<M>,
+fn report_served_accuracy(
+    server: &InferServer<CompiledModel>,
     test: &[edd::nn::Batch],
 ) -> Result<(), String> {
     let mut correct = 0usize;
@@ -530,15 +531,20 @@ fn cmd_qinfer(args: &Args) -> Result<(), String> {
         ..SynthConfig::default()
     });
     let test = data.split(batches.max(1), batch, 2);
-    let q = QuantizedModel::compile(&model, &arch, &calib);
+    let graph = lower_to_graph(&model, &arch, &calib).map_err(|e| e.to_string())?;
+    let (q, _) = edd::ir::compile(&graph, &PassConfig::all()).map_err(|e| e.to_string())?;
+    let block_bits: Vec<u32> = arch
+        .blocks
+        .iter()
+        .map(|b| b.quant_bits.min(ENGINE_MAX_BITS))
+        .collect();
     println!(
-        "\ncompiled integer engine: block bits {:?}, {} weight bytes, input scale {:.5}",
-        q.block_bits(),
-        q.weight_bytes(),
-        q.input_scale()
+        "\ncompiled integer engine: block bits {block_bits:?}, {} weight bytes, \
+         input scale {:.5}",
+        q.graph().weight_bytes(),
+        calib.input
     );
 
-    let block_bits = q.block_bits().to_vec();
     let server = InferServer::new(q);
     report_served_accuracy(&server, &test)?;
 
@@ -556,11 +562,11 @@ fn cmd_qinfer(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// The back half of `edd serve`, generic over the engine: starts the
-/// dynamic-batching server over `zoo`, drives the closed-loop synthetic
-/// workload, and reports per-model stats.
-fn drive_server<M: edd::runtime::BatchModel + Send + Sync + 'static>(
-    zoo: Vec<(String, std::sync::Arc<M>)>,
+/// The back half of `edd serve`: starts the dynamic-batching server over
+/// `zoo`, drives the closed-loop synthetic workload, and reports per-model
+/// stats.
+fn drive_server(
+    zoo: Vec<(String, Arc<CompiledModel>)>,
     config: edd::runtime::ServeConfig,
     requests: usize,
     producers: usize,
@@ -660,8 +666,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         shards: args.get_usize("shards", 1)?,
     };
 
+    let mut zoo: Vec<(String, Arc<CompiledModel>)> = Vec::new();
     if let Some(list) = args.flags.get("artifacts") {
-        let mut zoo: Vec<(String, std::sync::Arc<CompiledModel>)> = Vec::new();
         for path in list.split(',').map(str::trim).filter(|s| !s.is_empty()) {
             let model = artifact::load(std::path::Path::new(path))
                 .map_err(|e| format!("loading {path}: {e}"))?;
@@ -670,27 +676,25 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
                 model.name(),
                 model.graph().len()
             );
-            zoo.push((model.name().to_owned(), std::sync::Arc::new(model)));
+            zoo.push((model.name().to_owned(), Arc::new(model)));
         }
         if zoo.is_empty() {
             return Err("serve --artifacts: no artifact paths given".into());
         }
-        return drive_server(zoo, config, requests, producers, window, seed);
-    }
-
-    let models = args.get_usize("models", 3)?.clamp(1, 3);
-    println!("compiling {models} tiny-zoo integer engine(s)...");
-    let zoo: Vec<(String, std::sync::Arc<QuantizedModel>)> = edd::zoo::compile_tiny_zoo(seed)
-        .into_iter()
-        .take(models)
-        .map(|(name, q)| (name, std::sync::Arc::new(q)))
-        .collect();
-    for (name, q) in &zoo {
-        println!(
-            "  {name}: block bits {:?}, {} weight bytes",
-            q.block_bits(),
-            q.weight_bytes()
-        );
+    } else {
+        let models = args.get_usize("models", 3)?.clamp(1, 3);
+        println!("compiling {models} tiny-zoo integer engine(s)...");
+        for (name, q, _) in edd::zoo::compile_tiny_zoo(seed, &PassConfig::all())
+            .into_iter()
+            .take(models)
+        {
+            println!(
+                "  {name}: {} nodes, {} weight bytes",
+                q.graph().len(),
+                q.graph().weight_bytes()
+            );
+            zoo.push((name, Arc::new(q)));
+        }
     }
     drive_server(zoo, config, requests, producers, window, seed)
 }
@@ -711,8 +715,8 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
     let verify = args.flags.contains_key("verify");
     let tracing = install_trace_sink(args)?;
 
-    // Resolve the batch engine: hot-load an artifact, or QAT-train and
-    // compile an architecture and lift the integer engine into the IR.
+    // Resolve the batch engine: hot-load an artifact, or QAT-train an
+    // architecture and compile it through the IR pipeline.
     let oracle: CompiledModel = if let Some(path) = args.flags.get("artifact") {
         let model = artifact::load(std::path::Path::new(path))
             .map_err(|e| format!("loading {path}: {e}"))?;
@@ -726,9 +730,10 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
         let arch = load_arch(args)?;
         println!("{}", arch.summary());
         let (model, calib) = train_and_calibrate(&arch, batch, batches, epochs, seed)?;
-        let q = QuantizedModel::compile(&model, &arch, &calib);
-        let graph = q.to_graph(&arch.name).map_err(|e| e.to_string())?;
-        CompiledModel::from_graph(graph).map_err(|e| e.to_string())?
+        let graph = lower_to_graph(&model, &arch, &calib).map_err(|e| e.to_string())?;
+        edd::ir::compile(&graph, &PassConfig::all())
+            .map_err(|e| e.to_string())?
+            .0
     };
     let meta = oracle.graph().meta.clone();
     let (channels, window, width) = (

@@ -111,6 +111,25 @@ fn compile_then_hot_load_roundtrip() {
     std::fs::remove_file(&artifact).ok();
 }
 
+/// The commands that compile their integer engine in process (no
+/// artifact) run end to end at small sizes.
+#[test]
+fn qinfer_serve_and_stream_compile_in_process() {
+    let run = |args: &[&str], want: &str| {
+        let out = edd().args(args).output().expect("runs");
+        assert!(
+            out.status.success(),
+            "{args:?} failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains(want), "{args:?}: no `{want}` in:\n{text}");
+    };
+    run(&["qinfer", "--qat-epochs", "1"], "compiled integer engine");
+    run(&["serve", "--requests", "40"], "0 failed");
+    run(&["stream", "--qat-epochs", "1", "--verify"], "verified");
+}
+
 #[test]
 fn compile_rejects_unknown_pass() {
     let out = edd()
