@@ -80,6 +80,42 @@ fn bench_dwconv(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_dwconv_backward(c: &mut Criterion) {
+    // The search's middle expansion width on its 16x16 planes, at the
+    // menu's kernels and both strides. Per shape: the forward alone, then
+    // forward plus backward seeded with a fixed gradient, taking dx only,
+    // dW only, and both.
+    let mut group = c.benchmark_group("dwconv2d_backward");
+    let mut rng = StdRng::seed_from_u64(6);
+    let xv = Array::randn(&[16, 80, 16, 16], 1.0, &mut rng);
+    for k in [3usize, 5, 7] {
+        for stride in [1usize, 2] {
+            let wv = Array::randn(&[80, k, k], 0.1, &mut rng);
+            let x = Tensor::param(xv.clone());
+            let w = Tensor::param(wv.clone());
+            let out = x.dwconv2d(&w, None, stride, k / 2).unwrap().shape();
+            let seed = Array::randn(&out, 1.0, &mut rng);
+            let shape = format!("k{k}_s{stride}");
+            let (xc, wc) = (Tensor::constant(xv.clone()), Tensor::constant(wv));
+            group.bench_function(format!("{shape}/fwd"), |bench| {
+                bench.iter(|| black_box(xc.dwconv2d(&wc, None, stride, k / 2).unwrap()));
+            });
+            for (grads, xi, wi) in [("dx", &x, &wc), ("dw", &xc, &w), ("both", &x, &w)] {
+                group.bench_function(format!("{shape}/{grads}"), |bench| {
+                    bench.iter(|| {
+                        xi.zero_grad();
+                        wi.zero_grad();
+                        let y = xi.dwconv2d(wi, None, stride, k / 2).unwrap();
+                        y.backward_with(seed.clone());
+                        black_box((xi.grad(), wi.grad()))
+                    });
+                });
+            }
+        }
+    }
+    group.finish();
+}
+
 fn bench_batchnorm(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(5);
     let x = Tensor::param(Array::randn(&[8, 32, 16, 16], 1.0, &mut rng));
@@ -97,6 +133,7 @@ criterion_group!(
     bench_conv_forward,
     bench_conv_backward,
     bench_dwconv,
+    bench_dwconv_backward,
     bench_batchnorm
 );
 criterion_main!(benches);

@@ -793,6 +793,15 @@ impl PulsedState {
                     ring.emitted = r.get_u64().map_err(snap)? as usize;
                     ring.primed = r.get_u8().map_err(snap)? != 0;
                     let count = r.get_u32().map_err(snap)? as usize;
+                    // Every row carries at least its 8-byte length prefix,
+                    // so a count the remaining bytes cannot hold is corrupt
+                    // — reject it before it sizes an allocation.
+                    if count > r.remaining() / 8 {
+                        return Err(invalid(format!(
+                            "pulse restore: ring of {count} rows overruns the {} bytes left",
+                            r.remaining()
+                        )));
+                    }
                     let row_len = geom.c_in * geom.padded_w();
                     let mut rows = VecDeque::with_capacity(count);
                     for _ in 0..count {
@@ -1322,6 +1331,36 @@ mod tests {
             }
         }
         assert_eq!(want, got);
+    }
+
+    #[test]
+    fn restore_rejects_a_hostile_ring_row_count() {
+        // A well-formed header (magic, version, hop, node count), one
+        // active window with zeroed counters, and a first conv ring
+        // claiming u32::MAX rows: restore must fail, not size a
+        // `VecDeque` from the count.
+        let g = float_graph();
+        let (batch, _) = compile(&g, &PassConfig::all()).unwrap();
+        let mut model = PulsedModel::from_graph(batch.graph(), 3).unwrap();
+        let mut w = ByteWriter::new();
+        w.put_str("EDD-PULSE-STATE");
+        w.put_u32(1);
+        w.put_u64(0); // rows pushed
+        w.put_u64(3); // hop
+        w.put_u32(model.program.nodes.len() as u32);
+        w.put_u32(1); // active windows
+        w.put_u64(0); // window index
+        w.put_u64(0); // window start
+        w.put_u64(0); // rows fed
+        for _ in 0..4 {
+            w.put_u64(0); // base, pushed, fed_real, emitted
+        }
+        w.put_u8(0); // primed
+        w.put_u32(u32::MAX); // ring rows
+        let blob = w.into_bytes();
+        assert_eq!(blob.len(), 112);
+        let err = model.restore_state(&blob).unwrap_err().to_string();
+        assert!(err.contains("overruns"), "{err}");
     }
 
     #[test]

@@ -15,55 +15,6 @@ use crate::tensor::Tensor;
 
 use crate::kernel::valid_out_range;
 
-kernel::avx2_dispatch! {
-    /// One depthwise output plane as `k*k` shifted-scaled row accumulations
-    /// over precomputed valid ranges: branch-free inner loops (vectorizable
-    /// for stride 1), and per output element the taps still accumulate in
-    /// `(ky, kx)` order — the same association as the scalar reference loop.
-    #[allow(clippy::too_many_arguments)] // plain plane geometry, kept flat
-    dw_plane_forward / dw_plane_forward_scalar / dw_plane_forward_avx2,
-    (
-        dst: &mut [f32],
-        src: &[f32],
-        ker: &[f32],
-        h: usize,
-        w: usize,
-        k: usize,
-        stride: usize,
-        pad: usize,
-        oh: usize,
-        ow: usize,
-    )
-}
-
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn dw_plane_forward_scalar(
-    dst: &mut [f32],
-    src: &[f32],
-    ker: &[f32],
-    h: usize,
-    w: usize,
-    k: usize,
-    stride: usize,
-    pad: usize,
-    oh: usize,
-    ow: usize,
-) {
-    // The search space's depthwise kernels are 3/5/7 at stride 1; route
-    // them to the const-width stencil (fully unrolled tap chain, one pass
-    // over the plane) and keep the tap-by-tap loop as the general fallback.
-    if stride == 1 {
-        match k {
-            3 => return dw_plane_s1::<3>(dst, src, ker, h, w, pad, oh, ow),
-            5 => return dw_plane_s1::<5>(dst, src, ker, h, w, pad, oh, ow),
-            7 => return dw_plane_s1::<7>(dst, src, ker, h, w, pad, oh, ow),
-            _ => {}
-        }
-    }
-    dw_plane_taps(dst, src, ker, h, w, k, stride, pad, oh, ow);
-}
-
 /// Lanes per depthwise column group: eight outputs share one pass over the
 /// taps, giving eight independent accumulator chains (one SIMD register)
 /// instead of one serial `K*K`-add chain per element. Rows with at least
@@ -71,49 +22,220 @@ fn dw_plane_forward_scalar(
 /// for both) — the supernet's 16x16 feature planes are exactly one group.
 const DW_GROUP: usize = 8;
 
-/// Double-width depthwise group (see [`DW_GROUP`]).
+/// Double-width depthwise group (see [`DW_GROUP`]); also the width of one
+/// weight-gradient pass.
 const DW_GROUP2: usize = 16;
 
-/// One `G`-wide group of stride-1 depthwise outputs anchored at column
-/// `g0` of output row `oy`. Each lane accumulates its taps in ascending
-/// `(ky, kx)` order — the group width only changes how many independent
-/// chains run side by side, never the association within a chain.
+/// Shapes the padded-plane stencils cover: the search space's 3/5/7
+/// depthwise menu at stride 1 or 2, padded by less than the kernel (the
+/// gather-form `dx` pads `gy` by `k - 1 - pad` columns). Everything else
+/// takes the tap-by-tap fallbacks, [`dw_plane_taps`] and
+/// [`dw_plane_backward_taps`].
+fn is_stencil(g: &Conv2dGeometry) -> bool {
+    matches!(g.kernel, 3 | 5 | 7) && matches!(g.stride, 1 | 2) && g.padding < g.kernel
+}
+
+/// Row stride of the padded input plane [`pad_input`] writes: `ow + k - 1`
+/// columns at stride 1, two phases of `ow + k / 2` columns at stride 2.
+fn padded_input_stride(g: &Conv2dGeometry) -> usize {
+    if g.stride == 1 {
+        g.out_w() + g.kernel - 1
+    } else {
+        2 * (g.out_w() + g.kernel / 2)
+    }
+}
+
+/// Row stride and leading zero columns of the padded output-gradient plane
+/// the gather-form `dx` reads (see [`dx_plane_stencil`]).
+fn padded_grad_geom(g: &Conv2dGeometry) -> (usize, usize) {
+    let (k, pad) = (g.kernel, g.padding);
+    if g.stride == 1 {
+        (g.in_w + k - 1, k - 1 - pad)
+    } else {
+        let lead = (k - pad) / 2;
+        (lead + (g.in_w + pad - 1) / 2 + 1, lead)
+    }
+}
+
+/// Scratch `f32`s one forward plane needs: its padded input (none on the
+/// fallback path). Taken once per worker and reused across its planes.
+fn forward_scratch_len(g: &Conv2dGeometry) -> usize {
+    if is_stencil(g) {
+        g.in_h * padded_input_stride(g)
+    } else {
+        0
+    }
+}
+
+/// Scratch `f32`s one backward plane needs: the padded input for `dW`, the
+/// padded output gradient for `dx`, and one column-parity row of `dx` at
+/// stride 2. Taken once per worker and reused across its planes.
+fn backward_scratch_len(g: &Conv2dGeometry) -> usize {
+    if is_stencil(g) {
+        forward_scratch_len(g) + g.out_h() * padded_grad_geom(g).0 + g.in_w.div_ceil(2)
+    } else {
+        0
+    }
+}
+
+/// Copies one input plane into `xp` with horizontal zero padding, in rows
+/// of [`padded_input_stride`]. At stride 2 each padded row is stored as
+/// its even columns followed by its odd columns (two phases of
+/// `ow + k / 2`), so that tap `kx` reads phase `kx % 2` at `kx / 2` and the
+/// outputs of every tap are contiguous lanes.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn dw_group_s1<const K: usize, const G: usize>(
-    drow: &mut [f32],
-    padded: &[f32],
-    ker: &[f32],
-    pw: usize,
-    oy: usize,
-    pad: usize,
+fn pad_input(xp: &mut [f32], src: &[f32], g: &Conv2dGeometry) {
+    let (w, pad) = (g.in_w, g.padding);
+    let xs = padded_input_stride(g);
+    for sy in 0..g.in_h {
+        let srow = &src[sy * w..(sy + 1) * w];
+        let prow = &mut xp[sy * xs..(sy + 1) * xs];
+        if g.stride == 1 {
+            prow[..pad].fill(0.0);
+            prow[pad..pad + w].copy_from_slice(srow);
+            prow[pad + w..].fill(0.0);
+        } else {
+            let at = |p: usize| {
+                p.checked_sub(pad)
+                    .and_then(|i| srow.get(i))
+                    .copied()
+                    .unwrap_or(0.0)
+            };
+            let (even, odd) = prow.split_at_mut(xs / 2);
+            for (m, (e, o)) in even.iter_mut().zip(odd.iter_mut()).enumerate() {
+                *e = at(2 * m);
+                *o = at(2 * m + 1);
+            }
+        }
+    }
+}
+
+// Tap layouts of a padded source row, as a const-generic tag: where tap
+// `t` of `T` reads relative to the row's window start.
+
+/// Tap `t` at column `t` (the stride-1 input).
+const TAPS_ASC: u8 = 0;
+/// Tap `t` at column `T - 1 - t` (gradient rows under the flipped kernel).
+const TAPS_DESC: u8 = 1;
+/// Tap `t` in phase `t % 2` at column `t / 2` (the stride-2 input).
+const TAPS_PHASED: u8 = 2;
+
+/// The phase and column tap `t` reads under layout `L`.
+#[inline(always)]
+const fn tap_at<const T: usize, const L: u8>(t: usize) -> (usize, usize) {
+    match L {
+        TAPS_ASC => (0, t),
+        TAPS_DESC => (0, T - 1 - t),
+        _ => (t % 2, t / 2),
+    }
+}
+
+/// The windows of one source row that `G` lanes starting at `at` read
+/// under layout `L` (the second is the odd phase, `ph` further on). Taking
+/// them once per row leaves the per-tap slices with constant bounds.
+#[inline(always)]
+fn row_windows<const T: usize, const G: usize, const L: u8>(
+    src: &[f32],
+    at: usize,
+    ph: usize,
+) -> [&[f32]; 2] {
+    if L == TAPS_PHASED {
+        let span = T / 2 + G;
+        [&src[at..at + span], &src[at + ph..at + ph + span]]
+    } else {
+        let row = &src[at..at + T - 1 + G];
+        [row, row]
+    }
+}
+
+/// The source rows one gathered output row reads, in ascending `ky`: row
+/// `r` applies kernel row `ky0 + kstep * r` to the taps whose window
+/// starts at `at0 + r * astep` in the padded plane. `astep` is a wrapping
+/// step: the gradient rows under ascending `ky` run backwards.
+#[derive(Clone, Copy)]
+struct RowSpan {
+    n: usize,
     ky0: usize,
-    ky1: usize,
-    g0: usize,
-) {
+    kstep: usize,
+    at0: usize,
+    astep: usize,
+}
+
+/// One `G`-wide group of gathered outputs starting at column `x0`: per
+/// lane, `Σ_rows Σ_t ker[ky, t] · src[tap t of the row]`, accumulated from
+/// `+0.0` in (row, tap) order; `ker` rows are `T` taps wide. The group
+/// width only changes how many independent chains run side by side, never
+/// the association within one.
+#[inline(always)]
+fn gather_group<const T: usize, const G: usize, const L: u8>(
+    src: &[f32],
+    ker: &[f32],
+    rows: RowSpan,
+    ph: usize,
+    x0: usize,
+) -> [f32; G] {
     let mut acc = [0.0f32; G];
-    for ky in ky0..ky1 {
-        let sy = oy + ky - pad;
-        let srow = &padded[sy * pw + g0..sy * pw + g0 + K - 1 + G];
-        let krow = &ker[ky * K..ky * K + K];
-        for kx in 0..K {
-            let kv = krow[kx];
-            let s = &srow[kx..kx + G];
-            for (a, &sv) in acc.iter_mut().zip(s) {
+    for r in 0..rows.n {
+        let ky = rows.ky0 + rows.kstep * r;
+        let at = rows.at0.wrapping_add(rows.astep.wrapping_mul(r));
+        let win = row_windows::<T, G, L>(src, at + x0, ph);
+        for (t, &kv) in ker[ky * T..ky * T + T].iter().enumerate() {
+            let (p, o) = tap_at::<T, L>(t);
+            for (a, &sv) in acc.iter_mut().zip(&win[p][o..o + G]) {
                 *a += kv * sv;
             }
         }
     }
-    drow[g0..g0 + G].copy_from_slice(&acc);
+    acc
 }
 
-/// Stride-1 depthwise stencil with a compile-time kernel width.
-///
-/// The plane is first copied into a horizontally zero-padded scratch image
-/// (`ow + K - 1` columns) so *every* output column sees a full, branch-free
-/// `kx` tap range; vertical clipping stays range-based per output row.
-/// Outputs are produced in eight-lane groups (the last group is anchored at
-/// `ow - 8` and may recompute a few columns of its predecessor).
+/// Gathers one output row in [`DW_GROUP2`]- or [`DW_GROUP`]-wide groups
+/// (the last group is anchored at the row end and may recompute a few
+/// outputs of its predecessor), or one element at a time for rows
+/// narrower than a group.
+#[inline(always)]
+fn gather_row<const T: usize, const L: u8>(
+    drow: &mut [f32],
+    src: &[f32],
+    ker: &[f32],
+    rows: RowSpan,
+    ph: usize,
+) {
+    let n = drow.len();
+    if n >= DW_GROUP2 {
+        gather_groups::<T, DW_GROUP2, L>(drow, src, ker, rows, ph);
+    } else if n >= DW_GROUP {
+        gather_groups::<T, DW_GROUP, L>(drow, src, ker, rows, ph);
+    } else {
+        for (x, d) in drow.iter_mut().enumerate() {
+            [*d] = gather_group::<T, 1, L>(src, ker, rows, ph, x);
+        }
+    }
+}
+
+#[inline(always)]
+fn gather_groups<const T: usize, const G: usize, const L: u8>(
+    drow: &mut [f32],
+    src: &[f32],
+    ker: &[f32],
+    rows: RowSpan,
+    ph: usize,
+) {
+    let last = drow.len() - G;
+    let mut x0 = 0;
+    loop {
+        let g0 = x0.min(last);
+        drow[g0..g0 + G].copy_from_slice(&gather_group::<T, G, L>(src, ker, rows, ph, g0));
+        if g0 == last {
+            break;
+        }
+        x0 += G;
+    }
+}
+
+/// Depthwise forward stencil with a compile-time kernel width, stride 1
+/// or 2, over the padded plane [`pad_input`] writes into `xp`. Vertical
+/// clipping stays range-based per output row.
 ///
 /// Bitwise identity with the tap-skipping fallback: per element the taps
 /// accumulate in ascending `(ky, kx)` order either way, and the extra
@@ -123,84 +245,271 @@ fn dw_group_s1<const K: usize, const G: usize>(
 /// to a non-negative-zero float is exact identity — so the padded chain
 /// passes through exactly the same partial values as the skipping chain.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)] // plain plane geometry, kept flat
-fn dw_plane_s1<const K: usize>(
+fn dw_plane_stencil<const K: usize>(
     dst: &mut [f32],
     src: &[f32],
     ker: &[f32],
-    h: usize,
-    w: usize,
-    pad: usize,
-    oh: usize,
-    ow: usize,
+    xp: &mut [f32],
+    g: &Conv2dGeometry,
 ) {
-    let pw = ow + K - 1; // padded row width: sx = ox + kx spans [0, ow + K - 1)
-    let mut padded = crate::scratch::alloc(h * pw);
-    for sy in 0..h {
-        let prow = &mut padded[sy * pw..(sy + 1) * pw];
-        prow[..pad].fill(0.0);
-        prow[pad..pad + w].copy_from_slice(&src[sy * w..(sy + 1) * w]);
-        prow[pad + w..].fill(0.0);
-    }
-    let padded: &[f32] = &padded;
-    for oy in 0..oh {
+    pad_input(xp, src, g);
+    let xs = padded_input_stride(g);
+    let ow = g.out_w();
+    for (oy, drow) in dst.chunks_exact_mut(ow).enumerate() {
         // Valid `ky` taps for this output row (rows are not padded).
-        let ky0 = pad.saturating_sub(oy);
-        let ky1 = (h + pad).saturating_sub(oy).min(K);
-        let drow = &mut dst[oy * ow..(oy + 1) * ow];
-        if ow >= DW_GROUP2 {
-            let mut gx = 0;
-            loop {
-                let g0 = gx.min(ow - DW_GROUP2);
-                dw_group_s1::<K, DW_GROUP2>(drow, padded, ker, pw, oy, pad, ky0, ky1, g0);
-                if g0 == ow - DW_GROUP2 {
-                    break;
-                }
-                gx += DW_GROUP2;
-            }
-        } else if ow >= DW_GROUP {
-            let mut gx = 0;
-            loop {
-                let g0 = gx.min(ow - DW_GROUP);
-                dw_group_s1::<K, DW_GROUP>(drow, padded, ker, pw, oy, pad, ky0, ky1, g0);
-                if g0 == ow - DW_GROUP {
-                    break;
-                }
-                gx += DW_GROUP;
-            }
+        let top = oy * g.stride;
+        let ky0 = g.padding.saturating_sub(top);
+        let ky1 = (g.in_h + g.padding).saturating_sub(top).min(K);
+        let rows = RowSpan {
+            n: ky1.saturating_sub(ky0),
+            ky0,
+            kstep: 1,
+            at0: (top + ky0).saturating_sub(g.padding) * xs,
+            astep: xs,
+        };
+        if g.stride == 1 {
+            gather_row::<K, TAPS_ASC>(drow, xp, ker, rows, 0);
         } else {
-            for (ox, d) in drow.iter_mut().enumerate() {
-                let mut acc = 0.0f32;
-                for ky in ky0..ky1 {
-                    let sy = oy + ky - pad;
-                    let srow = &padded[sy * pw + ox..sy * pw + ox + K];
-                    let krow = &ker[ky * K..ky * K + K];
-                    for (kv, &sv) in krow.iter().zip(srow) {
-                        acc += kv * sv;
-                    }
-                }
-                *d = acc;
+            gather_row::<K, TAPS_PHASED>(drow, xp, ker, rows, xs / 2);
+        }
+    }
+}
+
+/// Taps of the largest stride-2 `dx` sub-kernel: 7 rows of 4 columns.
+const DX_SUB_TAPS: usize = 28;
+
+/// Gather-form input gradient of one plane at stride 1 or 2, overwriting
+/// `dx`: `dx[sy, sx] = Σ ker[ky, kx] · gy[oy, ox]` over the taps with
+/// `oy = (sy + pad - ky) / s` and `ox = (sx + pad - kx) / s` exact, from
+/// `+0.0` in ascending `(ky, kx)` — the order in which the scatter fallback
+/// adds them, so the bits match; taps that land in `gy`'s zero padding add
+/// `±0.0`, exact by the [`dw_plane_stencil`] argument.
+///
+/// `gy` is first copied into `gbuf` with `lead` zero columns on each row
+/// (see [`padded_grad_geom`]). At stride 1 tap `kx` reads a padded row at
+/// `k - 1 - kx`. At stride 2 the outputs of one column parity `q` are the
+/// lanes: only taps `kx ≡ q + pad (mod 2)` reach them, each at
+/// `lead + (q + pad - kx) / 2`, so each parity runs its own sub-kernel of
+/// `TE` (even `kx`) or `TO` (odd `kx`) taps per row; each parity row is
+/// gathered into the tail of `gbuf` and interleaved into `dx`.
+#[inline(always)]
+fn dx_plane_stencil<const K: usize, const TE: usize, const TO: usize>(
+    dx: &mut [f32],
+    ker: &[f32],
+    gy: &[f32],
+    gbuf: &mut [f32],
+    g: &Conv2dGeometry,
+) {
+    let (w, pad, s) = (g.in_w, g.padding, g.stride);
+    let (oh, ow) = (g.out_h(), g.out_w());
+    let (gs, lead) = padded_grad_geom(g);
+    let (gp, tmp) = gbuf.split_at_mut(oh * gs);
+    for (prow, grow) in gp.chunks_exact_mut(gs).zip(gy.chunks_exact(ow)) {
+        prow[..lead].fill(0.0);
+        prow[lead..lead + ow].copy_from_slice(grow);
+        prow[lead + ow..].fill(0.0);
+    }
+    let gp: &[f32] = gp;
+    // Stride-2 sub-kernels: the even and the odd columns of `ker`.
+    let sub = |kx0: usize, taps: usize| -> [f32; DX_SUB_TAPS] {
+        std::array::from_fn(|i| {
+            let (ky, t) = (i / taps, i % taps);
+            if ky < K {
+                ker[ky * K + kx0 + 2 * t]
+            } else {
+                0.0
+            }
+        })
+    };
+    let (even, odd) = if s == 2 {
+        (sub(0, TE), sub(1, TO))
+    } else {
+        ([0.0; DX_SUB_TAPS], [0.0; DX_SUB_TAPS])
+    };
+    for sy in 0..g.in_h {
+        let drow = &mut dx[sy * w..(sy + 1) * w];
+        // Gradient rows reaching this input row: `ky ≡ sy + pad (mod s)`
+        // from `ky0`, at descending `oy`.
+        let t = sy + pad;
+        let ky0 = if t >= s * (oh - 1) {
+            t - s * (oh - 1)
+        } else {
+            t % s
+        };
+        let ky_cap = t.min(K - 1);
+        let mut rows = RowSpan {
+            n: if ky_cap >= ky0 {
+                (ky_cap - ky0) / s + 1
+            } else {
+                0
+            },
+            ky0,
+            kstep: s,
+            at0: (t - ky0) / s * gs,
+            astep: gs.wrapping_neg(),
+        };
+        if s == 1 {
+            gather_row::<K, TAPS_DESC>(drow, gp, ker, rows, 0);
+            continue;
+        }
+        let at0 = rows.at0;
+        for q in 0..2 {
+            let out = &mut tmp[..(w + 1 - q) / 2];
+            // This parity's taps start at `kx0`, at `lead + (q + pad -
+            // kx0) / 2` in a padded row; the window starts at the last.
+            let kx0 = (q + pad) % 2;
+            let taps = if kx0 == 0 { TE } else { TO };
+            rows.at0 = at0 + lead + (q + pad - kx0) / 2 + 1 - taps;
+            if kx0 == 0 {
+                gather_row::<TE, TAPS_DESC>(out, gp, &even, rows, 0);
+            } else {
+                gather_row::<TO, TAPS_DESC>(out, gp, &odd, rows, 0);
+            }
+            for (j, &v) in out.iter().enumerate() {
+                drow[2 * j + q] = v;
             }
         }
     }
 }
 
-/// General tap-by-tap depthwise plane: `k*k` shifted-scaled row
-/// accumulations over precomputed valid ranges.
+/// Fixed eight-lane tree of one weight-gradient tap, [`kernel::dot8`]'s.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn dw_plane_taps(
+fn lane_tree(b: &[f32; DW_GROUP]) -> f32 {
+    ((b[0] + b[4]) + (b[1] + b[5])) + ((b[2] + b[6]) + (b[3] + b[7]))
+}
+
+/// `G / 8` adjacent eight-column groups of one `ky`'s weight gradient,
+/// from column `c0`: per tap and lane, the products of gradient row `oy`
+/// and the input row under it, summed over the valid `oy` in ascending
+/// order from `+0.0`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)] // one block's plain plane geometry
+fn dw_cols<const K: usize, const G: usize, const L: u8>(
+    gy: &[f32],
+    xp: &[f32],
+    g: &Conv2dGeometry,
+    ky: usize,
+    oy0: usize,
+    oy1: usize,
+    c0: usize,
+) -> [[f32; G]; K] {
+    let ow = g.out_w();
+    let xs = padded_input_stride(g);
+    let mut acc = [[0.0f32; G]; K];
+    for oy in oy0..oy1 {
+        let sy = oy * g.stride + ky - g.padding;
+        let gv = &gy[oy * ow + c0..oy * ow + c0 + G];
+        let win = row_windows::<K, G, L>(xp, sy * xs + c0, xs / 2);
+        for (kx, a) in acc.iter_mut().enumerate() {
+            let (p, o) = tap_at::<K, L>(kx);
+            for ((a, &gl), &sl) in a.iter_mut().zip(gv).zip(&win[p][o..o + G]) {
+                *a += gl * sl;
+            }
+        }
+    }
+    acc
+}
+
+/// Weight gradient of one plane, register-blocked, overwriting `dw`. For
+/// each `ky` and each full eight-column group of the output, every tap
+/// keeps an eight-lane accumulator over one pass down the valid gradient
+/// rows ([`dw_cols`]; two adjacent groups share a pass, `2K` ymm
+/// accumulators, which also keeps the compiler vectorizing over lanes
+/// rather than across taps). The groups' lanes are then summed in
+/// ascending group order from `+0.0`, and
+/// `dw[ky, kx] = lane_tree(lanes) + tail`, where the tail sums the last
+/// `ow % 8` columns row by row.
+///
+/// This association is fixed by the code alone — the same loops compile
+/// for both dispatch paths, sharing a pass never changes a lane's sum,
+/// and no length depends on the thread count — so scalar and AVX2 agree
+/// bitwise. It is not the tap-by-tap fallback's association, so the low
+/// bits differ from [`dw_plane_backward_taps`].
+#[inline(always)]
+fn dw_grad_plane<const K: usize, const L: u8>(
+    dw: &mut [f32],
+    gy: &[f32],
+    xp: &[f32],
+    g: &Conv2dGeometry,
+) {
+    let (oh, ow) = (g.out_h(), g.out_w());
+    let xs = padded_input_stride(g);
+    let full = ow - ow % DW_GROUP;
+    for (ky, dw_row) in dw.chunks_exact_mut(K).enumerate() {
+        let (oy0, oy1) = valid_out_range(ky, g.padding, g.stride, g.in_h, oh);
+        let mut lanes = [[0.0f32; DW_GROUP]; K];
+        let mut add = |acc: &[[f32; DW_GROUP]; K]| {
+            for (s, a) in lanes.iter_mut().zip(acc) {
+                for (s, &a) in s.iter_mut().zip(a) {
+                    *s += a;
+                }
+            }
+        };
+        let mut c0 = 0;
+        while c0 + DW_GROUP2 <= full {
+            let acc = dw_cols::<K, DW_GROUP2, L>(gy, xp, g, ky, oy0, oy1, c0);
+            for half in 0..2 {
+                add(&std::array::from_fn(|kx| {
+                    std::array::from_fn(|l| acc[kx][half * DW_GROUP + l])
+                }));
+            }
+            c0 += DW_GROUP2;
+        }
+        while c0 < full {
+            add(&dw_cols::<K, DW_GROUP, L>(gy, xp, g, ky, oy0, oy1, c0));
+            c0 += DW_GROUP;
+        }
+        let mut tail = [0.0f32; K];
+        for oy in oy0..oy1 {
+            let xrow = &xp[(oy * g.stride + ky - g.padding) * xs..];
+            for (c, &gv) in gy[oy * ow..(oy + 1) * ow].iter().enumerate().skip(full) {
+                for (kx, t) in tail.iter_mut().enumerate() {
+                    let (p, o) = tap_at::<K, L>(kx);
+                    *t += gv * xrow[p * (xs / 2) + o + c];
+                }
+            }
+        }
+        for ((d, s), &t) in dw_row.iter_mut().zip(&lanes).zip(&tail) {
+            *d = lane_tree(s) + t;
+        }
+    }
+}
+
+kernel::avx2_dispatch! {
+    /// One depthwise output plane. The search space's 3/5/7 kernels at
+    /// stride 1 and 2 run the const-width stencil ([`dw_plane_stencil`]:
+    /// fully unrolled tap chain over a padded copy of the plane in
+    /// `xp`); every other shape takes the tap-by-tap loop. Per output
+    /// element the taps accumulate in `(ky, kx)` order on both paths.
+    dw_plane_forward / dw_plane_forward_scalar / dw_plane_forward_avx2,
+    (dst: &mut [f32], src: &[f32], ker: &[f32], xp: &mut [f32], g: &Conv2dGeometry)
+}
+
+#[inline(always)]
+fn dw_plane_forward_scalar(
     dst: &mut [f32],
     src: &[f32],
     ker: &[f32],
-    h: usize,
-    w: usize,
-    k: usize,
-    stride: usize,
-    pad: usize,
-    oh: usize,
-    ow: usize,
+    xp: &mut [f32],
+    g: &Conv2dGeometry,
 ) {
+    if is_stencil(g) {
+        match g.kernel {
+            3 => return dw_plane_stencil::<3>(dst, src, ker, xp, g),
+            5 => return dw_plane_stencil::<5>(dst, src, ker, xp, g),
+            7 => return dw_plane_stencil::<7>(dst, src, ker, xp, g),
+            _ => {}
+        }
+    }
+    dw_plane_taps(dst, src, ker, g);
+}
+
+/// General tap-by-tap depthwise plane: `k*k` shifted-scaled row
+/// accumulations over precomputed valid ranges.
+#[inline(always)]
+fn dw_plane_taps(dst: &mut [f32], src: &[f32], ker: &[f32], g: &Conv2dGeometry) {
+    let (h, w, k, stride, pad) = (g.in_h, g.in_w, g.kernel, g.stride, g.padding);
+    let (oh, ow) = (g.out_h(), g.out_w());
     dst.fill(0.0);
     for ky in 0..k {
         let (oy0, oy1) = valid_out_range(ky, pad, stride, h, oh);
@@ -232,15 +541,15 @@ fn dw_plane_taps(
 }
 
 kernel::avx2_dispatch! {
-    /// Depthwise backward for one (image, channel) plane in tap-gather
-    /// form: the `k*k` taps walk precomputed valid output ranges, so the
-    /// inner loops are branch-free — `dx` rows accumulate shifted axpy
-    /// passes over contiguous `gy` rows and each `dw` tap reduces row dot
-    /// products ([`kernel::dot8`], fixed eight-lane association). Per `dx`
-    /// element the taps apply in ascending `(ky, kx)` order and the caller
-    /// reduces per-image `dw` partials in batch order, so results stay
-    /// bitwise identical across thread counts and SIMD modes.
-    #[allow(clippy::too_many_arguments)] // plain plane geometry, kept flat
+    /// Depthwise backward for one (image, channel) plane. The stencil
+    /// shapes compute `dx` in gather form ([`dx_plane_stencil`], bitwise
+    /// equal to the scatter fallback) and `dW` register-blocked
+    /// ([`dw_grad_plane`], its own fixed association), using `buf`
+    /// (sized by [`backward_scratch_len`]) for the padded planes; every
+    /// other shape takes [`dw_plane_backward_taps`]. The caller reduces
+    /// per-image `dw` partials in batch order, so results stay bitwise
+    /// identical across thread counts and SIMD modes.
+    #[allow(clippy::too_many_arguments)] // one plane's operands, kept flat
     dw_plane_backward / dw_plane_backward_scalar / dw_plane_backward_avx2,
     (
         dx: Option<&mut [f32]>,
@@ -248,13 +557,8 @@ kernel::avx2_dispatch! {
         src: &[f32],
         ker: &[f32],
         gy: &[f32],
-        h: usize,
-        w: usize,
-        k: usize,
-        stride: usize,
-        pad: usize,
-        oh: usize,
-        ow: usize,
+        buf: &mut [f32],
+        g: &Conv2dGeometry,
     )
 }
 
@@ -266,14 +570,63 @@ fn dw_plane_backward_scalar(
     src: &[f32],
     ker: &[f32],
     gy: &[f32],
-    h: usize,
-    w: usize,
-    k: usize,
-    stride: usize,
-    pad: usize,
-    oh: usize,
-    ow: usize,
+    buf: &mut [f32],
+    g: &Conv2dGeometry,
 ) {
+    if is_stencil(g) {
+        match g.kernel {
+            3 => return dw_backward_stencil::<3, 2, 1>(dx, dw, src, ker, gy, buf, g),
+            5 => return dw_backward_stencil::<5, 3, 2>(dx, dw, src, ker, gy, buf, g),
+            7 => return dw_backward_stencil::<7, 4, 3>(dx, dw, src, ker, gy, buf, g),
+            _ => {}
+        }
+    }
+    dw_plane_backward_taps(dx, dw, src, ker, gy, g);
+}
+
+/// Stencil backward of one plane; `TE`/`TO` are the stride-2 `dx` tap
+/// counts per row for even and odd `kx` (`(K + 1) / 2` and `K / 2`).
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn dw_backward_stencil<const K: usize, const TE: usize, const TO: usize>(
+    dx: Option<&mut [f32]>,
+    dw: Option<&mut [f32]>,
+    src: &[f32],
+    ker: &[f32],
+    gy: &[f32],
+    buf: &mut [f32],
+    g: &Conv2dGeometry,
+) {
+    let (xp, gbuf) = buf.split_at_mut(forward_scratch_len(g));
+    if let Some(dx) = dx {
+        dx_plane_stencil::<K, TE, TO>(dx, ker, gy, gbuf, g);
+    }
+    if let Some(dw) = dw {
+        pad_input(xp, src, g);
+        if g.stride == 1 {
+            dw_grad_plane::<K, TAPS_ASC>(dw, gy, xp, g);
+        } else {
+            dw_grad_plane::<K, TAPS_PHASED>(dw, gy, xp, g);
+        }
+    }
+}
+
+/// Tap-by-tap depthwise backward: the `k*k` taps walk precomputed valid
+/// output ranges, so the inner loops are branch-free — `dx` rows
+/// accumulate shifted axpy passes over contiguous `gy` rows (per element
+/// in ascending `(ky, kx)` order) and each `dw` tap reduces row dot
+/// products ([`kernel::dot8`], fixed eight-lane association).
+#[inline(always)]
+fn dw_plane_backward_taps(
+    dx: Option<&mut [f32]>,
+    dw: Option<&mut [f32]>,
+    src: &[f32],
+    ker: &[f32],
+    gy: &[f32],
+    g: &Conv2dGeometry,
+) {
+    let (h, w, k, stride, pad) = (g.in_h, g.in_w, g.kernel, g.stride, g.padding);
+    let (oh, ow) = (g.out_h(), g.out_w());
     if let Some(dx) = dx {
         for ky in 0..k {
             let (oy0, oy1) = valid_out_range(ky, pad, stride, h, oh);
@@ -290,13 +643,13 @@ fn dw_plane_backward_scalar(
                     let gy_row = &gy[oy * ow + ox0..oy * ow + ox1];
                     if stride == 1 {
                         let dst_row = &mut dx[sy * w + sx0..sy * w + sx0 + (ox1 - ox0)];
-                        for (d, &g) in dst_row.iter_mut().zip(gy_row) {
-                            *d += kv * g;
+                        for (d, &gv) in dst_row.iter_mut().zip(gy_row) {
+                            *d += kv * gv;
                         }
                     } else {
                         let dst_row = &mut dx[sy * w..(sy + 1) * w];
-                        for (j, &g) in gy_row.iter().enumerate() {
-                            dst_row[sx0 + j * stride] += kv * g;
+                        for (j, &gv) in gy_row.iter().enumerate() {
+                            dst_row[sx0 + j * stride] += kv * gv;
                         }
                     }
                 }
@@ -321,8 +674,8 @@ fn dw_plane_backward_scalar(
                     } else {
                         let src_row = &src[sy * w..(sy + 1) * w];
                         let mut row = 0.0f32;
-                        for (j, &g) in gy_row.iter().enumerate() {
-                            row += g * src_row[sx0 + j * stride];
+                        for (j, &gv) in gy_row.iter().enumerate() {
+                            row += gv * src_row[sx0 + j * stride];
                         }
                         acc += row;
                     }
@@ -643,8 +996,16 @@ impl Tensor {
                 });
             }
         }
-        let oh = (h + 2 * padding - k) / stride + 1;
-        let ow = (w + 2 * padding - k) / stride + 1;
+        // One plane's geometry (the kernels see a single channel).
+        let geom = Conv2dGeometry {
+            in_channels: 1,
+            in_h: h,
+            in_w: w,
+            kernel: k,
+            stride,
+            padding,
+        };
+        let (oh, ow) = (geom.out_h(), geom.out_w());
         // Every output plane is fully written by the stencil, so the buffer
         // can start uninitialized (pool-recycled without zeroing).
         let mut out = Array::uninit(&[b, c, oh, ow]);
@@ -661,12 +1022,13 @@ impl Tensor {
                 out.data_mut(),
                 oh * ow,
                 threads,
-                || (),
-                |(), pi, dst| {
+                // Padded-plane buffer, reused across the worker's planes.
+                || scratch::alloc(forward_scratch_len(&geom)),
+                |xp, pi, dst| {
                     let ci = pi % c;
                     let src = &xd[pi * h * w..(pi + 1) * h * w];
                     let ker = &wd[ci * k * k..(ci + 1) * k * k];
-                    dw_plane_forward(dst, src, ker, h, w, k, stride, padding, oh, ow);
+                    dw_plane_forward(dst, src, ker, xp, &geom);
                 },
             );
         }
@@ -739,8 +1101,11 @@ impl Tensor {
                         &mut dwp,
                         wlen,
                         threads,
-                        || (),
-                        |(), bi, dxs, dws| {
+                        // Padded planes of the stencil path (arena-backed,
+                        // overwritten before reads), reused across the
+                        // worker's images and channels.
+                        || scratch::alloc(backward_scratch_len(&geom)),
+                        |buf, bi, dxs, dws| {
                             for ci in 0..c {
                                 let src = &xd[(bi * c + ci) * h * w..(bi * c + ci + 1) * h * w];
                                 let ker = &wd[ci * k * k..(ci + 1) * k * k];
@@ -755,9 +1120,7 @@ impl Tensor {
                                 } else {
                                     None
                                 };
-                                dw_plane_backward(
-                                    dx, dwt, src, ker, gy, h, w, k, stride, padding, oh, ow,
-                                );
+                                dw_plane_backward(dx, dwt, src, ker, gy, buf, &geom);
                             }
                         },
                     );
@@ -933,6 +1296,212 @@ mod tests {
         assert!(x.dwconv2d(&w, None, 0, 1).is_err());
         let b_bad = Tensor::param(Array::zeros(&[4]));
         assert!(x.dwconv2d(&w, Some(&b_bad), 1, 1).is_err());
+    }
+
+    /// Plane geometry of one grid case.
+    fn plane(h: usize, w: usize, k: usize, stride: usize, pad: usize) -> Conv2dGeometry {
+        Conv2dGeometry {
+            in_channels: 1,
+            in_h: h,
+            in_w: w,
+            kernel: k,
+            stride,
+            padding: pad,
+        }
+    }
+
+    /// Uniform values in `[-1, 1]`, every seventh one `-0.0` so the grid
+    /// also pins the sign of zero sums.
+    fn grid_values(len: usize, rng: &mut StdRng) -> Vec<f32> {
+        use rand::Rng;
+        (0..len)
+            .map(|i| {
+                if i % 7 == 3 {
+                    -0.0
+                } else {
+                    rng.gen_range(-1.0f32..1.0)
+                }
+            })
+            .collect()
+    }
+
+    /// The input coordinate output `o` reads under tap `kc`, if inside.
+    fn tap_src(o: usize, kc: usize, g: &Conv2dGeometry, limit: usize) -> Option<usize> {
+        (o * g.stride + kc)
+            .checked_sub(g.padding)
+            .filter(|&i| i < limit)
+    }
+
+    /// Per-element forward reference: the valid taps in ascending
+    /// `(ky, kx)` from `+0.0`.
+    fn naive_forward(src: &[f32], ker: &[f32], g: &Conv2dGeometry) -> Vec<f32> {
+        let (k, w, ow) = (g.kernel, g.in_w, g.out_w());
+        let mut out = vec![0.0f32; g.out_h() * ow];
+        for (i, o) in out.iter_mut().enumerate() {
+            let (oy, ox) = (i / ow, i % ow);
+            let mut acc = 0.0f32;
+            for ky in 0..k {
+                for kx in 0..k {
+                    if let (Some(sy), Some(sx)) =
+                        (tap_src(oy, ky, g, g.in_h), tap_src(ox, kx, g, w))
+                    {
+                        acc += ker[ky * k + kx] * src[sy * w + sx];
+                    }
+                }
+            }
+            *o = acc;
+        }
+        out
+    }
+
+    /// Per-element input-gradient reference: every `(ky, kx)` tap whose
+    /// output lands inside `gy`, ascending, from `+0.0`.
+    fn naive_dx(ker: &[f32], gy: &[f32], g: &Conv2dGeometry) -> Vec<f32> {
+        let (k, s, w) = (g.kernel, g.stride, g.in_w);
+        let (oh, ow) = (g.out_h(), g.out_w());
+        let out_of = |i: usize, kc: usize, limit: usize| {
+            (i + g.padding)
+                .checked_sub(kc)
+                .filter(|t| t % s == 0 && t / s < limit)
+                .map(|t| t / s)
+        };
+        let mut dx = vec![0.0f32; g.in_h * w];
+        for (i, d) in dx.iter_mut().enumerate() {
+            let (sy, sx) = (i / w, i % w);
+            let mut acc = 0.0f32;
+            for ky in 0..k {
+                for kx in 0..k {
+                    if let (Some(oy), Some(ox)) = (out_of(sy, ky, oh), out_of(sx, kx, ow)) {
+                        acc += ker[ky * k + kx] * gy[oy * ow + ox];
+                    }
+                }
+            }
+            *d = acc;
+        }
+        dx
+    }
+
+    /// Weight-gradient reference in f64, with the absolute sum of each
+    /// tap's terms (the scale its rounding error is bounded by).
+    fn f64_dw(src: &[f32], gy: &[f32], g: &Conv2dGeometry) -> Vec<(f64, f64)> {
+        let (k, w, ow) = (g.kernel, g.in_w, g.out_w());
+        let mut dw = vec![(0.0f64, 0.0f64); k * k];
+        for (t, (sum, abs)) in dw.iter_mut().enumerate() {
+            let (ky, kx) = (t / k, t % k);
+            for (i, &gv) in gy.iter().enumerate() {
+                let (oy, ox) = (i / ow, i % ow);
+                if let (Some(sy), Some(sx)) = (tap_src(oy, ky, g, g.in_h), tap_src(ox, kx, g, w)) {
+                    let term = f64::from(gv) * f64::from(src[sy * w + sx]);
+                    *sum += term;
+                    *abs += term.abs();
+                }
+            }
+        }
+        dw
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Forward and backward of one plane through a kernel body.
+    type PlaneRun = (Vec<f32>, Vec<f32>, Vec<f32>);
+
+    /// A forward body: `(dst, src, ker, scratch, geometry)`.
+    type ForwardBody = fn(&mut [f32], &[f32], &[f32], &mut [f32], &Conv2dGeometry);
+
+    /// A backward body: `(dx, dw, src, ker, gy, scratch, geometry)`.
+    type BackwardBody = fn(
+        Option<&mut [f32]>,
+        Option<&mut [f32]>,
+        &[f32],
+        &[f32],
+        &[f32],
+        &mut [f32],
+        &Conv2dGeometry,
+    );
+
+    fn run_plane(
+        src: &[f32],
+        ker: &[f32],
+        gy: &[f32],
+        g: &Conv2dGeometry,
+        forward: ForwardBody,
+        backward: BackwardBody,
+    ) -> PlaneRun {
+        // Stale scratch contents must not leak into any result.
+        let mut buf = vec![f32::NAN; backward_scratch_len(g)];
+        let mut y = vec![f32::NAN; g.out_h() * g.out_w()];
+        forward(&mut y, src, ker, &mut buf[..forward_scratch_len(g)], g);
+        let mut dx = vec![0.0f32; g.in_h * g.in_w];
+        let mut dw = vec![0.0f32; g.kernel * g.kernel];
+        backward(Some(&mut dx), Some(&mut dw), src, ker, gy, &mut buf, g);
+        // Each gradient alone gives the same bits as both together.
+        let mut dx_only = vec![0.0f32; dx.len()];
+        let mut dw_only = vec![0.0f32; dw.len()];
+        buf.fill(f32::NAN);
+        backward(Some(&mut dx_only), None, src, ker, gy, &mut buf, g);
+        backward(None, Some(&mut dw_only), src, ker, gy, &mut buf, g);
+        assert_eq!(bits(&dx_only), bits(&dx), "dx alone {g:?}");
+        assert_eq!(bits(&dw_only), bits(&dw), "dw alone {g:?}");
+        (y, dx, dw)
+    }
+
+    #[test]
+    fn depthwise_bodies_match_oracles_on_the_shape_grid() {
+        // k {1,3,5,7} x stride {1,2} x pad 0..=k x planes 1..=20 square:
+        // 8-lane groups, group tails, planes narrower than their padding,
+        // and (k = 1, pad = k) the fallback. Two wide planes add 16-lane
+        // groups at stride 2 and anchored last groups.
+        let planes = (1..=20usize)
+            .flat_map(|h| (1..=20usize).map(move |w| (h, w)))
+            .chain([(33, 33), (16, 40)]);
+        let mut rng = StdRng::seed_from_u64(2024);
+        let mut cases = 0;
+        for (h, w) in planes {
+            for k in [1usize, 3, 5, 7] {
+                for stride in [1usize, 2] {
+                    for pad in 0..=k {
+                        if h + 2 * pad < k || w + 2 * pad < k {
+                            continue;
+                        }
+                        let g = plane(h, w, k, stride, pad);
+                        let src = grid_values(h * w, &mut rng);
+                        let ker = grid_values(k * k, &mut rng);
+                        let gy = grid_values(g.out_h() * g.out_w(), &mut rng);
+                        let (y, dx, dw) =
+                            run_plane(&src, &ker, &gy, &g, dw_plane_forward, dw_plane_backward);
+                        let (ys, dxs, dws) = run_plane(
+                            &src,
+                            &ker,
+                            &gy,
+                            &g,
+                            dw_plane_forward_scalar,
+                            dw_plane_backward_scalar,
+                        );
+                        assert_eq!(bits(&y), bits(&naive_forward(&src, &ker, &g)), "y {g:?}");
+                        assert_eq!(bits(&dx), bits(&naive_dx(&ker, &gy, &g)), "dx {g:?}");
+                        assert_eq!(bits(&y), bits(&ys), "y dispatch {g:?}");
+                        assert_eq!(bits(&dx), bits(&dxs), "dx dispatch {g:?}");
+                        assert_eq!(bits(&dw), bits(&dws), "dw dispatch {g:?}");
+                        for (t, (&got, &(want, abs))) in
+                            dw.iter().zip(&f64_dw(&src, &gy, &g)).enumerate()
+                        {
+                            // A chain of n adds errs by at most ~n ulps of
+                            // the terms' absolute sum; no body here chains
+                            // more than ~45, well inside 1e-5 (~84 ulps).
+                            let tol = 1e-5 * abs + 1e-30;
+                            assert!(
+                                (f64::from(got) - want).abs() <= tol,
+                                "dw[{t}] {got} vs {want} (tol {tol}) {g:?}"
+                            );
+                        }
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert!(cases > 14_000, "{cases} grid cases");
     }
 
     #[test]

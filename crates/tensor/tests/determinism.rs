@@ -15,9 +15,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Forward outputs and gradients of a workload touching every pooled code
-/// path: conv, dwconv, matmul, batch norm, softmax cross-entropy,
-/// Gumbel-Softmax sampling, the fused `add_n` combine, elementwise
-/// activations and the chunked `sum` reduction.
+/// path: conv, dwconv (k3/k5/k7, stride 1 and 2), matmul, batch norm,
+/// softmax cross-entropy, Gumbel-Softmax sampling, the fused `add_n`
+/// combine, elementwise activations and the chunked `sum` reduction.
 fn run_workload() -> Vec<Vec<u32>> {
     let mut rng = StdRng::seed_from_u64(77);
     let x = Tensor::param(Array::randn(&[4, 8, 12, 12], 1.0, &mut rng));
@@ -38,10 +38,19 @@ fn run_workload() -> Vec<Vec<u32>> {
     let mixed = Tensor::add_n(&[dwc.clone(), dwc.relu(), dwc.mul_scalar(0.5)]).unwrap();
     let gs = gumbel_softmax(&logits, 0.7, true, &mut rng).unwrap();
     let ce = logits.cross_entropy(&[0, 3, 1, 9, 5, 2]).unwrap();
+    // The search's wide depthwise kernels on 16-wide planes: a k7 stride-1
+    // stencil feeding a k5 stride-2 one.
+    let xw = Tensor::param(Array::randn(&[3, 6, 16, 16], 1.0, &mut rng));
+    let k7 = Tensor::param(Array::randn(&[6, 7, 7], 0.2, &mut rng));
+    let k5 = Tensor::param(Array::randn(&[6, 5, 5], 0.2, &mut rng));
+    let dw7 = xw.dwconv2d(&k7, None, 1, 3).unwrap();
+    let dw5 = dw7.dwconv2d(&k5, None, 2, 2).unwrap();
     let loss = mixed
         .square()
         .sum()
         .add(&mm.square().sum())
+        .unwrap()
+        .add(&dw5.square().sum())
         .unwrap()
         .add(&gs.sum())
         .unwrap()
@@ -66,10 +75,15 @@ fn run_workload() -> Vec<Vec<u32>> {
         bits(&gamma.grad().unwrap()),
         bits(&beta.grad().unwrap()),
         bits(&logits.grad().unwrap()),
+        bits(&dw7.value_clone()),
+        bits(&dw5.value_clone()),
+        bits(&xw.grad().unwrap()),
+        bits(&k7.grad().unwrap()),
+        bits(&k5.grad().unwrap()),
     ]
 }
 
-const STAGES: [&str; 15] = [
+const STAGES: [&str; 20] = [
     "conv2d forward",
     "batch-norm forward",
     "dwconv2d forward",
@@ -85,6 +99,11 @@ const STAGES: [&str; 15] = [
     "bn gamma grad",
     "bn beta grad",
     "cross-entropy logits grad",
+    "dwconv2d k7 s1 forward",
+    "dwconv2d k5 s2 forward",
+    "dwconv2d k7/k5 input grad",
+    "dw k7 weight grad",
+    "dw k5 weight grad",
 ];
 
 #[test]

@@ -1,6 +1,7 @@
 //! Finite-difference gradient checks routed through the blocked kernel
 //! layer: conv2d and depthwise conv (including strided and padded
-//! configurations) plus a linear-layer-shaped matmul+bias chain. These
+//! configurations, the 3/5/7 depthwise kernels, and planes narrower than
+//! their padding) plus a linear-layer-shaped matmul+bias chain. These
 //! guard the transpose-free backward kernels (`matmul_at_b` /
 //! `matmul_a_bt`) and the batched conv backward against the analytic
 //! gradients drifting from the math.
@@ -91,6 +92,60 @@ fn dwconv2d_gradients_stride_two() {
         "dwconv2d s2 p1 rel error {}",
         report.max_rel_error
     );
+}
+
+#[test]
+fn dwconv2d_gradients_wide_kernels_both_strides() {
+    // The search space's 5x5 and 7x7 depthwise kernels at stride 1 and 2
+    // with "same" padding: the stencil forward, gather-form dx and
+    // register-blocked dW of each width.
+    let mut rng = StdRng::seed_from_u64(27);
+    for (k, stride) in [(5usize, 1usize), (5, 2), (7, 1), (7, 2)] {
+        let x = Tensor::param(Array::randn(&[2, 3, 9, 10], 1.0, &mut rng));
+        let w = Tensor::param(Array::randn(&[3, k, k], 0.3, &mut rng));
+        let (xr, wr) = (x.clone(), w.clone());
+        let report = check_gradients(
+            &[x, w],
+            move || {
+                xr.dwconv2d(&wr, None, stride, k / 2)
+                    .unwrap()
+                    .square()
+                    .sum()
+            },
+            EPS,
+            1,
+        );
+        assert!(
+            report.max_rel_error < TOL,
+            "dwconv2d k{k} s{stride} rel error {} (param {}, index {})",
+            report.max_rel_error,
+            report.worst_param,
+            report.worst_index
+        );
+    }
+}
+
+#[test]
+fn dwconv2d_gradients_plane_narrower_than_padding() {
+    // A 7x7 kernel with padding 3 over planes only 2 wide and 3 high:
+    // every output reads more zero padding than input.
+    let mut rng = StdRng::seed_from_u64(28);
+    for stride in [1usize, 2] {
+        let x = Tensor::param(Array::randn(&[2, 2, 3, 2], 1.0, &mut rng));
+        let w = Tensor::param(Array::randn(&[2, 7, 7], 0.3, &mut rng));
+        let (xr, wr) = (x.clone(), w.clone());
+        let report = check_gradients(
+            &[x, w],
+            move || xr.dwconv2d(&wr, None, stride, 3).unwrap().square().sum(),
+            EPS,
+            1,
+        );
+        assert!(
+            report.max_rel_error < TOL,
+            "dwconv2d k7 p3 s{stride} on 3x2 rel error {}",
+            report.max_rel_error
+        );
+    }
 }
 
 #[test]
