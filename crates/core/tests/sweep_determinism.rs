@@ -2,7 +2,10 @@
 //! byte-identical per-target derived architectures, Pareto fronts, and
 //! epoch histories (a) for any logical thread count — the parallel
 //! per-target arch phase fans out over the worker pool — and (b) across a
-//! kill/resume boundary through a `sweep-*.edds` snapshot.
+//! kill/resume boundary through a `sweep-*.edds` snapshot. The bytes are
+//! also pinned to a golden hash: the sweep's arch steps run with batch
+//! norm frozen, so this is the float stack's pin for eval-mode batch norm
+//! forward and backward (`golden_search.rs` pins a single-target search).
 //!
 //! Single `#[test]` because it mutates the global thread-count override.
 
@@ -50,6 +53,20 @@ fn run_full() -> (Vec<String>, String, String) {
     (archs, out.summary_json(), out.history_csv())
 }
 
+/// FNV-1a over every byte of one [`run_full`] result, in order: the
+/// per-target derived JSON, then the summary JSON, then the history CSV.
+fn fnv1a(result: &(Vec<String>, String, String)) -> u64 {
+    let (archs, summary, history) = result;
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for s in archs.iter().chain([summary, history]) {
+        for b in s.bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
 /// Runs 2 of 3 epochs with checkpointing ("crash"), then resumes a fresh
 /// sweep from the snapshot directory with an unrelated RNG and finishes.
 fn run_killed_and_resumed(dir: &std::path::Path) -> (Vec<String>, String, String) {
@@ -77,6 +94,11 @@ fn sweep_is_bitwise_identical_across_pool_sizes_and_resume() {
     let four = run_full();
     let four_again = run_full();
     assert_eq!(four, four_again, "same pool, two runs differ");
+    assert_eq!(
+        fnv1a(&four),
+        11_066_333_873_763_897_413,
+        "sweep result bytes drifted from the pinned golden hash"
+    );
 
     set_num_threads(1);
     let one = run_full();

@@ -52,5 +52,9 @@ cargo test --locked -q -p edd-zoo --test pulse_determinism
 # Golden leg: the tiny zoo's logits and one pulsed stream's windows must
 # hash to the values pinned in the test on every leg of the matrix.
 cargo test --locked -q -p edd-zoo --test golden_outputs
+# Float-stack golden leg: a small CoSearch's result bytes and eval-mode
+# logits must hash to the pinned values (the sweep's pin runs in the sweep
+# leg above).
+cargo test --locked -q -p edd-core --test golden_search
 
 echo "DETERMINISM_RESULT: PASS"
