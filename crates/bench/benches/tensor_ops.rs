@@ -117,13 +117,51 @@ fn bench_dwconv_backward(c: &mut Criterion) {
 }
 
 fn bench_batchnorm(c: &mut Criterion) {
+    // The search's widest expansion (16 images, 96 channels, 16×16), in
+    // both modes, with and without the fused ReLU6, forward alone and
+    // forward + backward into the input, gamma and beta.
+    let mut group = c.benchmark_group("batch_norm2d");
     let mut rng = StdRng::seed_from_u64(5);
-    let x = Tensor::param(Array::randn(&[8, 32, 16, 16], 1.0, &mut rng));
-    let gamma = Tensor::param(Array::ones(&[32]));
-    let beta = Tensor::param(Array::zeros(&[32]));
-    c.bench_function("batchnorm_train_fwd", |bench| {
-        bench.iter(|| black_box(x.batch_norm2d_train(&gamma, &beta, 1e-5).unwrap().output));
-    });
+    let shape = [16, 96, 16, 16];
+    let x = Tensor::param(Array::randn(&shape, 1.0, &mut rng));
+    let gamma = Tensor::param(Array::rand_uniform(&[96], 0.5, 1.5, &mut rng));
+    let beta = Tensor::param(Array::full(&[96], 1.0));
+    let mean = Array::randn(&[96], 0.1, &mut rng);
+    let var = Array::rand_uniform(&[96], 0.5, 1.5, &mut rng);
+    let seed = Array::randn(&shape, 1.0, &mut rng);
+    let forward = |train: bool, relu6: bool| -> Tensor {
+        match (train, relu6) {
+            (true, false) => x.batch_norm2d_train(&gamma, &beta, 1e-5).unwrap().output,
+            (true, true) => {
+                x.batch_norm2d_relu6_train(&gamma, &beta, 1e-5)
+                    .unwrap()
+                    .output
+            }
+            (false, false) => x
+                .batch_norm2d_eval(&gamma, &beta, &mean, &var, 1e-5)
+                .unwrap(),
+            (false, true) => x
+                .batch_norm2d_relu6_eval(&gamma, &beta, &mean, &var, 1e-5)
+                .unwrap(),
+        }
+    };
+    for (mode, train) in [("train", true), ("eval", false)] {
+        for (act, relu6) in [("bn", false), ("bn_relu6", true)] {
+            group.bench_function(format!("{mode}/{act}/fwd"), |bench| {
+                bench.iter(|| black_box(forward(train, relu6)));
+            });
+            group.bench_function(format!("{mode}/{act}/fwd_bwd"), |bench| {
+                bench.iter(|| {
+                    for p in [&x, &gamma, &beta] {
+                        p.zero_grad();
+                    }
+                    forward(train, relu6).backward_with(seed.clone());
+                    black_box((x.grad(), gamma.grad(), beta.grad()))
+                });
+            });
+        }
+    }
+    group.finish();
 }
 
 criterion_group!(

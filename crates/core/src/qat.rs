@@ -107,12 +107,12 @@ impl QatModel {
 impl Module for QatModel {
     fn forward(&self, x: &Tensor) -> Result<Tensor> {
         let mut h = self.stem.forward(x)?;
-        h = self.stem_bn.forward(&h)?.relu6();
+        h = self.stem_bn.forward_relu6(&h)?;
         for (mb, spec) in &self.blocks {
             h = mb.forward_quantized(&h, *spec)?;
         }
         let h = self.head.forward(&h)?;
-        let h = self.head_bn.forward(&h)?.relu6();
+        let h = self.head_bn.forward_relu6(&h)?;
         let h = h.global_avg_pool()?;
         self.classifier.forward(&h)
     }

@@ -87,7 +87,7 @@ pub fn calibrate(model: &QatModel, batches: &[Array]) -> Result<Calibration> {
         let xt = Tensor::constant(x.clone());
         r_input.observe(&xt);
         let mut h = model.stem().forward(&xt)?;
-        h = model.stem_bn().forward(&h)?.relu6();
+        h = model.stem_bn().forward_relu6(&h)?;
         r_stem.observe(&h);
         for (i, (mb, spec)) in model.blocks().iter().enumerate() {
             let block_in = h.clone();
@@ -107,7 +107,7 @@ pub fn calibrate(model: &QatModel, batches: &[Array]) -> Result<Calibration> {
             r_block[i].observe(&h);
         }
         h = model.head().forward(&h)?;
-        h = model.head_bn().forward(&h)?.relu6();
+        h = model.head_bn().forward_relu6(&h)?;
         r_head.observe(&h);
     }
     let blocks = (0..nblocks)

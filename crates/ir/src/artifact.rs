@@ -305,13 +305,14 @@ fn decode_op(r: &mut ByteReader<'_>, id: usize) -> Result<Op> {
                 hi: r.get_i32()?,
                 direct: r.get_u8()? != 0,
             };
+            let (o, i, k) = (spec.out_channels, spec.in_channels, spec.kernel);
             check(
-                spec.weights.len()
-                    == spec.out_channels * spec.in_channels * spec.kernel * spec.kernel
+                product(&[o, i, k, k]) == Some(spec.weights.len())
                     && spec.bias_q.len() == spec.out_channels
                     && spec.requant.len() == spec.out_channels
                     && spec.kernel > 0
                     && spec.stride > 0
+                    && spec.padding < spec.kernel
                     && clamp_in_range(spec.lo, spec.hi),
                 id,
                 "qconv",
@@ -342,11 +343,12 @@ fn decode_op(r: &mut ByteReader<'_>, id: usize) -> Result<Op> {
                 hi: r.get_i32()?,
             };
             check(
-                spec.weights.len() == spec.channels * spec.kernel * spec.kernel
+                product(&[spec.channels, spec.kernel, spec.kernel]) == Some(spec.weights.len())
                     && spec.bias_q.len() == spec.channels
                     && spec.requant.len() == spec.channels
                     && spec.kernel > 0
                     && spec.stride > 0
+                    && spec.padding < spec.kernel
                     && clamp_in_range(spec.lo, spec.hi),
                 id,
                 "qdwconv",
@@ -389,7 +391,7 @@ fn decode_op(r: &mut ByteReader<'_>, id: usize) -> Result<Op> {
                 in_scale: r.get_f32()?,
             };
             check(
-                spec.weights.len() == spec.in_features * spec.out_features
+                product(&[spec.in_features, spec.out_features]) == Some(spec.weights.len())
                     && spec.bias.len() == spec.out_features
                     && spec.w_scales.len() == spec.out_features,
                 id,
@@ -400,6 +402,12 @@ fn decode_op(r: &mut ByteReader<'_>, id: usize) -> Result<Op> {
         other => return Err(corrupt(format!("node {id}: unknown op tag {other}"))),
     };
     Ok(op)
+}
+
+/// The product of `dims`, or `None` when it overflows: a hostile file must
+/// not wrap a weight-length check into agreement.
+fn product(dims: &[usize]) -> Option<usize> {
+    dims.iter().try_fold(1usize, |acc, &d| acc.checked_mul(d))
 }
 
 /// Requantizing layers clamp into `[lo, hi]` and store the result as i8.
@@ -699,6 +707,70 @@ mod tests {
             }
         };
         assert!(reencoded(&g, wide_dw).is_err(), "dw clamp");
+    }
+
+    /// `g` re-encoded with `pad` as the padding of its 3×3 `QConv`.
+    fn with_conv_padding(g: &Graph, pad: usize) -> Result<Graph> {
+        reencoded(g, |op| {
+            if let Op::QConv(s) = op {
+                if s.kernel == 3 {
+                    s.padding = pad;
+                }
+            }
+        })
+    }
+
+    #[test]
+    fn conv_padding_past_the_kernel_is_rejected() {
+        // With padding 2^14 the file used to decode and compile, and the
+        // first one-image forward then asked for a 17 GB im2col buffer.
+        let g = lowered();
+        assert!(with_conv_padding(&g, 1).is_ok(), "padding 1 must load");
+        for pad in [3, 1 << 14] {
+            assert!(with_conv_padding(&g, pad).is_err(), "qconv padding {pad}");
+        }
+        let dw = |op: &mut Op| {
+            if let Op::QDwConv(s) = op {
+                s.padding = 1 << 14;
+            }
+        };
+        assert!(reencoded(&g, dw).is_err(), "qdwconv padding 2^14");
+    }
+
+    #[test]
+    fn overflowing_conv_padding_is_rejected() {
+        // `in + 2·pad` used to overflow while inferring shapes: a panic in
+        // a debug build, a wrapped geometry in a release one.
+        assert!(with_conv_padding(&lowered(), usize::MAX / 2).is_err());
+    }
+
+    #[test]
+    fn overflowing_weight_dimensions_are_rejected() {
+        let g = lowered();
+        // Products that wrap back to the true weight count modulo 2^64:
+        // the 3×3 conv's 4·(2 + 2^62)·3·3 ≡ 72 and the linear's
+        // 4·(3 + 2^62) ≡ 12.
+        let conv = |op: &mut Op| {
+            if let Op::QConv(s) = op {
+                if s.kernel == 3 {
+                    s.in_channels += 1 << 62;
+                }
+            }
+        };
+        assert!(reencoded(&g, conv).is_err(), "qconv in_channels");
+        let fc = |op: &mut Op| {
+            if let Op::QLinear(s) = op {
+                s.out_features += 1 << 62;
+            }
+        };
+        assert!(reencoded(&g, fc).is_err(), "qlinear out_features");
+        // And a product that simply overflows.
+        let dw = |op: &mut Op| {
+            if let Op::QDwConv(s) = op {
+                s.channels = usize::MAX / 4;
+            }
+        };
+        assert!(reencoded(&g, dw).is_err(), "qdwconv channels");
     }
 
     #[test]

@@ -650,6 +650,19 @@ fn conv_fact(
     if kernel == 0 || stride == 0 {
         return Err("conv kernel and stride must be positive".into());
     }
+    let padded = |d: usize| padding.checked_mul(2).and_then(|p| d.checked_add(p));
+    let (Some(ph), Some(pw)) = (padded(f.shape[1]), padded(f.shape[2])) else {
+        return Err(format!(
+            "padding {padding} overflows the {}x{} input",
+            f.shape[1], f.shape[2]
+        ));
+    };
+    if ph < kernel || pw < kernel {
+        return Err(format!(
+            "kernel {kernel} does not fit the padded {}x{} input",
+            f.shape[1], f.shape[2]
+        ));
+    }
     let geom = Conv2dGeometry {
         in_channels: in_c,
         in_h: f.shape[1],
@@ -658,12 +671,6 @@ fn conv_fact(
         stride,
         padding,
     };
-    if f.shape[1] + 2 * padding < kernel || f.shape[2] + 2 * padding < kernel {
-        return Err(format!(
-            "kernel {kernel} does not fit the padded {}x{} input",
-            f.shape[1], f.shape[2]
-        ));
-    }
     Ok(Fact {
         dtype: want,
         shape: vec![out_c, geom.out_h(), geom.out_w()],
@@ -734,6 +741,16 @@ mod tests {
         let err = g.facts().unwrap_err().to_string();
         assert!(err.contains("5 input channels"), "{err}");
         let _ = bad;
+    }
+
+    #[test]
+    fn facts_reject_overflowing_padding() {
+        let mut g = Graph::new(meta());
+        let i = g.add(node("in", Op::Input, vec![])).unwrap();
+        g.add(node("c", conv(4, 3, 3, 1, usize::MAX / 2), vec![i]))
+            .unwrap();
+        let err = g.facts().unwrap_err().to_string();
+        assert!(err.contains("overflows"), "{err}");
     }
 
     #[test]

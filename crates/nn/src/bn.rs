@@ -10,7 +10,8 @@ use std::sync::Mutex;
 /// In training mode (the default) the layer normalizes with batch statistics
 /// and updates exponential running estimates; in evaluation mode it
 /// normalizes with the stored running statistics (differentiably with
-/// respect to `gamma`/`beta` and the input).
+/// respect to `gamma`/`beta` and the input). Both modes run as one fused
+/// `edd-tensor` op node.
 #[derive(Debug)]
 pub struct BatchNorm2d {
     gamma: Tensor,
@@ -113,10 +114,9 @@ impl BatchNorm2d {
 
     /// Forward pass fused with a ReLU6 activation: `relu6(bn(x))`.
     ///
-    /// In training mode this runs as a single fused op node — bitwise
+    /// In either mode this runs as a single fused op node — bitwise
     /// identical to `forward(x)?.relu6()` but with one fewer graph node and
-    /// one fewer full-tensor gradient buffer per call. In eval mode it
-    /// composes the unfused pair.
+    /// one fewer full-tensor gradient buffer per call.
     ///
     /// # Errors
     ///
@@ -127,7 +127,19 @@ impl BatchNorm2d {
             self.update_running_stats(&bn.batch_mean, &bn.batch_var);
             Ok(bn.output)
         } else {
-            Ok(self.forward(x)?.relu6())
+            self.forward_eval(x, true)
+        }
+    }
+
+    /// Eval mode: the fused op over the running statistics, which enter
+    /// as constants.
+    fn forward_eval(&self, x: &Tensor, relu6: bool) -> Result<Tensor> {
+        let mean = self.running_mean.lock().expect("bn stats poisoned");
+        let var = self.running_var.lock().expect("bn stats poisoned");
+        if relu6 {
+            x.batch_norm2d_relu6_eval(&self.gamma, &self.beta, &mean, &var, self.eps)
+        } else {
+            x.batch_norm2d_eval(&self.gamma, &self.beta, &mean, &var, self.eps)
         }
     }
 }
@@ -139,18 +151,7 @@ impl Module for BatchNorm2d {
             self.update_running_stats(&bn.batch_mean, &bn.batch_var);
             Ok(bn.output)
         } else {
-            // y = gamma * (x - mean) / sqrt(var + eps) + beta, with running
-            // statistics as constants, composed from broadcast primitives.
-            let c = self.channels;
-            let bshape = [1, c, 1, 1];
-            let mean = Tensor::constant(self.running_mean().reshape(&bshape)?);
-            let var = self.running_var();
-            let eps = self.eps;
-            let inv_std =
-                Tensor::constant(var.map(move |v| 1.0 / (v + eps).sqrt()).reshape(&bshape)?);
-            let gamma = self.gamma.reshape(&bshape)?;
-            let beta = self.beta.reshape(&bshape)?;
-            x.sub(&mean)?.mul(&inv_std)?.mul(&gamma)?.add(&beta)
+            self.forward_eval(x, false)
         }
     }
 
@@ -231,6 +232,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let fused = BatchNorm2d::new(3);
         let unfused = BatchNorm2d::new(3);
+        for bn in [&fused, &unfused] {
+            bn.gamma()
+                .update_value(|a| a.data_mut().copy_from_slice(&[0.7, -1.2, 1.9]));
+            bn.beta()
+                .update_value(|a| a.data_mut().copy_from_slice(&[0.5, 3.0, 5.5]));
+        }
         let x = Tensor::constant(Array::randn(&[2, 3, 4, 4], 2.0, &mut rng));
         let yf = fused.forward_relu6(&x).unwrap();
         let yu = unfused.forward(&x).unwrap().relu6();
@@ -238,12 +245,34 @@ mod tests {
         // EMA updates must agree too (same batch statistics feed both).
         assert_eq!(fused.running_mean().data(), unfused.running_mean().data());
         assert_eq!(fused.running_var().data(), unfused.running_var().data());
-        // Eval mode composes the unfused pair.
+        // In eval mode both entry points must equal the explicit broadcast
+        // chain over the running statistics.
         fused.set_training(false);
         unfused.set_training(false);
-        let yf = fused.forward_relu6(&x).unwrap();
-        let yu = unfused.forward(&x).unwrap().relu6();
-        assert_eq!(yf.value().data(), yu.value().data());
+        let bshape = [1, 3, 1, 1];
+        let eps = fused.eps();
+        let mean = Tensor::constant(fused.running_mean().reshape(&bshape).unwrap());
+        let inv_std = Tensor::constant(
+            fused
+                .running_var()
+                .map(move |v| 1.0 / (v + eps).sqrt())
+                .reshape(&bshape)
+                .unwrap(),
+        );
+        let chain = x
+            .sub(&mean)
+            .unwrap()
+            .mul(&inv_std)
+            .unwrap()
+            .mul(&fused.gamma().reshape(&bshape).unwrap())
+            .unwrap()
+            .add(&fused.beta().reshape(&bshape).unwrap())
+            .unwrap()
+            .relu6();
+        let bits =
+            |t: &Tensor| -> Vec<u32> { t.value().data().iter().map(|v| v.to_bits()).collect() };
+        assert_eq!(bits(&fused.forward_relu6(&x).unwrap()), bits(&chain));
+        assert_eq!(bits(&unfused.forward(&x).unwrap().relu6()), bits(&chain));
     }
 
     #[test]

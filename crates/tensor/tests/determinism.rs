@@ -15,9 +15,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Forward outputs and gradients of a workload touching every pooled code
-/// path: conv, dwconv (k3/k5/k7, stride 1 and 2), matmul, batch norm,
-/// softmax cross-entropy, Gumbel-Softmax sampling, the fused `add_n`
-/// combine, elementwise activations and the chunked `sum` reduction.
+/// path: conv, dwconv (k3/k5/k7, stride 1 and 2), matmul, batch norm
+/// (train and eval mode), softmax cross-entropy, Gumbel-Softmax sampling,
+/// the fused `add_n` combine, elementwise activations and the chunked
+/// `sum` reduction.
 fn run_workload() -> Vec<Vec<u32>> {
     let mut rng = StdRng::seed_from_u64(77);
     let x = Tensor::param(Array::randn(&[4, 8, 12, 12], 1.0, &mut rng));
@@ -45,12 +46,25 @@ fn run_workload() -> Vec<Vec<u32>> {
     let k5 = Tensor::param(Array::randn(&[6, 5, 5], 0.2, &mut rng));
     let dw7 = xw.dwconv2d(&k7, None, 1, 3).unwrap();
     let dw5 = dw7.dwconv2d(&k5, None, 2, 2).unwrap();
+    // Eval-mode batch norm + ReLU6 over fixed statistics (the search's
+    // validation pass, the sweep's frozen-statistics arch steps), large
+    // enough that its channels fan out over the pool.
+    let xe = Tensor::param(Array::randn(&[8, 24, 16, 16], 2.0, &mut rng));
+    let mean_e = Array::randn(&[24], 0.5, &mut rng);
+    let var_e = Array::rand_uniform(&[24], 0.5, 2.0, &mut rng);
+    let gamma_e = Tensor::param(Array::rand_uniform(&[24], -1.5, 1.5, &mut rng));
+    let beta_e = Tensor::param(Array::full(&[24], 3.0));
+    let bne = xe
+        .batch_norm2d_relu6_eval(&gamma_e, &beta_e, &mean_e, &var_e, 1e-5)
+        .unwrap();
     let loss = mixed
         .square()
         .sum()
         .add(&mm.square().sum())
         .unwrap()
         .add(&dw5.square().sum())
+        .unwrap()
+        .add(&bne.square().sum())
         .unwrap()
         .add(&gs.sum())
         .unwrap()
@@ -80,10 +94,14 @@ fn run_workload() -> Vec<Vec<u32>> {
         bits(&xw.grad().unwrap()),
         bits(&k7.grad().unwrap()),
         bits(&k5.grad().unwrap()),
+        bits(&bne.value_clone()),
+        bits(&xe.grad().unwrap()),
+        bits(&gamma_e.grad().unwrap()),
+        bits(&beta_e.grad().unwrap()),
     ]
 }
 
-const STAGES: [&str; 20] = [
+const STAGES: [&str; 24] = [
     "conv2d forward",
     "batch-norm forward",
     "dwconv2d forward",
@@ -104,6 +122,10 @@ const STAGES: [&str; 20] = [
     "dwconv2d k7/k5 input grad",
     "dw k7 weight grad",
     "dw k5 weight grad",
+    "eval batch-norm relu6 forward",
+    "eval bn input grad",
+    "eval bn gamma grad",
+    "eval bn beta grad",
 ];
 
 #[test]
