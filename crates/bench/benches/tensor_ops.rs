@@ -1,11 +1,14 @@
 //! Criterion micro-benchmarks of the autodiff substrate: the dense kernels
 //! (GEMM, im2col convolution, depthwise convolution, batch norm) that
-//! dominate supernet training time, in both forward and backward modes.
+//! dominate supernet training time, in both forward and backward modes,
+//! plus the int8 engine's pointwise-convolution path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use edd_nn::qlayers::{QConv2d, QConvSource, QConvSpec, QTensor};
+use edd_tensor::kernel::pack;
 use edd_tensor::{Array, Tensor};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
 fn bench_matmul(c: &mut Criterion) {
@@ -164,6 +167,46 @@ fn bench_batchnorm(c: &mut Criterion) {
     group.finish();
 }
 
+/// The int8 pointwise path at the tiny zoo's shapes, `(m, k, n)` =
+/// (80, 16, 256) for an expand conv, (16, 96, 256) for a project conv and
+/// (16, 27, 256) for the 3×3 stem through im2col: the per-call activation
+/// pack alone, then one `QConv2d::forward` (im2col where needed, pack,
+/// maddubs GEMM, bias, requantize) at batch 1.
+fn bench_qconv_pointwise(c: &mut Criterion) {
+    let mut group = c.benchmark_group("qconv_pointwise");
+    let mut rng = StdRng::seed_from_u64(6);
+    let hw = 16;
+    for (label, out_c, in_c, kernel) in [
+        ("expand_80x16x256", 80, 16, 1),
+        ("project_16x96x256", 16, 96, 1),
+        ("stem_16x27x256", 16, 3, 3),
+    ] {
+        let (k, n) = (in_c * kernel * kernel, hw * hw);
+        let cols: Vec<i8> = (0..k * n).map(|_| rng.gen_range(-127..=127)).collect();
+        let mut panels = vec![0i8; pack::packed_rhs_len(k, n)];
+        group.bench_function(BenchmarkId::new("pack_rhs_i8", label), |bench| {
+            bench.iter(|| pack::pack_rhs_i8(black_box(&mut panels), black_box(&cols), k, n));
+        });
+        let w: Vec<f32> = (0..out_c * k).map(|_| rng.gen_range(-0.5..0.5)).collect();
+        let src = QConvSource {
+            w: &w,
+            out_channels: out_c,
+            in_channels: in_c,
+            kernel,
+            stride: 1,
+            padding: kernel / 2,
+            bias: None,
+            bn: None,
+        };
+        let conv = QConv2d::from_spec(QConvSpec::quantize(&src, 8, 0.05, 0.05, true, kernel == 1));
+        let x = QTensor::quantize(&Array::randn(&[1, in_c, hw, hw], 1.0, &mut rng), 0.05);
+        group.bench_function(BenchmarkId::new("forward_b1", label), |bench| {
+            bench.iter(|| black_box(conv.forward(&x).unwrap()));
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_matmul,
@@ -172,6 +215,7 @@ criterion_group!(
     bench_conv_backward,
     bench_dwconv,
     bench_dwconv_backward,
-    bench_batchnorm
+    bench_batchnorm,
+    bench_qconv_pointwise
 );
 criterion_main!(benches);

@@ -773,6 +773,69 @@ mod tests {
         assert!(reencoded(&g, dw).is_err(), "qdwconv channels");
     }
 
+    /// Input → global pool → linear over `input_shape` with `classes`
+    /// outputs: the graph is lowered (which runs no type check) and
+    /// encoded, then returned with its artifact bytes.
+    fn pooled_linear(input_shape: [usize; 3], classes: usize) -> (Graph, Vec<u8>) {
+        let mut g = Graph::new(GraphMeta {
+            name: "pooled".into(),
+            input_shape,
+            num_classes: classes,
+        });
+        let mut add = |op: Op, inputs: Vec<usize>| {
+            let name = op.mnemonic().to_string();
+            g.add(Node {
+                name,
+                op,
+                inputs,
+                scale: Some(0.05),
+                bits: None,
+            })
+            .unwrap()
+        };
+        let c = input_shape[0];
+        let i = add(Op::Input, vec![]);
+        let p = add(Op::GlobalAvgPool, vec![i]);
+        let fc = add(
+            Op::Linear(Box::new(LinearOp {
+                w: vec![0.1; c * classes],
+                in_features: c,
+                out_features: classes,
+                bias: vec![0.0; classes],
+            })),
+            vec![p],
+        );
+        g.set_output(fc).unwrap();
+        let lowered = lower(&g, &PassConfig::all()).unwrap().0;
+        let bytes = to_bytes(&lowered).unwrap();
+        (lowered, bytes)
+    }
+
+    #[test]
+    fn zero_classes_are_rejected_at_load() {
+        let (g, bytes) = pooled_linear([2, 5, 5], 3);
+        assert!(from_bytes(&bytes).is_ok());
+        let m = CompiledModel::from_graph(g).unwrap();
+        assert_eq!(m.infer_batch(&[0.1; 2 * 5 * 5], 1).unwrap().len(), 3);
+        // A file like this used to load, and the first request then
+        // panicked in `QLinear::forward` on a zero chunk size.
+        let (g, bytes) = pooled_linear([2, 5, 5], 0);
+        let err = from_bytes(&bytes).unwrap_err().to_string();
+        assert!(err.contains("class count 0"), "{err}");
+        assert!(CompiledModel::from_graph(g).is_err());
+    }
+
+    #[test]
+    fn empty_input_planes_are_rejected_at_load() {
+        // A file like this used to load, and the first request then
+        // panicked building the global pool's `1 / plane` requantizer.
+        let (g, bytes) = pooled_linear([2, 0, 0], 3);
+        let err = from_bytes(&bytes).unwrap_err().to_string();
+        assert!(err.contains("input shape [2, 0, 0]"), "{err}");
+        assert!(CompiledModel::from_graph(g.clone()).is_err());
+        assert!(crate::PulsedProgram::from_graph(&g).is_err());
+    }
+
     #[test]
     fn save_load_executes_identically() {
         let g = lowered();

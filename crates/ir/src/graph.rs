@@ -466,11 +466,20 @@ impl Graph {
     /// Infers the output [`Fact`] of every node from the input shape,
     /// validating op/shape/dtype consistency along the way. This is the
     /// graph type-checker: artifact loading and compilation both run it.
+    /// Zero sizes are rejected here (class count, input dimensions, channel
+    /// and feature counts), so no executor sees an empty dimension.
     ///
     /// # Errors
     ///
     /// Returns a descriptive error for the first inconsistency found.
     pub fn facts(&self) -> Result<Vec<Fact>> {
+        let meta = &self.meta;
+        if meta.num_classes == 0 || meta.input_shape.contains(&0) {
+            return Err(invalid(format!(
+                "graph `{}`: zero size in input shape {:?} or class count {}",
+                meta.name, meta.input_shape, meta.num_classes
+            )));
+        }
         let mut facts: Vec<Fact> = Vec::with_capacity(self.nodes.len());
         let _ = self.input()?;
         for (id, n) in self.nodes.iter().enumerate() {
@@ -597,6 +606,7 @@ impl Graph {
                 }
                 Op::Linear(l) => {
                     let f = get(n.inputs[0]);
+                    linear_sizes(l.in_features, l.out_features).map_err(&ctx)?;
                     if f.dtype != DType::F32 || f.shape != vec![l.in_features] {
                         return Err(ctx(format!(
                             "linear over {} features applied to {:?}",
@@ -610,6 +620,7 @@ impl Graph {
                 }
                 Op::QLinear(l) => {
                     let f = get(n.inputs[0]);
+                    linear_sizes(l.in_features, l.out_features).map_err(&ctx)?;
                     if f.dtype != DType::I8 || f.shape != vec![l.in_features] {
                         return Err(ctx(format!(
                             "qlinear over {} features applied to {:?}",
@@ -628,6 +639,16 @@ impl Graph {
     }
 }
 
+/// Rejects a linear layer with no input or no output features.
+fn linear_sizes(in_features: usize, out_features: usize) -> std::result::Result<(), String> {
+    if in_features == 0 || out_features == 0 {
+        return Err(format!(
+            "linear feature counts must be positive, got {in_features} in and {out_features} out"
+        ));
+    }
+    Ok(())
+}
+
 /// Shape/dtype inference shared by the four convolution ops.
 fn conv_fact(
     f: &Fact,
@@ -640,6 +661,11 @@ fn conv_fact(
 ) -> std::result::Result<Fact, String> {
     if f.dtype != want {
         return Err(format!("conv expects a {want:?} input, got {:?}", f.dtype));
+    }
+    if in_c == 0 || out_c == 0 {
+        return Err(format!(
+            "conv channel counts must be positive, got {in_c} in and {out_c} out"
+        ));
     }
     if f.shape.len() != 3 || f.shape[0] != in_c {
         return Err(format!(

@@ -25,7 +25,7 @@
 //! with [`Requant`] multipliers and add saturating in i32 ([`QAddTables`]).
 
 use crate::bn::BatchNorm2d;
-use edd_tensor::kernel::{pack, pool, select};
+use edd_tensor::kernel::{pack, select};
 use edd_tensor::qkernel::{
     self, pack_i4, qdw_plane_into, qim2col_into, qmatmul_into, qmatmul_prepacked_into,
     quantize_i8_into, requantize_rows_into, unpack_i4_into, Requant,
@@ -161,25 +161,6 @@ impl QWeights {
                 out
             }
         }
-    }
-}
-
-/// Shares a raw mutable base pointer between the two tasks of the
-/// double-buffered packing pipeline (GEMM on the current panel, packing of
-/// the next); each task re-materializes and writes a disjoint buffer.
-struct SendMut<T>(*mut T);
-
-// SAFETY: only the address crosses threads; the pipeline's two tasks write
-// disjoint buffers (acc/out-row vs. next-panel/cols) that the caller keeps
-// alive for the whole `pool::run`.
-unsafe impl<T> Send for SendMut<T> {}
-unsafe impl<T> Sync for SendMut<T> {}
-
-impl<T> SendMut<T> {
-    /// Accessor (rather than field access) so closures capture the whole
-    /// `Sync` wrapper, not the raw pointer field.
-    fn ptr(&self) -> *mut T {
-        self.0
     }
 }
 
@@ -495,11 +476,10 @@ impl QConv2d {
         })
     }
 
-    /// Shape-selected path: per-image im2col columns are packed into
-    /// microkernel-native B-panels and multiplied against the cached weight
-    /// panel by the maddubs qGEMM. With more than one worker thread the
-    /// packing of image `i + 1` is double-buffered: it runs as a second
-    /// pool task overlapped with the GEMM + requantization of image `i`.
+    /// Shape-selected path: per image, the im2col columns are packed into
+    /// microkernel-native B-panels, multiplied against the cached weight
+    /// panel by the maddubs qGEMM (which spreads its rows over the pool),
+    /// biased and requantized.
     #[allow(clippy::too_many_arguments)]
     fn forward_prepacked(
         &self,
@@ -515,79 +495,22 @@ impl QConv2d {
     ) {
         let sp = &self.spec;
         let row_len = sp.out_channels * plane;
-        let panels_len = pack::packed_rhs_len(ckk, plane);
-        let pipeline = b > 1 && pool::num_threads() > 1;
-        let mut pan_cur = scratch::alloc_i8(panels_len);
-        let mut pan_next = pipeline.then(|| scratch::alloc_i8(panels_len));
+        let mut panels = scratch::alloc_i8(pack::packed_rhs_len(ckk, plane));
         let mut cols = (!direct).then(|| scratch::alloc_i8(ckk * plane));
-        let run_gemm = |acc: &mut [i32], out_row: &mut [i8], panels: &[i8]| {
-            stats::record_pack_panel_hit();
-            qmatmul_prepacked_into(acc, &self.wq_k4, panels, sp.out_channels, ckk, plane);
-            add_bias_rows(acc, &sp.bias_q, plane);
-            requantize_rows_into(out_row, acc, &sp.requant, plane, sp.lo, sp.hi);
-        };
-        if b > 0 {
-            pack_image_panels(
-                &mut pan_cur,
-                cols.as_deref_mut(),
-                &x.data[..img],
-                geom,
-                ckk,
-                plane,
-            );
-        }
         for i in 0..b {
-            let has_next = i + 1 < b;
-            if pipeline && has_next {
-                let next_image = &x.data[(i + 1) * img..(i + 2) * img];
-                let acc_base = SendMut(acc.as_mut_ptr());
-                let out_base = SendMut(out.as_mut_ptr());
-                let pan_next_buf = pan_next.as_mut().expect("pipeline has a second panel");
-                let pan_next_base = SendMut(pan_next_buf.as_mut_ptr());
-                let cols_base = cols.as_deref_mut().map(|c| SendMut(c.as_mut_ptr()));
-                let pan_cur_ref: &[i8] = &pan_cur;
-                // Task 0 writes acc + this image's output row block; task 1
-                // writes the next panel (+ cols scratch). The buffers are
-                // disjoint and outlive the run, which blocks until both
-                // tasks finish. The nested GEMM pool region runs inline on
-                // whichever thread claims task 0.
-                pool::run(2, &|t| {
-                    if t == 0 {
-                        let acc =
-                            unsafe { std::slice::from_raw_parts_mut(acc_base.ptr(), row_len) };
-                        let out_row = unsafe {
-                            std::slice::from_raw_parts_mut(out_base.ptr().add(i * row_len), row_len)
-                        };
-                        run_gemm(acc, out_row, pan_cur_ref);
-                    } else {
-                        let dst = unsafe {
-                            std::slice::from_raw_parts_mut(pan_next_base.ptr(), panels_len)
-                        };
-                        let cols = cols_base.as_ref().map(|c| unsafe {
-                            std::slice::from_raw_parts_mut(c.ptr(), ckk * plane)
-                        });
-                        pack_image_panels(dst, cols, next_image, geom, ckk, plane);
-                    }
-                });
-                std::mem::swap(&mut pan_cur, pan_next.as_mut().expect("second panel"));
-            } else {
-                run_gemm(
-                    &mut *acc,
-                    &mut out[i * row_len..(i + 1) * row_len],
-                    &pan_cur,
-                );
-                if has_next {
-                    let next_image = &x.data[(i + 1) * img..(i + 2) * img];
-                    pack_image_panels(
-                        &mut pan_cur,
-                        cols.as_deref_mut(),
-                        next_image,
-                        geom,
-                        ckk,
-                        plane,
-                    );
-                }
-            }
+            let image = &x.data[i * img..(i + 1) * img];
+            pack_image_panels(&mut panels, cols.as_deref_mut(), image, geom, ckk, plane);
+            stats::record_pack_panel_hit();
+            qmatmul_prepacked_into(acc, &self.wq_k4, &panels, sp.out_channels, ckk, plane);
+            add_bias_rows(acc, &sp.bias_q, plane);
+            requantize_rows_into(
+                &mut out[i * row_len..(i + 1) * row_len],
+                acc,
+                &sp.requant,
+                plane,
+                sp.lo,
+                sp.hi,
+            );
         }
     }
 

@@ -742,35 +742,39 @@ fn qgemm_prepacked_scalar(out: &mut [i32], a: &[i8], b: &[i8], mb: usize, k4: us
         return;
     }
     let groups = k4 / QK_GROUP;
-    let group_bytes = QNP * QK_GROUP;
-    let panels = n.div_ceil(QNP);
+    let panel_bytes = groups * QNP * QK_GROUP;
     for i in 0..mb {
         let arow = &a[i * k4..(i + 1) * k4];
-        for jp in 0..panels {
+        for jp in 0..n.div_ceil(QNP) {
             let j0 = jp * QNP;
-            let width = (n - j0).min(QNP);
-            let pbase = &b[jp * groups * group_bytes..(jp + 1) * groups * group_bytes];
-            let mut acc = [0i32; QNP];
-            for g in 0..groups {
-                let grp = &pbase[g * group_bytes..(g + 1) * group_bytes];
-                let at = &arow[g * QK_GROUP..(g + 1) * QK_GROUP];
-                for (c, l) in acc.iter_mut().enumerate() {
-                    let cell = &grp[c * QK_GROUP..(c + 1) * QK_GROUP];
-                    for (t, &bv) in cell.iter().enumerate() {
-                        *l += i32::from(at[t]) * i32::from(bv);
-                    }
-                }
-            }
-            out[i * n + j0..i * n + j0 + width].copy_from_slice(&acc[..width]);
+            let j1 = (j0 + QNP).min(n);
+            let panel = &b[jp * panel_bytes..(jp + 1) * panel_bytes];
+            prepacked_panel_scalar(&mut out[i * n + j0..i * n + j1], arow, panel);
         }
     }
 }
 
-/// Maddubs microkernel: per 4-tap group, broadcast 4 LHS bytes as one
-/// dword, then `maddubs(|B|, sign(A_bcast, B))` forms the exact signed
-/// products `a·b` as i16 pairs (pair sums ≤ 2·127·127 = 32258 < 32767, so
-/// the saturating add never saturates) and `madd_epi16(·, 1)` folds them
-/// into 8 i32 per-column partial sums.
+/// One packed LHS row against one packed panel, summed group by group;
+/// stores the first `dst.len()` (at most 8) column sums.
+#[inline(always)]
+fn prepacked_panel_scalar(dst: &mut [i32], arow: &[i8], panel: &[i8]) {
+    use crate::kernel::pack::{QK_GROUP, QNP};
+    let mut acc = [0i32; QNP];
+    for (grp, at) in panel
+        .chunks_exact(QNP * QK_GROUP)
+        .zip(arow.chunks_exact(QK_GROUP))
+    {
+        for (l, cell) in acc.iter_mut().zip(grp.chunks_exact(QK_GROUP)) {
+            for (&av, &bv) in at.iter().zip(cell) {
+                *l += i32::from(av) * i32::from(bv);
+            }
+        }
+    }
+    dst.copy_from_slice(&acc[..dst.len()]);
+}
+
+/// Maddubs microkernel over `QMR`-row tiles, with a 1-row step for the
+/// `mb % QMR` leftover rows (see [`prepacked_rows_avx2`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn qgemm_prepacked_avx2(
@@ -781,8 +785,6 @@ unsafe fn qgemm_prepacked_avx2(
     k4: usize,
     n: usize,
 ) {
-    use crate::kernel::pack::{QK_GROUP, QNP};
-    use std::arch::x86_64::*;
     if k4 == 0 {
         out.fill(0);
         return;
@@ -790,44 +792,77 @@ unsafe fn qgemm_prepacked_avx2(
     if mb == 0 || n == 0 {
         return;
     }
+    let mut i = 0;
+    while i + QMR <= mb {
+        prepacked_rows_avx2::<QMR>(out, a, b, i, k4, n);
+        i += QMR;
+    }
+    while i < mb {
+        prepacked_rows_avx2::<1>(out, a, b, i, k4, n);
+        i += 1;
+    }
+}
+
+/// Rows `i..i + R` of the maddubs microkernel. Per 8-column panel and
+/// 4-tap group, one panel load and one `abs_epi8` serve all `R` rows. Each
+/// row broadcasts its 4 LHS bytes as one dword, and
+/// `maddubs(|B|, sign(A_bcast, B))` forms the exact signed products `a·b`
+/// as i16 pairs (pair sums ≤ 2·127·127 = 32258 < 32767, so the saturating
+/// add never saturates); `madd_epi16(·, 1)` folds them into 8 i32
+/// per-column partial sums. A partial final panel (`n % 8 != 0`) takes the
+/// scalar walk of the same layout.
+///
+/// # Safety
+///
+/// The CPU must support AVX2; `a` holds at least `i + R` packed rows of
+/// `k4` bytes, `b` the panels of a `[k4, n]` matrix, and `out` at least
+/// `(i + R) · n` values.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn prepacked_rows_avx2<const R: usize>(
+    out: &mut [i32],
+    a: &[i8],
+    b: &[i8],
+    i: usize,
+    k4: usize,
+    n: usize,
+) {
+    use crate::kernel::pack::{QK_GROUP, QNP};
+    use std::arch::x86_64::*;
+    debug_assert!(a.len() >= (i + R) * k4 && out.len() >= (i + R) * n);
     let groups = k4 / QK_GROUP;
-    let group_bytes = QNP * QK_GROUP;
+    let panel_bytes = groups * QNP * QK_GROUP;
     let full_panels = n / QNP;
     let ones = _mm256_set1_epi16(1);
-    for i in 0..mb {
-        let ap = a.as_ptr().add(i * k4);
-        for jp in 0..full_panels {
-            let pb = b.as_ptr().add(jp * groups * group_bytes);
-            let mut acc = _mm256_setzero_si256();
-            for g in 0..groups {
-                let a_dword = ap.add(g * QK_GROUP).cast::<i32>().read_unaligned();
-                let abcast = _mm256_set1_epi32(a_dword);
-                let panel = _mm256_loadu_si256(pb.add(g * group_bytes).cast());
-                let pabs = _mm256_abs_epi8(panel);
-                let asgn = _mm256_sign_epi8(abcast, panel);
+    let ap = a.as_ptr().add(i * k4);
+    for jp in 0..full_panels {
+        let pb = b.as_ptr().add(jp * panel_bytes);
+        let mut acc = [_mm256_setzero_si256(); R];
+        for g in 0..groups {
+            let panel = _mm256_loadu_si256(pb.add(g * QNP * QK_GROUP).cast());
+            let pabs = _mm256_abs_epi8(panel);
+            for (r, acc_r) in acc.iter_mut().enumerate() {
+                let a_dword = ap.add(r * k4 + g * QK_GROUP).cast::<i32>().read_unaligned();
+                let asgn = _mm256_sign_epi8(_mm256_set1_epi32(a_dword), panel);
                 let prod16 = _mm256_maddubs_epi16(pabs, asgn);
-                acc = _mm256_add_epi32(acc, _mm256_madd_epi16(prod16, ones));
+                *acc_r = _mm256_add_epi32(*acc_r, _mm256_madd_epi16(prod16, ones));
             }
-            _mm256_storeu_si256(out.as_mut_ptr().add(i * n + jp * QNP).cast(), acc);
         }
-        // Partial final panel (n % 8 != 0): scalar walk of the same layout.
-        let j0 = full_panels * QNP;
-        if j0 < n {
-            let width = n - j0;
-            let arow = &a[i * k4..(i + 1) * k4];
-            let pbase = &b[full_panels * groups * group_bytes..];
-            let mut acc = [0i32; QNP];
-            for g in 0..groups {
-                let grp = &pbase[g * group_bytes..(g + 1) * group_bytes];
-                let at = &arow[g * QK_GROUP..(g + 1) * QK_GROUP];
-                for (c, l) in acc.iter_mut().enumerate() {
-                    let cell = &grp[c * QK_GROUP..(c + 1) * QK_GROUP];
-                    for (t, &bv) in cell.iter().enumerate() {
-                        *l += i32::from(at[t]) * i32::from(bv);
-                    }
-                }
-            }
-            out[i * n + j0..i * n + n].copy_from_slice(&acc[..width]);
+        for (r, acc_r) in acc.iter().enumerate() {
+            let dst = out.as_mut_ptr().add((i + r) * n + jp * QNP);
+            _mm256_storeu_si256(dst.cast(), *acc_r);
+        }
+    }
+    let j0 = full_panels * QNP;
+    if j0 < n {
+        let panel = &b[full_panels * panel_bytes..];
+        for r in i..i + R {
+            prepacked_panel_scalar(
+                &mut out[r * n + j0..(r + 1) * n],
+                &a[r * k4..(r + 1) * k4],
+                panel,
+            );
         }
     }
 }
@@ -1288,20 +1323,40 @@ mod tests {
             }
         }
 
-        // Prepacked maddubs block vs its scalar layout walk.
-        let (m, k, n) = (7, 21, 19);
-        let a = randq(m * k, 127, &mut rng);
-        let b = randq(k * n, 127, &mut rng);
-        let mut ap = vec![0i8; crate::kernel::pack::packed_lhs_len(m, k)];
-        crate::kernel::pack::pack_lhs_i8(&mut ap, &a, m, k);
-        let mut bp = vec![0i8; crate::kernel::pack::packed_rhs_len(k, n)];
-        crate::kernel::pack::pack_rhs_i8(&mut bp, &b, k, n);
-        let k4 = crate::kernel::pack::padded_k(k);
-        let mut got = vec![i32::MIN; m * n];
-        let mut want = vec![0i32; m * n];
-        qgemm_prepacked_block(&mut got, &ap, &bp, m, k4, n);
-        qgemm_prepacked_scalar(&mut want, &ap, &bp, m, k4, n);
-        assert_eq!(got, want);
+        // Prepacked path over a grid that covers every k % 4 (the partial
+        // K-group the vector pack leaves to the scalar walk), n below,
+        // at and past whole 32-column pack blocks (and off the 8-column
+        // panel grid), and every m % 4 (the 1-row steps after the 4-row
+        // tiles). The dispatched pack must equal its scalar body byte for
+        // byte; the dispatched block must equal the scalar walk and the
+        // naive product.
+        use crate::kernel::pack::{
+            pack_lhs_i8, pack_rhs_i8, pack_rhs_scalar, packed_lhs_len, packed_rhs_len, padded_k,
+            QK_GROUP, QNP,
+        };
+        for k in [1usize, 3, 4, 6, 16, 27, 96] {
+            let k4 = padded_k(k);
+            for n in [8usize, 19, 31, 32, 33, 40, 64, 256] {
+                let b = randq(k * n, 127, &mut rng);
+                let mut bp = vec![0x55i8; packed_rhs_len(k, n)];
+                pack_rhs_i8(&mut bp, &b, k, n);
+                let mut bp_scalar = vec![-0x55i8; packed_rhs_len(k, n)];
+                let (panels, groups) = (n.div_ceil(QNP), k4 / QK_GROUP);
+                pack_rhs_scalar(&mut bp_scalar, &b, k, n, 0..panels, 0..groups);
+                assert_eq!(bp, bp_scalar, "pack_rhs_i8 k={k} n={n}");
+                for m in [1usize, 2, 3, 4, 5, 7, 16, 80] {
+                    let a = randq(m * k, 127, &mut rng);
+                    let mut ap = vec![0i8; packed_lhs_len(m, k)];
+                    pack_lhs_i8(&mut ap, &a, m, k);
+                    let mut got = vec![i32::MIN; m * n];
+                    let mut want = vec![i32::MAX; m * n];
+                    qgemm_prepacked_block(&mut got, &ap, &bp, m, k4, n);
+                    qgemm_prepacked_scalar(&mut want, &ap, &bp, m, k4, n);
+                    assert_eq!(got, want, "prepacked block {m}x{k}x{n}");
+                    assert_eq!(got, qmatmul_naive(&a, &b, m, k, n), "naive {m}x{k}x{n}");
+                }
+            }
+        }
 
         // Vectorized requant rows vs the per-element apply_i8 oracle.
         let acc: Vec<i32> = (0..9 * 37)

@@ -46,6 +46,10 @@ static PACK_PANELS_BUILT: AtomicU64 = AtomicU64::new(0);
 static PACK_PANEL_HITS: AtomicU64 = AtomicU64::new(0);
 /// Per-call activation-panel packs (no cache possible: data changes).
 static PACK_PANEL_MISSES: AtomicU64 = AtomicU64::new(0);
+/// Bytes of int8 RHS panels written by the AVX2 body of `pack_rhs_i8`.
+static PACK_RHS_VECTOR_BYTES: AtomicU64 = AtomicU64::new(0);
+/// Bytes of int8 RHS panels written by the scalar walk of `pack_rhs_i8`.
+static PACK_RHS_SCALAR_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// Point-in-time snapshot of the kernel-runtime counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -85,6 +89,13 @@ pub struct KernelStats {
     pub pack_panel_hits: u64,
     /// Per-call activation-panel packs (inherently uncacheable).
     pub pack_panel_misses: u64,
+    /// Bytes of int8 RHS panels written by the AVX2 transpose of
+    /// [`pack_rhs_i8`](crate::kernel::pack::pack_rhs_i8).
+    pub pack_rhs_vector_bytes: u64,
+    /// Bytes of int8 RHS panels written by its scalar walk: the whole pack
+    /// without AVX2, otherwise the partial K-group and the `n % 32` column
+    /// tail.
+    pub pack_rhs_scalar_bytes: u64,
 }
 
 impl KernelStats {
@@ -119,6 +130,8 @@ pub fn snapshot() -> KernelStats {
         pack_panels_built: PACK_PANELS_BUILT.load(Ordering::Relaxed),
         pack_panel_hits: PACK_PANEL_HITS.load(Ordering::Relaxed),
         pack_panel_misses: PACK_PANEL_MISSES.load(Ordering::Relaxed),
+        pack_rhs_vector_bytes: PACK_RHS_VECTOR_BYTES.load(Ordering::Relaxed),
+        pack_rhs_scalar_bytes: PACK_RHS_SCALAR_BYTES.load(Ordering::Relaxed),
     }
 }
 
@@ -141,6 +154,8 @@ pub fn reset() {
     PACK_PANELS_BUILT.store(0, Ordering::Relaxed);
     PACK_PANEL_HITS.store(0, Ordering::Relaxed);
     PACK_PANEL_MISSES.store(0, Ordering::Relaxed);
+    PACK_RHS_VECTOR_BYTES.store(0, Ordering::Relaxed);
+    PACK_RHS_SCALAR_BYTES.store(0, Ordering::Relaxed);
 }
 
 /// Counts one GEMM dispatch for the given shape class (crate-internal:
@@ -175,6 +190,13 @@ pub fn record_pack_panel_hit() {
 /// Counts one per-call activation-panel pack.
 pub fn record_pack_panel_miss() {
     PACK_PANEL_MISSES.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Accounts one `pack_rhs_i8` call: the bytes its vector and scalar
+/// bodies wrote.
+pub(crate) fn record_pack_rhs_bytes(vector: usize, scalar: usize) {
+    PACK_RHS_VECTOR_BYTES.fetch_add(vector as u64, Ordering::Relaxed);
+    PACK_RHS_SCALAR_BYTES.fetch_add(scalar as u64, Ordering::Relaxed);
 }
 
 pub(crate) fn record_pool_job(tasks: usize, inline: bool) {

@@ -12,10 +12,11 @@
 //! thread-count override; this file is its own test binary, so no other
 //! suite races it.
 
+use edd_tensor::kernel::pack::{pack_lhs_i8, pack_rhs_i8, packed_lhs_len, packed_rhs_len};
 use edd_tensor::kernel::set_num_threads;
 use edd_tensor::qkernel::{
-    dw_tap_pairs, pack_i4, qdw_plane_into, qim2col_into, qmatmul_into, requantize_rows_into,
-    unpack_i4_into, Requant,
+    dw_tap_pairs, pack_i4, qdw_plane_into, qim2col_into, qmatmul_into, qmatmul_naive,
+    qmatmul_prepacked_into, requantize_rows_into, unpack_i4_into, Requant,
 };
 use edd_tensor::Conv2dGeometry;
 use rand::rngs::StdRng;
@@ -29,11 +30,15 @@ fn qdata(len: usize, seed: u64) -> Vec<i8> {
         .collect()
 }
 
-/// One pass over every quantized inference primitive, sized so the GEMM
-/// crosses the `QPAR_MIN_MACS` threshold and actually fans out on the pool:
+/// Everything one [`run_workload`] pass produces.
+type Workload = (Vec<i8>, Vec<i32>, Vec<i8>, Vec<i32>, Vec<i8>, Vec<i32>);
+
+/// One pass over every quantized inference primitive, sized so the GEMMs
+/// cross the `QPAR_MIN_MACS` threshold and actually fan out on the pool:
 /// int4 pack/unpack round-trip, qim2col lowering, the threaded qmatmul,
-/// per-row fixed-point requantization and the depthwise stencil.
-fn run_workload() -> (Vec<i8>, Vec<i32>, Vec<i8>, Vec<i32>) {
+/// per-row fixed-point requantization, the depthwise stencil, and the
+/// prepacked path (RHS panel pack + maddubs GEMM).
+fn run_workload() -> Workload {
     // int4 weights, bit-packed then unpacked exactly as QWeights does per
     // forward call.
     let (m, k, n) = (64usize, 128, 64);
@@ -85,7 +90,25 @@ fn run_workload() -> (Vec<i8>, Vec<i32>, Vec<i8>, Vec<i32>) {
     let mut dw = vec![0i32; dw_geom.out_h() * dw_geom.out_w()];
     qdw_plane_into(&mut dw, &plane, &taps, &dw_tap_pairs(&taps, 3), &dw_geom);
 
-    (cols, acc, out, dw)
+    // Prepacked path: 30×96·96×200 = 576k MACs > QPAR_MIN_MACS, with
+    // m % 4 = 2 leftover rows after the 4-row tiles and an 8-column tail
+    // after the six 32-column pack blocks.
+    let (m, k, n) = (30usize, 96, 200);
+    let a = qdata(m * k, 55);
+    let b = qdata(k * n, 66);
+    let mut a_packed = vec![0i8; packed_lhs_len(m, k)];
+    pack_lhs_i8(&mut a_packed, &a, m, k);
+    let mut panels = vec![0i8; packed_rhs_len(k, n)];
+    pack_rhs_i8(&mut panels, &b, k, n);
+    let mut prepacked = vec![0i32; m * n];
+    qmatmul_prepacked_into(&mut prepacked, &a_packed, &panels, m, k, n);
+    assert_eq!(
+        prepacked,
+        qmatmul_naive(&a, &b, m, k, n),
+        "prepacked GEMM must equal the naive product"
+    );
+
+    (cols, acc, out, dw, panels, prepacked)
 }
 
 #[test]

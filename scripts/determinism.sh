@@ -52,6 +52,11 @@ cargo test --locked -q -p edd-zoo --test pulse_determinism
 # Golden leg: the tiny zoo's logits and one pulsed stream's windows must
 # hash to the values pinned in the test on every leg of the matrix.
 cargo test --locked -q -p edd-zoo --test golden_outputs
+# Work pin: the RHS panel bytes each body of pack_rhs_i8 writes per
+# batch-1 forward of edd-tiny-int8 (vector vs scalar walk; 0 under
+# EDD_GEMM=generic) must equal the counts the test derives from the
+# dispatch mode, so a fall back to the scalar pack fails an exact check.
+cargo test --locked -q -p edd-zoo --test pack_bytes
 # Float-stack golden leg: a small CoSearch's result bytes and eval-mode
 # logits must hash to the pinned values (the sweep's pin runs in the sweep
 # leg above).
