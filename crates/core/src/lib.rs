@@ -14,8 +14,11 @@
 //!   formulation (Eq. 2–10), including the Log-Sum-Exp smooth max (Eq. 7)
 //!   and the `tanh` resource-sharing suppression (Eq. 9);
 //! * [`loss`] — the fused objective of Eq. 1;
-//! * [`search`] — the bilevel co-search loop (paper §5), with optional
-//!   crash-safe checkpointing and structured telemetry;
+//! * [`sweep`] — the bilevel co-search loop (paper §5) over one shared
+//!   supernet and one or more device targets, with per-target Pareto
+//!   fronts, optional crash-safe checkpointing and structured telemetry;
+//! * [`search`] — the paper's single-target [`CoSearch`] front over that
+//!   loop, its hyperparameters and per-epoch records;
 //! * [`checkpoint`] — full-state search snapshots (weights, `Θ`/`Φ`/`pf`,
 //!   optimizer moments, RNG, history) for bit-identical resume;
 //! * `derive` — argmax architecture extraction, trainable-model
@@ -60,10 +63,7 @@ pub mod sweep;
 pub mod target;
 
 pub use arch_params::{ArchCheckpoint, ArchParams, PfParams, PhiParams};
-pub use checkpoint::{
-    resolve_labeled_resume_path, resolve_resume_path, resolve_sweep_resume_path, SearchRng,
-    SearchSnapshot, SweepSnapshot, SNAPSHOT_PREFIX, SWEEP_PREFIX,
-};
+pub use checkpoint::{SearchRng, SweepSnapshot};
 pub use derive::{BlockChoice, DerivedArch};
 pub use loss::{edd_loss, LossConfig};
 pub use lower::lower_to_graph;

@@ -1,44 +1,23 @@
-//! The EDD co-search algorithm (paper §5): bilevel stochastic gradient
-//! descent over the fused space `{A, I}`.
+//! The EDD co-search on one device target (paper §5), with its
+//! hyperparameters, per-epoch records and outcome.
 //!
-//! Each epoch alternates:
-//!
-//! 1. **Weight steps** — fix `Θ, Φ, pf`, update DNN weights `ω` by
-//!    minimizing the training cross-entropy along sampled single paths.
-//! 2. **Architecture steps** — fix `ω`, update `Θ, Φ, pf` by descending the
-//!    fused loss (Eq. 1) on the *validation* split: sampled-path accuracy
-//!    loss × differentiable performance loss + resource penalty.
-//!
-//! The Gumbel-Softmax temperature anneals geometrically from `tau_start` to
-//! `tau_end`. After the final epoch the argmax architecture is derived
-//! (paper: the searched DNN is then trained from scratch).
-//!
-//! # Checkpointing and telemetry
-//!
-//! A search configured with [`CoSearch::checkpoint_into`] writes a full
-//! [`SearchSnapshot`] after each epoch
-//! (cadence via [`CoSearch::checkpoint_every`], retention via
-//! [`CoSearch::checkpoint_keep`]); [`CoSearch::resume_from`] restores one
-//! and continues **bit-identically** — the restored RNG stream, optimizer
-//! moments and temperature position reproduce the uninterrupted run exactly,
-//! at any `EDD_NUM_THREADS` setting (the kernel layer is thread-count
-//! invariant). When a global telemetry sink is installed
-//! (`edd_runtime::telemetry::set_global`), the loop emits one
-//! `search.epoch` event per epoch plus phase spans and kernel-runtime
-//! gauges; with the default no-op sink the instrumentation is free.
+//! [`CoSearch`] is the paper's single-target API: a thin front over a
+//! one-target [`SweepSearch`], which owns the only epoch loop (see
+//! [`crate::sweep`] for the bilevel step and for what running a single
+//! target decides). It hides the target vector and returns the one target's
+//! [`SearchOutcome`]; checkpointing, resume and telemetry are the sweep's.
 
 use crate::arch_params::ArchParams;
-use crate::checkpoint::{fingerprint, SearchRng, SearchSnapshot};
+use crate::checkpoint::SearchRng;
 use crate::derive::DerivedArch;
-use crate::loss::{edd_loss, res_penalty_scalar, LossConfig};
-use crate::perf_model::{estimate, PerfTables};
+use crate::loss::LossConfig;
 use crate::space::SearchSpace;
 use crate::supernet::SuperNet;
+use crate::sweep::{SweepOutcome, SweepSearch};
 use crate::target::DeviceTarget;
 use edd_nn::Batch;
-use edd_runtime::telemetry::{self, CsvSink, Event, EventKind, Sink, Value};
-use edd_tensor::optim::{Adam, Optimizer, Sgd};
-use edd_tensor::{accuracy, Result, Tensor, TensorError};
+use edd_runtime::telemetry::{CsvSink, Event, EventKind, Sink, Value};
+use edd_tensor::Result;
 use rand::Rng;
 use std::path::{Path, PathBuf};
 
@@ -222,31 +201,11 @@ pub(crate) fn history_to_csv(history: &[EpochRecord]) -> String {
     sink.to_csv()
 }
 
-/// A configured co-search: supernet + architecture parameters + coefficient
-/// tables + optimizers.
+/// A configured single-target co-search: a [`SweepSearch`] over one
+/// [`DeviceTarget`].
+#[derive(Debug)]
 pub struct CoSearch {
-    space: SearchSpace,
-    target: DeviceTarget,
-    config: CoSearchConfig,
-    supernet: SuperNet,
-    arch: ArchParams,
-    tables: PerfTables,
-    ckpt_dir: Option<PathBuf>,
-    ckpt_every: usize,
-    ckpt_keep: usize,
-    ckpt_label: String,
-    pending_resume: Option<SearchSnapshot>,
-}
-
-impl std::fmt::Debug for CoSearch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CoSearch")
-            .field("space", &self.space.name)
-            .field("target", &self.target.label())
-            .field("epochs", &self.config.epochs)
-            .field("checkpoint_dir", &self.ckpt_dir)
-            .finish()
-    }
+    sweep: SweepSearch,
 }
 
 impl CoSearch {
@@ -262,29 +221,16 @@ impl CoSearch {
         config: CoSearchConfig,
         rng: &mut R,
     ) -> Result<Self> {
-        let tables = PerfTables::build(&space, &target)?;
-        let supernet = SuperNet::new(&space, rng);
-        let arch = ArchParams::init(&space, &target, rng);
-        Ok(CoSearch {
-            space,
-            target,
-            config,
-            supernet,
-            arch,
-            tables,
-            ckpt_dir: None,
-            ckpt_every: 1,
-            ckpt_keep: 3,
-            ckpt_label: String::new(),
-            pending_resume: None,
-        })
+        let sweep =
+            SweepSearch::with_weight_span(space, vec![target], config, rng, "search.weight_phase")?;
+        Ok(CoSearch { sweep })
     }
 
     /// Enables crash-safe checkpointing: after qualifying epochs a full
-    /// [`SearchSnapshot`] is written atomically into `dir` as
-    /// `search-<epoch>.edds`. The directory is created on first write.
+    /// snapshot is written atomically into `dir` as
+    /// `ckpt-<target>-<epoch>.edds` (see [`SweepSearch::checkpoint_into`]).
     pub fn checkpoint_into(&mut self, dir: impl Into<PathBuf>) -> &mut Self {
-        self.ckpt_dir = Some(dir.into());
+        self.sweep.checkpoint_into(dir);
         self
     }
 
@@ -292,232 +238,53 @@ impl CoSearch {
     /// periodic writes; the final epoch of a run is always snapshotted when
     /// a checkpoint directory is set.
     pub fn checkpoint_every(&mut self, n: usize) -> &mut Self {
-        self.ckpt_every = n;
+        self.sweep.checkpoint_every(n);
         self
     }
 
-    /// Retention: keep only the newest `k` snapshots (default 3, floor 1).
+    /// Retention: keep only the newest `k` snapshots of this target
+    /// (default 3, floor 1).
     pub fn checkpoint_keep(&mut self, k: usize) -> &mut Self {
-        self.ckpt_keep = k.max(1);
-        self
-    }
-
-    /// Labels this run's snapshots: files become
-    /// `search-<label>-<epoch>.edds` instead of `search-<epoch>.edds`, and
-    /// retention pruning / `resume_from` directory resolution only consider
-    /// snapshots carrying the same label. This is what lets several runs
-    /// (e.g. one search per device target) share one `--checkpoint-dir`
-    /// without overwriting or pruning each other's snapshots.
-    ///
-    /// The empty label (the default) keeps the historical unlabeled
-    /// filenames. Set the label *before* calling
-    /// [`CoSearch::resume_from`]; labels must not be purely numeric (that
-    /// would collide with the epoch field of unlabeled names).
-    pub fn checkpoint_label(&mut self, label: impl Into<String>) -> &mut Self {
-        self.ckpt_label = label.into();
+        self.sweep.checkpoint_keep(k);
         self
     }
 
     /// Schedules a resume from `path` — a snapshot file, or a checkpoint
-    /// directory (resolved to its newest snapshot). The snapshot is loaded
-    /// and fingerprint-checked eagerly; the state is applied when the next
-    /// `run*` call starts, which then continues from the epoch after the
-    /// snapshotted one.
+    /// directory (resolved to this target's newest snapshot). The state is
+    /// applied when the next `run*` call starts, which then continues from
+    /// the epoch after the snapshotted one.
     ///
     /// # Errors
     ///
-    /// Returns an error when the snapshot is missing, corrupt, or was taken
-    /// by a differently-configured search.
+    /// Returns an error when the snapshot is missing, corrupt, of an earlier
+    /// schema version, or was taken by a differently-configured search.
     pub fn resume_from(&mut self, path: &Path) -> Result<&mut Self> {
-        let file = crate::checkpoint::resolve_labeled_resume_path(path, &self.ckpt_label)?;
-        let snap = SearchSnapshot::load(&file)?;
-        let want = fingerprint(&self.space, &self.target, &self.config);
-        if snap.fingerprint != want {
-            return Err(TensorError::InvalidArgument(format!(
-                "snapshot {} was taken by a different search configuration\n  \
-                 snapshot: {}\n  current:  {want}",
-                file.display(),
-                snap.fingerprint
-            )));
-        }
-        self.pending_resume = Some(snap);
+        self.sweep.resume_from(path)?;
         Ok(self)
     }
 
     /// The supernet under search.
     #[must_use]
     pub fn supernet(&self) -> &SuperNet {
-        &self.supernet
+        &self.sweep.supernet
     }
 
     /// The current architecture parameters.
     #[must_use]
     pub fn arch(&self) -> &ArchParams {
-        &self.arch
+        &self.sweep.targets[0].arch
     }
 
     /// The device target.
     #[must_use]
     pub fn target(&self) -> &DeviceTarget {
-        &self.target
+        &self.sweep.targets[0].target
     }
 
     /// Temperature at `epoch` (geometric annealing).
     #[must_use]
     pub fn tau_at(&self, epoch: usize) -> f32 {
-        let e = self.config.epochs.max(2) - 1;
-        let t = (epoch.min(e)) as f32 / e as f32;
-        self.config.tau_start * (self.config.tau_end / self.config.tau_start).powf(t)
-    }
-
-    /// Captures the complete search state after `epoch` completed.
-    fn capture_snapshot(
-        &self,
-        epoch: usize,
-        w_opt: &Sgd,
-        a_opt: &Adam,
-        rng_state: [u64; 4],
-        history: &[EpochRecord],
-        best: &Option<(usize, f32, DerivedArch)>,
-    ) -> Result<SearchSnapshot> {
-        let best = match best {
-            Some((e, acc, d)) => {
-                let json = d.to_json().map_err(|err| {
-                    TensorError::InvalidArgument(format!("serialize best architecture: {err}"))
-                })?;
-                Some((*e, *acc, json))
-            }
-            None => None,
-        };
-        Ok(SearchSnapshot {
-            fingerprint: fingerprint(&self.space, &self.target, &self.config),
-            epoch,
-            rng: rng_state,
-            weights: self
-                .supernet
-                .weight_params()
-                .iter()
-                .map(Tensor::value_clone)
-                .collect(),
-            bn_stats: self
-                .supernet
-                .batch_norms()
-                .iter()
-                .map(|bn| (bn.running_mean(), bn.running_var()))
-                .collect(),
-            arch: self.arch.checkpoint(),
-            sgd_velocity: w_opt.export_state(),
-            adam: a_opt.export_state(),
-            history: history.to_vec(),
-            best,
-        })
-    }
-
-    /// Applies a loaded snapshot: supernet weights and batch-norm running
-    /// statistics, architecture variables, optimizer moments, RNG stream,
-    /// and the accumulated history / best-so-far bookkeeping.
-    fn apply_snapshot<R: SearchRng + ?Sized>(
-        &mut self,
-        snap: &SearchSnapshot,
-        w_opt: &mut Sgd,
-        a_opt: &mut Adam,
-        rng: &mut R,
-        history: &mut Vec<EpochRecord>,
-        best: &mut Option<(usize, f32, DerivedArch)>,
-    ) -> Result<()> {
-        let params = self.supernet.weight_params();
-        if params.len() != snap.weights.len() {
-            return Err(TensorError::InvalidArgument(format!(
-                "snapshot has {} weight tensors, supernet has {}",
-                snap.weights.len(),
-                params.len()
-            )));
-        }
-        for (i, (p, w)) in params.iter().zip(&snap.weights).enumerate() {
-            if p.shape() != w.shape() {
-                return Err(TensorError::InvalidArgument(format!(
-                    "snapshot weight {i} has shape {:?}, supernet expects {:?}",
-                    w.shape(),
-                    p.shape()
-                )));
-            }
-            p.set_value(w.clone());
-        }
-        let bns = self.supernet.batch_norms();
-        if bns.len() != snap.bn_stats.len() {
-            return Err(TensorError::InvalidArgument(format!(
-                "snapshot has {} batch-norm layers, supernet has {}",
-                snap.bn_stats.len(),
-                bns.len()
-            )));
-        }
-        for (bn, (mean, var)) in bns.iter().zip(&snap.bn_stats) {
-            bn.set_running_stats(mean.clone(), var.clone())?;
-        }
-        self.arch.restore(&snap.arch)?;
-        w_opt.import_state(snap.sgd_velocity.clone())?;
-        a_opt.import_state(snap.adam.clone())?;
-        rng.restore_state_words(snap.rng);
-        *history = snap.history.clone();
-        *best = match &snap.best {
-            Some((e, acc, json)) => {
-                let derived = DerivedArch::from_json(json).map_err(|err| {
-                    TensorError::InvalidArgument(format!(
-                        "snapshot best architecture is unparseable: {err}"
-                    ))
-                })?;
-                Some((*e, *acc, derived))
-            }
-            None => None,
-        };
-        Ok(())
-    }
-
-    /// Writes the epoch snapshot into the checkpoint directory and prunes
-    /// old ones down to the retention limit.
-    fn write_checkpoint(&self, dir: &Path, snap: &SearchSnapshot) -> Result<()> {
-        std::fs::create_dir_all(dir).map_err(|e| {
-            TensorError::InvalidArgument(format!("create checkpoint dir {}: {e}", dir.display()))
-        })?;
-        snap.save(&dir.join(SearchSnapshot::labeled_file_name(
-            &self.ckpt_label,
-            snap.epoch,
-        )))?;
-        crate::checkpoint::prune_labeled_snapshots(dir, &self.ckpt_label, self.ckpt_keep)
-            .map_err(|e| TensorError::InvalidArgument(format!("prune checkpoints: {e}")))?;
-        Ok(())
-    }
-
-    /// Emits the per-epoch telemetry record plus kernel-runtime gauges.
-    fn emit_epoch_telemetry(&self, record: &EpochRecord) {
-        if !telemetry::enabled() {
-            return;
-        }
-        let mut fields: Vec<(&str, Value)> = epoch_fields(record).to_vec();
-        fields.push((
-            "res_penalty",
-            Value::F32(res_penalty_scalar(
-                record.expected_res,
-                self.target.resource_bound(),
-                &self.config.loss,
-            )),
-        ));
-        let derived = DerivedArch::from_params(&self.space, &self.target, &self.arch);
-        if let Ok(json) = derived.to_json() {
-            fields.push(("arch_digest", Value::Str(fnv1a_hex(json.as_bytes()))));
-        }
-        telemetry::event(EPOCH_EVENT, &fields);
-        let stats = edd_tensor::stats::snapshot();
-        if let Some(util) = stats.pool_utilization() {
-            telemetry::gauge("kernel.pool_utilization", util);
-        }
-        telemetry::gauge("kernel.pool_tasks", stats.pool_tasks);
-        telemetry::gauge("kernel.pool_parallel_jobs", stats.pool_parallel_jobs);
-        telemetry::gauge("kernel.pool_inline_jobs", stats.pool_inline_jobs);
-        telemetry::gauge(
-            "kernel.scratch_high_water_bytes",
-            stats.scratch_high_water_bytes,
-        );
+        self.sweep.tau_at(epoch)
     }
 
     /// Runs the full co-search over the given train/validation splits and
@@ -533,7 +300,7 @@ impl CoSearch {
         val: &[Batch],
         rng: &mut R,
     ) -> Result<SearchOutcome> {
-        self.run_range(train, val, rng, self.config.epochs)
+        self.sweep.run(train, val, rng).map(only_target)
     }
 
     /// Runs the search but stops after `stop_after` epochs (clamped to the
@@ -551,175 +318,24 @@ impl CoSearch {
         rng: &mut R,
         stop_after: usize,
     ) -> Result<SearchOutcome> {
-        self.run_range(train, val, rng, stop_after.min(self.config.epochs))
+        self.sweep
+            .run_until(train, val, rng, stop_after)
+            .map(only_target)
     }
+}
 
-    fn run_range<R: SearchRng + ?Sized>(
-        &mut self,
-        train: &[Batch],
-        val: &[Batch],
-        rng: &mut R,
-        end: usize,
-    ) -> Result<SearchOutcome> {
-        let mut w_opt = Sgd::new(
-            self.supernet.weight_params(),
-            self.config.weight_lr,
-            self.config.weight_momentum,
-            1e-4,
-        );
-        let mut a_opt = Adam::new(self.arch.all_params(), self.config.arch_lr);
-        let mut history = Vec::with_capacity(self.config.epochs);
-        let mut best: Option<(usize, f32, DerivedArch)> = None;
-        // Input tensors are constants shared across every epoch: wrap each
-        // batch once here instead of deep-cloning the pixel data per step.
-        // Constants never require grad, so graphs only borrow them.
-        let train_inputs: Vec<Tensor> = train
-            .iter()
-            .map(|b| Tensor::constant(b.images.clone()))
-            .collect();
-        let val_inputs: Vec<Tensor> = val
-            .iter()
-            .map(|b| Tensor::constant(b.images.clone()))
-            .collect();
-        let mut start = 0usize;
-        if let Some(snap) = self.pending_resume.take() {
-            self.apply_snapshot(&snap, &mut w_opt, &mut a_opt, rng, &mut history, &mut best)?;
-            start = snap.epoch + 1;
-        }
-        for epoch in start..end {
-            let tau = self.tau_at(epoch);
-            self.supernet.set_training(true);
-            let mut train_loss = 0.0;
-            let mut train_acc = 0.0;
-            let mut seen = 0usize;
-            let weight_span = telemetry::span("search.weight_phase");
-            for (batch, x) in train.iter().zip(&train_inputs) {
-                w_opt.zero_grad();
-                a_opt.zero_grad();
-                let (logits, _) = self.supernet.forward_sampled(x, &self.arch, tau, rng)?;
-                let loss = logits.cross_entropy(&batch.labels)?;
-                loss.backward();
-                if let Some(max_norm) = self.config.clip_grad_norm {
-                    edd_tensor::optim::clip_grad_norm(w_opt.params(), max_norm);
-                }
-                w_opt.step();
-                // Scratch buffers are step-scoped; reclaim the arena.
-                edd_tensor::scratch::reset();
-                let b = batch.labels.len();
-                train_loss += loss.item() * b as f32;
-                train_acc += accuracy(&logits.value(), &batch.labels) * b as f32;
-                seen += b;
-            }
-            drop(weight_span);
-            // Architecture step on the validation split (bilevel) or the
-            // training split (single-level ablation).
-            let mut expected_perf = 0.0;
-            let mut expected_res = 0.0;
-            let arch_span = telemetry::span("search.arch_phase");
-            if epoch >= self.config.warmup_epochs {
-                let (arch_batches, arch_inputs) = if self.config.bilevel {
-                    (val, &val_inputs)
-                } else {
-                    (train, &train_inputs)
-                };
-                let mut arch_steps = 0usize;
-                for (batch, x) in arch_batches.iter().zip(arch_inputs) {
-                    w_opt.zero_grad();
-                    a_opt.zero_grad();
-                    let (logits, _) = self.supernet.forward_sampled(x, &self.arch, tau, rng)?;
-                    let acc_loss = logits.cross_entropy(&batch.labels)?;
-                    let est = estimate(
-                        &self.arch,
-                        &self.tables,
-                        &self.space,
-                        &self.target,
-                        tau,
-                        rng,
-                    )?;
-                    let total = edd_loss(
-                        &acc_loss,
-                        &est.perf,
-                        &est.res,
-                        self.target.resource_bound(),
-                        &self.config.loss,
-                    )?;
-                    total.backward();
-                    a_opt.step();
-                    edd_tensor::scratch::reset();
-                    expected_perf += est.perf.item();
-                    expected_res += est.res.item();
-                    arch_steps += 1;
-                }
-                if arch_steps > 0 {
-                    expected_perf /= arch_steps as f32;
-                    expected_res /= arch_steps as f32;
-                }
-            }
-            drop(arch_span);
-            // Validation accuracy of the current argmax architecture.
-            self.supernet.set_training(false);
-            let val_span = telemetry::span("search.val_phase");
-            let mut val_acc = 0.0;
-            let mut val_seen = 0usize;
-            for (batch, x) in val.iter().zip(&val_inputs) {
-                let logits = self.supernet.forward_argmax(x, &self.arch)?;
-                val_acc += accuracy(&logits.value(), &batch.labels) * batch.labels.len() as f32;
-                val_seen += batch.labels.len();
-            }
-            drop(val_span);
-            let epoch_val_acc = val_acc / val_seen.max(1) as f32;
-            if best.as_ref().is_none_or(|(_, acc, _)| epoch_val_acc > *acc) {
-                best = Some((
-                    epoch,
-                    epoch_val_acc,
-                    DerivedArch::from_params(&self.space, &self.target, &self.arch),
-                ));
-            }
-            let record = EpochRecord {
-                target: self.target.key().to_owned(),
-                epoch,
-                train_loss: train_loss / seen.max(1) as f32,
-                train_acc: train_acc / seen.max(1) as f32,
-                val_acc: epoch_val_acc,
-                expected_perf,
-                expected_res,
-                tau,
-            };
-            self.emit_epoch_telemetry(&record);
-            history.push(record);
-            if let Some(dir) = &self.ckpt_dir {
-                let periodic = self.ckpt_every > 0 && (epoch + 1).is_multiple_of(self.ckpt_every);
-                if periodic || epoch + 1 == end {
-                    let snap = self.capture_snapshot(
-                        epoch,
-                        &w_opt,
-                        &a_opt,
-                        rng.state_words(),
-                        &history,
-                        &best,
-                    )?;
-                    self.write_checkpoint(dir, &snap)?;
-                }
-            }
-        }
-        let derived = DerivedArch::from_params(&self.space, &self.target, &self.arch);
-        let (best_epoch, _, best_derived) =
-            best.unwrap_or((end.saturating_sub(1), 0.0, derived.clone()));
-        Ok(SearchOutcome {
-            derived,
-            history,
-            best_derived,
-            best_epoch,
-        })
-    }
+fn only_target(out: SweepOutcome) -> SearchOutcome {
+    let mut targets = out.targets.into_iter();
+    targets.next().expect("a co-search has one target").outcome
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::SNAPSHOT_PREFIX;
+    use crate::checkpoint::SweepSnapshot;
     use edd_data::{SynthConfig, SynthDataset};
     use edd_hw::FpgaDevice;
+    use edd_runtime::telemetry;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -859,9 +475,9 @@ mod tests {
         let (mut part, train2, val2, mut rng2) = tiny_search(true);
         part.checkpoint_into(&dir).checkpoint_keep(1);
         part.run_until(&train2, &val2, &mut rng2, 2).unwrap();
-        let files = edd_runtime::snapshot::list_snapshots(&dir, SNAPSHOT_PREFIX).unwrap();
+        let files = edd_runtime::snapshot::list_snapshots(&dir, "ckpt-").unwrap();
         assert_eq!(files.len(), 1, "retention should prune to 1: {files:?}");
-        assert!(files[0].ends_with(SearchSnapshot::file_name(1)));
+        assert!(files[0].ends_with(SweepSnapshot::file_name("fpga-recursive", 1)));
 
         // A fresh search resumes from the directory and must finish with a
         // byte-identical derived architecture and history.
@@ -884,26 +500,30 @@ mod tests {
     }
 
     #[test]
-    fn labeled_runs_share_a_checkpoint_dir_without_collisions() {
-        let dir = std::env::temp_dir().join(format!("edd-search-label-{}", std::process::id()));
+    fn searches_on_other_targets_share_a_checkpoint_dir() {
+        let dir = std::env::temp_dir().join(format!("edd-search-share-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
 
-        // Two labeled runs plus one unlabeled run, all writing into the
-        // same directory with keep=1: each label's retention must only see
-        // its own snapshots.
+        // Two targets write into one directory with keep=1: each target's
+        // retention sees only its own snapshots.
         let (mut a, train, val, mut rng_a) = tiny_search(true);
-        a.checkpoint_into(&dir)
-            .checkpoint_keep(1)
-            .checkpoint_label("alpha");
+        a.checkpoint_into(&dir).checkpoint_keep(1);
         a.run_until(&train, &val, &mut rng_a, 2).unwrap();
-        let (mut b, train_b, val_b, mut rng_b) = tiny_search(true);
-        b.checkpoint_into(&dir)
-            .checkpoint_keep(1)
-            .checkpoint_label("beta");
-        b.run_until(&train_b, &val_b, &mut rng_b, 1).unwrap();
-        let (mut c, train_c, val_c, mut rng_c) = tiny_search(true);
-        c.checkpoint_into(&dir).checkpoint_keep(1);
-        c.run_until(&train_c, &val_c, &mut rng_c, 1).unwrap();
+        let pipelined = || {
+            let mut rng = StdRng::seed_from_u64(7);
+            let space = SearchSpace::tiny(3, 16, 4, vec![4, 8, 16]);
+            let target = DeviceTarget::FpgaPipelined(FpgaDevice::zc706());
+            let config = CoSearchConfig {
+                epochs: 3,
+                warmup_epochs: 1,
+                ..CoSearchConfig::default()
+            };
+            let search = CoSearch::new(space, target, config, &mut rng).unwrap();
+            (search, rng)
+        };
+        let (mut b, mut rng_b) = pipelined();
+        b.checkpoint_into(&dir).checkpoint_keep(1);
+        b.run_until(&train, &val, &mut rng_b, 1).unwrap();
 
         let mut names: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()
@@ -913,25 +533,62 @@ mod tests {
         assert_eq!(
             names,
             vec![
-                SearchSnapshot::file_name(0),
-                SearchSnapshot::labeled_file_name("alpha", 1),
-                SearchSnapshot::labeled_file_name("beta", 0),
+                SweepSnapshot::file_name("fpga-pipelined", 0),
+                SweepSnapshot::file_name("fpga-recursive", 1),
             ],
-            "each label keeps exactly its own newest snapshot"
+            "each target keeps exactly its own newest snapshot"
         );
 
-        // A labeled resume resolves to its own snapshot, and continues to
-        // the same result as an uninterrupted labeled run.
+        // Each resume resolves to its own target's snapshot, and continues
+        // to the same result as an uninterrupted run.
         let (mut full, train_f, val_f, mut rng_f) = tiny_search(true);
         let full_out = full.run(&train_f, &val_f, &mut rng_f).unwrap();
         let (mut resumed, train_r, val_r, _) = tiny_search(true);
         let mut other_rng = StdRng::seed_from_u64(123);
-        resumed.checkpoint_label("alpha");
         resumed.resume_from(&dir).unwrap();
         let res_out = resumed.run(&train_r, &val_r, &mut other_rng).unwrap();
         assert_eq!(full_out.history, res_out.history);
+        let (mut full_b, mut rng_fb) = pipelined();
+        let full_b_out = full_b.run(&train, &val, &mut rng_fb).unwrap();
+        let (mut resumed_b, _) = pipelined();
+        resumed_b.resume_from(&dir).unwrap();
+        let res_b_out = resumed_b.run(&train, &val, &mut other_rng).unwrap();
+        assert_eq!(full_b_out.history, res_b_out.history);
 
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn one_target_sweep_gives_cosearch_bits() {
+        // A `SweepSearch` over one target runs the same loop as `CoSearch`,
+        // so the same seed gives the same bytes, in bilevel and
+        // single-level mode alike.
+        for bilevel in [true, false] {
+            let (mut search, train, val, mut rng) = tiny_search(bilevel);
+            let co = search.run(&train, &val, &mut rng).unwrap();
+            let mut rng = StdRng::seed_from_u64(7);
+            let space = SearchSpace::tiny(3, 16, 4, vec![4, 8, 16]);
+            let target = DeviceTarget::FpgaRecursive(FpgaDevice::zcu102());
+            let config = CoSearchConfig {
+                epochs: 3,
+                warmup_epochs: 1,
+                bilevel,
+                ..CoSearchConfig::default()
+            };
+            let mut sweep = SweepSearch::new(space, vec![target], config, &mut rng).unwrap();
+            let out = sweep.run(&train, &val, &mut rng).unwrap();
+            let one = &out.targets[0].outcome;
+            assert_eq!(co.history_csv(), one.history_csv());
+            assert_eq!(
+                co.derived.to_json().unwrap(),
+                one.derived.to_json().unwrap()
+            );
+            assert_eq!(
+                co.best_derived.to_json().unwrap(),
+                one.best_derived.to_json().unwrap()
+            );
+            assert_eq!(co.best_epoch, one.best_epoch);
+        }
     }
 
     #[test]

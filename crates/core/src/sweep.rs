@@ -1,47 +1,70 @@
-//! Amortized multi-target co-search: one supernet, `T` targets.
+//! The co-search driver (paper §5): bilevel stochastic gradient descent
+//! over the fused space `{A, I}`, for one device target or several sharing
+//! one supernet.
 //!
-//! The paper reproduces its Table-2 story by running EDD once per device
-//! target, which costs `T` full supernet trainings even though the weight
-//! step — the dominant cost — is identical work for every target: only the
-//! `(Θ, Φ, pf)` states and the implementation-loss terms differ.
-//! [`SweepSearch`] amortizes this into one run:
+//! [`SweepSearch`] is the only epoch loop; [`crate::CoSearch`] is its
+//! single-target front. The paper reproduces its Table-2 story by running
+//! EDD once per target, which costs `T` full supernet trainings even though
+//! the weight step — the dominant cost — is identical work for every
+//! target: only the `(Θ, Φ, pf)` states and the implementation-loss terms
+//! differ. Each epoch therefore has:
 //!
-//! * **One shared weight phase per epoch.** Training batches are assigned
-//!   round-robin to targets (`t = (epoch + i) mod T`), so each batch's
-//!   sampled path comes from one target's current arch distribution and
-//!   every target steers a share of the shared weights. One pass over the
-//!   training split serves all `T` targets — a `T`× amortization of the
-//!   weight-step cost versus sequential runs.
-//! * **`T` parallel arch phases.** With the supernet frozen
-//!   (`set_training(false)` — a deliberate deviation from the
-//!   single-target loop, which lets warm batch-norm statistics drift
-//!   during arch steps; freezing them is what makes the phase free of
-//!   shared mutable state), the per-target arch steps are data-parallel
-//!   over [`edd_tensor::kernel::pool`]: each target descends its own
-//!   `(Θ, Φ, pf)` with its own Adam and its own RNG stream. Backward
-//!   passes also accumulate into the shared weight leaves, but those
-//!   gradients are lock-protected and discarded — the next weight phase
-//!   zeroes them before reading — so the only cross-target interaction is
-//!   benign lock contention.
-//! * **Per-epoch Pareto bookkeeping.** After each epoch every target's
-//!   argmax architecture is derived, evaluated on its device model
-//!   ([`edd_hw::HwPoint`]), and merged into a per-target Pareto front
-//!   ([`crate::pareto`]).
+//! * **One shared weight phase.** Fix `Θ, Φ, pf` and update the DNN
+//!   weights `ω` by minimizing the training cross-entropy along sampled
+//!   single paths. Training batches are assigned round-robin to targets
+//!   (`t = (epoch + i) mod T`), so each batch's path comes from one
+//!   target's current arch distribution and every target steers a share of
+//!   the shared weights. One pass over the training split serves all `T`
+//!   targets — a `T`× amortization versus sequential runs.
+//! * **Per-target architecture steps.** Fix `ω` and update each target's
+//!   `Θ, Φ, pf` by descending the fused loss (Eq. 1) on the *validation*
+//!   split (bilevel) or the training split (single-level ablation):
+//!   sampled-path accuracy loss × differentiable performance loss +
+//!   resource penalty. Then the target's argmax architecture is validated,
+//!   derived, scored on its device model ([`edd_hw::HwPoint`]), and merged
+//!   into its Pareto front ([`crate::pareto`]).
 //!
-//! Determinism: the weight phase runs on the driver thread with the shared
-//! RNG; each parallel arch task touches only its own target state, the
-//! frozen supernet, and bitwise thread-count-invariant kernels, so sweep
-//! results are identical for every `EDD_NUM_THREADS` setting. One
-//! [`SweepSnapshot`] per epoch captures shared weights plus all `T` states
-//! for bit-identical whole-sweep resume.
+//! The number of targets `T` decides exactly two things, and no option
+//! selects either:
+//!
+//! * **`T = 1`, the paper's loop.** Nothing draws or reads a per-target
+//!   seed. The arch steps run on the driver thread with the driver RNG and
+//!   with batch norm still in training mode, so its running statistics
+//!   drift; then the supernet switches to eval mode for validation.
+//! * **`T > 1`.** Each target has its own RNG stream, seeded from the
+//!   construction RNG, and the per-target tasks fan out over
+//!   [`edd_tensor::kernel::pool`] with the supernet frozen
+//!   (`set_training(false)`). Freezing batch norm is what frees the phase
+//!   of shared mutable state. Backward passes also accumulate into the
+//!   shared weight leaves, but those gradients are lock-protected and
+//!   discarded — the weight phase zeroes them before every read — so the
+//!   only cross-target interaction is benign lock contention.
+//!
+//! The Gumbel-Softmax temperature anneals geometrically from `tau_start` to
+//! `tau_end`. After the final epoch each target's argmax architecture is
+//! derived (paper: the searched DNN is then trained from scratch).
+//!
+//! # Determinism, checkpointing and telemetry
+//!
+//! The weight phase runs on the driver thread with the driver RNG; each
+//! parallel task touches only its own target state, the frozen supernet,
+//! and bitwise thread-count-invariant kernels, so results are identical for
+//! every `EDD_NUM_THREADS` setting. With [`SweepSearch::checkpoint_into`],
+//! one [`SweepSnapshot`] per qualifying epoch captures the shared state
+//! plus all `T` target states, and [`SweepSearch::resume_from`] continues
+//! **bit-identically**. When a global telemetry sink is installed
+//! (`edd_runtime::telemetry::set_global`), every epoch emits a
+//! `sweep.epoch` event, one `search.epoch` and one `sweep.target` event per
+//! target, the `sweep.*` counters, phase spans and kernel-runtime gauges;
+//! with the default no-op sink the instrumentation is free.
 
-use crate::arch_params::ArchParams;
+use crate::arch_params::{ArchCheckpoint, ArchParams};
 use crate::checkpoint::{
-    fingerprint, resolve_sweep_resume_path, sweep_fingerprint, SearchRng, SweepSnapshot,
+    fingerprint, prune_sweep_snapshots, resolve_sweep_resume_path, SearchRng, SweepSnapshot,
     SweepTargetSnapshot,
 };
 use crate::derive::DerivedArch;
-use crate::loss::edd_loss;
+use crate::loss::{edd_loss, res_penalty_scalar, LossConfig};
 use crate::pareto::{self, ParetoPoint};
 use crate::perf_model::{estimate, PerfTables};
 use crate::search::{
@@ -133,26 +156,108 @@ fn target_span_name(target: &DeviceTarget) -> &'static str {
     }
 }
 
-/// Everything that is per-target in a sweep: the arch variables and their
-/// RNG stream, the accumulated history / Pareto front / best-so-far, and
-/// the scratch the parallel phase fills each epoch.
-struct TargetState {
-    target: DeviceTarget,
+/// Everything that is per-target: the arch variables with their cost
+/// tables and RNG stream, and the accumulated history / Pareto front /
+/// best-so-far.
+pub(crate) struct TargetState {
+    pub(crate) target: DeviceTarget,
     key: &'static str,
-    arch: ArchParams,
+    pub(crate) arch: ArchParams,
     tables: PerfTables,
-    rng: StdRng,
+    /// The target's own arch-step stream; `None` when `T = 1`.
+    stream: Option<StdRng>,
     history: Vec<EpochRecord>,
     front: Vec<ParetoPoint>,
     best: Option<(usize, f32, DerivedArch)>,
-    // Weight-phase accumulators for this target's round-robin share.
-    train_loss_sum: f32,
-    train_acc_sum: f32,
-    train_seen: usize,
-    // Filled by this epoch's parallel arch/val task.
-    scratch_record: Option<EpochRecord>,
-    scratch_point: Option<ParetoPoint>,
-    scratch_arch_ms: f64,
+}
+
+impl TargetState {
+    /// This target's architecture steps over `batches` (none in warm-up):
+    /// descend the fused loss (Eq. 1) in its `(Θ, Φ, pf)`. Returns the mean
+    /// expected performance and resource terms, zero without steps.
+    #[allow(clippy::too_many_arguments)]
+    fn arch_steps<R: Rng + ?Sized>(
+        &self,
+        supernet: &SuperNet,
+        space: &SearchSpace,
+        loss: &LossConfig,
+        a_opt: &mut Adam,
+        (batches, inputs): (&[Batch], &[Tensor]),
+        tau: f32,
+        rng: &mut R,
+    ) -> Result<(f32, f32)> {
+        let mut expected_perf = 0.0;
+        let mut expected_res = 0.0;
+        for (batch, x) in batches.iter().zip(inputs) {
+            // Clears stale gradients on this target's arch leaves. The shared
+            // weight leaves are not zeroed here (that would race with sibling
+            // tasks): the weight phase zeroes them before every read.
+            a_opt.zero_grad();
+            let (logits, _) = supernet.forward_sampled(x, &self.arch, tau, rng)?;
+            let acc_loss = logits.cross_entropy(&batch.labels)?;
+            let est = estimate(&self.arch, &self.tables, space, &self.target, tau, rng)?;
+            let bound = self.target.resource_bound();
+            let total = edd_loss(&acc_loss, &est.perf, &est.res, bound, loss)?;
+            total.backward();
+            a_opt.step();
+            edd_tensor::scratch::reset();
+            expected_perf += est.perf.item();
+            expected_res += est.res.item();
+        }
+        let steps = batches.len().max(1) as f32;
+        Ok((expected_perf / steps, expected_res / steps))
+    }
+
+    /// Derives this target's argmax architecture, serializes it and scores
+    /// it on the target's device model.
+    fn score(
+        &self,
+        space: &SearchSpace,
+        epoch: usize,
+        (expected_perf, expected_res): (f32, f32),
+        val_acc: f32,
+        start: Instant,
+    ) -> Result<TargetEpoch> {
+        let derived = DerivedArch::from_params(space, &self.target, &self.arch);
+        let arch_json = derived.to_json().map_err(|err| {
+            TensorError::InvalidArgument(format!("serialize derived architecture: {err}"))
+        })?;
+        let hw = hw_point(&self.target, &derived)?;
+        Ok(TargetEpoch {
+            expected_perf,
+            expected_res,
+            derived,
+            point: ParetoPoint {
+                target: self.key.to_owned(),
+                epoch,
+                val_acc,
+                perf_ms: hw.perf_ms,
+                resource: hw.resource_dsps,
+                arch_json,
+            },
+            ms: start.elapsed().as_secs_f64() * 1e3,
+        })
+    }
+}
+
+/// One target's share of a weight phase: sums over the batches whose path
+/// it sampled.
+#[derive(Clone, Copy, Default)]
+struct TrainSums {
+    loss: f32,
+    acc: f32,
+    seen: usize,
+}
+
+/// What one target's arch steps, validation and scoring produced in an
+/// epoch.
+struct TargetEpoch {
+    expected_perf: f32,
+    expected_res: f32,
+    derived: DerivedArch,
+    point: ParetoPoint,
+    /// Wall time of the arch steps, validation and scoring.
+    ms: f64,
 }
 
 /// Per-target slice of a finished sweep.
@@ -226,13 +331,18 @@ impl SweepOutcome {
     }
 }
 
-/// A configured multi-target sweep: one shared supernet and weight
-/// optimizer, `T` per-target architecture states.
+/// A configured co-search: one shared supernet and weight optimizer, `T`
+/// per-target architecture states.
 pub struct SweepSearch {
     space: SearchSpace,
     config: CoSearchConfig,
-    supernet: SuperNet,
-    targets: Vec<TargetState>,
+    pub(crate) supernet: SuperNet,
+    pub(crate) targets: Vec<TargetState>,
+    /// Span name of the weight phase. It is the one thing the public
+    /// constructor fixes: `search.weight_phase` for a [`crate::CoSearch`],
+    /// `sweep.weight_phase` for a [`SweepSearch::new`] run, because
+    /// benchmarks read both.
+    weight_span: &'static str,
     ckpt_dir: Option<PathBuf>,
     ckpt_every: usize,
     ckpt_keep: usize,
@@ -241,19 +351,18 @@ pub struct SweepSearch {
 
 impl std::fmt::Debug for SweepSearch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let targets: Vec<String> = self.targets.iter().map(|t| t.target.label()).collect();
         f.debug_struct("SweepSearch")
             .field("space", &self.space.name)
-            .field(
-                "targets",
-                &self.targets.iter().map(|t| t.key).collect::<Vec<_>>(),
-            )
+            .field("targets", &targets)
             .field("epochs", &self.config.epochs)
+            .field("checkpoint_dir", &self.ckpt_dir)
             .finish()
     }
 }
 
 impl SweepSearch {
-    /// Creates a sweep over `targets` sharing one supernet. The space's
+    /// Creates a search over `targets` sharing one supernet. The space's
     /// quantization menu must be supported by *every* target (use the
     /// intersection of the per-target menus); targets must be distinct
     /// families (their [`DeviceTarget::key`]s label records and snapshots).
@@ -267,6 +376,17 @@ impl SweepSearch {
         targets: Vec<DeviceTarget>,
         config: CoSearchConfig,
         rng: &mut R,
+    ) -> Result<Self> {
+        Self::with_weight_span(space, targets, config, rng, "sweep.weight_phase")
+    }
+
+    /// [`SweepSearch::new`] with the weight phase's span name.
+    pub(crate) fn with_weight_span<R: Rng + ?Sized>(
+        space: SearchSpace,
+        targets: Vec<DeviceTarget>,
+        config: CoSearchConfig,
+        rng: &mut R,
+        weight_span: &'static str,
     ) -> Result<Self> {
         if targets.is_empty() {
             return Err(TensorError::InvalidArgument(
@@ -282,29 +402,28 @@ impl SweepSearch {
                 )));
             }
         }
+        // Every target is checked before the construction RNG is drawn.
+        let tables = targets
+            .iter()
+            .map(|t| PerfTables::build(&space, t))
+            .collect::<Result<Vec<_>>>()?;
         let supernet = SuperNet::new(&space, rng);
+        let solo = targets.len() == 1;
         let mut states = Vec::with_capacity(targets.len());
-        for target in targets {
-            let tables = PerfTables::build(&space, &target)?;
+        for (target, tables) in targets.into_iter().zip(tables) {
             let arch = ArchParams::init(&space, &target, rng);
-            // Independent per-target RNG stream, seeded from the shared
-            // construction stream so the whole sweep is one seed.
-            let stream = StdRng::seed_from_u64(rng.gen());
+            // Several targets get independent streams, seeded from the
+            // construction stream so the whole run is one seed.
+            let stream = (!solo).then(|| StdRng::seed_from_u64(rng.gen()));
             states.push(TargetState {
                 key: target.key(),
                 target,
                 arch,
                 tables,
-                rng: stream,
+                stream,
                 history: Vec::new(),
                 front: Vec::new(),
                 best: None,
-                train_loss_sum: 0.0,
-                train_acc_sum: 0.0,
-                train_seen: 0,
-                scratch_record: None,
-                scratch_point: None,
-                scratch_arch_ms: 0.0,
             });
         }
         Ok(SweepSearch {
@@ -312,6 +431,7 @@ impl SweepSearch {
             config,
             supernet,
             targets: states,
+            weight_span,
             ckpt_dir: None,
             ckpt_every: 1,
             ckpt_keep: 3,
@@ -321,43 +441,48 @@ impl SweepSearch {
 
     /// Enables crash-safe checkpointing: after qualifying epochs one
     /// [`SweepSnapshot`] (shared weights + all per-target states) is
-    /// written atomically into `dir` as `sweep-<epoch>.edds`.
+    /// written atomically into `dir` as `ckpt-<keys>-<epoch>.edds`, where
+    /// `<keys>` joins the target keys with `+`. The directory is created on
+    /// first write.
     pub fn checkpoint_into(&mut self, dir: impl Into<PathBuf>) -> &mut Self {
         self.ckpt_dir = Some(dir.into());
         self
     }
 
-    /// Checkpoint cadence in epochs (default 1; `0` = final epoch only).
+    /// Checkpoint cadence: write every `n` epochs (default 1). `0` disables
+    /// periodic writes; the final epoch of a run is always snapshotted when
+    /// a checkpoint directory is set.
     pub fn checkpoint_every(&mut self, n: usize) -> &mut Self {
         self.ckpt_every = n;
         self
     }
 
-    /// Retention: keep only the newest `k` sweep snapshots (default 3,
-    /// floor 1). Single-target `search-*` files in the same directory are
-    /// never touched.
+    /// Retention: keep only the newest `k` snapshots of this run (default
+    /// 3, floor 1). Files of runs over other targets in the same directory
+    /// are never touched.
     pub fn checkpoint_keep(&mut self, k: usize) -> &mut Self {
         self.ckpt_keep = k.max(1);
         self
     }
 
-    /// Schedules a resume from `path` — a sweep snapshot file, or a
-    /// checkpoint directory (resolved to its newest `sweep-*.edds`). The
-    /// snapshot is fingerprint-checked eagerly and applied when the next
-    /// `run*` call starts.
+    /// Schedules a resume from `path` — a snapshot file, or a checkpoint
+    /// directory (resolved to this run's newest snapshot). The snapshot is
+    /// loaded and fingerprint-checked eagerly; the state is applied when
+    /// the next `run*` call starts, which then continues from the epoch
+    /// after the snapshotted one.
     ///
     /// # Errors
     ///
-    /// Returns an error when the snapshot is missing, corrupt, or was
-    /// taken by a differently-configured sweep (different space, config,
-    /// or target list).
+    /// Returns an error when the snapshot is missing, corrupt, of an
+    /// earlier schema version, or was taken by a differently-configured
+    /// run (different space, config, or target list).
     pub fn resume_from(&mut self, path: &Path) -> Result<&mut Self> {
-        let file = resolve_sweep_resume_path(path)?;
+        let file = resolve_sweep_resume_path(path, &self.run_name())?;
         let snap = SweepSnapshot::load(&file)?;
         let want = self.fingerprint();
         if snap.fingerprint != want {
             return Err(TensorError::InvalidArgument(format!(
-                "snapshot {} was taken by a different sweep configuration\n  \
+                "snapshot {} was taken by a different search configuration\n  \
                  snapshot: {}\n  current:  {want}",
                 file.display(),
                 snap.fingerprint
@@ -367,25 +492,26 @@ impl SweepSearch {
         Ok(self)
     }
 
-    /// The sweep-level configuration fingerprint.
+    /// The run-level configuration fingerprint.
     #[must_use]
     pub fn fingerprint(&self) -> String {
-        let parts: Vec<String> = self
-            .targets
-            .iter()
-            .map(|t| fingerprint(&self.space, &t.target, &self.config))
-            .collect();
-        sweep_fingerprint(&parts)
+        let targets = self.targets.iter().map(|t| &t.target);
+        fingerprint(&self.space, targets, &self.config)
     }
 
-    /// The targets being swept, in order.
+    /// The targets being searched, in order.
     #[must_use]
     pub fn target_keys(&self) -> Vec<&'static str> {
         self.targets.iter().map(|t| t.key).collect()
     }
 
-    /// Temperature at `epoch` (same geometric schedule as the
-    /// single-target loop).
+    /// The run's name in snapshot file names: the target keys joined with
+    /// `+`.
+    fn run_name(&self) -> String {
+        self.target_keys().join("+")
+    }
+
+    /// Temperature at `epoch` (geometric annealing).
     #[must_use]
     pub fn tau_at(&self, epoch: usize) -> f32 {
         let e = self.config.epochs.max(2) - 1;
@@ -393,7 +519,7 @@ impl SweepSearch {
         self.config.tau_start * (self.config.tau_end / self.config.tau_start).powf(t)
     }
 
-    /// Captures the complete sweep state after `epoch` completed.
+    /// Captures the complete state after `epoch` completed.
     fn capture_snapshot(
         &self,
         epoch: usize,
@@ -414,7 +540,7 @@ impl SweepSearch {
             };
             targets.push(SweepTargetSnapshot {
                 key: state.key.to_owned(),
-                rng: state.rng.state(),
+                rng: state.stream.as_ref().map(StdRng::state),
                 arch: state.arch.checkpoint(),
                 adam: a_opt.export_state(),
                 history: state.history.clone(),
@@ -443,7 +569,9 @@ impl SweepSearch {
         })
     }
 
-    /// Applies a loaded snapshot to the shared and per-target states.
+    /// Applies a loaded snapshot to the shared and per-target states, the
+    /// optimizers and the driver RNG. The whole snapshot is checked before
+    /// any state changes, so a rejected file leaves the search as it was.
     fn apply_snapshot<R: SearchRng + ?Sized>(
         &mut self,
         snap: &SweepSnapshot,
@@ -451,50 +579,78 @@ impl SweepSearch {
         a_opts: &mut [Adam],
         rng: &mut R,
     ) -> Result<()> {
+        let reject = |msg: String| Err(TensorError::InvalidArgument(format!("snapshot {msg}")));
+        if snap.epoch >= self.config.epochs {
+            return reject(format!(
+                "epoch {} is past the run's {} epochs",
+                snap.epoch, self.config.epochs
+            ));
+        }
         let params = self.supernet.weight_params();
         if params.len() != snap.weights.len() {
-            return Err(TensorError::InvalidArgument(format!(
-                "snapshot has {} weight tensors, supernet has {}",
+            return reject(format!(
+                "has {} weight tensors, supernet has {}",
                 snap.weights.len(),
                 params.len()
-            )));
+            ));
         }
-        for (p, w) in params.iter().zip(&snap.weights) {
-            p.set_value(w.clone());
+        for (i, (p, w)) in params.iter().zip(&snap.weights).enumerate() {
+            if p.shape() != w.shape() {
+                return reject(format!(
+                    "weight {i} has shape {:?}, supernet expects {:?}",
+                    w.shape(),
+                    p.shape()
+                ));
+            }
         }
         let bns = self.supernet.batch_norms();
         if bns.len() != snap.bn_stats.len() {
-            return Err(TensorError::InvalidArgument(format!(
-                "snapshot has {} batch-norm layers, supernet has {}",
+            return reject(format!(
+                "has {} batch-norm layers, supernet has {}",
                 snap.bn_stats.len(),
                 bns.len()
-            )));
+            ));
         }
-        for (bn, (mean, var)) in bns.iter().zip(&snap.bn_stats) {
-            bn.set_running_stats(mean.clone(), var.clone())?;
+        for (i, (bn, (mean, var))) in bns.iter().zip(&snap.bn_stats).enumerate() {
+            let want = bn.running_mean();
+            if mean.shape() != want.shape() || var.shape() != want.shape() {
+                return reject(format!(
+                    "batch-norm {i} has statistics of shapes {:?} and {:?}, supernet expects {:?}",
+                    mean.shape(),
+                    var.shape(),
+                    want.shape()
+                ));
+            }
         }
-        w_opt.import_state(snap.sgd_velocity.clone())?;
-        rng.restore_state_words(snap.rng);
         if snap.targets.len() != self.targets.len() {
-            return Err(TensorError::InvalidArgument(format!(
-                "snapshot has {} targets, sweep has {}",
+            return reject(format!(
+                "has {} targets, search has {}",
                 snap.targets.len(),
                 self.targets.len()
-            )));
+            ));
         }
-        for ((state, a_opt), ts) in self.targets.iter_mut().zip(a_opts).zip(&snap.targets) {
+        let layout = |c: &ArchCheckpoint| {
+            let lens = |rows: &[Vec<f32>]| rows.iter().map(Vec::len).collect::<Vec<_>>();
+            (lens(&c.theta), lens(&c.phi), c.pf.len())
+        };
+        let mut bests = Vec::with_capacity(snap.targets.len());
+        for (state, ts) in self.targets.iter().zip(&snap.targets) {
             if ts.key != state.key {
-                return Err(TensorError::InvalidArgument(format!(
-                    "snapshot target `{}` does not match sweep target `{}`",
+                return reject(format!(
+                    "target `{}` does not match search target `{}`",
                     ts.key, state.key
-                )));
+                ));
             }
-            state.arch.restore(&ts.arch)?;
-            a_opt.import_state(ts.adam.clone())?;
-            state.rng.set_state(ts.rng);
-            state.history = ts.history.clone();
-            state.front = ts.front.clone();
-            state.best = match &ts.best {
+            if ts.rng.is_some() != state.stream.is_some()
+                || layout(&ts.arch) != layout(&state.arch.checkpoint())
+            {
+                return reject(format!(
+                    "state of target `{}` does not fit a {}-target search",
+                    ts.key,
+                    self.targets.len()
+                ));
+            }
+            bests.push(match &ts.best {
                 Some((e, acc, json)) => {
                     let derived = DerivedArch::from_json(json).map_err(|err| {
                         TensorError::InvalidArgument(format!(
@@ -504,22 +660,48 @@ impl SweepSearch {
                     Some((*e, *acc, derived))
                 }
                 None => None,
-            };
+            });
+        }
+        // The optimizers are local to this run, so importing into them
+        // before the commit below changes no search state.
+        w_opt.import_state(snap.sgd_velocity.clone())?;
+        for (a_opt, ts) in a_opts.iter_mut().zip(&snap.targets) {
+            a_opt.import_state(ts.adam.clone())?;
+        }
+        for (p, w) in params.iter().zip(&snap.weights) {
+            p.set_value(w.clone());
+        }
+        for (bn, (mean, var)) in bns.iter().zip(&snap.bn_stats) {
+            bn.set_running_stats(mean.clone(), var.clone())?;
+        }
+        rng.restore_state_words(snap.rng);
+        for ((state, ts), best) in self.targets.iter_mut().zip(&snap.targets).zip(bests) {
+            state.arch.restore(&ts.arch)?;
+            if let (Some(stream), Some(words)) = (&mut state.stream, ts.rng) {
+                stream.set_state(words);
+            }
+            state.history.clone_from(&ts.history);
+            state.front.clone_from(&ts.front);
+            state.best = best;
         }
         Ok(())
     }
 
+    /// Writes the epoch snapshot into the checkpoint directory and prunes
+    /// this run's old ones down to the retention limit.
     fn write_checkpoint(&self, dir: &Path, snap: &SweepSnapshot) -> Result<()> {
         std::fs::create_dir_all(dir).map_err(|e| {
             TensorError::InvalidArgument(format!("create checkpoint dir {}: {e}", dir.display()))
         })?;
-        snap.save(&dir.join(SweepSnapshot::file_name(snap.epoch)))?;
-        crate::checkpoint::prune_sweep_snapshots(dir, self.ckpt_keep)
+        let run = self.run_name();
+        snap.save(&dir.join(SweepSnapshot::file_name(&run, snap.epoch)))?;
+        prune_sweep_snapshots(dir, &run, self.ckpt_keep)
             .map_err(|e| TensorError::InvalidArgument(format!("prune checkpoints: {e}")))?;
         Ok(())
     }
 
-    /// Runs the full sweep over the given train/validation splits.
+    /// Runs the full search over the given train/validation splits and
+    /// derives each target's final architecture.
     ///
     /// # Errors
     ///
@@ -534,9 +716,10 @@ impl SweepSearch {
         self.run_range(train, val, rng, self.config.epochs)
     }
 
-    /// Runs the sweep but stops after `stop_after` epochs (clamped to the
-    /// configured total); with checkpointing enabled the last executed
-    /// epoch is always snapshotted, modeling a crash boundary exactly.
+    /// Runs the search but stops after `stop_after` epochs (clamped to the
+    /// configured total), deriving from the state at that point. With
+    /// checkpointing enabled the last executed epoch is always snapshotted,
+    /// so a partial run models a crash-and-resume boundary exactly.
     ///
     /// # Errors
     ///
@@ -551,7 +734,6 @@ impl SweepSearch {
         self.run_range(train, val, rng, stop_after.min(self.config.epochs))
     }
 
-    #[allow(clippy::too_many_lines)]
     fn run_range<R: SearchRng + ?Sized>(
         &mut self,
         train: &[Batch],
@@ -559,7 +741,6 @@ impl SweepSearch {
         rng: &mut R,
         end: usize,
     ) -> Result<SweepOutcome> {
-        let num_targets = self.targets.len();
         let mut w_opt = Sgd::new(
             self.supernet.weight_params(),
             self.config.weight_lr,
@@ -571,14 +752,17 @@ impl SweepSearch {
             .iter()
             .map(|t| Adam::new(t.arch.all_params(), self.config.arch_lr))
             .collect();
-        let train_inputs: Vec<Tensor> = train
-            .iter()
-            .map(|b| Tensor::constant(b.images.clone()))
-            .collect();
-        let val_inputs: Vec<Tensor> = val
-            .iter()
-            .map(|b| Tensor::constant(b.images.clone()))
-            .collect();
+        // Input tensors are constants shared across every epoch: wrap each
+        // batch once here instead of deep-cloning the pixel data per step.
+        // Constants never require grad, so graphs only borrow them.
+        let constants = |batches: &[Batch]| -> Vec<Tensor> {
+            batches
+                .iter()
+                .map(|b| Tensor::constant(b.images.clone()))
+                .collect()
+        };
+        let train_inputs = constants(train);
+        let val_inputs = constants(val);
         let mut start = 0usize;
         if let Some(snap) = self.pending_resume.take() {
             self.apply_snapshot(&snap, &mut w_opt, &mut a_opts, rng)?;
@@ -586,144 +770,30 @@ impl SweepSearch {
         }
         for epoch in start..end {
             let tau = self.tau_at(epoch);
-
-            // ---- Shared weight phase (driver thread, shared RNG). Each
-            // batch's path is sampled from one target's arch distribution,
-            // round-robin, so every target steers the shared weights.
-            self.supernet.set_training(true);
-            for state in &mut self.targets {
-                state.train_loss_sum = 0.0;
-                state.train_acc_sum = 0.0;
-                state.train_seen = 0;
-            }
-            let weight_span = telemetry::span("sweep.weight_phase");
-            let weight_start = Instant::now();
-            for (i, (batch, x)) in train.iter().zip(&train_inputs).enumerate() {
-                let state = &mut self.targets[(epoch + i) % num_targets];
-                w_opt.zero_grad();
-                let (logits, _) = self.supernet.forward_sampled(x, &state.arch, tau, rng)?;
-                let loss = logits.cross_entropy(&batch.labels)?;
-                loss.backward();
-                if let Some(max_norm) = self.config.clip_grad_norm {
-                    edd_tensor::optim::clip_grad_norm(w_opt.params(), max_norm);
-                }
-                w_opt.step();
-                edd_tensor::scratch::reset();
-                let b = batch.labels.len();
-                state.train_loss_sum += loss.item() * b as f32;
-                state.train_acc_sum += accuracy(&logits.value(), &batch.labels) * b as f32;
-                state.train_seen += b;
-            }
-            let weight_ms = weight_start.elapsed().as_secs_f64() * 1e3;
-            drop(weight_span);
-            telemetry::counter("sweep.weight_steps", train.len() as u64);
-
-            // ---- Parallel per-target arch + val + derive phase. The
-            // supernet is frozen: batch-norm running statistics do not
-            // drift during arch steps (deviation from the single-target
-            // loop, documented above), so tasks share no mutable state
-            // except lock-protected, discarded weight gradients.
-            self.supernet.set_training(false);
+            let (sums, weight_ms) =
+                self.weight_phase((train, &train_inputs), &mut w_opt, epoch, tau, rng)?;
             let do_arch = epoch >= self.config.warmup_epochs;
-            {
-                let supernet = &self.supernet;
-                let space = &self.space;
-                let config = &self.config;
-                let slots: Vec<Mutex<(&mut TargetState, &mut Adam)>> = self
-                    .targets
-                    .iter_mut()
-                    .zip(a_opts.iter_mut())
-                    .map(Mutex::new)
-                    .collect();
-                let errors: Vec<Mutex<Option<TensorError>>> =
-                    (0..num_targets).map(|_| Mutex::new(None)).collect();
-                edd_tensor::kernel::pool::run(num_targets, &|t| {
-                    let mut slot = slots[t].lock().expect("sweep slot poisoned");
-                    let (state, a_opt) = &mut *slot;
-                    let span = telemetry::span(target_span_name(&state.target));
-                    let arch_start = Instant::now();
-                    let result = run_target_epoch(
-                        supernet,
-                        space,
-                        config,
-                        state,
-                        a_opt,
-                        val,
-                        &val_inputs,
-                        train,
-                        &train_inputs,
-                        epoch,
-                        tau,
-                        do_arch,
-                    );
-                    state.scratch_arch_ms = arch_start.elapsed().as_secs_f64() * 1e3;
-                    drop(span);
-                    edd_tensor::scratch::reset();
-                    if let Err(e) = result {
-                        *errors[t].lock().expect("sweep error slot poisoned") = Some(e);
-                    }
-                });
-                for e in &errors {
-                    if let Some(err) = e.lock().expect("sweep error slot poisoned").take() {
-                        return Err(err);
-                    }
-                }
-            }
+            let arch: (&[Batch], &[Tensor]) = if !do_arch {
+                (&[], &[])
+            } else if self.config.bilevel {
+                (val, &val_inputs)
+            } else {
+                (train, &train_inputs)
+            };
+            let val = (val, &val_inputs[..]);
+            let done = if self.targets.len() == 1 {
+                vec![self.solo_epoch(&mut a_opts[0], arch, val, epoch, tau, rng)?]
+            } else {
+                self.parallel_epochs(&mut a_opts, arch, val, epoch, tau)?
+            };
             telemetry::counter("sweep.epochs", 1);
             if do_arch {
-                let arch_batches = if self.config.bilevel {
-                    val.len()
-                } else {
-                    train.len()
-                };
-                telemetry::counter("sweep.arch_steps", (arch_batches * num_targets) as u64);
-            }
-
-            // ---- Merge scratch results (driver thread, target order, so
-            // telemetry and history are deterministic).
-            if telemetry::enabled() {
-                telemetry::event(
-                    "sweep.epoch",
-                    &[
-                        ("epoch", Value::U64(epoch as u64)),
-                        ("tau", Value::F32(tau)),
-                        ("weight_ms", Value::F64(weight_ms)),
-                        ("targets", Value::U64(num_targets as u64)),
-                    ],
+                telemetry::counter(
+                    "sweep.arch_steps",
+                    (arch.0.len() * self.targets.len()) as u64,
                 );
             }
-            for state in &mut self.targets {
-                let record = state
-                    .scratch_record
-                    .take()
-                    .expect("target epoch not recorded");
-                let point = state.scratch_point.take().expect("target epoch not scored");
-                if telemetry::enabled() {
-                    telemetry::event(EPOCH_EVENT, &epoch_fields(&record));
-                    telemetry::event(
-                        "sweep.target",
-                        &[
-                            ("target", Value::Str(state.key.to_owned())),
-                            ("epoch", Value::U64(epoch as u64)),
-                            ("val_acc", Value::F32(record.val_acc)),
-                            ("perf_ms", Value::F64(point.perf_ms)),
-                            ("resource", Value::F64(point.resource)),
-                            ("arch_ms", Value::F64(state.scratch_arch_ms)),
-                        ],
-                    );
-                }
-                if state
-                    .best
-                    .as_ref()
-                    .is_none_or(|(_, acc, _)| record.val_acc > *acc)
-                {
-                    let derived = DerivedArch::from_params(&self.space, &state.target, &state.arch);
-                    state.best = Some((epoch, record.val_acc, derived));
-                }
-                state.front = pareto::merge(&state.front, std::slice::from_ref(&point));
-                state.history.push(record);
-            }
-
+            self.merge_epoch(epoch, tau, weight_ms, &sums, done);
             if let Some(dir) = self.ckpt_dir.clone() {
                 let periodic = self.ckpt_every > 0 && (epoch + 1).is_multiple_of(self.ckpt_every);
                 if periodic || epoch + 1 == end {
@@ -733,7 +803,7 @@ impl SweepSearch {
             }
         }
 
-        let mut outcomes = Vec::with_capacity(num_targets);
+        let mut outcomes = Vec::with_capacity(self.targets.len());
         for state in &self.targets {
             let derived = DerivedArch::from_params(&self.space, &state.target, &state.arch);
             let (best_epoch, _, best_derived) =
@@ -754,106 +824,220 @@ impl SweepSearch {
         }
         Ok(SweepOutcome { targets: outcomes })
     }
+
+    /// The shared weight phase: one SGD step per training batch, each on a
+    /// path sampled from target `(epoch + i) mod T`'s distribution with the
+    /// driver RNG. Returns each target's sums and the phase's wall time in
+    /// ms.
+    fn weight_phase<R: Rng + ?Sized>(
+        &self,
+        (batches, inputs): (&[Batch], &[Tensor]),
+        w_opt: &mut Sgd,
+        epoch: usize,
+        tau: f32,
+        rng: &mut R,
+    ) -> Result<(Vec<TrainSums>, f64)> {
+        self.supernet.set_training(true);
+        let mut sums = vec![TrainSums::default(); self.targets.len()];
+        let span = telemetry::span(self.weight_span);
+        let start = Instant::now();
+        for (i, (batch, x)) in batches.iter().zip(inputs).enumerate() {
+            let t = (epoch + i) % self.targets.len();
+            w_opt.zero_grad();
+            let (logits, _) = self
+                .supernet
+                .forward_sampled(x, &self.targets[t].arch, tau, rng)?;
+            let loss = logits.cross_entropy(&batch.labels)?;
+            loss.backward();
+            if let Some(max_norm) = self.config.clip_grad_norm {
+                edd_tensor::optim::clip_grad_norm(w_opt.params(), max_norm);
+            }
+            w_opt.step();
+            // Scratch buffers are step-scoped; reclaim the arena.
+            edd_tensor::scratch::reset();
+            let b = batch.labels.len();
+            sums[t].loss += loss.item() * b as f32;
+            sums[t].acc += accuracy(&logits.value(), &batch.labels) * b as f32;
+            sums[t].seen += b;
+        }
+        let ms = start.elapsed().as_secs_f64() * 1e3;
+        drop(span);
+        telemetry::counter("sweep.weight_steps", batches.len() as u64);
+        Ok((sums, ms))
+    }
+
+    /// `T = 1`, the paper's step: arch steps on the driver thread with the
+    /// driver RNG and batch norm still in training mode, then eval-mode
+    /// validation.
+    fn solo_epoch<R: Rng + ?Sized>(
+        &self,
+        a_opt: &mut Adam,
+        arch: (&[Batch], &[Tensor]),
+        val: (&[Batch], &[Tensor]),
+        epoch: usize,
+        tau: f32,
+        rng: &mut R,
+    ) -> Result<TargetEpoch> {
+        let (state, net, loss) = (&self.targets[0], &self.supernet, &self.config.loss);
+        let start = Instant::now();
+        let span = telemetry::span("search.arch_phase");
+        let steps = state.arch_steps(net, &self.space, loss, a_opt, arch, tau, rng)?;
+        drop(span);
+        net.set_training(false);
+        let span = telemetry::span("search.val_phase");
+        let val_acc = validate(net, &state.arch, val)?;
+        drop(span);
+        state.score(&self.space, epoch, steps, val_acc, start)
+    }
+
+    /// `T > 1`: the supernet frozen, and one task per target fanned out
+    /// over the pool, each on the target's own RNG stream.
+    fn parallel_epochs(
+        &mut self,
+        a_opts: &mut [Adam],
+        arch: (&[Batch], &[Tensor]),
+        val: (&[Batch], &[Tensor]),
+        epoch: usize,
+        tau: f32,
+    ) -> Result<Vec<TargetEpoch>> {
+        self.supernet.set_training(false);
+        let (net, space, loss) = (&self.supernet, &self.space, &self.config.loss);
+        let slots: Vec<_> = self
+            .targets
+            .iter_mut()
+            .zip(a_opts.iter_mut())
+            .map(|(state, a_opt)| Mutex::new((state, a_opt, None)))
+            .collect();
+        edd_tensor::kernel::pool::run(slots.len(), &|t| {
+            let mut slot = slots[t].lock().expect("sweep slot poisoned");
+            let (state, a_opt, done) = &mut *slot;
+            let mut stream = state
+                .stream
+                .take()
+                .expect("every target of a multi-target search has a stream");
+            let span = telemetry::span(target_span_name(&state.target));
+            let start = Instant::now();
+            let result = state
+                .arch_steps(net, space, loss, a_opt, arch, tau, &mut stream)
+                .and_then(|steps| {
+                    let val_acc = validate(net, &state.arch, val)?;
+                    state.score(space, epoch, steps, val_acc, start)
+                });
+            drop(span);
+            state.stream = Some(stream);
+            edd_tensor::scratch::reset();
+            *done = Some(result);
+        });
+        slots
+            .into_iter()
+            .map(|slot| {
+                let (_, _, done) = slot.into_inner().expect("sweep slot poisoned");
+                done.expect("the pool runs every task")
+            })
+            .collect()
+    }
+
+    /// Records each target's epoch on the driver thread, in target order,
+    /// so telemetry and history are deterministic.
+    fn merge_epoch(
+        &mut self,
+        epoch: usize,
+        tau: f32,
+        weight_ms: f64,
+        sums: &[TrainSums],
+        done: Vec<TargetEpoch>,
+    ) {
+        if telemetry::enabled() {
+            telemetry::event(
+                "sweep.epoch",
+                &[
+                    ("epoch", Value::U64(epoch as u64)),
+                    ("tau", Value::F32(tau)),
+                    ("weight_ms", Value::F64(weight_ms)),
+                    ("targets", Value::U64(self.targets.len() as u64)),
+                ],
+            );
+        }
+        for ((state, sums), done) in self.targets.iter_mut().zip(sums).zip(done) {
+            let record = EpochRecord {
+                target: state.key.to_owned(),
+                epoch,
+                train_loss: sums.loss / sums.seen.max(1) as f32,
+                train_acc: sums.acc / sums.seen.max(1) as f32,
+                val_acc: done.point.val_acc,
+                expected_perf: done.expected_perf,
+                expected_res: done.expected_res,
+                tau,
+            };
+            if telemetry::enabled() {
+                let mut fields = epoch_fields(&record).to_vec();
+                let penalty = res_penalty_scalar(
+                    record.expected_res,
+                    state.target.resource_bound(),
+                    &self.config.loss,
+                );
+                fields.push(("res_penalty", Value::F32(penalty)));
+                let digest = fnv1a_hex(done.point.arch_json.as_bytes());
+                fields.push(("arch_digest", Value::Str(digest)));
+                telemetry::event(EPOCH_EVENT, &fields);
+                telemetry::event(
+                    "sweep.target",
+                    &[
+                        ("target", Value::Str(state.key.to_owned())),
+                        ("epoch", Value::U64(epoch as u64)),
+                        ("val_acc", Value::F32(record.val_acc)),
+                        ("perf_ms", Value::F64(done.point.perf_ms)),
+                        ("resource", Value::F64(done.point.resource)),
+                        ("arch_ms", Value::F64(done.ms)),
+                    ],
+                );
+            }
+            if state
+                .best
+                .as_ref()
+                .is_none_or(|(_, acc, _)| record.val_acc > *acc)
+            {
+                state.best = Some((epoch, record.val_acc, done.derived));
+            }
+            state.front = pareto::merge(&state.front, std::slice::from_ref(&done.point));
+            state.history.push(record);
+        }
+        emit_kernel_gauges();
+    }
 }
 
-/// One target's share of an epoch, run as a pool task: arch steps (when
-/// past warmup), argmax validation, derivation, and hardware scoring.
-/// Touches only `state`/`a_opt` plus the frozen supernet; fills
-/// `state.scratch_record` / `state.scratch_point`.
-#[allow(clippy::too_many_arguments)]
-fn run_target_epoch(
+/// Argmax validation accuracy of `arch` (supernet in eval mode).
+fn validate(
     supernet: &SuperNet,
-    space: &SearchSpace,
-    config: &CoSearchConfig,
-    state: &mut TargetState,
-    a_opt: &mut Adam,
-    val: &[Batch],
-    val_inputs: &[Tensor],
-    train: &[Batch],
-    train_inputs: &[Tensor],
-    epoch: usize,
-    tau: f32,
-    do_arch: bool,
-) -> Result<()> {
-    let mut expected_perf = 0.0;
-    let mut expected_res = 0.0;
-    if do_arch {
-        let (arch_batches, arch_inputs) = if config.bilevel {
-            (val, val_inputs)
-        } else {
-            (train, train_inputs)
-        };
-        let mut arch_steps = 0usize;
-        for (batch, x) in arch_batches.iter().zip(arch_inputs) {
-            // Clears stale gradients on this target's arch leaves; the
-            // shared weight leaves are NOT zeroed here (that would race
-            // with sibling tasks) — the weight phase zeroes them before
-            // every read.
-            a_opt.zero_grad();
-            let (logits, _) = supernet.forward_sampled(x, &state.arch, tau, &mut state.rng)?;
-            let acc_loss = logits.cross_entropy(&batch.labels)?;
-            let est = estimate(
-                &state.arch,
-                &state.tables,
-                space,
-                &state.target,
-                tau,
-                &mut state.rng,
-            )?;
-            let total = edd_loss(
-                &acc_loss,
-                &est.perf,
-                &est.res,
-                state.target.resource_bound(),
-                &config.loss,
-            )?;
-            total.backward();
-            a_opt.step();
-            edd_tensor::scratch::reset();
-            expected_perf += est.perf.item();
-            expected_res += est.res.item();
-            arch_steps += 1;
-        }
-        if arch_steps > 0 {
-            expected_perf /= arch_steps as f32;
-            expected_res /= arch_steps as f32;
-        }
+    arch: &ArchParams,
+    (batches, inputs): (&[Batch], &[Tensor]),
+) -> Result<f32> {
+    let mut acc = 0.0;
+    let mut seen = 0usize;
+    for (batch, x) in batches.iter().zip(inputs) {
+        let logits = supernet.forward_argmax(x, arch)?;
+        acc += accuracy(&logits.value(), &batch.labels) * batch.labels.len() as f32;
+        seen += batch.labels.len();
     }
+    Ok(acc / seen.max(1) as f32)
+}
 
-    // Argmax validation (supernet already in eval mode).
-    let mut val_acc = 0.0;
-    let mut val_seen = 0usize;
-    for (batch, x) in val.iter().zip(val_inputs) {
-        let logits = supernet.forward_argmax(x, &state.arch)?;
-        val_acc += accuracy(&logits.value(), &batch.labels) * batch.labels.len() as f32;
-        val_seen += batch.labels.len();
+/// Samples the kernel runtime's counters into telemetry gauges.
+fn emit_kernel_gauges() {
+    if !telemetry::enabled() {
+        return;
     }
-    let epoch_val_acc = val_acc / val_seen.max(1) as f32;
-
-    let derived = DerivedArch::from_params(space, &state.target, &state.arch);
-    let arch_json = derived.to_json().map_err(|err| {
-        TensorError::InvalidArgument(format!("serialize derived architecture: {err}"))
-    })?;
-    let point = hw_point(&state.target, &derived)?;
-    state.scratch_point = Some(ParetoPoint {
-        target: state.key.to_owned(),
-        epoch,
-        val_acc: epoch_val_acc,
-        perf_ms: point.perf_ms,
-        resource: point.resource_dsps,
-        arch_json,
-    });
-    state.scratch_record = Some(EpochRecord {
-        target: state.key.to_owned(),
-        epoch,
-        train_loss: state.train_loss_sum / state.train_seen.max(1) as f32,
-        train_acc: state.train_acc_sum / state.train_seen.max(1) as f32,
-        val_acc: epoch_val_acc,
-        expected_perf,
-        expected_res,
-        tau,
-    });
-    Ok(())
+    let stats = edd_tensor::stats::snapshot();
+    if let Some(util) = stats.pool_utilization() {
+        telemetry::gauge("kernel.pool_utilization", util);
+    }
+    telemetry::gauge("kernel.pool_tasks", stats.pool_tasks);
+    telemetry::gauge("kernel.pool_parallel_jobs", stats.pool_parallel_jobs);
+    telemetry::gauge("kernel.pool_inline_jobs", stats.pool_inline_jobs);
+    telemetry::gauge(
+        "kernel.scratch_high_water_bytes",
+        stats.scratch_high_water_bytes,
+    );
 }
 
 #[cfg(test)]
@@ -1017,11 +1201,75 @@ mod tests {
             DeviceTarget::FpgaRecursive(FpgaDevice::zcu102()),
         ];
         let mut b = SweepSearch::new(space, two, config, &mut rng2).unwrap();
+        // The directory holds no snapshot of this target list, and the
+        // other list's file, passed by path, fails the fingerprint.
         let err = b.resume_from(&dir).unwrap_err();
         assert!(
-            err.to_string().contains("different sweep configuration"),
+            err.to_string()
+                .contains("no ckpt-gpu+fpga-recursive-*.edds"),
             "{err}"
         );
+        let file = dir.join(SweepSnapshot::file_name(
+            "gpu+fpga-recursive+fpga-pipelined",
+            0,
+        ));
+        let err = b.resume_from(&file).unwrap_err();
+        assert!(
+            err.to_string().contains("different search configuration"),
+            "{err}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn resume_rejects_hostile_snapshots_before_changing_state() {
+        let dir = std::env::temp_dir().join(format!("edd-sweep-hostile-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (mut a, train, val, mut rng) = tiny_sweep();
+        a.checkpoint_into(&dir);
+        a.run_until(&train, &val, &mut rng, 1).unwrap();
+        let file = dir.join(SweepSnapshot::file_name(
+            "gpu+fpga-recursive+fpga-pipelined",
+            0,
+        ));
+        let good = SweepSnapshot::load(&file).unwrap();
+
+        // Each edit keeps the fingerprint, and `save` writes a fresh CRC, so
+        // only the checks on apply stand between the file and the search.
+        let mut flat = good.clone();
+        let w = &flat.weights[0];
+        flat.weights[0] = edd_tensor::Array::from_vec(w.data().to_vec(), &[w.len()]).unwrap();
+        let mut no_bn = good.clone();
+        no_bn.bn_stats.pop();
+        let mut renamed = good.clone();
+        renamed.targets[2].key = "dedicated".into();
+        let mut no_stream = good;
+        no_stream.targets[1].rng = None;
+        for (snap, want) in [
+            (flat, "weight 0 has shape [432]"),
+            (no_bn, "batch-norm layers"),
+            (renamed, "target `dedicated`"),
+            (no_stream, "target `fpga-recursive`"),
+        ] {
+            snap.save(&file).unwrap();
+            let (mut b, train, val, mut rng) = tiny_sweep();
+            let before: Vec<Vec<f32>> = b
+                .supernet
+                .weight_params()
+                .iter()
+                .map(|p| p.value().data().to_vec())
+                .collect();
+            b.resume_from(&dir).unwrap();
+            let err = b.run(&train, &val, &mut rng).unwrap_err();
+            assert!(err.to_string().contains(want), "{err}");
+            let after: Vec<Vec<f32>> = b
+                .supernet
+                .weight_params()
+                .iter()
+                .map(|p| p.value().data().to_vec())
+                .collect();
+            assert_eq!(before, after, "a rejected snapshot changed the weights");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

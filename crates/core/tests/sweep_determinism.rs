@@ -2,7 +2,7 @@
 //! byte-identical per-target derived architectures, Pareto fronts, and
 //! epoch histories (a) for any logical thread count — the parallel
 //! per-target arch phase fans out over the worker pool — and (b) across a
-//! kill/resume boundary through a `sweep-*.edds` snapshot. The bytes are
+//! kill/resume boundary through a `ckpt-<targets>-*.edds` snapshot. The bytes are
 //! also pinned to a golden hash: the sweep's arch steps run with batch
 //! norm frozen, so this is the float stack's pin for eval-mode batch norm
 //! forward and backward (`golden_search.rs` pins a single-target search).

@@ -40,8 +40,13 @@ cargo test --locked -q -p edd-zoo --test artifact_serve
 # Sweep leg: a 3-target sweep (shared weight phase, per-target arch steps
 # fanned over the pool) must produce byte-identical per-target derived
 # architectures, Pareto fronts, and histories across 4-vs-1 worker
-# threads and across a kill/resume through a sweep-*.edds snapshot.
+# threads and across a kill/resume through a ckpt-<targets>-*.edds
+# snapshot.
 cargo test --locked -q -p edd-core --test sweep_determinism
+# Single-target resume leg: the same driver with one target (the paper's
+# loop, as CoSearch runs it) killed after epoch 2 of 4 and resumed through
+# its snapshot must finish byte-identically at 1 and 7 threads.
+cargo test --locked -q -p edd-core --test checkpoint_resume
 # Pulse leg: streaming (pulsed) execution of every tiny-zoo engine, under
 # every pass configuration, must match the batch engine bit for bit on
 # identical sliding windows, a
@@ -57,9 +62,9 @@ cargo test --locked -q -p edd-zoo --test golden_outputs
 # EDD_GEMM=generic) must equal the counts the test derives from the
 # dispatch mode, so a fall back to the scalar pack fails an exact check.
 cargo test --locked -q -p edd-zoo --test pack_bytes
-# Float-stack golden leg: a small CoSearch's result bytes and eval-mode
-# logits must hash to the pinned values (the sweep's pin runs in the sweep
-# leg above).
+# Float-stack golden leg: a one-target search's result bytes and eval-mode
+# logits must hash to the pinned values (the 3-target sweep's pin runs in
+# the sweep leg above).
 cargo test --locked -q -p edd-core --test golden_search
 
 echo "DETERMINISM_RESULT: PASS"

@@ -148,7 +148,6 @@ fn cmd_search(args: &Args) -> Result<(), String> {
     let ckpt_dir = args.flags.get("checkpoint-dir").cloned();
     let ckpt_every = args.get_usize("checkpoint-every", 1)?;
     let ckpt_keep = args.get_usize("checkpoint-keep", 3)?;
-    let ckpt_label = args.get_str("checkpoint-label", "");
     let resume = args.flags.get("resume").cloned();
     let tracing = install_trace_sink(args)?;
 
@@ -179,11 +178,8 @@ fn cmd_search(args: &Args) -> Result<(), String> {
         search
             .checkpoint_into(dir)
             .checkpoint_every(ckpt_every)
-            .checkpoint_keep(ckpt_keep)
-            .checkpoint_label(&ckpt_label);
+            .checkpoint_keep(ckpt_keep);
         println!("checkpointing into {dir} (every {ckpt_every} epoch(s), keep {ckpt_keep})");
-    } else if !ckpt_label.is_empty() {
-        search.checkpoint_label(&ckpt_label);
     }
     if let Some(path) = &resume {
         search
@@ -896,7 +892,7 @@ fn cmd_devices() {
 }
 
 const USAGE: &str = "usage: edd <search|sweep|eval|compile|qinfer|serve|stream|zoo|devices> [--flags]\n\
-  search  --target gpu|fpga-recursive|fpga-pipelined|dedicated \\\n          --blocks N --classes C --epochs E --seed S --out FILE \\\n          --checkpoint-dir DIR --checkpoint-every N --checkpoint-keep K \\\n          --checkpoint-label L --resume PATH --trace-out FILE.jsonl\n\
+  search  --target gpu|fpga-recursive|fpga-pipelined|dedicated \\\n          --blocks N --classes C --epochs E --seed S --out FILE \\\n          --checkpoint-dir DIR --checkpoint-every N --checkpoint-keep K \\\n          --resume PATH --trace-out FILE.jsonl\n\
   sweep   --targets gpu,fpga-recursive,fpga-pipelined \\\n          --blocks N --classes C --epochs E --seed S --out-prefix P \\\n          --checkpoint-dir DIR --checkpoint-every N --checkpoint-keep K \\\n          --resume PATH --stop-after N --trace-out FILE.jsonl\n\
   eval    --arch FILE\n\
   compile --arch FILE --out FILE.eddm --passes all|none|name,... \\\n          --batch N --batches K --qat-epochs E --seed S\n\
@@ -906,14 +902,14 @@ const USAGE: &str = "usage: edd <search|sweep|eval|compile|qinfer|serve|stream|z
   zoo\n\
   devices\n\
 \n\
-  --checkpoint-dir   write crash-safe search snapshots into DIR after each\n\
-                     qualifying epoch (search-<epoch>.edds)\n\
+  --checkpoint-dir   write crash-safe snapshots into DIR after each qualifying\n\
+                     epoch, named after the targets: ckpt-<target>-<epoch>.edds\n\
+                     for search, ckpt-<t1>+<t2>+...-<epoch>.edds for sweep, so\n\
+                     runs over different targets can share one directory\n\
   --checkpoint-every snapshot cadence in epochs (default 1; 0 = final only)\n\
-  --checkpoint-keep  retain only the newest K snapshots (default 3)\n\
-  --checkpoint-label tag snapshot names (search-<L>-<epoch>.edds) so several\n\
-                     searches can share one checkpoint directory\n\
+  --checkpoint-keep  retain only the run's newest K snapshots (default 3)\n\
   --resume           continue bit-identically from a snapshot file, or from\n\
-                     the newest snapshot in a checkpoint directory\n\
+                     the run's newest snapshot in a checkpoint directory\n\
   --trace-out        stream structured telemetry (epoch metrics, phase\n\
                      timings, kernel counters) as JSON lines to FILE\n\
   --passes           IR optimization passes for compile: all (default),\n\
@@ -925,7 +921,7 @@ const USAGE: &str = "usage: edd <search|sweep|eval|compile|qinfer|serve|stream|z
   architecture steps run in parallel, and each target accumulates a Pareto\n\
   front over (val acc, ms/frame, DSPs). Writes one derived-arch JSON per\n\
   target (P-<target>.json) plus a cross-target summary (P-pareto.json);\n\
-  one sweep-<epoch>.edds snapshot resumes the whole sweep bit-identically.\n\
+  one snapshot per epoch resumes the whole sweep bit-identically.\n\
 \n\
   compile QAT-trains and calibrates an architecture, lowers it through\n\
   the edd-ir pass pipeline, and writes a CRC-checked .eddm artifact that\n\

@@ -179,3 +179,114 @@ fn eval_missing_file_fails() {
         .expect("runs");
     assert!(!out.status.success());
 }
+
+/// Runs `edd` with `args`, failing the test with its stderr if it fails.
+fn run_ok(args: &[&str]) {
+    let out = edd().args(args).output().expect("runs");
+    assert!(
+        out.status.success(),
+        "edd {args:?} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+#[test]
+fn search_and_sweep_checkpoints_share_a_directory() {
+    let tmp = std::env::temp_dir().join(format!("edd_cli_ckpt_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&tmp);
+    std::fs::create_dir_all(&tmp).unwrap();
+    let path = |name: &str| tmp.join(name).to_str().unwrap().to_owned();
+    let (dir, full, resumed) = (path("ckpts"), path("full"), path("resumed"));
+    let sweep = |out: &str, extra: &[&str]| {
+        let mut args = vec![
+            "sweep",
+            "--targets",
+            "gpu,fpga-pipelined",
+            "--blocks",
+            "2",
+            "--classes",
+            "4",
+            "--epochs",
+            "3",
+            "--checkpoint-keep",
+            "1",
+            "--out-prefix",
+            out,
+        ];
+        args.extend_from_slice(extra);
+        run_ok(&args);
+    };
+
+    // An uninterrupted reference sweep. Then, in one directory, the same
+    // sweep stops after 2 of its 3 epochs, a single-target search
+    // checkpoints beside it, and the sweep resumes from the directory.
+    sweep(&full, &[]);
+    sweep(&resumed, &["--stop-after", "2", "--checkpoint-dir", &dir]);
+    run_ok(&[
+        "search",
+        "--target",
+        "fpga-recursive",
+        "--blocks",
+        "2",
+        "--classes",
+        "4",
+        "--epochs",
+        "2",
+        "--checkpoint-dir",
+        &dir,
+        "--out",
+        &path("search.json"),
+    ]);
+    sweep(&resumed, &["--checkpoint-dir", &dir, "--resume", &dir]);
+
+    let pareto = |p: &str| std::fs::read(format!("{p}-pareto.json")).unwrap();
+    assert_eq!(
+        pareto(&full),
+        pareto(&resumed),
+        "the resumed sweep's Pareto JSON differs from the uninterrupted sweep's"
+    );
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    assert_eq!(
+        names,
+        [
+            "ckpt-fpga-recursive-00000000.edds",
+            "ckpt-fpga-recursive-00000001.edds",
+            "ckpt-gpu+fpga-pipelined-00000002.edds",
+        ],
+        "the sweep's retention must prune only its own files"
+    );
+    std::fs::remove_dir_all(&tmp).unwrap();
+}
+
+#[test]
+fn resume_rejects_an_earlier_snapshot_schema() {
+    use edd::runtime::snapshot::{write_atomic, ByteWriter, SectionWriter};
+    // A single-target search snapshot as the previous format wrote it: its
+    // meta section opens with schema version 2.
+    let mut meta = ByteWriter::new();
+    meta.put_u32(2);
+    meta.put_str("space=edd-tiny-2");
+    meta.put_u64(0);
+    for word in [1u64, 2, 3, 4] {
+        meta.put_u64(word);
+    }
+    let mut sections = SectionWriter::new();
+    sections.add("meta", &meta.into_bytes());
+    let path = std::env::temp_dir().join(format!("edd_cli_old_schema_{}.edds", std::process::id()));
+    write_atomic(&path, &sections.into_payload()).unwrap();
+
+    let out = edd()
+        .args(["search", "--target", "fpga-recursive", "--blocks", "2"])
+        .args(["--classes", "4", "--epochs", "2", "--resume"])
+        .arg(&path)
+        .output()
+        .expect("runs");
+    std::fs::remove_file(&path).ok();
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("schema version 2"), "stderr: {err}");
+}
