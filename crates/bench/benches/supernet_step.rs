@@ -99,9 +99,9 @@ criterion_group!(
 );
 
 fn main() {
-    // Zero the kernel counters so the record below reflects only this
-    // bench run, then snapshot them next to the timing records.
+    // Zero the kernel counters so the lines below reflect only this
+    // bench run, then print them after the timing lines.
     edd_tensor::stats::reset();
     benches();
-    edd_bench::write_kernel_counters_record();
+    edd_bench::print_kernel_counters();
 }

@@ -1,12 +1,16 @@
 //! Criterion micro-benchmarks of the autodiff substrate: the dense kernels
 //! (GEMM, im2col convolution, depthwise convolution, batch norm) that
 //! dominate supernet training time, in both forward and backward modes,
-//! plus the int8 engine's pointwise-convolution path.
+//! plus the int8 engine's pointwise-convolution path and one pushed row of
+//! pulsed streaming.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use edd_ir::{PassConfig, PulsedModel};
 use edd_nn::qlayers::{QConv2d, QConvSource, QConvSpec, QTensor};
+use edd_runtime::StreamSession;
 use edd_tensor::kernel::pack;
 use edd_tensor::{Array, Tensor};
+use edd_zoo::{compile_tiny_zoo, synthetic_signal};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -207,6 +211,32 @@ fn bench_qconv_pointwise(c: &mut Criterion) {
     group.finish();
 }
 
+/// µs per pulse: one row pushed through each tiny-zoo engine's pulsed
+/// twin at hop h/2. A window and a hop of warm-up first prime every ring
+/// and start windows cycling; the rows then loop over a fixed signal.
+fn bench_stream_push(c: &mut Criterion) {
+    let mut group = c.benchmark_group("pulse_push");
+    for (name, model, _) in compile_tiny_zoo(0x0DD5EED, &PassConfig::all()) {
+        let g = model.graph();
+        let [ch, h, w] = g.meta.input_shape;
+        let hop = h / 2;
+        let mut session = StreamSession::new(PulsedModel::from_graph(g, hop).unwrap());
+        let signal = synthetic_signal(ch, w, 4 * h, 0x5EED);
+        for row in &signal[..h + hop] {
+            session.push(row).unwrap();
+        }
+        let mut next = h + hop;
+        group.bench_function(name, |bench| {
+            bench.iter(|| {
+                let row = &signal[next % signal.len()];
+                next += 1;
+                black_box(session.push(row).unwrap())
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_matmul,
@@ -216,6 +246,7 @@ criterion_group!(
     bench_dwconv,
     bench_dwconv_backward,
     bench_batchnorm,
-    bench_qconv_pointwise
+    bench_qconv_pointwise,
+    bench_stream_push
 );
 criterion_main!(benches);

@@ -60,12 +60,10 @@ pub fn ranking_agreement(a: &[f64], b: &[f64]) -> f64 {
     concordant as f64 / total as f64
 }
 
-/// Prints the kernel-runtime counters accumulated so far and, when
-/// `EDD_BENCH_JSON` names a file, appends them as one JSONL record named
-/// `kernel_runtime_counters` — the same file the vendored criterion shim
-/// writes its timing records to, so `scripts/bench.sh` folds both into
-/// `BENCH_supernet.json`.
-pub fn write_kernel_counters_record() {
+/// Prints the kernel-runtime counters accumulated so far: worker-pool
+/// jobs, scratch high-water mark, buffer-pool traffic and GEMM selection,
+/// with the host context they were counted under.
+pub fn print_kernel_counters() {
     let stats = edd_tensor::stats::snapshot();
     let util = stats.pool_utilization().unwrap_or(0.0);
     let nproc = std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get);
@@ -101,49 +99,6 @@ pub fn write_kernel_counters_record() {
         stats.pack_panel_hits,
         stats.pack_panel_misses
     );
-    let Ok(path) = std::env::var("EDD_BENCH_JSON") else {
-        return;
-    };
-    if path.is_empty() {
-        return;
-    }
-    let line = format!(
-        "{{\"name\":\"kernel_runtime_counters\",\"pool_parallel_jobs\":{},\
-         \"pool_inline_jobs\":{},\"pool_tasks\":{},\"pool_workers_spawned\":{},\
-         \"pool_utilization\":{util:.4},\"scratch_high_water_bytes\":{},\
-         \"nproc\":{nproc},\"num_threads\":{threads},\"simd\":\"{simd}\",\
-         \"gemm\":\"{gemm}\",\
-         \"buffer_fresh_bytes\":{},\"buffer_recycled_bytes\":{},\
-         \"buffer_pool_hits\":{},\"buffer_pool_misses\":{},\
-         \"select_vecmat\":{},\"select_skinny_n\":{},\"select_square\":{},\
-         \"select_conv\":{},\"select_generic\":{},\"pack_panels_built\":{},\
-         \"pack_panel_hits\":{},\"pack_panel_misses\":{}}}\n",
-        stats.pool_parallel_jobs,
-        stats.pool_inline_jobs,
-        stats.pool_tasks,
-        stats.pool_workers_spawned,
-        stats.scratch_high_water_bytes,
-        stats.buffer_fresh_bytes,
-        stats.buffer_recycled_bytes,
-        stats.buffer_pool_hits,
-        stats.buffer_pool_misses,
-        stats.select_vecmat,
-        stats.select_skinny_n,
-        stats.select_square,
-        stats.select_conv,
-        stats.select_generic,
-        stats.pack_panels_built,
-        stats.pack_panel_hits,
-        stats.pack_panel_misses
-    );
-    use std::io::Write;
-    if let Ok(mut f) = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-    {
-        let _ = f.write_all(line.as_bytes());
-    }
 }
 
 /// Prints a horizontal rule + title for table output.

@@ -76,3 +76,8 @@ pub use space::{BlockPlan, SearchSpace};
 pub use supernet::{SampledPath, SuperNet};
 pub use sweep::{hw_point, SweepOutcome, SweepSearch, SweepTargetOutcome};
 pub use target::{DeviceTarget, PerfObjective};
+
+/// Held by the unit tests that install the process-wide telemetry sink,
+/// since tests run on parallel threads and would swap each other's sinks.
+#[cfg(test)]
+pub(crate) static TELEMETRY_SINK: std::sync::Mutex<()> = std::sync::Mutex::new(());

@@ -627,6 +627,9 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("edd-search-trace-{}.jsonl", std::process::id()));
         let sink = Arc::new(JsonlSink::create(&path).unwrap());
+        let _sink = crate::TELEMETRY_SINK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         telemetry::set_global(sink);
         let (mut search, train, val, mut rng) = tiny_search(true);
         let outcome = search.run(&train, &val, &mut rng);

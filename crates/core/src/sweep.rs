@@ -1055,6 +1055,10 @@ mod tests {
     }
 
     fn tiny_sweep() -> (SweepSearch, Vec<Batch>, Vec<Batch>, StdRng) {
+        tiny_sweep_of(sweep_targets())
+    }
+
+    fn tiny_sweep_of(targets: Vec<DeviceTarget>) -> (SweepSearch, Vec<Batch>, Vec<Batch>, StdRng) {
         let mut rng = StdRng::seed_from_u64(7);
         // Quant menu = intersection of the GPU ({8,16,32}) and FPGA
         // ({4,8,16}) menus.
@@ -1064,7 +1068,7 @@ mod tests {
             warmup_epochs: 1,
             ..CoSearchConfig::default()
         };
-        let sweep = SweepSearch::new(space, sweep_targets(), config, &mut rng).unwrap();
+        let sweep = SweepSearch::new(space, targets, config, &mut rng).unwrap();
         let data = SynthDataset::new(SynthConfig::tiny());
         let train = data.split(3, 8, 1);
         let val = data.split(2, 8, 2);
@@ -1243,13 +1247,16 @@ mod tests {
         no_bn.bn_stats.pop();
         let mut renamed = good.clone();
         renamed.targets[2].key = "dedicated".into();
-        let mut no_stream = good;
+        let mut no_stream = good.clone();
         no_stream.targets[1].rng = None;
+        let mut last_step = good;
+        last_step.targets[0].adam.t = u64::MAX;
         for (snap, want) in [
             (flat, "weight 0 has shape [432]"),
             (no_bn, "batch-norm layers"),
             (renamed, "target `dedicated`"),
             (no_stream, "target `fpga-recursive`"),
+            (last_step, "step count 18446744073709551615"),
         ] {
             snap.save(&file).unwrap();
             let (mut b, train, val, mut rng) = tiny_sweep();
@@ -1281,6 +1288,9 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("edd-sweep-trace-{}.jsonl", std::process::id()));
         let sink = Arc::new(JsonlSink::create(&path).unwrap());
+        let _sink = crate::TELEMETRY_SINK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         telemetry::set_global(sink);
         let (mut sweep, train, val, mut rng) = tiny_sweep();
         let out = sweep.run(&train, &val, &mut rng);
@@ -1298,6 +1308,51 @@ mod tests {
         // Per-target epoch records share the single-target event name.
         assert!(trace.contains("\"name\":\"search.epoch\""), "{trace}");
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The sweep's amortization claim, counted exactly: three targets
+    /// share one weight phase, so they take as many weight steps as one
+    /// target does on the same data.
+    #[test]
+    fn three_targets_take_the_weight_steps_of_one() {
+        use edd_runtime::telemetry::{Event, EventKind, Sink, Value};
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+
+        /// Sums `sweep.weight_steps` emitted on the thread that built it;
+        /// other tests' searches run on other threads.
+        struct WeightSteps(std::thread::ThreadId, AtomicU64);
+        impl Sink for WeightSteps {
+            fn emit(&self, e: &Event<'_>) {
+                if let (EventKind::Counter, "sweep.weight_steps", Some(Value::U64(n))) =
+                    (e.kind, e.name, &e.value)
+                {
+                    if std::thread::current().id() == self.0 {
+                        self.1.fetch_add(*n, Ordering::Relaxed);
+                    }
+                }
+            }
+        }
+        let steps = |targets: Vec<DeviceTarget>| {
+            let (mut sweep, train, val, mut rng) = tiny_sweep_of(targets);
+            let sink = Arc::new(WeightSteps(std::thread::current().id(), AtomicU64::new(0)));
+            let _sink = crate::TELEMETRY_SINK
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            telemetry::set_global(sink.clone());
+            let out = sweep.run(&train, &val, &mut rng);
+            telemetry::clear_global();
+            out.unwrap();
+            (sink.1.load(Ordering::Relaxed), train.len())
+        };
+        let (one, batches) = steps(sweep_targets()[..1].to_vec());
+        let (three, _) = steps(sweep_targets());
+        assert_eq!(
+            one,
+            3 * batches as u64,
+            "one weight step per batch and epoch"
+        );
+        assert_eq!(three, one, "a 3-target sweep repeats weight steps");
     }
 
     #[test]

@@ -96,6 +96,28 @@ impl ConvGeom {
     fn padded_w(&self) -> usize {
         self.in_w + 2 * self.padding
     }
+
+    /// The ring's `(base, pushed, emitted)` after `fed` real rows of a
+    /// window (`fed <= in_rows`). Every push sequence that feeds `fed`
+    /// rows reaches exactly these counters.
+    fn ring_counters(&self, fed: usize) -> (usize, usize, usize) {
+        let pushed = match fed {
+            0 => 0,
+            f if f == self.in_rows => f + 2 * self.padding,
+            f => f + self.padding,
+        };
+        let emitted = if pushed < self.kernel {
+            0
+        } else {
+            ((pushed - self.kernel) / self.stride + 1).min(self.out_h)
+        };
+        let base = if emitted == self.out_h {
+            pushed
+        } else {
+            (emitted * self.stride).min(pushed)
+        };
+        (base, pushed, emitted)
+    }
 }
 
 /// The convolution microkernel behind a strip twin.
@@ -776,7 +798,8 @@ impl PulsedState {
     }
 
     /// Restores state written by [`PulsedState::save`], validating every
-    /// decoded row length against the program geometry.
+    /// decoded row length against the program geometry and every counter
+    /// against the values a push sequence can reach.
     ///
     /// # Errors
     ///
@@ -784,14 +807,42 @@ impl PulsedState {
     pub fn restore(&mut self, program: &PulsedProgram, r: &mut ByteReader<'_>) -> Result<()> {
         let snap = |e: edd_runtime::snapshot::SnapshotError| invalid(format!("pulse restore: {e}"));
         self.rows_fed = r.get_u64().map_err(snap)? as usize;
+        if self.rows_fed > program.window_rows() {
+            return Err(invalid(format!(
+                "pulse restore: {} rows fed to a window of {}",
+                self.rows_fed,
+                program.window_rows()
+            )));
+        }
         for (id, n) in self.ns.iter_mut().enumerate() {
             match (&program.nodes[id], n) {
                 (PNode::Conv { geom, .. }, NState::Ring(ring)) => {
-                    ring.base = r.get_u64().map_err(snap)? as usize;
-                    ring.pushed = r.get_u64().map_err(snap)? as usize;
-                    ring.fed_real = r.get_u64().map_err(snap)? as usize;
-                    ring.emitted = r.get_u64().map_err(snap)? as usize;
-                    ring.primed = r.get_u8().map_err(snap)? != 0;
+                    let base = r.get_u64().map_err(snap)?;
+                    let pushed = r.get_u64().map_err(snap)?;
+                    let fed_real = r.get_u64().map_err(snap)?;
+                    let emitted = r.get_u64().map_err(snap)?;
+                    let primed = r.get_u8().map_err(snap)?;
+                    // The counters follow from the real rows fed. Any
+                    // others would index outside the ring on the next push.
+                    let reachable = usize::try_from(fed_real)
+                        .ok()
+                        .filter(|&f| f <= geom.in_rows)
+                        .is_some_and(|f| {
+                            let (b, p, e) = geom.ring_counters(f);
+                            (base, pushed, emitted, primed)
+                                == (b as u64, p as u64, e as u64, u8::from(f > 0))
+                        });
+                    if !reachable {
+                        return Err(invalid(format!(
+                            "pulse restore: conv ring counters (base {base}, pushed {pushed}, \
+                             fed {fed_real}, emitted {emitted}, primed {primed}) are unreachable"
+                        )));
+                    }
+                    ring.base = base as usize;
+                    ring.pushed = pushed as usize;
+                    ring.fed_real = fed_real as usize;
+                    ring.emitted = emitted as usize;
+                    ring.primed = primed == 1;
                     let count = r.get_u32().map_err(snap)? as usize;
                     // Every row carries at least its 8-byte length prefix,
                     // so a count the remaining bytes cannot hold is corrupt
@@ -800,6 +851,12 @@ impl PulsedState {
                         return Err(invalid(format!(
                             "pulse restore: ring of {count} rows overruns the {} bytes left",
                             r.remaining()
+                        )));
+                    }
+                    if count != ring.pushed - ring.base {
+                        return Err(invalid(format!(
+                            "pulse restore: ring holds {count} rows, its counters {}",
+                            ring.pushed - ring.base
                         )));
                     }
                     let row_len = geom.c_in * geom.padded_w();
@@ -832,7 +889,14 @@ impl PulsedState {
                         }
                     }
                 }
-                (PNode::Gap { channels, .. }, NState::Pool { sums, rows }) => {
+                (
+                    PNode::Gap {
+                        channels,
+                        in_rows,
+                        in_w,
+                    },
+                    NState::Pool { sums, rows },
+                ) => {
                     let s = r.get_i32_vec().map_err(snap)?;
                     if s.len() != *channels {
                         return Err(invalid(format!(
@@ -840,8 +904,21 @@ impl PulsedState {
                             s.len()
                         )));
                     }
+                    let filled = r.get_u64().map_err(snap)?;
+                    // Each pooled row adds at most 128 · in_w to a
+                    // channel's sum; larger sums would overflow the i32
+                    // accumulator before the window ends.
+                    let bound = filled.saturating_mul(*in_w as u64).saturating_mul(128);
+                    if filled > *in_rows as u64
+                        || s.iter().any(|&v| u64::from(v.unsigned_abs()) > bound)
+                    {
+                        return Err(invalid(format!(
+                            "pulse restore: pool of {filled} rows out of {in_rows} \
+                             holds an unreachable sum"
+                        )));
+                    }
                     *sums = s;
-                    *rows = r.get_u64().map_err(snap)? as usize;
+                    *rows = filled as usize;
                 }
                 _ => {}
             }
@@ -1013,6 +1090,10 @@ impl StreamModel for PulsedModel {
                 slice.len()
             )));
         }
+        let next_t = self
+            .t
+            .checked_add(1)
+            .ok_or_else(|| invalid("stream push: the row counter is exhausted"))?;
         if self.t.is_multiple_of(self.hop as u64) {
             let state = self
                 .free
@@ -1036,7 +1117,7 @@ impl StreamModel for PulsedModel {
                 });
             }
         }
-        self.t += 1;
+        self.t = next_t;
         if completed.is_some() {
             // Window starts are a hop (>= 1 row) apart, so only the
             // oldest window can have completed on this row.
@@ -1104,7 +1185,15 @@ impl StreamModel for PulsedModel {
             )));
         }
         self.reset();
+        let window = self.program.window_rows();
         let count = r.get_u32().map_err(snap)? as usize;
+        if count > window.div_ceil(self.hop) {
+            return Err(invalid(format!(
+                "pulse restore: {count} windows in flight, at most {} fit",
+                window.div_ceil(self.hop)
+            )));
+        }
+        let mut next_index = None;
         for _ in 0..count {
             let index = r.get_u64().map_err(snap)?;
             let start = r.get_u64().map_err(snap)?;
@@ -1113,6 +1202,20 @@ impl StreamModel for PulsedModel {
                 .pop()
                 .unwrap_or_else(|| PulsedState::new(&self.program));
             state.restore(&self.program, &mut r)?;
+            // Windows open every hop rows, oldest first, and are fed every
+            // row from their start until the last one completes them.
+            let fits = next_index.is_none_or(|i| i == index)
+                && index.checked_mul(self.hop as u64) == Some(start)
+                && t.checked_sub(start) == Some(state.rows_fed as u64)
+                && state.rows_fed < window;
+            if !fits {
+                return Err(invalid(format!(
+                    "pulse restore: window {index} from row {start} with {} rows fed \
+                     does not fit a stream at row {t}",
+                    state.rows_fed
+                )));
+            }
+            next_index = index.checked_add(1);
             self.active.push_back(Active {
                 index,
                 start,
@@ -1361,6 +1464,77 @@ mod tests {
         assert_eq!(blob.len(), 112);
         let err = model.restore_state(&blob).unwrap_err().to_string();
         assert!(err.contains("overruns"), "{err}");
+    }
+
+    #[test]
+    fn restore_rejects_unreachable_ring_counters() {
+        // A real blob after one pushed row at hop 3, with the first conv
+        // ring's `base` moved past the rows it holds: the next push would
+        // index the ring at `first + kr - base`, below zero.
+        let g = float_graph();
+        let (batch, _) = compile(&g, &PassConfig::all()).unwrap();
+        let mut model = PulsedModel::from_graph(batch.graph(), 3).unwrap();
+        model.push(&[0.25; 10]).unwrap();
+        let mut blob = model.save_state();
+        assert_eq!(blob[75..83], 0u64.to_le_bytes(), "ring base");
+        assert_eq!(blob[83..91], 2u64.to_le_bytes(), "ring rows pushed");
+        blob[75..83].copy_from_slice(&1000u64.to_le_bytes());
+        let mut fresh = PulsedModel::from_graph(batch.graph(), 3).unwrap();
+        let err = fresh.restore_state(&blob).unwrap_err().to_string();
+        assert!(err.contains("unreachable"), "{err}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Structure-aware fuzzing of the pulse-state decoder: a real
+        /// mid-stream blob gets one u64 overwritten (with a random or an
+        /// extreme value), one bit flipped, or its tail cut. Restoring it
+        /// and then pushing a full window must not panic, and a blob that
+        /// restores must re-save to bytes that restore to the same bytes.
+        #[test]
+        fn mutated_state_blobs_restore_or_fail_cleanly(
+            cut in 0usize..20,
+            kind in 0u8..4,
+            pos in 0u64..=u64::MAX,
+            value in 0u64..=u64::MAX,
+            extreme in proptest::prop::sample::select(
+                vec![u64::MAX, u64::MAX - 1, 1u64 << 32, 1000, 1, 0]
+            ),
+        ) {
+            let g = float_graph();
+            let (batch, _) = compile(&g, &PassConfig::all()).unwrap();
+            let row = |r: usize| -> Vec<f32> {
+                (0..10).map(|i| (((r * 13 + i * 29) % 101) as f32 - 50.0) * 0.012).collect()
+            };
+            let mut model = PulsedModel::from_graph(batch.graph(), 3).unwrap();
+            for r in 0..cut {
+                model.push(&row(r)).unwrap();
+            }
+            let mut blob = model.save_state();
+            let mut check = PulsedModel::from_graph(batch.graph(), 3).unwrap();
+            proptest::prop_assert!(check.restore_state(&blob).is_ok(), "a real blob is rejected");
+            let pos = usize::try_from(pos % blob.len() as u64).unwrap();
+            match kind {
+                0 | 1 => {
+                    let at = pos.min(blob.len() - 8);
+                    let v = if kind == 0 { value } else { extreme };
+                    blob[at..at + 8].copy_from_slice(&v.to_le_bytes());
+                }
+                2 => blob[pos] ^= 1 << (value % 8),
+                _ => blob.truncate(pos),
+            }
+            let mut resumed = PulsedModel::from_graph(batch.graph(), 3).unwrap();
+            if resumed.restore_state(&blob).is_ok() {
+                let again = resumed.save_state();
+                let mut back = PulsedModel::from_graph(batch.graph(), 3).unwrap();
+                proptest::prop_assert!(back.restore_state(&again).is_ok(), "re-saved blob is rejected");
+                proptest::prop_assert_eq!(back.save_state(), again);
+                for r in 0..resumed.window_rows() {
+                    let _ = resumed.push(&row(cut + r));
+                }
+            }
+        }
     }
 
     #[test]

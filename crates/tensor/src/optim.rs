@@ -204,10 +204,19 @@ impl Adam {
     /// # Errors
     ///
     /// Rejects a state whose slot counts or shapes do not match the
-    /// tracked parameters.
+    /// tracked parameters, and a step count that the next [`Adam`] step
+    /// could not take: `step` raises it by one and feeds it to `powi` as
+    /// an `i32`.
     pub fn import_state(&mut self, state: AdamState) -> Result<()> {
         check_moments("Adam::import_state (m)", &self.params, &state.m)?;
         check_moments("Adam::import_state (v)", &self.params, &state.v)?;
+        if state.t >= i32::MAX as u64 {
+            return Err(TensorError::InvalidArgument(format!(
+                "Adam::import_state: step count {} is not below {}",
+                state.t,
+                i32::MAX
+            )));
+        }
         self.t = state.t;
         self.m = state.m;
         self.v = state.v;

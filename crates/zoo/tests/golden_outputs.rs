@@ -7,7 +7,9 @@
 //! through the IR pipeline on a seeded batch, and the windows of one
 //! pulsed stream. A kernel rewrite that is meant to be bitwise neutral must
 //! leave both hashes unchanged; a deliberate numeric change must update
-//! them in the same commit and say why.
+//! them in the same commit and say why. Each engine's weight bytes and
+//! peak carried pulse state are pinned exactly too: they follow from the
+//! architectures alone, so neither seed nor host may move them.
 
 use edd_ir::{PassConfig, PulsedModel};
 use edd_runtime::StreamSession;
@@ -74,4 +76,35 @@ fn pulsed_stream_matches_pinned_hash() {
         WANT,
         "pulsed stream windows drifted from the pinned golden hash"
     );
+}
+
+#[test]
+fn zoo_weight_and_pulse_state_bytes_match_pins() {
+    let want: [(&str, usize, usize); 3] = [
+        ("edd-tiny-quant-demo", 9_296, 22_232),
+        ("edd-tiny-int8", 16_672, 46_296),
+        ("edd-tiny-int4", 9_192, 46_296),
+    ];
+    for seed in [ZOO_SEED, 0x0DD5EED] {
+        let got: Vec<(String, usize, usize)> = compile_tiny_zoo(seed, &PassConfig::all())
+            .iter()
+            .map(|(name, m, _)| {
+                let g = m.graph();
+                let [c, h, w] = g.meta.input_shape;
+                let pulsed = PulsedModel::from_graph(g, h / 2).expect("pulse");
+                let mut session = StreamSession::new(pulsed);
+                for row in &synthetic_signal(c, w, 3 * h, 2026) {
+                    session.push(row).expect("push");
+                }
+                let peak = session.stats().peak_state_bytes;
+                (name.clone(), g.weight_bytes(), peak)
+            })
+            .collect();
+        let got_ref: Vec<(&str, usize, usize)> =
+            got.iter().map(|(n, b, s)| (n.as_str(), *b, *s)).collect();
+        assert_eq!(
+            got_ref, want,
+            "seed {seed:#x}: (weight bytes, peak pulse state bytes at hop h/2) drifted"
+        );
+    }
 }

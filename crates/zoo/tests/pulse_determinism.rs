@@ -158,6 +158,28 @@ fn streaming_resume_mid_signal_is_bitwise() {
     }
 }
 
+/// Restore accepts every state a stream reaches, on every engine (stride
+/// 2, depthwise k5/k7, residual queues): saved after each row, the state
+/// restores onto a fresh model and re-saves to the same bytes.
+#[test]
+fn every_reached_state_restores() {
+    for (name, compiled, _) in compile_tiny_zoo(SEED, &PassConfig::all()) {
+        let g = compiled.graph();
+        let [c, h, w] = g.meta.input_shape;
+        let hop = (h / 4).max(1);
+        let mut model = PulsedModel::from_graph(g, hop).expect("pulse");
+        for row in &synthetic_signal(c, w, 2 * h, SIGNAL_SEED) {
+            model.push(row).expect("push");
+            let blob = model.save_state();
+            let mut fresh = PulsedModel::from_graph(g, hop).expect("pulse");
+            if let Err(e) = fresh.restore_state(&blob) {
+                panic!("{name}: a reached state is rejected: {e}");
+            }
+            assert_eq!(fresh.save_state(), blob, "{name}");
+        }
+    }
+}
+
 /// Carried state is bounded by the window geometry: streaming 10 windows'
 /// worth of rows peaks at exactly the same state bytes as streaming 2.
 #[test]
