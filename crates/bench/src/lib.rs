@@ -86,15 +86,13 @@ pub fn print_kernel_counters() {
         stats.buffer_fresh_bytes,
         stats.buffer_recycled_bytes
     );
-    let gemm = edd_tensor::kernel::select::gemm_label();
     println!(
-        "gemm selection ({gemm}): {} vecmat / {} skinny-n / {} square / {} conv \
-         / {} generic; panels {} built, {} hits / {} misses",
+        "gemm selection: {} vecmat / {} skinny-n / {} square / {} conv; \
+         panels {} built, {} hits / {} misses",
         stats.select_vecmat,
         stats.select_skinny_n,
         stats.select_square,
         stats.select_conv,
-        stats.select_generic,
         stats.pack_panels_built,
         stats.pack_panel_hits,
         stats.pack_panel_misses

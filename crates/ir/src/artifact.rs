@@ -444,7 +444,16 @@ fn encode_weights(w: &mut ByteWriter, q: &QWeights) {
 
 fn decode_weights(r: &mut ByteReader<'_>) -> Result<QWeights> {
     match r.get_u8()? {
-        WEIGHTS_INT8 => Ok(QWeights::Int8(r.get_i8_vec()?)),
+        WEIGHTS_INT8 => {
+            let q = r.get_i8_vec()?;
+            // Symmetric quantization stores at most ±127; the maddubs
+            // kernel cannot negate -128, so its results would depend on
+            // the SIMD path.
+            if q.contains(&i8::MIN) {
+                return Err(corrupt("int8 weights: -128 is off the symmetric grid"));
+            }
+            Ok(QWeights::Int8(q))
+        }
         WEIGHTS_INT4 => {
             let len = dim(r.get_u64()?)?;
             let packed = r.get_bytes()?;
@@ -834,6 +843,121 @@ mod tests {
         assert!(err.contains("input shape [2, 0, 0]"), "{err}");
         assert!(CompiledModel::from_graph(g.clone()).is_err());
         assert!(crate::PulsedProgram::from_graph(&g).is_err());
+    }
+
+    /// The artifact bytes of [`lowered`], built once per test binary.
+    fn real_artifact() -> &'static [u8] {
+        static BYTES: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+        BYTES.get_or_init(|| to_bytes(&lowered()).unwrap())
+    }
+
+    /// `file` with section `name` replaced by `data` and the container
+    /// re-sealed with a fresh CRC, so the decoder itself sees the damage.
+    fn resealed(file: &[u8], name: &str, data: &[u8]) -> Vec<u8> {
+        let payload = decode_container_as(&ARTIFACT_MAGIC, ARTIFACT_VERSION, file).unwrap();
+        let sections = Sections::parse(&payload).unwrap();
+        let mut out = SectionWriter::new();
+        for n in sections.names() {
+            out.add(
+                n,
+                if n == name {
+                    data
+                } else {
+                    sections.get(n).unwrap()
+                },
+            );
+        }
+        encode_container_as(&ARTIFACT_MAGIC, ARTIFACT_VERSION, &out.into_payload())
+    }
+
+    proptest::proptest! {
+        // A case takes microseconds, and the fields that matter most (conv
+        // geometry) are a few words of a ~90-word graph section: without
+        // the decoder's padding check, case 1131 aborts on a 4.5 PB
+        // im2col allocation.
+        #![proptest_config(proptest::ProptestConfig::with_cases(4096))]
+
+        /// Structure-aware fuzzing of the artifact decoder past the CRC:
+        /// one section of a real artifact gets an aligned u64 overwritten
+        /// (with a random or an extreme value), one bit flipped, or its
+        /// tail cut, and the file is re-sealed. Decoding must not panic. A
+        /// graph it accepts must re-encode to bytes that decode to the
+        /// same graph, and must build and answer one batch-1 request
+        /// without panicking.
+        #[test]
+        fn mutated_sections_decode_or_fail_cleanly(
+            which in 0usize..2,
+            kind in 0u8..4,
+            pos in 0u64..=u64::MAX,
+            value in 0u64..=u64::MAX,
+            extreme in proptest::prop::sample::select(vec![u64::MAX, 1u64 << 32, 1000, 0]),
+        ) {
+            let file = real_artifact();
+            let payload = decode_container_as(&ARTIFACT_MAGIC, ARTIFACT_VERSION, file).unwrap();
+            let sections = Sections::parse(&payload).unwrap();
+            let name = sections.names()[which];
+            let mut data = sections.get(name).unwrap().to_vec();
+            let pos = usize::try_from(pos % data.len() as u64).unwrap();
+            match kind {
+                0 | 1 => {
+                    let at = (pos / 8).min(data.len() / 8 - 1) * 8;
+                    let v = if kind == 0 { value } else { extreme };
+                    data[at..at + 8].copy_from_slice(&v.to_le_bytes());
+                }
+                2 => data[pos] ^= 1 << (value % 8),
+                _ => data.truncate(pos),
+            }
+            let Ok(g) = from_bytes(&resealed(file, name, &data)) else {
+                return Ok(());
+            };
+            let again = to_bytes(&g);
+            proptest::prop_assert!(again.is_ok(), "a decoded graph does not encode");
+            let again = again.unwrap();
+            let back = from_bytes(&again);
+            proptest::prop_assert!(back.is_ok(), "a re-encoded graph does not decode");
+            proptest::prop_assert_eq!(to_bytes(&back.unwrap()).unwrap(), again);
+            if let Ok(model) = CompiledModel::from_graph(g) {
+                // A request is one image of the input shape, which the
+                // meta section sets: cap what this test hands the model.
+                let len = model.image_len();
+                if len <= 1 << 16 {
+                    let image: Vec<f32> = (0..len).map(|i| ((i % 17) as f32 - 8.0) * 0.02).collect();
+                    let _ = model.infer_batch(&image, 1);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn int8_weights_off_the_symmetric_grid_are_rejected() {
+        // Found by `mutated_sections_decode_or_fail_cleanly`: a weight byte
+        // of -128 loaded, and the first request then failed the prepacked
+        // qGEMM's debug check (a release AVX2 build would have multiplied
+        // it as +128 where the scalar walk uses -128).
+        let g = lowered();
+        let edit = |op: &mut Op| {
+            if let Op::QConv(s) = op {
+                if let QWeights::Int8(q) = &mut s.weights {
+                    q[0] = i8::MIN;
+                }
+            }
+        };
+        let err = reencoded(&g, edit).unwrap_err().to_string();
+        assert!(err.contains("-128"), "{err}");
+    }
+
+    #[test]
+    fn input_shapes_past_the_address_space_are_rejected_at_load() {
+        // Found by `mutated_sections_decode_or_fail_cleanly`: a file like
+        // this used to load, and `image_len` then overflowed multiplying
+        // the input shape out.
+        let (g, bytes) = pooled_linear([2, 1 << 32, 1 << 32], 3);
+        let err = from_bytes(&bytes).unwrap_err().to_string();
+        assert!(
+            err.contains("more elements than the address space"),
+            "{err}"
+        );
+        assert!(CompiledModel::from_graph(g).is_err());
     }
 
     #[test]

@@ -633,6 +633,18 @@ impl Graph {
                     }
                 }
             };
+            // Executors multiply a value's shape out into buffer lengths.
+            if fact
+                .shape
+                .iter()
+                .try_fold(1usize, |v, &d| v.checked_mul(d))
+                .is_none()
+            {
+                return Err(ctx(format!(
+                    "shape {:?} has more elements than the address space",
+                    fact.shape
+                )));
+            }
             facts.push(fact);
         }
         Ok(facts)

@@ -17,9 +17,8 @@
 //! every strip the twin sees contains exactly the values the batch
 //! convolution read at that output row. Because the integer engine
 //! accumulates exactly in i32 and requantizes per element, equal inputs
-//! give bitwise-equal outputs, whatever `EDD_NUM_THREADS`, `EDD_SIMD`, or
-//! `EDD_GEMM` selected — the equivalence is structural, not numerical
-//! luck.
+//! give bitwise-equal outputs, whatever `EDD_NUM_THREADS` or `EDD_SIMD`
+//! selected — the equivalence is structural, not numerical luck.
 //!
 //! **Memory bound.** After emitting output row `j`, a conv ring is
 //! trimmed to the rows at index `≥ (j+1)·stride`, so it never holds more
@@ -1184,7 +1183,6 @@ impl StreamModel for PulsedModel {
                 self.program.nodes.len()
             )));
         }
-        self.reset();
         let window = self.program.window_rows();
         let count = r.get_u32().map_err(snap)? as usize;
         if count > window.div_ceil(self.hop) {
@@ -1193,35 +1191,48 @@ impl StreamModel for PulsedModel {
                 window.div_ceil(self.hop)
             )));
         }
-        let mut next_index = None;
-        for _ in 0..count {
+        // Decode into fresh windows and swap them in only once all of them
+        // fit: a rejected blob leaves the live stream as it was.
+        let mut windows = VecDeque::with_capacity(count);
+        let decoded = (0..count).try_for_each(|_| -> Result<()> {
             let index = r.get_u64().map_err(snap)?;
             let start = r.get_u64().map_err(snap)?;
             let mut state = self
                 .free
                 .pop()
                 .unwrap_or_else(|| PulsedState::new(&self.program));
-            state.restore(&self.program, &mut r)?;
-            // Windows open every hop rows, oldest first, and are fed every
-            // row from their start until the last one completes them.
-            let fits = next_index.is_none_or(|i| i == index)
-                && index.checked_mul(self.hop as u64) == Some(start)
-                && t.checked_sub(start) == Some(state.rows_fed as u64)
-                && state.rows_fed < window;
-            if !fits {
-                return Err(invalid(format!(
-                    "pulse restore: window {index} from row {start} with {} rows fed \
-                     does not fit a stream at row {t}",
-                    state.rows_fed
-                )));
-            }
-            next_index = index.checked_add(1);
-            self.active.push_back(Active {
+            let restored = state.restore(&self.program, &mut r);
+            let rows_fed = state.rows_fed;
+            let prev = windows.back().map(|a: &Active| a.index);
+            windows.push_back(Active {
                 index,
                 start,
                 state,
             });
+            restored?;
+            // Windows open every hop rows, oldest first, and are fed every
+            // row from their start until the last one completes them.
+            let fits = prev.is_none_or(|p| p.checked_add(1) == Some(index))
+                && index.checked_mul(self.hop as u64) == Some(start)
+                && t.checked_sub(start) == Some(rows_fed as u64)
+                && rows_fed < window;
+            if !fits {
+                return Err(invalid(format!(
+                    "pulse restore: window {index} from row {start} with {rows_fed} rows \
+                     fed does not fit a stream at row {t}"
+                )));
+            }
+            Ok(())
+        });
+        if let Err(e) = decoded {
+            for mut a in windows {
+                a.state.reset();
+                self.free.push(a.state);
+            }
+            return Err(e);
         }
+        self.reset();
+        self.active = windows;
         self.t = t;
         Ok(())
     }
@@ -1484,14 +1495,56 @@ mod tests {
         assert!(err.contains("unreachable"), "{err}");
     }
 
+    /// Row `r` of the test streams: a fixed pattern over the 10 input
+    /// values of [`float_graph`]'s row.
+    fn stream_row(r: usize) -> Vec<f32> {
+        (0..10)
+            .map(|i| (((r * 13 + i * 29) % 101) as f32 - 50.0) * 0.012)
+            .collect()
+    }
+
+    #[test]
+    fn rejected_blob_leaves_the_live_stream_untouched() {
+        // Four rows into a stream at hop 3, two windows are in flight. The
+        // model's own blob cut short by 3 bytes fails in the second window;
+        // the stream must stay as it was, not keep the first window and a
+        // zeroed row counter.
+        let g = float_graph();
+        let (batch, _) = compile(&g, &PassConfig::all()).unwrap();
+        let mut model = PulsedModel::from_graph(batch.graph(), 3).unwrap();
+        let mut twin = PulsedModel::from_graph(batch.graph(), 3).unwrap();
+        for r in 0..4 {
+            model.push(&stream_row(r)).unwrap();
+            twin.push(&stream_row(r)).unwrap();
+        }
+        assert_eq!(model.active_windows(), 2);
+        let blob = model.save_state();
+        assert!(model.restore_state(&blob[..blob.len() - 3]).is_err());
+        assert_eq!(
+            model.save_state(),
+            blob,
+            "a rejected blob changed the state"
+        );
+        let mut emitted = 0;
+        for r in 4..4 + 2 * model.window_rows() {
+            let got = model.push(&stream_row(r)).unwrap();
+            emitted += usize::from(got.is_some());
+            assert_eq!(got, twin.push(&stream_row(r)).unwrap(), "row {r}");
+        }
+        assert!(emitted > 0);
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
         /// Structure-aware fuzzing of the pulse-state decoder: a real
         /// mid-stream blob gets one u64 overwritten (with a random or an
-        /// extreme value), one bit flipped, or its tail cut. Restoring it
-        /// and then pushing a full window must not panic, and a blob that
-        /// restores must re-save to bytes that restore to the same bytes.
+        /// extreme value), one bit flipped, or its tail cut, and is
+        /// restored into the live model. Restoring it and then pushing a
+        /// full window must not panic, and a blob that restores must
+        /// re-save to bytes that restore to the same bytes. A blob that is
+        /// rejected must leave the model as it was: the same saved bytes,
+        /// and the same windows as an untouched twin on the next pushes.
         #[test]
         fn mutated_state_blobs_restore_or_fail_cleanly(
             cut in 0usize..20,
@@ -1504,16 +1557,14 @@ mod tests {
         ) {
             let g = float_graph();
             let (batch, _) = compile(&g, &PassConfig::all()).unwrap();
-            let row = |r: usize| -> Vec<f32> {
-                (0..10).map(|i| (((r * 13 + i * 29) % 101) as f32 - 50.0) * 0.012).collect()
-            };
             let mut model = PulsedModel::from_graph(batch.graph(), 3).unwrap();
             for r in 0..cut {
-                model.push(&row(r)).unwrap();
+                model.push(&stream_row(r)).unwrap();
             }
-            let mut blob = model.save_state();
-            let mut check = PulsedModel::from_graph(batch.graph(), 3).unwrap();
-            proptest::prop_assert!(check.restore_state(&blob).is_ok(), "a real blob is rejected");
+            let saved = model.save_state();
+            let mut twin = PulsedModel::from_graph(batch.graph(), 3).unwrap();
+            proptest::prop_assert!(twin.restore_state(&saved).is_ok(), "a real blob is rejected");
+            let mut blob = saved.clone();
             let pos = usize::try_from(pos % blob.len() as u64).unwrap();
             match kind {
                 0 | 1 => {
@@ -1524,14 +1575,19 @@ mod tests {
                 2 => blob[pos] ^= 1 << (value % 8),
                 _ => blob.truncate(pos),
             }
-            let mut resumed = PulsedModel::from_graph(batch.graph(), 3).unwrap();
-            if resumed.restore_state(&blob).is_ok() {
-                let again = resumed.save_state();
+            if model.restore_state(&blob).is_ok() {
+                let again = model.save_state();
                 let mut back = PulsedModel::from_graph(batch.graph(), 3).unwrap();
                 proptest::prop_assert!(back.restore_state(&again).is_ok(), "re-saved blob is rejected");
                 proptest::prop_assert_eq!(back.save_state(), again);
-                for r in 0..resumed.window_rows() {
-                    let _ = resumed.push(&row(cut + r));
+                for r in 0..model.window_rows() {
+                    let _ = model.push(&stream_row(cut + r));
+                }
+            } else {
+                proptest::prop_assert_eq!(model.save_state(), saved, "a rejected blob changed the state");
+                for r in 0..model.window_rows() {
+                    let row = stream_row(cut + r);
+                    proptest::prop_assert_eq!(model.push(&row).unwrap(), twin.push(&row).unwrap());
                 }
             }
         }

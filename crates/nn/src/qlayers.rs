@@ -27,8 +27,8 @@
 use crate::bn::BatchNorm2d;
 use edd_tensor::kernel::{pack, select};
 use edd_tensor::qkernel::{
-    self, pack_i4, qdw_plane_into, qim2col_into, qmatmul_into, qmatmul_prepacked_into,
-    quantize_i8_into, requantize_rows_into, unpack_i4_into, Requant,
+    self, pack_i4, qdw_plane_into, qim2col_into, qmatmul_prepacked_into, quantize_i8_into,
+    requantize_rows_into, unpack_i4_into, Requant,
 };
 use edd_tensor::{scratch, stats, Array, Conv2dGeometry, Result, TensorError};
 
@@ -412,11 +412,8 @@ impl QConvSpec {
 pub struct QConv2d {
     spec: QConvSpec,
     /// Execution form of the weights, built once at compile time: dense
-    /// rows zero-padded to the microkernel's k-group of 4 (`[out_c, k4]`).
-    /// This is exactly the prepacked-LHS layout of
-    /// [`qmatmul_prepacked_into`] *and* a valid dense operand for the
-    /// generic kernel at `k = k4` (padded taps multiply zero-padded column
-    /// rows), so both selector modes read the same cached panel.
+    /// rows zero-padded to the microkernel's k-group of 4 (`[out_c, k4]`),
+    /// the prepacked-LHS layout of [`qmatmul_prepacked_into`].
     wq_k4: Vec<i8>,
 }
 
@@ -459,110 +456,31 @@ impl QConv2d {
         let row_len = sp.out_channels * plane;
         let mut out = vec![0i8; b * row_len];
         let mut acc = scratch::alloc_i32(row_len);
-        // 1×1 stride-1 convolutions read the image as the column matrix
-        // directly (the expand/project/head case). Graph-lowered specs
-        // carry the flag once the bypass pass has run.
-        let direct = sp.direct;
+        select::record_class(sp.out_channels, plane, true);
+        // Per image, the im2col columns are packed into microkernel-native
+        // B-panels, multiplied against the cached weight panel by the
+        // maddubs qGEMM (which spreads its rows over the pool), biased and
+        // requantized. 1×1 stride-1 convolutions read the image as the
+        // column matrix directly (the expand/project/head case).
+        // Graph-lowered specs carry the `direct` flag once the bypass pass
+        // has run.
         let img = c * h * w;
-        if select::select_class(sp.out_channels, plane, true).is_some() {
-            self.forward_prepacked(x, &mut out, &mut acc, &geom, ckk, plane, direct, b, img);
-        } else {
-            self.forward_generic(x, &mut out, &mut acc, &geom, ckk, plane, direct, b, img);
+        let mut panels = scratch::alloc_i8(pack::packed_rhs_len(ckk, plane));
+        let mut cols = (!sp.direct).then(|| scratch::alloc_i8(ckk * plane));
+        for i in 0..b {
+            let image = &x.data[i * img..(i + 1) * img];
+            pack_image_panels(&mut panels, cols.as_deref_mut(), image, &geom, ckk, plane);
+            stats::record_pack_panel_hit();
+            qmatmul_prepacked_into(&mut acc, &self.wq_k4, &panels, sp.out_channels, ckk, plane);
+            add_bias_rows(&mut acc, &sp.bias_q, plane);
+            let out_img = &mut out[i * row_len..(i + 1) * row_len];
+            requantize_rows_into(out_img, &acc, &sp.requant, plane, sp.lo, sp.hi);
         }
         Ok(QTensor {
             data: out,
             shape: vec![b, sp.out_channels, oh, ow],
             scale: sp.out_scale,
         })
-    }
-
-    /// Shape-selected path: per image, the im2col columns are packed into
-    /// microkernel-native B-panels, multiplied against the cached weight
-    /// panel by the maddubs qGEMM (which spreads its rows over the pool),
-    /// biased and requantized.
-    #[allow(clippy::too_many_arguments)]
-    fn forward_prepacked(
-        &self,
-        x: &QTensor,
-        out: &mut [i8],
-        acc: &mut [i32],
-        geom: &Conv2dGeometry,
-        ckk: usize,
-        plane: usize,
-        direct: bool,
-        b: usize,
-        img: usize,
-    ) {
-        let sp = &self.spec;
-        let row_len = sp.out_channels * plane;
-        let mut panels = scratch::alloc_i8(pack::packed_rhs_len(ckk, plane));
-        let mut cols = (!direct).then(|| scratch::alloc_i8(ckk * plane));
-        for i in 0..b {
-            let image = &x.data[i * img..(i + 1) * img];
-            pack_image_panels(&mut panels, cols.as_deref_mut(), image, geom, ckk, plane);
-            stats::record_pack_panel_hit();
-            qmatmul_prepacked_into(acc, &self.wq_k4, &panels, sp.out_channels, ckk, plane);
-            add_bias_rows(acc, &sp.bias_q, plane);
-            requantize_rows_into(
-                &mut out[i * row_len..(i + 1) * row_len],
-                acc,
-                &sp.requant,
-                plane,
-                sp.lo,
-                sp.hi,
-            );
-        }
-    }
-
-    /// `EDD_GEMM=generic` reference path: the generic blocked qGEMM over
-    /// the same cached k4-padded weight rows, with the column matrix
-    /// zero-padded to `k4` rows (padding taps are zero on both sides, so
-    /// the result is bitwise the unpadded product).
-    #[allow(clippy::too_many_arguments)]
-    fn forward_generic(
-        &self,
-        x: &QTensor,
-        out: &mut [i8],
-        acc: &mut [i32],
-        geom: &Conv2dGeometry,
-        ckk: usize,
-        plane: usize,
-        direct: bool,
-        b: usize,
-        img: usize,
-    ) {
-        let sp = &self.spec;
-        let row_len = sp.out_channels * plane;
-        let k4 = pack::padded_k(ckk);
-        let mut cols_k4 = (!direct || k4 != ckk).then(|| {
-            let mut cols = scratch::alloc_i8(k4 * plane);
-            cols[ckk * plane..].fill(0);
-            cols
-        });
-        for i in 0..b {
-            let image = &x.data[i * img..(i + 1) * img];
-            let colref: &[i8] = match cols_k4.as_deref_mut() {
-                None => image,
-                Some(cols) => {
-                    if direct {
-                        cols[..ckk * plane].copy_from_slice(image);
-                    } else {
-                        qim2col_into(&mut cols[..ckk * plane], image, geom);
-                    }
-                    cols
-                }
-            };
-            qmatmul_into(acc, &self.wq_k4, colref, sp.out_channels, k4, plane);
-            add_bias_rows(acc, &sp.bias_q, plane);
-            requantize_rows_into(
-                &mut out[i * row_len..(i + 1) * row_len],
-                acc,
-                &sp.requant,
-                plane,
-                sp.lo,
-                sp.hi,
-            );
-        }
     }
 }
 
@@ -817,28 +735,19 @@ pub struct QLinear {
     /// Cached microkernel-native B-panels of the `[in, out]` weight,
     /// packed once at compile time for the prepacked maddubs qGEMM.
     panels: Vec<i8>,
-    /// Dense weight rows zero-padded to `k4 = padded_k(in_features)` rows,
-    /// for the `EDD_GEMM=generic` leg (pairs with k4-padded activations).
-    wq_rows_k4: Vec<i8>,
 }
 
 impl QLinear {
-    /// Builds the executable layer from a compiled spec, rebuilding both
-    /// GEMM-mode weight caches.
+    /// Builds the executable layer from a compiled spec, rebuilding the
+    /// weight panels.
     #[must_use]
     pub fn from_spec(spec: QLinearSpec) -> Self {
         let (in_f, out_f) = (spec.in_features, spec.out_features);
         let q = spec.weights.to_dense();
         let mut panels = vec![0i8; pack::packed_rhs_len(in_f, out_f)];
         pack::pack_rhs_i8(&mut panels, &q, in_f, out_f);
-        let mut wq_rows_k4 = vec![0i8; pack::padded_k(in_f) * out_f];
-        wq_rows_k4[..in_f * out_f].copy_from_slice(&q);
         stats::record_pack_panel_built();
-        QLinear {
-            spec,
-            panels,
-            wq_rows_k4,
-        }
+        QLinear { spec, panels }
     }
 
     /// The plain-data compiled form of this layer.
@@ -865,26 +774,19 @@ impl QLinear {
         check_scale(x.scale, sp.in_scale, "QLinear")?;
         let b = x.shape[0];
         let mut acc = scratch::alloc_i32(b * sp.out_features);
-        // Both selector modes consume k4-padded activation rows — the
-        // prepacked-LHS layout and the generic kernel's dense `[b, k4]`
-        // operand are the same bytes.
-        let k4 = pack::padded_k(sp.in_features);
         let mut a_k4 = scratch::alloc_i8(pack::packed_lhs_len(b, sp.in_features));
         pack::pack_lhs_i8(&mut a_k4, &x.data, b, sp.in_features);
         stats::record_pack_panel_miss();
-        if select::select_class(b, sp.out_features, false).is_some() {
-            stats::record_pack_panel_hit();
-            qmatmul_prepacked_into(
-                &mut acc,
-                &a_k4,
-                &self.panels,
-                b,
-                sp.in_features,
-                sp.out_features,
-            );
-        } else {
-            qmatmul_into(&mut acc, &a_k4, &self.wq_rows_k4, b, k4, sp.out_features);
-        }
+        select::record_class(b, sp.out_features, false);
+        stats::record_pack_panel_hit();
+        qmatmul_prepacked_into(
+            &mut acc,
+            &a_k4,
+            &self.panels,
+            b,
+            sp.in_features,
+            sp.out_features,
+        );
         let mut out = vec![0.0f32; b * sp.out_features];
         for (row_out, row_acc) in out
             .chunks_exact_mut(sp.out_features)

@@ -22,6 +22,9 @@
 //!   [`ServeError::QueueFull`] (backpressure, never unbounded buffering),
 //!   and requests arriving after shutdown began get
 //!   [`ServeError::ShuttingDown`].
+//! - **Fault containment** — a forward pass that returns an error, the
+//!   wrong number of logits, or panics fails only its own batch's tickets
+//!   with [`ServeError::Model`]; the shard keeps serving.
 //! - **Telemetry** — per-model latency percentiles (p50/p95/p99 via
 //!   [`Histogram`]), queue-depth peaks, batch occupancy, and flush-reason
 //!   counters, mirrored into the global [`telemetry`] sink (`serve.*`
@@ -38,6 +41,7 @@
 use crate::infer::BatchModel;
 use crate::telemetry::{self, Histogram};
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -263,7 +267,8 @@ pub enum ServeError {
     ShuttingDown,
     /// The request was malformed (unknown model, wrong image length).
     BadRequest(String),
-    /// The model's forward pass failed; the message is the model error.
+    /// The model's forward pass failed or panicked; the message is the
+    /// model error or the panic message.
     Model(String),
 }
 
@@ -470,7 +475,8 @@ pub struct ModelServeStats {
     pub rejected_shutdown: u64,
     /// Requests completed successfully.
     pub completed: u64,
-    /// Requests that failed inside the model's forward pass.
+    /// Requests that failed inside the model's forward pass (errors and
+    /// panics alike).
     pub failed: u64,
     /// Batches run through the model.
     pub batches: u64,
@@ -884,8 +890,28 @@ fn run_batch<M: BatchModel + Send + Sync>(
         telemetry::counter("serve.images", n as u64);
         telemetry::gauge("serve.batch_occupancy", n as u64);
     }
-    match ms.model.infer_batch(&images, n) {
-        Ok(logits) if logits.len() == n * classes => {
+    // A panicking model fails its own batch only: the shard survives to
+    // serve the next one, and every ticket still resolves exactly once.
+    let outcome = panic::catch_unwind(AssertUnwindSafe(|| ms.model.infer_batch(&images, n)));
+    let result = match outcome {
+        Ok(Ok(logits)) if logits.len() == n * classes => Ok(logits),
+        Ok(Ok(logits)) => Err(format!(
+            "model {} returned {} logits for batch {n} x {classes} classes",
+            ms.name,
+            logits.len()
+        )),
+        Ok(Err(e)) => Err(e.to_string()),
+        Err(payload) => {
+            let what = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("non-string payload");
+            Err(format!("model panicked: {what}"))
+        }
+    };
+    match result {
+        Ok(logits) => {
             let done_at = u64::try_from(epoch.elapsed().as_micros()).unwrap_or(u64::MAX);
             ms.counters.completed.fetch_add(n as u64, Ordering::Relaxed);
             for (i, r) in requests.into_iter().enumerate() {
@@ -894,19 +920,7 @@ fn run_batch<M: BatchModel + Send + Sync>(
                     .fulfill(Ok(logits[i * classes..(i + 1) * classes].to_vec()));
             }
         }
-        Ok(logits) => {
-            let msg = format!(
-                "model {} returned {} logits for batch {n} x {classes} classes",
-                ms.name,
-                logits.len()
-            );
-            ms.counters.failed.fetch_add(n as u64, Ordering::Relaxed);
-            for r in requests {
-                r.slot.fulfill(Err(ServeError::Model(msg.clone())));
-            }
-        }
-        Err(e) => {
-            let msg = e.to_string();
+        Err(msg) => {
             ms.counters.failed.fetch_add(n as u64, Ordering::Relaxed);
             telemetry::counter("serve.failed", n as u64);
             for r in requests {

@@ -53,8 +53,8 @@ impl StreamWindow {
 ///   hop is at least one row, so two windows can never complete on the
 ///   same pushed row).
 /// - Outputs are bitwise-identical to running the batch engine on the
-///   same `window_rows`-row windows, whatever `EDD_NUM_THREADS`,
-///   `EDD_SIMD`, or `EDD_GEMM` says.
+///   same `window_rows`-row windows, whatever `EDD_NUM_THREADS` or
+///   `EDD_SIMD` says.
 /// - Carried state is bounded: [`StreamModel::state_bytes`] depends on
 ///   the model geometry and the window/hop sizes, never on how many rows
 ///   the stream has already delivered.

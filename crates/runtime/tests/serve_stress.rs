@@ -10,14 +10,17 @@
 //!   synchronous [`InferServer`] path (the toy model is per-image
 //!   deterministic, like the integer engine).
 //! - **Graceful shutdown**: pending requests are drained, never dropped.
+//! - **Fault containment**: a model that panics fails only its own batch,
+//!   and its shard keeps serving.
 //! - **Property coverage**: the above hold across random
 //!   (max_batch, max_delay, queue_depth, shards, arrival pattern).
 
-use edd_runtime::serve::{BatcherConfig, ServeConfig, ServeError, Server};
+use edd_runtime::serve::{BatcherConfig, ServeConfig, ServeError, Server, Ticket};
 use edd_runtime::{BatchModel, InferServer};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Per-image deterministic toy model: logit `c` of an image is
 /// `sum_i x[i] * (i + 1) + c * x[0]`, computed in a fixed order per image
@@ -293,6 +296,77 @@ fn backpressure_rejects_when_queue_is_full_and_server_recovers() {
     assert_eq!(stats.completed, 2);
     assert_eq!(t0.wait().unwrap(), vec![3.0]);
     assert_eq!(t1.wait().unwrap(), vec![7.0]);
+}
+
+/// Waits for `ticket` on a helper thread for at most 10 s, so a ticket
+/// that never resolves fails the test instead of hanging it (its waiter
+/// thread is then left blocked; one that resolves is joined).
+fn wait_within_10s(ticket: Ticket) -> Option<Result<Vec<f32>, ServeError>> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let waiter = std::thread::spawn(move || tx.send(ticket.wait()));
+    let got = rx.recv_timeout(Duration::from_secs(10)).ok()?;
+    waiter
+        .join()
+        .expect("waiter thread panicked")
+        .expect("the receiver outlives the waiter");
+    Some(got)
+}
+
+#[test]
+fn a_panicking_model_fails_only_its_batch_and_the_shard_keeps_serving() {
+    /// The toy model, except that it panics on an image whose first value
+    /// is `MARK`.
+    #[derive(Debug)]
+    struct PanicOnMark(ToyModel);
+    const MARK: f32 = 1.0e9;
+    impl BatchModel for PanicOnMark {
+        type Error = String;
+        fn image_len(&self) -> usize {
+            self.0.image_len()
+        }
+        fn num_classes(&self) -> usize {
+            self.0.num_classes()
+        }
+        fn infer_batch(&self, images: &[f32], batch: usize) -> Result<Vec<f32>, String> {
+            let marked = images.chunks_exact(self.0.len).any(|img| img[0] == MARK);
+            assert!(!marked, "poisoned image");
+            self.0.infer_batch(images, batch)
+        }
+    }
+    // One shard, one image per batch: the poisoned request's batch panics
+    // on the only worker the model has.
+    let model = Arc::new(PanicOnMark(ToyModel::new(4, 3)));
+    let server = Server::start(
+        vec![("poison".into(), Arc::clone(&model))],
+        ServeConfig {
+            batcher: BatcherConfig {
+                max_batch: 1,
+                max_delay_us: 60_000_000,
+                queue_depth: 64,
+            },
+            shards: 1,
+        },
+    );
+    let mut poisoned = image_for(4, 0, 0);
+    poisoned[0] = MARK;
+    let bad = server.submit(0, poisoned).expect("accepted");
+    let image = image_for(4, 0, 1);
+    let good = server.submit(0, image.clone()).expect("accepted");
+    match wait_within_10s(bad) {
+        Some(Err(ServeError::Model(msg))) => {
+            assert!(msg.contains("model panicked: poisoned image"), "{msg}");
+        }
+        other => panic!("poisoned ticket: {other:?}"),
+    }
+    let logits = wait_within_10s(good)
+        .expect("the next request on the shard is still pending")
+        .expect("the next request fails");
+    let want = InferServer::new(&model.0).infer(&image, 1).unwrap();
+    assert_eq!(bits(&logits), bits(&want));
+    let stats = server.shutdown().remove(0);
+    assert_eq!(stats.accepted, 2);
+    assert_eq!((stats.completed, stats.failed), (1, 1));
+    assert_eq!(stats.accepted, stats.completed + stats.failed);
 }
 
 #[test]

@@ -591,8 +591,9 @@ impl Array {
         self.gemm_dims(other, 1, 0, "matmul")?;
         let (m, k) = (self.shape[0], self.shape[1]);
         let n = other.shape[1];
-        // `gemm_tiled` overwrites every output element (and zero-fills when
-        // k == 0), so an uninitialized pooled buffer is safe here.
+        // `gemm_block_select_body` overwrites every output element (and
+        // zero-fills when k == 0), so an uninitialized pooled buffer is
+        // safe here.
         let mut out = Array::uninit(&[m, n]);
         crate::kernel::matmul_into(&mut out.data, &self.data, &other.data, m, k, n);
         Ok(out)

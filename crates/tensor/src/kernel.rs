@@ -1,15 +1,15 @@
-//! Cache-blocked, register-tiled f32 GEMM kernels running on the
-//! persistent worker pool, plus the batch-partitioning helpers the
-//! convolution ops build on.
+//! Cache-blocked, register-tiled f32 GEMM fronts running on the persistent
+//! worker pool, plus the batch-partitioning helpers the convolution ops
+//! build on.
 //!
 //! # Blocking scheme
 //!
-//! The blocked GEMM streams panels of the right-hand matrix through an
-//! `MR = 4`-row register tile: each pass over a `B` row updates four output
-//! rows at once, quartering `B` traffic versus the scalar loop, and the
-//! branch-free inner loop over columns auto-vectorizes. Columns are
-//! processed in blocks of `NC` so the active output tile and `B` panel stay
-//! cache-resident for wide matrices.
+//! Every GEMM front classifies its problem and runs the shape-selected
+//! blueprint of [`select`]: an `MR = 4`-row register tile streams packed
+//! `A` panels against `B` row strips, so each pass over a `B` row updates
+//! four output rows at once and the branch-free inner loop over columns
+//! vectorizes. Narrow (`n < NR`) and short (`m < MR`) problems get their
+//! own bodies.
 //!
 //! Two variants serve the backward passes:
 //!
@@ -30,7 +30,7 @@
 //! `EDD_NUM_THREADS` setting — see [`num_threads`].
 //!
 //! The scalar triple loop is kept as [`matmul_naive`], the reference
-//! oracle the property-based suites compare the blocked kernels against.
+//! oracle the property-based suites compare the blueprints against.
 
 pub mod pack;
 pub mod pool;
@@ -45,8 +45,8 @@ pub const MR: usize = 4;
 /// Columns per register tile on the scalar (baseline-ISA) path: each of
 /// the `MR` rows keeps an `NR`-lane accumulator live across the whole `k`
 /// loop, so every output element is stored exactly once. The runtime AVX2
-/// path widens this to 16 lanes — see `gemm_tiled` for why that cannot
-/// change results.
+/// path widens this to 16 lanes; the blueprint docs in [`select`] say why
+/// that cannot change results.
 pub const NR: usize = 8;
 
 /// Below this many multiply-adds a GEMM runs single-threaded; spawn
@@ -197,103 +197,6 @@ impl LhsTile for TransposedLhs {
     }
 }
 
-/// Register-tiled `out[mb, n] = lhs-tile · b[k, n]`, single-threaded,
-/// overwritten.
-///
-/// The `MR x NRV` microkernel keeps an accumulator tile live across the
-/// entire `k` loop and stores each output element exactly once, instead of
-/// re-walking the output rows per `k` step. Every element — tile, row-tail,
-/// or column-tail — accumulates its products in ascending `kk` order through
-/// a single accumulator chain, so results are bitwise independent of how
-/// rows are partitioned — and of `NRV`: widening the tile only changes how
-/// many *independent* chains run side by side, never the order within one.
-/// The scalar path uses `NRV = NR` (8: two xmm per row fits the SSE2
-/// register file); the AVX2 path uses 16 (two ymm per row → eight add
-/// chains, enough to hide the 4-cycle `vaddps` latency).
-#[inline(always)]
-fn gemm_tiled<L: LhsTile, const NRV: usize>(
-    out: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    lhs: L,
-    mb: usize,
-    k: usize,
-    n: usize,
-) {
-    if k == 0 {
-        out.fill(0.0);
-        return;
-    }
-    if mb == 0 || n == 0 {
-        return;
-    }
-    let mut i = 0;
-    while i + MR <= mb {
-        let mut j = 0;
-        while j + NRV <= n {
-            let mut acc = [[0.0f32; NRV]; MR];
-            for kk in 0..k {
-                let bv: &[f32; NRV] = b[kk * n + j..kk * n + j + NRV]
-                    .try_into()
-                    .expect("NRV chunk");
-                let av = lhs.scalars(a, i, kk);
-                for (accr, &ar) in acc.iter_mut().zip(&av) {
-                    for (l, &bl) in accr.iter_mut().zip(bv) {
-                        *l += ar * bl;
-                    }
-                }
-            }
-            for (r, accr) in acc.iter().enumerate() {
-                out[(i + r) * n + j..(i + r) * n + j + NRV].copy_from_slice(accr);
-            }
-            j += NRV;
-        }
-        // Column tail: scalar accumulators, still ascending-kk.
-        while j < n {
-            let mut acc = [0.0f32; MR];
-            for kk in 0..k {
-                let bv = b[kk * n + j];
-                let av = lhs.scalars(a, i, kk);
-                for (l, &ar) in acc.iter_mut().zip(&av) {
-                    *l += ar * bv;
-                }
-            }
-            for (r, &v) in acc.iter().enumerate() {
-                out[(i + r) * n + j] = v;
-            }
-            j += 1;
-        }
-        i += MR;
-    }
-    // Row tail: one row at a time with NRV-lane column tiles.
-    while i < mb {
-        let mut j = 0;
-        while j + NRV <= n {
-            let mut acc = [0.0f32; NRV];
-            for kk in 0..k {
-                let bv: &[f32; NRV] = b[kk * n + j..kk * n + j + NRV]
-                    .try_into()
-                    .expect("NRV chunk");
-                let ar = lhs.scalar(a, i, kk);
-                for (l, &bl) in acc.iter_mut().zip(bv) {
-                    *l += ar * bl;
-                }
-            }
-            out[i * n + j..i * n + j + NRV].copy_from_slice(&acc);
-            j += NRV;
-        }
-        while j < n {
-            let mut acc = 0.0f32;
-            for kk in 0..k {
-                acc += lhs.scalar(a, i, kk) * b[kk * n + j];
-            }
-            out[i * n + j] = acc;
-            j += 1;
-        }
-        i += 1;
-    }
-}
-
 // ---------------------------------------------------------------------------
 // SIMD dispatch
 // ---------------------------------------------------------------------------
@@ -381,67 +284,6 @@ macro_rules! avx2_dispatch {
 }
 
 pub(crate) use avx2_dispatch;
-
-// The GEMM fronts are dispatched by hand (not via `avx2_dispatch!`) because
-// the two ISAs want different tile widths: the AVX2 twins instantiate
-// `gemm_tiled` with 16-lane column tiles (eight independent add chains per
-// 4-row tile — enough to hide `vaddps` latency), while the scalar bodies
-// keep `NR = 8` (16-lane tiles under SSE2 would need 16 xmm accumulators
-// and spill). Per-element accumulation order is identical either way — see
-// the `gemm_tiled` docs — so the paths stay bitwise interchangeable.
-
-/// `out[mb, n] = a_block[mb, k] · b[k, n]`, single-threaded, overwritten.
-fn gemm_block(out: &mut [f32], a: &[f32], b: &[f32], mb: usize, k: usize, n: usize) {
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2() {
-        // SAFETY: AVX2 support verified at runtime just above.
-        return unsafe { gemm_block_avx2(out, a, b, mb, k, n) };
-    }
-    gemm_tiled::<_, NR>(out, a, b, RowMajorLhs { k }, mb, k, n);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn gemm_block_avx2(out: &mut [f32], a: &[f32], b: &[f32], mb: usize, k: usize, n: usize) {
-    gemm_tiled::<_, 16>(out, a, b, RowMajorLhs { k }, mb, k, n);
-}
-
-/// `out[mb, n] = aᵀ-block · b` for output rows `[i0, i0+mb)`, where the
-/// full `a` is stored `[k, m]` and `b` is `[k, n]`. Single-threaded.
-#[allow(clippy::too_many_arguments)] // mirrors the GEMM dimension tuple
-fn at_b_block(
-    out: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    i0: usize,
-    mb: usize,
-    k: usize,
-    m: usize,
-    n: usize,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2() {
-        // SAFETY: AVX2 support verified at runtime just above.
-        return unsafe { at_b_block_avx2(out, a, b, i0, mb, k, m, n) };
-    }
-    gemm_tiled::<_, NR>(out, a, b, TransposedLhs { m, i0 }, mb, k, n);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn at_b_block_avx2(
-    out: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    i0: usize,
-    mb: usize,
-    k: usize,
-    m: usize,
-    n: usize,
-) {
-    gemm_tiled::<_, 16>(out, a, b, TransposedLhs { m, i0 }, mb, k, n);
-}
 
 avx2_dispatch! {
     /// Sum with a fixed eight-lane association: breaks the sequential float
@@ -690,28 +532,36 @@ fn matmul_into_hint(
     assert_eq!(a.len(), m * k, "matmul_into: bad lhs length");
     assert_eq!(b.len(), k * n, "matmul_into: bad rhs length");
     assert_eq!(out.len(), m * n, "matmul_into: bad out length");
-    let selected = select::select_class(m, n, conv).is_some();
+    select::record_class(m, n, conv);
+    par_row_blocks(out, m, n, threads, |block, r| {
+        let ab = &a[r.start * k..r.end * k];
+        select::gemm_block_select(block, ab, b, RowMajorLhs { k }, r.len(), k, n);
+    });
+}
+
+/// Runs `gemm(block, rows)` for contiguous row blocks of the `[m, n]`
+/// output `out`, one [`pool`] task per block (inline when `threads`
+/// leaves a single block). Each block is written by exactly one task, so
+/// the result is the same for any thread count.
+pub(crate) fn par_row_blocks<T: Send>(
+    out: &mut [T],
+    m: usize,
+    n: usize,
+    threads: usize,
+    gemm: impl Fn(&mut [T], Range<usize>) + Sync,
+) {
     let ranges = partition(m, threads);
     if ranges.len() <= 1 {
-        if selected {
-            select::gemm_block_select(out, a, b, RowMajorLhs { k }, m, k, n);
-        } else {
-            gemm_block(out, a, b, m, k, n);
-        }
+        gemm(out, 0..m);
         return;
     }
     let base = SendPtr::new(out.as_mut_ptr());
     pool::run(ranges.len(), &|t| {
-        let r = &ranges[t];
+        let r = ranges[t].clone();
         // SAFETY: partition ranges are disjoint, so each task's output
         // window is exclusive to it.
         let block = unsafe { base.slice(r.start * n, r.len() * n) };
-        let ab = &a[r.start * k..r.end * k];
-        if selected {
-            select::gemm_block_select(block, ab, b, RowMajorLhs { k }, r.len(), k, n);
-        } else {
-            gemm_block(block, ab, b, r.len(), k, n);
-        }
+        gemm(block, r);
     });
 }
 
@@ -749,27 +599,10 @@ pub fn matmul_at_b_into_threads(
     assert_eq!(a.len(), k * m, "matmul_at_b: bad lhs length");
     assert_eq!(b.len(), k * n, "matmul_at_b: bad rhs length");
     assert_eq!(out.len(), m * n, "matmul_at_b: bad out length");
-    let selected = select::select_class(m, n, false).is_some();
-    let ranges = partition(m, threads);
-    if ranges.len() <= 1 {
-        if selected {
-            select::gemm_block_select(out, a, b, TransposedLhs { m, i0: 0 }, m, k, n);
-        } else {
-            at_b_block(out, a, b, 0, m, k, m, n);
-        }
-        return;
-    }
-    let base = SendPtr::new(out.as_mut_ptr());
-    pool::run(ranges.len(), &|t| {
-        let r = &ranges[t];
-        // SAFETY: disjoint partition ranges → disjoint output windows.
-        let block = unsafe { base.slice(r.start * n, r.len() * n) };
-        if selected {
-            let lhs = TransposedLhs { m, i0: r.start };
-            select::gemm_block_select(block, a, b, lhs, r.len(), k, n);
-        } else {
-            at_b_block(block, a, b, r.start, r.len(), k, m, n);
-        }
+    select::record_class(m, n, false);
+    par_row_blocks(out, m, n, threads, |block, r| {
+        let lhs = TransposedLhs { m, i0: r.start };
+        select::gemm_block_select(block, a, b, lhs, r.len(), k, n);
     });
 }
 
@@ -816,28 +649,11 @@ pub fn matmul_a_bt_into_threads(
     // count.
     let mut bt = crate::scratch::alloc(k * n);
     transpose_into(&mut bt, b, n, k);
-    let selected = select::select_class(m, n, false).is_some();
-    let ranges = partition(m, threads);
-    if ranges.len() <= 1 {
-        if selected {
-            select::gemm_block_select(out, a, &bt, RowMajorLhs { k }, m, k, n);
-        } else {
-            gemm_block(out, a, &bt, m, k, n);
-        }
-        return;
-    }
-    let base = SendPtr::new(out.as_mut_ptr());
+    select::record_class(m, n, false);
     let btr: &[f32] = &bt;
-    pool::run(ranges.len(), &|t| {
-        let r = &ranges[t];
-        // SAFETY: disjoint partition ranges → disjoint output windows.
-        let block = unsafe { base.slice(r.start * n, r.len() * n) };
+    par_row_blocks(out, m, n, threads, |block, r| {
         let ab = &a[r.start * k..r.end * k];
-        if selected {
-            select::gemm_block_select(block, ab, btr, RowMajorLhs { k }, r.len(), k, n);
-        } else {
-            gemm_block(block, ab, btr, r.len(), k, n);
-        }
+        select::gemm_block_select(block, ab, btr, RowMajorLhs { k }, r.len(), k, n);
     });
 }
 
@@ -1123,43 +939,46 @@ mod tests {
     fn avx2_paths_match_scalar_bitwise() {
         // The dispatched kernels must be bit-identical to their scalar
         // bodies — the AVX2 twins change instruction selection and the GEMM
-        // tile width, never per-element accumulation order. On a machine
+        // strip width, never per-element accumulation order. On a machine
         // without AVX2 the front *is* the scalar path and this reduces to a
         // self-comparison.
         let mut rng = StdRng::seed_from_u64(77);
-        // Odd dimensions exercise the row/column tails of both the 4x8
-        // scalar tile and the 4x16 AVX2 tile.
-        let (m, k, n) = (13usize, 37usize, 29usize);
-        let a = randv(m * k, &mut rng);
-        let b = randv(k * n, &mut rng);
-        let mut got = vec![0.0f32; m * n];
-        let mut want = vec![0.0f32; m * n];
-        gemm_block(&mut got, &a, &b, m, k, n);
-        gemm_tiled::<_, NR>(&mut want, &a, &b, RowMajorLhs { k }, m, k, n);
-        assert!(got
-            .iter()
-            .zip(&want)
-            .all(|(x, y)| x.to_bits() == y.to_bits()));
+        let same = |x: &[f32], y: &[f32]| x.iter().zip(y).all(|(a, b)| a.to_bits() == b.to_bits());
+        // One shape per blueprint body, in both LHS orientations: packed
+        // with row and column tails past the 8- and 16-lane strips,
+        // skinny-N (n < NR) with and without a row tail, and vecmat
+        // (m < MR). Outputs start as NaN, so an element a body skips
+        // fails the comparison too.
+        for (m, k, n) in [
+            (13usize, 37usize, 29usize),
+            (9, 21, 5),
+            (3, 19, 35),
+            (1, 40, 7),
+        ] {
+            let a = randv(m * k, &mut rng);
+            let at = randv(k * m, &mut rng); // stored [k, m]
+            let b = randv(k * n, &mut rng);
+            let mut got = vec![f32::NAN; m * n];
+            let mut want = vec![f32::NAN; m * n];
+            let lhs = RowMajorLhs { k };
+            select::gemm_block_select(&mut got, &a, &b, lhs, m, k, n);
+            select::gemm_block_select_body::<_, NR>(&mut want, &a, &b, lhs, m, k, n);
+            assert!(same(&got, &want), "RowMajorLhs {m}x{k}x{n}");
+            let mut got = vec![f32::NAN; m * n];
+            let mut want = vec![f32::NAN; m * n];
+            let lhs = TransposedLhs { m, i0: 0 };
+            select::gemm_block_select(&mut got, &at, &b, lhs, m, k, n);
+            select::gemm_block_select_body::<_, NR>(&mut want, &at, &b, lhs, m, k, n);
+            assert!(same(&got, &want), "TransposedLhs {m}x{k}x{n}");
+        }
 
-        let at = randv(k * m, &mut rng); // stored [k, m]
-        let mut got = vec![0.0f32; m * n];
-        let mut want = vec![0.0f32; m * n];
-        at_b_block(&mut got, &at, &b, 0, m, k, m, n);
-        gemm_tiled::<_, NR>(&mut want, &at, &b, TransposedLhs { m, i0: 0 }, m, k, n);
-        assert!(got
-            .iter()
-            .zip(&want)
-            .all(|(x, y)| x.to_bits() == y.to_bits()));
-
+        let (m, n) = (13usize, 29usize);
         let src = randv(m * n, &mut rng);
         let mut got = vec![0.0f32; m * n];
         let mut want = vec![0.0f32; m * n];
         transpose_into(&mut got, &src, m, n);
         transpose_into_scalar(&mut want, &src, m, n);
-        assert!(got
-            .iter()
-            .zip(&want)
-            .all(|(x, y)| x.to_bits() == y.to_bits()));
+        assert!(same(&got, &want));
 
         for len in [0usize, 1, 7, 8, 9, 63, 64, 65, 1000] {
             let x = randv(len, &mut rng);

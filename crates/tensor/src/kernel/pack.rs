@@ -60,9 +60,8 @@ pub fn packed_lhs_len(m: usize, k: usize) -> usize {
 }
 
 /// Packs an `[m, k]` int8 matrix row-major with each row zero-padded to
-/// [`padded_k`] taps. The result doubles as a plain dense matrix with
-/// logical depth `padded_k(k)` (padded taps multiply against anything as
-/// zero), which is how the `EDD_GEMM=generic` path consumes it.
+/// [`padded_k`] taps, so the maddubs kernel can broadcast any 4-tap group
+/// of a row as one dword (padded taps multiply against anything as zero).
 ///
 /// # Panics
 ///

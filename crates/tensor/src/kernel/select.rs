@@ -18,18 +18,20 @@
 //!
 //! **Bitwise invariant.** Every blueprint computes each output element
 //! through a single accumulator chain in ascending `k` order — exactly the
-//! association of [`super::matmul_naive`] and of the generic blocked
-//! kernel. Packing copies operands without touching arithmetic, and the
-//! strip width `NRV` only changes how many independent chains run side by
-//! side. So `EDD_GEMM=generic` (which forces every call onto the generic
-//! kernel) is bit-identical to `EDD_GEMM=auto` by construction, and the
-//! determinism suite proves it per build.
+//! association of [`super::matmul_naive`]. Packing copies operands without
+//! touching arithmetic, and the strip width `NRV` only changes how many
+//! independent chains run side by side. So the scalar bodies (`NR = 8`
+//! lanes) and their AVX2 twins (16 lanes) are bit-identical by
+//! construction, and so is any row partition (a row's chain is the same
+//! in a 4-row tile and in a tail row). `kernel`'s
+//! `avx2_paths_match_scalar_bitwise` test pins the twins to the scalar
+//! bodies; `tests/select_props.rs` pins every class to the oracle and
+//! across thread counts.
 //!
 //! Dispatch decisions are counted in [`crate::stats`] (`select_*`).
 
 use super::pack::pack_a_panel;
 use super::{LhsTile, MR, NR};
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Shape class of one GEMM problem, as seen by the selector.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,72 +49,12 @@ pub enum GemmClass {
     Conv,
 }
 
-/// Selector mode, from `EDD_GEMM`: `auto` (default) dispatches per-class
-/// blueprints, `generic` forces the single blocked kernel everywhere (the
-/// determinism matrix's reference leg).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GemmMode {
-    /// Shape-specialized dispatch (default).
-    Auto,
-    /// Force the generic blocked kernel for every problem.
-    Generic,
-}
-
-/// Parses an `EDD_GEMM`-style setting into the mode to use plus whether the
-/// value was unrecognized (and should be warned about once). Unset and
-/// empty both mean "auto, quietly"; anything other than `auto`/`generic`
-/// falls back to auto *loudly*. Pure so the fallback policy is unit-tested
-/// separately from the process-wide env/warn caching, mirroring the
-/// `EDD_NUM_THREADS` handling in `edd-runtime`.
-fn parse_gemm_setting(raw: Option<&str>) -> (GemmMode, bool) {
-    match raw {
-        None | Some("") | Some("auto") => (GemmMode::Auto, false),
-        Some("generic") => (GemmMode::Generic, false),
-        Some(_) => (GemmMode::Auto, true),
-    }
-}
-
-/// Reads `EDD_GEMM` once (relaxed-atomic cached), warning on unrecognized
-/// values like the `EDD_SIMD` handling in `super::use_avx2` and the
-/// `EDD_NUM_THREADS` handling in `edd-runtime`.
-#[must_use]
-pub fn gemm_mode() -> GemmMode {
-    static STATE: AtomicU8 = AtomicU8::new(0); // 0 undecided, 1 auto, 2 generic
-    match STATE.load(Ordering::Relaxed) {
-        1 => GemmMode::Auto,
-        2 => GemmMode::Generic,
-        _ => {
-            let setting = std::env::var("EDD_GEMM").ok();
-            let (mode, unrecognized) = parse_gemm_setting(setting.as_deref());
-            if unrecognized {
-                static WARNED: std::sync::Once = std::sync::Once::new();
-                WARNED.call_once(|| {
-                    eprintln!(
-                        "warning: unrecognized EDD_GEMM value {:?} (expected \
-                         \"auto\" or \"generic\"); using auto dispatch",
-                        setting.as_deref().unwrap_or_default()
-                    );
-                });
-            }
-            let code = if matches!(mode, GemmMode::Generic) {
-                2
-            } else {
-                1
-            };
-            STATE.store(code, Ordering::Relaxed);
-            mode
-        }
-    }
-}
-
-/// Label of the active selector mode (`"auto"` / `"generic"`), for bench
-/// records.
+/// Label of the GEMM route, always `"auto"`: every call runs the
+/// shape-selected blueprints. Kept because the repo benchmark's reports
+/// (`benchmark/src/report.rs`) still print it.
 #[must_use]
 pub fn gemm_label() -> &'static str {
-    match gemm_mode() {
-        GemmMode::Auto => "auto",
-        GemmMode::Generic => "generic",
-    }
+    "auto"
 }
 
 /// Classifies one GEMM problem. `conv` tags im2col convolution lowerings.
@@ -129,28 +71,23 @@ pub fn classify(m: usize, n: usize, conv: bool) -> GemmClass {
     }
 }
 
-/// Front-level selection: returns the class to dispatch (recording it), or
-/// `None` when `EDD_GEMM=generic` pins the generic kernel.
+/// Records one front-level GEMM call under its [`classify`] class in the
+/// `select_*` counters.
 ///
-/// Public because the integer layers (`edd-nn`) make the same decision for
-/// the prepacked qGEMM path and must feed the same `select_*` counters.
-#[must_use]
-pub fn select_class(m: usize, n: usize, conv: bool) -> Option<GemmClass> {
-    if matches!(gemm_mode(), GemmMode::Generic) {
-        crate::stats::record_select_generic();
-        return None;
-    }
-    let class = classify(m, n, conv);
-    crate::stats::record_select_dispatch(class);
-    Some(class)
+/// Public because the integer layers (`edd-nn`) count their prepacked
+/// qGEMM calls in the same counters.
+pub fn record_class(m: usize, n: usize, conv: bool) {
+    crate::stats::record_select_dispatch(classify(m, n, conv));
 }
 
 // ---------------------------------------------------------------------------
 // Blueprints
 // ---------------------------------------------------------------------------
 //
-// Hand-dispatched like the generic GEMM fronts: the AVX2 twin recompiles
-// the same bodies with 16-lane column strips, the scalar body keeps NR = 8.
+// Hand-dispatched: the AVX2 twin recompiles the same bodies with 16-lane
+// column strips (eight independent add chains per 4-row tile, enough to
+// hide `vaddps` latency), while the scalar body keeps `NR = 8` (16-lane
+// strips under SSE2 would need 16 xmm accumulators and spill).
 
 /// Runs the selected blueprint for one (possibly thread-partitioned) row
 /// block. The shape decides the blueprint; the class tag only fed the
@@ -186,8 +123,11 @@ unsafe fn gemm_block_select_avx2<L: LhsTile>(
     gemm_block_select_body::<L, 16>(out, a, b, lhs, mb, k, n);
 }
 
+/// One row block through the blueprint its shape selects, with `NRV`-lane
+/// column strips. Zero-fills `out` when `k == 0`, and otherwise writes
+/// every element of it.
 #[inline(always)]
-fn gemm_block_select_body<L: LhsTile, const NRV: usize>(
+pub(super) fn gemm_block_select_body<L: LhsTile, const NRV: usize>(
     out: &mut [f32],
     a: &[f32],
     b: &[f32],
@@ -385,31 +325,5 @@ mod tests {
         assert_eq!(classify(MR, NR, false), GemmClass::Square);
         // The conv tag wins over shape.
         assert_eq!(classify(1, 1, true), GemmClass::Conv);
-    }
-
-    #[test]
-    fn gemm_setting_parse_policy() {
-        // Unset / empty / explicit auto: auto, no warning.
-        assert_eq!(parse_gemm_setting(None), (GemmMode::Auto, false));
-        assert_eq!(parse_gemm_setting(Some("")), (GemmMode::Auto, false));
-        assert_eq!(parse_gemm_setting(Some("auto")), (GemmMode::Auto, false));
-        assert_eq!(
-            parse_gemm_setting(Some("generic")),
-            (GemmMode::Generic, false)
-        );
-        // Anything else: fall back to auto, but loudly (one-time warning).
-        for bad in ["Generic", "AUTO", " auto", "fast", "1", "maddubs"] {
-            assert_eq!(parse_gemm_setting(Some(bad)), (GemmMode::Auto, true));
-        }
-    }
-
-    #[test]
-    fn mode_labels_are_stable() {
-        // gemm_mode is process-cached; whatever it returns, the label must
-        // agree with it.
-        match gemm_mode() {
-            GemmMode::Auto => assert_eq!(gemm_label(), "auto"),
-            GemmMode::Generic => assert_eq!(gemm_label(), "generic"),
-        }
     }
 }

@@ -30,24 +30,18 @@
 //!
 //! # Threading and dispatch
 //!
-//! The GEMM front partitions output rows over the persistent worker
-//! [`pool`], exactly like the f32 kernels in
-//! [`kernel`](crate::kernel); every output element is written by exactly one
-//! task. Hot kernels are declared through the same `avx2_dispatch!` macro,
-//! so `EDD_SIMD=scalar` forces the scalar bodies and the dispatched fronts
-//! stay the single source of truth.
+//! The GEMM front partitions output rows over the persistent worker pool,
+//! exactly like the f32 kernels in [`kernel`](crate::kernel); every output
+//! element is written by exactly one task. Every hot kernel has a scalar
+//! body and an AVX2 twin picked at run time, so `EDD_SIMD=scalar` forces
+//! the scalar bodies.
 
 use crate::array::Conv2dGeometry;
-use crate::kernel::pool::{self, SendPtr};
-use crate::kernel::{avx2_dispatch, num_threads, partition, valid_out_range};
+use crate::kernel::{num_threads, par_row_blocks, valid_out_range};
 
-/// Rows per register tile in the blocked integer GEMM (mirrors
+/// Rows per register tile of the prepacked maddubs GEMM (mirrors
 /// [`crate::kernel::MR`]).
 pub const QMR: usize = 4;
-
-/// Columns per register tile: each row keeps eight i32 accumulator lanes
-/// live across the `k` loop.
-pub const QNR: usize = 8;
 
 /// Below this many multiply-adds the integer GEMM runs single-threaded.
 const QPAR_MIN_MACS: usize = 1 << 18;
@@ -452,7 +446,7 @@ unsafe fn requant_magnitude(
 // ---------------------------------------------------------------------------
 
 /// Scalar reference GEMM: `C[m,n](i32) = A[m,k](i8) · B[k,n](i8)`, freshly
-/// allocated. The unblocked i-k-j oracle the tiled kernel is validated
+/// allocated. The unblocked i-k-j oracle the prepacked kernel is validated
 /// against (integer arithmetic is exact, so "matches" means equality).
 ///
 /// # Panics
@@ -475,152 +469,6 @@ pub fn qmatmul_naive(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> Vec<i3
         }
     }
     out
-}
-
-avx2_dispatch! {
-    /// Register-tiled `out[mb, n](i32) = a[mb, k](i8) · b[k, n](i8)`,
-    /// single-threaded, overwritten. The AVX2 twin recompiles the same body
-    /// with widening-multiply vector forms; integer accumulation is exact,
-    /// so the paths are identical by arithmetic, not just by construction.
-    qgemm_block / qgemm_block_scalar / qgemm_block_avx2,
-    (out: &mut [i32], a: &[i8], b: &[i8], mb: usize, k: usize, n: usize)
-}
-
-#[inline(always)]
-fn qgemm_block_scalar(out: &mut [i32], a: &[i8], b: &[i8], mb: usize, k: usize, n: usize) {
-    if k == 0 {
-        out.fill(0);
-        return;
-    }
-    if mb == 0 || n == 0 {
-        return;
-    }
-    let mut i = 0;
-    while i + QMR <= mb {
-        let mut j = 0;
-        while j + QNR <= n {
-            let mut acc = [[0i32; QNR]; QMR];
-            for kk in 0..k {
-                let bv: &[i8; QNR] = b[kk * n + j..kk * n + j + QNR]
-                    .try_into()
-                    .expect("QNR chunk");
-                let av = [
-                    a[i * k + kk],
-                    a[(i + 1) * k + kk],
-                    a[(i + 2) * k + kk],
-                    a[(i + 3) * k + kk],
-                ];
-                for (accr, &ar) in acc.iter_mut().zip(&av) {
-                    let ar = i32::from(ar);
-                    for (l, &bl) in accr.iter_mut().zip(bv) {
-                        *l += ar * i32::from(bl);
-                    }
-                }
-            }
-            for (r, accr) in acc.iter().enumerate() {
-                out[(i + r) * n + j..(i + r) * n + j + QNR].copy_from_slice(accr);
-            }
-            j += QNR;
-        }
-        // Column tail.
-        while j < n {
-            let mut acc = [0i32; QMR];
-            for kk in 0..k {
-                let bv = i32::from(b[kk * n + j]);
-                let av = [
-                    a[i * k + kk],
-                    a[(i + 1) * k + kk],
-                    a[(i + 2) * k + kk],
-                    a[(i + 3) * k + kk],
-                ];
-                for (l, &ar) in acc.iter_mut().zip(&av) {
-                    *l += i32::from(ar) * bv;
-                }
-            }
-            for (r, &v) in acc.iter().enumerate() {
-                out[(i + r) * n + j] = v;
-            }
-            j += 1;
-        }
-        i += QMR;
-    }
-    // Row tail.
-    while i < mb {
-        let mut j = 0;
-        while j + QNR <= n {
-            let mut acc = [0i32; QNR];
-            for kk in 0..k {
-                let bv: &[i8; QNR] = b[kk * n + j..kk * n + j + QNR]
-                    .try_into()
-                    .expect("QNR chunk");
-                let ar = i32::from(a[i * k + kk]);
-                for (l, &bl) in acc.iter_mut().zip(bv) {
-                    *l += ar * i32::from(bl);
-                }
-            }
-            out[i * n + j..i * n + j + QNR].copy_from_slice(&acc);
-            j += QNR;
-        }
-        while j < n {
-            let mut acc = 0i32;
-            for kk in 0..k {
-                acc += i32::from(a[i * k + kk]) * i32::from(b[kk * n + j]);
-            }
-            out[i * n + j] = acc;
-            j += 1;
-        }
-        i += 1;
-    }
-}
-
-/// `out[m,n](i32) = A[m,k](i8) · B[k,n](i8)`, overwriting `out`, threaded
-/// over output row blocks on the worker pool. Exact for any `k <= MAX_K`
-/// and bitwise identical for any thread count.
-///
-/// # Panics
-///
-/// Panics on inconsistent slice lengths or `k > MAX_K`.
-pub fn qmatmul_into(out: &mut [i32], a: &[i8], b: &[i8], m: usize, k: usize, n: usize) {
-    let t = if m * n * k < QPAR_MIN_MACS {
-        1
-    } else {
-        num_threads()
-    };
-    qmatmul_into_threads(out, a, b, m, k, n, t);
-}
-
-/// [`qmatmul_into`] with an explicit thread count (callers already
-/// parallelizing an outer dimension pass `1`).
-///
-/// # Panics
-///
-/// Panics on inconsistent slice lengths or `k > MAX_K`.
-pub fn qmatmul_into_threads(
-    out: &mut [i32],
-    a: &[i8],
-    b: &[i8],
-    m: usize,
-    k: usize,
-    n: usize,
-    threads: usize,
-) {
-    assert_eq!(a.len(), m * k, "qmatmul_into: bad lhs length");
-    assert_eq!(b.len(), k * n, "qmatmul_into: bad rhs length");
-    assert_eq!(out.len(), m * n, "qmatmul_into: bad out length");
-    assert!(k <= MAX_K, "qmatmul_into: k={k} exceeds exact i32 depth");
-    let ranges = partition(m, threads);
-    if ranges.len() <= 1 {
-        qgemm_block(out, a, b, m, k, n);
-        return;
-    }
-    let base = SendPtr::new(out.as_mut_ptr());
-    pool::run(ranges.len(), &|t| {
-        let r = &ranges[t];
-        // SAFETY: partition ranges are disjoint, so each task's output
-        // window is exclusive to it.
-        let block = unsafe { base.slice(r.start * n, r.len() * n) };
-        qgemm_block(block, &a[r.start * k..r.end * k], b, r.len(), k, n);
-    });
 }
 
 // ---------------------------------------------------------------------------
@@ -701,17 +549,7 @@ pub fn qmatmul_prepacked_into_threads(
         "qmatmul_prepacked: lhs contains -128 (outside the symmetric grid)"
     );
     let k4 = padded_k(k);
-    let ranges = partition(m, threads);
-    if ranges.len() <= 1 {
-        qgemm_prepacked_block(out, a_packed, b_panels, m, k4, n);
-        return;
-    }
-    let base = SendPtr::new(out.as_mut_ptr());
-    pool::run(ranges.len(), &|t| {
-        let r = &ranges[t];
-        // SAFETY: partition ranges are disjoint, so each task's output
-        // window is exclusive to it.
-        let block = unsafe { base.slice(r.start * n, r.len() * n) };
+    par_row_blocks(out, m, n, threads, |block, r| {
         let ab = &a_packed[r.start * k4..r.end * k4];
         qgemm_prepacked_block(block, ab, b_panels, r.len(), k4, n);
     });
@@ -1246,44 +1084,8 @@ mod tests {
     }
 
     #[test]
-    fn qgemm_matches_naive_including_tails() {
-        let mut rng = StdRng::seed_from_u64(7);
-        for (m, k, n) in [(1, 1, 1), (4, 8, 8), (5, 3, 7), (9, 16, 33), (6, 0, 3)] {
-            let a = randq(m * k, 127, &mut rng);
-            let b = randq(k * n, 127, &mut rng);
-            let want = qmatmul_naive(&a, &b, m, k, n);
-            let mut got = vec![i32::MIN; m * n];
-            qmatmul_into(&mut got, &a, &b, m, k, n);
-            assert_eq!(got, want, "{m}x{k}x{n}");
-        }
-    }
-
-    #[test]
-    fn qgemm_thread_counts_are_bitwise_equal() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let (m, k, n) = (29, 17, 23);
-        let a = randq(m * k, 127, &mut rng);
-        let b = randq(k * n, 127, &mut rng);
-        let mut reference = vec![0i32; m * n];
-        qmatmul_into_threads(&mut reference, &a, &b, m, k, n, 1);
-        for t in [2, 3, 7, 19] {
-            let mut got = vec![0i32; m * n];
-            qmatmul_into_threads(&mut got, &a, &b, m, k, n, t);
-            assert_eq!(reference, got, "threads={t}");
-        }
-    }
-
-    #[test]
     fn dispatched_kernels_match_scalar_bodies() {
         let mut rng = StdRng::seed_from_u64(13);
-        let (m, k, n) = (13, 37, 29);
-        let a = randq(m * k, 127, &mut rng);
-        let b = randq(k * n, 127, &mut rng);
-        let mut got = vec![0i32; m * n];
-        let mut want = vec![0i32; m * n];
-        qgemm_block(&mut got, &a, &b, m, k, n);
-        qgemm_block_scalar(&mut want, &a, &b, m, k, n);
-        assert_eq!(got, want);
 
         // Depthwise planes over every shape class the dispatch can see:
         // ow < 8 and stride 2 (scalar), ow in 8..16, 16n and 16n + r

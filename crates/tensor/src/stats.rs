@@ -37,9 +37,6 @@ static SELECT_SKINNY_N: AtomicU64 = AtomicU64::new(0);
 static SELECT_SQUARE: AtomicU64 = AtomicU64::new(0);
 /// GEMM dispatches arriving from an im2col convolution lowering.
 static SELECT_CONV: AtomicU64 = AtomicU64::new(0);
-/// GEMM dispatches forced onto the generic blocked kernel
-/// (`EDD_GEMM=generic`).
-static SELECT_GENERIC: AtomicU64 = AtomicU64::new(0);
 /// Weight panels packed once at compile/construction time.
 static PACK_PANELS_BUILT: AtomicU64 = AtomicU64::new(0);
 /// Kernel invocations served by a cached prepacked weight panel.
@@ -81,7 +78,8 @@ pub struct KernelStats {
     pub select_square: u64,
     /// GEMM dispatches tagged as im2col convolution lowerings.
     pub select_conv: u64,
-    /// GEMM dispatches forced generic by `EDD_GEMM=generic`.
+    /// Always 0: every GEMM runs a selected blueprint. Kept because the
+    /// repo benchmark's reports (`benchmark/src/report.rs`) still read it.
     pub select_generic: u64,
     /// Weight panels packed once at compile/construction time.
     pub pack_panels_built: u64,
@@ -126,7 +124,7 @@ pub fn snapshot() -> KernelStats {
         select_skinny_n: SELECT_SKINNY_N.load(Ordering::Relaxed),
         select_square: SELECT_SQUARE.load(Ordering::Relaxed),
         select_conv: SELECT_CONV.load(Ordering::Relaxed),
-        select_generic: SELECT_GENERIC.load(Ordering::Relaxed),
+        select_generic: 0,
         pack_panels_built: PACK_PANELS_BUILT.load(Ordering::Relaxed),
         pack_panel_hits: PACK_PANEL_HITS.load(Ordering::Relaxed),
         pack_panel_misses: PACK_PANEL_MISSES.load(Ordering::Relaxed),
@@ -150,7 +148,6 @@ pub fn reset() {
     SELECT_SKINNY_N.store(0, Ordering::Relaxed);
     SELECT_SQUARE.store(0, Ordering::Relaxed);
     SELECT_CONV.store(0, Ordering::Relaxed);
-    SELECT_GENERIC.store(0, Ordering::Relaxed);
     PACK_PANELS_BUILT.store(0, Ordering::Relaxed);
     PACK_PANEL_HITS.store(0, Ordering::Relaxed);
     PACK_PANEL_MISSES.store(0, Ordering::Relaxed);
@@ -169,11 +166,6 @@ pub(crate) fn record_select_dispatch(class: crate::kernel::select::GemmClass) {
         GemmClass::Conv => &SELECT_CONV,
     };
     ctr.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Counts one GEMM dispatch forced generic by `EDD_GEMM=generic`.
-pub(crate) fn record_select_generic() {
-    SELECT_GENERIC.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Counts one weight panel packed at compile/construction time. Public:

@@ -1,12 +1,12 @@
 //! Bitwise determinism of the integer qkernel layer: quantized GEMM output
-//! rows are partitioned across the pool but every `i32` accumulator is the
-//! same single ascending-`k` chain regardless of partitioning — and integer
-//! addition is associative anyway — so int8/int4 inference must produce
-//! byte-identical results under 1, 2 and 7 logical threads, and under any
-//! `EDD_SIMD` mode (the CI determinism matrix re-runs this binary with
-//! `EDD_SIMD=scalar` and `EDD_SIMD=avx2` and both legs must pass the same
-//! assertions; in-process scalar-vs-dispatched equality is covered by the
-//! qkernel unit tests).
+//! rows are partitioned across the pool but every `i32` accumulator sums
+//! the same 4-tap groups in the same order regardless of partitioning —
+//! and integer addition is associative anyway — so int8/int4 inference
+//! must produce byte-identical results under 1, 2 and 7 logical threads,
+//! and under any `EDD_SIMD` mode (the CI determinism matrix re-runs this
+//! binary with `EDD_SIMD=scalar` and `EDD_SIMD=avx2` and both legs must
+//! pass the same assertions; in-process scalar-vs-dispatched equality is
+//! covered by the qkernel unit tests).
 //!
 //! All scenarios live in one `#[test]` because they mutate the global
 //! thread-count override; this file is its own test binary, so no other
@@ -15,8 +15,8 @@
 use edd_tensor::kernel::pack::{pack_lhs_i8, pack_rhs_i8, packed_lhs_len, packed_rhs_len};
 use edd_tensor::kernel::set_num_threads;
 use edd_tensor::qkernel::{
-    dw_tap_pairs, pack_i4, qdw_plane_into, qim2col_into, qmatmul_into, qmatmul_naive,
-    qmatmul_prepacked_into, requantize_rows_into, unpack_i4_into, Requant,
+    dw_tap_pairs, pack_i4, qdw_plane_into, qim2col_into, qmatmul_naive, qmatmul_prepacked_into,
+    requantize_rows_into, unpack_i4_into, Requant,
 };
 use edd_tensor::Conv2dGeometry;
 use rand::rngs::StdRng;
@@ -35,9 +35,10 @@ type Workload = (Vec<i8>, Vec<i32>, Vec<i8>, Vec<i32>, Vec<i8>, Vec<i32>);
 
 /// One pass over every quantized inference primitive, sized so the GEMMs
 /// cross the `QPAR_MIN_MACS` threshold and actually fan out on the pool:
-/// int4 pack/unpack round-trip, qim2col lowering, the threaded qmatmul,
-/// per-row fixed-point requantization, the depthwise stencil, and the
-/// prepacked path (RHS panel pack + maddubs GEMM).
+/// int4 pack/unpack round-trip, qim2col lowering, the threaded prepacked
+/// qGEMM (panel packs + maddubs GEMM) over the lowered columns, per-row
+/// fixed-point requantization, the depthwise stencil, and a second
+/// prepacked GEMM with row and column tails.
 fn run_workload() -> Workload {
     // int4 weights, bit-packed then unpacked exactly as QWeights does per
     // forward call.
@@ -66,8 +67,17 @@ fn run_workload() -> Workload {
     qim2col_into(&mut cols, &image, &geom);
     assert_eq!(cols_len, k * n, "workload geometry must feed the GEMM");
 
+    let mut w_packed = vec![0i8; packed_lhs_len(m, k)];
+    pack_lhs_i8(&mut w_packed, &weights, m, k);
+    let mut col_panels = vec![0i8; packed_rhs_len(k, n)];
+    pack_rhs_i8(&mut col_panels, &cols, k, n);
     let mut acc = vec![0i32; m * n];
-    qmatmul_into(&mut acc, &weights, &cols, m, k, n);
+    qmatmul_prepacked_into(&mut acc, &w_packed, &col_panels, m, k, n);
+    assert_eq!(
+        acc,
+        qmatmul_naive(&weights, &cols, m, k, n),
+        "conv GEMM must equal the naive product"
+    );
 
     // Per-row requantization with varied multipliers, fused-ReLU6 clamp.
     let per_row: Vec<Requant> = (0..m)

@@ -3,7 +3,8 @@
 //! round-trips, and the fixed-point requantizer against its real-valued
 //! reference — over randomly drawn shapes, values and scales.
 
-use edd_tensor::qkernel::{pack_i4, qmatmul_into_threads, unpack_i4_into, Requant};
+use edd_tensor::kernel::pack::{pack_lhs_i8, pack_rhs_i8, packed_lhs_len, packed_rhs_len};
+use edd_tensor::qkernel::{pack_i4, qmatmul_prepacked_into_threads, unpack_i4_into, Requant};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -28,11 +29,16 @@ proptest! {
     ) {
         let a = qdata(m * k, seed);
         let b = qdata(k * n, seed ^ 0xBEEF);
-        let mut serial = vec![0i32; m * n];
-        qmatmul_into_threads(&mut serial, &a, &b, m, k, n, 1);
-        let mut parallel = vec![0i32; m * n];
-        qmatmul_into_threads(&mut parallel, &a, &b, m, k, n, threads);
-        prop_assert_eq!(serial, parallel);
+        let mut a_packed = vec![0i8; packed_lhs_len(m, k)];
+        pack_lhs_i8(&mut a_packed, &a, m, k);
+        let mut b_panels = vec![0i8; packed_rhs_len(k, n)];
+        pack_rhs_i8(&mut b_panels, &b, k, n);
+        let run = |t: usize| {
+            let mut out = vec![0i32; m * n];
+            qmatmul_prepacked_into_threads(&mut out, &a_packed, &b_panels, m, k, n, t);
+            out
+        };
+        prop_assert_eq!(run(1), run(threads));
     }
 
     #[test]

@@ -3,15 +3,13 @@
 //! matmul fronts against the scalar reference, and the prepacked int8
 //! panel path against `qmatmul_naive` **bitwise** — integer arithmetic
 //! makes that equality exact, while the f32 blueprints are held to the
-//! same relative tolerance as the generic-kernel oracle tests (SIMD FMA
-//! reassociates) plus bitwise invariance across thread counts.
+//! same relative tolerance as the kernel oracle tests plus bitwise
+//! invariance across thread counts.
 
-use edd_tensor::kernel::pack::{
-    pack_lhs_i8, pack_rhs_i8, packed_lhs_len, packed_rhs_len, padded_k,
-};
+use edd_tensor::kernel::pack::{pack_lhs_i8, pack_rhs_i8, packed_lhs_len, packed_rhs_len};
 use edd_tensor::kernel::select::{classify, GemmClass};
 use edd_tensor::kernel::{matmul_conv_into_threads, matmul_into_threads, matmul_naive};
-use edd_tensor::qkernel::{qmatmul_into, qmatmul_naive, qmatmul_prepacked_into_threads};
+use edd_tensor::qkernel::{qmatmul_naive, qmatmul_prepacked_into_threads};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -146,30 +144,6 @@ proptest! {
         pack_rhs_i8(&mut b_panels, &b, k, n);
         let mut got = vec![0i32; m * n];
         qmatmul_prepacked_into_threads(&mut got, &a_packed, &b_panels, m, k, n, threads);
-        prop_assert_eq!(got, qmatmul_naive(&a, &b, m, k, n));
-    }
-
-    /// The generic-kernel leg the quantized layers take when selection is
-    /// pinned off: k4-padded dense LHS rows (the same `pack_lhs_i8`
-    /// layout the prepacked path uses) against a RHS whose rows are
-    /// zero-extended to `padded_k(k)`. Zero taps contribute zero, so the
-    /// padded GEMM equals the unpadded naive product bitwise.
-    #[test]
-    fn qmatmul_on_k4_padded_operands_matches_naive_bitwise(
-        m in 1usize..24,
-        k in 1usize..40,
-        n in 1usize..28,
-        seed in 0u64..1000,
-    ) {
-        let a = rand_i8(m * k, seed);
-        let b = rand_i8(k * n, seed ^ 0xBEE5);
-        let k4 = padded_k(k);
-        let mut a_k4 = vec![0i8; packed_lhs_len(m, k)];
-        pack_lhs_i8(&mut a_k4, &a, m, k);
-        let mut b_k4 = vec![0i8; k4 * n];
-        b_k4[..k * n].copy_from_slice(&b);
-        let mut got = vec![0i32; m * n];
-        qmatmul_into(&mut got, &a_k4, &b_k4, m, k4, n);
         prop_assert_eq!(got, qmatmul_naive(&a, &b, m, k, n));
     }
 }

@@ -5,8 +5,8 @@
 //! was written from, answering the same requests synchronously. This is
 //! the CI determinism leg's compile → artifact → hot-load → serve
 //! contract: 1-shard and 4-shard serving of the reloaded model must equal
-//! the sync reference exactly, on every `EDD_NUM_THREADS` × `EDD_SIMD` ×
-//! `EDD_GEMM` combo.
+//! the sync reference exactly, on every `EDD_NUM_THREADS` × `EDD_SIMD`
+//! combo.
 
 use edd_ir::{artifact, CompiledModel, PassConfig};
 use edd_runtime::{BatchModel, BatcherConfig, InferServer, ServeConfig, Server};

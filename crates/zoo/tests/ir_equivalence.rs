@@ -7,7 +7,7 @@
 //! f32 bit patterns match it exactly, so any difference is a pass bug,
 //! not noise. The absolute bits of the optimized pipeline are pinned by
 //! `golden_outputs.rs`. The determinism CI leg re-runs this test across
-//! the `EDD_NUM_THREADS` × `EDD_SIMD` × `EDD_GEMM` matrix.
+//! the `EDD_NUM_THREADS` × `EDD_SIMD` matrix.
 
 mod common;
 

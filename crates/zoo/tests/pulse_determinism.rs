@@ -7,10 +7,10 @@
 //! synthetic signal one row-slice at a time. Every emitted window's logits
 //! must match the batch engine run on the identical window bit for bit, a
 //! mid-signal save/restore must resume bit-identically, and carried state
-//! must not grow with stream length. The determinism CI leg re-runs this suite
-//! across the `EDD_NUM_THREADS` × `EDD_SIMD` × `EDD_GEMM` matrix, which
-//! the equivalence inherits for free since pulsed and batch paths execute
-//! the same `edd-nn` kernels on the same i32-exact accumulators.
+//! must not grow with stream length. The determinism CI leg re-runs this
+//! suite across the `EDD_NUM_THREADS` × `EDD_SIMD` matrix, which the
+//! equivalence inherits for free since pulsed and batch paths execute the
+//! same `edd-nn` kernels on the same i32-exact accumulators.
 
 mod common;
 

@@ -4,13 +4,11 @@
 #   EDD_NUM_THREADS  initial worker-pool size (the suites then exercise
 #                    7/2/1-thread overrides on top of it)
 #   EDD_SIMD         kernel dispatch mode: "scalar" or "avx2"
-#   EDD_GEMM         GEMM selection mode: "auto" (shape-specialized
-#                    blueprints) or "generic" (single blocked kernel)
 #
-# CI runs this script as a {1,2,7} × {scalar,avx2} × {auto,generic}
-# matrix. The avx2 leg skips (exit 0 with a SKIP marker) on hosts whose
-# CPU lacks AVX2, so the matrix stays green on any runner while still
-# covering both dispatch paths wherever the silicon allows.
+# CI runs this script as a {1,2,7} × {scalar,avx2} matrix. The avx2 leg
+# skips (exit 0 with a SKIP marker) on hosts whose CPU lacks AVX2, so the
+# matrix stays green on any runner while still covering both dispatch
+# paths wherever the silicon allows.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,8 +18,7 @@ if [[ "$mode" == "avx2" ]] && ! grep -qw avx2 /proc/cpuinfo 2>/dev/null; then
     exit 0
 fi
 
-echo "determinism: EDD_NUM_THREADS=${EDD_NUM_THREADS:-<default>} \
-EDD_SIMD=${mode:-<auto>} EDD_GEMM=${EDD_GEMM:-<auto>}"
+echo "determinism: EDD_NUM_THREADS=${EDD_NUM_THREADS:-<default>} EDD_SIMD=${mode:-<auto>}"
 
 cargo test --locked -q -p edd-tensor --test determinism
 cargo test --locked -q -p edd-tensor --test qdeterminism
@@ -58,9 +55,9 @@ cargo test --locked -q -p edd-zoo --test pulse_determinism
 # hash to the values pinned in the test on every leg of the matrix.
 cargo test --locked -q -p edd-zoo --test golden_outputs
 # Work pin: the RHS panel bytes each body of pack_rhs_i8 writes per
-# batch-1 forward of edd-tiny-int8 (vector vs scalar walk; 0 under
-# EDD_GEMM=generic) must equal the counts the test derives from the
-# dispatch mode, so a fall back to the scalar pack fails an exact check.
+# batch-1 forward of edd-tiny-int8 (vector vs scalar walk) must equal the
+# counts the test derives from the SIMD dispatch, so a fall back to the
+# scalar pack fails an exact check.
 cargo test --locked -q -p edd-zoo --test pack_bytes
 # Float-stack golden leg: a one-target search's result bytes and eval-mode
 # logits must hash to the pinned values (the 3-target sweep's pin runs in
