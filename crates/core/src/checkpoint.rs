@@ -545,7 +545,7 @@ pub(crate) fn prune_sweep_snapshots(
     run: &str,
     keep: usize,
 ) -> std::io::Result<Vec<PathBuf>> {
-    snapshot::prune_snapshots_matching(dir, keep, &|name| snapshot_name_matches(name, run))
+    snapshot::prune_snapshots(dir, keep, &|name| snapshot_name_matches(name, run))
 }
 
 /// Resolves a `--resume` argument for run `run`: a snapshot file is used
@@ -557,9 +557,8 @@ pub(crate) fn prune_sweep_snapshots(
 /// snapshots of this run.
 pub(crate) fn resolve_sweep_resume_path(path: &Path, run: &str) -> Result<PathBuf> {
     if path.is_dir() {
-        let mut found =
-            snapshot::list_snapshots_matching(path, &|name| snapshot_name_matches(name, run))
-                .map_err(|e| invalid(format!("dir scan: {e}")))?;
+        let mut found = snapshot::list_snapshots(path, &|name| snapshot_name_matches(name, run))
+            .map_err(|e| invalid(format!("dir scan: {e}")))?;
         found.pop().ok_or_else(|| {
             invalid(format!(
                 "no {} files in {}",

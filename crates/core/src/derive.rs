@@ -209,13 +209,88 @@ impl DerivedArch {
         serde_json::to_string_pretty(self)
     }
 
-    /// Deserializes from JSON.
+    /// Deserializes from JSON and checks the result against its own
+    /// space, so a hand-edited or corrupted file fails here, naming the
+    /// field, rather than panicking in the shape or training code later.
     ///
     /// # Errors
     ///
-    /// Returns a `serde_json` error for malformed input.
+    /// Returns a `serde_json` error for malformed input, or for an
+    /// architecture its space cannot describe: a block count other than the
+    /// plan's, a block choice off the space's menus or plan, a zero size or
+    /// menu entry, an even kernel on the menu, or a quantization menu entry
+    /// below 2 bits (the narrowest symmetric grid with a nonzero level).
     pub fn from_json(s: &str) -> serde_json::Result<DerivedArch> {
-        serde_json::from_str(s)
+        let arch: DerivedArch = serde_json::from_str(s)?;
+        arch.check().map_err(serde::DeError::custom)?;
+        Ok(arch)
+    }
+
+    fn check(&self) -> Result<(), String> {
+        let s = &self.space;
+        let sizes = [
+            ("input_channels", s.input_channels),
+            ("image_size", s.image_size),
+            ("num_classes", s.num_classes),
+            ("stem_channels", s.stem_channels),
+            ("stem_stride", s.stem_stride),
+            ("head_channels", s.head_channels),
+        ];
+        if let Some((field, _)) = sizes.iter().find(|(_, v)| *v == 0) {
+            return Err(format!("space.{field} must be positive"));
+        }
+        if let Some(i) = s
+            .blocks
+            .iter()
+            .position(|p| p.out_channels == 0 || p.stride == 0)
+        {
+            return Err(format!(
+                "space.blocks[{i}]: out_channels and stride must be positive"
+            ));
+        }
+        if s.kernel_choices.iter().any(|k| k % 2 == 0) {
+            // A same-padded even kernel changes the plane size, so the
+            // block's residual add no longer fits.
+            return Err(format!(
+                "space.kernel_choices {:?} must be odd",
+                s.kernel_choices
+            ));
+        }
+        if s.expansion_choices.contains(&0) {
+            return Err("space.expansion_choices must be positive".into());
+        }
+        if s.quant_bits.iter().any(|&q| q < 2) {
+            return Err(format!(
+                "space.quant_bits {:?} must be at least 2",
+                s.quant_bits
+            ));
+        }
+        if self.blocks.len() != s.blocks.len() {
+            return Err(format!(
+                "{} blocks, but the space plans {}",
+                self.blocks.len(),
+                s.blocks.len()
+            ));
+        }
+        for (i, (b, p)) in self.blocks.iter().zip(&s.blocks).enumerate() {
+            let on_menu = [
+                ("kernel", s.kernel_choices.contains(&b.kernel)),
+                ("expansion", s.expansion_choices.contains(&b.expansion)),
+                ("quant_bits", s.quant_bits.contains(&b.quant_bits)),
+            ];
+            if let Some((field, _)) = on_menu.iter().find(|(_, ok)| !ok) {
+                return Err(format!(
+                    "blocks[{i}].{field} is off the space's menu: {b:?}"
+                ));
+            }
+            if (b.out_channels, b.stride) != (p.out_channels, p.stride) {
+                return Err(format!(
+                    "blocks[{i}]: out_channels {} and stride {} differ from the plan's {} and {}",
+                    b.out_channels, b.stride, p.out_channels, p.stride
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -289,5 +364,37 @@ mod tests {
         let j = d.to_json().unwrap();
         let back = DerivedArch::from_json(&j).unwrap();
         assert_eq!(d, back);
+    }
+
+    /// Each of these files would panic in the shape or data code, or be
+    /// evaluated as a network its space cannot build, if `from_json`
+    /// accepted it.
+    #[test]
+    fn from_json_rejects_archs_their_space_cannot_describe() {
+        type Edit = fn(&mut DerivedArch);
+        let cases: [(&str, Edit); 14] = [
+            ("blocks[1].kernel", |a| a.blocks[1].kernel = 0),
+            ("blocks[0].kernel", |a| a.blocks[0].kernel = 2),
+            ("blocks[2].expansion", |a| a.blocks[2].expansion = 0),
+            ("blocks[0]: out_channels", |a| a.blocks[0].out_channels = 0),
+            ("blocks[3]: out_channels", |a| a.blocks[3].stride = 0),
+            ("blocks[1].quant_bits", |a| a.blocks[1].quant_bits = 0),
+            ("blocks[1].quant_bits", |a| a.blocks[1].quant_bits = 1),
+            ("3 blocks, but the space plans 4", |a| {
+                a.blocks.pop();
+            }),
+            ("space.image_size", |a| a.space.image_size = 0),
+            ("space.stem_stride", |a| a.space.stem_stride = 0),
+            ("space.num_classes", |a| a.space.num_classes = 0),
+            ("space.blocks[2]", |a| a.space.blocks[2].stride = 0),
+            ("space.quant_bits", |a| a.space.quant_bits[0] = 1),
+            ("space.kernel_choices", |a| a.space.kernel_choices.push(2)),
+        ];
+        for (want, mutate) in cases {
+            let mut arch = derived();
+            mutate(&mut arch);
+            let err = DerivedArch::from_json(&arch.to_json().unwrap()).expect_err(want);
+            assert!(err.to_string().contains(want), "want `{want}` in: {err}");
+        }
     }
 }

@@ -59,12 +59,6 @@ impl QatModel {
         }
     }
 
-    /// Per-block quantization specs actually in force.
-    #[must_use]
-    pub fn block_specs(&self) -> Vec<Option<QuantSpec>> {
-        self.blocks.iter().map(|(_, s)| *s).collect()
-    }
-
     /// The stem convolution. Exposed (with the other stage accessors) so
     /// calibration ([`crate::quantize`]) and the IR lowering
     /// ([`crate::lower`]) can walk the network stage by stage.
@@ -167,11 +161,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(32);
         let model = QatModel::new(&arch, &mut rng);
         assert!(format!("{model:?}").contains("QatModel"));
-        let specs = model.block_specs();
-        assert_eq!(specs.len(), 3);
-        for (spec, b) in specs.iter().zip(&arch.blocks) {
-            assert_eq!(spec.expect("< 32-bit menu").bits, b.quant_bits);
-        }
         let x = Tensor::constant(Array::randn(&[2, 3, 16, 16], 1.0, &mut rng));
         let y = model.forward(&x).unwrap();
         assert_eq!(y.shape(), vec![2, 4]);

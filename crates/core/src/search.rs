@@ -475,7 +475,8 @@ mod tests {
         let (mut part, train2, val2, mut rng2) = tiny_search(true);
         part.checkpoint_into(&dir).checkpoint_keep(1);
         part.run_until(&train2, &val2, &mut rng2, 2).unwrap();
-        let files = edd_runtime::snapshot::list_snapshots(&dir, "ckpt-").unwrap();
+        let files =
+            edd_runtime::snapshot::list_snapshots(&dir, &|n| n.starts_with("ckpt-")).unwrap();
         assert_eq!(files.len(), 1, "retention should prune to 1: {files:?}");
         assert!(files[0].ends_with(SweepSnapshot::file_name("fpga-recursive", 1)));
 

@@ -95,16 +95,6 @@ impl SuperNet {
         &self.space
     }
 
-    /// Candidate op `m` of block `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are out of range.
-    #[must_use]
-    pub fn candidate(&self, i: usize, m: usize) -> &MbConv {
-        &self.blocks[i][m]
-    }
-
     /// All DNN weights `ω` (stem, every candidate, head) — the inner-level
     /// variables of the bilevel optimization.
     #[must_use]
@@ -404,14 +394,5 @@ mod tests {
         // 2 blocks × 9 candidates of MBConv params + stem + head.
         assert!(net.weight_params().len() > 2 * 9 * 8);
         assert!(format!("{net:?}").contains("SuperNet"));
-    }
-
-    #[test]
-    fn candidate_accessor() {
-        let (space, net, _, _) = setup();
-        let c = net.candidate(0, 8);
-        let (k, e) = space.op_choice(8);
-        assert_eq!(c.kernel(), k);
-        assert_eq!(c.expansion(), e);
     }
 }

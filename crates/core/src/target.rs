@@ -53,13 +53,6 @@ impl DeviceTarget {
         matches!(self, DeviceTarget::FpgaRecursive(_))
     }
 
-    /// Whether the whole network is constrained to a single precision
-    /// (GPU frameworks lack mixed-precision support, §4.2).
-    #[must_use]
-    pub fn uniform_precision(&self) -> bool {
-        matches!(self, DeviceTarget::Gpu(_))
-    }
-
     /// Whether parallel factors are part of the implementation space.
     #[must_use]
     pub fn has_parallel_factors(&self) -> bool {
@@ -134,7 +127,6 @@ mod tests {
         let rec = DeviceTarget::FpgaRecursive(FpgaDevice::zcu102());
         let pipe = DeviceTarget::FpgaPipelined(FpgaDevice::zc706());
         assert!(rec.shares_resource() && !pipe.shares_resource() && !gpu.shares_resource());
-        assert!(gpu.uniform_precision() && !rec.uniform_precision());
         assert!(!gpu.has_parallel_factors() && rec.has_parallel_factors());
     }
 
@@ -190,8 +182,6 @@ mod tests {
         let ded = DeviceTarget::Dedicated(AccelDevice::loom_like());
         assert_eq!(ded.objective(), PerfObjective::Latency);
         assert!(!ded.shares_resource());
-        // Mixed precision is the whole point of bit-flexible ASICs.
-        assert!(!ded.uniform_precision());
         assert!(!ded.has_parallel_factors());
         assert_eq!(ded.default_quant_bits(), vec![2, 4, 8, 16]);
         assert!(ded.resource_bound().is_infinite());

@@ -1,6 +1,6 @@
 //! Serving-path bitwise determinism: the same requests answered through
 //! the dynamic-batching [`edd_runtime::Server`] must be bit-identical to
-//! the synchronous [`edd_runtime::InferServer`] path, regardless of how
+//! the model's own batch-1 [`BatchModel::infer_batch`], regardless of how
 //! many worker shards the server runs or how requests get coalesced into
 //! batches. This holds because the compiled integer engine accumulates in
 //! `i32` per image — batch composition cannot perturb any output — and it
@@ -12,7 +12,7 @@ use edd_core::{
 };
 use edd_hw::FpgaDevice;
 use edd_ir::{CompiledModel, PassConfig};
-use edd_runtime::{BatcherConfig, InferServer, ServeConfig, Server};
+use edd_runtime::{BatchModel, BatcherConfig, ServeConfig, Server};
 use edd_tensor::Array;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -76,15 +76,14 @@ fn serve_all(model: &Arc<CompiledModel>, images: &[Vec<f32>], shards: usize) -> 
 #[test]
 fn sharded_serving_is_bitwise_identical_to_sync_inference() {
     let model = Arc::new(compiled_tiny(61));
-    let image_len = edd_runtime::BatchModel::image_len(model.as_ref());
-    let classes = edd_runtime::BatchModel::num_classes(model.as_ref());
+    let image_len = model.image_len();
+    let classes = model.num_classes();
     let images = request_images(48, image_len);
 
-    // Synchronous reference: one request at a time through InferServer.
-    let sync = InferServer::new(model.as_ref());
+    // Synchronous reference: one request at a time through the engine.
     let reference: Vec<Vec<f32>> = images
         .iter()
-        .map(|img| sync.infer(img, 1).unwrap())
+        .map(|img| model.infer_batch(img, 1).unwrap())
         .collect();
     for logits in &reference {
         assert_eq!(logits.len(), classes);
@@ -94,7 +93,7 @@ fn sharded_serving_is_bitwise_identical_to_sync_inference() {
     // not depend on batch composition (integer accumulation is exact).
     for (chunk_idx, chunk) in images.chunks(8).enumerate() {
         let flat: Vec<f32> = chunk.concat();
-        let batched = sync.infer(&flat, chunk.len()).unwrap();
+        let batched = model.infer_batch(&flat, chunk.len()).unwrap();
         for (i, logits) in batched.chunks(classes).enumerate() {
             assert_eq!(
                 bits(logits),
@@ -120,8 +119,7 @@ fn sharded_serving_is_bitwise_identical_to_sync_inference() {
 #[test]
 fn repeated_serving_runs_are_bitwise_stable() {
     let model = Arc::new(compiled_tiny(61));
-    let image_len = edd_runtime::BatchModel::image_len(model.as_ref());
-    let images = request_images(24, image_len);
+    let images = request_images(24, model.image_len());
     let a = serve_all(&model, &images, 2);
     let b = serve_all(&model, &images, 2);
     for (x, y) in a.iter().zip(&b) {

@@ -48,23 +48,6 @@ impl Default for SynthConfig {
 }
 
 impl SynthConfig {
-    /// The search-scale stand-in for the paper's ImageNet-100 subset:
-    /// 100 classes at 32×32. Heavier than [`SynthConfig::tiny`]; used by
-    /// the full (non-`--quick`) experiment harnesses when more signal is
-    /// wanted.
-    #[must_use]
-    pub fn imagenet100_proxy() -> Self {
-        SynthConfig {
-            num_classes: 100,
-            image_size: 32,
-            channels: 3,
-            noise_std: 0.35,
-            max_shift: 4,
-            hflip: true,
-            seed: 100,
-        }
-    }
-
     /// A small configuration for fast unit tests (4 classes, 16×16).
     #[must_use]
     pub fn tiny() -> Self {
@@ -266,18 +249,6 @@ impl SynthDataset {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn imagenet100_proxy_scales() {
-        let cfg = SynthConfig::imagenet100_proxy();
-        assert_eq!(cfg.num_classes, 100);
-        assert_eq!(cfg.image_size, 32);
-        let d = SynthDataset::new(cfg);
-        let mut rng = StdRng::seed_from_u64(0);
-        let (img, label) = d.sample(&mut rng);
-        assert_eq!(img.shape(), &[3, 32, 32]);
-        assert!(label < 100);
-    }
 
     #[test]
     fn deterministic_prototypes() {

@@ -506,7 +506,8 @@ mod tests {
     use super::*;
     use crate::graph::{ConvOp, DwConvOp, LinearOp};
     use crate::passes::{lower, PassConfig};
-    use edd_runtime::BatchModel;
+    use crate::pulse::PulsedModel;
+    use edd_runtime::{BatchModel, StreamModel};
 
     /// A lowered graph with every serializable op, via the real pipeline.
     fn lowered() -> Graph {
@@ -883,7 +884,11 @@ mod tests {
         /// tail cut, and the file is re-sealed. Decoding must not panic. A
         /// graph it accepts must re-encode to bytes that decode to the
         /// same graph, and must build and answer one batch-1 request
-        /// without panicking.
+        /// without panicking. The stream path (`edd stream --artifact`)
+        /// loads the same files, so a graph whose window holds at most
+        /// 2^12 input elements is also pulsed at hop 1..=5: one window
+        /// plus one hop of rows pushed, then its own saved state restored
+        /// into the live model, all without panicking.
         #[test]
         fn mutated_sections_decode_or_fail_cleanly(
             which in 0usize..2,
@@ -891,6 +896,7 @@ mod tests {
             pos in 0u64..=u64::MAX,
             value in 0u64..=u64::MAX,
             extreme in proptest::prop::sample::select(vec![u64::MAX, 1u64 << 32, 1000, 0]),
+            hop in 1usize..=5,
         ) {
             let file = real_artifact();
             let payload = decode_container_as(&ARTIFACT_MAGIC, ARTIFACT_VERSION, file).unwrap();
@@ -916,6 +922,19 @@ mod tests {
             let back = from_bytes(&again);
             proptest::prop_assert!(back.is_ok(), "a re-encoded graph does not decode");
             proptest::prop_assert_eq!(to_bytes(&back.unwrap()).unwrap(), again);
+            let [c, h, w] = g.meta.input_shape;
+            let window = c.checked_mul(h).and_then(|n| n.checked_mul(w));
+            if window.is_some_and(|n| n <= 1 << 12) {
+                if let Ok(mut pulsed) = PulsedModel::from_graph(&g, hop) {
+                    let row: Vec<f32> = (0..c * w).map(|i| ((i % 13) as f32 - 6.0) * 0.03).collect();
+                    for _ in 0..h + hop {
+                        let _ = pulsed.push(&row);
+                    }
+                    let state = pulsed.save_state();
+                    let restored = pulsed.restore_state(&state);
+                    proptest::prop_assert!(restored.is_ok(), "own state rejected: {:?}", restored);
+                }
+            }
             if let Ok(model) = CompiledModel::from_graph(g) {
                 // A request is one image of the input shape, which the
                 // meta section sets: cap what this test hands the model.

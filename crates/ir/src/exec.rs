@@ -9,8 +9,8 @@
 //!
 //! The model implements [`edd_runtime::BatchModel`], which is all the
 //! serving layer needs: a model compiled in process and one hot-loaded
-//! from an artifact both drop into `InferServer` and the sharded
-//! `serve::Server`.
+//! from an artifact both run synchronously through
+//! [`BatchModel::infer_batch`] and drop into the sharded `serve::Server`.
 
 use crate::graph::{DType, Graph, Op};
 use edd_nn::{q_global_avg_pool, QAddTables, QConv2d, QDwConv2d, QLinear, QTensor};

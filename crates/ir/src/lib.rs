@@ -21,7 +21,7 @@
 //!    hashes.
 //! 4. **[`exec`]** — [`CompiledModel`] runs the lowered graph and
 //!    implements `edd_runtime::BatchModel`, so it serves behind the
-//!    batching front end (`InferServer`, the sharded `serve::Server`).
+//!    sharded batching front end (`serve::Server`).
 //! 5. **[`artifact`]** — a versioned, CRC-checked binary format (the
 //!    snapshot container with an artifact magic) storing tensors as raw
 //!    bits; `edd compile` writes artifacts, `edd serve` hot-loads them.

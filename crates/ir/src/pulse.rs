@@ -1050,12 +1050,6 @@ impl PulsedModel {
     pub fn program(&self) -> &Arc<PulsedProgram> {
         &self.program
     }
-
-    /// Windows currently in flight.
-    #[must_use]
-    pub fn active_windows(&self) -> usize {
-        self.active.len()
-    }
 }
 
 impl StreamModel for PulsedModel {
@@ -1406,7 +1400,7 @@ mod tests {
             );
         }
         // Bounded state: at most ceil(window/hop) windows in flight.
-        assert!(model.active_windows() <= 3);
+        assert!(model.active.len() <= 3);
         assert!(peak > 0);
     }
 
@@ -1517,7 +1511,7 @@ mod tests {
             model.push(&stream_row(r)).unwrap();
             twin.push(&stream_row(r)).unwrap();
         }
-        assert_eq!(model.active_windows(), 2);
+        assert_eq!(model.active.len(), 2);
         let blob = model.save_state();
         assert!(model.restore_state(&blob[..blob.len() - 3]).is_err());
         assert_eq!(

@@ -15,11 +15,9 @@
 //!   a JSONL backend for traces, a CSV backend for legacy history output,
 //!   and a no-op backend that keeps disabled instrumentation off the hot
 //!   path.
-//! - **Batched inference serving** ([`infer`]): a model-agnostic
-//!   [`BatchModel`] trait plus an [`InferServer`] wrapper that counts
-//!   requests/images and tracks latency, wired into the telemetry sink.
-//!   The integer quantized-inference engine in `edd-core` serves through
-//!   this.
+//! - **Batched inference** ([`infer`]): the model-agnostic [`BatchModel`]
+//!   trait, which the integer engine in `edd-ir` implements and the
+//!   serving front end runs.
 //! - **Streaming (pulsed) inference** ([`stream`]): a
 //!   `push(slice) -> Option<window>` [`StreamModel`] contract for
 //!   continuous signals under a bounded memory budget, with a
@@ -49,17 +47,15 @@ pub mod stream;
 pub mod telemetry;
 
 pub use crc32::crc32;
-pub use infer::{BatchModel, InferServer, InferStats};
+pub use infer::BatchModel;
 pub use serve::{
     BatchAction, BatchEvent, Batcher, BatcherConfig, FlushReason, LatencySummary, Micros,
     ModelServeStats, RejectReason, ServeConfig, ServeError, Server, Ticket,
 };
 pub use snapshot::{
-    decode_container_as, encode_container_as, latest_snapshot, list_snapshots, prune_snapshots,
+    decode_container_as, encode_container_as, list_snapshots, prune_snapshots,
     read as read_snapshot, write_atomic, write_atomic_raw, ByteReader, ByteWriter, SectionWriter,
     Sections, SnapshotError,
 };
 pub use stream::{StreamModel, StreamSession, StreamStats, StreamWindow};
-pub use telemetry::{
-    CsvSink, Event, EventKind, FanoutSink, Histogram, JsonlSink, NoopSink, Sink, Span, Value,
-};
+pub use telemetry::{CsvSink, Event, EventKind, Histogram, JsonlSink, NoopSink, Sink, Span, Value};

@@ -1,8 +1,8 @@
 //! Async multi-tenant dynamic-batching inference service.
 //!
-//! [`InferServer`](crate::InferServer) is a synchronous, caller-batched
-//! entry point: one thread, one model, one `infer` call at a time. This
-//! module puts a production front end over the same [`BatchModel`] trait:
+//! [`BatchModel::infer_batch`] is a synchronous, caller-batched entry
+//! point: one thread, one model, one call at a time. This module puts a
+//! production front end over the same trait:
 //!
 //! - **[`Batcher`]** — a *pure, clock-injected* state machine that
 //!   coalesces single-image requests into batches. All inputs are explicit
@@ -36,7 +36,7 @@
 //! `CompiledModel`) guarantees this — i32 accumulation is exact — and
 //! `crates/core/tests/serve_determinism.rs` proves outputs are
 //! bitwise-identical across 1-shard and 4-shard servers and against the
-//! synchronous path.
+//! model's own batch-1 `infer_batch`.
 
 use crate::infer::BatchModel;
 use crate::telemetry::{self, Histogram};
@@ -351,24 +351,6 @@ impl Ticket {
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
     }
-
-    /// Non-blocking probe: the result if the request already completed.
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err(self)` (the still-pending ticket) when not yet done.
-    pub fn try_take(self) -> Result<Result<Vec<f32>, ServeError>, Ticket> {
-        let taken = self
-            .slot
-            .result
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .take();
-        match taken {
-            Some(result) => Ok(result),
-            None => Err(self),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -510,8 +492,8 @@ impl ModelServeStats {
 ///
 /// Each registered model gets its own bounded queue, [`Batcher`], and
 /// `shards` worker threads sharing one immutable `Arc<M>`. Clients call
-/// [`Server::submit`] (non-blocking admission, returns a [`Ticket`]) or
-/// [`Server::infer_one`] (submit + wait). Dropping the server performs a
+/// [`Server::submit`] (non-blocking admission, returns a [`Ticket`]) and
+/// redeem the ticket with [`Ticket::wait`]. Dropping the server performs a
 /// graceful shutdown: intake stops, pending requests drain, workers join.
 #[derive(Debug)]
 pub struct Server<M: BatchModel + Send + Sync + 'static> {
@@ -522,8 +504,7 @@ pub struct Server<M: BatchModel + Send + Sync + 'static> {
 
 impl<M: BatchModel + Send + Sync + 'static> Server<M> {
     /// Starts worker shards for `models` and begins accepting requests.
-    /// Models are addressed by their index in `models` (see
-    /// [`Server::model_index`] for name lookup).
+    /// Models are addressed by their index in `models`.
     ///
     /// # Panics
     ///
@@ -570,18 +551,6 @@ impl<M: BatchModel + Send + Sync + 'static> Server<M> {
 
     fn now(&self) -> Micros {
         u64::try_from(self.epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
-    }
-
-    /// Number of registered models.
-    #[must_use]
-    pub fn num_models(&self) -> usize {
-        self.models.len()
-    }
-
-    /// Index of the model registered under `name`, if any.
-    #[must_use]
-    pub fn model_index(&self, name: &str) -> Option<usize> {
-        self.models.iter().position(|m| m.name == name)
     }
 
     /// The shared model at `index`.
@@ -674,16 +643,6 @@ impl<M: BatchModel + Send + Sync + 'static> Server<M> {
                 Ok(Ticket { slot })
             }
         }
-    }
-
-    /// Submits one image and blocks for its logits; sugar for
-    /// [`Server::submit`] + [`Ticket::wait`].
-    ///
-    /// # Errors
-    ///
-    /// Any [`ServeError`] from submission or the model forward pass.
-    pub fn infer_one(&self, model: usize, image: Vec<f32>) -> Result<Vec<f32>, ServeError> {
-        self.submit(model, image)?.wait()
     }
 
     /// Point-in-time statistics for the model at `index`.
@@ -989,7 +948,11 @@ mod tests {
     #[test]
     fn serves_one_request_end_to_end() {
         let server = toy_server(1);
-        let logits = server.infer_one(0, vec![1.0, 0.0, 0.0, 0.0]).unwrap();
+        let logits = server
+            .submit(0, vec![1.0, 0.0, 0.0, 0.0])
+            .unwrap()
+            .wait()
+            .unwrap();
         assert_eq!(logits, vec![1.0, 2.0]);
         let stats = server.shutdown().remove(0);
         assert_eq!(stats.accepted, 1);
@@ -1010,15 +973,6 @@ mod tests {
             Err(ServeError::BadRequest(_))
         ));
         assert_eq!(server.stats(0).accepted, 0);
-    }
-
-    #[test]
-    fn model_lookup_by_name() {
-        let server = toy_server(2);
-        assert_eq!(server.model_index("toy"), Some(0));
-        assert_eq!(server.model_index("nope"), None);
-        assert_eq!(server.num_models(), 1);
-        assert_eq!(server.model(0).image_len(), 4);
     }
 
     #[test]

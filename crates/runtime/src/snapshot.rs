@@ -577,76 +577,17 @@ pub fn read(path: &Path) -> Result<Vec<u8>> {
 /// The extension snapshots are written with.
 pub const SNAPSHOT_EXT: &str = "edds";
 
-/// Lists snapshot files `{prefix}*.edds` in `dir`, sorted by file name
-/// ascending (names embed zero-padded epoch numbers, so lexicographic order
-/// is chronological order).
-///
-/// # Errors
-///
-/// Propagates directory-read errors; a missing directory yields an empty
-/// list.
-pub fn list_snapshots(dir: &Path, prefix: &str) -> std::io::Result<Vec<PathBuf>> {
-    let entries = match fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e),
-    };
-    let mut out = Vec::new();
-    for entry in entries {
-        let path = entry?.path();
-        let is_snap = path.extension().is_some_and(|e| e == SNAPSHOT_EXT)
-            && path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with(prefix));
-        if is_snap {
-            out.push(path);
-        }
-    }
-    out.sort();
-    Ok(out)
-}
-
-/// The newest snapshot `{prefix}*.edds` in `dir`, if any.
-///
-/// # Errors
-///
-/// Propagates directory-read errors.
-pub fn latest_snapshot(dir: &Path, prefix: &str) -> std::io::Result<Option<PathBuf>> {
-    Ok(list_snapshots(dir, prefix)?.pop())
-}
-
-/// Deletes the oldest snapshots beyond the newest `keep`, returning the
-/// paths removed. `keep == 0` is treated as 1 (never delete the snapshot
-/// just written).
-///
-/// # Errors
-///
-/// Propagates directory-read and delete errors.
-pub fn prune_snapshots(dir: &Path, prefix: &str, keep: usize) -> std::io::Result<Vec<PathBuf>> {
-    let all = list_snapshots(dir, prefix)?;
-    let keep = keep.max(1);
-    let excess = all.len().saturating_sub(keep);
-    let mut removed = Vec::with_capacity(excess);
-    for path in &all[..excess] {
-        fs::remove_file(path)?;
-        removed.push(path.clone());
-    }
-    Ok(removed)
-}
-
-/// Like [`list_snapshots`], but filters by an arbitrary file-name
-/// predicate instead of a plain prefix. Needed when several runs share a
-/// directory with *overlapping* prefixes (`search-…` vs `search-gpu-…`):
-/// a prefix match alone cannot tell one run's snapshots from another's.
+/// Lists the snapshot files (`*.edds`) in `dir` whose file name satisfies
+/// `matches`, sorted by file name ascending (names embed zero-padded epoch
+/// numbers, so lexicographic order is chronological order). A predicate
+/// rather than a plain prefix, because several runs may share a directory
+/// with *overlapping* prefixes (`search-…` vs `search-gpu-…`): a prefix
+/// match alone cannot tell one run's snapshots from another's.
 ///
 /// # Errors
 ///
 /// Propagates directory-read errors; a missing directory lists as empty.
-pub fn list_snapshots_matching(
-    dir: &Path,
-    matches: &dyn Fn(&str) -> bool,
-) -> std::io::Result<Vec<PathBuf>> {
+pub fn list_snapshots(dir: &Path, matches: &dyn Fn(&str) -> bool) -> std::io::Result<Vec<PathBuf>> {
     let entries = match fs::read_dir(dir) {
         Ok(e) => e,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
@@ -668,19 +609,21 @@ pub fn list_snapshots_matching(
     Ok(out)
 }
 
-/// Like [`prune_snapshots`], but scoped by a file-name predicate: only
-/// files matching it are counted against `keep` or deleted, so co-located
-/// snapshot families prune independently.
+/// Deletes the oldest snapshots matching `matches` beyond the newest
+/// `keep`, returning the paths removed. Only matching files are counted
+/// against `keep` or deleted, so co-located snapshot families prune
+/// independently. `keep == 0` is treated as 1 (never delete the snapshot
+/// just written).
 ///
 /// # Errors
 ///
 /// Propagates directory-read and delete errors.
-pub fn prune_snapshots_matching(
+pub fn prune_snapshots(
     dir: &Path,
     keep: usize,
     matches: &dyn Fn(&str) -> bool,
 ) -> std::io::Result<Vec<PathBuf>> {
-    let all = list_snapshots_matching(dir, matches)?;
+    let all = list_snapshots(dir, matches)?;
     let keep = keep.max(1);
     let excess = all.len().saturating_sub(keep);
     let mut removed = Vec::with_capacity(excess);
@@ -860,7 +803,12 @@ mod tests {
         write_atomic(&path, b"state2").unwrap();
         assert_eq!(read(&path).unwrap(), b"state2");
         // No temp litter.
-        assert_eq!(list_snapshots(&dir, "snap-").unwrap().len(), 1);
+        assert_eq!(
+            list_snapshots(&dir, &|n| n.starts_with("snap-"))
+                .unwrap()
+                .len(),
+            1
+        );
         assert!(!dir.join("snap-00000001.edds.tmp").exists());
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -871,25 +819,24 @@ mod tests {
         for e in 0..5 {
             write_atomic(&dir.join(format!("snap-{e:08}.edds")), &[e]).unwrap();
         }
-        let removed = prune_snapshots(&dir, "snap-", 2).unwrap();
+        let snap = |n: &str| n.starts_with("snap-");
+        let removed = prune_snapshots(&dir, 2, &snap).unwrap();
         assert_eq!(removed.len(), 3);
-        let left = list_snapshots(&dir, "snap-").unwrap();
+        let left = list_snapshots(&dir, &snap).unwrap();
         assert_eq!(left.len(), 2);
-        assert_eq!(
-            latest_snapshot(&dir, "snap-").unwrap().unwrap(),
-            dir.join("snap-00000004.edds")
-        );
+        assert_eq!(left.last(), Some(&dir.join("snap-00000004.edds")));
         // keep = 0 never deletes everything.
-        let removed = prune_snapshots(&dir, "snap-", 0).unwrap();
+        let removed = prune_snapshots(&dir, 0, &snap).unwrap();
         assert_eq!(removed.len(), 1);
-        assert_eq!(list_snapshots(&dir, "snap-").unwrap().len(), 1);
+        assert_eq!(list_snapshots(&dir, &snap).unwrap().len(), 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn missing_dir_lists_empty() {
         let dir = std::env::temp_dir().join("edd-runtime-test-definitely-absent");
-        assert!(list_snapshots(&dir, "snap-").unwrap().is_empty());
-        assert!(latest_snapshot(&dir, "snap-").unwrap().is_none());
+        assert!(list_snapshots(&dir, &|n| n.starts_with("snap-"))
+            .unwrap()
+            .is_empty());
     }
 }

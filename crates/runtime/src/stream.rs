@@ -178,16 +178,6 @@ impl<M: StreamModel> StreamSession<M> {
         &self.model
     }
 
-    /// Mutable access to the wrapped model (reset, restore).
-    pub fn model_mut(&mut self) -> &mut M {
-        &mut self.model
-    }
-
-    /// Unwraps the session.
-    pub fn into_model(self) -> M {
-        self.model
-    }
-
     /// Serializes the wrapped model's mid-stream state.
     #[must_use]
     pub fn save_state(&self) -> Vec<u8> {

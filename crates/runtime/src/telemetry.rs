@@ -466,46 +466,6 @@ impl Sink for CsvSink {
     }
 }
 
-/// Broadcasts every event to each inner sink; enabled if any inner sink is.
-#[derive(Default)]
-pub struct FanoutSink {
-    sinks: Vec<Arc<dyn Sink>>,
-}
-
-impl FanoutSink {
-    /// Fans out to `sinks`.
-    #[must_use]
-    pub fn new(sinks: Vec<Arc<dyn Sink>>) -> Self {
-        FanoutSink { sinks }
-    }
-}
-
-impl std::fmt::Debug for FanoutSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FanoutSink")
-            .field("sinks", &self.sinks.len())
-            .finish()
-    }
-}
-
-impl Sink for FanoutSink {
-    fn enabled(&self) -> bool {
-        self.sinks.iter().any(|s| s.enabled())
-    }
-
-    fn emit(&self, event: &Event<'_>) {
-        for s in &self.sinks {
-            s.emit(event);
-        }
-    }
-
-    fn flush(&self) {
-        for s in &self.sinks {
-            s.flush();
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Global sink registry
 // ---------------------------------------------------------------------------
@@ -793,21 +753,5 @@ mod tests {
         let lines2 = rec2.lines.lock().unwrap().clone();
         assert_eq!(lines2.len(), 1);
         assert!(lines2[0].starts_with("span:solo:"));
-    }
-
-    #[test]
-    fn fanout_broadcasts_and_or_enables() {
-        let rec = Arc::new(RecordingSink::default());
-        let fan = FanoutSink::new(vec![Arc::new(NoopSink), rec.clone()]);
-        assert!(fan.enabled());
-        fan.emit(&Event {
-            kind: EventKind::Counter,
-            name: "c",
-            value: Some(Value::U64(1)),
-            fields: &[],
-        });
-        assert_eq!(rec.lines.lock().unwrap().len(), 1);
-        let all_noop = FanoutSink::new(vec![Arc::new(NoopSink)]);
-        assert!(!all_noop.enabled());
     }
 }

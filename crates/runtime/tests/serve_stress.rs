@@ -7,8 +7,8 @@
 //!   rejected == submitted and completed == accepted after shutdown.
 //! - **Bitwise equivalence**: whatever batches the dynamic batcher forms,
 //!   each response is bit-identical to the same image run through the
-//!   synchronous [`InferServer`] path (the toy model is per-image
-//!   deterministic, like the integer engine).
+//!   model's own batch-1 [`BatchModel::infer_batch`] (the toy model is
+//!   per-image deterministic, like the integer engine).
 //! - **Graceful shutdown**: pending requests are drained, never dropped.
 //! - **Fault containment**: a model that panics fails only its own batch,
 //!   and its shard keeps serving.
@@ -16,7 +16,7 @@
 //!   (max_batch, max_delay, queue_depth, shards, arrival pattern).
 
 use edd_runtime::serve::{BatcherConfig, ServeConfig, ServeError, Server, Ticket};
-use edd_runtime::{BatchModel, InferServer};
+use edd_runtime::BatchModel;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -164,14 +164,10 @@ fn producers_times_models_exactly_once_and_bitwise_matches_sync() {
     // Exactly-once: every (producer, seq) resolved exactly once.
     assert_eq!(all.len(), PRODUCERS * PER_PRODUCER);
 
-    // Bitwise equivalence against the synchronous path, model by model.
-    let sync: Vec<InferServer<&ToyModel>> = models
-        .iter()
-        .map(|m| InferServer::new(m.as_ref()))
-        .collect();
+    // Bitwise equivalence against each model's own batch-1 forward.
     for (p, m, seq, logits) in &all {
         let image = image_for(models[*m].image_len(), *p, *seq);
-        let want = sync[*m].infer(&image, 1).expect("sync reference");
+        let want = models[*m].infer_batch(&image, 1).expect("sync reference");
         assert_eq!(
             bits(logits),
             bits(&want),
@@ -361,7 +357,7 @@ fn a_panicking_model_fails_only_its_batch_and_the_shard_keeps_serving() {
     let logits = wait_within_10s(good)
         .expect("the next request on the shard is still pending")
         .expect("the next request fails");
-    let want = InferServer::new(&model.0).infer(&image, 1).unwrap();
+    let want = model.0.infer_batch(&image, 1).unwrap();
     assert_eq!(bits(&logits), bits(&want));
     let stats = server.shutdown().remove(0);
     assert_eq!(stats.accepted, 2);
@@ -449,13 +445,12 @@ proptest! {
 
         let mut total_completed = 0u64;
         let mut total_rejected = 0u64;
-        let sync = InferServer::new(model.as_ref());
         for h in handles {
             let (p, completed, rejected) = h.join().expect("producer");
             total_rejected += rejected;
             total_completed += completed.len() as u64;
             for (seq, logits) in completed {
-                let want = sync.infer(&image_for(6, p, seq), 1).expect("sync");
+                let want = model.infer_batch(&image_for(6, p, seq), 1).expect("sync");
                 prop_assert_eq!(bits(&logits), bits(&want),
                     "producer {} seq {} diverged from sync path", p, seq);
             }

@@ -1,11 +1,9 @@
 //! Backfill tests for the PR-3/PR-5 runtime surface: the telemetry
 //! [`Histogram`] percentile estimator (p50/p95/p99 against known sample
-//! sets), counter/CSV sink behavior under concurrent emission, and
-//! [`InferStats`] accounting — including the division-by-zero regression
-//! on the empty-stats path.
+//! sets) and counter/CSV sink behavior under concurrent emission.
 
 use edd_runtime::telemetry::{self, Event, EventKind, Sink, Value};
-use edd_runtime::{CsvSink, Histogram, InferStats};
+use edd_runtime::{CsvSink, Histogram};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -166,52 +164,4 @@ fn csv_sink_renders_missing_fields_empty_and_keeps_row_order() {
         sink.to_csv(),
         "model,p50_us,p99_us\ntiny-a,120,900\ntiny-b,,\n"
     );
-}
-
-// ---------------------------------------------------------------------------
-// InferStats accounting
-// ---------------------------------------------------------------------------
-
-#[test]
-fn empty_infer_stats_are_finite_zero_not_nan() {
-    // Regression: the empty-stats path must never divide 0/0 into NaN.
-    let stats = InferStats {
-        requests: 0,
-        images: 0,
-        total_latency_us: 0,
-        max_latency_us: 0,
-    };
-    assert_eq!(stats.mean_latency_us(), 0.0);
-    assert_eq!(stats.images_per_sec(), 0.0);
-    assert!(stats.mean_latency_us().is_finite());
-    assert!(stats.images_per_sec().is_finite());
-}
-
-#[test]
-fn sub_microsecond_requests_report_nonzero_throughput() {
-    // Regression: requests so fast the summed wall time rounds to 0 µs
-    // used to report 0 images/s; elapsed time is clamped to 1 µs instead.
-    let stats = InferStats {
-        requests: 8,
-        images: 64,
-        total_latency_us: 0,
-        max_latency_us: 0,
-    };
-    assert_eq!(stats.mean_latency_us(), 0.0);
-    let ips = stats.images_per_sec();
-    assert!(ips > 0.0 && ips.is_finite(), "got {ips}");
-    assert_eq!(ips, 64.0 * 1e6); // 64 images in (clamped) 1 µs
-}
-
-#[test]
-fn infer_stats_means_match_hand_computation() {
-    let stats = InferStats {
-        requests: 4,
-        images: 10,
-        total_latency_us: 2_000,
-        max_latency_us: 900,
-    };
-    assert_eq!(stats.mean_latency_us(), 500.0);
-    assert_eq!(stats.images_per_sec(), 10.0 * 1e6 / 2_000.0);
-    assert!(stats.max_latency_us as f64 <= stats.total_latency_us as f64);
 }

@@ -226,12 +226,6 @@ impl Array {
         &mut self.data
     }
 
-    /// Consumes the array, returning the flat data vector.
-    #[must_use]
-    pub fn into_vec(mut self) -> Vec<f32> {
-        std::mem::take(&mut self.data)
-    }
-
     /// Returns the single element of a scalar or 1-element array.
     ///
     /// # Panics

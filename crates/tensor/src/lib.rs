@@ -75,5 +75,5 @@ pub use array::{col2im, col2im_into, im2col, im2col_into, Array, Conv2dGeometry}
 pub use error::{Result, TensorError};
 pub use ops::gumbel::{gumbel_noise, gumbel_softmax, softmax_selection};
 pub use ops::softmax::{accuracy, softmax_last_axis, top_k_accuracy};
-pub use ops::{quantization_error, BatchNormOutput};
+pub use ops::BatchNormOutput;
 pub use tensor::{Tensor, ValueRef};

@@ -12,4 +12,3 @@ pub mod softmax;
 mod unary;
 
 pub use norm::BatchNormOutput;
-pub use unary::quantization_error;

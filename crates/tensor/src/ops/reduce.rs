@@ -58,16 +58,6 @@ impl Tensor {
         ))
     }
 
-    /// Mean over `axis`, removing it from the shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `axis` is out of range.
-    pub fn mean_axis(&self, axis: usize) -> Result<Tensor> {
-        let n = self.shape()[axis] as f32;
-        Ok(self.sum_axis(axis)?.mul_scalar(1.0 / n))
-    }
-
     /// Reinterprets the tensor with a new shape of equal volume.
     ///
     /// # Errors
@@ -226,13 +216,6 @@ mod tests {
         assert_eq!(y.value().data(), &[3.0, 5.0, 7.0]);
         y.sum().backward();
         assert_eq!(a.grad().unwrap().data(), &[1.0; 6]);
-    }
-
-    #[test]
-    fn mean_axis_values() {
-        let a = t(vec![1.0, 3.0, 5.0, 7.0], &[2, 2]);
-        let y = a.mean_axis(1).unwrap();
-        assert_eq!(y.value().data(), &[2.0, 6.0]);
     }
 
     #[test]

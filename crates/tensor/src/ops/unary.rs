@@ -1,13 +1,12 @@
 //! Elementwise unary functions and their gradients.
 
-use crate::array::Array;
 use crate::tensor::Tensor;
 
 /// Builds a unary elementwise op node given forward values and the local
 /// derivative computed from the *input* values.
 ///
 /// The backward pass fuses `g * f'(x)` into a single traversal
-/// ([`Array::zip_same`]): one allocation instead of two, and pool-chunked
+/// ([`crate::Array::zip_same`]): one allocation instead of two, and pool-chunked
 /// for large activations.
 fn unary(
     input: &Tensor,
@@ -105,16 +104,6 @@ impl Tensor {
         )
     }
 
-    /// Leaky ReLU with negative slope `alpha`.
-    #[must_use]
-    pub fn leaky_relu(&self, alpha: f32) -> Tensor {
-        unary(
-            self,
-            move |v| if v > 0.0 { v } else { alpha * v },
-            move |v| if v > 0.0 { 1.0 } else { alpha },
-        )
-    }
-
     /// Elementwise square.
     #[must_use]
     pub fn square(&self) -> Tensor {
@@ -184,24 +173,10 @@ impl Tensor {
     }
 }
 
-/// Quantization error `max |x - fake_quantize(x)|` for a plain array, used by
-/// tests and calibration code.
-#[must_use]
-pub fn quantization_error(x: &Array, bits: u32, range: f32) -> f32 {
-    let levels = (1u64 << (bits.clamp(1, 31) - 1)) as f32;
-    let step = range / levels;
-    x.data()
-        .iter()
-        .map(|&v| {
-            let q = (v.clamp(-range, range) / step).round() * step;
-            (v - q).abs()
-        })
-        .fold(0.0, f32::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::array::Array;
 
     fn t(v: Vec<f32>) -> Tensor {
         let n = v.len();
@@ -305,16 +280,6 @@ mod tests {
     }
 
     #[test]
-    fn quantization_error_decreases_with_bits() {
-        let x =
-            Array::from_vec((0..100).map(|i| (i as f32) / 50.0 - 1.0).collect(), &[100]).unwrap();
-        let e4 = quantization_error(&x, 4, 1.0);
-        let e8 = quantization_error(&x, 8, 1.0);
-        let e16 = quantization_error(&x, 16, 1.0);
-        assert!(e4 > e8 && e8 > e16);
-    }
-
-    #[test]
     fn swish_values_and_grad() {
         let a = t(vec![0.0, 2.0]);
         let y = a.swish();
@@ -324,18 +289,6 @@ mod tests {
         y.sum().backward();
         // swish'(0) = 0.5
         assert!((a.grad().unwrap().data()[0] - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn leaky_relu_slopes() {
-        let a = t(vec![-2.0, 3.0]);
-        let y = a.leaky_relu(0.1);
-        assert!((y.value().data()[0] + 0.2).abs() < 1e-6);
-        assert_eq!(y.value().data()[1], 3.0);
-        y.sum().backward();
-        let g = a.grad().unwrap();
-        assert!((g.data()[0] - 0.1).abs() < 1e-6);
-        assert_eq!(g.data()[1], 1.0);
     }
 
     #[test]

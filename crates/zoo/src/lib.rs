@@ -33,5 +33,5 @@ pub use published::{Table1Row, Table2Entry, Table3Row, TABLE_1, TABLE_2, TABLE_3
 pub use signal::{signal_row, signal_window, synthetic_signal};
 pub use tiny::{
     compile_tiny_zoo, prepare_tiny_zoo, random_arch, tiny_derived_arch, tiny_mobilenet_v2,
-    tiny_model_zoo, tiny_quant_arch, tiny_resnet, tiny_vgg,
+    tiny_model_zoo, tiny_quant_arch,
 };

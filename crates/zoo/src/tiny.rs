@@ -7,10 +7,7 @@ use edd_core::{
     SearchSpace,
 };
 use edd_ir::{CompiledModel, PassConfig, PassReport};
-use edd_nn::{
-    Activation, BatchNorm2d, Conv2d, Dropout, Flatten, GlobalAvgPool, Linear, MaxPool2d, MbConv,
-    Sequential,
-};
+use edd_nn::{Activation, BatchNorm2d, Conv2d, Flatten, GlobalAvgPool, Linear, MbConv, Sequential};
 use edd_tensor::Array;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -41,68 +38,9 @@ pub fn tiny_mobilenet_v2<R: Rng + ?Sized>(
         .push(Linear::new(64, num_classes, rng))
 }
 
-/// A small ResNet-style classifier: stem 3×3 → three conv stages (each two
-/// 3×3 convs with batch norm) → GAP → linear. Plain (non-residual) stacking
-/// — the `Sequential` container has no skip connections — but the same
-/// depth/width profile as a ResNet-10 scaled to small inputs.
-#[must_use]
-pub fn tiny_resnet<R: Rng + ?Sized>(
-    image_size: usize,
-    num_classes: usize,
-    rng: &mut R,
-) -> Sequential {
-    let _ = image_size;
-    let stage = |net: Sequential, cin: usize, cout: usize, stride: usize, rng: &mut R| {
-        net.push(Conv2d::same(cin, cout, 3, stride, rng))
-            .push(BatchNorm2d::new(cout))
-            .push(Activation::Relu)
-            .push(Conv2d::same(cout, cout, 3, 1, rng))
-            .push(BatchNorm2d::new(cout))
-            .push(Activation::Relu)
-    };
-    let mut net = Sequential::new()
-        .push(Conv2d::same(3, 16, 3, 1, rng))
-        .push(BatchNorm2d::new(16))
-        .push(Activation::Relu);
-    net = stage(net, 16, 16, 1, rng);
-    net = stage(net, 16, 32, 2, rng);
-    net = stage(net, 32, 64, 2, rng);
-    net.push(GlobalAvgPool)
-        .push(Flatten)
-        .push(Linear::new(64, num_classes, rng))
-}
-
-/// A small VGG-style classifier: conv-conv-pool blocks with a dropout
-/// classifier head (mirrors the VGG16 topology at laptop width/depth).
-#[must_use]
-pub fn tiny_vgg<R: Rng + ?Sized>(image_size: usize, num_classes: usize, rng: &mut R) -> Sequential {
-    let _ = image_size;
-    Sequential::new()
-        .push(Conv2d::same(3, 16, 3, 1, rng))
-        .push(Activation::Relu)
-        .push(Conv2d::same(16, 16, 3, 1, rng))
-        .push(Activation::Relu)
-        .push(MaxPool2d {
-            kernel: 2,
-            stride: 2,
-        })
-        .push(Conv2d::same(16, 32, 3, 1, rng))
-        .push(Activation::Relu)
-        .push(Conv2d::same(32, 32, 3, 1, rng))
-        .push(Activation::Relu)
-        .push(MaxPool2d {
-            kernel: 2,
-            stride: 2,
-        })
-        .push(GlobalAvgPool)
-        .push(Flatten)
-        .push(Dropout::new(0.3, 0xD0))
-        .push(Linear::new(32, num_classes, rng))
-}
-
 /// A fixed, deterministic derived architecture for exercising the integer
 /// quantized-inference engine end to end (examples, `edd qinfer`, the
-/// `exp_quantized` bench): three MBConv blocks over 16×16 RGB inputs with
+/// golden pins): three MBConv blocks over 16×16 RGB inputs with
 /// mixed searched precisions Φ = {4, 8, 8} bits, so the compiled
 /// [`CompiledModel`] gets both the bit-packed int4 path and the int8
 /// path.
@@ -246,19 +184,6 @@ mod tests {
         let x = Tensor::constant(Array::randn(&[2, 3, 16, 16], 1.0, &mut rng));
         let y = net.forward(&x).unwrap();
         assert_eq!(y.shape(), vec![2, 4]);
-    }
-
-    #[test]
-    fn tiny_resnet_and_vgg_classify() {
-        let mut rng = StdRng::seed_from_u64(8);
-        for net in [tiny_resnet(16, 5, &mut rng), tiny_vgg(16, 5, &mut rng)] {
-            let x = Tensor::constant(Array::randn(&[2, 3, 16, 16], 1.0, &mut rng));
-            let y = net.forward(&x).unwrap();
-            assert_eq!(y.shape(), vec![2, 5]);
-            // Gradients flow end to end.
-            y.cross_entropy(&[0, 1]).unwrap().backward();
-            assert!(net.parameters()[0].grad().is_some());
-        }
     }
 
     #[test]

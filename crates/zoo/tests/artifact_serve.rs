@@ -9,7 +9,7 @@
 //! combo.
 
 use edd_ir::{artifact, CompiledModel, PassConfig};
-use edd_runtime::{BatchModel, BatcherConfig, InferServer, ServeConfig, Server};
+use edd_runtime::{BatchModel, BatcherConfig, ServeConfig, Server};
 use edd_tensor::Array;
 use edd_zoo::compile_tiny_zoo;
 use rand::rngs::StdRng;
@@ -79,10 +79,9 @@ fn hot_loaded_artifact_serves_bitwise_identical_to_in_process_model() {
 
         // Synchronous reference through the in-process engine.
         let images = request_images(24, compiled.image_len());
-        let sync = InferServer::new(compiled);
         let reference: Vec<Vec<f32>> = images
             .iter()
-            .map(|img| sync.infer(img, 1).unwrap())
+            .map(|img| compiled.infer_batch(img, 1).unwrap())
             .collect();
 
         // The hot-loaded artifact served with 1 and 4 shards matches the

@@ -8,13 +8,16 @@
 //! pulsed stream. A kernel rewrite that is meant to be bitwise neutral must
 //! leave both hashes unchanged; a deliberate numeric change must update
 //! them in the same commit and say why. Each engine's weight bytes and
-//! peak carried pulse state are pinned exactly too: they follow from the
-//! architectures alone, so neither seed nor host may move them.
+//! peak carried pulse state are pinned exactly too, as are the demo net's
+//! Stage-1 predicted rates: they follow from the architectures alone, so
+//! neither seed nor host may move them.
 
+use edd_core::{calibrate, lower_to_graph, DerivedArch, QatModel};
+use edd_hw::{predicted_throughput_fps, AccelDevice};
 use edd_ir::{PassConfig, PulsedModel};
 use edd_runtime::StreamSession;
 use edd_tensor::Array;
-use edd_zoo::{compile_tiny_zoo, synthetic_signal};
+use edd_zoo::{compile_tiny_zoo, synthetic_signal, tiny_derived_arch, tiny_quant_arch};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -107,4 +110,35 @@ fn zoo_weight_and_pulse_state_bytes_match_pins() {
             "seed {seed:#x}: (weight bytes, peak pulse state bytes at hop h/2) drifted"
         );
     }
+}
+
+/// The demo net's host-independent figures: its weight bytes next to its
+/// uniform-int8 twin's (same kernels and expansions, every block at 8
+/// bits), and its Stage-1 `Perf^q` throughput on the Loom-like accelerator
+/// at uniform 16, uniform 8 and the searched 4/8/8 bits (stem and head at
+/// 8 bits except under uniform 16), in img/s to 0.1.
+#[test]
+fn quant_demo_weight_bytes_and_stage1_rates_match_pins() {
+    let weight_bytes = |arch: &DerivedArch| {
+        let mut rng = StdRng::seed_from_u64(0x0DD5EED);
+        let model = QatModel::new(arch, &mut rng);
+        let calib_data = [Array::randn(&[2, 3, 16, 16], 1.0, &mut rng)];
+        let calib = calibrate(&model, &calib_data).expect("calibration");
+        let graph = lower_to_graph(&model, arch, &calib).expect("lowering");
+        let (compiled, _) = edd_ir::compile(&graph, &PassConfig::all()).expect("compile");
+        compiled.graph().weight_bytes()
+    };
+    let demo = tiny_derived_arch();
+    let twin = tiny_quant_arch("edd-tiny-quant-demo-int8", [3, 5, 3], [4, 4, 4], [8, 8, 8]);
+    assert_eq!((weight_bytes(&demo), weight_bytes(&twin)), (9_296, 10_608));
+
+    let net = demo.to_network_shape();
+    let device = AccelDevice::loom_like();
+    let fps =
+        |q_per_op: &[u32]| format!("{:.1}", predicted_throughput_fps(&net, q_per_op, &device));
+    assert_eq!(
+        [fps(&[16; 5]), fps(&[8; 5]), fps(&[8, 4, 8, 8, 8])],
+        ["723312.7", "1446625.3", "1659233.3"],
+        "Stage-1 img/s at uniform 16, uniform 8 and mixed 4/8/8 bits"
+    );
 }

@@ -3,8 +3,8 @@
 //! Pipeline: derived arch (mixed Φ = 4/8/8-bit) → QAT model → brief
 //! quantization-aware training on SynthImageNet → activation calibration →
 //! lower to the IR ([`edd::core::lower_to_graph`]) → compile to the integer
-//! engine ([`edd::ir::CompiledModel`]) → serve batches through
-//! [`edd::runtime::InferServer`]. Everything between the
+//! engine ([`edd::ir::CompiledModel`]) → run batches through
+//! [`edd::runtime::BatchModel::infer_batch`]. Everything between the
 //! input quantization and the classifier's dequantized logits runs in
 //! int8/int4 × int8 → i32 arithmetic.
 //!
@@ -14,7 +14,7 @@ use edd::core::{calibrate, lower_to_graph, QatModel};
 use edd::data::{SynthConfig, SynthDataset};
 use edd::ir::PassConfig;
 use edd::nn::Module;
-use edd::runtime::InferServer;
+use edd::runtime::BatchModel;
 use edd::tensor::optim::Sgd;
 use edd::tensor::Tensor;
 use rand::rngs::StdRng;
@@ -54,16 +54,15 @@ fn main() {
         calib.input
     );
 
-    // Serve the test set through the batched inference entry point and
+    // Run the test set through the batched inference entry point and
     // compare the integer argmax against the float model's.
-    let server = InferServer::new(q);
     let mut agree = 0usize;
     let mut correct = 0usize;
     let mut total = 0usize;
     for batch in &test {
         let n = batch.labels.len();
-        let logits = server
-            .infer(batch.images.data(), n)
+        let logits = q
+            .infer_batch(batch.images.data(), n)
             .expect("quantized inference");
         let float = model
             .forward(&Tensor::constant(batch.images.clone()))
@@ -84,18 +83,10 @@ fn main() {
             total += 1;
         }
     }
-    let stats = server.stats();
     println!(
         "\nint8 engine vs f32 model: {agree}/{total} argmax agreement, \
          top1 {:.2} on SynthImageNet",
         correct as f64 / total as f64
-    );
-    println!(
-        "served {} requests / {} images, mean latency {:.1} µs, {:.0} images/s",
-        stats.requests,
-        stats.images,
-        stats.mean_latency_us(),
-        stats.images_per_sec()
     );
 }
 

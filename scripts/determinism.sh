@@ -24,7 +24,7 @@ cargo test --locked -q -p edd-tensor --test determinism
 cargo test --locked -q -p edd-tensor --test qdeterminism
 cargo test --locked -q -p edd-core --test determinism
 # Serving leg: requests answered through 1-shard and 4-shard dynamic-
-# batching servers must match the synchronous InferServer path bit for
+# batching servers must match the model's own batch-1 infer_batch bit for
 # bit, whatever batches the coalescer happens to form.
 cargo test --locked -q -p edd-core --test serve_determinism
 # IR-pipeline leg: every edd-ir pass configuration must reproduce the

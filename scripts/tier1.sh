@@ -11,7 +11,7 @@
 #   6. the runtime crate's suite on its own, which carries the serving
 #      front end's deterministic batcher simulation (serve_sim), the
 #      multi-producer concurrency stress + property suite (serve_stress),
-#      and the telemetry histogram / InferStats accounting tests;
+#      and the telemetry histogram and sink tests;
 #   7. docs gate: rustdoc for the whole workspace with warnings denied
 #      (broken intra-doc links and malformed doc comments are errors),
 #      plus a release build of every example in examples/;

@@ -18,7 +18,7 @@
 //! `edd-ir` pass pipeline, and writes a hot-loadable `.eddm` model
 //! artifact; `qinfer` compiles an architecture into the true integer
 //! inference engine (int8/int4 weights, fixed-point requantization) — or
-//! hot-loads a compiled artifact — and serves batches through it; `serve`
+//! hot-loads a compiled artifact — and runs batches through it; `serve`
 //! runs the multi-tenant dynamic-batching server over the compiled tiny
 //! zoo (or hot-loaded artifacts) under a closed-loop synthetic load;
 //! `stream` converts an engine into a pulsed model and classifies a
@@ -38,7 +38,7 @@ use edd::hw::{
 };
 use edd::ir::{artifact, CompiledModel, PassConfig, PASS_NAMES};
 use edd::nn::Module;
-use edd::runtime::InferServer;
+use edd::runtime::BatchModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -82,6 +82,19 @@ impl Args {
                 .parse()
                 .map_err(|_| format!("--{key} expects a number, got `{v}`")),
         }
+    }
+
+    /// `--batch` and `--batches` (defaults 8 and 4): the QAT / test split
+    /// geometry of `compile`, `qinfer` and `stream`. Both must be at least 1.
+    fn batch_shape(&self) -> Result<(usize, usize), String> {
+        let batch = self.get_usize("batch", 8)?;
+        let batches = self.get_usize("batches", 4)?;
+        if batch == 0 || batches == 0 {
+            return Err(format!(
+                "--batch and --batches must be at least 1, got {batch} and {batches}"
+            ));
+        }
+        Ok((batch, batches))
     }
 
     fn get_str(&self, key: &str, default: &str) -> String {
@@ -410,18 +423,15 @@ fn train_and_calibrate(
     Ok((model, calib))
 }
 
-/// Serves every test batch through `server`, reporting top-1 accuracy and
-/// measured throughput.
-fn report_served_accuracy(
-    server: &InferServer<CompiledModel>,
-    test: &[edd::nn::Batch],
-) -> Result<(), String> {
+/// Runs every test batch through `model`'s batched forward and reports
+/// top-1 accuracy.
+fn report_accuracy(model: &CompiledModel, test: &[edd::nn::Batch]) -> Result<(), String> {
     let mut correct = 0usize;
     let mut total = 0usize;
     for b in test {
         let n = b.labels.len();
-        let logits = server
-            .infer(b.images.data(), n)
+        let logits = model
+            .infer_batch(b.images.data(), n)
             .map_err(|e| e.to_string())?;
         let classes = logits.len() / n;
         for i in 0..n {
@@ -431,15 +441,10 @@ fn report_served_accuracy(
             total += 1;
         }
     }
-    let stats = server.stats();
     println!(
-        "served {} requests / {} images entirely in integer arithmetic: \
-         top1 {:.2}, mean latency {:.1} µs, {:.0} images/s",
-        stats.requests,
-        stats.images,
-        correct as f64 / total.max(1) as f64,
-        stats.mean_latency_us(),
-        stats.images_per_sec()
+        "inferred {} batches / {total} images entirely in integer arithmetic: top1 {:.2}",
+        test.len(),
+        correct as f64 / total.max(1) as f64
     );
     Ok(())
 }
@@ -448,8 +453,7 @@ fn report_served_accuracy(
 /// the `edd-ir` pass pipeline (`--passes all|none|name,…`) and write the
 /// optimized quantized graph as a hot-loadable `.eddm` artifact.
 fn cmd_compile(args: &Args) -> Result<(), String> {
-    let batch = args.get_usize("batch", 8)?;
-    let batches = args.get_usize("batches", 4)?;
+    let (batch, batches) = args.batch_shape()?;
     let epochs = args.get_usize("qat-epochs", 2)?;
     let seed = args.get_usize("seed", 42)? as u64;
     let cfg = parse_passes(&args.get_str("passes", "all"))?;
@@ -479,7 +483,7 @@ fn cmd_compile(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `edd qinfer --artifact`: hot-load a compiled `.eddm` artifact and serve
+/// `edd qinfer --artifact`: hot-load a compiled `.eddm` artifact and run
 /// SynthImageNet batches through it — no QAT, no calibration, the graph on
 /// disk is the whole model.
 fn qinfer_artifact(path: &str, batch: usize, batches: usize) -> Result<(), String> {
@@ -498,20 +502,17 @@ fn qinfer_artifact(path: &str, batch: usize, batches: usize) -> Result<(), Strin
         image_size: meta.input_shape[1],
         ..SynthConfig::default()
     });
-    let test = data.split(batches.max(1), batch, 2);
-    let server = InferServer::new(model);
-    report_served_accuracy(&server, &test)
+    report_accuracy(&model, &data.split(batches, batch, 2))
 }
 
 /// `edd qinfer`: compile a derived architecture into the true integer
-/// inference engine and serve batches through it — briefly QAT-trains the
+/// inference engine and run batches through it — briefly QAT-trains the
 /// network on SynthImageNet, calibrates activation scales, compiles to
-/// int8/int4 weights with fixed-point requantization, and reports measured
-/// throughput next to the Stage-1 `Perf^q` prediction. With `--artifact`
+/// int8/int4 weights with fixed-point requantization, and reports top-1
+/// next to the Stage-1 `Perf^q` throughput prediction. With `--artifact`
 /// the engine is hot-loaded from a compiled `.eddm` file instead.
 fn cmd_qinfer(args: &Args) -> Result<(), String> {
-    let batch = args.get_usize("batch", 8)?;
-    let batches = args.get_usize("batches", 4)?;
+    let (batch, batches) = args.batch_shape()?;
     let epochs = args.get_usize("qat-epochs", 2)?;
     let seed = args.get_usize("seed", 42)? as u64;
     if let Some(path) = args.flags.get("artifact") {
@@ -526,7 +527,7 @@ fn cmd_qinfer(args: &Args) -> Result<(), String> {
         image_size: arch.space.image_size,
         ..SynthConfig::default()
     });
-    let test = data.split(batches.max(1), batch, 2);
+    let test = data.split(batches, batch, 2);
     let graph = lower_to_graph(&model, &arch, &calib).map_err(|e| e.to_string())?;
     let (q, _) = edd::ir::compile(&graph, &PassConfig::all()).map_err(|e| e.to_string())?;
     let block_bits: Vec<u32> = arch
@@ -541,8 +542,7 @@ fn cmd_qinfer(args: &Args) -> Result<(), String> {
         calib.input
     );
 
-    let server = InferServer::new(q);
-    report_served_accuracy(&server, &test)?;
+    report_accuracy(&q, &test)?;
 
     let device = AccelDevice::loom_like();
     let net = arch.to_network_shape();
@@ -705,8 +705,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 fn cmd_stream(args: &Args) -> Result<(), String> {
     let rows = args.get_usize("rows", 96)?;
     let seed = args.get_usize("seed", 42)? as u64;
-    let batch = args.get_usize("batch", 8)?;
-    let batches = args.get_usize("batches", 4)?;
+    let (batch, batches) = args.batch_shape()?;
     let epochs = args.get_usize("qat-epochs", 2)?;
     let verify = args.flags.contains_key("verify");
     let tracing = install_trace_sink(args)?;

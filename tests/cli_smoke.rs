@@ -180,6 +180,44 @@ fn eval_missing_file_fails() {
     assert!(!out.status.success());
 }
 
+/// Runs `edd` with `args`, expecting a clean failure: exit code 1 (a
+/// panic exits 101) with `want` on stderr.
+fn fails_with(args: &[&str], want: &str) {
+    let out = edd().args(args).output().expect("runs");
+    assert_eq!(out.status.code(), Some(1), "edd {args:?}: {out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains(want),
+        "edd {args:?}: no `{want}` in stderr: {err}"
+    );
+}
+
+#[test]
+fn eval_rejects_a_zero_stem_stride() {
+    let mut arch = edd::zoo::tiny_derived_arch();
+    arch.space.stem_stride = 0;
+    let path = std::env::temp_dir().join(format!("edd_cli_bad_arch_{}.json", std::process::id()));
+    std::fs::write(&path, arch.to_json().unwrap()).unwrap();
+    fails_with(
+        &["eval", "--arch", path.to_str().unwrap()],
+        "space.stem_stride must be positive",
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn compile_rejects_an_empty_batch_and_writes_nothing() {
+    let artifact = std::env::temp_dir().join(format!("edd_cli_batch0_{}.eddm", std::process::id()));
+    let out = artifact.to_str().unwrap();
+    fails_with(&["compile", "--batch", "0", "--out", out], "--batch");
+    assert!(!artifact.exists(), "compile --batch 0 wrote {out}");
+}
+
+#[test]
+fn qinfer_rejects_an_empty_batch() {
+    fails_with(&["qinfer", "--batch", "0", "--qat-epochs", "0"], "--batch");
+}
+
 /// Runs `edd` with `args`, failing the test with its stderr if it fails.
 fn run_ok(args: &[&str]) {
     let out = edd().args(args).output().expect("runs");
