@@ -200,9 +200,8 @@ fn bench_qconv_pointwise(c: &mut Criterion) {
             stride: 1,
             padding: kernel / 2,
             bias: None,
-            bn: None,
         };
-        let conv = QConv2d::from_spec(QConvSpec::quantize(&src, 8, 0.05, 0.05, true, kernel == 1));
+        let conv = QConv2d::from_spec(QConvSpec::quantize(&src, 8, 0.05, 0.05, true));
         let x = QTensor::quantize(&Array::randn(&[1, in_c, hw, hw], 1.0, &mut rng), 0.05);
         group.bench_function(BenchmarkId::new("forward_b1", label), |bench| {
             bench.iter(|| black_box(conv.forward(&x).unwrap()));

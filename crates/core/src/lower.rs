@@ -62,11 +62,7 @@ fn conv_stage(
     let (mul, add) = bn_fold_factors(bn);
     let b = g.add(node(
         format!("{name}.bn"),
-        Op::BatchNorm(Box::new(BatchNormOp {
-            mul,
-            add,
-            relu6: false,
-        })),
+        Op::BatchNorm(Box::new(BatchNormOp { mul, add })),
         vec![c],
         out_scale,
         None,
@@ -113,11 +109,7 @@ fn dw_stage(
     let (mul, add) = bn_fold_factors(bn);
     let b = g.add(node(
         format!("{name}.bn"),
-        Op::BatchNorm(Box::new(BatchNormOp {
-            mul,
-            add,
-            relu6: false,
-        })),
+        Op::BatchNorm(Box::new(BatchNormOp { mul, add })),
         vec![c],
         out_scale,
         None,
@@ -206,7 +198,7 @@ pub fn lower_to_graph(model: &QatModel, arch: &DerivedArch, calib: &Calibration)
         if mb.has_residual() {
             // Operand order fixes the bits: the projection output already
             // lives on the block-output grid (passes through raw), the
-            // block input is requantized onto it (see `lower_quantized`).
+            // block input is requantized onto it (see `edd_ir::lower`).
             h = g.add(node(
                 format!("block{i}.residual"),
                 Op::Add,

@@ -33,8 +33,9 @@ use std::path::Path;
 
 /// Magic bytes identifying a compiled-model artifact.
 pub const ARTIFACT_MAGIC: [u8; 8] = *b"EDDMODL\0";
-/// Current artifact format version.
-pub const ARTIFACT_VERSION: u32 = 1;
+/// Artifact format version, the only one [`from_bytes`] accepts. Version 2
+/// dropped the per-`QConv` im2col-bypass byte of version 1.
+pub const ARTIFACT_VERSION: u32 = 2;
 /// Conventional file extension for artifacts.
 pub const ARTIFACT_EXT: &str = "eddm";
 
@@ -223,7 +224,6 @@ fn encode_op(w: &mut ByteWriter, op: &Op) -> Result<()> {
             w.put_f32(s.out_scale);
             w.put_i32(s.lo);
             w.put_i32(s.hi);
-            w.put_u8(u8::from(s.direct));
         }
         Op::QDwConv(s) => {
             w.put_u8(TAG_QDWCONV);
@@ -303,7 +303,6 @@ fn decode_op(r: &mut ByteReader<'_>, id: usize) -> Result<Op> {
                 out_scale: r.get_f32()?,
                 lo: r.get_i32()?,
                 hi: r.get_i32()?,
-                direct: r.get_u8()? != 0,
             };
             let (o, i, k) = (spec.out_channels, spec.in_channels, spec.kernel);
             check(
@@ -654,6 +653,21 @@ mod tests {
         // A training snapshot's container must not parse as a model.
         let snap = edd_runtime::snapshot::encode_container(b"not a model");
         assert!(from_bytes(&snap).is_err());
+    }
+
+    #[test]
+    fn other_format_versions_are_rejected() {
+        // A version-1 file carries one more byte per qconv; it must fail at
+        // the version gate, not be parsed with this version's layout.
+        let file = to_bytes(&lowered()).unwrap();
+        let payload = decode_container_as(&ARTIFACT_MAGIC, ARTIFACT_VERSION, &file).unwrap();
+        for version in [1, ARTIFACT_VERSION + 1] {
+            let sealed = encode_container_as(&ARTIFACT_MAGIC, version, &payload);
+            assert!(
+                matches!(from_bytes(&sealed), Err(SnapshotError::UnsupportedVersion(v)) if v == version),
+                "version {version}"
+            );
+        }
     }
 
     /// Rebuilds `g` with `edit` applied to every op, encodes it (a valid

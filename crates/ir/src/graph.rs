@@ -91,8 +91,6 @@ pub struct BatchNormOp {
     pub mul: Vec<f32>,
     /// Per-channel offset `β − μ·mul`.
     pub add: Vec<f32>,
-    /// ReLU6 fused into this op.
-    pub relu6: bool,
 }
 
 /// An integer residual add in a fixed output grid.
@@ -421,48 +419,6 @@ impl Graph {
         Ok(seen)
     }
 
-    /// Removes every node unreachable from the output, renumbering the
-    /// survivors (relative order preserved, so edges stay forward).
-    /// Returns the number of nodes removed.
-    ///
-    /// # Errors
-    ///
-    /// Errors when the input node would be eliminated (a graph whose
-    /// output does not depend on its input is malformed).
-    pub fn eliminate_dead(&mut self) -> Result<usize> {
-        let keep = self.reachable()?;
-        let removed = keep.iter().filter(|&&k| !k).count();
-        if removed == 0 {
-            return Ok(0);
-        }
-        if let Some(inp) = self.input {
-            if !keep[inp] {
-                return Err(invalid("dead-code elimination would remove the input node"));
-            }
-        }
-        let mut remap = vec![usize::MAX; self.nodes.len()];
-        let mut next = 0usize;
-        for (id, &k) in keep.iter().enumerate() {
-            if k {
-                remap[id] = next;
-                next += 1;
-            }
-        }
-        let old = std::mem::take(&mut self.nodes);
-        for (id, mut n) in old.into_iter().enumerate() {
-            if !keep[id] {
-                continue;
-            }
-            for i in &mut n.inputs {
-                *i = remap[*i];
-            }
-            self.nodes.push(n);
-        }
-        self.input = self.input.map(|i| remap[i]);
-        self.output = self.output.map(|o| remap[o]);
-        Ok(removed)
-    }
-
     /// Infers the output [`Fact`] of every node from the input shape,
     /// validating op/shape/dtype consistency along the way. This is the
     /// graph type-checker: artifact loading and compilation both run it.
@@ -789,28 +745,5 @@ mod tests {
             .unwrap();
         let err = g.facts().unwrap_err().to_string();
         assert!(err.contains("overflows"), "{err}");
-    }
-
-    #[test]
-    fn dce_drops_orphans_and_renumbers() {
-        let mut g = Graph::new(meta());
-        let i = g.add(node("in", Op::Input, vec![])).unwrap();
-        let keep = g.add(node("keep", conv(4, 3, 3, 1, 1), vec![i])).unwrap();
-        let dead = g
-            .add(node("dead", conv(2, 4, 1, 1, 0), vec![keep]))
-            .unwrap();
-        let tail = g
-            .add(node("tail", conv(5, 4, 1, 1, 0), vec![keep]))
-            .unwrap();
-        g.set_output(tail).unwrap();
-        let _ = dead;
-        assert_eq!(g.eliminate_dead().unwrap(), 1);
-        assert_eq!(g.len(), 3);
-        assert_eq!(g.output().unwrap(), 2);
-        assert_eq!(g.node(2).name, "tail");
-        assert_eq!(g.node(2).inputs, vec![1]);
-        g.facts().unwrap();
-        // Second run is a no-op.
-        assert_eq!(g.eliminate_dead().unwrap(), 0);
     }
 }

@@ -12,13 +12,12 @@
 //!    weight bits).
 //! 2. **[`patch`]** — passes record rewrites in a [`Patch`] against a
 //!    frozen graph and apply them as a validated batch.
-//! 3. **[`passes`]** — BN folding, ReLU6 fusion, quantize lowering at the
-//!    annotated precisions, 1×1 direct-conv bypass, and dead-branch
-//!    elimination. Every optional pass preserves the quantized output
+//! 3. **[`passes`]** — BN folding, optional ReLU6 fusion, and quantize
+//!    lowering at the annotated precisions, which emits only the nodes the
+//!    output reaches. ReLU6 fusion preserves the quantized output
 //!    bit-for-bit (see the [`passes`] docs for why), which the test suite
-//!    enforces per pass against the unoptimized lowering
-//!    ([`PassConfig::none`]), with the absolute bits pinned by golden
-//!    hashes.
+//!    enforces against the unfused lowering ([`PassConfig::none`]), with
+//!    the absolute bits pinned by golden hashes.
 //! 4. **[`exec`]** — [`CompiledModel`] runs the lowered graph and
 //!    implements `edd_runtime::BatchModel`, so it serves behind the
 //!    sharded batching front end (`serve::Server`).
@@ -47,9 +46,6 @@ pub use exec::CompiledModel;
 pub use graph::{
     BatchNormOp, ConvOp, DType, DwConvOp, Fact, Graph, GraphMeta, LinearOp, Node, Op, QAddOp,
 };
-pub use passes::{
-    bn_fold_pass, bypass_1x1_pass, compile, lower, lower_quantized, relu6_fuse_pass, PassConfig,
-    PassReport, PASS_NAMES,
-};
+pub use passes::{compile, lower, PassConfig, PassReport};
 pub use patch::Patch;
 pub use pulse::{PulsedModel, PulsedProgram, PulsedState, Row};

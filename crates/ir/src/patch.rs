@@ -9,16 +9,15 @@
 //! Three primitive edits cover every pass in this crate:
 //!
 //! * **set-op** — replace a node's operation in place (same inputs), e.g.
-//!   swapping a `Conv2d` for its BN-folded version or flipping a `QConv`
-//!   spec's `direct` flag.
+//!   swapping a `Conv2d` for its BN-folded version.
 //! * **set-scale** — move a quantization-boundary annotation onto a node,
 //!   e.g. a fused producer inherits the ReLU6's output scale.
 //! * **bypass** — splice a single-input node out of the graph: every
 //!   consumer (and the graph output, if applicable) is rewired to the
-//!   node's producer. The node itself becomes an orphan for dead-code
-//!   elimination to sweep. Because the producer id is always smaller than
-//!   the bypassed node's id, rewiring preserves the forward-edges
-//!   invariant.
+//!   node's producer. The node itself becomes an unreachable orphan, which
+//!   the quantize lowering leaves out. Because the producer id is always
+//!   smaller than the bypassed node's id, rewiring preserves the
+//!   forward-edges invariant.
 
 use crate::graph::{Graph, Op};
 use edd_tensor::{Result, TensorError};
@@ -42,18 +41,6 @@ impl Patch {
     #[must_use]
     pub fn new() -> Self {
         Patch::default()
-    }
-
-    /// True when no edits were recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.edits.is_empty()
-    }
-
-    /// Number of recorded edits.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.edits.len()
     }
 
     /// Records replacing `node`'s operation (inputs unchanged).
@@ -185,8 +172,7 @@ mod tests {
         p.apply(&mut g).unwrap();
         // pool now reads the input directly; relu node is an orphan.
         assert_eq!(g.node(2).inputs, vec![0]);
-        assert_eq!(g.eliminate_dead().unwrap(), 1);
-        assert_eq!(g.len(), 2);
+        assert_eq!(g.reachable().unwrap(), vec![true, false, true]);
 
         // Bypassing the output node moves the output to its producer.
         let mut g = tiny();
@@ -222,7 +208,6 @@ mod tests {
         let mut p = Patch::new();
         p.set_scale(1, 0.125);
         p.set_op(1, Op::QRelu6 { hi: 48 });
-        assert_eq!(p.len(), 2);
         p.apply(&mut g).unwrap();
         assert_eq!(g.node(1).scale, Some(0.125));
         assert!(matches!(g.node(1).op, Op::QRelu6 { hi: 48 }));

@@ -694,14 +694,18 @@ impl PulsedState {
                     }
                     queues[port].push_back(q.to_vec());
                 }
-                let mut out = Vec::new();
-                while !queues[0].is_empty() && !queues[1].is_empty() {
-                    let mut a = queues[0].pop_front().expect("checked non-empty");
-                    let b = queues[1].pop_front().expect("checked non-empty");
-                    add.add_assign(&mut a, &b);
-                    out.push(Row::Q(a));
-                }
-                Ok(out)
+                // Pair the rows both operands have delivered; the longer
+                // queue keeps its surplus for the next sweep.
+                let [qa, qb] = queues;
+                let n = qa.len().min(qb.len());
+                Ok(qa
+                    .drain(..n)
+                    .zip(qb.drain(..n))
+                    .map(|(mut a, b)| {
+                        add.add_assign(&mut a, &b);
+                        Row::Q(a)
+                    })
+                    .collect())
             }
             (
                 PNode::Gap {
@@ -1114,9 +1118,10 @@ impl StreamModel for PulsedModel {
         if completed.is_some() {
             // Window starts are a hop (>= 1 row) apart, so only the
             // oldest window can have completed on this row.
-            let mut done = self.active.pop_front().expect("completed window in flight");
-            done.state.reset();
-            self.free.push(done.state);
+            if let Some(mut done) = self.active.pop_front() {
+                done.state.reset();
+                self.free.push(done.state);
+            }
         }
         Ok(completed)
     }

@@ -71,7 +71,6 @@ fn lowered_graph(c_mid: usize, kernel: usize, bits: u32, seed: u64, cfg: &PassCo
                 .map(|v| 1.0 + v.abs())
                 .collect(),
             add: weights(seed ^ 0x5A, c_mid),
-            relu6: false,
         })),
         vec![c1],
         0.04,

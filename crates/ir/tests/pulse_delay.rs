@@ -89,7 +89,6 @@ fn draw_stack(depth: usize, c0: usize, h0: usize, w0: usize, seed: u64) -> Vec<L
                     stride,
                     padding,
                     bias: None,
-                    bn: None,
                 },
                 8,
                 SCALE,
@@ -107,13 +106,11 @@ fn draw_stack(depth: usize, c0: usize, h0: usize, w0: usize, seed: u64) -> Vec<L
                     stride,
                     padding,
                     bias: None,
-                    bn: None,
                 },
                 8,
                 SCALE,
                 SCALE,
                 false,
-                kernel == 1 && stride == 1,
             );
             c = c_out;
             Layer::Std(spec)

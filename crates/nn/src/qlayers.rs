@@ -253,10 +253,9 @@ pub fn clamp_bounds(relu6: bool, out_scale: f32) -> (i32, i32) {
 
 /// Folds per-channel batch-norm factors `(mul, add)` into a `[rows, cols]`
 /// weight matrix and its bias, in place: `w[o,:] *= mul[o]`,
-/// `b[o] = b[o]·mul[o] + add[o]`. Shared by the spec `quantize`
-/// constructors below and the `edd-ir` BN-folding pass, so folding before
-/// or during quantization produces bit-identical folded floats (and
-/// therefore bit-identical quantized specs).
+/// `b[o] = b[o]·mul[o] + add[o]`. The `edd-ir` BN-folding pass folds
+/// every batch norm through here before the spec `quantize` constructors
+/// below see the weights.
 ///
 /// # Panics
 ///
@@ -274,7 +273,7 @@ pub fn fold_bn(w: &mut [f32], bias: &mut [f32], mul: &[f32], add: &[f32], cols: 
 }
 
 /// Borrowed float-domain source of one convolution for [`QConvSpec::quantize`]:
-/// raw OIHW weights, optional bias, optional pre-computed BN fold factors.
+/// OIHW weights (batch norm already folded in) and an optional bias.
 #[derive(Debug, Clone, Copy)]
 pub struct QConvSource<'a> {
     /// Row-major OIHW weights, `out_channels · in_channels · kernel²` long.
@@ -291,9 +290,6 @@ pub struct QConvSource<'a> {
     pub padding: usize,
     /// Optional per-output-channel bias.
     pub bias: Option<&'a [f32]>,
-    /// Optional `(mul, add)` batch-norm fold factors (see
-    /// [`bn_fold_factors`]) to fold before quantizing.
-    pub bn: Option<(&'a [f32], &'a [f32])>,
 }
 
 /// The plain-data compiled form of a quantized convolution: everything
@@ -328,26 +324,18 @@ pub struct QConvSpec {
     pub lo: i32,
     /// Upper requantization clamp bound (ReLU6 fusion lands here).
     pub hi: i32,
-    /// Skip im2col and read the image as the column matrix directly. Only
-    /// meaningful (and only honored) for 1×1 stride-1 pad-0 convolutions;
-    /// the `edd-ir` bypass pass flips this on lowered graphs.
-    pub direct: bool,
 }
 
 impl QConvSpec {
-    /// Quantizes a float convolution (with BN factors already extracted)
-    /// into its compiled spec. `bits` is the Φ-searched weight precision
-    /// (≤ 4 packs int4; the engine ceiling is 8), `in_scale`/`out_scale`
-    /// are the calibrated activation scales on either side, `relu6` fuses
-    /// the activation clamp, and `direct` requests the 1×1 im2col bypass.
-    ///
-    /// The `edd-ir` quantize lowering builds every convolution spec here,
-    /// with or without its batch norm folded in beforehand; both routes
-    /// fold through [`fold_bn`], so their specs are bit-identical.
+    /// Quantizes a float convolution (batch norm already folded in by
+    /// [`fold_bn`]) into its compiled spec. `bits` is the Φ-searched weight
+    /// precision (≤ 4 packs int4; the engine ceiling is 8),
+    /// `in_scale`/`out_scale` are the calibrated activation scales on
+    /// either side, and `relu6` fuses the activation clamp.
     ///
     /// # Panics
     ///
-    /// Panics if weight/bias/BN lengths disagree with the geometry.
+    /// Panics if weight/bias lengths disagree with the geometry.
     #[must_use]
     pub fn quantize(
         src: &QConvSource<'_>,
@@ -355,20 +343,14 @@ impl QConvSpec {
         in_scale: f32,
         out_scale: f32,
         relu6: bool,
-        direct: bool,
     ) -> Self {
         let (out_c, in_c, k) = (src.out_channels, src.in_channels, src.kernel);
         let cols = in_c * k * k;
         assert_eq!(src.w.len(), out_c * cols, "QConvSpec: weight shape");
-        let mut folded = src.w.to_vec();
-        let mut bias = src
+        let bias = src
             .bias
             .map_or_else(|| vec![0.0f32; out_c], <[f32]>::to_vec);
-        if let Some((mul, add)) = src.bn {
-            assert_eq!(mul.len(), out_c, "QConvSpec: BN channel mismatch");
-            fold_bn(&mut folded, &mut bias, mul, add, cols);
-        }
-        let (q, w_scales) = quantize_per_row(&folded, out_c, cols, bits);
+        let (q, w_scales) = quantize_per_row(src.w, out_c, cols, bits);
         let requant: Vec<Requant> = w_scales
             .iter()
             .map(|&sw| {
@@ -394,14 +376,7 @@ impl QConvSpec {
             out_scale,
             lo,
             hi,
-            direct,
         }
-    }
-
-    /// True when the geometry admits the 1×1 im2col bypass.
-    #[must_use]
-    pub fn direct_eligible(&self) -> bool {
-        self.kernel == 1 && self.stride == 1 && self.padding == 0
     }
 }
 
@@ -420,11 +395,9 @@ pub struct QConv2d {
 impl QConv2d {
     /// Builds the executable layer from a compiled spec (e.g. one decoded
     /// from an `edd-ir` artifact), rebuilding the microkernel-native weight
-    /// panel. An ineligible `direct` request is quietly dropped rather than
-    /// trusted.
+    /// panel.
     #[must_use]
-    pub fn from_spec(mut spec: QConvSpec) -> Self {
-        spec.direct &= spec.direct_eligible();
+    pub fn from_spec(spec: QConvSpec) -> Self {
         let cols = spec.in_channels * spec.kernel * spec.kernel;
         let q = spec.weights.to_dense();
         let mut wq_k4 = vec![0i8; pack::packed_lhs_len(spec.out_channels, cols)];
@@ -460,13 +433,12 @@ impl QConv2d {
         // Per image, the im2col columns are packed into microkernel-native
         // B-panels, multiplied against the cached weight panel by the
         // maddubs qGEMM (which spreads its rows over the pool), biased and
-        // requantized. 1×1 stride-1 convolutions read the image as the
-        // column matrix directly (the expand/project/head case).
-        // Graph-lowered specs carry the `direct` flag once the bypass pass
-        // has run.
+        // requantized. 1×1 stride-1 unpadded convolutions read the image
+        // as the column matrix directly (the expand/project/head case).
         let img = c * h * w;
+        let bypass = sp.kernel == 1 && sp.stride == 1 && sp.padding == 0;
         let mut panels = scratch::alloc_i8(pack::packed_rhs_len(ckk, plane));
-        let mut cols = (!sp.direct).then(|| scratch::alloc_i8(ckk * plane));
+        let mut cols = (!bypass).then(|| scratch::alloc_i8(ckk * plane));
         for i in 0..b {
             let image = &x.data[i * img..(i + 1) * img];
             pack_image_panels(&mut panels, cols.as_deref_mut(), image, &geom, ckk, plane);
@@ -500,8 +472,6 @@ pub struct QDwConvSource<'a> {
     pub padding: usize,
     /// Optional per-channel bias.
     pub bias: Option<&'a [f32]>,
-    /// Optional `(mul, add)` batch-norm fold factors.
-    pub bn: Option<(&'a [f32], &'a [f32])>,
 }
 
 /// The plain-data compiled form of a quantized depthwise convolution (see
@@ -538,7 +508,7 @@ impl QDwConvSpec {
     ///
     /// # Panics
     ///
-    /// Panics if weight/bias/BN lengths disagree with the geometry.
+    /// Panics if weight/bias lengths disagree with the geometry.
     #[must_use]
     pub fn quantize(
         src: &QDwConvSource<'_>,
@@ -550,13 +520,8 @@ impl QDwConvSpec {
         let (ch, k) = (src.channels, src.kernel);
         let taps = k * k;
         assert_eq!(src.w.len(), ch * taps, "QDwConvSpec: weight shape");
-        let mut folded = src.w.to_vec();
-        let mut bias = src.bias.map_or_else(|| vec![0.0f32; ch], <[f32]>::to_vec);
-        if let Some((mul, add)) = src.bn {
-            assert_eq!(mul.len(), ch, "QDwConvSpec: BN channel mismatch");
-            fold_bn(&mut folded, &mut bias, mul, add, taps);
-        }
-        let (q, w_scales) = quantize_per_row(&folded, ch, taps, bits);
+        let bias = src.bias.map_or_else(|| vec![0.0f32; ch], <[f32]>::to_vec);
+        let (q, w_scales) = quantize_per_row(src.w, ch, taps, bits);
         let requant: Vec<Requant> = w_scales
             .iter()
             .map(|&sw| {
@@ -954,7 +919,6 @@ mod tests {
             stride: 1,
             padding: k / 2,
             bias: None,
-            bn: None,
         }
     }
 
@@ -1001,7 +965,6 @@ mod tests {
             in_scale,
             out_scale,
             false,
-            false,
         );
         let qm = qkernel::qmax(bits);
         let s = qkernel::scale_for(qkernel::max_abs(w.data()), bits);
@@ -1040,17 +1003,18 @@ mod tests {
             .unwrap();
         let out_range = qkernel::max_abs(float.value().data());
         let out_scale = qkernel::scale_for(out_range, 8);
-        let w = conv.weight().value();
         let (mul, add) = bn_fold_factors(&bn);
+        let mut w = conv.weight().value().data().to_vec();
+        let mut bias = vec![0.0; 6];
+        fold_bn(&mut w, &mut bias, &mul, &add, 4 * 3 * 3);
         let q = QConv2d::from_spec(QConvSpec::quantize(
             &QConvSource {
-                bn: Some((&mul, &add)),
-                ..plain_source(w.data(), 6, 4, 3)
+                bias: Some(&bias),
+                ..plain_source(&w, 6, 4, 3)
             },
             8,
             in_scale,
             out_scale,
-            false,
             false,
         ));
         let got = q
@@ -1083,7 +1047,6 @@ mod tests {
                 stride: 1,
                 padding: 1,
                 bias: None,
-                bn: None,
             },
             8,
             in_scale,
@@ -1128,7 +1091,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(46);
         let w: Vec<f32> = (0..8 * 8 * 9).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let bytes = |bits| {
-            QConvSpec::quantize(&plain_source(&w, 8, 8, 3), bits, 0.02, 0.02, false, false)
+            QConvSpec::quantize(&plain_source(&w, 8, 8, 3), bits, 0.02, 0.02, false)
                 .weights
                 .storage_bytes()
         };
@@ -1185,7 +1148,6 @@ mod tests {
             8,
             0.02,
             0.02,
-            false,
             false,
         ));
         let x = QTensor {

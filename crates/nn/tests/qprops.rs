@@ -78,13 +78,11 @@ proptest! {
                 stride: 1,
                 padding: k / 2,
                 bias: bias.as_deref(),
-                bn: None,
             },
             bits,
             in_scale,
             out_scale,
             false,
-            k == 1,
         );
         let got = QConv2d::from_spec(spec).forward(&xq).unwrap().dequantize();
 
@@ -119,13 +117,11 @@ proptest! {
                 stride,
                 padding: 1,
                 bias: None,
-                bn: None,
             },
             bits,
             in_scale,
             out_scale,
             true,
-            false,
         ));
         let x = on_grid_input(&[1, cin, 9, 9], in_scale, &mut rng);
         let y = q.forward(&QTensor::quantize(&x, in_scale)).unwrap();

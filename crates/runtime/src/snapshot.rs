@@ -54,8 +54,8 @@ pub enum SnapshotError {
     Io(std::io::Error),
     /// The file does not start with [`MAGIC`].
     BadMagic,
-    /// The file's container version is newer than this build understands
-    /// (or zero, which no version ever writes).
+    /// The file's container version is not the one this build reads for
+    /// its format.
     UnsupportedVersion(u32),
     /// The file is shorter than its header claims.
     Truncated {
@@ -459,14 +459,15 @@ pub fn encode_container(payload: &[u8]) -> Vec<u8> {
 }
 
 /// Parses and verifies a container written by [`encode_container_as`] with
-/// the given magic, accepting versions `1..=max_version`, and returns the
-/// payload.
+/// the given magic and exactly the given version, and returns the payload.
+/// A file of any other version is refused before its payload is read, so
+/// no format is ever parsed with another version's layout.
 ///
 /// # Errors
 ///
-/// Returns the specific [`SnapshotError`] for bad magic, unknown version,
+/// Returns the specific [`SnapshotError`] for bad magic, another version,
 /// truncation, or CRC mismatch.
-pub fn decode_container_as(magic: &[u8; 8], max_version: u32, file: &[u8]) -> Result<Vec<u8>> {
+pub fn decode_container_as(magic: &[u8; 8], version: u32, file: &[u8]) -> Result<Vec<u8>> {
     if file.len() < HEADER_LEN {
         return Err(SnapshotError::Truncated {
             expected: HEADER_LEN as u64,
@@ -476,9 +477,9 @@ pub fn decode_container_as(magic: &[u8; 8], max_version: u32, file: &[u8]) -> Re
     if file[..8] != magic[..] {
         return Err(SnapshotError::BadMagic);
     }
-    let version = u32::from_le_bytes([file[8], file[9], file[10], file[11]]);
-    if version == 0 || version > max_version {
-        return Err(SnapshotError::UnsupportedVersion(version));
+    let found = u32::from_le_bytes([file[8], file[9], file[10], file[11]]);
+    if found != version {
+        return Err(SnapshotError::UnsupportedVersion(found));
     }
     let mut len_bytes = [0u8; 8];
     len_bytes.copy_from_slice(&file[12..20]);
@@ -691,9 +692,13 @@ mod tests {
             decode_container_as(&ART, 3, &snap),
             Err(SnapshotError::BadMagic)
         ));
-        // Version gate still applies per-format.
+        // Version gate still applies per-format, and in both directions.
         assert!(matches!(
             decode_container_as(&ART, 2, &file),
+            Err(SnapshotError::UnsupportedVersion(3))
+        ));
+        assert!(matches!(
+            decode_container_as(&ART, 4, &file),
             Err(SnapshotError::UnsupportedVersion(3))
         ));
     }

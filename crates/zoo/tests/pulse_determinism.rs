@@ -12,8 +12,6 @@
 //! equivalence inherits for free since pulsed and batch paths execute the
 //! same `edd-nn` kernels on the same i32-exact accumulators.
 
-mod common;
-
 use edd_ir::{CompiledModel, Graph, PassConfig, PulsedModel};
 use edd_runtime::{StreamModel, StreamSession, StreamWindow};
 use edd_tensor::Array;
@@ -94,12 +92,12 @@ fn pulsed_matches_batch_on_every_zoo_engine() {
     }
 }
 
-/// Every pass configuration pulses bit-identically to its own batch
-/// engine: the bare lowering (standalone `QRelu6` clamps, 1×1 convs through
-/// im2col strips), each pass alone, and the full pipeline.
+/// Both pass configurations pulse bit-identically to their own batch
+/// engines: the lowering without ReLU6 fusion (standalone `QRelu6`
+/// clamps) and the fused pipeline.
 #[test]
 fn pulsed_matches_batch_through_ir_pass_pipeline() {
-    for (label, cfg) in common::pass_configs() {
+    for (label, cfg) in [("none", PassConfig::none()), ("all", PassConfig::all())] {
         for (name, compiled, _) in compile_tiny_zoo(SEED, &cfg) {
             let [c, h, w] = compiled.graph().meta.input_shape;
             let signal = synthetic_signal(c, w, 3 * h, SIGNAL_SEED ^ 1);

@@ -27,8 +27,9 @@ cargo test --locked -q -p edd-core --test determinism
 # batching servers must match the model's own batch-1 infer_batch bit for
 # bit, whatever batches the coalescer happens to form.
 cargo test --locked -q -p edd-core --test serve_determinism
-# IR-pipeline leg: every edd-ir pass configuration must reproduce the
-# unoptimized lowering (--passes none) bitwise on the tiny zoo, and a
+# IR-pipeline leg: both edd-ir pass configurations, ReLU6 fusion on
+# (--passes all) and off (--passes none), must match bitwise on the tiny
+# zoo, and a
 # model pushed through compile -> .eddm artifact -> hot-load -> sharded
 # serving must match the in-process compiled model's sync path bit for
 # bit.
@@ -45,7 +46,7 @@ cargo test --locked -q -p edd-core --test sweep_determinism
 # its snapshot must finish byte-identically at 1 and 7 threads.
 cargo test --locked -q -p edd-core --test checkpoint_resume
 # Pulse leg: streaming (pulsed) execution of every tiny-zoo engine, under
-# every pass configuration, must match the batch engine bit for bit on
+# both pass configurations, must match the batch engine bit for bit on
 # identical sliding windows, a
 # stream interrupted and resumed mid-window must continue bitwise, and
 # carried state must stay bounded by the window geometry regardless of

@@ -36,7 +36,7 @@ use edd::hw::{
     eval_gpu, eval_pipelined, eval_recursive, predicted_throughput_fps, tune_pipelined,
     tune_recursive, AccelDevice, FpgaDevice, GpuDevice,
 };
-use edd::ir::{artifact, CompiledModel, PassConfig, PASS_NAMES};
+use edd::ir::{artifact, CompiledModel, PassConfig};
 use edd::nn::Module;
 use edd::runtime::BatchModel;
 use rand::rngs::StdRng;
@@ -118,24 +118,14 @@ fn parse_target(name: &str) -> Result<DeviceTarget, String> {
     }
 }
 
-/// Parses a `--passes` spec: `all`, `none`, or a comma-separated subset
-/// of [`PASS_NAMES`].
+/// Parses a `--passes` spec: `all` (ReLU6 fusion on) or `none`.
 fn parse_passes(spec: &str) -> Result<PassConfig, String> {
     match spec {
         "all" => Ok(PassConfig::all()),
         "none" => Ok(PassConfig::none()),
-        list => {
-            let mut cfg = PassConfig::none();
-            for name in list.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-                cfg.set(name, true).map_err(|unknown| {
-                    format!(
-                        "unknown pass `{unknown}` (expected all | none | comma-list of {})",
-                        PASS_NAMES.join(", ")
-                    )
-                })?;
-            }
-            Ok(cfg)
-        }
+        other => Err(format!(
+            "unknown pass setting `{other}` (expected all | none)"
+        )),
     }
 }
 
@@ -450,8 +440,8 @@ fn report_accuracy(model: &CompiledModel, test: &[edd::nn::Batch]) -> Result<(),
 }
 
 /// `edd compile`: QAT-train + calibrate an architecture, lower it through
-/// the `edd-ir` pass pipeline (`--passes all|none|name,…`) and write the
-/// optimized quantized graph as a hot-loadable `.eddm` artifact.
+/// the `edd-ir` pass pipeline (`--passes all|none`) and write the
+/// quantized graph as a hot-loadable `.eddm` artifact.
 fn cmd_compile(args: &Args) -> Result<(), String> {
     let (batch, batches) = args.batch_shape()?;
     let epochs = args.get_usize("qat-epochs", 2)?;
@@ -467,14 +457,11 @@ fn cmd_compile(args: &Args) -> Result<(), String> {
     // Prove the graph is executable before anything touches the disk.
     let compiled = CompiledModel::from_graph(lowered).map_err(|e| e.to_string())?;
     println!(
-        "\nlowered {} float nodes -> {} quantized nodes \
-         ({} BN folded, {} ReLU6 fused, {} 1x1 im2col bypassed, {} dead removed)",
+        "\nlowered {} float nodes -> {} quantized nodes ({} BN folded, {} ReLU6 fused)",
         float_graph.len(),
         compiled.graph().len(),
         report.bn_folded,
-        report.relu6_fused,
-        report.bypassed_1x1,
-        report.dce_removed
+        report.relu6_fused
     );
     let path = std::path::Path::new(&out);
     artifact::save(path, compiled.graph()).map_err(|e| format!("writing {out}: {e}"))?;
@@ -894,7 +881,7 @@ const USAGE: &str = "usage: edd <search|sweep|eval|compile|qinfer|serve|stream|z
   search  --target gpu|fpga-recursive|fpga-pipelined|dedicated \\\n          --blocks N --classes C --epochs E --seed S --out FILE \\\n          --checkpoint-dir DIR --checkpoint-every N --checkpoint-keep K \\\n          --resume PATH --trace-out FILE.jsonl\n\
   sweep   --targets gpu,fpga-recursive,fpga-pipelined \\\n          --blocks N --classes C --epochs E --seed S --out-prefix P \\\n          --checkpoint-dir DIR --checkpoint-every N --checkpoint-keep K \\\n          --resume PATH --stop-after N --trace-out FILE.jsonl\n\
   eval    --arch FILE\n\
-  compile --arch FILE --out FILE.eddm --passes all|none|name,... \\\n          --batch N --batches K --qat-epochs E --seed S\n\
+  compile --arch FILE --out FILE.eddm --passes all|none \\\n          --batch N --batches K --qat-epochs E --seed S\n\
   qinfer  --arch FILE | --artifact FILE.eddm \\\n          --batch N --batches K --qat-epochs E --seed S\n\
   serve   --models N | --artifacts a.eddm,b.eddm \\\n          --requests R --producers P --window W --shards S \\\n          --max-batch B --max-delay-us D --queue-depth Q --seed S\n\
   stream  --arch FILE | --artifact FILE.eddm \\\n          --rows N --hop H --verify --seed S \\\n          --batch N --batches K --qat-epochs E --trace-out FILE.jsonl\n\
@@ -911,9 +898,9 @@ const USAGE: &str = "usage: edd <search|sweep|eval|compile|qinfer|serve|stream|z
                      the run's newest snapshot in a checkpoint directory\n\
   --trace-out        stream structured telemetry (epoch metrics, phase\n\
                      timings, kernel counters) as JSON lines to FILE\n\
-  --passes           IR optimization passes for compile: all (default),\n\
-                     none, or a comma-list of bn-fold, relu6-fuse,\n\
-                     bypass-1x1, dce\n\
+  --passes           IR passes for compile: all (default) fuses each\n\
+                     ReLU6 into its conv, none keeps it a separate clamp;\n\
+                     both compute the same bits\n\
 \n\
   sweep co-searches one shared supernet for several device targets at\n\
   once: every weight step is shared (T-times amortization), the per-target\n\
@@ -1013,11 +1000,13 @@ mod tests {
     fn passes_spec_resolves() {
         assert_eq!(parse_passes("all").unwrap(), PassConfig::all());
         assert_eq!(parse_passes("none").unwrap(), PassConfig::none());
-        let cfg = parse_passes("bn-fold, dce").unwrap();
-        assert!(cfg.bn_fold && cfg.dce && !cfg.relu6_fuse && !cfg.bypass_1x1);
-        let err = parse_passes("bn-fold,loop-unroll").unwrap_err();
-        assert!(err.contains("loop-unroll"), "{err}");
-        assert!(err.contains("bypass-1x1"), "{err}");
+        // Only the two settings parse; a pass name or a list is an error.
+        for bad in ["bn-fold, dce", "relu6-fuse", "loop-unroll", ""] {
+            let err = parse_passes(bad).unwrap_err();
+            assert!(err.contains("unknown pass"), "{err}");
+            assert!(err.contains(&format!("`{bad}`")), "{err}");
+            assert!(err.contains("all | none"), "{err}");
+        }
     }
 
     #[test]
