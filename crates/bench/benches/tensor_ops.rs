@@ -1,14 +1,17 @@
 //! Criterion micro-benchmarks of the autodiff substrate: the dense kernels
 //! (GEMM, im2col convolution, depthwise convolution, batch norm) that
 //! dominate supernet training time, in both forward and backward modes,
-//! plus the int8 engine's pointwise-convolution path and one pushed row of
-//! pulsed streaming.
+//! plus the int8 engine's pointwise-convolution path, its depthwise layer
+//! and bias + requantize epilogue, and one pushed row of pulsed streaming.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use edd_ir::{PassConfig, PulsedModel};
-use edd_nn::qlayers::{QConv2d, QConvSource, QConvSpec, QTensor};
+use edd_nn::qlayers::{
+    QConv2d, QConvSource, QConvSpec, QDwConv2d, QDwConvSource, QDwConvSpec, QTensor,
+};
 use edd_runtime::StreamSession;
 use edd_tensor::kernel::pack;
+use edd_tensor::qkernel::{requantize_rows_into, Requant, RowEpilogue};
 use edd_tensor::{Array, Tensor};
 use edd_zoo::{compile_tiny_zoo, synthetic_signal};
 use rand::rngs::StdRng;
@@ -210,6 +213,68 @@ fn bench_qconv_pointwise(c: &mut Criterion) {
     group.finish();
 }
 
+/// The int8 depthwise layer, `QDwConv2d::forward` at batch 1: the tiny
+/// zoo's three 16×16 shapes (AVX2 paired-tap body with the requantizing
+/// epilogue), and one stride-2 plane, which the scalar body runs.
+fn bench_qdwconv(c: &mut Criterion) {
+    let mut group = c.benchmark_group("qdwconv");
+    let mut rng = StdRng::seed_from_u64(23);
+    for (label, ch, kernel, stride) in [
+        ("80x16x16_k5", 80, 5, 1),
+        ("96x16x16_k7", 96, 7, 1),
+        ("64x16x16_k3", 64, 3, 1),
+        ("64x16x16_k3_s2", 64, 3, 2),
+    ] {
+        let w: Vec<f32> = (0..ch * kernel * kernel)
+            .map(|_| rng.gen_range(-0.5..0.5))
+            .collect();
+        let src = QDwConvSource {
+            w: &w,
+            channels: ch,
+            kernel,
+            stride,
+            padding: kernel / 2,
+            bias: None,
+        };
+        let dw = QDwConv2d::from_spec(QDwConvSpec::quantize(&src, 8, 0.05, 0.05, true));
+        let x = QTensor::quantize(&Array::randn(&[1, ch, 16, 16], 1.0, &mut rng), 0.05);
+        group.bench_function(label, |bench| {
+            bench.iter(|| black_box(dw.forward(&x).unwrap()));
+        });
+    }
+    group.finish();
+}
+
+/// Bias + requantization of one 80 × 256 accumulator block (the first
+/// expand conv of `edd-tiny-int8`, one image), with a zero and a nonzero
+/// bias.
+fn bench_requantize_rows(c: &mut Criterion) {
+    let mut group = c.benchmark_group("requantize_rows");
+    let mut rng = StdRng::seed_from_u64(29);
+    let (rows, cols) = (80, 256);
+    let acc: Vec<i32> = (0..rows * cols)
+        .map(|_| rng.gen_range(-200_000..200_000))
+        .collect();
+    let mut out = vec![0i8; rows * cols];
+    for (label, bias) in [("80x256/no_bias", 0), ("80x256/bias", 1_234)] {
+        let epilogues: Vec<RowEpilogue> = (0..rows)
+            .map(|r| {
+                RowEpilogue::new(
+                    Requant::from_scale(0.002 + r as f64 * 1e-5),
+                    bias,
+                    16,
+                    0,
+                    127,
+                )
+            })
+            .collect();
+        group.bench_function(label, |bench| {
+            bench.iter(|| requantize_rows_into(black_box(&mut out), black_box(&acc), &epilogues));
+        });
+    }
+    group.finish();
+}
+
 /// µs per pulse: one row pushed through each tiny-zoo engine's pulsed
 /// twin at hop h/2. A window and a hop of warm-up first prime every ring
 /// and start windows cycling; the rows then loop over a fixed signal.
@@ -246,6 +311,8 @@ criterion_group!(
     bench_dwconv_backward,
     bench_batchnorm,
     bench_qconv_pointwise,
+    bench_qdwconv,
+    bench_requantize_rows,
     bench_stream_push
 );
 criterion_main!(benches);

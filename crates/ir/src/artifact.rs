@@ -663,11 +663,29 @@ mod tests {
         let payload = decode_container_as(&ARTIFACT_MAGIC, ARTIFACT_VERSION, &file).unwrap();
         for version in [1, ARTIFACT_VERSION + 1] {
             let sealed = encode_container_as(&ARTIFACT_MAGIC, version, &payload);
+            let err = from_bytes(&sealed).unwrap_err();
             assert!(
-                matches!(from_bytes(&sealed), Err(SnapshotError::UnsupportedVersion(v)) if v == version),
-                "version {version}"
+                matches!(
+                    err,
+                    SnapshotError::UnsupportedVersion { magic: ARTIFACT_MAGIC, found, expected: ARTIFACT_VERSION }
+                        if found == version
+                ),
+                "version {version}: {err:?}"
+            );
+            assert_eq!(
+                err.to_string(),
+                format!(
+                    "model artifact format version {version} is not supported; this build reads \
+                     version {ARTIFACT_VERSION}"
+                )
             );
         }
+        // A snapshot is named as the wrong kind of file, not a version.
+        let snap = edd_runtime::snapshot::encode_container(&payload);
+        assert_eq!(
+            from_bytes(&snap).unwrap_err().to_string(),
+            "not a model artifact file (bad magic)"
+        );
     }
 
     /// Rebuilds `g` with `edit` applied to every op, encodes it (a valid

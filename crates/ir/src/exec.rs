@@ -1,28 +1,43 @@
 //! Executable form of a lowered graph.
 //!
-//! [`CompiledModel::from_graph`] type-checks a quantized graph, rebuilds
-//! each spec's microkernel-native caches via the `from_spec` constructors
-//! (`QConv2d`, `QDwConv2d`, `QLinear`), and precomputes a liveness plan so
-//! intermediate activations are dropped at their last use. Execution order
-//! is ascending node id — valid by the graph's forward-edges invariant —
-//! so the forward pass is a plain loop with no scheduling.
+//! [`CompiledModel::from_graph`] type-checks a quantized graph, checks
+//! every producer/consumer scale pair once, rebuilds each spec's
+//! microkernel-native caches via the `from_spec` constructors (`QConv2d`,
+//! `QDwConv2d`, `QLinear`), and plans the int8 activations: every value
+//! gets a fixed offset in one per-image buffer, reused once its last
+//! consumer has run (`plan_activations`). Execution order is
+//! ascending node id — valid by the graph's forward-edges invariant — so
+//! the forward pass is a plain loop with no scheduling, inside one
+//! scratch-arena buffer of `plan_bytes() × batch` bytes.
 //!
 //! The model implements [`edd_runtime::BatchModel`], which is all the
 //! serving layer needs: a model compiled in process and one hot-loaded
 //! from an artifact both run synchronously through
 //! [`BatchModel::infer_batch`] and drop into the sharded `serve::Server`.
 
-use crate::graph::{DType, Graph, Op};
-use edd_nn::{q_global_avg_pool, QAddTables, QConv2d, QDwConv2d, QLinear, QTensor};
+use crate::graph::{DType, Fact, Graph, Op};
+use edd_nn::{q_global_avg_pool_into, QAddTables, QConv2d, QDwConv2d, QLinear, ACT_QMAX};
 use edd_runtime::BatchModel;
-use edd_tensor::{Array, Result, TensorError};
+use edd_tensor::qkernel::quantize_i8_into;
+use edd_tensor::{scratch, Array, Result, TensorError};
+use std::ops::Range;
+
+/// Largest int8 activation plan one image may need: 256 MiB. A graph
+/// whose plan is larger (or overflows) is rejected when it is compiled or
+/// loaded, so a hostile artifact cannot make a forward pass over-allocate
+/// (DESIGN §11).
+pub const MAX_PLAN_BYTES_PER_IMAGE: usize = 1 << 28;
+
+/// Alignment of every planned region, in bytes per image: 32, the AVX2
+/// vector width (a region then starts 32-byte aligned at every batch
+/// size, as the arena's buffers do).
+const PLAN_ALIGN: usize = 32;
 
 /// Per-node executor, parallel to the graph's node list.
 enum Layer {
-    /// Unreachable node (or the input placeholder) — nothing to run.
+    /// Unreachable node, or the graph input (the quantize reads the caller's
+    /// batch directly) — nothing to run.
     Skip,
-    /// The graph input: seeds the value table with the float batch.
-    Input,
     /// Float → int8 boundary.
     Quantize { scale: f32 },
     /// Quantized convolution with rebuilt weight panels.
@@ -32,46 +47,37 @@ enum Layer {
     /// Standalone integer ReLU6 clamp.
     Relu6 { hi: i8 },
     /// Integer residual add with its operand tables.
-    Add { add: QAddTables, out_scale: f32 },
+    Add(QAddTables),
     /// Integer global average pool.
     Gap,
-    /// Quantized classifier head with rebuilt panels.
+    /// Quantized classifier head with rebuilt panels: the output.
     Linear(QLinear),
 }
 
-/// An intermediate value during a forward pass.
-enum Value {
-    F(Array),
-    Q(QTensor),
+/// Where one int8 value lives in a forward pass's buffer, per image: its
+/// batch-major `[b, …]` region is `off · b .. (off + len) · b`.
+#[derive(Clone, Copy, Debug, Default)]
+struct Slot {
+    off: usize,
+    len: usize,
 }
 
-impl Value {
-    fn as_f(&self) -> Result<&Array> {
-        match self {
-            Value::F(a) => Ok(a),
-            Value::Q(_) => Err(TensorError::InvalidArgument(
-                "expected a float value, found a quantized one".into(),
-            )),
-        }
-    }
-
-    fn as_q(&self) -> Result<&QTensor> {
-        match self {
-            Value::Q(q) => Ok(q),
-            Value::F(_) => Err(TensorError::InvalidArgument(
-                "expected a quantized value, found a float one".into(),
-            )),
-        }
+impl Slot {
+    fn at(self, batch: usize) -> Range<usize> {
+        self.off * batch..(self.off + self.len) * batch
     }
 }
 
-/// A lowered graph compiled into runnable layers.
+/// A lowered graph compiled into runnable layers and an activation plan.
 pub struct CompiledModel {
     graph: Graph,
     layers: Vec<Layer>,
-    /// `last_use[i]` = id of the last node reading `i`'s value (or `i`
-    /// itself when nothing does); the value is freed right after.
-    last_use: Vec<usize>,
+    /// Per-image shape of every node's value.
+    facts: Vec<Fact>,
+    /// Planned region of every int8 value (unused for the others).
+    slots: Vec<Slot>,
+    /// Bytes of the activation buffer per image.
+    plan_bytes: usize,
     input_shape: [usize; 3],
     num_classes: usize,
 }
@@ -83,19 +89,24 @@ impl std::fmt::Debug for CompiledModel {
             .field("nodes", &self.graph.len())
             .field("input_shape", &self.input_shape)
             .field("num_classes", &self.num_classes)
+            .field("plan_bytes", &self.plan_bytes)
             .finish_non_exhaustive()
     }
 }
 
 impl CompiledModel {
     /// Builds the executable model from a lowered graph, validating facts
-    /// and rebuilding every layer's execution caches from its spec.
+    /// and scales, rebuilding every layer's execution caches from its spec
+    /// and planning the int8 activations.
     ///
     /// # Errors
     ///
     /// Errors when the graph still contains float ops, when fact
-    /// inference fails, or when the output is not `[num_classes]` f32
-    /// logits.
+    /// inference fails, when the output is not `[num_classes]` f32
+    /// logits, when a quantize reads anything but the graph input, when
+    /// producer/consumer activation scales disagree, and when the
+    /// activation plan overflows or exceeds [`MAX_PLAN_BYTES_PER_IMAGE`]
+    /// (a [`TensorError::InvalidShape`]).
     pub fn from_graph(graph: Graph) -> Result<Self> {
         let facts = graph.facts()?;
         let out = graph.output()?;
@@ -105,7 +116,9 @@ impl CompiledModel {
                 facts[out].dtype, facts[out].shape, graph.meta.num_classes
             )));
         }
+        let input = graph.input()?;
         let reachable = graph.reachable()?;
+        graph.check_scales(&reachable)?;
         let mut layers = Vec::with_capacity(graph.len());
         for (id, n) in graph.nodes().iter().enumerate() {
             if !reachable[id] {
@@ -113,15 +126,20 @@ impl CompiledModel {
                 continue;
             }
             let layer = match &n.op {
-                Op::Input => Layer::Input,
+                Op::Input => Layer::Skip,
+                // The only f32 values are the caller's batch and the
+                // logits, so a quantize must read the batch.
+                Op::Quantize { .. } if n.inputs[0] != input => {
+                    return Err(TensorError::InvalidArgument(format!(
+                        "quantize node `{}` reads node {}, not the graph input",
+                        n.name, n.inputs[0]
+                    )));
+                }
                 Op::Quantize { scale } => Layer::Quantize { scale: *scale },
                 Op::QConv(s) => Layer::Conv(QConv2d::from_spec(s.as_ref().clone())),
                 Op::QDwConv(s) => Layer::Dw(QDwConv2d::from_spec(s.as_ref().clone())),
                 Op::QRelu6 { hi } => Layer::Relu6 { hi: *hi },
-                Op::QAdd(a) => Layer::Add {
-                    add: QAddTables::new(a.rq_a, a.rq_b),
-                    out_scale: a.out_scale,
-                },
+                Op::QAdd(a) => Layer::Add(QAddTables::new(a.rq_a, a.rq_b)),
                 Op::QGlobalAvgPool => Layer::Gap,
                 Op::QLinear(s) => Layer::Linear(QLinear::from_spec(s.as_ref().clone())),
                 float => {
@@ -135,23 +153,15 @@ impl CompiledModel {
             };
             layers.push(layer);
         }
-        let mut last_use: Vec<usize> = (0..graph.len()).collect();
-        for (id, n) in graph.nodes().iter().enumerate() {
-            if !reachable[id] {
-                continue;
-            }
-            for &i in &n.inputs {
-                last_use[i] = last_use[i].max(id);
-            }
-        }
-        // The output must survive the whole loop.
-        last_use[out] = graph.len();
+        let (slots, plan_bytes) = plan_activations(&graph, &facts, &reachable)?;
         let input_shape = graph.meta.input_shape;
         let num_classes = graph.meta.num_classes;
         Ok(CompiledModel {
             graph,
             layers,
-            last_use,
+            facts,
+            slots,
+            plan_bytes,
             input_shape,
             num_classes,
         })
@@ -169,13 +179,23 @@ impl CompiledModel {
         &self.graph.meta.name
     }
 
+    /// Bytes of int8 activations one image needs: a forward pass over `b`
+    /// images takes one buffer of `b` times this from the scratch arena.
+    #[must_use]
+    pub fn plan_bytes(&self) -> usize {
+        self.plan_bytes
+    }
+
     /// Runs the model on an NCHW float batch, returning
-    /// `[batch, num_classes]` logits.
+    /// `[batch, num_classes]` logits: every int8 value is computed into
+    /// its planned region of one arena buffer, and the logits are the only
+    /// allocation.
     ///
     /// # Errors
     ///
     /// Rejects inputs whose shape does not match the compiled
-    /// `[b, c, h, w]` and propagates layer errors.
+    /// `[b, c, h, w]` or whose activation buffer would overflow, and
+    /// propagates layer errors.
     pub fn forward(&self, x: &Array) -> Result<Array> {
         let [c, h, w] = self.input_shape;
         let shape = x.shape();
@@ -185,78 +205,171 @@ impl CompiledModel {
             )));
         }
         let batch = shape[0];
-        let mut values: Vec<Option<Value>> = (0..self.graph.len()).map(|_| None).collect();
+        let Some(len) = self.plan_bytes.checked_mul(batch) else {
+            return Err(TensorError::InvalidShape {
+                shape: shape.to_vec(),
+                reason: format!("{} activation bytes per image overflow", self.plan_bytes),
+            });
+        };
+        let mut buf = scratch::alloc_i8(len);
+        let mut logits = None;
         for (id, layer) in self.layers.iter().enumerate() {
             let node = self.graph.node(id);
-            let produced = match layer {
-                Layer::Skip => continue,
-                Layer::Input => Value::F(x.clone()),
-                Layer::Quantize { scale } => {
-                    let f = value(&values, node.inputs[0])?.as_f()?;
-                    Value::Q(QTensor::quantize(f, *scale))
-                }
-                Layer::Conv(l) => Value::Q(l.forward(value(&values, node.inputs[0])?.as_q()?)?),
-                Layer::Dw(l) => Value::Q(l.forward(value(&values, node.inputs[0])?.as_q()?)?),
-                Layer::Relu6 { hi } => {
-                    let q = value(&values, node.inputs[0])?.as_q()?;
-                    let data = q.data.iter().map(|&v| v.clamp(0, *hi)).collect();
-                    Value::Q(QTensor {
-                        data,
-                        shape: q.shape.clone(),
-                        scale: q.scale,
-                    })
-                }
-                Layer::Add { add, out_scale } => {
-                    let a = value(&values, node.inputs[0])?.as_q()?;
-                    let b = value(&values, node.inputs[1])?.as_q()?;
-                    Value::Q(qadd(add, *out_scale, a, b)?)
-                }
-                Layer::Gap => Value::Q(q_global_avg_pool(value(&values, node.inputs[0])?.as_q()?)?),
-                Layer::Linear(l) => Value::F(l.forward(value(&values, node.inputs[0])?.as_q()?)?),
+            let out = self.slots[id].at(batch);
+            let src = |port: usize| self.slots[node.inputs[port]].at(batch);
+            let nchw = |port: usize| {
+                let f = &self.facts[node.inputs[port]].shape;
+                [batch, f[0], f[1], f[2]]
             };
-            // Free operands whose last consumer was this node.
-            for &i in &node.inputs {
-                if self.last_use[i] == id {
-                    values[i] = None;
+            match layer {
+                Layer::Skip => {}
+                Layer::Quantize { scale } => {
+                    quantize_i8_into(&mut buf[out], x.data(), *scale, ACT_QMAX);
                 }
-            }
-            if self.last_use[id] >= id {
-                values[id] = Some(produced);
+                Layer::Conv(l) => {
+                    let (x, y) = split(&mut buf, src(0), out)?;
+                    l.forward_into(x, nchw(0), y)?;
+                }
+                Layer::Dw(l) => {
+                    let (x, y) = split(&mut buf, src(0), out)?;
+                    l.forward_into(x, nchw(0), y)?;
+                }
+                Layer::Relu6 { hi } => {
+                    copy_unless_in_place(&mut buf, src(0), out.clone())?;
+                    for v in &mut buf[out] {
+                        *v = (*v).clamp(0, *hi);
+                    }
+                }
+                Layer::Add(add) => {
+                    copy_unless_in_place(&mut buf, src(0), out.clone())?;
+                    let (b, a) = split(&mut buf, src(1), out)?;
+                    add.add_assign(a, b);
+                }
+                Layer::Gap => {
+                    let [_, _, h, w] = nchw(0);
+                    let (x, y) = split(&mut buf, src(0), out)?;
+                    q_global_avg_pool_into(x, h * w, y)?;
+                }
+                Layer::Linear(l) => logits = Some(l.logits(&buf[src(0)], batch)?),
             }
         }
-        let out = self.graph.output()?;
-        let logits = values[out]
-            .take()
-            .ok_or_else(|| TensorError::InvalidArgument("output was never computed".into()))?;
-        let logits = logits.as_f()?;
-        debug_assert_eq!(logits.shape(), &[batch, self.num_classes]);
-        Ok(logits.clone())
+        logits.ok_or_else(|| TensorError::InvalidArgument("the logits were never computed".into()))
     }
 }
 
-/// Reads a live value from the table (errors on a liveness-plan bug
-/// rather than panicking).
-fn value(values: &[Option<Value>], id: usize) -> Result<&Value> {
-    values[id].as_ref().ok_or_else(|| {
-        TensorError::InvalidArgument(format!("value of node {id} was freed before its last use"))
-    })
+/// Borrows `src` shared and `dst` mutably from one buffer.
+///
+/// # Errors
+///
+/// Errors when the two regions overlap, which the plan rules out for every
+/// operand that is not run in place.
+fn split(buf: &mut [i8], src: Range<usize>, dst: Range<usize>) -> Result<(&[i8], &mut [i8])> {
+    if src.end <= dst.start {
+        let (head, tail) = buf.split_at_mut(dst.start);
+        Ok((&head[src], &mut tail[..dst.len()]))
+    } else if dst.end <= src.start {
+        let (head, tail) = buf.split_at_mut(src.start);
+        Ok((&tail[..src.len()], &mut head[dst]))
+    } else {
+        Err(TensorError::InvalidArgument(format!(
+            "activation plan overlaps operand {src:?} with output {dst:?}"
+        )))
+    }
 }
 
-/// The integer residual add on two equally shaped operands.
-fn qadd(add: &QAddTables, out_scale: f32, a: &QTensor, b: &QTensor) -> Result<QTensor> {
-    if a.shape != b.shape {
-        return Err(TensorError::InvalidArgument(format!(
-            "qadd operand shapes differ: {:?} vs {:?}",
-            a.shape, b.shape
-        )));
+/// Copies an operand into its consumer's output region, unless the plan
+/// runs the consumer in place on it (same region).
+fn copy_unless_in_place(buf: &mut [i8], src: Range<usize>, dst: Range<usize>) -> Result<()> {
+    if src != dst {
+        let (x, y) = split(buf, src, dst)?;
+        y.copy_from_slice(x);
     }
-    let mut data = a.data.clone();
-    add.add_assign(&mut data, &b.data);
-    Ok(QTensor {
-        data,
-        shape: a.shape.clone(),
-        scale: out_scale,
-    })
+    Ok(())
+}
+
+/// Plans every reachable int8 value's region in one per-image buffer,
+/// returning the slots (indexed by node id) and the buffer's bytes per
+/// image.
+///
+/// Each value needs its shape's product of bytes, rounded up to
+/// [`PLAN_ALIGN`]; the arithmetic is checked. In ascending id order (the
+/// execution order), a value is live from its producer to its last
+/// consumer. A ReLU6, and a residual add on its first operand, run in
+/// place when this node is the operand's last consumer (and the add's two
+/// operands differ); every other value takes the lowest offset that fits
+/// between the regions still live (first fit).
+///
+/// # Errors
+///
+/// A [`TensorError::InvalidShape`] when the plan's bytes per image
+/// overflow or exceed [`MAX_PLAN_BYTES_PER_IMAGE`].
+fn plan_activations(
+    graph: &Graph,
+    facts: &[Fact],
+    reachable: &[bool],
+) -> Result<(Vec<Slot>, usize)> {
+    let too_big = |shape: &[usize], what: &str| TensorError::InvalidShape {
+        shape: shape.to_vec(),
+        reason: format!(
+            "{what}: the int8 activation plan exceeds {MAX_PLAN_BYTES_PER_IMAGE} bytes per image"
+        ),
+    };
+    let mut last_use: Vec<usize> = (0..graph.len()).collect();
+    for (id, n) in graph.nodes().iter().enumerate() {
+        if reachable[id] {
+            for &i in &n.inputs {
+                last_use[i] = last_use[i].max(id);
+            }
+        }
+    }
+    let mut slots = vec![Slot::default(); graph.len()];
+    // Live regions, by offset: (offset, reserved bytes, id of the last
+    // node reading it).
+    let mut live: Vec<(usize, usize, usize)> = Vec::new();
+    let mut plan = 0usize;
+    for (id, n) in graph.nodes().iter().enumerate() {
+        if !reachable[id] || facts[id].dtype != DType::I8 {
+            continue;
+        }
+        live.retain(|&(_, _, dies)| dies >= id);
+        let in_place = match n.op {
+            Op::QRelu6 { .. } => Some(n.inputs[0]),
+            Op::QAdd(_) if n.inputs[0] != n.inputs[1] => Some(n.inputs[0]),
+            _ => None,
+        }
+        .filter(|&i| last_use[i] == id);
+        if let Some(i) = in_place {
+            slots[id] = slots[i];
+            for (off, _, dies) in &mut live {
+                if *off == slots[i].off {
+                    *dies = last_use[id];
+                }
+            }
+            continue;
+        }
+        let len = facts[id]
+            .shape
+            .iter()
+            .try_fold(1usize, |v, &d| v.checked_mul(d))
+            .filter(|&v| v <= MAX_PLAN_BYTES_PER_IMAGE)
+            .ok_or_else(|| too_big(&facts[id].shape, &n.name))?;
+        let reserved = len.next_multiple_of(PLAN_ALIGN);
+        let mut off = 0;
+        for &(o, r, _) in &live {
+            if o >= off + reserved {
+                break;
+            }
+            off = off.max(o + r);
+        }
+        slots[id] = Slot { off, len };
+        plan = plan.max(off + reserved);
+        if plan > MAX_PLAN_BYTES_PER_IMAGE {
+            return Err(too_big(&facts[id].shape, &n.name));
+        }
+        let at = live.partition_point(|&(o, _, _)| o < off);
+        live.insert(at, (off, reserved, last_use[id]));
+    }
+    Ok((slots, plan))
 }
 
 impl BatchModel for CompiledModel {
@@ -409,6 +522,69 @@ mod tests {
             m.infer_batch(x.data(), 32).unwrap();
         }
         assert_eq!(edd_tensor::recycle::retained_bytes(), before);
+    }
+
+    #[test]
+    fn activation_plan_reuses_regions_and_runs_the_add_in_place() {
+        for cfg in [PassConfig::none(), PassConfig::all()] {
+            let (m, _) = compile(&float_graph(), &cfg).unwrap();
+            let nodes = m.graph().nodes();
+            let mut sum = 0;
+            for (id, n) in nodes.iter().enumerate() {
+                if m.facts[id].dtype != DType::I8 {
+                    continue;
+                }
+                sum += m.slots[id].len.next_multiple_of(PLAN_ALIGN);
+                if matches!(n.op, Op::QAdd(_) | Op::QRelu6 { .. }) {
+                    let a = m.slots[n.inputs[0]];
+                    assert_eq!(
+                        (m.slots[id].off, m.slots[id].len),
+                        (a.off, a.len),
+                        "{}",
+                        n.name
+                    );
+                }
+            }
+            assert!(m.plan_bytes() < sum, "{} vs {sum}", m.plan_bytes());
+        }
+    }
+
+    #[test]
+    fn oversized_activation_plan_is_rejected() {
+        // One quantized value of 5 · 8192² bytes per image, past the cap.
+        let mut g = Graph::new(GraphMeta {
+            name: "huge".into(),
+            input_shape: [5, 8192, 8192],
+            num_classes: 3,
+        });
+        let node = |name: &str, op: Op, inputs: Vec<usize>| Node {
+            name: name.into(),
+            op,
+            inputs,
+            scale: None,
+            bits: None,
+        };
+        let i = g.add(node("in", Op::Input, vec![])).unwrap();
+        let q = g
+            .add(node("q", Op::Quantize { scale: 0.1 }, vec![i]))
+            .unwrap();
+        let p = g.add(node("gap", Op::QGlobalAvgPool, vec![q])).unwrap();
+        let spec = edd_nn::QLinearSpec::quantize(&[0.1; 15], 5, 3, &[0.0; 3], 8, 0.1);
+        let fc = g
+            .add(node("fc", Op::QLinear(Box::new(spec)), vec![p]))
+            .unwrap();
+        g.set_output(fc).unwrap();
+        let err = CompiledModel::from_graph(g).unwrap_err();
+        assert!(
+            matches!(&err, TensorError::InvalidShape { shape, .. } if shape == &[5, 8192, 8192]),
+            "{err}"
+        );
+        assert!(
+            err.to_string().contains(&format!(
+                "exceeds {MAX_PLAN_BYTES_PER_IMAGE} bytes per image"
+            )),
+            "{err}"
+        );
     }
 
     #[test]

@@ -419,6 +419,44 @@ impl Graph {
         Ok(seen)
     }
 
+    /// Checks that every reachable quantized consumer's compiled input
+    /// scale matches the activation scale its producer writes. Int8 values
+    /// travel between the executors' nodes without their scales, so both
+    /// executors run this once, when they are built, instead of checking
+    /// on every call.
+    ///
+    /// # Errors
+    ///
+    /// Names the first consumer whose scale disagrees with its producer's.
+    pub(crate) fn check_scales(&self, reachable: &[bool]) -> Result<()> {
+        let mut out_scale: Vec<Option<f32>> = vec![None; self.nodes.len()];
+        for (id, n) in self.nodes.iter().enumerate() {
+            if !reachable[id] {
+                continue;
+            }
+            let got = n.inputs.first().and_then(|&i| out_scale[i]);
+            let (want, produced) = match &n.op {
+                Op::Quantize { scale } => (None, Some(*scale)),
+                Op::QConv(s) => (Some(s.in_scale), Some(s.out_scale)),
+                Op::QDwConv(s) => (Some(s.in_scale), Some(s.out_scale)),
+                Op::QLinear(s) => (Some(s.in_scale), None),
+                Op::QAdd(a) => (None, Some(a.out_scale)),
+                Op::QRelu6 { .. } | Op::QGlobalAvgPool => (None, got),
+                _ => (None, None),
+            };
+            if let (Some(got), Some(want)) = (got, want) {
+                if (got - want).abs() > want.abs() * 1e-5 {
+                    return Err(invalid(format!(
+                        "{}: producer scale {got} does not match consumer scale {want}",
+                        n.name
+                    )));
+                }
+            }
+            out_scale[id] = produced;
+        }
+        Ok(())
+    }
+
     /// Infers the output [`Fact`] of every node from the input shape,
     /// validating op/shape/dtype consistency along the way. This is the
     /// graph type-checker: artifact loading and compilation both run it.

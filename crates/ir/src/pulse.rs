@@ -188,19 +188,6 @@ impl std::fmt::Debug for PulsedProgram {
     }
 }
 
-/// Mirror of `edd-nn`'s scale compatibility check, applied statically at
-/// program build time (rows do not carry scales at run time, so the
-/// producer/consumer agreement the batch layers verify per call is
-/// verified once here instead).
-fn check_scale(got: f32, want: f32, what: &str) -> Result<()> {
-    if (got - want).abs() > want.abs() * 1e-5 {
-        return Err(invalid(format!(
-            "{what}: producer scale {got} does not match consumer scale {want}"
-        )));
-    }
-    Ok(())
-}
-
 impl PulsedProgram {
     /// Compiles a lowered quantized graph for pulsed execution.
     ///
@@ -218,8 +205,7 @@ impl PulsedProgram {
         let output_id = graph.output()?;
         let input_id = graph.input()?;
         let reachable = graph.reachable()?;
-        // Out-scale per node, for the static scale agreement check.
-        let mut out_scale: Vec<Option<f32>> = vec![None; graph.len()];
+        graph.check_scales(&reachable)?;
         let mut nodes = Vec::with_capacity(graph.len());
         for (id, n) in graph.nodes().iter().enumerate() {
             if !reachable[id] {
@@ -227,7 +213,6 @@ impl PulsedProgram {
                 continue;
             }
             let in_fact = |port: usize| &facts[n.inputs[port]];
-            let in_scale = |port: usize| out_scale[n.inputs[port]];
             let spatial = |fact: &crate::graph::Fact, what: &str| -> Result<[usize; 3]> {
                 match fact.shape.as_slice() {
                     [c, h, w] => Ok([*c, *h, *w]),
@@ -239,17 +224,10 @@ impl PulsedProgram {
             };
             let node = match &n.op {
                 Op::Input => PNode::Input,
-                Op::Quantize { scale } => {
-                    out_scale[id] = Some(*scale);
-                    PNode::Quantize { scale: *scale }
-                }
+                Op::Quantize { scale } => PNode::Quantize { scale: *scale },
                 Op::QConv(s) => {
                     let [c, h, _w] = spatial(in_fact(0), "QConv")?;
                     let [_, oh, _] = spatial(&facts[id], "QConv output")?;
-                    if let Some(got) = in_scale(0) {
-                        check_scale(got, s.in_scale, &n.name)?;
-                    }
-                    out_scale[id] = Some(s.out_scale);
                     let geom = ConvGeom {
                         c_in: c,
                         in_w: _w,
@@ -274,10 +252,6 @@ impl PulsedProgram {
                 Op::QDwConv(s) => {
                     let [c, h, w] = spatial(in_fact(0), "QDwConv")?;
                     let [_, oh, _] = spatial(&facts[id], "QDwConv output")?;
-                    if let Some(got) = in_scale(0) {
-                        check_scale(got, s.in_scale, &n.name)?;
-                    }
-                    out_scale[id] = Some(s.out_scale);
                     let geom = ConvGeom {
                         c_in: c,
                         in_w: w,
@@ -297,14 +271,10 @@ impl PulsedProgram {
                         geom,
                     }
                 }
-                Op::QRelu6 { hi } => {
-                    out_scale[id] = in_scale(0);
-                    PNode::Relu6 { hi: *hi }
-                }
+                Op::QRelu6 { hi } => PNode::Relu6 { hi: *hi },
                 Op::QAdd(a) => {
                     let [_, _, w] = spatial(in_fact(0), "QAdd")?;
                     let [c, ..] = spatial(in_fact(0), "QAdd")?;
-                    out_scale[id] = Some(a.out_scale);
                     PNode::Add {
                         add: QAddTables::new(a.rq_a, a.rq_b),
                         row_len: c * w,
@@ -312,19 +282,13 @@ impl PulsedProgram {
                 }
                 Op::QGlobalAvgPool => {
                     let [c, h, w] = spatial(in_fact(0), "QGlobalAvgPool")?;
-                    out_scale[id] = in_scale(0);
                     PNode::Gap {
                         channels: c,
                         in_rows: h,
                         in_w: w,
                     }
                 }
-                Op::QLinear(s) => {
-                    if let Some(got) = in_scale(0) {
-                        check_scale(got, s.in_scale, &n.name)?;
-                    }
-                    PNode::Linear(Box::new(QLinear::from_spec(s.as_ref().clone())))
-                }
+                Op::QLinear(s) => PNode::Linear(Box::new(QLinear::from_spec(s.as_ref().clone()))),
                 float => {
                     return Err(invalid(format!(
                         "cannot pulse unlowered op `{}` at node `{}`; run the quantize \

@@ -27,8 +27,8 @@
 use crate::bn::BatchNorm2d;
 use edd_tensor::kernel::{pack, select};
 use edd_tensor::qkernel::{
-    self, pack_i4, qdw_plane_into, qim2col_into, qmatmul_prepacked_into, quantize_i8_into,
-    requantize_rows_into, unpack_i4_into, Requant,
+    self, pack_i4, qdw_planes_into, qim2col_into, qmatmul_prepacked_into, quantize_i8_into,
+    requantize_rows_into, unpack_i4_into, Requant, RowEpilogue,
 };
 use edd_tensor::{scratch, stats, Array, Conv2dGeometry, Result, TensorError};
 
@@ -185,16 +185,74 @@ fn pack_image_panels(
     }
 }
 
-/// Adds the per-output-channel bias into the accumulator rows (saturating,
-/// like the requantization domain expects).
-fn add_bias_rows(acc: &mut [i32], bias_q: &[i32], plane: usize) {
-    for (row, &bq) in acc.chunks_exact_mut(plane).zip(bias_q) {
-        if bq != 0 {
-            for a in row {
-                *a = a.saturating_add(bq);
-            }
-        }
+/// One [`RowEpilogue`] per output channel: its bias, its requantizer and
+/// the layer's clamp, over reductions of `taps` products.
+fn row_epilogues(
+    bias_q: &[i32],
+    requant: &[Requant],
+    taps: usize,
+    lo: i32,
+    hi: i32,
+) -> Vec<RowEpilogue> {
+    requant
+        .iter()
+        .zip(bias_q)
+        .map(|(&rq, &bias)| RowEpilogue::new(rq, bias, taps, lo, hi))
+        .collect()
+}
+
+/// The geometry of a batch-major `[b, c, h, w]` input to a compiled
+/// convolution over `channels` input channels, checked against its
+/// channel count and kernel.
+fn conv_geometry(
+    what: &str,
+    shape: [usize; 4],
+    channels: usize,
+    kernel: usize,
+    stride: usize,
+    padding: usize,
+) -> Result<Conv2dGeometry> {
+    let [_, c, h, w] = shape;
+    let fits = |d: usize| {
+        padding
+            .checked_mul(2)
+            .and_then(|p| d.checked_add(p))
+            .is_some_and(|d| d >= kernel)
+    };
+    if c != channels || stride == 0 || !fits(h) || !fits(w) {
+        return Err(TensorError::InvalidArgument(format!(
+            "{what}: input {shape:?} does not fit the compiled [b, {channels}, h, w] layer \
+             with kernel {kernel}, stride {stride}, padding {padding}"
+        )));
     }
+    Ok(Conv2dGeometry {
+        in_channels: c,
+        in_h: h,
+        in_w: w,
+        kernel,
+        stride,
+        padding,
+    })
+}
+
+/// Rejects input and output slices whose lengths are not `b` images of
+/// `img` and `out_img` elements.
+fn check_lengths(
+    what: &str,
+    x: usize,
+    out: usize,
+    b: usize,
+    img: usize,
+    out_img: usize,
+) -> Result<()> {
+    let want = (b.checked_mul(img), b.checked_mul(out_img));
+    if want != (Some(x), Some(out)) {
+        return Err(TensorError::InvalidArgument(format!(
+            "{what}: {x} input and {out} output values for a batch of {b} images of {img} → \
+             {out_img}"
+        )));
+    }
+    Ok(())
 }
 
 /// Per-output-channel symmetric quantization of a `[rows, cols]` weight
@@ -390,6 +448,8 @@ pub struct QConv2d {
     /// rows zero-padded to the microkernel's k-group of 4 (`[out_c, k4]`),
     /// the prepacked-LHS layout of [`qmatmul_prepacked_into`].
     wq_k4: Vec<i8>,
+    /// Per-output-channel bias, requantizer and clamp.
+    rows: Vec<RowEpilogue>,
 }
 
 impl QConv2d {
@@ -403,10 +463,12 @@ impl QConv2d {
         let mut wq_k4 = vec![0i8; pack::packed_lhs_len(spec.out_channels, cols)];
         pack::pack_lhs_i8(&mut wq_k4, &q, spec.out_channels, cols);
         stats::record_pack_panel_built();
-        QConv2d { spec, wq_k4 }
+        let rows = row_epilogues(&spec.bias_q, &spec.requant, cols, spec.lo, spec.hi);
+        QConv2d { spec, wq_k4, rows }
     }
 
-    /// Runs the quantized convolution on an NCHW [`QTensor`].
+    /// Runs the quantized convolution on an NCHW [`QTensor`] into a new
+    /// tensor (the allocating form of [`forward_into`](Self::forward_into)).
     ///
     /// # Errors
     ///
@@ -414,45 +476,66 @@ impl QConv2d {
     /// layer.
     pub fn forward(&self, x: &QTensor) -> Result<QTensor> {
         let sp = &self.spec;
-        let [b, c, h, w] = checked_nchw(x, sp.in_channels, sp.in_scale, "QConv2d")?;
-        let geom = Conv2dGeometry {
-            in_channels: c,
-            in_h: h,
-            in_w: w,
-            kernel: sp.kernel,
-            stride: sp.stride,
-            padding: sp.padding,
-        };
-        let (oh, ow) = (geom.out_h(), geom.out_w());
-        let plane = oh * ow;
+        let shape = checked_nchw(x, sp.in_channels, sp.in_scale, "QConv2d")?;
+        let geom = conv_geometry(
+            "QConv2d",
+            shape,
+            sp.in_channels,
+            sp.kernel,
+            sp.stride,
+            sp.padding,
+        )?;
+        let mut out = vec![0i8; shape[0] * sp.out_channels * geom.out_h() * geom.out_w()];
+        self.forward_into(&x.data, shape, &mut out)?;
+        Ok(QTensor {
+            data: out,
+            shape: vec![shape[0], sp.out_channels, geom.out_h(), geom.out_w()],
+            scale: sp.out_scale,
+        })
+    }
+
+    /// Runs the quantized convolution on a batch-major `[b, c, h, w]` int8
+    /// input (`shape`), writing `[b, out_channels, out_h, out_w]` into
+    /// `out`. The caller vouches for the input's scale; `CompiledModel`
+    /// checks every producer against its consumers once, when it is built.
+    ///
+    /// Per image, the im2col columns are packed into microkernel-native
+    /// B-panels (1×1 stride-1 unpadded convolutions read the image as the
+    /// column matrix directly), multiplied against the cached weight panel
+    /// by the maddubs qGEMM (which spreads its rows over the pool), and
+    /// requantized with their biases in one pass.
+    ///
+    /// # Errors
+    ///
+    /// Rejects a shape or slice length that does not match the compiled
+    /// layer.
+    pub fn forward_into(&self, x: &[i8], shape: [usize; 4], out: &mut [i8]) -> Result<()> {
+        let sp = &self.spec;
+        let geom = conv_geometry(
+            "QConv2d",
+            shape,
+            sp.in_channels,
+            sp.kernel,
+            sp.stride,
+            sp.padding,
+        )?;
+        let [b, c, h, w] = shape;
+        let plane = geom.out_h() * geom.out_w();
         let ckk = c * sp.kernel * sp.kernel;
-        let row_len = sp.out_channels * plane;
-        let mut out = vec![0i8; b * row_len];
-        let mut acc = scratch::alloc_i32(row_len);
+        let (img, row_len) = (c * h * w, sp.out_channels * plane);
+        check_lengths("QConv2d", x.len(), out.len(), b, img, row_len)?;
         select::record_class(sp.out_channels, plane, true);
-        // Per image, the im2col columns are packed into microkernel-native
-        // B-panels, multiplied against the cached weight panel by the
-        // maddubs qGEMM (which spreads its rows over the pool), biased and
-        // requantized. 1×1 stride-1 unpadded convolutions read the image
-        // as the column matrix directly (the expand/project/head case).
-        let img = c * h * w;
         let bypass = sp.kernel == 1 && sp.stride == 1 && sp.padding == 0;
+        let mut acc = scratch::alloc_i32(row_len);
         let mut panels = scratch::alloc_i8(pack::packed_rhs_len(ckk, plane));
         let mut cols = (!bypass).then(|| scratch::alloc_i8(ckk * plane));
-        for i in 0..b {
-            let image = &x.data[i * img..(i + 1) * img];
+        for (image, out_img) in x.chunks_exact(img).zip(out.chunks_exact_mut(row_len)) {
             pack_image_panels(&mut panels, cols.as_deref_mut(), image, &geom, ckk, plane);
             stats::record_pack_panel_hit();
             qmatmul_prepacked_into(&mut acc, &self.wq_k4, &panels, sp.out_channels, ckk, plane);
-            add_bias_rows(&mut acc, &sp.bias_q, plane);
-            let out_img = &mut out[i * row_len..(i + 1) * row_len];
-            requantize_rows_into(out_img, &acc, &sp.requant, plane, sp.lo, sp.hi);
+            requantize_rows_into(out_img, &acc, &self.rows);
         }
-        Ok(QTensor {
-            data: out,
-            shape: vec![b, sp.out_channels, oh, ow],
-            scale: sp.out_scale,
-        })
+        Ok(())
     }
 }
 
@@ -561,6 +644,8 @@ pub struct QDwConv2d {
     /// The same taps as `(w[kx], w[kx + 1])` i16 pairs for the AVX2
     /// paired-tap kernel ([`qkernel::dw_tap_pairs`]).
     tap_pairs: Vec<i32>,
+    /// Per-channel bias, requantizer and clamp.
+    rows: Vec<RowEpilogue>,
 }
 
 impl QDwConv2d {
@@ -571,14 +656,19 @@ impl QDwConv2d {
         let taps = spec.weights.to_dense();
         let tap_pairs = qkernel::dw_tap_pairs(&taps, spec.kernel);
         stats::record_pack_panel_built();
+        let k2 = spec.kernel * spec.kernel;
+        let rows = row_epilogues(&spec.bias_q, &spec.requant, k2, spec.lo, spec.hi);
         QDwConv2d {
             spec,
             taps,
             tap_pairs,
+            rows,
         }
     }
 
-    /// Runs the quantized depthwise convolution on an NCHW [`QTensor`].
+    /// Runs the quantized depthwise convolution on an NCHW [`QTensor`]
+    /// into a new tensor (the allocating form of
+    /// [`forward_into`](Self::forward_into)).
     ///
     /// # Errors
     ///
@@ -586,49 +676,50 @@ impl QDwConv2d {
     /// layer.
     pub fn forward(&self, x: &QTensor) -> Result<QTensor> {
         let sp = &self.spec;
-        let [b, c, h, w] = checked_nchw(x, sp.channels, sp.in_scale, "QDwConv2d")?;
-        let geom = Conv2dGeometry {
-            in_channels: 1,
-            in_h: h,
-            in_w: w,
-            kernel: sp.kernel,
-            stride: sp.stride,
-            padding: sp.padding,
-        };
-        let (oh, ow) = (geom.out_h(), geom.out_w());
-        let plane = oh * ow;
-        let taps = sp.kernel * sp.kernel;
-        let pairs = sp.kernel * sp.kernel.div_ceil(2);
-        let mut out = vec![0i8; b * c * plane];
-        // Accumulate every channel of one image, then requantize all rows
-        // in a single vectorized pass (one row per channel).
-        let mut acc = scratch::alloc_i32(c * plane);
-        for i in 0..b {
-            for ch in 0..c {
-                let image = &x.data[(i * c + ch) * h * w..(i * c + ch + 1) * h * w];
-                qdw_plane_into(
-                    &mut acc[ch * plane..(ch + 1) * plane],
-                    image,
-                    &self.taps[ch * taps..(ch + 1) * taps],
-                    &self.tap_pairs[ch * pairs..(ch + 1) * pairs],
-                    &geom,
-                );
-            }
-            add_bias_rows(&mut acc, &sp.bias_q, plane);
-            requantize_rows_into(
-                &mut out[i * c * plane..(i + 1) * c * plane],
-                &acc,
-                &sp.requant,
-                plane,
-                sp.lo,
-                sp.hi,
-            );
-        }
+        let shape = checked_nchw(x, sp.channels, sp.in_scale, "QDwConv2d")?;
+        let geom = conv_geometry(
+            "QDwConv2d",
+            shape,
+            sp.channels,
+            sp.kernel,
+            sp.stride,
+            sp.padding,
+        )?;
+        let (b, c) = (shape[0], shape[1]);
+        let mut out = vec![0i8; b * c * geom.out_h() * geom.out_w()];
+        self.forward_into(&x.data, shape, &mut out)?;
         Ok(QTensor {
             data: out,
-            shape: vec![b, c, oh, ow],
+            shape: vec![b, c, geom.out_h(), geom.out_w()],
             scale: sp.out_scale,
         })
+    }
+
+    /// Runs the quantized depthwise convolution on a batch-major
+    /// `[b, c, h, w]` int8 input (`shape`), writing `[b, c, out_h, out_w]`
+    /// into `out`: every plane is convolved, biased, requantized and
+    /// stored as int8 by one kernel call ([`qdw_planes_into`]). The caller
+    /// vouches for the input's scale, as in [`QConv2d::forward_into`].
+    ///
+    /// # Errors
+    ///
+    /// Rejects a shape or slice length that does not match the compiled
+    /// layer.
+    pub fn forward_into(&self, x: &[i8], shape: [usize; 4], out: &mut [i8]) -> Result<()> {
+        let sp = &self.spec;
+        let geom = conv_geometry(
+            "QDwConv2d",
+            shape,
+            sp.channels,
+            sp.kernel,
+            sp.stride,
+            sp.padding,
+        )?;
+        let [b, c, h, w] = shape;
+        let out_img = c * geom.out_h() * geom.out_w();
+        check_lengths("QDwConv2d", x.len(), out.len(), b, c * h * w, out_img)?;
+        qdw_planes_into(out, x, &self.taps, &self.tap_pairs, &self.rows, &geom);
+        Ok(())
     }
 }
 
@@ -737,22 +828,41 @@ impl QLinear {
             )));
         }
         check_scale(x.scale, sp.in_scale, "QLinear")?;
-        let b = x.shape[0];
-        let mut acc = scratch::alloc_i32(b * sp.out_features);
-        let mut a_k4 = scratch::alloc_i8(pack::packed_lhs_len(b, sp.in_features));
-        pack::pack_lhs_i8(&mut a_k4, &x.data, b, sp.in_features);
+        self.logits(&x.data, x.shape[0])
+    }
+
+    /// Runs the quantized classifier on a batch-major `[batch, in_features]`
+    /// int8 slice, returning float logits `[batch, out_features]`: the
+    /// network's one output allocation. The caller vouches for the
+    /// input's scale, as in [`QConv2d::forward_into`].
+    ///
+    /// # Errors
+    ///
+    /// Rejects a slice whose length is not `batch · in_features`.
+    pub fn logits(&self, x: &[i8], batch: usize) -> Result<Array> {
+        let sp = &self.spec;
+        if batch.checked_mul(sp.in_features) != Some(x.len()) {
+            return Err(TensorError::InvalidArgument(format!(
+                "QLinear: {} values are not {batch} rows of {}",
+                x.len(),
+                sp.in_features
+            )));
+        }
+        let mut out = vec![0.0f32; batch * sp.out_features];
+        let mut acc = scratch::alloc_i32(batch * sp.out_features);
+        let mut a_k4 = scratch::alloc_i8(pack::packed_lhs_len(batch, sp.in_features));
+        pack::pack_lhs_i8(&mut a_k4, x, batch, sp.in_features);
         stats::record_pack_panel_miss();
-        select::record_class(b, sp.out_features, false);
+        select::record_class(batch, sp.out_features, false);
         stats::record_pack_panel_hit();
         qmatmul_prepacked_into(
             &mut acc,
             &a_k4,
             &self.panels,
-            b,
+            batch,
             sp.in_features,
             sp.out_features,
         );
-        let mut out = vec![0.0f32; b * sp.out_features];
         for (row_out, row_acc) in out
             .chunks_exact_mut(sp.out_features)
             .zip(acc.chunks_exact(sp.out_features))
@@ -766,36 +876,31 @@ impl QLinear {
                 *d = a as f32 * sp.in_scale * sw + bias;
             }
         }
-        Array::from_vec(out, &[b, sp.out_features])
+        Array::from_vec(out, &[batch, sp.out_features])
     }
 }
 
-/// Integer global average pooling: `[b, c, h, w] → [b, c]`, output on the
-/// same scale as the input (`q_out = round(Σq / (h·w))`).
+/// Integer global average pooling of batch-major `[b, c, h, w]` int8
+/// values into `[b, c]` (one output per plane of `plane = h·w` values),
+/// on the input's scale: `q_out = round(Σq / plane)`.
 ///
 /// # Errors
 ///
-/// Rejects non-NCHW inputs.
-pub fn q_global_avg_pool(x: &QTensor) -> Result<QTensor> {
-    if x.shape.len() != 4 {
+/// Rejects an empty plane, or an input that is not `out.len()` planes.
+pub fn q_global_avg_pool_into(x: &[i8], plane: usize, out: &mut [i8]) -> Result<()> {
+    if plane == 0 || Some(x.len()) != out.len().checked_mul(plane) {
         return Err(TensorError::InvalidArgument(format!(
-            "q_global_avg_pool: expected NCHW, got {:?}",
-            x.shape
+            "q_global_avg_pool: {} values are not {} planes of {plane}",
+            x.len(),
+            out.len()
         )));
     }
-    let (b, c, h, w) = (x.shape[0], x.shape[1], x.shape[2], x.shape[3]);
-    let plane = h * w;
     let rq = Requant::from_scale(1.0 / plane as f64);
-    let mut out = vec![0i8; b * c];
-    for (d, chunk) in out.iter_mut().zip(x.data.chunks_exact(plane)) {
+    for (d, chunk) in out.iter_mut().zip(x.chunks_exact(plane)) {
         let sum: i32 = chunk.iter().map(|&v| i32::from(v)).sum();
         *d = rq.apply_i8(sum, -ACT_QMAX, ACT_QMAX);
     }
-    Ok(QTensor {
-        data: out,
-        shape: vec![b, c],
-        scale: x.scale,
-    })
+    Ok(())
 }
 
 /// A compiled integer residual add in a fixed output grid: each operand is
@@ -1129,15 +1234,11 @@ mod tests {
 
     #[test]
     fn global_avg_pool_averages_on_same_scale() {
-        let x = QTensor {
-            data: vec![10, 20, 30, 40, -10, -20, -30, -40],
-            shape: vec![1, 2, 2, 2],
-            scale: 0.1,
-        };
-        let y = q_global_avg_pool(&x).unwrap();
-        assert_eq!(y.shape, vec![1, 2]);
-        assert_eq!(y.data, vec![25, -25]);
-        assert_eq!(y.scale, 0.1);
+        let x = [10, 20, 30, 40, -10, -20, -30, -40];
+        let mut y = [0i8; 2];
+        q_global_avg_pool_into(&x, 4, &mut y).unwrap();
+        assert_eq!(y, [25, -25]);
+        assert!(q_global_avg_pool_into(&x, 3, &mut y).is_err());
     }
 
     #[test]

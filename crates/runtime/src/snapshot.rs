@@ -52,11 +52,21 @@ const MAX_PAYLOAD: u64 = 1 << 32;
 pub enum SnapshotError {
     /// Underlying filesystem error.
     Io(std::io::Error),
-    /// The file does not start with [`MAGIC`].
-    BadMagic,
+    /// The file does not start with the magic of the format being read.
+    BadMagic {
+        /// Magic of the format the reader expected.
+        expected: [u8; 8],
+    },
     /// The file's container version is not the one this build reads for
     /// its format.
-    UnsupportedVersion(u32),
+    UnsupportedVersion {
+        /// Magic of the format being read.
+        magic: [u8; 8],
+        /// Version the file declares.
+        found: u32,
+        /// The one version this build reads.
+        expected: u32,
+    },
     /// The file is shorter than its header claims.
     Truncated {
         /// Bytes the header promised.
@@ -80,10 +90,18 @@ impl std::fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SnapshotError::Io(e) => write!(f, "snapshot I/O error: {e}"),
-            SnapshotError::BadMagic => write!(f, "not a snapshot file (bad magic)"),
-            SnapshotError::UnsupportedVersion(v) => {
-                write!(f, "unsupported snapshot format version {v}")
+            SnapshotError::BadMagic { expected } => {
+                write!(f, "not a {} file (bad magic)", format_name(expected))
             }
+            SnapshotError::UnsupportedVersion {
+                magic,
+                found,
+                expected,
+            } => write!(
+                f,
+                "{} format version {found} is not supported; this build reads version {expected}",
+                format_name(magic)
+            ),
             SnapshotError::Truncated { expected, got } => {
                 write!(
                     f,
@@ -100,6 +118,19 @@ impl std::fmt::Display for SnapshotError {
 }
 
 impl std::error::Error for SnapshotError {}
+
+/// What the formats that share this container are called in messages:
+/// training snapshots, `edd-ir`'s compiled-model artifacts, or the magic's
+/// own text for any other.
+fn format_name(magic: &[u8; 8]) -> String {
+    match magic {
+        b"EDDSNAP\0" => "snapshot".into(),
+        b"EDDMODL\0" => "model artifact".into(),
+        other => String::from_utf8_lossy(other)
+            .trim_end_matches('\0')
+            .to_owned(),
+    }
+}
 
 impl From<std::io::Error> for SnapshotError {
     fn from(e: std::io::Error) -> Self {
@@ -475,11 +506,15 @@ pub fn decode_container_as(magic: &[u8; 8], version: u32, file: &[u8]) -> Result
         });
     }
     if file[..8] != magic[..] {
-        return Err(SnapshotError::BadMagic);
+        return Err(SnapshotError::BadMagic { expected: *magic });
     }
     let found = u32::from_le_bytes([file[8], file[9], file[10], file[11]]);
     if found != version {
-        return Err(SnapshotError::UnsupportedVersion(found));
+        return Err(SnapshotError::UnsupportedVersion {
+            magic: *magic,
+            found,
+            expected: version,
+        });
     }
     let mut len_bytes = [0u8; 8];
     len_bytes.copy_from_slice(&file[12..20]);
@@ -683,24 +718,30 @@ mod tests {
         let file = encode_container_as(&ART, 3, &payload);
         assert_eq!(decode_container_as(&ART, 3, &file).unwrap(), payload);
         // A snapshot reader must not accept a foreign magic, and vice versa.
-        assert!(matches!(
-            decode_container(&file),
-            Err(SnapshotError::BadMagic)
-        ));
+        let err = decode_container(&file).unwrap_err();
+        assert!(
+            matches!(err, SnapshotError::BadMagic { expected } if expected == MAGIC),
+            "{err:?}"
+        );
+        assert_eq!(err.to_string(), "not a snapshot file (bad magic)");
         let snap = encode_container(&payload);
-        assert!(matches!(
-            decode_container_as(&ART, 3, &snap),
-            Err(SnapshotError::BadMagic)
-        ));
+        let err = decode_container_as(&ART, 3, &snap).unwrap_err();
+        assert!(matches!(err, SnapshotError::BadMagic { expected } if expected == ART));
+        assert_eq!(err.to_string(), "not a EDDTEST file (bad magic)");
         // Version gate still applies per-format, and in both directions.
-        assert!(matches!(
-            decode_container_as(&ART, 2, &file),
-            Err(SnapshotError::UnsupportedVersion(3))
-        ));
-        assert!(matches!(
-            decode_container_as(&ART, 4, &file),
-            Err(SnapshotError::UnsupportedVersion(3))
-        ));
+        for want in [2, 4] {
+            let err = decode_container_as(&ART, want, &file).unwrap_err();
+            assert!(matches!(
+                err,
+                SnapshotError::UnsupportedVersion { magic: ART, found: 3, expected } if expected == want
+            ));
+            assert_eq!(
+                err.to_string(),
+                format!(
+                    "EDDTEST format version 3 is not supported; this build reads version {want}"
+                )
+            );
+        }
     }
 
     #[test]
@@ -764,14 +805,14 @@ mod tests {
         bad[0] ^= 0x01;
         assert!(matches!(
             decode_container(&bad),
-            Err(SnapshotError::BadMagic)
+            Err(SnapshotError::BadMagic { .. })
         ));
         // Version.
         let mut bad = file.clone();
         bad[8] = 0xFF;
         assert!(matches!(
             decode_container(&bad),
-            Err(SnapshotError::UnsupportedVersion(_))
+            Err(SnapshotError::UnsupportedVersion { .. })
         ));
         // Truncation.
         assert!(matches!(

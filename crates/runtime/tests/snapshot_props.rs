@@ -118,6 +118,6 @@ fn corruption_reports_the_right_error_kinds() {
     magic_flip[3] ^= 0x20;
     assert!(matches!(
         snapshot::decode_container(&magic_flip),
-        Err(SnapshotError::BadMagic)
+        Err(SnapshotError::BadMagic { .. })
     ));
 }

@@ -94,19 +94,18 @@ pub fn valid_out_range(
 #[must_use]
 pub fn partition(n: usize, parts: usize) -> Vec<Range<usize>> {
     let parts = parts.max(1).min(n.max(1));
-    let base = n / parts;
-    let extra = n % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0;
-    for p in 0..parts {
-        let len = base + usize::from(p < extra);
-        if len == 0 {
-            break;
-        }
-        out.push(start..start + len);
-        start += len;
-    }
-    out
+    (0..parts)
+        .map(|p| part_range(n, parts, p))
+        .filter(|r| !r.is_empty())
+        .collect()
+}
+
+/// Range `p` of the `parts` balanced ranges of `0..n` (the entries of
+/// [`partition`] when `1 <= parts <= n`), computed without allocating.
+fn part_range(n: usize, parts: usize, p: usize) -> Range<usize> {
+    let (base, extra) = (n / parts, n % parts);
+    let start = p * base + p.min(extra);
+    start..start + base + usize::from(p < extra)
 }
 
 // ---------------------------------------------------------------------------
@@ -550,14 +549,14 @@ pub(crate) fn par_row_blocks<T: Send>(
     threads: usize,
     gemm: impl Fn(&mut [T], Range<usize>) + Sync,
 ) {
-    let ranges = partition(m, threads);
-    if ranges.len() <= 1 {
+    let parts = threads.min(m);
+    if parts <= 1 {
         gemm(out, 0..m);
         return;
     }
     let base = SendPtr::new(out.as_mut_ptr());
-    pool::run(ranges.len(), &|t| {
-        let r = ranges[t].clone();
+    pool::run(parts, &|t| {
+        let r = part_range(m, parts, t);
         // SAFETY: partition ranges are disjoint, so each task's output
         // window is exclusive to it.
         let block = unsafe { base.slice(r.start * n, r.len() * n) };

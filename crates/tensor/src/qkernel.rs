@@ -274,171 +274,236 @@ fn pow2(e: i32) -> f64 {
     }
 }
 
-/// Requantizes a row-major `[rows, cols]` i32 accumulator block into i8,
-/// one [`Requant`] per row (per output channel), clamping to `[lo, hi]`.
-///
-/// Per row the multiplier's `31 - shift` and rounding nudge are hoisted
-/// and the common case (a normalized positive `mult` with
-/// `0 < 31 - shift < 63`, i.e. every real layer scale ratio) runs a
-/// vectorizable row kernel; degenerate multipliers fall back to the
-/// per-element [`Requant::apply_i8`]. The row kernel computes exactly the
-/// same `i64` product / nudge / shift / clamp sequence as `apply_i8`
-/// (clamping straight to `[lo, hi] ⊆ i8` instead of clamping to the i32
-/// range first, which cannot change the result), so this is bitwise
-/// identical to the element-wise loop on every path.
-///
-/// # Panics
-///
-/// Panics on inconsistent lengths, or when `[lo, hi]` is empty or not
-/// within the i8 range (the vector kernel narrows with saturating packs,
-/// which equal the scalar `as i8` only inside that range).
-pub fn requantize_rows_into(
-    dst: &mut [i8],
-    acc: &[i32],
-    per_row: &[Requant],
-    cols: usize,
+/// Largest product of one int8 tap: weights lie in `[-127, 127]` (the
+/// artifact decoder rejects −128) and activations in `[-128, 127]`, so a
+/// reduction over `taps` products has `|acc| <= taps · 128 · 127`.
+const TAP_PRODUCT_MAX: u64 = 128 * 127;
+
+/// The epilogue of one output row (one output channel) of a requantizing
+/// layer: add the i32 bias, requantize with a [`Requant`], clamp to
+/// `[lo, hi]` and narrow to i8. Layers build one per channel when they are
+/// compiled, and [`new`](Self::new) decides there, once, whether the row
+/// can run the AVX2 body.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RowEpilogue {
+    rq: Requant,
+    bias: i32,
     lo: i32,
     hi: i32,
-) {
-    assert_eq!(
-        dst.len(),
-        acc.len(),
-        "requantize_rows_into: length mismatch"
-    );
-    assert_eq!(
-        acc.len(),
-        per_row.len() * cols,
-        "requantize_rows_into: rows/cols mismatch"
-    );
-    assert!(
-        -128 <= lo && lo <= hi && hi <= 127,
-        "requantize_rows_into: clamp [{lo}, {hi}] outside the i8 range"
-    );
-    for ((d_row, a_row), rq) in dst
-        .chunks_exact_mut(cols)
-        .zip(acc.chunks_exact(cols))
-        .zip(per_row)
-    {
-        let ts = 31 - rq.shift;
-        if ts <= 0 || ts >= 63 || rq.mult <= 0 {
-            // Degenerate multipliers (>= 1, flushing to zero, or not
-            // positive): cold path.
-            for (d, &a) in d_row.iter_mut().zip(a_row) {
-                *d = rq.apply_i8(a, lo, hi);
-            }
-        } else {
-            requantize_row_fast(d_row, a_row, rq.mult, ts, lo, hi);
+    /// `31 - shift` when the row is in the AVX2 body's domain.
+    vector_ts: Option<u32>,
+}
+
+impl RowEpilogue {
+    /// The epilogue of a row whose accumulators are reductions over `taps`
+    /// int8 products.
+    ///
+    /// The row is in the AVX2 body's domain when `32 <= 31 - shift <= 62`,
+    /// `mult > 0`, `-128 <= lo <= hi <= 127`, and the bias has headroom:
+    /// `|bias| + taps·128·127 <= i32::MAX`, so `acc + bias` cannot overflow
+    /// and equals the saturating add of [`apply`](Self::apply). Every
+    /// other row runs `apply` per element.
+    #[must_use]
+    pub fn new(rq: Requant, bias: i32, taps: usize, lo: i32, hi: i32) -> Self {
+        let ts = 31 - i64::from(rq.shift);
+        let acc_max = (taps as u64).saturating_mul(TAP_PRODUCT_MAX);
+        let headroom = u64::from(bias.unsigned_abs()).saturating_add(acc_max) <= i32::MAX as u64;
+        let vector = (32..=62).contains(&ts)
+            && rq.mult > 0
+            && -128 <= lo
+            && lo <= hi
+            && hi <= 127
+            && headroom;
+        RowEpilogue {
+            rq,
+            bias,
+            lo,
+            hi,
+            vector_ts: vector.then_some(ts as u32),
         }
     }
-}
 
-/// Row kernel for the common requant case (`mult > 0`, `0 < ts < 63`,
-/// `-128 <= lo <= hi <= 127`). Dispatched by hand: the AVX2 twin is a
-/// genuinely different instruction sequence (unsigned 32x32→64 multiplies,
-/// a magnitude cap and 32-bit clamps), kept bit-identical by integer
-/// exactness rather than by recompilation, and pinned to the scalar body by
-/// the kernel-dispatch test.
-fn requantize_row_fast(dst: &mut [i8], acc: &[i32], mult: i32, ts: i32, lo: i32, hi: i32) {
-    #[cfg(target_arch = "x86_64")]
-    if crate::kernel::use_avx2() {
-        // SAFETY: AVX2 support verified at runtime just above.
-        return unsafe { requantize_row_fast_avx2(dst, acc, mult, ts, lo, hi) };
+    /// The scalar reference every body equals:
+    /// `rq.apply_i8(acc.saturating_add(bias), lo, hi)`.
+    #[must_use]
+    pub fn apply(&self, acc: i32) -> i8 {
+        self.rq
+            .apply_i8(acc.saturating_add(self.bias), self.lo, self.hi)
     }
-    requantize_row_fast_scalar(dst, acc, mult, ts, lo, hi);
-}
 
-#[inline(always)]
-fn requantize_row_fast_scalar(dst: &mut [i8], acc: &[i32], mult: i32, ts: i32, lo: i32, hi: i32) {
-    debug_assert!((1..63).contains(&ts));
-    let mult = i64::from(mult);
-    let nudge = 1i64 << (ts - 1);
-    let (lo, hi) = (i64::from(lo), i64::from(hi));
-    for (d, &a) in dst.iter_mut().zip(acc) {
-        let prod = i64::from(a) * mult;
-        let v = if prod >= 0 {
-            (prod + nudge) >> ts
-        } else {
-            -((-prod + nudge) >> ts)
+    /// [`apply`](Self::apply) over a row. A row in the vector domain
+    /// hoists its constants and runs the AVX2 body's arithmetic one lane
+    /// at a time (see [`Rq8`]), which equals `apply` there; any other row
+    /// calls `apply` per element.
+    fn apply_row(&self, dst: &mut [i8], acc: &[i32]) {
+        let Some(ts) = self.vector_ts else {
+            for (d, &a) in dst.iter_mut().zip(acc) {
+                *d = self.apply(a);
+            }
+            return;
         };
-        *d = v.clamp(lo, hi) as i8;
+        let mult = u64::from(self.rq.mult.unsigned_abs());
+        let nudge = 1u64 << (ts - 1);
+        for (d, &a) in dst.iter_mut().zip(acc) {
+            // Exact: the domain's headroom keeps `a + bias` inside i32.
+            let x = a.wrapping_add(self.bias);
+            let mag = ((u64::from(x.unsigned_abs()) * mult + nudge) >> ts) as i32;
+            let v = if x < 0 { -mag } else { mag };
+            *d = v.clamp(self.lo, self.hi) as i8;
+        }
+    }
+
+    /// `31 - shift` when the AVX2 body may run this row on this host.
+    fn vector_ts(&self) -> Option<u32> {
+        self.vector_ts.filter(|_| crate::kernel::use_avx2())
     }
 }
 
-/// AVX2 requant row: 8 accumulators per iteration, narrowed to 8 bytes
-/// with one store.
+/// Requantizes a row-major `[rows.len(), cols]` block of i32 accumulators
+/// into i8 with one [`RowEpilogue`] per row:
+/// `dst[r·cols + j] = rows[r].apply(acc[r·cols + j])`, bitwise. A row in
+/// the vector domain runs the AVX2 body when the CPU has AVX2 (and
+/// `EDD_SIMD` does not force the scalar bodies); every other row runs the
+/// scalar row body. The rows each body took are added to [`crate::stats`]
+/// once per call.
 ///
-/// The sign is peeled off (`|i32::MIN|` reads as exactly `2^31` unsigned)
-/// and the magnitudes of the even and odd lanes go through
-/// `_mm256_mul_epu32` — the full product `|acc| · mult < 2^62`, since
-/// `mult` is positive. Nudge-add and logical shift stay in the positive
-/// range. The shifted magnitude is then capped at `2^31 - 1`: every
-/// magnitude at or above the cap clamps to `lo` or `hi` anyway, because
-/// `[lo, hi] ⊆ [-128, 127]`. The capped values fit 32-bit lanes, where the
-/// sign is re-applied and the `min/max_epi32` clamp runs. After the clamp
-/// every lane is in the i8 range, so the saturating `packs` narrowing
-/// equals the scalar body's `as i8`.
+/// Each accumulator must be a reduction over the `taps` its row's
+/// epilogue was built for (`|acc| <= taps·128·127`), which is what makes
+/// the vector domain's bias add exact; with a zero bias any i32 is exact.
+pub fn requantize_rows_into(dst: &mut [i8], acc: &[i32], rows: &[RowEpilogue]) {
+    debug_assert_eq!(dst.len(), acc.len(), "requantize_rows_into: lengths");
+    let cols = acc.len().checked_div(rows.len()).unwrap_or(0);
+    debug_assert_eq!(cols * rows.len(), acc.len(), "requantize_rows_into: rows");
+    if cols == 0 {
+        return;
+    }
+    let mut vector = 0;
+    for ((d_row, a_row), ep) in dst
+        .chunks_exact_mut(cols)
+        .zip(acc.chunks_exact(cols))
+        .zip(rows)
+    {
+        match ep.vector_ts() {
+            #[cfg(target_arch = "x86_64")]
+            Some(ts) => {
+                // SAFETY: `vector_ts` is `Some` only when AVX2 is on, and
+                // only for a row in the body's domain.
+                unsafe { requantize_row_avx2(d_row, a_row, ep, ts) };
+                vector += 1;
+            }
+            _ => ep.apply_row(d_row, a_row),
+        }
+    }
+    crate::stats::record_requant_rows(vector, rows.len() - vector);
+}
+
+/// AVX2 requant row: 8 accumulators per step, the last group anchored at
+/// the row end (it recomputes overlapped outputs with identical values).
 ///
 /// # Safety
 ///
-/// The CPU must support AVX2; `mult > 0`, `0 < ts < 63` and
-/// `-128 <= lo <= hi <= 127` (the contract of [`requantize_row_fast`]).
+/// The CPU must support AVX2, and `ep` must be in the vector domain with
+/// `ts` its `31 - shift` (see [`RowEpilogue::new`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn requantize_row_fast_avx2(
-    dst: &mut [i8],
-    acc: &[i32],
-    mult: i32,
-    ts: i32,
-    lo: i32,
-    hi: i32,
-) {
+unsafe fn requantize_row_avx2(dst: &mut [i8], acc: &[i32], ep: &RowEpilogue, ts: u32) {
     use std::arch::x86_64::*;
-    debug_assert!((1..63).contains(&ts) && mult > 0);
-    debug_assert!(-128 <= lo && lo <= hi && hi <= 127);
     let n = dst.len().min(acc.len());
-    let mult_v = _mm256_set1_epi32(mult);
-    let nudge_v = _mm256_set1_epi64x(1i64 << (ts - 1));
-    let cap_v = _mm256_set1_epi64x(i64::from(i32::MAX));
-    let lo_v = _mm256_set1_epi32(lo);
-    let hi_v = _mm256_set1_epi32(hi);
-    let count = _mm_cvtsi32_si128(ts);
-    let mut j = 0;
-    while j + 8 <= n {
-        // SAFETY: j + 8 <= n bounds the 32-byte load and the 8-byte store.
-        let x = _mm256_loadu_si256(acc.as_ptr().add(j).cast());
-        let sign = _mm256_srai_epi32::<31>(x);
-        let absx = _mm256_sub_epi32(_mm256_xor_si256(x, sign), sign);
-        let even = requant_magnitude(absx, mult_v, nudge_v, count, cap_v);
-        let odd = requant_magnitude(_mm256_srli_epi64::<32>(absx), mult_v, nudge_v, count, cap_v);
-        let mag = _mm256_or_si256(even, _mm256_slli_epi64::<32>(odd));
-        let signed = _mm256_sub_epi32(_mm256_xor_si256(mag, sign), sign);
-        let v = _mm256_max_epi32(lo_v, _mm256_min_epi32(hi_v, signed));
-        let words = _mm_packs_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v));
-        _mm_storel_epi64(
-            dst.as_mut_ptr().add(j).cast(),
-            _mm_packs_epi16(words, words),
-        );
-        j += 8;
+    if n < 8 {
+        return ep.apply_row(dst, acc);
     }
-    requantize_row_fast_scalar(&mut dst[j..], &acc[j..], mult, ts, lo, hi);
+    let rq = Rq8::new(ep, ts);
+    let mut j = 0;
+    loop {
+        // SAFETY: j + 8 <= n bounds the 32-byte load and the 8-byte store.
+        let x = _mm256_add_epi32(_mm256_loadu_si256(acc.as_ptr().add(j).cast()), rq.bias);
+        store8(dst.as_mut_ptr().add(j), rq.apply(x));
+        if j + 8 >= n {
+            break;
+        }
+        j = (j + 8).min(n - 8);
+    }
 }
 
-/// `min((m · mult + nudge) >> ts, 2^31 - 1)` over the unsigned low halves
-/// of the four 64-bit lanes of `m`; the result sits in the low half of each
-/// lane, the high half zero.
+/// The broadcast constants of the AVX2 requantizer for one row.
+///
+/// [`apply`](Self::apply) maps 8 biased accumulators `x` to
+/// `sign(x) · ((|x|·mult + nudge) >> ts)`, clamped to `[lo, hi]`, with
+/// `nudge = 2^(ts-1)`; that is [`Requant::apply_i8`] for every
+/// `32 <= ts <= 62` and `mult > 0`:
+///
+/// - `abs_epi32` reads `|i32::MIN|` as `2^31` unsigned, so `|x| <= 2^31`,
+///   `|x|·mult < 2^62` and `|x|·mult + nudge < 2^63`;
+/// - the high dword of that sum is `(|x|·mult + nudge) >> 32`, below
+///   `2^31`, and a further logical shift by `ts - 32` equals the shift of
+///   the whole 64-bit sum by `ts`, because floor division composes;
+/// - the shifted magnitude fits 31 bits, so `sign_epi32` restores the sign
+///   exactly, and after the `[lo, hi] ⊆ [-128, 127]` clamp the saturating
+///   `packs` narrowing equals the scalar `as i8`.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[inline]
-unsafe fn requant_magnitude(
-    m: std::arch::x86_64::__m256i,
+#[derive(Clone, Copy)]
+struct Rq8 {
+    bias: std::arch::x86_64::__m256i,
     mult: std::arch::x86_64::__m256i,
     nudge: std::arch::x86_64::__m256i,
     count: std::arch::x86_64::__m128i,
-    cap: std::arch::x86_64::__m256i,
-) -> std::arch::x86_64::__m256i {
+    lo: std::arch::x86_64::__m256i,
+    hi: std::arch::x86_64::__m256i,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Rq8 {
+    /// # Safety
+    ///
+    /// The CPU must support AVX2; `ts` is `ep`'s vector `31 - shift`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn new(ep: &RowEpilogue, ts: u32) -> Self {
+        use std::arch::x86_64::*;
+        debug_assert!((32..=62).contains(&ts) && ep.rq.mult > 0);
+        Rq8 {
+            bias: _mm256_set1_epi32(ep.bias),
+            mult: _mm256_set1_epi32(ep.rq.mult),
+            nudge: _mm256_set1_epi64x(1i64 << (ts - 1)),
+            count: _mm_cvtsi32_si128((ts - 32) as i32),
+            lo: _mm256_set1_epi32(ep.lo),
+            hi: _mm256_set1_epi32(ep.hi),
+        }
+    }
+
+    /// Requantizes and clamps 8 biased accumulators (see the type docs).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn apply(&self, x: std::arch::x86_64::__m256i) -> std::arch::x86_64::__m256i {
+        use std::arch::x86_64::*;
+        let mag = _mm256_abs_epi32(x);
+        let even = _mm256_add_epi64(_mm256_mul_epu32(mag, self.mult), self.nudge);
+        let odd = _mm256_add_epi64(
+            _mm256_mul_epu32(_mm256_srli_epi64::<32>(mag), self.mult),
+            self.nudge,
+        );
+        let high = _mm256_blend_epi32::<0b1010_1010>(_mm256_srli_epi64::<32>(even), odd);
+        let signed = _mm256_sign_epi32(_mm256_srl_epi32(high, self.count), x);
+        _mm256_max_epi32(self.lo, _mm256_min_epi32(self.hi, signed))
+    }
+}
+
+/// Narrows 8 lanes already inside the i8 range to bytes with one 8-byte
+/// store.
+///
+/// # Safety
+///
+/// The CPU must support AVX2; `dst` is valid for 8 bytes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn store8(dst: *mut i8, v: std::arch::x86_64::__m256i) {
     use std::arch::x86_64::*;
-    let q = _mm256_srl_epi64(_mm256_add_epi64(_mm256_mul_epu32(m, mult), nudge), count);
-    _mm256_blendv_epi8(q, cap, _mm256_cmpgt_epi64(q, cap))
+    let words = _mm_packs_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v));
+    _mm_storel_epi64(dst.cast(), _mm_packs_epi16(words, words));
 }
 
 // ---------------------------------------------------------------------------
@@ -791,195 +856,367 @@ pub fn dw_tap_pairs(w: &[i8], k: usize) -> Vec<i32> {
         .collect()
 }
 
-/// Quantized depthwise stencil for one channel plane: `out[oh, ow](i32)
-/// = w[k, k] ⊛ input[ih, iw]` with stride/padding from `geom` (interpreted
-/// single-channel), overwriting `out`. `pairs` is the same kernel packed by
-/// [`dw_tap_pairs`]. Taps accumulate in ascending `(ky, kx)` order; integer
-/// math keeps any reordering exact anyway.
+/// Quantized depthwise convolution over every channel plane of a
+/// batch-major `[b, c, in_h, in_w]` int8 input, writing the requantized
+/// `[b, c, out_h, out_w]` int8 output. `c` is `rows.len()`; channel `ch`
+/// has the dense taps `w[ch·k² ..]`, the [`dw_tap_pairs`] form
+/// `pairs[ch·k·kp ..]` (`kp = k.div_ceil(2)`) and the epilogue `rows[ch]`.
+/// Stride, padding and plane size come from `geom`, read as one channel.
 ///
-/// Dispatched by hand (not `avx2_dispatch!`): the AVX2 twin for the
-/// stride-1, `ow >= 8` case is a paired-tap `madd` kernel over a
-/// horizontally zero-padded plane, not a recompile of the scalar body;
-/// integer exactness keeps the paths equal (pinned by the dispatch test).
-///
-/// # Panics
-///
-/// Panics if `w` or `pairs` does not hold one `k × k` kernel, or if
-/// `input`/`out` do not match `geom`.
-pub fn qdw_plane_into(
-    out: &mut [i32],
+/// Dispatched per plane: a stride-1 plane with `out_w >= 8` whose
+/// epilogue is in the vector domain runs the paired-tap AVX2 body, every
+/// other plane the scalar body; both equal [`RowEpilogue::apply`] of the
+/// exact i32 stencil sum. The AVX2 body's i16 staging plane comes from the
+/// scratch arena once per call, and the planes and requantized rows each
+/// body took are added to [`crate::stats`] once per call.
+pub fn qdw_planes_into(
+    out: &mut [i8],
     input: &[i8],
     w: &[i8],
     pairs: &[i32],
+    rows: &[RowEpilogue],
     geom: &Conv2dGeometry,
 ) {
-    let k = geom.kernel;
-    assert_eq!(w.len(), k * k, "qdw_plane_into: bad kernel length");
-    assert_eq!(
-        pairs.len(),
-        k * k.div_ceil(2),
-        "qdw_plane_into: bad tap-pair length"
-    );
-    assert_eq!(
-        input.len(),
-        geom.in_h * geom.in_w,
-        "qdw_plane_into: bad input length"
-    );
-    assert_eq!(
-        out.len(),
-        geom.out_h() * geom.out_w(),
-        "qdw_plane_into: bad out length"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if crate::kernel::use_avx2() && geom.stride == 1 && geom.out_w() >= 8 {
-        // SAFETY: AVX2 support verified at runtime just above; the lengths
-        // and the stride-1 / `ow >= 8` shape the kernel relies on are
-        // asserted or tested just above.
-        return unsafe { qdw_plane_s1_avx2(out, input, pairs, geom) };
+    let (k, c) = (geom.kernel, rows.len());
+    // A geometry whose kernel does not fit its padded plane, or whose
+    // sizes overflow, has no output to compute (the layers and `facts()`
+    // reject both before this point).
+    let padded = |d: usize| geom.padding.checked_mul(2).and_then(|p| d.checked_add(p));
+    let fits =
+        padded(geom.in_h).is_some_and(|h| h >= k) && padded(geom.in_w).is_some_and(|w| w >= k);
+    if c == 0 || k == 0 || geom.stride == 0 || !fits {
+        return;
     }
-    qdw_plane_into_scalar(out, input, w, geom);
+    let (Some(plane_in), Some(plane_out)) = (
+        geom.in_h.checked_mul(geom.in_w),
+        geom.out_h().checked_mul(geom.out_w()),
+    ) else {
+        return;
+    };
+    debug_assert_eq!(w.len(), c * k * k, "qdw_planes_into: taps");
+    debug_assert_eq!(pairs.len(), c * k * k.div_ceil(2), "qdw_planes_into: pairs");
+    debug_assert_eq!(
+        out.len() * plane_in,
+        input.len() * plane_out,
+        "qdw_planes_into: planes"
+    );
+    if plane_in == 0 || plane_out == 0 {
+        return;
+    }
+    let stage_len = padded(geom.in_w)
+        .and_then(|pw| pw.checked_mul(geom.in_h))
+        .and_then(|n| n.checked_add(1));
+    let vector_shape = crate::kernel::use_avx2() && geom.stride == 1 && geom.out_w() >= 8;
+    let mut stage = stage_len
+        .filter(|_| vector_shape)
+        .map(crate::scratch::alloc_i16);
+    let (mut planes, mut vector) = (0, 0);
+    for (o_img, x_img) in out
+        .chunks_exact_mut(c * plane_out)
+        .zip(input.chunks_exact(c * plane_in))
+    {
+        for ((((o, x), taps), pair), ep) in o_img
+            .chunks_exact_mut(plane_out)
+            .zip(x_img.chunks_exact(plane_in))
+            .zip(w.chunks_exact(k * k))
+            .zip(pairs.chunks_exact(k * k.div_ceil(2)))
+            .zip(rows)
+        {
+            planes += 1;
+            match (stage.as_deref_mut(), ep.vector_ts()) {
+                #[cfg(target_arch = "x86_64")]
+                (Some(stage), Some(ts)) => {
+                    // SAFETY: AVX2 is on (both options are `Some` only
+                    // then), the kernel fits the padded plane, the shape is
+                    // stride 1 with `out_w >= 8`, the chunks have the
+                    // plane lengths, the stage holds `in_h · (in_w + 2 ·
+                    // padding) + 1` elements, and `ts` is `ep`'s vector
+                    // shift.
+                    unsafe { qdw_plane_s1_avx2(o, x, pair, ep, ts, geom, stage) };
+                    vector += 1;
+                }
+                _ => qdw_plane_scalar(o, x, taps, ep, geom),
+            }
+        }
+    }
+    crate::stats::record_dw_planes(vector, planes - vector);
+    crate::stats::record_requant_rows(vector, planes - vector);
 }
 
-/// AVX2 stride-1 depthwise plane, two taps per multiply.
+/// AVX2 stride-1 depthwise plane, two taps per multiply, requantized in
+/// registers and stored as int8.
 ///
-/// The input is sign-extended once into a horizontally zero-padded i16
-/// scratch plane (`pw = iw + 2·pad`); vertical padding is a per-output-row
-/// tap clip. In that plane the taps `(kx, kx + 1)` of output `j` are the
-/// adjacent i16 pair at `j + kx`, so one unaligned 32-byte load at `kx`
-/// holds them for the even outputs `j = 0, 2, …, 14` of a 16-wide group
-/// and a load at `kx + 1` holds them for the odd ones.
+/// The input is widened once into the i16 staging plane; vertical padding
+/// is a per-output-row tap clip. In that plane the taps `(kx, kx + 1)` of
+/// output `j` are the adjacent i16 pair at `j + kx`, so one unaligned
+/// 32-byte load at `kx` holds them for the even outputs `j = 0, 2, …, 14`
+/// of a 16-wide group and a load at `kx + 1` holds them for the odd ones.
 /// `_mm256_madd_epi16` against the broadcast `(w[kx], w[kx + 1])` pair
-/// forms both products and their sum exactly (`|x·w| <= 128²`, so a pair
-/// sum stays far inside i32), with no shuffle inside the tap loop; the
-/// even and odd accumulators are interleaved once per group. An odd
-/// kernel's last tap is paired with a zero weight. Outputs go 16 per group
-/// when `ow >= 16` and 8 per group (128-bit twin) otherwise; the last
-/// group is anchored at the row end, recomputing overlapped outputs —
-/// identical values, integer math.
+/// forms both products and their sum exactly (`|x·w| <= 128·127`), with
+/// no shuffle inside the tap loop; an odd kernel's last tap is paired with
+/// a zero weight. The accumulators start at the bias, which the vector
+/// domain's headroom keeps exact. The even and odd accumulators are
+/// requantized ([`Rq8`]) and interleaved once per group as they narrow to
+/// bytes. Two interior rows (no vertical clip) share each weight broadcast;
+/// clipped rows go one at a time. Outputs go 16 per group when
+/// `ow >= 16` and 8 per group (128-bit loads) otherwise; the last group is
+/// anchored at the row end, recomputing overlapped outputs — identical
+/// values, integer math.
 ///
 /// # Safety
 ///
 /// The CPU must support AVX2; `geom.stride == 1`, `geom.out_w() >= 8`,
-/// `input.len() == in_h · in_w`, `out.len() == out_h · out_w` and
-/// `pairs.len() == k · k.div_ceil(2)`.
+/// `input.len() == in_h · in_w`, `out.len() == out_h · out_w`,
+/// `pairs.len() == k · k.div_ceil(2)`, `stage.len() > in_h · (in_w + 2 ·
+/// padding)` (the staging plane plus one slack element), the kernel fits
+/// the padded plane, and `ep` is in the vector domain with `ts` its
+/// `31 - shift`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn qdw_plane_s1_avx2(out: &mut [i32], input: &[i8], pairs: &[i32], geom: &Conv2dGeometry) {
-    use std::arch::x86_64::*;
+unsafe fn qdw_plane_s1_avx2(
+    out: &mut [i8],
+    input: &[i8],
+    pairs: &[i32],
+    ep: &RowEpilogue,
+    ts: u32,
+    geom: &Conv2dGeometry,
+    stage: &mut [i16],
+) {
     let k = geom.kernel;
-    let kp = k.div_ceil(2);
     let (ih, iw) = (geom.in_h, geom.in_w);
     let (oh, ow) = (geom.out_h(), geom.out_w());
-    debug_assert_eq!(input.len(), ih * iw);
-    debug_assert_eq!(pairs.len(), k * kp);
-    debug_assert_eq!(out.len(), oh * ow);
-    debug_assert!(geom.stride == 1 && ow >= 8);
     let pad = geom.padding;
-    // Stride 1: ow = pw - k + 1. One slack element past the last row: the
-    // odd-output load of an odd kernel's last (zero-weight) pair reads it.
     let pw = iw + 2 * pad;
-    let mut padded = crate::scratch::alloc_i16_zeroed(ih * pw + 1);
-    for (prow, irow) in padded.chunks_exact_mut(pw).zip(input.chunks_exact(iw)) {
+    debug_assert!(geom.stride == 1 && ow >= 8);
+    debug_assert_eq!((input.len(), out.len()), (ih * iw, oh * ow));
+    debug_assert_eq!(pairs.len(), k * k.div_ceil(2));
+    debug_assert!(stage.len() > ih * pw);
+    for (prow, irow) in stage.chunks_exact_mut(pw).zip(input.chunks_exact(iw)) {
+        prow[..pad].fill(0);
         for (d, &s) in prow[pad..pad + iw].iter_mut().zip(irow) {
             *d = i16::from(s);
         }
+        prow[pad + iw..].fill(0);
     }
-    let pp = padded.as_ptr();
+    // Stride 1: ow = pw - k + 1. The odd-output load of an odd kernel's
+    // last (zero-weight) pair reads one element past the last row.
+    stage[ih * pw] = 0;
+    let run = DwRun {
+        stage: stage.as_ptr(),
+        pw,
+        pad,
+        ow,
+        kp: k.div_ceil(2),
+        pairs,
+        rq: Rq8::new(ep, ts),
+    };
     let op = out.as_mut_ptr();
-    for oy in 0..oh {
+    let interior = |oy: usize| oy >= pad && oy + k <= ih + pad;
+    let mut oy = 0;
+    while oy < oh {
+        if ow >= 16 && oy + 1 < oh && interior(oy) && interior(oy + 1) {
+            run.rows16::<2>(op, oy, 0..k);
+            oy += 2;
+            continue;
+        }
         // Vertical clip: taps whose source row falls outside the image
-        // contribute zero, exactly as the scalar body's valid_out_range.
+        // contribute zero, exactly as the scalar body's row check.
         let ky0 = pad.saturating_sub(oy).min(k);
         let ky1 = k.min((ih + pad).saturating_sub(oy));
-        // SAFETY (every load and store below): a group starts at
-        // x0 <= ow - width, so a load of `width` i16 at tap offset
-        // kx + 1 <= k ends at sy*pw + ow - 1 + k = sy*pw + pw — the next
-        // row's first element or the slack element — and the stores end
-        // at oy*ow + ow.
-        let orow = op.add(oy * ow);
-        let src = |ky: usize, x0: usize| pp.add((oy + ky - pad) * pw + x0);
         if ow >= 16 {
-            let mut x0 = 0usize;
-            loop {
-                let (mut even, mut odd) = (_mm256_setzero_si256(), _mm256_setzero_si256());
-                for ky in ky0..ky1 {
-                    let base = src(ky, x0);
-                    let wrow = &pairs[ky * kp..(ky + 1) * kp];
-                    for (p, &pair) in wrow.iter().enumerate() {
-                        let wv = _mm256_set1_epi32(pair);
-                        let a = _mm256_loadu_si256(base.add(2 * p).cast());
-                        let b = _mm256_loadu_si256(base.add(2 * p + 1).cast());
-                        even = _mm256_add_epi32(even, _mm256_madd_epi16(a, wv));
-                        odd = _mm256_add_epi32(odd, _mm256_madd_epi16(b, wv));
-                    }
-                }
-                let lo = _mm256_unpacklo_epi32(even, odd);
-                let hi = _mm256_unpackhi_epi32(even, odd);
-                let first = _mm256_permute2x128_si256::<0x20>(lo, hi);
-                let second = _mm256_permute2x128_si256::<0x31>(lo, hi);
-                _mm256_storeu_si256(orow.add(x0).cast(), first);
-                _mm256_storeu_si256(orow.add(x0 + 8).cast(), second);
-                if x0 + 16 >= ow {
-                    break;
-                }
-                x0 = (x0 + 16).min(ow - 16);
-            }
+            run.rows16::<1>(op, oy, ky0..ky1);
         } else {
-            for x0 in [0, ow - 8] {
-                let (mut even, mut odd) = (_mm_setzero_si128(), _mm_setzero_si128());
-                for ky in ky0..ky1 {
-                    let base = src(ky, x0);
-                    let wrow = &pairs[ky * kp..(ky + 1) * kp];
-                    for (p, &pair) in wrow.iter().enumerate() {
-                        let wv = _mm_set1_epi32(pair);
-                        let a = _mm_loadu_si128(base.add(2 * p).cast());
-                        let b = _mm_loadu_si128(base.add(2 * p + 1).cast());
-                        even = _mm_add_epi32(even, _mm_madd_epi16(a, wv));
-                        odd = _mm_add_epi32(odd, _mm_madd_epi16(b, wv));
+            run.row8(op, oy, ky0..ky1);
+        }
+        oy += 1;
+    }
+}
+
+/// One plane's staging pointer, geometry, tap pairs and requantizer, as
+/// the AVX2 depthwise row bodies read them.
+#[cfg(target_arch = "x86_64")]
+struct DwRun<'a> {
+    stage: *const i16,
+    pw: usize,
+    pad: usize,
+    ow: usize,
+    kp: usize,
+    pairs: &'a [i32],
+    rq: Rq8,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl DwRun<'_> {
+    /// Output rows `oy..oy + R`, 16 outputs per group, over tap rows `ky`
+    /// (the full kernel when `R > 1`).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2; `ow >= 16`; every row `oy + r + ky - pad`
+    /// for `r < R`, `ky` in `ky` lies in the staged plane; `out` holds the
+    /// `oh · ow` plane. A group starts at `x0 <= ow - 16`, so a load at tap
+    /// offset `2p + 1 <= k` ends at `row·pw + ow - 1 + k = row·pw + pw`: the
+    /// next row's first element or the slack element.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn rows16<const R: usize>(&self, out: *mut i8, oy: usize, ky: std::ops::Range<usize>) {
+        use std::arch::x86_64::*;
+        let mut x0 = 0usize;
+        loop {
+            let mut even = [self.rq.bias; R];
+            let mut odd = [self.rq.bias; R];
+            for ky in ky.clone() {
+                let wrow = &self.pairs[ky * self.kp..(ky + 1) * self.kp];
+                let row0 = self.stage.add((oy + ky - self.pad) * self.pw + x0);
+                for (p, &pair) in wrow.iter().enumerate() {
+                    let wv = _mm256_set1_epi32(pair);
+                    for r in 0..R {
+                        let base = row0.add(r * self.pw + 2 * p);
+                        let a = _mm256_loadu_si256(base.cast());
+                        let b = _mm256_loadu_si256(base.add(1).cast());
+                        even[r] = _mm256_add_epi32(even[r], _mm256_madd_epi16(a, wv));
+                        odd[r] = _mm256_add_epi32(odd[r], _mm256_madd_epi16(b, wv));
                     }
                 }
-                _mm_storeu_si128(orow.add(x0).cast(), _mm_unpacklo_epi32(even, odd));
-                _mm_storeu_si128(orow.add(x0 + 4).cast(), _mm_unpackhi_epi32(even, odd));
             }
+            for r in 0..R {
+                let dst = out.add((oy + r) * self.ow + x0);
+                store16(dst, self.rq.apply(even[r]), self.rq.apply(odd[r]));
+            }
+            if x0 + 16 >= self.ow {
+                break;
+            }
+            x0 = (x0 + 16).min(self.ow - 16);
+        }
+    }
+
+    /// Output row `oy` of a plane with `8 <= ow < 16`: 8 outputs per group
+    /// with 128-bit loads, the second group anchored at `ow - 8`.
+    ///
+    /// # Safety
+    ///
+    /// As [`rows16`](Self::rows16) with `R = 1`, for `ow >= 8`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn row8(&self, out: *mut i8, oy: usize, ky: std::ops::Range<usize>) {
+        use std::arch::x86_64::*;
+        let bias = _mm256_castsi256_si128(self.rq.bias);
+        for x0 in [0, self.ow - 8] {
+            let (mut even, mut odd) = (bias, bias);
+            for ky in ky.clone() {
+                let wrow = &self.pairs[ky * self.kp..(ky + 1) * self.kp];
+                let base = self.stage.add((oy + ky - self.pad) * self.pw + x0);
+                for (p, &pair) in wrow.iter().enumerate() {
+                    let wv = _mm_set1_epi32(pair);
+                    let a = _mm_loadu_si128(base.add(2 * p).cast());
+                    let b = _mm_loadu_si128(base.add(2 * p + 1).cast());
+                    even = _mm_add_epi32(even, _mm_madd_epi16(a, wv));
+                    odd = _mm_add_epi32(odd, _mm_madd_epi16(b, wv));
+                }
+            }
+            // [e0 e1 e2 e3 | o0 o1 o2 o3] → i16 [e0 o0 e1 o1 …] → bytes.
+            let q = self.rq.apply(_mm256_set_m128i(odd, even));
+            let words =
+                _mm_packs_epi32(_mm256_castsi256_si128(q), _mm256_extracti128_si256::<1>(q));
+            let words = _mm_shuffle_epi8(
+                words,
+                _mm_setr_epi8(0, 1, 8, 9, 2, 3, 10, 11, 4, 5, 12, 13, 6, 7, 14, 15),
+            );
+            _mm_storel_epi64(
+                out.add(oy * self.ow + x0).cast(),
+                _mm_packs_epi16(words, words),
+            );
         }
     }
 }
 
+/// Narrows a 16-output group, given as its 8 even and 8 odd outputs (each
+/// already inside the i8 range), to 16 bytes in output order.
+///
+/// # Safety
+///
+/// The CPU must support AVX2; `dst` is valid for 16 bytes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn store16(dst: *mut i8, even: std::arch::x86_64::__m256i, odd: std::arch::x86_64::__m256i) {
+    use std::arch::x86_64::*;
+    // Per 128-bit lane: [e0 e1 e2 e3 o0 o1 o2 o3] as i16, interleaved to
+    // [e0 o0 e1 o1 e2 o2 e3 o3] — outputs 0..8 in the low lane, 8..16 in
+    // the high one.
+    let words = _mm256_shuffle_epi8(
+        _mm256_packs_epi32(even, odd),
+        _mm256_setr_epi8(
+            0, 1, 8, 9, 2, 3, 10, 11, 4, 5, 12, 13, 6, 7, 14, 15, 0, 1, 8, 9, 2, 3, 10, 11, 4, 5,
+            12, 13, 6, 7, 14, 15,
+        ),
+    );
+    let bytes = _mm_packs_epi16(
+        _mm256_castsi256_si128(words),
+        _mm256_extracti128_si256::<1>(words),
+    );
+    _mm_storeu_si128(dst.cast(), bytes);
+}
+
+/// Scalar depthwise plane, the reference the AVX2 body equals: per output
+/// row, 64-wide chunks of i32 accumulators over the taps whose source row
+/// and column lie inside the image, then the epilogue's scalar row body
+/// (equal to [`RowEpilogue::apply`] per element).
 #[inline(always)]
-fn qdw_plane_into_scalar(out: &mut [i32], input: &[i8], w: &[i8], geom: &Conv2dGeometry) {
+fn qdw_plane_scalar(
+    out: &mut [i8],
+    input: &[i8],
+    w: &[i8],
+    ep: &RowEpilogue,
+    geom: &Conv2dGeometry,
+) {
+    const CHUNK: usize = 64;
     let k = geom.kernel;
     let (ih, iw) = (geom.in_h, geom.in_w);
     let (oh, ow) = (geom.out_h(), geom.out_w());
-    debug_assert_eq!(input.len(), ih * iw);
-    debug_assert_eq!(w.len(), k * k);
-    debug_assert_eq!(out.len(), oh * ow);
     let (pad, stride) = (geom.padding, geom.stride);
-    out.fill(0);
-    for ky in 0..k {
-        for kx in 0..k {
-            let wv = i32::from(w[ky * k + kx]);
-            let (oy0, oy1) = valid_out_range(ky, pad, stride, ih, oh);
-            let (ox0, ox1) = valid_out_range(kx, pad, stride, iw, ow);
-            if oy0 == oy1 || ox0 == ox1 {
-                // The tap reads only padding (a plane narrower than the
-                // padding, e.g. in_w = 1 with pad 1); `sx0` would go below 0.
-                continue;
-            }
-            let sx0 = ox0 * stride + kx - pad;
-            for oy in oy0..oy1 {
-                let sy = oy * stride + ky - pad;
-                let src_row = &input[sy * iw..(sy + 1) * iw];
-                let dst_row = &mut out[oy * ow..(oy + 1) * ow];
-                if stride == 1 {
-                    for (d, &s) in dst_row[ox0..ox1].iter_mut().zip(&src_row[sx0..]) {
-                        *d += wv * i32::from(s);
+    debug_assert_eq!((input.len(), out.len(), w.len()), (ih * iw, oh * ow, k * k));
+    // Each tap's output columns are the same on every row: computed once
+    // per plane for the first 16 taps (every kernel the search spaces
+    // use), per row beyond.
+    let columns = |kx: usize| valid_out_range(kx, pad, stride, iw, ow);
+    let mut first_columns = [(0, 0); 16];
+    for (kx, c) in first_columns.iter_mut().enumerate().take(k) {
+        *c = columns(kx);
+    }
+    for (oy, orow) in out.chunks_exact_mut(ow).enumerate().take(oh) {
+        for x0 in (0..ow).step_by(CHUNK) {
+            let x1 = (x0 + CHUNK).min(ow);
+            let mut acc = [0i32; CHUNK];
+            for (ky, wrow) in w.chunks_exact(k).enumerate() {
+                let Some(sy) = (oy * stride + ky).checked_sub(pad).filter(|&sy| sy < ih) else {
+                    continue;
+                };
+                let src = &input[sy * iw..(sy + 1) * iw];
+                for (kx, &wv) in wrow.iter().enumerate() {
+                    let (ox0, ox1) = first_columns
+                        .get(kx)
+                        .copied()
+                        .unwrap_or_else(|| columns(kx));
+                    let (lo, hi) = (ox0.max(x0), ox1.min(x1));
+                    if lo >= hi {
+                        continue;
                     }
-                } else {
-                    for (i, d) in dst_row[ox0..ox1].iter_mut().enumerate() {
-                        *d += wv * i32::from(src_row[sx0 + i * stride]);
+                    let wv = i32::from(wv);
+                    let sx0 = lo * stride + kx - pad;
+                    let acc = &mut acc[lo - x0..hi - x0];
+                    if stride == 1 {
+                        for (a, &x) in acc.iter_mut().zip(&src[sx0..]) {
+                            *a = a.wrapping_add(wv * i32::from(x));
+                        }
+                    } else {
+                        for (i, a) in acc.iter_mut().enumerate() {
+                            *a = a.wrapping_add(wv * i32::from(src[sx0 + i * stride]));
+                        }
                     }
                 }
             }
+            ep.apply_row(&mut orow[x0..x1], &acc);
         }
     }
 }
@@ -1089,14 +1326,25 @@ mod tests {
 
         // Depthwise planes over every shape class the dispatch can see:
         // ow < 8 and stride 2 (scalar), ow in 8..16, 16n and 16n + r
-        // (paired-tap AVX2 kernel), and the pulse strip (in_h = k, pad 0).
-        // Activations sit at ±127, the largest products the kernel forms.
-        let extremes: Vec<i8> = (0..40 * 40)
-            .map(|_| if rng.gen_bool(0.5) { 127 } else { -127 })
+        // (paired-tap AVX2 kernel, with 2-row blocks wherever two interior
+        // rows meet and single rows at the clipped borders), and the pulse
+        // strip (in_h = k, pad 0). Activations sit at 127 and −128, the
+        // largest products the kernel forms. Two channels per call, both
+        // in the vector domain: one with a positive bias and the full
+        // clamp, one with a negative bias and a ReLU6 clamp.
+        let extremes: Vec<i8> = (0..2 * 40 * 40)
+            .map(|_| if rng.gen_bool(0.5) { 127 } else { -128 })
             .collect();
         for k in [1usize, 3, 5, 7] {
-            let w = randq(k * k, 127, &mut rng);
+            let w = randq(2 * k * k, 127, &mut rng);
             let pairs = dw_tap_pairs(&w, k);
+            // Scales that spread the stencil sums over the whole int8 grid.
+            let rq = Requant::from_scale(4.0 / (k * k * 128) as f64);
+            let rows = [
+                RowEpilogue::new(rq, 20_000, k * k, -128, 127),
+                RowEpilogue::new(rq, -3_001, k * k, 0, 47),
+            ];
+            assert!(rows.iter().all(|r| r.vector_ts.is_some()), "k={k}");
             for stride in [1usize, 2] {
                 for padding in 0..=k / 2 {
                     for in_h in 1..=40 {
@@ -1112,12 +1360,20 @@ mod tests {
                                 stride,
                                 padding,
                             };
-                            let input = &extremes[..in_h * in_w];
+                            let input = &extremes[..2 * in_h * in_w];
                             let plane = geom.out_h() * geom.out_w();
-                            let mut got = vec![i32::MIN; plane];
-                            let mut want = vec![0i32; plane];
-                            qdw_plane_into(&mut got, input, &w, &pairs, &geom);
-                            qdw_plane_into_scalar(&mut want, input, &w, &geom);
+                            let mut got = vec![0x55i8; 2 * plane];
+                            qdw_planes_into(&mut got, input, &w, &pairs, &rows, &geom);
+                            let mut want = vec![-0x55i8; 2 * plane];
+                            for (ch, ep) in rows.iter().enumerate() {
+                                qdw_plane_scalar(
+                                    &mut want[ch * plane..(ch + 1) * plane],
+                                    &input[ch * in_h * in_w..(ch + 1) * in_h * in_w],
+                                    &w[ch * k * k..(ch + 1) * k * k],
+                                    ep,
+                                    &geom,
+                                );
+                            }
                             assert_eq!(got, want, "{geom:?}");
                         }
                     }
@@ -1160,64 +1416,78 @@ mod tests {
             }
         }
 
-        // Vectorized requant rows vs the per-element apply_i8 oracle.
-        let acc: Vec<i32> = (0..9 * 37)
-            .map(|_| rng.gen_range(i32::MIN..=i32::MAX))
-            .collect();
-        let rqs: Vec<Requant> = (0..9)
-            .map(|i| Requant::from_scale(10f64.powi(i - 6)))
-            .collect();
-        let mut got = vec![0i8; acc.len()];
-        requantize_rows_into(&mut got, &acc, &rqs, 37, -128, 127);
-        for (row, rq) in rqs.iter().enumerate() {
-            for c in 0..37 {
-                let idx = row * 37 + c;
-                assert_eq!(
-                    got[idx],
-                    rq.apply_i8(acc[idx], -128, 127),
-                    "row={row} col={c}"
-                );
-            }
-        }
-
-        // Every `31 - shift` class (the cold paths at <= 0 and >= 63, and
-        // each fast-path shift between), edge multipliers, the extreme
-        // accumulators and each clamp floor the engine uses. 37 columns
-        // cover full 8-lane groups and a scalar tail.
-        let edges = [i32::MIN, i32::MAX, 1, -1, 0];
-        let cols = 37;
-        let acc: Vec<i32> = (0..cols)
-            .map(|c| {
-                edges
-                    .get(c)
-                    .copied()
-                    .unwrap_or_else(|| rng.gen_range(i32::MIN..=i32::MAX) >> (c % 31))
-            })
-            .collect();
-        for lo in [-128, -127, 0] {
-            for hi in [127, 6] {
-                for ts in -2..=64 {
-                    let rqs: Vec<Requant> = [1 << 30, i32::MAX, rng.gen_range(1 << 30..i32::MAX)]
-                        .iter()
-                        .map(|&mult| Requant {
-                            mult,
-                            shift: 31 - ts,
-                        })
-                        .collect();
-                    let acc: Vec<i32> = rqs.iter().flat_map(|_| acc.iter().copied()).collect();
-                    let mut got = vec![0i8; acc.len()];
-                    requantize_rows_into(&mut got, &acc, &rqs, cols, lo, hi);
-                    for (row, rq) in rqs.iter().enumerate() {
-                        for c in 0..cols {
-                            let a = acc[row * cols + c];
-                            assert_eq!(
-                                got[row * cols + c],
-                                rq.apply_i8(a, lo, hi),
-                                "{rq:?} acc={a} clamp=[{lo}, {hi}]"
-                            );
+        // The requantizer against `apply_i8(acc.saturating_add(bias))` over
+        // every `31 - shift` in 1..=62 (the vector domain is 32..=62), the
+        // edge and a random multiplier, biases at 0, small, exactly at the
+        // headroom of a 16-tap reduction and one past it, and at the i32
+        // ends, and each clamp the engine uses. The accumulators are the
+        // neighbours of every rounding tie within ±130 output steps (bias
+        // removed, kept inside the 16-tap bound), plus the i32 ends when
+        // the bias is 0.
+        const TAPS: usize = 16;
+        let bound = (TAPS as u64 * TAP_PRODUCT_MAX) as i64;
+        let headroom = i32::MAX - bound as i32;
+        let mut covered = [0usize; 2];
+        for ts in 1..=62i64 {
+            for mult in [1 << 30, i32::MAX, rng.gen_range(1 << 30..i32::MAX)] {
+                let rq = Requant {
+                    mult,
+                    shift: 31 - ts as i32,
+                };
+                for bias in [
+                    0,
+                    37,
+                    -1_000,
+                    headroom,
+                    -headroom,
+                    headroom + 1,
+                    -headroom - 1,
+                    i32::MIN,
+                    i32::MAX,
+                ] {
+                    let mut acc: Vec<i32> = Vec::new();
+                    for q in -131i128..=130 {
+                        let tie = (2 * q + 1) << (ts - 1);
+                        let below = tie.div_euclid(i128::from(mult));
+                        for x in below - 1..=below + 1 {
+                            let a = x - i128::from(bias);
+                            if a.abs() <= i128::from(bound) {
+                                acc.push(a as i32);
+                            }
+                        }
+                    }
+                    if bias == 0 {
+                        acc.extend([i32::MIN, i32::MIN + 1, i32::MAX, -1, 0, 1]);
+                    }
+                    acc.extend([bound as i32, -bound as i32]);
+                    for (lo, hi) in [(-128, 127), (-127, 127), (0, 47)] {
+                        let ep = RowEpilogue::new(rq, bias, TAPS, lo, hi);
+                        covered[usize::from(ep.vector_ts.is_some())] += 1;
+                        let mut got = vec![0i8; acc.len()];
+                        requantize_rows_into(&mut got, &acc, &[ep]);
+                        for (&g, &a) in got.iter().zip(&acc) {
+                            assert_eq!(g, ep.apply(a), "{ep:?} acc={a}");
                         }
                     }
                 }
+            }
+        }
+        assert!(covered[0] > 0 && covered[1] > 0, "{covered:?}");
+
+        // Row lengths around the 8-lane groups: the per-element path
+        // below 8, and the anchored last group from 8 up.
+        let rq = Requant::from_scale(0.003);
+        let rows: Vec<RowEpilogue> = (0..3)
+            .map(|r| RowEpilogue::new(rq, r * 500 - 500, 9, -127, 127))
+            .collect();
+        for cols in 1..=40 {
+            let acc: Vec<i32> = (0..3 * cols)
+                .map(|_| rng.gen_range(-147_456..=147_456))
+                .collect();
+            let mut got = vec![0i8; acc.len()];
+            requantize_rows_into(&mut got, &acc, &rows);
+            for (i, (&g, &a)) in got.iter().zip(&acc).enumerate() {
+                assert_eq!(g, rows[i / cols].apply(a), "cols={cols} at {i}");
             }
         }
     }
@@ -1268,19 +1538,24 @@ mod tests {
 
     #[test]
     fn requantize_rows_cold_paths_match_oracle() {
-        // Multipliers >= 1 (ts <= 0) and flush-to-zero (ts >= 63) rows must
-        // take the per-element path and still match apply_i8 exactly.
+        // Multipliers >= 1 (ts <= 0), flush-to-zero (ts >= 63) and ts < 32
+        // rows must take the per-element path and still match apply_i8 of
+        // the saturated biased sum exactly.
         let acc = [i32::MAX, i32::MIN, -5, 7, 0, 1000];
-        let rqs = [
-            Requant::from_scale(4.0),
-            Requant::from_scale(1e-30),
-            Requant::from_scale(0.25),
-        ];
+        let rows: Vec<RowEpilogue> = [4.0, 1e-30, 0.75]
+            .iter()
+            .map(|&r| RowEpilogue::new(Requant::from_scale(r), 3, 1, -128, 127))
+            .collect();
+        assert!(rows.iter().all(|r| r.vector_ts.is_none()));
         let mut got = vec![0i8; 6];
-        requantize_rows_into(&mut got, &acc, &rqs, 2, -128, 127);
-        for (row, rq) in rqs.iter().enumerate() {
+        requantize_rows_into(&mut got, &acc, &rows);
+        for (row, ep) in rows.iter().enumerate() {
             for c in 0..2 {
-                assert_eq!(got[row * 2 + c], rq.apply_i8(acc[row * 2 + c], -128, 127));
+                let a = acc[row * 2 + c];
+                assert_eq!(
+                    got[row * 2 + c],
+                    ep.rq.apply_i8(a.saturating_add(3), -128, 127)
+                );
             }
         }
     }
@@ -1373,9 +1648,10 @@ mod tests {
         };
         let input = randq(8 * 9, 127, &mut rng);
         let w = randq(9, 127, &mut rng);
+        let ep = RowEpilogue::new(Requant::from_scale(0.004), -700, 9, -127, 127);
         let (oh, ow) = (geom.out_h(), geom.out_w());
-        let mut got = vec![0i32; oh * ow];
-        qdw_plane_into(&mut got, &input, &w, &dw_tap_pairs(&w, 3), &geom);
+        let mut got = vec![0i8; oh * ow];
+        qdw_planes_into(&mut got, &input, &w, &dw_tap_pairs(&w, 3), &[ep], &geom);
         for oy in 0..oh {
             for ox in 0..ow {
                 let mut want = 0i32;
@@ -1389,7 +1665,7 @@ mod tests {
                         }
                     }
                 }
-                assert_eq!(got[oy * ow + ox], want, "({oy},{ox})");
+                assert_eq!(got[oy * ow + ox], ep.apply(want), "({oy},{ox})");
             }
         }
     }
@@ -1397,12 +1673,17 @@ mod tests {
     #[test]
     fn requantize_rows_applies_per_channel_scales() {
         let acc = vec![100, 200, -100, 1000, 2000, -3000];
-        let rqs = [Requant::from_scale(0.5), Requant::from_scale(0.01)];
+        let rows = |lo| {
+            [
+                RowEpilogue::new(Requant::from_scale(0.5), 0, 1, lo, 127),
+                RowEpilogue::new(Requant::from_scale(0.01), 100, 1, lo, 127),
+            ]
+        };
         let mut out = vec![0i8; 6];
-        requantize_rows_into(&mut out, &acc, &rqs, 3, -127, 127);
-        assert_eq!(out, vec![50, 100, -50, 10, 20, -30]);
+        requantize_rows_into(&mut out, &acc, &rows(-127));
+        assert_eq!(out, vec![50, 100, -50, 11, 21, -29]);
         // Clamp bounds emulate fused ReLU6: negatives cut at 0.
-        requantize_rows_into(&mut out, &acc, &rqs, 3, 0, 127);
-        assert_eq!(out, vec![50, 100, 0, 10, 20, 0]);
+        requantize_rows_into(&mut out, &acc, &rows(0));
+        assert_eq!(out, vec![50, 100, 0, 11, 21, 0]);
     }
 }

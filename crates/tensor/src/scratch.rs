@@ -14,6 +14,9 @@
 //! convention: memory is reclaimed when the last outstanding buffer on the
 //! thread is dropped, and [`reset`] (called between training steps) is a
 //! backstop that asserts nothing leaked and bumps the arena generation.
+//! Dropping the most recent buffer also pops it off the bump pointer, so
+//! buffers freed last-in-first-out reuse their space while an older one is
+//! still live (an op's temporaries above an engine's activation buffer).
 //! Buffers are `!Send` — they must stay on the thread that allocated them
 //! (each pool worker owns an independent arena).
 //!
@@ -98,7 +101,7 @@ impl Arena {
         self.blocks.push(block);
     }
 
-    fn alloc(&mut self, len: usize) -> (*mut f32, u64) {
+    fn alloc(&mut self, len: usize) -> (*mut f32, Mark) {
         let rounded = len.next_multiple_of(ALIGN_F32).max(ALIGN_F32);
         let fits = self
             .blocks
@@ -109,17 +112,26 @@ impl Arena {
         }
         let block = self.blocks.last_mut().expect("block just ensured");
         let ptr = unsafe { block.as_mut_ptr().add(self.offset) };
-        self.offset += rounded;
+        let mark = Mark {
+            generation: self.generation,
+            block: self.blocks.len(),
+            start: self.offset,
+            end: self.offset + rounded,
+        };
+        self.offset = mark.end;
         self.outstanding += 1;
         self.high_water = self.high_water.max(self.carried + self.offset - self.lead);
-        (ptr, self.generation)
+        (ptr, mark)
     }
 
-    fn release(&mut self) {
+    fn release(&mut self, mark: &Mark) {
         debug_assert!(self.outstanding > 0, "scratch release without alloc");
         self.outstanding -= 1;
         if self.outstanding == 0 {
             self.rewind();
+        } else if mark.block == self.blocks.len() && mark.end == self.offset {
+            // The newest buffer of the current block: pop it.
+            self.offset = mark.start;
         }
     }
 
@@ -148,6 +160,17 @@ thread_local! {
     static ARENA: RefCell<Arena> = const { RefCell::new(Arena::new()) };
 }
 
+/// Where a buffer sits in its arena: the generation it was handed out in,
+/// the block count at that time (its block is the last one), and its bump
+/// window.
+#[derive(Clone, Copy)]
+struct Mark {
+    generation: u64,
+    block: usize,
+    start: usize,
+    end: usize,
+}
+
 /// A bump-allocated `f32` buffer borrowed from the current thread's arena.
 ///
 /// Dereferences to `&mut [f32]`. Dropping it returns the space; when the
@@ -156,7 +179,7 @@ thread_local! {
 pub struct ScratchBuf {
     ptr: *mut f32,
     len: usize,
-    generation: u64,
+    mark: Mark,
 }
 
 impl std::ops::Deref for ScratchBuf {
@@ -182,8 +205,8 @@ impl Drop for ScratchBuf {
             let mut arena = a.borrow_mut();
             // A buffer that (erroneously) outlived a reset must not
             // corrupt the post-reset accounting.
-            if arena.generation == self.generation {
-                arena.release();
+            if arena.generation == self.mark.generation {
+                arena.release(&self.mark);
             }
         });
     }
@@ -202,12 +225,8 @@ impl std::fmt::Debug for ScratchBuf {
 /// fully overwrite the buffer, or use [`alloc_zeroed`].
 #[must_use]
 pub fn alloc(len: usize) -> ScratchBuf {
-    let (ptr, generation) = ARENA.with(|a| a.borrow_mut().alloc(len));
-    ScratchBuf {
-        ptr,
-        len,
-        generation,
-    }
+    let (ptr, mark) = ARENA.with(|a| a.borrow_mut().alloc(len));
+    ScratchBuf { ptr, len, mark }
 }
 
 /// [`alloc`] followed by zero-filling; for accumulation buffers.
@@ -372,6 +391,30 @@ mod tests {
         // Everything returned: the next allocation reuses the same space.
         let c = alloc(64);
         assert_eq!(c.as_ptr(), first_ptr, "arena should rewind when empty");
+    }
+
+    #[test]
+    fn newest_buffer_pops_while_older_ones_live() {
+        let base = alloc(100);
+        let first = {
+            let a = alloc(64);
+            let b = alloc(32);
+            let ptr = a.as_ptr();
+            drop(b);
+            drop(a);
+            ptr
+        };
+        // Both temporaries were popped in LIFO order, so the next one
+        // reuses their space although `base` is still out.
+        let c = alloc(16);
+        assert_eq!(c.as_ptr(), first);
+        // An out-of-order drop is only reclaimed by the final rewind.
+        let d = alloc(8);
+        let (c_ptr, d_end) = (c.as_ptr(), d.as_ptr());
+        drop(c);
+        let e = alloc(8);
+        assert!(e.as_ptr() > d_end && e.as_ptr() > c_ptr);
+        drop((d, e, base));
     }
 
     #[test]

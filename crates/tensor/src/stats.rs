@@ -47,6 +47,14 @@ static PACK_PANEL_MISSES: AtomicU64 = AtomicU64::new(0);
 static PACK_RHS_VECTOR_BYTES: AtomicU64 = AtomicU64::new(0);
 /// Bytes of int8 RHS panels written by the scalar walk of `pack_rhs_i8`.
 static PACK_RHS_SCALAR_BYTES: AtomicU64 = AtomicU64::new(0);
+/// Int8 output rows requantized by the AVX2 body.
+static REQUANT_ROWS_VECTOR: AtomicU64 = AtomicU64::new(0);
+/// Int8 output rows requantized by the scalar bodies.
+static REQUANT_ROWS_SCALAR: AtomicU64 = AtomicU64::new(0);
+/// Int8 depthwise planes run by the paired-tap AVX2 body.
+static DW_PLANES_VECTOR: AtomicU64 = AtomicU64::new(0);
+/// Int8 depthwise planes run by the scalar body.
+static DW_PLANES_SCALAR: AtomicU64 = AtomicU64::new(0);
 
 /// Point-in-time snapshot of the kernel-runtime counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -94,6 +102,22 @@ pub struct KernelStats {
     /// without AVX2, otherwise the partial K-group and the `n % 32` column
     /// tail.
     pub pack_rhs_scalar_bytes: u64,
+    /// Int8 output rows (one output channel of one image: a conv's GEMM
+    /// row or a depthwise plane) requantized by the AVX2 body of
+    /// [`requantize_rows_into`](crate::qkernel::requantize_rows_into) or
+    /// of the depthwise kernel.
+    pub requant_rows_vector: u64,
+    /// Int8 output rows requantized by the scalar bodies (equal to
+    /// [`RowEpilogue::apply`](crate::qkernel::RowEpilogue::apply) per
+    /// element): every row without AVX2, otherwise the rows outside the
+    /// vector domain and the depthwise planes the scalar body runs.
+    pub requant_rows_scalar: u64,
+    /// Int8 depthwise planes run by the paired-tap AVX2 body of
+    /// [`qdw_planes_into`](crate::qkernel::qdw_planes_into).
+    pub dw_planes_vector: u64,
+    /// Int8 depthwise planes run by its scalar body (stride 2, `out_w < 8`,
+    /// an epilogue outside the vector domain, or no AVX2).
+    pub dw_planes_scalar: u64,
 }
 
 impl KernelStats {
@@ -130,6 +154,10 @@ pub fn snapshot() -> KernelStats {
         pack_panel_misses: PACK_PANEL_MISSES.load(Ordering::Relaxed),
         pack_rhs_vector_bytes: PACK_RHS_VECTOR_BYTES.load(Ordering::Relaxed),
         pack_rhs_scalar_bytes: PACK_RHS_SCALAR_BYTES.load(Ordering::Relaxed),
+        requant_rows_vector: REQUANT_ROWS_VECTOR.load(Ordering::Relaxed),
+        requant_rows_scalar: REQUANT_ROWS_SCALAR.load(Ordering::Relaxed),
+        dw_planes_vector: DW_PLANES_VECTOR.load(Ordering::Relaxed),
+        dw_planes_scalar: DW_PLANES_SCALAR.load(Ordering::Relaxed),
     }
 }
 
@@ -153,6 +181,10 @@ pub fn reset() {
     PACK_PANEL_MISSES.store(0, Ordering::Relaxed);
     PACK_RHS_VECTOR_BYTES.store(0, Ordering::Relaxed);
     PACK_RHS_SCALAR_BYTES.store(0, Ordering::Relaxed);
+    REQUANT_ROWS_VECTOR.store(0, Ordering::Relaxed);
+    REQUANT_ROWS_SCALAR.store(0, Ordering::Relaxed);
+    DW_PLANES_VECTOR.store(0, Ordering::Relaxed);
+    DW_PLANES_SCALAR.store(0, Ordering::Relaxed);
 }
 
 /// Counts one GEMM dispatch for the given shape class (crate-internal:
@@ -189,6 +221,27 @@ pub fn record_pack_panel_miss() {
 pub(crate) fn record_pack_rhs_bytes(vector: usize, scalar: usize) {
     PACK_RHS_VECTOR_BYTES.fetch_add(vector as u64, Ordering::Relaxed);
     PACK_RHS_SCALAR_BYTES.fetch_add(scalar as u64, Ordering::Relaxed);
+}
+
+/// Accounts one requantizing call: the rows its vector and per-element
+/// paths took.
+pub(crate) fn record_requant_rows(vector: usize, scalar: usize) {
+    add_nonzero(&REQUANT_ROWS_VECTOR, vector);
+    add_nonzero(&REQUANT_ROWS_SCALAR, scalar);
+}
+
+/// Accounts one depthwise call: the planes its vector and scalar bodies
+/// ran.
+pub(crate) fn record_dw_planes(vector: usize, scalar: usize) {
+    add_nonzero(&DW_PLANES_VECTOR, vector);
+    add_nonzero(&DW_PLANES_SCALAR, scalar);
+}
+
+/// One relaxed add, skipped when there is nothing to count.
+fn add_nonzero(ctr: &AtomicU64, n: usize) {
+    if n > 0 {
+        ctr.fetch_add(n as u64, Ordering::Relaxed);
+    }
 }
 
 pub(crate) fn record_pool_job(tasks: usize, inline: bool) {

@@ -15,8 +15,8 @@
 use edd_tensor::kernel::pack::{pack_lhs_i8, pack_rhs_i8, packed_lhs_len, packed_rhs_len};
 use edd_tensor::kernel::set_num_threads;
 use edd_tensor::qkernel::{
-    dw_tap_pairs, pack_i4, qdw_plane_into, qim2col_into, qmatmul_naive, qmatmul_prepacked_into,
-    requantize_rows_into, unpack_i4_into, Requant,
+    dw_tap_pairs, pack_i4, qdw_planes_into, qim2col_into, qmatmul_naive, qmatmul_prepacked_into,
+    requantize_rows_into, unpack_i4_into, Requant, RowEpilogue,
 };
 use edd_tensor::Conv2dGeometry;
 use rand::rngs::StdRng;
@@ -31,7 +31,7 @@ fn qdata(len: usize, seed: u64) -> Vec<i8> {
 }
 
 /// Everything one [`run_workload`] pass produces.
-type Workload = (Vec<i8>, Vec<i32>, Vec<i8>, Vec<i32>, Vec<i8>, Vec<i32>);
+type Workload = (Vec<i8>, Vec<i32>, Vec<i8>, Vec<i8>, Vec<i8>, Vec<i32>);
 
 /// One pass over every quantized inference primitive, sized so the GEMMs
 /// cross the `QPAR_MIN_MACS` threshold and actually fan out on the pool:
@@ -79,12 +79,16 @@ fn run_workload() -> Workload {
         "conv GEMM must equal the naive product"
     );
 
-    // Per-row requantization with varied multipliers, fused-ReLU6 clamp.
-    let per_row: Vec<Requant> = (0..m)
-        .map(|r| Requant::from_scale(0.5 + r as f64 * 1e-3))
+    // Per-row bias + requantization, fused-ReLU6 clamp: even rows in the
+    // AVX2 body's domain, odd rows (multipliers near 1/2) per element.
+    let per_row: Vec<RowEpilogue> = (0..m)
+        .map(|r| {
+            let real = if r % 2 == 0 { 0.004 } else { 0.5 } + r as f64 * 1e-5;
+            RowEpilogue::new(Requant::from_scale(real), r as i32 * 97 - 3000, k, 0, 127)
+        })
         .collect();
     let mut out = vec![0i8; m * n];
-    requantize_rows_into(&mut out, &acc, &per_row, n, 0, 127);
+    requantize_rows_into(&mut out, &acc, &per_row);
 
     // Depthwise stencil over one padded stride-1 plane.
     let dw_geom = Conv2dGeometry {
@@ -97,8 +101,16 @@ fn run_workload() -> Workload {
     };
     let plane = qdata(dw_geom.in_h * dw_geom.in_w, 33);
     let taps = qdata(9, 44);
-    let mut dw = vec![0i32; dw_geom.out_h() * dw_geom.out_w()];
-    qdw_plane_into(&mut dw, &plane, &taps, &dw_tap_pairs(&taps, 3), &dw_geom);
+    let dw_ep = RowEpilogue::new(Requant::from_scale(0.004), 1234, 9, -127, 127);
+    let mut dw = vec![0i8; dw_geom.out_h() * dw_geom.out_w()];
+    qdw_planes_into(
+        &mut dw,
+        &plane,
+        &taps,
+        &dw_tap_pairs(&taps, 3),
+        &[dw_ep],
+        &dw_geom,
+    );
 
     // Prepacked path: 30×96·96×200 = 576k MACs > QPAR_MIN_MACS, with
     // m % 4 = 2 leftover rows after the 4-row tiles and an 8-column tail

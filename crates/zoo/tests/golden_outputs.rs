@@ -112,6 +112,30 @@ fn zoo_weight_and_pulse_state_bytes_match_pins() {
     }
 }
 
+/// Each engine's int8 activation plan: the bytes of the one buffer a
+/// forward takes per image, after liveness reuse and in-place ReLU6/adds,
+/// next to the weight bytes pinned above. It follows from the
+/// architecture alone, so neither seed nor host may move it.
+#[test]
+fn zoo_activation_plan_bytes_match_pins() {
+    let want: [(&str, usize); 3] = [
+        ("edd-tiny-quant-demo", 41_728),
+        ("edd-tiny-int8", 58_112),
+        ("edd-tiny-int4", 54_016),
+    ];
+    for seed in [ZOO_SEED, 0x0DD5EED] {
+        let got: Vec<(String, usize)> = compile_tiny_zoo(seed, &PassConfig::all())
+            .iter()
+            .map(|(name, m, _)| (name.clone(), m.plan_bytes()))
+            .collect();
+        let got_ref: Vec<(&str, usize)> = got.iter().map(|(n, b)| (n.as_str(), *b)).collect();
+        assert_eq!(
+            got_ref, want,
+            "seed {seed:#x}: planned int8 activation bytes per image drifted"
+        );
+    }
+}
+
 /// The demo net's host-independent figures: its weight bytes next to its
 /// uniform-int8 twin's (same kernels and expansions, every block at 8
 /// bits), and its Stage-1 `Perf^q` throughput on the Loom-like accelerator

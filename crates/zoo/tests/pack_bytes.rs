@@ -1,16 +1,26 @@
-//! Exact work pin of the int8 engine's activation pack: the bytes of RHS
-//! panels that each body of `pack_rhs_i8` writes during one batch-1
-//! forward of `edd-tiny-int8`.
+//! Exact work pins of the int8 engine: the bytes of RHS panels that each
+//! body of `pack_rhs_i8` writes during one batch-1 forward of
+//! `edd-tiny-int8`, and, for every tiny-zoo engine, the output rows each
+//! requantizer path takes and the depthwise planes each body runs.
 //!
-//! A regression from the AVX2 transpose back to the scalar walk keeps every
-//! output bit, so no golden hash sees it, and its cost hides in timing
-//! noise. These counts are exact, invariant under the thread count, and
-//! fixed by the SIMD dispatch alone. One forward packs 84 992 B per image:
-//! stem 7 168 (3×3 over 3 channels, `k = 27`), expand 12 288, project
-//! 61 440 and head 4 096. Under AVX2 the scalar walk writes only the
-//! stem's partial 7th K-group (256 columns × 4 B); every plane is a whole
-//! number of 32-column blocks. Under `EDD_SIMD=scalar` the walk writes all
-//! of it.
+//! A regression from an AVX2 body back to a scalar one keeps every output
+//! bit, so no golden hash sees it, and its cost hides in timing noise.
+//! These counts are exact, invariant under the thread count, and fixed by
+//! the SIMD dispatch alone.
+//!
+//! *Pack bytes.* One forward packs 84 992 B per image: stem 7 168 (3×3
+//! over 3 channels, `k = 27`), expand 12 288, project 61 440 and head
+//! 4 096. Under AVX2 the scalar walk writes only the stem's partial 7th
+//! K-group (256 columns × 4 B); every plane is a whole number of 32-column
+//! blocks. Under `EDD_SIMD=scalar` the walk writes all of it.
+//!
+//! *Epilogue rows and depthwise planes.* A requantized row is one output
+//! channel of one image: a conv's GEMM row, or a depthwise plane. Every
+//! layer of the zoo is in the AVX2 requantizer's domain and every
+//! depthwise plane is stride 1 with `out_w = 16`, so under AVX2 all rows
+//! and planes take the vector bodies, and under `EDD_SIMD=scalar` all take
+//! the scalar ones. `edd-tiny-int8` requantizes 608 rows per image: 368
+//! conv output channels and 240 depthwise planes (80 + 96 + 64).
 //!
 //! The counters are process-global, so this file is its own test binary
 //! with a single test.
@@ -26,32 +36,63 @@ use rand::SeedableRng;
 const TOTAL: u64 = 84_992;
 /// The stem's partial last K-group: 256 columns × 4 taps.
 const STEM_PARTIAL_GROUP: u64 = 1_024;
+/// Requantized rows and depthwise planes per batch-1 forward of each
+/// tiny-zoo engine.
+const EPILOGUE: [(&str, u64, u64); 3] = [
+    ("edd-tiny-quant-demo", 512, 192),
+    ("edd-tiny-int8", 608, 240),
+    ("edd-tiny-int4", 608, 240),
+];
 
 #[test]
-fn tiny_int8_forward_packs_pinned_bytes() {
-    let (name, model, _) = compile_tiny_zoo(11, &PassConfig::all()).remove(1);
-    assert_eq!(name, "edd-tiny-int8");
+fn tiny_forward_work_matches_pins() {
+    let avx2 = simd_label() == "avx2";
     let x = Array::randn(&[1, 3, 16, 16], 1.0, &mut StdRng::seed_from_u64(2026));
-    let want = if simd_label() == "avx2" {
+    let want_pack = if avx2 {
         (TOTAL - STEM_PARTIAL_GROUP, STEM_PARTIAL_GROUP)
     } else {
         (0, TOTAL)
     };
+    let zoo = compile_tiny_zoo(11, &PassConfig::all());
     // Largest pool first, so the workers exist when smaller counts run.
     for threads in [7, 2, 1] {
         set_num_threads(threads);
-        let before = stats::snapshot();
-        model.forward(&x).expect("forward");
-        let after = stats::snapshot();
-        let got = (
-            after.pack_rhs_vector_bytes - before.pack_rhs_vector_bytes,
-            after.pack_rhs_scalar_bytes - before.pack_rhs_scalar_bytes,
-        );
-        assert_eq!(
-            got,
-            want,
-            "(vector, scalar) pack bytes per forward at {threads} threads, EDD_SIMD={}",
-            simd_label()
-        );
+        for ((name, model, _), (pin_name, rows, planes)) in zoo.iter().zip(EPILOGUE) {
+            assert_eq!(name, pin_name);
+            let before = stats::snapshot();
+            model.forward(&x).expect("forward");
+            let after = stats::snapshot();
+            let d = |f: fn(&stats::KernelStats) -> u64| f(&after) - f(&before);
+            let work = (
+                d(|s| s.requant_rows_vector),
+                d(|s| s.requant_rows_scalar),
+                d(|s| s.dw_planes_vector),
+                d(|s| s.dw_planes_scalar),
+            );
+            let want = if avx2 {
+                (rows, 0, planes, 0)
+            } else {
+                (0, rows, 0, planes)
+            };
+            assert_eq!(
+                work,
+                want,
+                "{name}: (vector, scalar) requantized rows and (vector, scalar) depthwise \
+                 planes per forward at {threads} threads, EDD_SIMD={}",
+                simd_label()
+            );
+            if name == "edd-tiny-int8" {
+                let pack = (
+                    d(|s| s.pack_rhs_vector_bytes),
+                    d(|s| s.pack_rhs_scalar_bytes),
+                );
+                assert_eq!(
+                    pack,
+                    want_pack,
+                    "(vector, scalar) pack bytes per forward at {threads} threads, EDD_SIMD={}",
+                    simd_label()
+                );
+            }
+        }
     }
 }

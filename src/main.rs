@@ -470,12 +470,22 @@ fn cmd_compile(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// Loads a compiled `.eddm` artifact; an artifact written by a build with
+/// another artifact format version is named as such, with the fix.
+fn load_artifact(path: &str) -> Result<CompiledModel, String> {
+    artifact::load(std::path::Path::new(path)).map_err(|e| match e {
+        edd::runtime::SnapshotError::UnsupportedVersion { .. } => {
+            format!("loading {path}: {e}; recompile it with `edd compile`")
+        }
+        e => format!("loading {path}: {e}"),
+    })
+}
+
 /// `edd qinfer --artifact`: hot-load a compiled `.eddm` artifact and run
 /// SynthImageNet batches through it — no QAT, no calibration, the graph on
 /// disk is the whole model.
 fn qinfer_artifact(path: &str, batch: usize, batches: usize) -> Result<(), String> {
-    let model =
-        artifact::load(std::path::Path::new(path)).map_err(|e| format!("loading {path}: {e}"))?;
+    let model = load_artifact(path)?;
     let meta = &model.graph().meta;
     println!(
         "hot-loaded {path}: model `{}`, input {:?}, {} classes, {} nodes",
@@ -652,8 +662,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let mut zoo: Vec<(String, Arc<CompiledModel>)> = Vec::new();
     if let Some(list) = args.flags.get("artifacts") {
         for path in list.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-            let model = artifact::load(std::path::Path::new(path))
-                .map_err(|e| format!("loading {path}: {e}"))?;
+            let model = load_artifact(path)?;
             println!(
                 "hot-loaded {path}: model `{}`, {} nodes",
                 model.name(),
@@ -700,8 +709,7 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
     // Resolve the batch engine: hot-load an artifact, or QAT-train an
     // architecture and compile it through the IR pipeline.
     let oracle: CompiledModel = if let Some(path) = args.flags.get("artifact") {
-        let model = artifact::load(std::path::Path::new(path))
-            .map_err(|e| format!("loading {path}: {e}"))?;
+        let model = load_artifact(path)?;
         println!(
             "hot-loaded {path}: model `{}`, {} nodes",
             model.name(),

@@ -155,6 +155,32 @@ fn qinfer_rejects_corrupt_artifact() {
 }
 
 #[test]
+fn qinfer_names_an_old_artifact_version() {
+    // A real artifact's payload sealed as format version 1, as an older
+    // build's `edd compile` wrote it.
+    use edd::ir::artifact::{to_bytes, ARTIFACT_MAGIC, ARTIFACT_VERSION};
+    use edd::runtime::{decode_container_as, encode_container_as};
+    let (_, model, _) = edd::zoo::compile_tiny_zoo(11, &edd::ir::PassConfig::all()).remove(0);
+    let file = to_bytes(model.graph()).unwrap();
+    let payload = decode_container_as(&ARTIFACT_MAGIC, ARTIFACT_VERSION, &file).unwrap();
+    let path = std::env::temp_dir().join("edd_cli_smoke_v1.eddm");
+    std::fs::write(&path, encode_container_as(&ARTIFACT_MAGIC, 1, &payload)).unwrap();
+    let out = edd()
+        .args(["qinfer", "--artifact"])
+        .arg(&path)
+        .output()
+        .expect("runs");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    let want = format!(
+        "model artifact format version 1 is not supported; this build reads version \
+         {ARTIFACT_VERSION}; recompile it with `edd compile`"
+    );
+    assert!(err.contains(&want), "stderr: {err}");
+}
+
+#[test]
 fn unknown_command_fails() {
     let out = edd().arg("frobnicate").output().expect("runs");
     assert!(!out.status.success());
