@@ -6,12 +6,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use edd_ir::{PassConfig, PulsedModel};
-use edd_nn::qlayers::{
-    QConv2d, QConvSource, QConvSpec, QDwConv2d, QDwConvSource, QDwConvSpec, QTensor,
-};
+use edd_nn::qlayers::{QConv2d, QConvSource, QConvSpec, QDwConv2d, QDwConvSource, QDwConvSpec};
 use edd_runtime::StreamSession;
 use edd_tensor::kernel::pack;
-use edd_tensor::qkernel::{requantize_rows_into, Requant, RowEpilogue};
+use edd_tensor::qkernel::{quantize_i8_into, requantize_rows_into, Requant, RowEpilogue};
 use edd_tensor::{Array, Tensor};
 use edd_zoo::{compile_tiny_zoo, synthetic_signal};
 use rand::rngs::StdRng;
@@ -174,10 +172,17 @@ fn bench_batchnorm(c: &mut Criterion) {
     group.finish();
 }
 
+/// `x` quantized onto the int8 activation grid of scale 0.05.
+fn quantized(x: &Array) -> Vec<i8> {
+    let mut q = vec![0i8; x.len()];
+    quantize_i8_into(&mut q, x.data(), 0.05, 127);
+    q
+}
+
 /// The int8 pointwise path at the tiny zoo's shapes, `(m, k, n)` =
 /// (80, 16, 256) for an expand conv, (16, 96, 256) for a project conv and
 /// (16, 27, 256) for the 3×3 stem through im2col: the per-call activation
-/// pack alone, then one `QConv2d::forward` (im2col where needed, pack,
+/// pack alone, then one `QConv2d::forward_into` (im2col where needed, pack,
 /// maddubs GEMM, bias, requantize) at batch 1.
 fn bench_qconv_pointwise(c: &mut Criterion) {
     let mut group = c.benchmark_group("qconv_pointwise");
@@ -205,15 +210,20 @@ fn bench_qconv_pointwise(c: &mut Criterion) {
             bias: None,
         };
         let conv = QConv2d::from_spec(QConvSpec::quantize(&src, 8, 0.05, 0.05, true));
-        let x = QTensor::quantize(&Array::randn(&[1, in_c, hw, hw], 1.0, &mut rng), 0.05);
+        let x = quantized(&Array::randn(&[1, in_c, hw, hw], 1.0, &mut rng));
+        let mut y = vec![0i8; out_c * hw * hw];
         group.bench_function(BenchmarkId::new("forward_b1", label), |bench| {
-            bench.iter(|| black_box(conv.forward(&x).unwrap()));
+            bench.iter(|| {
+                conv.forward_into(black_box(&x), [1, in_c, hw, hw], &mut y)
+                    .unwrap();
+                black_box(&y);
+            });
         });
     }
     group.finish();
 }
 
-/// The int8 depthwise layer, `QDwConv2d::forward` at batch 1: the tiny
+/// The int8 depthwise layer, `QDwConv2d::forward_into` at batch 1: the tiny
 /// zoo's three 16×16 shapes (AVX2 paired-tap body with the requantizing
 /// epilogue), and one stride-2 plane, which the scalar body runs.
 fn bench_qdwconv(c: &mut Criterion) {
@@ -237,9 +247,15 @@ fn bench_qdwconv(c: &mut Criterion) {
             bias: None,
         };
         let dw = QDwConv2d::from_spec(QDwConvSpec::quantize(&src, 8, 0.05, 0.05, true));
-        let x = QTensor::quantize(&Array::randn(&[1, ch, 16, 16], 1.0, &mut rng), 0.05);
+        let x = quantized(&Array::randn(&[1, ch, 16, 16], 1.0, &mut rng));
+        let out_hw = (16 + 2 * (kernel / 2) - kernel) / stride + 1;
+        let mut y = vec![0i8; ch * out_hw * out_hw];
         group.bench_function(label, |bench| {
-            bench.iter(|| black_box(dw.forward(&x).unwrap()));
+            bench.iter(|| {
+                dw.forward_into(black_box(&x), [1, ch, 16, 16], &mut y)
+                    .unwrap();
+                black_box(&y);
+            });
         });
     }
     group.finish();

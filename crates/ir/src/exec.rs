@@ -1,14 +1,18 @@
 //! Executable form of a lowered graph.
 //!
-//! [`CompiledModel::from_graph`] type-checks a quantized graph, checks
-//! every producer/consumer scale pair once, rebuilds each spec's
-//! microkernel-native caches via the `from_spec` constructors (`QConv2d`,
-//! `QDwConv2d`, `QLinear`), and plans the int8 activations: every value
-//! gets a fixed offset in one per-image buffer, reused once its last
-//! consumer has run (`plan_activations`). Execution order is
-//! ascending node id — valid by the graph's forward-edges invariant — so
-//! the forward pass is a plain loop with no scheduling, inside one
-//! scratch-arena buffer of `plan_bytes() × batch` bytes.
+//! `NodeTable::new` validates a quantized graph once for both executors:
+//! it infers the facts, checks every producer/consumer scale pair, and
+//! rebuilds each reachable spec's microkernel-native caches through the
+//! `from_spec` constructors (`QConv2d`, `QDwConv2d`, `QLinear`), one
+//! `Kernel` per node. [`CompiledModel::from_graph`] adds the logits check
+//! and plans the int8 activations: every value gets a fixed offset in one
+//! per-image buffer, reused once its last consumer has run
+//! (`plan_activations`). Execution order is ascending node id — valid by
+//! the graph's forward-edges invariant — so the forward pass is a plain
+//! loop with no scheduling, inside one scratch-arena buffer of
+//! `plan_bytes() × batch` bytes. The pulsed executor
+//! ([`crate::pulse::PulsedProgram`]) runs the same table on rows and
+//! strips.
 //!
 //! The model implements [`edd_runtime::BatchModel`], which is all the
 //! serving layer needs: a model compiled in process and one hot-loaded
@@ -33,11 +37,13 @@ pub const MAX_PLAN_BYTES_PER_IMAGE: usize = 1 << 28;
 /// size, as the arena's buffers do).
 const PLAN_ALIGN: usize = 32;
 
-/// Per-node executor, parallel to the graph's node list.
-enum Layer {
-    /// Unreachable node, or the graph input (the quantize reads the caller's
-    /// batch directly) — nothing to run.
+/// The executable kernel of one node.
+pub(crate) enum Kernel {
+    /// Unreachable node: nothing to run.
     Skip,
+    /// The graph input: the caller's f32 values, which only a quantize
+    /// reads.
+    Input,
     /// Float → int8 boundary.
     Quantize { scale: f32 },
     /// Quantized convolution with rebuilt weight panels.
@@ -50,8 +56,76 @@ enum Layer {
     Add(QAddTables),
     /// Integer global average pool.
     Gap,
-    /// Quantized classifier head with rebuilt panels: the output.
+    /// Quantized classifier head with rebuilt panels: the one f32 output.
     Linear(QLinear),
+}
+
+/// A validated lowered graph as one kernel per node: the node table both
+/// executors run.
+pub(crate) struct NodeTable {
+    /// Kernel of every node, by id.
+    pub(crate) kernels: Vec<Kernel>,
+    /// Input ids of every node, by id.
+    pub(crate) inputs: Vec<Vec<usize>>,
+    /// Per-image fact of every node's value.
+    pub(crate) facts: Vec<Fact>,
+    /// Id of the graph output.
+    pub(crate) output: usize,
+}
+
+impl NodeTable {
+    /// Validates `graph` and builds a kernel for each node the output
+    /// reaches. This is the one place a lowered op becomes an executable
+    /// layer.
+    ///
+    /// # Errors
+    ///
+    /// Errors when fact inference fails, when producer/consumer activation
+    /// scales disagree, when a reachable op is still a float op, and when
+    /// a quantize reads anything but the graph input (the only f32 values
+    /// in an engine are the caller's input and the logits).
+    pub(crate) fn new(graph: &Graph) -> Result<Self> {
+        let facts = graph.facts()?;
+        let input = graph.input()?;
+        let output = graph.output()?;
+        let reachable = graph.reachable()?;
+        graph.check_scales(&reachable)?;
+        let mut kernels = Vec::with_capacity(graph.len());
+        for (id, n) in graph.nodes().iter().enumerate() {
+            let kernel = match &n.op {
+                _ if !reachable[id] => Kernel::Skip,
+                Op::Input => Kernel::Input,
+                Op::Quantize { .. } if n.inputs[0] != input => {
+                    return Err(TensorError::InvalidArgument(format!(
+                        "quantize node `{}` reads node {}, not the graph input",
+                        n.name, n.inputs[0]
+                    )));
+                }
+                Op::Quantize { scale } => Kernel::Quantize { scale: *scale },
+                Op::QConv(s) => Kernel::Conv(QConv2d::from_spec(s.as_ref().clone())),
+                Op::QDwConv(s) => Kernel::Dw(QDwConv2d::from_spec(s.as_ref().clone())),
+                Op::QRelu6 { hi } => Kernel::Relu6 { hi: *hi },
+                Op::QAdd(a) => Kernel::Add(QAddTables::new(a.rq_a, a.rq_b)),
+                Op::QGlobalAvgPool => Kernel::Gap,
+                Op::QLinear(s) => Kernel::Linear(QLinear::from_spec(s.as_ref().clone())),
+                float => {
+                    return Err(TensorError::InvalidArgument(format!(
+                        "cannot execute unlowered op `{}` at node `{}`; run the quantize \
+                         lowering first",
+                        float.mnemonic(),
+                        n.name
+                    )));
+                }
+            };
+            kernels.push(kernel);
+        }
+        Ok(NodeTable {
+            kernels,
+            inputs: graph.nodes().iter().map(|n| n.inputs.clone()).collect(),
+            facts,
+            output,
+        })
+    }
 }
 
 /// Where one int8 value lives in a forward pass's buffer, per image: its
@@ -71,9 +145,7 @@ impl Slot {
 /// A lowered graph compiled into runnable layers and an activation plan.
 pub struct CompiledModel {
     graph: Graph,
-    layers: Vec<Layer>,
-    /// Per-image shape of every node's value.
-    facts: Vec<Fact>,
+    table: NodeTable,
     /// Planned region of every int8 value (unused for the others).
     slots: Vec<Slot>,
     /// Bytes of the activation buffer per image.
@@ -95,71 +167,33 @@ impl std::fmt::Debug for CompiledModel {
 }
 
 impl CompiledModel {
-    /// Builds the executable model from a lowered graph, validating facts
-    /// and scales, rebuilding every layer's execution caches from its spec
-    /// and planning the int8 activations.
+    /// Builds the executable model from a lowered graph: the node table
+    /// (`NodeTable::new`), a check that the output is the logits, and
+    /// the int8 activation plan.
     ///
     /// # Errors
     ///
-    /// Errors when the graph still contains float ops, when fact
-    /// inference fails, when the output is not `[num_classes]` f32
-    /// logits, when a quantize reads anything but the graph input, when
-    /// producer/consumer activation scales disagree, and when the
-    /// activation plan overflows or exceeds [`MAX_PLAN_BYTES_PER_IMAGE`]
-    /// (a [`TensorError::InvalidShape`]).
+    /// Errors as `NodeTable::new` does (fact inference, disagreeing
+    /// activation scales, float ops, a quantize that reads anything but
+    /// the graph input), when the output is not
+    /// `[num_classes]` f32 logits, and when the activation plan overflows
+    /// or exceeds [`MAX_PLAN_BYTES_PER_IMAGE`] (a
+    /// [`TensorError::InvalidShape`]).
     pub fn from_graph(graph: Graph) -> Result<Self> {
-        let facts = graph.facts()?;
-        let out = graph.output()?;
-        if facts[out].dtype != DType::F32 || facts[out].shape != vec![graph.meta.num_classes] {
+        let table = NodeTable::new(&graph)?;
+        let out = &table.facts[table.output];
+        if out.dtype != DType::F32 || out.shape != vec![graph.meta.num_classes] {
             return Err(TensorError::InvalidArgument(format!(
                 "compiled graph output is {:?} {:?}, expected [{}] f32 logits",
-                facts[out].dtype, facts[out].shape, graph.meta.num_classes
+                out.dtype, out.shape, graph.meta.num_classes
             )));
         }
-        let input = graph.input()?;
-        let reachable = graph.reachable()?;
-        graph.check_scales(&reachable)?;
-        let mut layers = Vec::with_capacity(graph.len());
-        for (id, n) in graph.nodes().iter().enumerate() {
-            if !reachable[id] {
-                layers.push(Layer::Skip);
-                continue;
-            }
-            let layer = match &n.op {
-                Op::Input => Layer::Skip,
-                // The only f32 values are the caller's batch and the
-                // logits, so a quantize must read the batch.
-                Op::Quantize { .. } if n.inputs[0] != input => {
-                    return Err(TensorError::InvalidArgument(format!(
-                        "quantize node `{}` reads node {}, not the graph input",
-                        n.name, n.inputs[0]
-                    )));
-                }
-                Op::Quantize { scale } => Layer::Quantize { scale: *scale },
-                Op::QConv(s) => Layer::Conv(QConv2d::from_spec(s.as_ref().clone())),
-                Op::QDwConv(s) => Layer::Dw(QDwConv2d::from_spec(s.as_ref().clone())),
-                Op::QRelu6 { hi } => Layer::Relu6 { hi: *hi },
-                Op::QAdd(a) => Layer::Add(QAddTables::new(a.rq_a, a.rq_b)),
-                Op::QGlobalAvgPool => Layer::Gap,
-                Op::QLinear(s) => Layer::Linear(QLinear::from_spec(s.as_ref().clone())),
-                float => {
-                    return Err(TensorError::InvalidArgument(format!(
-                        "cannot execute unlowered op `{}` at node `{}`; run the quantize \
-                         lowering first",
-                        float.mnemonic(),
-                        n.name
-                    )));
-                }
-            };
-            layers.push(layer);
-        }
-        let (slots, plan_bytes) = plan_activations(&graph, &facts, &reachable)?;
+        let (slots, plan_bytes) = plan_activations(&graph, &table)?;
         let input_shape = graph.meta.input_shape;
         let num_classes = graph.meta.num_classes;
         Ok(CompiledModel {
             graph,
-            layers,
-            facts,
+            table,
             slots,
             plan_bytes,
             input_shape,
@@ -205,52 +239,59 @@ impl CompiledModel {
             )));
         }
         let batch = shape[0];
+        Array::from_vec(self.run(x.data(), batch)?, &[batch, self.num_classes])
+    }
+
+    /// The forward pass over `batch` images of `images` (checked by the
+    /// callers), returning the row-major `batch × num_classes` logits.
+    fn run(&self, images: &[f32], batch: usize) -> Result<Vec<f32>> {
         let Some(len) = self.plan_bytes.checked_mul(batch) else {
+            let [c, h, w] = self.input_shape;
             return Err(TensorError::InvalidShape {
-                shape: shape.to_vec(),
+                shape: vec![batch, c, h, w],
                 reason: format!("{} activation bytes per image overflow", self.plan_bytes),
             });
         };
         let mut buf = scratch::alloc_i8(len);
         let mut logits = None;
-        for (id, layer) in self.layers.iter().enumerate() {
-            let node = self.graph.node(id);
+        for (id, kernel) in self.table.kernels.iter().enumerate() {
+            let inputs = &self.table.inputs[id];
             let out = self.slots[id].at(batch);
-            let src = |port: usize| self.slots[node.inputs[port]].at(batch);
+            let src = |port: usize| self.slots[inputs[port]].at(batch);
             let nchw = |port: usize| {
-                let f = &self.facts[node.inputs[port]].shape;
+                let f = &self.table.facts[inputs[port]].shape;
                 [batch, f[0], f[1], f[2]]
             };
-            match layer {
-                Layer::Skip => {}
-                Layer::Quantize { scale } => {
-                    quantize_i8_into(&mut buf[out], x.data(), *scale, ACT_QMAX);
+            match kernel {
+                Kernel::Skip | Kernel::Input => {}
+                Kernel::Quantize { scale } => {
+                    quantize_i8_into(&mut buf[out], images, *scale, ACT_QMAX);
                 }
-                Layer::Conv(l) => {
+                Kernel::Conv(l) => {
                     let (x, y) = split(&mut buf, src(0), out)?;
                     l.forward_into(x, nchw(0), y)?;
                 }
-                Layer::Dw(l) => {
+                Kernel::Dw(l) => {
                     let (x, y) = split(&mut buf, src(0), out)?;
                     l.forward_into(x, nchw(0), y)?;
                 }
-                Layer::Relu6 { hi } => {
+                Kernel::Relu6 { hi } => {
                     copy_unless_in_place(&mut buf, src(0), out.clone())?;
                     for v in &mut buf[out] {
                         *v = (*v).clamp(0, *hi);
                     }
                 }
-                Layer::Add(add) => {
+                Kernel::Add(add) => {
                     copy_unless_in_place(&mut buf, src(0), out.clone())?;
                     let (b, a) = split(&mut buf, src(1), out)?;
                     add.add_assign(a, b);
                 }
-                Layer::Gap => {
+                Kernel::Gap => {
                     let [_, _, h, w] = nchw(0);
                     let (x, y) = split(&mut buf, src(0), out)?;
                     q_global_avg_pool_into(x, h * w, y)?;
                 }
-                Layer::Linear(l) => logits = Some(l.logits(&buf[src(0)], batch)?),
+                Kernel::Linear(l) => logits = Some(l.logits(&buf[src(0)], batch)?),
             }
         }
         logits.ok_or_else(|| TensorError::InvalidArgument("the logits were never computed".into()))
@@ -303,11 +344,8 @@ fn copy_unless_in_place(buf: &mut [i8], src: Range<usize>, dst: Range<usize>) ->
 ///
 /// A [`TensorError::InvalidShape`] when the plan's bytes per image
 /// overflow or exceed [`MAX_PLAN_BYTES_PER_IMAGE`].
-fn plan_activations(
-    graph: &Graph,
-    facts: &[Fact],
-    reachable: &[bool],
-) -> Result<(Vec<Slot>, usize)> {
+fn plan_activations(graph: &Graph, table: &NodeTable) -> Result<(Vec<Slot>, usize)> {
+    let facts = &table.facts;
     let too_big = |shape: &[usize], what: &str| TensorError::InvalidShape {
         shape: shape.to_vec(),
         reason: format!(
@@ -315,9 +353,9 @@ fn plan_activations(
         ),
     };
     let mut last_use: Vec<usize> = (0..graph.len()).collect();
-    for (id, n) in graph.nodes().iter().enumerate() {
-        if reachable[id] {
-            for &i in &n.inputs {
+    for (id, kernel) in table.kernels.iter().enumerate() {
+        if !matches!(kernel, Kernel::Skip) {
+            for &i in &table.inputs[id] {
                 last_use[i] = last_use[i].max(id);
             }
         }
@@ -327,14 +365,15 @@ fn plan_activations(
     // node reading it).
     let mut live: Vec<(usize, usize, usize)> = Vec::new();
     let mut plan = 0usize;
-    for (id, n) in graph.nodes().iter().enumerate() {
-        if !reachable[id] || facts[id].dtype != DType::I8 {
+    for (id, kernel) in table.kernels.iter().enumerate() {
+        if matches!(kernel, Kernel::Skip) || facts[id].dtype != DType::I8 {
             continue;
         }
         live.retain(|&(_, _, dies)| dies >= id);
-        let in_place = match n.op {
-            Op::QRelu6 { .. } => Some(n.inputs[0]),
-            Op::QAdd(_) if n.inputs[0] != n.inputs[1] => Some(n.inputs[0]),
+        let inputs = &table.inputs[id];
+        let in_place = match kernel {
+            Kernel::Relu6 { .. } => Some(inputs[0]),
+            Kernel::Add(_) if inputs[0] != inputs[1] => Some(inputs[0]),
             _ => None,
         }
         .filter(|&i| last_use[i] == id);
@@ -352,7 +391,7 @@ fn plan_activations(
             .iter()
             .try_fold(1usize, |v, &d| v.checked_mul(d))
             .filter(|&v| v <= MAX_PLAN_BYTES_PER_IMAGE)
-            .ok_or_else(|| too_big(&facts[id].shape, &n.name))?;
+            .ok_or_else(|| too_big(&facts[id].shape, &graph.node(id).name))?;
         let reserved = len.next_multiple_of(PLAN_ALIGN);
         let mut off = 0;
         for &(o, r, _) in &live {
@@ -364,7 +403,7 @@ fn plan_activations(
         slots[id] = Slot { off, len };
         plan = plan.max(off + reserved);
         if plan > MAX_PLAN_BYTES_PER_IMAGE {
-            return Err(too_big(&facts[id].shape, &n.name));
+            return Err(too_big(&facts[id].shape, &graph.node(id).name));
         }
         let at = live.partition_point(|&(o, _, _)| o < off);
         live.insert(at, (off, reserved, last_use[id]));
@@ -392,9 +431,7 @@ impl BatchModel for CompiledModel {
                 images.len()
             )));
         }
-        let [c, h, w] = self.input_shape;
-        let x = Array::from_slice(images, &[batch, c, h, w])?;
-        Ok(self.forward(&x)?.data().to_vec())
+        self.run(images, batch)
     }
 }
 
@@ -409,8 +446,10 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{ConvOp, GraphMeta, LinearOp, Node};
+    use crate::graph::{ConvOp, GraphMeta, LinearOp, Node, QAddOp};
     use crate::passes::{compile, PassConfig};
+    use crate::pulse::PulsedProgram;
+    use edd_nn::{QConvSource, QConvSpec, QLinearSpec};
 
     /// Small annotated float graph exercising every executable op
     /// (conv, relu6, residual add, gap, linear).
@@ -531,7 +570,7 @@ mod tests {
             let nodes = m.graph().nodes();
             let mut sum = 0;
             for (id, n) in nodes.iter().enumerate() {
-                if m.facts[id].dtype != DType::I8 {
+                if m.table.facts[id].dtype != DType::I8 {
                     continue;
                 }
                 sum += m.slots[id].len.next_multiple_of(PLAN_ALIGN);
@@ -546,6 +585,123 @@ mod tests {
                 }
             }
             assert!(m.plan_bytes() < sum, "{} vs {sum}", m.plan_bytes());
+        }
+    }
+
+    /// A lowered graph over `[2, 5, 5]` inputs and 3 classes: the input,
+    /// a quantize at scale 0.1, then the nodes `body` adds after them; the
+    /// id `body` returns is the output.
+    fn lowered(body: impl FnOnce(&mut Graph, usize) -> usize) -> Graph {
+        let mut g = Graph::new(GraphMeta {
+            name: "lowered".into(),
+            input_shape: [2, 5, 5],
+            num_classes: 3,
+        });
+        let i = add_node(&mut g, "in", Op::Input, vec![]);
+        let q = add_node(&mut g, "q", Op::Quantize { scale: 0.1 }, vec![i]);
+        let out = body(&mut g, q);
+        g.set_output(out).unwrap();
+        g
+    }
+
+    fn add_node(g: &mut Graph, name: &str, op: Op, inputs: Vec<usize>) -> usize {
+        g.add(Node {
+            name: name.into(),
+            op,
+            inputs,
+            scale: None,
+            bits: None,
+        })
+        .unwrap()
+    }
+
+    /// A 2 → 2 channel 3×3 conv at padding 1, reading scale `in_scale`
+    /// and writing scale 0.1.
+    fn qconv(stride: usize, in_scale: f32) -> Op {
+        let src = QConvSource {
+            w: &[0.1; 2 * 2 * 9],
+            out_channels: 2,
+            in_channels: 2,
+            kernel: 3,
+            stride,
+            padding: 1,
+            bias: None,
+        };
+        Op::QConv(Box::new(QConvSpec::quantize(&src, 8, in_scale, 0.1, false)))
+    }
+
+    /// Pools `x` (2 channels at scale 0.1) into a 3-class head.
+    fn pooled_head(g: &mut Graph, x: usize) -> usize {
+        let p = add_node(g, "gap", Op::QGlobalAvgPool, vec![x]);
+        let spec = QLinearSpec::quantize(&[0.1; 6], 2, 3, &[0.0; 3], 8, 0.1);
+        add_node(g, "fc", Op::QLinear(Box::new(spec)), vec![p])
+    }
+
+    /// Both executors' errors for `g`.
+    fn both_errors(g: &Graph) -> [String; 2] {
+        [
+            CompiledModel::from_graph(g.clone())
+                .unwrap_err()
+                .to_string(),
+            PulsedProgram::from_graph(g).unwrap_err().to_string(),
+        ]
+    }
+
+    #[test]
+    fn add_operand_shapes_that_differ_are_rejected_by_both_executors() {
+        // The residual add sums a conv output and the quantized input:
+        // `[2, 5, 5]` both at stride 1, `[2, 3, 3]` against `[2, 5, 5]` at
+        // stride 2.
+        let residual = |stride: usize| {
+            lowered(|g, q| {
+                let c = add_node(g, "conv", qconv(stride, 0.1), vec![q]);
+                let sum = QAddOp {
+                    rq_a: None,
+                    rq_b: None,
+                    out_scale: 0.1,
+                };
+                let s = add_node(g, "sum", Op::QAdd(Box::new(sum)), vec![c, q]);
+                pooled_head(g, s)
+            })
+        };
+        let same = residual(1);
+        assert!(CompiledModel::from_graph(same.clone()).is_ok());
+        assert!(PulsedProgram::from_graph(&same).is_ok());
+        for err in both_errors(&residual(2)) {
+            assert!(
+                err.contains("add operand shapes differ: [2, 3, 3] vs [2, 5, 5]"),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_quantize_of_anything_but_the_input_is_rejected_by_both_executors() {
+        // The first head's logits quantized again and fed to a second head.
+        let g = lowered(|g, q| {
+            let logits = pooled_head(g, q);
+            let again = add_node(g, "q2", Op::Quantize { scale: 0.1 }, vec![logits]);
+            let spec = QLinearSpec::quantize(&[0.1; 9], 3, 3, &[0.0; 3], 8, 0.1);
+            add_node(g, "fc2", Op::QLinear(Box::new(spec)), vec![again])
+        });
+        for err in both_errors(&g) {
+            assert!(err.contains("not the graph input"), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_consumer_scale_that_differs_from_its_producer_is_rejected_by_both_executors() {
+        // The conv was compiled for inputs at scale 0.5; the quantize
+        // writes 0.1.
+        let g = lowered(|g, q| {
+            let c = add_node(g, "conv", qconv(1, 0.5), vec![q]);
+            pooled_head(g, c)
+        });
+        for err in both_errors(&g) {
+            assert!(
+                err.contains("conv: producer scale 0.1 does not match consumer scale 0.5"),
+                "{err}"
+            );
         }
     }
 

@@ -18,17 +18,21 @@
 //!    bit-for-bit (see the [`passes`] docs for why), which the test suite
 //!    enforces against the unfused lowering ([`PassConfig::none`]), with
 //!    the absolute bits pinned by golden hashes.
-//! 4. **[`exec`]** — [`CompiledModel`] runs the lowered graph and
-//!    implements `edd_runtime::BatchModel`, so it serves behind the
-//!    sharded batching front end (`serve::Server`).
+//! 4. **[`exec`]** — one validated node table (one executable kernel per
+//!    lowered node) that both executors run. [`CompiledModel`] runs it on
+//!    whole batches inside one planned int8 buffer and implements
+//!    `edd_runtime::BatchModel`, so it serves behind the sharded batching
+//!    front end (`serve::Server`).
 //! 5. **[`artifact`]** — a versioned, CRC-checked binary format (the
 //!    snapshot container with an artifact magic) storing tensors as raw
 //!    bits; `edd compile` writes artifacts, `edd serve` hot-loads them.
-//! 6. **[`pulse`]** — [`PulsedModel`] converts a lowered graph into
+//! 6. **[`pulse`]** — [`PulsedModel`] runs the same node table in
 //!    streaming form: fixed-size input slices in, sliding-window outputs
 //!    out at a computed delay, with per-conv ring buffers bounding
-//!    carried state at O(window) independent of stream length, bitwise
-//!    equal to the batch executor on the same windows.
+//!    carried state at O(window) independent of stream length. Each conv
+//!    runs its strips of carried rows through the batch layer's strip
+//!    front, so the stream is bitwise equal to the batch executor on the
+//!    same windows.
 //!
 //! The crate deliberately knows nothing about search, training, or
 //! calibration — `edd-core` builds annotated float graphs out of its

@@ -4,18 +4,20 @@
 //! `[b, c, h, w]` window in memory before it runs. Embedded deployments
 //! see the opposite shape: a signal arriving one row at a time, under a
 //! fixed memory budget, classified over sliding windows. This module
-//! converts a lowered quantized graph into that form.
+//! runs a lowered quantized graph in that form.
 //!
 //! **Pulse model.** A *pulse* is one input row — `channels × width`
-//! floats. [`PulsedProgram::from_graph`] compiles each conv/dwconv into a
-//! padding-free *strip twin* (same spec with `padding: 0`, so weights,
-//! bias, and requantizers are byte-identical to the batch layer's) plus a
-//! ring buffer of carried rows. Rows are stored width-padded (the
-//! horizontal zero padding baked in), the vertical padding is replayed
-//! per window — `p` zero rows pre-rolled before the first real row, `p`
-//! more self-injected when the last real row of the window arrives — so
-//! every strip the twin sees contains exactly the values the batch
-//! convolution read at that output row. Because the integer engine
+//! floats. [`PulsedProgram::from_graph`] builds the same node table as
+//! the batch executor (`exec::NodeTable`: one validation, one kernel per
+//! node) and adds the pulse geometry: a ring buffer of carried rows per
+//! conv/dwconv. Rows are stored width-padded (the horizontal zero padding
+//! baked in), the vertical padding is replayed per window — `p` zero rows
+//! pre-rolled before the first real row, `p` more self-injected when the
+//! last real row of the window arrives — so every `[1, c, k, w + 2p]`
+//! strip contains exactly the values the batch convolution read at that
+//! output row. The strip runs through the batch layer's own strip front
+//! (`forward_strip_into`, the layer at padding 0), so weights, bias and
+//! requantizers are the batch layer's. Because the integer engine
 //! accumulates exactly in i32 and requantizes per element, equal inputs
 //! give bitwise-equal outputs, whatever `EDD_NUM_THREADS` or `EDD_SIMD`
 //! selected — the equivalence is structural, not numerical luck.
@@ -35,41 +37,29 @@
 //! `push(slice)` yields at most one completed window per pushed row.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::Arc;
 
+use crate::exec::{Kernel, NodeTable};
 use crate::graph::{DType, Graph, Op};
-use edd_nn::{QAddTables, QConv2d, QConvSpec, QDwConv2d, QLinear, QTensor, ACT_QMAX};
+use edd_nn::ACT_QMAX;
 use edd_runtime::{ByteReader, ByteWriter, StreamModel, StreamWindow};
-use edd_tensor::qkernel::Requant;
-use edd_tensor::{Array, Result, TensorError};
+use edd_tensor::qkernel::{quantize_i8_into, Requant};
+use edd_tensor::{scratch, Result, TensorError};
 
 fn invalid(msg: impl Into<String>) -> TensorError {
     TensorError::InvalidArgument(msg.into())
 }
 
-/// One propagated row of activations: float (graph boundary) or int8.
+/// One row the output node emitted: the logits of a window classifier,
+/// or one int8 row of a spatial output.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Row {
-    /// Float row (input rows, final logits).
+    /// Float row: the logits, or the pushed row itself when the output
+    /// is the graph input.
     F(Vec<f32>),
     /// Quantized row, channel-major `[c · w]`.
     Q(Vec<i8>),
-}
-
-impl Row {
-    fn as_q(&self) -> Result<&[i8]> {
-        match self {
-            Row::Q(v) => Ok(v),
-            Row::F(_) => Err(invalid("pulse: expected a quantized row, found float")),
-        }
-    }
-
-    fn as_f(&self) -> Result<&[f32]> {
-        match self {
-            Row::F(v) => Ok(v),
-            Row::Q(_) => Err(invalid("pulse: expected a float row, found quantized")),
-        }
-    }
 }
 
 /// Static per-conv pulse geometry (shared by standard and depthwise).
@@ -85,9 +75,8 @@ struct ConvGeom {
     stride: usize,
     padding: usize,
     out_h: usize,
-    /// Activation scale the strips are stamped with (the twin's
-    /// `in_scale`, byte-identical to the batch layer's).
-    in_scale: f32,
+    /// Bytes of one output row (`out_channels · out_w`).
+    out_row: usize,
 }
 
 impl ConvGeom {
@@ -119,43 +108,23 @@ impl ConvGeom {
     }
 }
 
-/// The convolution microkernel behind a strip twin.
-enum PKern {
-    Std(QConv2d),
-    Dw(QDwConv2d),
-}
-
-impl PKern {
-    fn forward(&self, x: &QTensor) -> Result<QTensor> {
-        match self {
-            PKern::Std(l) => l.forward(x),
-            PKern::Dw(l) => l.forward(x),
-        }
-    }
-}
-
-/// Per-node pulse executor, parallel to the graph's node list.
-enum PNode {
-    /// Unreachable node — never scheduled.
-    Skip,
-    /// The graph input: seeds each sweep with the pushed row.
-    Input,
-    /// Float → int8 boundary, row at a time.
-    Quantize { scale: f32 },
-    /// Conv/dwconv strip twin with ring-buffered carried rows.
-    Conv { kern: Box<PKern>, geom: ConvGeom },
-    /// Standalone integer ReLU6 clamp.
-    Relu6 { hi: i8 },
-    /// Integer residual add over two row queues.
-    Add { add: QAddTables, row_len: usize },
-    /// Incremental integer global average pool.
-    Gap {
+/// The pulse geometry of one node, derived from the facts: the shape of
+/// the state the node carries between pushes.
+#[derive(Debug, Clone)]
+enum Geom {
+    /// Carries nothing between pushes.
+    Stateless,
+    /// A conv or depthwise conv: a ring of carried rows.
+    Ring(ConvGeom),
+    /// A residual add: a queue of `row_len`-byte rows per operand.
+    Pair { row_len: usize },
+    /// A global pool over `[channels, in_rows, in_w]`: one running sum
+    /// per channel.
+    Pool {
         channels: usize,
         in_rows: usize,
         in_w: usize,
     },
-    /// Quantized classifier head on the pooled row.
-    Linear(Box<QLinear>),
 }
 
 /// A lowered graph compiled for pulsed execution.
@@ -163,13 +132,9 @@ enum PNode {
 /// Immutable and shareable (wrap in [`Arc`] to drive many concurrent
 /// windows); all mutable state lives in [`PulsedState`].
 pub struct PulsedProgram {
-    nodes: Vec<PNode>,
-    /// Graph input ids per node.
-    inputs: Vec<Vec<usize>>,
-    /// `(consumer, port)` routes per node, reachable consumers only.
-    routes: Vec<Vec<(usize, usize)>>,
-    input_id: usize,
-    output_id: usize,
+    table: NodeTable,
+    /// Pulse geometry of every node, by id.
+    geoms: Vec<Geom>,
     input_shape: [usize; 3],
     num_classes: usize,
     name: String,
@@ -181,7 +146,7 @@ impl std::fmt::Debug for PulsedProgram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PulsedProgram")
             .field("name", &self.name)
-            .field("nodes", &self.nodes.len())
+            .field("nodes", &self.geoms.len())
             .field("input_shape", &self.input_shape)
             .field("delay", &self.delay())
             .finish_non_exhaustive()
@@ -197,126 +162,64 @@ impl PulsedProgram {
     ///
     /// # Errors
     ///
-    /// Errors when the graph still contains float ops, when fact
-    /// inference fails, or when producer/consumer activation scales
-    /// disagree.
+    /// Errors as the batch executor's node table does (float ops, fact
+    /// inference, disagreeing activation scales, a quantize that reads
+    /// anything but the graph input), and on a residual add whose
+    /// operands are not `[c, h, w]` maps.
     pub fn from_graph(graph: &Graph) -> Result<Self> {
-        let facts = graph.facts()?;
-        let output_id = graph.output()?;
-        let input_id = graph.input()?;
-        let reachable = graph.reachable()?;
-        graph.check_scales(&reachable)?;
-        let mut nodes = Vec::with_capacity(graph.len());
+        let table = NodeTable::new(graph)?;
+        let dims = |id: usize| match table.facts[id].shape.as_slice() {
+            &[c, h, w] => Some([c, h, w]),
+            _ => None,
+        };
+        let mut geoms = Vec::with_capacity(graph.len());
         for (id, n) in graph.nodes().iter().enumerate() {
-            if !reachable[id] {
-                nodes.push(PNode::Skip);
-                continue;
-            }
-            let in_fact = |port: usize| &facts[n.inputs[port]];
-            let spatial = |fact: &crate::graph::Fact, what: &str| -> Result<[usize; 3]> {
-                match fact.shape.as_slice() {
-                    [c, h, w] => Ok([*c, *h, *w]),
-                    other => Err(invalid(format!(
-                        "{what} `{}`: pulsed execution needs a [c, h, w] input, got {other:?}",
-                        n.name
-                    ))),
-                }
+            // `facts()` has checked that every conv and pool reads and
+            // every conv writes a `[c, h, w]` map.
+            let ring = |kernel: usize, stride: usize, padding: usize| -> Geom {
+                let [c_in, in_rows, in_w] = dims(n.inputs[0]).unwrap_or_default();
+                let [out_c, out_h, out_w] = dims(id).unwrap_or_default();
+                Geom::Ring(ConvGeom {
+                    c_in,
+                    in_w,
+                    in_rows,
+                    kernel,
+                    stride,
+                    padding,
+                    out_h,
+                    out_row: out_c * out_w,
+                })
             };
-            let node = match &n.op {
-                Op::Input => PNode::Input,
-                Op::Quantize { scale } => PNode::Quantize { scale: *scale },
-                Op::QConv(s) => {
-                    let [c, h, _w] = spatial(in_fact(0), "QConv")?;
-                    let [_, oh, _] = spatial(&facts[id], "QConv output")?;
-                    let geom = ConvGeom {
-                        c_in: c,
-                        in_w: _w,
-                        in_rows: h,
-                        kernel: s.kernel,
-                        stride: s.stride,
-                        padding: s.padding,
-                        out_h: oh,
-                        in_scale: s.in_scale,
-                    };
-                    // The strip twin: identical spec with the vertical
-                    // padding stripped — the ring replays it as rows.
-                    let twin = QConv2d::from_spec(QConvSpec {
-                        padding: 0,
-                        ..s.as_ref().clone()
-                    });
-                    PNode::Conv {
-                        kern: Box::new(PKern::Std(twin)),
-                        geom,
+            let geom = match (&table.kernels[id], &n.op) {
+                (Kernel::Skip, _) => Geom::Stateless,
+                (_, Op::QConv(s)) => ring(s.kernel, s.stride, s.padding),
+                (_, Op::QDwConv(s)) => ring(s.kernel, s.stride, s.padding),
+                (_, Op::QAdd(_)) => {
+                    let [c, _, w] = dims(id).ok_or_else(|| {
+                        invalid(format!(
+                            "QAdd `{}`: pulsed execution needs [c, h, w] operands, got {:?}",
+                            n.name, table.facts[id].shape
+                        ))
+                    })?;
+                    Geom::Pair { row_len: c * w }
+                }
+                (_, Op::QGlobalAvgPool) => {
+                    let [channels, in_rows, in_w] = dims(n.inputs[0]).unwrap_or_default();
+                    Geom::Pool {
+                        channels,
+                        in_rows,
+                        in_w,
                     }
                 }
-                Op::QDwConv(s) => {
-                    let [c, h, w] = spatial(in_fact(0), "QDwConv")?;
-                    let [_, oh, _] = spatial(&facts[id], "QDwConv output")?;
-                    let geom = ConvGeom {
-                        c_in: c,
-                        in_w: w,
-                        in_rows: h,
-                        kernel: s.kernel,
-                        stride: s.stride,
-                        padding: s.padding,
-                        out_h: oh,
-                        in_scale: s.in_scale,
-                    };
-                    let twin = QDwConv2d::from_spec(edd_nn::QDwConvSpec {
-                        padding: 0,
-                        ..s.as_ref().clone()
-                    });
-                    PNode::Conv {
-                        kern: Box::new(PKern::Dw(twin)),
-                        geom,
-                    }
-                }
-                Op::QRelu6 { hi } => PNode::Relu6 { hi: *hi },
-                Op::QAdd(a) => {
-                    let [_, _, w] = spatial(in_fact(0), "QAdd")?;
-                    let [c, ..] = spatial(in_fact(0), "QAdd")?;
-                    PNode::Add {
-                        add: QAddTables::new(a.rq_a, a.rq_b),
-                        row_len: c * w,
-                    }
-                }
-                Op::QGlobalAvgPool => {
-                    let [c, h, w] = spatial(in_fact(0), "QGlobalAvgPool")?;
-                    PNode::Gap {
-                        channels: c,
-                        in_rows: h,
-                        in_w: w,
-                    }
-                }
-                Op::QLinear(s) => PNode::Linear(Box::new(QLinear::from_spec(s.as_ref().clone()))),
-                float => {
-                    return Err(invalid(format!(
-                        "cannot pulse unlowered op `{}` at node `{}`; run the quantize \
-                         lowering first",
-                        float.mnemonic(),
-                        n.name
-                    )));
-                }
+                _ => Geom::Stateless,
             };
-            nodes.push(node);
+            geoms.push(geom);
         }
-        let mut routes: Vec<Vec<(usize, usize)>> = vec![Vec::new(); graph.len()];
-        for (id, n) in graph.nodes().iter().enumerate() {
-            if !reachable[id] {
-                continue;
-            }
-            for (port, &src) in n.inputs.iter().enumerate() {
-                routes[src].push((id, port));
-            }
-        }
-        let logits_output = facts[output_id].dtype == DType::F32
-            && facts[output_id].shape == vec![graph.meta.num_classes];
+        let out = &table.facts[table.output];
+        let logits_output = out.dtype == DType::F32 && out.shape == vec![graph.meta.num_classes];
         Ok(PulsedProgram {
-            nodes,
-            inputs: graph.nodes().iter().map(|n| n.inputs.clone()).collect(),
-            routes,
-            input_id,
-            output_id,
+            table,
+            geoms,
             input_shape: graph.meta.input_shape,
             num_classes: graph.meta.num_classes,
             name: graph.meta.name.clone(),
@@ -359,28 +262,29 @@ impl PulsedProgram {
     /// Index of the last input row that must be pushed before output row
     /// `j` of node `id` can be emitted.
     fn node_delay(&self, id: usize, j: usize) -> usize {
-        match &self.nodes[id] {
-            PNode::Skip => 0,
-            PNode::Input => j,
-            PNode::Quantize { .. } | PNode::Relu6 { .. } => self.node_delay(self.inputs[id][0], j),
-            PNode::Conv { geom, .. } => {
+        let inputs = &self.table.inputs[id];
+        match (&self.table.kernels[id], &self.geoms[id]) {
+            (Kernel::Skip, _) => 0,
+            (Kernel::Input, _) => j,
+            (_, Geom::Ring(geom)) => {
                 // Output row j reads padded rows [j·s, j·s + k - 1]; the
                 // bottom zero rows are injected when the last real row
                 // arrives, so the requirement clamps to in_rows - 1.
                 let need = (j * geom.stride + geom.kernel - 1)
                     .saturating_sub(geom.padding)
                     .min(geom.in_rows.saturating_sub(1));
-                self.node_delay(self.inputs[id][0], need)
+                self.node_delay(inputs[0], need)
             }
-            PNode::Add { .. } => self.inputs[id]
+            (_, Geom::Pair { .. }) => inputs
                 .iter()
                 .map(|&i| self.node_delay(i, j))
                 .max()
                 .unwrap_or(j),
-            PNode::Gap { in_rows, .. } => {
-                self.node_delay(self.inputs[id][0], in_rows.saturating_sub(1))
+            (_, Geom::Pool { in_rows, .. }) => {
+                self.node_delay(inputs[0], in_rows.saturating_sub(1))
             }
-            PNode::Linear(_) => self.node_delay(self.inputs[id][0], 0),
+            (Kernel::Linear(_), _) => self.node_delay(inputs[0], 0),
+            _ => self.node_delay(inputs[0], j),
         }
     }
 
@@ -390,7 +294,7 @@ impl PulsedProgram {
     /// structural receptive-field delay the property tests verify.
     #[must_use]
     pub fn delay(&self) -> usize {
-        self.node_delay(self.output_id, 0)
+        self.node_delay(self.table.output, 0)
     }
 }
 
@@ -479,16 +383,16 @@ impl PulsedState {
     #[must_use]
     pub fn new(program: &PulsedProgram) -> Self {
         let ns = program
-            .nodes
+            .geoms
             .iter()
-            .map(|n| match n {
-                PNode::Conv { .. } => NState::Ring(Ring::default()),
-                PNode::Add { .. } => NState::Pair([VecDeque::new(), VecDeque::new()]),
-                PNode::Gap { channels, .. } => NState::Pool {
+            .map(|g| match g {
+                Geom::Stateless => NState::None,
+                Geom::Ring(_) => NState::Ring(Ring::default()),
+                Geom::Pair { .. } => NState::Pair([VecDeque::new(), VecDeque::new()]),
+                Geom::Pool { channels, .. } => NState::Pool {
                     sums: vec![0i32; *channels],
                     rows: 0,
                 },
-                _ => NState::None,
             })
             .collect();
         PulsedState { ns, rows_fed: 0 }
@@ -545,189 +449,97 @@ impl PulsedState {
                 program.window_rows()
             )));
         }
-        let n = program.nodes.len();
-        let mut inbox: Vec<Vec<(usize, Row)>> = vec![Vec::new(); n];
-        let mut outputs = Vec::new();
-        // One ascending-id sweep fully propagates the row: edges are
-        // forward-only, and the bottom-padding injection at each conv
-        // happens within the same sweep, so a window completes exactly
-        // when its last row is fed.
-        for id in 0..n {
-            let produced = if id == program.input_id {
-                vec![Row::F(row.to_vec())]
-            } else {
-                let msgs = std::mem::take(&mut inbox[id]);
-                if msgs.is_empty() {
-                    continue;
+        let table = &program.table;
+        let n = table.kernels.len();
+        // The int8 rows of this sweep in the order they were made; node
+        // `id` made `made[spans[id]]`. One ascending-id sweep fully
+        // propagates the row: every node runs after its inputs and reads
+        // their rows directly, and the bottom-padding injection at each
+        // conv happens within the same sweep, so a window completes
+        // exactly when its last row is fed.
+        let mut made: Vec<Vec<i8>> = Vec::with_capacity(n);
+        let mut spans: Vec<Range<usize>> = vec![0..0; n];
+        let mut logits = Vec::new();
+        for (id, kernel) in table.kernels.iter().enumerate() {
+            let start = made.len();
+            let fed = |port: usize| spans[table.inputs[id][port]].clone();
+            match (kernel, &mut self.ns[id], &program.geoms[id]) {
+                (Kernel::Skip | Kernel::Input, ..) => {}
+                (Kernel::Quantize { scale }, ..) => {
+                    let mut q = vec![0i8; row.len()];
+                    // Same element-wise kernel the batch boundary runs.
+                    quantize_i8_into(&mut q, row, *scale, ACT_QMAX);
+                    made.push(q);
                 }
-                self.step(program, id, msgs)?
-            };
-            if produced.is_empty() {
-                continue;
-            }
-            if id == program.output_id {
-                outputs.extend(produced.iter().cloned());
-            }
-            for out in produced {
-                for &(consumer, port) in &program.routes[id] {
-                    inbox[consumer].push((port, out.clone()));
+                (Kernel::Relu6 { hi }, ..) => {
+                    for i in fed(0) {
+                        let r = made[i].iter().map(|&v| v.clamp(0, *hi)).collect();
+                        made.push(r);
+                    }
                 }
+                (Kernel::Conv(l), NState::Ring(ring), Geom::Ring(geom)) => {
+                    let strip = &|x: &[i8], s, y: &mut [i8]| l.forward_strip_into(x, s, y);
+                    feed_ring(ring, geom, strip, fed(0), &mut made)?;
+                }
+                (Kernel::Dw(l), NState::Ring(ring), Geom::Ring(geom)) => {
+                    let strip = &|x: &[i8], s, y: &mut [i8]| l.forward_strip_into(x, s, y);
+                    feed_ring(ring, geom, strip, fed(0), &mut made)?;
+                }
+                (Kernel::Add(add), NState::Pair(queues), _) => {
+                    for (port, queue) in queues.iter_mut().enumerate() {
+                        queue.extend(made[fed(port)].iter().cloned());
+                    }
+                    // Pair the rows both operands have delivered; the
+                    // longer queue keeps its surplus for the next sweep.
+                    let [qa, qb] = queues;
+                    let paired = qa.len().min(qb.len());
+                    made.extend(
+                        qa.drain(..paired)
+                            .zip(qb.drain(..paired))
+                            .map(|(mut a, b)| {
+                                add.add_assign(&mut a, &b);
+                                a
+                            }),
+                    );
+                }
+                (Kernel::Gap, NState::Pool { sums, rows }, Geom::Pool { in_rows, in_w, .. }) => {
+                    for i in fed(0) {
+                        for (sum, plane_row) in sums.iter_mut().zip(made[i].chunks_exact(*in_w)) {
+                            *sum += plane_row.iter().map(|&v| i32::from(v)).sum::<i32>();
+                        }
+                        *rows += 1;
+                        if *rows == *in_rows {
+                            // Same requant the batch pool applies; i32 sums
+                            // are exact, so accumulation order cannot matter.
+                            let rq = Requant::from_scale(1.0 / (in_rows * in_w) as f64);
+                            let pooled = sums
+                                .iter()
+                                .map(|&s| rq.apply_i8(s, -ACT_QMAX, ACT_QMAX))
+                                .collect();
+                            made.push(pooled);
+                        }
+                    }
+                }
+                (Kernel::Linear(l), ..) => {
+                    for i in fed(0) {
+                        logits.push(Row::F(l.logits(&made[i], 1)?));
+                    }
+                }
+                _ => return Err(invalid("pulse: node/state mismatch (corrupted state)")),
             }
+            spans[id] = start..made.len();
         }
         self.rows_fed += 1;
-        Ok(outputs)
-    }
-
-    /// Runs one node over its inbox rows, returning what it produced.
-    fn step(
-        &mut self,
-        program: &PulsedProgram,
-        id: usize,
-        msgs: Vec<(usize, Row)>,
-    ) -> Result<Vec<Row>> {
-        match (&program.nodes[id], &mut self.ns[id]) {
-            (PNode::Quantize { scale }, _) => {
-                let mut out = Vec::with_capacity(msgs.len());
-                for (_, row) in &msgs {
-                    let f = row.as_f()?;
-                    // Same element-wise kernel the batch boundary runs.
-                    let a = Array::from_slice(f, &[f.len()])?;
-                    out.push(Row::Q(QTensor::quantize(&a, *scale).data));
-                }
-                Ok(out)
-            }
-            (PNode::Relu6 { hi }, _) => {
-                let mut out = Vec::with_capacity(msgs.len());
-                for (_, row) in &msgs {
-                    let q = row.as_q()?;
-                    out.push(Row::Q(q.iter().map(|&v| v.clamp(0, *hi)).collect()));
-                }
-                Ok(out)
-            }
-            (PNode::Conv { kern, geom }, NState::Ring(ring)) => {
-                let mut out = Vec::new();
-                for (_, row) in &msgs {
-                    let q = row.as_q()?;
-                    if q.len() != geom.c_in * geom.in_w {
-                        return Err(invalid(format!(
-                            "pulse conv: expected a row of {} bytes, got {}",
-                            geom.c_in * geom.in_w,
-                            q.len()
-                        )));
-                    }
-                    if ring.fed_real >= geom.in_rows {
-                        return Err(invalid(
-                            "pulse conv: received more rows than the window holds",
-                        ));
-                    }
-                    let wp = geom.padded_w();
-                    if !ring.primed {
-                        ring.primed = true;
-                        for _ in 0..geom.padding {
-                            push_ring_row(ring, kern, geom, vec![0i8; geom.c_in * wp], &mut out)?;
-                        }
-                    }
-                    let mut padded = vec![0i8; geom.c_in * wp];
-                    for ch in 0..geom.c_in {
-                        padded[ch * wp + geom.padding..ch * wp + geom.padding + geom.in_w]
-                            .copy_from_slice(&q[ch * geom.in_w..(ch + 1) * geom.in_w]);
-                    }
-                    push_ring_row(ring, kern, geom, padded, &mut out)?;
-                    ring.fed_real += 1;
-                    if ring.fed_real == geom.in_rows {
-                        // Bottom padding: the window is complete, replay
-                        // the trailing zero rows now, in this same sweep.
-                        for _ in 0..geom.padding {
-                            push_ring_row(ring, kern, geom, vec![0i8; geom.c_in * wp], &mut out)?;
-                        }
-                    }
-                }
-                Ok(out)
-            }
-            (PNode::Add { add, row_len }, NState::Pair(queues)) => {
-                for (port, row) in msgs {
-                    let q = row.as_q()?;
-                    if q.len() != *row_len {
-                        return Err(invalid(format!(
-                            "pulse add: expected a row of {row_len} bytes, got {}",
-                            q.len()
-                        )));
-                    }
-                    if port > 1 {
-                        return Err(invalid("pulse add: more than two operands"));
-                    }
-                    queues[port].push_back(q.to_vec());
-                }
-                // Pair the rows both operands have delivered; the longer
-                // queue keeps its surplus for the next sweep.
-                let [qa, qb] = queues;
-                let n = qa.len().min(qb.len());
-                Ok(qa
-                    .drain(..n)
-                    .zip(qb.drain(..n))
-                    .map(|(mut a, b)| {
-                        add.add_assign(&mut a, &b);
-                        Row::Q(a)
-                    })
-                    .collect())
-            }
-            (
-                PNode::Gap {
-                    channels,
-                    in_rows,
-                    in_w,
-                },
-                NState::Pool { sums, rows },
-            ) => {
-                let mut out = Vec::new();
-                for (_, row) in &msgs {
-                    let q = row.as_q()?;
-                    if q.len() != channels * in_w {
-                        return Err(invalid(format!(
-                            "pulse gap: expected a row of {} bytes, got {}",
-                            channels * in_w,
-                            q.len()
-                        )));
-                    }
-                    for (ch, sum) in sums.iter_mut().enumerate() {
-                        *sum += q[ch * in_w..(ch + 1) * in_w]
-                            .iter()
-                            .map(|&v| i32::from(v))
-                            .sum::<i32>();
-                    }
-                    *rows += 1;
-                    if rows == in_rows {
-                        // Same requant the batch pool applies; i32 sums
-                        // are exact, so accumulation order cannot matter.
-                        let plane = in_rows * in_w;
-                        let rq = Requant::from_scale(1.0 / plane as f64);
-                        out.push(Row::Q(
-                            sums.iter()
-                                .map(|&s| rq.apply_i8(s, -ACT_QMAX, ACT_QMAX))
-                                .collect(),
-                        ));
-                    }
-                }
-                Ok(out)
-            }
-            (PNode::Linear(l), _) => {
-                let mut out = Vec::with_capacity(msgs.len());
-                for (_, row) in &msgs {
-                    let q = row.as_q()?;
-                    let x = QTensor {
-                        data: q.to_vec(),
-                        shape: vec![1, q.len()],
-                        scale: l.spec().in_scale,
-                    };
-                    out.push(Row::F(l.forward(&x)?.data().to_vec()));
-                }
-                Ok(out)
-            }
-            (PNode::Input | PNode::Skip, _) => {
-                Err(invalid("pulse: row routed to a non-executing node"))
-            }
-            _ => Err(invalid("pulse: node/state mismatch (corrupted state)")),
-        }
+        // Only the head emits f32 rows, and nothing reads the logits, so
+        // a head is always the output.
+        Ok(match table.kernels[table.output] {
+            Kernel::Linear(_) => logits,
+            Kernel::Input => vec![Row::F(row.to_vec())],
+            _ => made
+                .drain(spans[table.output].clone())
+                .map(Row::Q)
+                .collect(),
+        })
     }
 
     /// Serializes the carried state into `w` (geometry not included; the
@@ -782,8 +594,8 @@ impl PulsedState {
             )));
         }
         for (id, n) in self.ns.iter_mut().enumerate() {
-            match (&program.nodes[id], n) {
-                (PNode::Conv { geom, .. }, NState::Ring(ring)) => {
+            match (&program.geoms[id], n) {
+                (Geom::Ring(geom), NState::Ring(ring)) => {
                     let base = r.get_u64().map_err(snap)?;
                     let pushed = r.get_u64().map_err(snap)?;
                     let fed_real = r.get_u64().map_err(snap)?;
@@ -840,7 +652,7 @@ impl PulsedState {
                     }
                     ring.rows = rows;
                 }
-                (PNode::Add { row_len, .. }, NState::Pair(qs)) => {
+                (Geom::Pair { row_len }, NState::Pair(qs)) => {
                     for q in qs.iter_mut() {
                         let count = r.get_u32().map_err(snap)? as usize;
                         q.clear();
@@ -857,7 +669,7 @@ impl PulsedState {
                     }
                 }
                 (
-                    PNode::Gap {
+                    Geom::Pool {
                         channels,
                         in_rows,
                         in_w,
@@ -894,14 +706,62 @@ impl PulsedState {
     }
 }
 
-/// Pushes one padded row into a conv ring, emitting the output row it
-/// completes (if any) and trimming the ring to the carried minimum.
+/// Feeds the int8 rows `made[fed]` to a conv's ring: each is stored
+/// width-padded, with the top padding rolled in before the first and the
+/// bottom padding after the window's last, and every output row this
+/// completes is appended to `made`.
+fn feed_ring(
+    ring: &mut Ring,
+    geom: &ConvGeom,
+    strip: &Strip<'_>,
+    fed: Range<usize>,
+    made: &mut Vec<Vec<i8>>,
+) -> Result<()> {
+    let (c, wp, p) = (geom.c_in, geom.padded_w(), geom.padding);
+    for i in fed {
+        if ring.fed_real >= geom.in_rows {
+            return Err(invalid(
+                "pulse conv: received more rows than the window holds",
+            ));
+        }
+        if !ring.primed {
+            ring.primed = true;
+            for _ in 0..p {
+                push_ring_row(ring, geom, strip, vec![0i8; c * wp], made)?;
+            }
+        }
+        let mut padded = vec![0i8; c * wp];
+        for (dst, src) in padded
+            .chunks_exact_mut(wp)
+            .zip(made[i].chunks_exact(geom.in_w))
+        {
+            dst[p..p + geom.in_w].copy_from_slice(src);
+        }
+        push_ring_row(ring, geom, strip, padded, made)?;
+        ring.fed_real += 1;
+        if ring.fed_real == geom.in_rows {
+            // Bottom padding: the window is complete, replay the trailing
+            // zero rows now, in this same sweep.
+            for _ in 0..p {
+                push_ring_row(ring, geom, strip, vec![0i8; c * wp], made)?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// A conv layer's strip front: `(strip, [1, c, k, w + 2p], out row)`.
+type Strip<'a> = dyn Fn(&[i8], [usize; 4], &mut [i8]) -> Result<()> + 'a;
+
+/// Pushes one padded row into a conv ring, appending the output row it
+/// completes (if any) to `made` and trimming the ring to the carried
+/// minimum.
 fn push_ring_row(
     ring: &mut Ring,
-    kern: &PKern,
     geom: &ConvGeom,
+    strip: &Strip<'_>,
     row: Vec<i8>,
-    out: &mut Vec<Row>,
+    made: &mut Vec<Vec<i8>>,
 ) -> Result<()> {
     let (k, s, wp) = (geom.kernel, geom.stride, geom.padded_w());
     if ring.emitted < geom.out_h {
@@ -915,24 +775,19 @@ fn push_ring_row(
     if u + 1 >= k && (u + 1 - k).is_multiple_of(s) {
         let j = (u + 1 - k) / s;
         if j < geom.out_h {
-            // Assemble the [1, c, k, w+2p] strip the twin consumes: the
-            // last k padded rows, channel-major.
+            // Assemble the [1, c, k, w+2p] strip the layer's strip front
+            // consumes: the last k padded rows, channel-major.
             let first = u + 1 - k;
-            let mut strip = vec![0i8; geom.c_in * k * wp];
-            for ch in 0..geom.c_in {
-                for kr in 0..k {
-                    let src = &ring.rows[first + kr - ring.base];
-                    strip[(ch * k + kr) * wp..(ch * k + kr + 1) * wp]
-                        .copy_from_slice(&src[ch * wp..(ch + 1) * wp]);
+            let mut x = scratch::alloc_i8(geom.c_in * k * wp);
+            for kr in 0..k {
+                let src = &ring.rows[first + kr - ring.base];
+                for (ch, src) in src.chunks_exact(wp).enumerate() {
+                    x[(ch * k + kr) * wp..][..wp].copy_from_slice(src);
                 }
             }
-            let x = QTensor {
-                data: strip,
-                shape: vec![1, geom.c_in, k, wp],
-                scale: geom.in_scale,
-            };
-            let y = kern.forward(&x)?;
-            out.push(Row::Q(y.data));
+            let mut y = vec![0i8; geom.out_row];
+            strip(&x, [1, geom.c_in, k, wp], &mut y)?;
+            made.push(y);
             ring.emitted += 1;
         }
     }
@@ -1069,8 +924,7 @@ impl StreamModel for PulsedModel {
         let mut completed = None;
         for a in &mut self.active {
             let outs = a.state.push_row(&self.program, slice)?;
-            if let Some(row) = outs.into_iter().next() {
-                let logits = row.as_f()?.to_vec();
+            if let Some(Row::F(logits)) = outs.into_iter().next() {
                 completed = Some(StreamWindow {
                     index: a.index,
                     start_row: a.start,
@@ -1108,7 +962,7 @@ impl StreamModel for PulsedModel {
         w.put_u32(1); // version
         w.put_u64(self.t);
         w.put_u64(self.hop as u64);
-        w.put_u32(self.program.nodes.len() as u32);
+        w.put_u32(self.program.geoms.len() as u32);
         w.put_u32(self.active.len() as u32);
         for a in &self.active {
             w.put_u64(a.index);
@@ -1140,10 +994,10 @@ impl StreamModel for PulsedModel {
             )));
         }
         let nodes = r.get_u32().map_err(snap)? as usize;
-        if nodes != self.program.nodes.len() {
+        if nodes != self.program.geoms.len() {
             return Err(invalid(format!(
                 "pulse restore: snapshot program has {nodes} nodes, this one {}",
-                self.program.nodes.len()
+                self.program.geoms.len()
             )));
         }
         let window = self.program.window_rows();
@@ -1206,6 +1060,7 @@ mod tests {
     use super::*;
     use crate::graph::{ConvOp, GraphMeta, LinearOp, Node};
     use crate::passes::{compile, PassConfig};
+    use edd_tensor::Array;
 
     /// Small annotated float graph exercising every executable op
     /// (conv, relu6, residual add, gap, linear) — the exec test twin.
@@ -1424,7 +1279,7 @@ mod tests {
         w.put_u32(1);
         w.put_u64(0); // rows pushed
         w.put_u64(3); // hop
-        w.put_u32(model.program.nodes.len() as u32);
+        w.put_u32(model.program.geoms.len() as u32);
         w.put_u32(1); // active windows
         w.put_u64(0); // window index
         w.put_u64(0); // window start

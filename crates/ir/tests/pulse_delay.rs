@@ -6,13 +6,15 @@
 //! bitwise identical to the batch oracle (the same quantized layers run
 //! on the full window at once).
 //!
-//! The oracle and the pulsed path share specs byte-for-byte, so any
-//! disagreement is a scheduling bug (delay math, ring trim, padding
-//! replay), not arithmetic noise.
+//! The oracle runs each layer at its spec's padding (`forward_into`); the
+//! pulsed path runs the same specs' layers on padded strips
+//! (`forward_strip_into`). Both reach one layer body, so any disagreement
+//! is a scheduling bug (delay math, ring trim, padding replay), not
+//! arithmetic noise.
 
 use edd_ir::{Graph, GraphMeta, Node, Op, PulsedProgram, PulsedState, Row};
-use edd_nn::{QConv2d, QConvSource, QConvSpec, QDwConv2d, QDwConvSource, QDwConvSpec, QTensor};
-use edd_tensor::Array;
+use edd_nn::{QConv2d, QConvSource, QConvSpec, QDwConv2d, QDwConvSource, QDwConvSpec, ACT_QMAX};
+use edd_tensor::qkernel::quantize_i8_into;
 use proptest::prelude::*;
 
 const SCALE: f32 = 0.05;
@@ -154,17 +156,31 @@ fn build_graph(layers: &[Layer], c0: usize, h0: usize, w0: usize) -> Graph {
     g
 }
 
-/// Runs the stack as the batch oracle on the full window, returning the
-/// final quantized activation `[1, c, h, w]`.
-fn batch_oracle(layers: &[Layer], x: &Array) -> QTensor {
-    let mut h = QTensor::quantize(x, SCALE);
+/// Runs the stack as the batch oracle on the full `[1, c0, h0, w0]`
+/// window (the layers at their specs' padding), returning the final
+/// quantized activation and its `[c, h, w]`.
+fn batch_oracle(layers: &[Layer], x: &[f32], [c0, h0, w0]: [usize; 3]) -> (Vec<i8>, [usize; 3]) {
+    let mut h = vec![0i8; x.len()];
+    quantize_i8_into(&mut h, x, SCALE, ACT_QMAX);
+    let mut shape = [c0, h0, w0];
     for layer in layers {
-        h = match layer {
-            Layer::Std(s) => QConv2d::from_spec(s.clone()).forward(&h).unwrap(),
-            Layer::Dw(s) => QDwConv2d::from_spec(s.clone()).forward(&h).unwrap(),
+        let [c, ih, iw] = shape;
+        let (c_out, k, s, p) = match layer {
+            Layer::Std(s) => (s.out_channels, s.kernel, s.stride, s.padding),
+            Layer::Dw(s) => (c, s.kernel, s.stride, s.padding),
         };
+        shape = [c_out, (ih + 2 * p - k) / s + 1, (iw + 2 * p - k) / s + 1];
+        let mut y = vec![0i8; shape.iter().product()];
+        match layer {
+            Layer::Std(s) => QConv2d::from_spec(s.clone()).forward_into(&h, [1, c, ih, iw], &mut y),
+            Layer::Dw(s) => {
+                QDwConv2d::from_spec(s.clone()).forward_into(&h, [1, c, ih, iw], &mut y)
+            }
+        }
+        .unwrap();
+        h = y;
     }
-    h
+    (h, shape)
 }
 
 proptest! {
@@ -215,14 +231,12 @@ proptest! {
         );
 
         // And the emitted rows reassemble the batch oracle bitwise.
-        let x = Array::from_vec(signal, &[1, c0, h0, w0]).unwrap();
-        let want = batch_oracle(&layers, &x);
-        let (c_out, out_h, out_w) = (want.shape[1], want.shape[2], want.shape[3]);
+        let (want, [c_out, out_h, out_w]) = batch_oracle(&layers, &signal, [c0, h0, w0]);
         prop_assert_eq!(emitted.len(), out_h, "pulsed row count vs batch output height");
         for (r, row) in emitted.iter().enumerate() {
             prop_assert_eq!(row.len(), c_out * out_w);
             for ch in 0..c_out {
-                let batch = &want.data[(ch * out_h + r) * out_w..(ch * out_h + r) * out_w + out_w];
+                let batch = &want[(ch * out_h + r) * out_w..(ch * out_h + r) * out_w + out_w];
                 prop_assert_eq!(
                     &row[ch * out_w..(ch + 1) * out_w],
                     batch,

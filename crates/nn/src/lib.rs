@@ -48,8 +48,8 @@ pub use mbconv::{MbConv, SepConv};
 pub use module::{maybe_quantize, resolve_range, Module, QuantSpec, QuantizableModule};
 pub use qlayers::{
     bn_fold_factors, clamp_bounds, fold_bn, q_global_avg_pool_into, QAddTables, QConv2d,
-    QConvSource, QConvSpec, QDwConv2d, QDwConvSource, QDwConvSpec, QLinear, QLinearSpec, QTensor,
-    QWeights, ACT_QMAX,
+    QConvSource, QConvSpec, QDwConv2d, QDwConvSource, QDwConvSpec, QLinear, QLinearSpec, QWeights,
+    ACT_QMAX,
 };
 pub use se::SqueezeExcite;
 pub use sequential::{Activation, AvgPool2d, Flatten, GlobalAvgPool, MaxPool2d, Sequential};

@@ -13,10 +13,10 @@
 //! the searched width is ≤ 4 bits), and pre-quantizes the bias into the
 //! i32 accumulator domain at scale `s_in · s_w[c]`. The `edd-ir` quantize
 //! lowering is the one caller that turns a trained network into specs.
-//! Activations travel between layers as [`QTensor`]s — int8 with one
-//! per-tensor scale fixed ahead of time by a calibration pass — so a
-//! forward pass performs no float arithmetic until the final classifier
-//! dequantizes its logits.
+//! Activations travel between layers as plain int8 slices. Each has one
+//! per-tensor scale, fixed ahead of time by a calibration pass and stamped
+//! into the specs on either side, so a forward pass performs no float
+//! arithmetic until the final classifier dequantizes its logits.
 //!
 //! ReLU6 fuses into the requantization clamp: the activation bound `6.0`
 //! maps to `round(6/s_out)` in the output grid, so clamping the requantized
@@ -30,63 +30,11 @@ use edd_tensor::qkernel::{
     self, pack_i4, qdw_planes_into, qim2col_into, qmatmul_prepacked_into, quantize_i8_into,
     requantize_rows_into, unpack_i4_into, Requant, RowEpilogue,
 };
-use edd_tensor::{scratch, stats, Array, Conv2dGeometry, Result, TensorError};
+use edd_tensor::{scratch, stats, Conv2dGeometry, Result, TensorError};
 
 /// Activation quantization width: activations always travel as int8
 /// (`qmax = 127`); the Φ-searched precision applies to weights.
 pub const ACT_QMAX: i32 = 127;
-
-/// A quantized activation tensor: int8 values with one per-tensor scale
-/// (`real ≈ data[i] · scale`), zero-point 0.
-#[derive(Debug, Clone)]
-pub struct QTensor {
-    /// Row-major quantized values (NCHW for feature maps).
-    pub data: Vec<i8>,
-    /// Logical shape.
-    pub shape: Vec<usize>,
-    /// Real value of one integer step.
-    pub scale: f32,
-}
-
-impl QTensor {
-    /// Quantizes a float array onto the int8 grid with the given scale,
-    /// clamping to `[-127, 127]`.
-    #[must_use]
-    pub fn quantize(x: &Array, scale: f32) -> Self {
-        let mut data = vec![0i8; x.len()];
-        quantize_i8_into(&mut data, x.data(), scale, ACT_QMAX);
-        QTensor {
-            data,
-            shape: x.shape().to_vec(),
-            scale,
-        }
-    }
-
-    /// Dequantizes back to a float array.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stored shape is inconsistent with the data length
-    /// (unreachable for tensors built by this module).
-    #[must_use]
-    pub fn dequantize(&self) -> Array {
-        let mut out = vec![0.0f32; self.data.len()];
-        qkernel::dequantize_into(&mut out, &self.data, self.scale);
-        Array::from_vec(out, &self.shape).expect("QTensor shape consistent")
-    }
-
-    /// Number of elements.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True when the tensor holds no elements.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-}
 
 /// Quantized weight storage: dense int8, or bit-packed int4 for low-Φ
 /// blocks (two sign-extended nibbles per byte — half the bytes of dense
@@ -467,37 +415,11 @@ impl QConv2d {
         QConv2d { spec, wq_k4, rows }
     }
 
-    /// Runs the quantized convolution on an NCHW [`QTensor`] into a new
-    /// tensor (the allocating form of [`forward_into`](Self::forward_into)).
-    ///
-    /// # Errors
-    ///
-    /// Rejects inputs whose shape or scale does not match the compiled
-    /// layer.
-    pub fn forward(&self, x: &QTensor) -> Result<QTensor> {
-        let sp = &self.spec;
-        let shape = checked_nchw(x, sp.in_channels, sp.in_scale, "QConv2d")?;
-        let geom = conv_geometry(
-            "QConv2d",
-            shape,
-            sp.in_channels,
-            sp.kernel,
-            sp.stride,
-            sp.padding,
-        )?;
-        let mut out = vec![0i8; shape[0] * sp.out_channels * geom.out_h() * geom.out_w()];
-        self.forward_into(&x.data, shape, &mut out)?;
-        Ok(QTensor {
-            data: out,
-            shape: vec![shape[0], sp.out_channels, geom.out_h(), geom.out_w()],
-            scale: sp.out_scale,
-        })
-    }
-
     /// Runs the quantized convolution on a batch-major `[b, c, h, w]` int8
     /// input (`shape`), writing `[b, out_channels, out_h, out_w]` into
-    /// `out`. The caller vouches for the input's scale; `CompiledModel`
-    /// checks every producer against its consumers once, when it is built.
+    /// `out`. The caller vouches for the input's scale; the `edd-ir`
+    /// executors check every producer against its consumers once, when
+    /// they are built.
     ///
     /// Per image, the im2col columns are packed into microkernel-native
     /// B-panels (1×1 stride-1 unpadded convolutions read the image as the
@@ -510,6 +432,21 @@ impl QConv2d {
     /// Rejects a shape or slice length that does not match the compiled
     /// layer.
     pub fn forward_into(&self, x: &[i8], shape: [usize; 4], out: &mut [i8]) -> Result<()> {
+        self.run(x, shape, self.spec.padding, out)
+    }
+
+    /// [`forward_into`](Self::forward_into) on an input that already
+    /// carries its zero padding, run at padding 0: the pulsed executor's
+    /// `[1, c, k, w + 2p]` strips of carried rows.
+    ///
+    /// # Errors
+    ///
+    /// As [`forward_into`](Self::forward_into).
+    pub fn forward_strip_into(&self, x: &[i8], shape: [usize; 4], out: &mut [i8]) -> Result<()> {
+        self.run(x, shape, 0, out)
+    }
+
+    fn run(&self, x: &[i8], shape: [usize; 4], padding: usize, out: &mut [i8]) -> Result<()> {
         let sp = &self.spec;
         let geom = conv_geometry(
             "QConv2d",
@@ -517,7 +454,7 @@ impl QConv2d {
             sp.in_channels,
             sp.kernel,
             sp.stride,
-            sp.padding,
+            padding,
         )?;
         let [b, c, h, w] = shape;
         let plane = geom.out_h() * geom.out_w();
@@ -525,7 +462,7 @@ impl QConv2d {
         let (img, row_len) = (c * h * w, sp.out_channels * plane);
         check_lengths("QConv2d", x.len(), out.len(), b, img, row_len)?;
         select::record_class(sp.out_channels, plane, true);
-        let bypass = sp.kernel == 1 && sp.stride == 1 && sp.padding == 0;
+        let bypass = sp.kernel == 1 && sp.stride == 1 && padding == 0;
         let mut acc = scratch::alloc_i32(row_len);
         let mut panels = scratch::alloc_i8(pack::packed_rhs_len(ckk, plane));
         let mut cols = (!bypass).then(|| scratch::alloc_i8(ckk * plane));
@@ -666,35 +603,6 @@ impl QDwConv2d {
         }
     }
 
-    /// Runs the quantized depthwise convolution on an NCHW [`QTensor`]
-    /// into a new tensor (the allocating form of
-    /// [`forward_into`](Self::forward_into)).
-    ///
-    /// # Errors
-    ///
-    /// Rejects inputs whose shape or scale does not match the compiled
-    /// layer.
-    pub fn forward(&self, x: &QTensor) -> Result<QTensor> {
-        let sp = &self.spec;
-        let shape = checked_nchw(x, sp.channels, sp.in_scale, "QDwConv2d")?;
-        let geom = conv_geometry(
-            "QDwConv2d",
-            shape,
-            sp.channels,
-            sp.kernel,
-            sp.stride,
-            sp.padding,
-        )?;
-        let (b, c) = (shape[0], shape[1]);
-        let mut out = vec![0i8; b * c * geom.out_h() * geom.out_w()];
-        self.forward_into(&x.data, shape, &mut out)?;
-        Ok(QTensor {
-            data: out,
-            shape: vec![b, c, geom.out_h(), geom.out_w()],
-            scale: sp.out_scale,
-        })
-    }
-
     /// Runs the quantized depthwise convolution on a batch-major
     /// `[b, c, h, w]` int8 input (`shape`), writing `[b, c, out_h, out_w]`
     /// into `out`: every plane is convolved, biased, requantized and
@@ -706,6 +614,21 @@ impl QDwConv2d {
     /// Rejects a shape or slice length that does not match the compiled
     /// layer.
     pub fn forward_into(&self, x: &[i8], shape: [usize; 4], out: &mut [i8]) -> Result<()> {
+        self.run(x, shape, self.spec.padding, out)
+    }
+
+    /// [`forward_into`](Self::forward_into) on an input that already
+    /// carries its zero padding, run at padding 0, as
+    /// [`QConv2d::forward_strip_into`].
+    ///
+    /// # Errors
+    ///
+    /// As [`forward_into`](Self::forward_into).
+    pub fn forward_strip_into(&self, x: &[i8], shape: [usize; 4], out: &mut [i8]) -> Result<()> {
+        self.run(x, shape, 0, out)
+    }
+
+    fn run(&self, x: &[i8], shape: [usize; 4], padding: usize, out: &mut [i8]) -> Result<()> {
         let sp = &self.spec;
         let geom = conv_geometry(
             "QDwConv2d",
@@ -713,7 +636,7 @@ impl QDwConv2d {
             sp.channels,
             sp.kernel,
             sp.stride,
-            sp.padding,
+            padding,
         )?;
         let [b, c, h, w] = shape;
         let out_img = c * geom.out_h() * geom.out_w();
@@ -806,40 +729,15 @@ impl QLinear {
         QLinear { spec, panels }
     }
 
-    /// The plain-data compiled form of this layer.
-    #[must_use]
-    pub fn spec(&self) -> &QLinearSpec {
-        &self.spec
-    }
-
-    /// Runs the quantized classifier on a `[batch, in_features]`
-    /// [`QTensor`], returning float logits `[batch, out_features]`.
-    ///
-    /// # Errors
-    ///
-    /// Rejects inputs whose shape or scale does not match the compiled
-    /// layer.
-    pub fn forward(&self, x: &QTensor) -> Result<Array> {
-        let sp = &self.spec;
-        if x.shape.len() != 2 || x.shape[1] != sp.in_features {
-            return Err(TensorError::InvalidArgument(format!(
-                "QLinear: expected [batch, {}], got {:?}",
-                sp.in_features, x.shape
-            )));
-        }
-        check_scale(x.scale, sp.in_scale, "QLinear")?;
-        self.logits(&x.data, x.shape[0])
-    }
-
     /// Runs the quantized classifier on a batch-major `[batch, in_features]`
-    /// int8 slice, returning float logits `[batch, out_features]`: the
-    /// network's one output allocation. The caller vouches for the
-    /// input's scale, as in [`QConv2d::forward_into`].
+    /// int8 slice, returning the `batch × out_features` float logits,
+    /// row-major: the network's one output allocation. The caller vouches
+    /// for the input's scale, as in [`QConv2d::forward_into`].
     ///
     /// # Errors
     ///
     /// Rejects a slice whose length is not `batch · in_features`.
-    pub fn logits(&self, x: &[i8], batch: usize) -> Result<Array> {
+    pub fn logits(&self, x: &[i8], batch: usize) -> Result<Vec<f32>> {
         let sp = &self.spec;
         if batch.checked_mul(sp.in_features) != Some(x.len()) {
             return Err(TensorError::InvalidArgument(format!(
@@ -876,7 +774,7 @@ impl QLinear {
                 *d = a as f32 * sp.in_scale * sw + bias;
             }
         }
-        Array::from_vec(out, &[batch, sp.out_features])
+        Ok(out)
     }
 }
 
@@ -941,11 +839,12 @@ impl QAddTables {
     /// The residual add in place on the first operand:
     /// `a[i] = clamp(term_a[a[i]] + term_b[b[i]], -127, 127)`.
     ///
-    /// # Panics
-    ///
-    /// Panics if the operands differ in length.
+    /// The operands have one length: both `edd-ir` executors are built
+    /// through one validation, whose `Graph::facts` rejects a `QAdd` whose
+    /// operand shapes differ ("add operand shapes differ"). Past the
+    /// shorter operand nothing is added.
     pub fn add_assign(&self, a: &mut [i8], b: &[i8]) {
-        assert_eq!(a.len(), b.len(), "QAddTables: operand lengths differ");
+        debug_assert_eq!(a.len(), b.len(), "QAddTables: operand lengths differ");
         for (x, &y) in a.iter_mut().zip(b) {
             let sum = self.term_a[usize::from(*x as u8)]
                 .saturating_add(self.term_b[usize::from(y as u8)]);
@@ -954,37 +853,13 @@ impl QAddTables {
     }
 }
 
-/// Validates an NCHW input against the compiled channel count and scale,
-/// returning `[b, c, h, w]`.
-fn checked_nchw(x: &QTensor, channels: usize, scale: f32, what: &str) -> Result<[usize; 4]> {
-    if x.shape.len() != 4 || x.shape[1] != channels {
-        return Err(TensorError::InvalidArgument(format!(
-            "{what}: expected [b, {channels}, h, w], got {:?}",
-            x.shape
-        )));
-    }
-    check_scale(x.scale, scale, what)?;
-    Ok([x.shape[0], x.shape[1], x.shape[2], x.shape[3]])
-}
-
-/// The compiled graph fixes every activation scale at calibration time; a
-/// mismatched input scale means the caller quantized with the wrong grid.
-fn check_scale(got: f32, want: f32, what: &str) -> Result<()> {
-    if (got - want).abs() > want.abs() * 1e-5 {
-        return Err(TensorError::InvalidArgument(format!(
-            "{what}: input scale {got} does not match compiled scale {want}"
-        )));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::conv::{Conv2d, DwConv2d};
     use crate::linear::Linear;
     use crate::module::{Module, QuantSpec, QuantizableModule};
-    use edd_tensor::Tensor;
+    use edd_tensor::{Array, Tensor};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -996,6 +871,26 @@ mod tests {
             .map(|_| f32::from(rng.gen_range(-127i8..=127)) * scale)
             .collect();
         Array::from_vec(v, shape).unwrap()
+    }
+
+    /// Runs one layer's `forward_into` (`run`) on `x` quantized at
+    /// `in_scale`, returning its `out_len` int8 outputs dequantized at
+    /// `out_scale`.
+    fn run_int8(
+        x: &Array,
+        in_scale: f32,
+        out_len: usize,
+        out_scale: f32,
+        run: impl FnOnce(&[i8], [usize; 4], &mut [i8]) -> Result<()>,
+    ) -> Vec<f32> {
+        let mut xq = vec![0i8; x.len()];
+        quantize_i8_into(&mut xq, x.data(), in_scale, ACT_QMAX);
+        let s = x.shape();
+        let mut y = vec![0i8; out_len];
+        run(&xq, [s[0], s[1], s[2], s[3]], &mut y).unwrap();
+        let mut out = vec![0.0f32; out_len];
+        qkernel::dequantize_into(&mut out, &y, out_scale);
+        out
     }
 
     /// Fake-quant spec equivalent to the engine's per-tensor symmetric
@@ -1043,9 +938,10 @@ mod tests {
             let out_range = qkernel::max_abs(oracle.value().data());
             let out_scale = qkernel::scale_for(out_range, 8);
             let q = per_tensor_qconv(&conv, bits, in_scale, out_scale);
-            let got = q.forward(&QTensor::quantize(&x, in_scale)).unwrap();
-            let got = got.dequantize();
-            for (g, o) in got.data().iter().zip(oracle.value().data()) {
+            let got = run_int8(&x, in_scale, oracle.value().len(), out_scale, |x, s, y| {
+                q.forward_into(x, s, y)
+            });
+            for (g, o) in got.iter().zip(oracle.value().data()) {
                 assert!(
                     (g - o).abs() <= out_scale * 0.51 + 1e-5,
                     "bits={bits}: got {g}, oracle {o}, step {out_scale}"
@@ -1122,12 +1018,11 @@ mod tests {
             out_scale,
             false,
         ));
-        let got = q
-            .forward(&QTensor::quantize(&x, in_scale))
-            .unwrap()
-            .dequantize();
+        let got = run_int8(&x, in_scale, float.value().len(), out_scale, |x, s, y| {
+            q.forward_into(x, s, y)
+        });
         // 8-bit weights + 8-bit activations: within a few output steps.
-        for (g, f) in got.data().iter().zip(float.value().data()) {
+        for (g, f) in got.iter().zip(float.value().data()) {
             assert!(
                 (g - f).abs() <= out_scale * 2.0 + 5e-3,
                 "got {g}, float {f}, step {out_scale}"
@@ -1158,11 +1053,10 @@ mod tests {
             out_scale,
             true,
         ));
-        let got = q
-            .forward(&QTensor::quantize(&x, in_scale))
-            .unwrap()
-            .dequantize();
-        for (g, f) in got.data().iter().zip(float.value().data()) {
+        let got = run_int8(&x, in_scale, float.value().len(), out_scale, |x, s, y| {
+            q.forward_into(x, s, y)
+        });
+        for (g, f) in got.iter().zip(float.value().data()) {
             assert!(
                 (g - f).abs() <= out_scale * 2.0 + 5e-3,
                 "got {g}, float {f}, step {out_scale}"
@@ -1185,10 +1079,61 @@ mod tests {
             8,
             in_scale,
         ));
-        let got = q.forward(&QTensor::quantize(&x, in_scale)).unwrap();
-        for (g, f) in got.data().iter().zip(float.value().data()) {
+        let mut xq = vec![0i8; x.len()];
+        quantize_i8_into(&mut xq, x.data(), in_scale, ACT_QMAX);
+        let got = q.logits(&xq, 3).unwrap();
+        for (g, f) in got.iter().zip(float.value().data()) {
             assert!((g - f).abs() <= 0.02, "got {g}, float {f}");
         }
+    }
+
+    #[test]
+    fn strip_fronts_match_the_padded_forward() {
+        // The strip fronts run at padding 0 on an input whose zero padding
+        // is written out; the result is the forward at the spec's padding.
+        let mut rng = StdRng::seed_from_u64(47);
+        let (c, h, w, k, p) = (3, 6, 5, 3, 1);
+        let (hp, wp) = (h + 2 * p, w + 2 * p);
+        let x: Vec<i8> = (0..c * h * w).map(|_| rng.gen_range(-127..=127)).collect();
+        let mut padded = vec![0i8; c * hp * wp];
+        for ch in 0..c {
+            for r in 0..h {
+                padded[(ch * hp + r + p) * wp + p..][..w]
+                    .copy_from_slice(&x[(ch * h + r) * w..][..w]);
+            }
+        }
+        let wts: Vec<f32> = (0..4 * c * k * k)
+            .map(|_| rng.gen_range(-0.5..0.5))
+            .collect();
+        let src = QConvSource {
+            stride: 2,
+            ..plain_source(&wts, 4, c, k)
+        };
+        let conv = QConv2d::from_spec(QConvSpec::quantize(&src, 8, 0.05, 0.05, false));
+        let (mut want, mut got) = (vec![0i8; 4 * 3 * 3], vec![1i8; 4 * 3 * 3]);
+        conv.forward_into(&x, [1, c, h, w], &mut want).unwrap();
+        conv.forward_strip_into(&padded, [1, c, hp, wp], &mut got)
+            .unwrap();
+        assert_eq!(got, want);
+        let dw = QDwConv2d::from_spec(QDwConvSpec::quantize(
+            &QDwConvSource {
+                w: &wts[..c * k * k],
+                channels: c,
+                kernel: k,
+                stride: 1,
+                padding: p,
+                bias: None,
+            },
+            8,
+            0.05,
+            0.05,
+            true,
+        ));
+        let (mut want, mut got) = (vec![0i8; c * h * w], vec![1i8; c * h * w]);
+        dw.forward_into(&x, [1, c, h, w], &mut want).unwrap();
+        dw.forward_strip_into(&padded, [1, c, hp, wp], &mut got)
+            .unwrap();
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -1239,23 +1184,5 @@ mod tests {
         q_global_avg_pool_into(&x, 4, &mut y).unwrap();
         assert_eq!(y, [25, -25]);
         assert!(q_global_avg_pool_into(&x, 3, &mut y).is_err());
-    }
-
-    #[test]
-    fn scale_mismatch_is_rejected() {
-        let w = vec![0.1f32; 2 * 2 * 9];
-        let q = QConv2d::from_spec(QConvSpec::quantize(
-            &plain_source(&w, 2, 2, 3),
-            8,
-            0.02,
-            0.02,
-            false,
-        ));
-        let x = QTensor {
-            data: vec![0; 2 * 4 * 4],
-            shape: vec![1, 2, 4, 4],
-            scale: 0.5,
-        };
-        assert!(q.forward(&x).is_err());
     }
 }

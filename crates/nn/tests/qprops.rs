@@ -4,8 +4,8 @@
 //! one requantization rounding step of the fake-quant f32 oracle evaluated
 //! on the same quantization grids.
 
-use edd_nn::{Conv2d, QConv2d, QConvSource, QConvSpec, QTensor};
-use edd_tensor::qkernel::{max_abs, qmax, scale_for};
+use edd_nn::{Conv2d, QConv2d, QConvSource, QConvSpec, ACT_QMAX};
+use edd_tensor::qkernel::{dequantize_into, max_abs, qmax, quantize_i8_into, scale_for};
 use edd_tensor::{Array, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -19,6 +19,20 @@ fn on_grid_input(shape: &[usize], scale: f32, rng: &mut StdRng) -> Array {
         .map(|_| f32::from(rng.gen_range(-127i8..=127)) * scale)
         .collect();
     Array::from_vec(v, shape).unwrap()
+}
+
+/// `x` quantized onto the int8 activation grid of `scale`.
+fn quantize(x: &Array, scale: f32) -> Vec<i8> {
+    let mut q = vec![0i8; x.len()];
+    quantize_i8_into(&mut q, x.data(), scale, ACT_QMAX);
+    q
+}
+
+/// Int8 values dequantized at `scale`.
+fn dequantize(q: &[i8], scale: f32) -> Vec<f32> {
+    let mut out = vec![0.0f32; q.len()];
+    dequantize_into(&mut out, q, scale);
+    out
 }
 
 /// Per-output-channel fake quantization of conv weights on exactly the
@@ -59,9 +73,10 @@ proptest! {
 
         // Oracle: f32 convolution of the engine's own dequantized input
         // with per-channel fake-quantized weights and the exact bias.
-        let xq = QTensor::quantize(&x, in_scale);
+        let xq = quantize(&x, in_scale);
         let (w_hat, s_max) = fake_quant_per_channel(&conv.weight().value(), bits);
-        let oracle = Tensor::constant(xq.dequantize())
+        let x_hat = Array::from_vec(dequantize(&xq, in_scale), x.shape()).unwrap();
+        let oracle = Tensor::constant(x_hat)
             .conv2d(&Tensor::constant(w_hat), conv.bias(), 1, k / 2)
             .unwrap();
         let oracle = oracle.value_clone();
@@ -84,12 +99,14 @@ proptest! {
             out_scale,
             false,
         );
-        let got = QConv2d::from_spec(spec).forward(&xq).unwrap().dequantize();
+        let mut y = vec![0i8; oracle.len()];
+        QConv2d::from_spec(spec).forward_into(&xq, [2, cin, 7, 7], &mut y).unwrap();
+        let got = dequantize(&y, out_scale);
 
         // One output rounding step, plus the bias-quantization error
         // (≤ half an accumulator step, s_in·s_w/2) and fixed-point slack.
         let bound = out_scale * 0.51 + 0.5 * in_scale * s_max + 1e-4;
-        for (g, o) in got.data().iter().zip(oracle.data()) {
+        for (g, o) in got.iter().zip(oracle.data()) {
             prop_assert!(
                 (g - o).abs() <= bound,
                 "bits={}: got {}, oracle {}, step {}", bits, g, o, out_scale
@@ -108,7 +125,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let conv = Conv2d::new(cin, cout, 3, stride, 1, false, &mut rng);
         let (in_scale, out_scale) = (0.03f32, 0.04f32);
-        let q = QConv2d::from_spec(QConvSpec::quantize(
+        let spec = QConvSpec::quantize(
             &QConvSource {
                 w: conv.weight().value().data(),
                 out_channels: cout,
@@ -122,14 +139,19 @@ proptest! {
             in_scale,
             out_scale,
             true,
-        ));
+        );
+        // The output is on the spec's grid.
+        prop_assert_eq!(spec.out_scale, out_scale);
+        let q = QConv2d::from_spec(spec);
         let x = on_grid_input(&[1, cin, 9, 9], in_scale, &mut rng);
-        let y = q.forward(&QTensor::quantize(&x, in_scale)).unwrap();
         let expect = (9 + 2 - 3) / stride + 1;
-        prop_assert_eq!(y.shape, vec![1, cout, expect, expect]);
-        prop_assert_eq!(y.scale, out_scale);
+        // `forward_into` takes exactly `[1, cout, expect, expect]` outputs.
+        let mut y = vec![0i8; cout * expect * expect];
+        q.forward_into(&quantize(&x, in_scale), [1, cin, 9, 9], &mut y).unwrap();
+        let mut longer = vec![0i8; y.len() + 1];
+        prop_assert!(q.forward_into(&quantize(&x, in_scale), [1, cin, 9, 9], &mut longer).is_err());
         // Fused ReLU6 clamp holds in the integer domain.
-        for &v in &y.data {
+        for &v in &y {
             prop_assert!(v >= 0, "negative activation {} after fused relu6", v);
         }
     }

@@ -137,30 +137,6 @@ impl Array {
         })
     }
 
-    /// Creates an array holding a copy of `data`, in a buffer taken from
-    /// the recycling pool.
-    ///
-    /// This is how borrowed request data (an image batch handed to an
-    /// engine) should enter an `Array`: the array's `Drop` parks its
-    /// buffer in the pool, so the buffer must have come from there too.
-    /// Wrapping a freshly allocated vector with [`from_vec`] instead parks
-    /// one buffer per call that the pool never handed out, so a caller
-    /// that does this per request grows the pool by one buffer per request
-    /// until the per-thread cap.
-    ///
-    /// [`from_vec`]: Self::from_vec
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidShape`] if `data.len()` does not equal
-    /// the number of elements implied by `shape`.
-    pub fn from_slice(data: &[f32], shape: &[usize]) -> Result<Self> {
-        check_volume(data.len(), shape)?;
-        let mut array = Self::uninit(shape);
-        array.data.copy_from_slice(data);
-        Ok(array)
-    }
-
     /// Creates an array with entries drawn from `N(0, std^2)` using `rng`.
     #[must_use]
     pub fn randn<R: Rng + ?Sized>(shape: &[usize], std: f32, rng: &mut R) -> Self {

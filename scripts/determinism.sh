@@ -52,6 +52,12 @@ cargo test --locked -q -p edd-core --test checkpoint_resume
 # carried state must stay bounded by the window geometry regardless of
 # stream length.
 cargo test --locked -q -p edd-zoo --test pulse_determinism
+# Pulse delay leg: random conv/dwconv stacks (kernels 1-5, stride 1 and 2,
+# zero or same padding) must emit their first row at the computed delay
+# and match the batch layers bit for bit. It is the only pulsed-vs-batch
+# check over stride-2 convs and over k > 1 convs at zero padding; the zoo
+# is all stride 1.
+cargo test --locked -q -p edd-ir --test pulse_delay
 # Golden leg: the tiny zoo's logits and one pulsed stream's windows must
 # hash to the values pinned in the test on every leg of the matrix.
 cargo test --locked -q -p edd-zoo --test golden_outputs
@@ -60,6 +66,11 @@ cargo test --locked -q -p edd-zoo --test golden_outputs
 # counts the test derives from the SIMD dispatch, so a fall back to the
 # scalar pack fails an exact check.
 cargo test --locked -q -p edd-zoo --test pack_bytes
+# Allocation pin: a warm forward and a warm infer_batch allocate only their
+# logits, the arena stops growing, and 32 warm pulsed pushes allocate the
+# pinned bytes and calls. The pins count the calling thread only and must
+# hold at every thread count and SIMD mode.
+cargo test --locked -q -p edd-zoo --test forward_allocations
 # Float-stack golden leg: a one-target search's result bytes and eval-mode
 # logits must hash to the pinned values (the 3-target sweep's pin runs in
 # the sweep leg above).
