@@ -11,16 +11,16 @@
 //! Run: `cargo run --release -p edd-bench --bin exp_accuracy [--quick]`
 
 use edd_bench::print_header;
-use edd_core::{CoSearch, CoSearchConfig, DeviceTarget, SearchSpace};
+use edd_core::{CoSearch, CoSearchConfig, DeviceTarget, QatModel, SearchSpace};
 use edd_data::{SynthConfig, SynthDataset};
 use edd_hw::{eval_recursive, tune_recursive, FpgaDevice, NetworkShape};
-use edd_nn::{evaluate, train_epoch, Batch, Module, Sequential};
+use edd_nn::{evaluate, train_epoch, Batch, Module};
 use edd_tensor::optim::{cosine_lr, Optimizer, Sgd};
 use edd_zoo::tiny_mobilenet_v2;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn train(model: &Sequential, train: &[Batch], test: &[Batch], epochs: usize) -> f32 {
+fn train(model: &QatModel, train: &[Batch], test: &[Batch], epochs: usize) -> f32 {
     let mut opt = Sgd::new(model.parameters(), 0.05, 0.9, 1e-4);
     for e in 0..epochs {
         opt.set_lr(cosine_lr(0.05, 0.003, e, epochs));

@@ -5,66 +5,51 @@
 //! The latency column is the GPU roofline model of EDD-Net-1 on the GTX
 //! 1080 Ti descriptor. The accuracy column pairs the paper's published
 //! ImageNet errors with a *measured* SynthImageNet proxy: a small
-//! EDD-style network is trained at each weight precision
-//! (straight-through fake quantization) and its test error is reported —
-//! checking the paper's shape claim that 16-bit matches 32-bit while 8-bit
-//! loses accuracy.
+//! EDD-style network is trained once at full precision, and its test error
+//! is reported with its weights snapped to each precision's grid
+//! (post-training quantization) — checking the paper's shape claim that
+//! 16-bit matches 32-bit while 8-bit loses accuracy.
 //!
 //! Run: `cargo run -p edd-bench --bin table2 [--quick]`
 
 use edd_bench::print_header;
-use edd_core::{DerivedArch, DeviceTarget, SearchSpace};
+use edd_core::{ArchParams, DerivedArch, DeviceTarget, QatModel, SearchSpace};
 use edd_data::{SynthConfig, SynthDataset};
 use edd_hw::gpu::GpuPrecision;
 use edd_hw::{eval_gpu, GpuDevice};
-use edd_nn::{evaluate, Batch, Module, QuantSpec};
-use edd_tensor::optim::{Optimizer, Sgd};
-use edd_tensor::Tensor;
+use edd_nn::{evaluate, train_epoch, Batch, Module, QuantSpec};
+use edd_tensor::optim::Sgd;
 use edd_zoo::{edd_net_1, TABLE_2};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Trains a tiny EDD-style net with fake-quantized weights at `bits` and
-/// returns its test error (%).
-fn quantized_proxy_error(bits: u32, train: &[Batch], test: &[Batch], epochs: usize) -> f32 {
+/// Trains a tiny EDD-style net at full precision. Precision enters only
+/// when [`proxy_error`] evaluates it, so one trained net serves every
+/// precision — the TensorRT flow Table 2 describes ("after re-training and
+/// fine-tuning using TensorRT under different data precisions").
+fn train_proxy(train: &[Batch], epochs: usize) -> QatModel {
     let mut rng = StdRng::seed_from_u64(2024);
-    let space = SearchSpace::tiny(3, 16, 16, vec![bits]);
+    let space = SearchSpace::tiny(3, 16, 16, vec![32]);
     let target = DeviceTarget::Gpu(GpuDevice::gtx_1080_ti());
-    // A fixed mid-menu architecture (k=3, e=4 everywhere) trained per
-    // precision so only the quantization differs.
-    let arch = {
-        use edd_core::ArchParams;
-        let params = ArchParams::init(&space, &target, &mut rng);
-        DerivedArch::from_params(&space, &target, &params)
-    };
-    let model = arch.build_model(&mut rng);
+    // A fixed architecture: the argmax of freshly initialized search
+    // variables.
+    let params = ArchParams::init(&space, &target, &mut rng);
+    let model = DerivedArch::from_params(&space, &target, &params).build_model(&mut rng);
     let mut opt = Sgd::new(model.parameters(), 0.05, 0.9, 1e-4);
-    let spec = (bits < 32).then(|| QuantSpec::bits(bits));
-    // Train at full precision, then quantize post-training — the TensorRT
-    // flow Table 2 describes ("after re-training and fine-tuning using
-    // TensorRT under different data precisions").
     for _ in 0..epochs {
-        model.set_training(true);
-        for batch in train {
-            opt.zero_grad();
-            let x = Tensor::constant(batch.images.clone());
-            let logits = model.forward(&x).expect("shapes");
-            let loss = logits.cross_entropy(&batch.labels).expect("shapes");
-            loss.backward();
-            opt.step();
-        }
+        train_epoch(&model, &mut opt, train).expect("shapes");
     }
-    let stats = evaluate_quantized(&model, test, spec);
-    (1.0 - stats) * 100.0
+    model
 }
 
-/// Evaluates with weights snapped to the quantization grid (post-training
-/// quantization, mirroring TensorRT calibration).
-fn evaluate_quantized(model: &edd_nn::Sequential, test: &[Batch], spec: Option<QuantSpec>) -> f32 {
-    // Snap a copy of every parameter to the grid, evaluate, then restore.
+/// Test error (%) with the weights snapped to the `bits` grid (post-training
+/// quantization, mirroring TensorRT calibration; 32 bits is the float net).
+fn proxy_error(model: &QatModel, test: &[Batch], bits: u32) -> f32 {
+    // Snap every parameter to the grid, evaluate, then restore.
     let params = model.parameters();
     let originals: Vec<_> = params.iter().map(edd_tensor::Tensor::value_clone).collect();
-    if let Some(q) = spec {
+    if bits < 32 {
+        let q = QuantSpec::bits(bits);
         for p in &params {
             let range = edd_nn::resolve_range(p, q);
             let levels = (1u64 << (q.bits.clamp(1, 31) - 1)) as f32;
@@ -72,12 +57,11 @@ fn evaluate_quantized(model: &edd_nn::Sequential, test: &[Batch], spec: Option<Q
             p.update_value(|a| a.map_inplace(|v| (v.clamp(-range, range) / step).round() * step));
         }
     }
-    model.set_training(false);
-    let stats = evaluate(model, test).expect("shapes");
+    let top1 = evaluate(model, test).expect("shapes").top1;
     for (p, orig) in params.iter().zip(originals) {
         p.set_value(orig);
     }
-    stats.top1
+    (1.0 - top1) * 100.0
 }
 
 fn main() {
@@ -106,10 +90,11 @@ fn main() {
     let (batches, epochs) = if quick { (4, 2) } else { (12, 8) };
     let train = data.split(batches, 16, 1);
     let test = data.split(6, 16, 2);
-    let mut proxy_err = Vec::new();
-    for entry in &TABLE_2 {
-        proxy_err.push(quantized_proxy_error(entry.bits, &train, &test, epochs));
-    }
+    let model = train_proxy(&train, epochs);
+    let proxy_err: Vec<f32> = TABLE_2
+        .iter()
+        .map(|entry| proxy_error(&model, &test, entry.bits))
+        .collect();
 
     println!(
         "{:<18} {:>10} {:>10} {:>12} {:>12}",
@@ -129,7 +114,7 @@ fn main() {
     print_header("Extended precision sweep (beyond Table 2's TensorRT floor)");
     let mut sweep_err = Vec::new();
     for bits in [6u32, 4, 3, 2] {
-        let e = quantized_proxy_error(bits, &train, &test, epochs);
+        let e = proxy_error(&model, &test, bits);
         println!("  {bits:>2}-bit weights: proxy test error {e:.1}%");
         sweep_err.push(e);
     }

@@ -2,12 +2,17 @@
 //! (paper §5: keep the branches with the largest architecture weights).
 
 use crate::arch_params::ArchParams;
+use crate::qat::QatModel;
 use crate::space::SearchSpace;
 use crate::target::DeviceTarget;
 use edd_hw::shapes::{LayerKind, LayerShape, NetworkShape, OpShape};
-use edd_nn::{Activation, Conv2d, Flatten, GlobalAvgPool, Linear, MbConv, Sequential};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+
+/// The most `f32` values the parameters of a network built from a derived
+/// architecture may hold in total (so also any one weight tensor), and the
+/// most one of its input images may hold. DESIGN §7 says why 2^26.
+const MAX_ELEMENTS: usize = 1 << 26;
 
 /// The choice made for one block of the derived network.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -146,39 +151,13 @@ impl DerivedArch {
         }
     }
 
-    /// Builds a trainable model of this architecture (for the paper's
-    /// train-from-scratch final stage).
+    /// Builds the network of this architecture with fresh weights and every
+    /// block at full precision, for the paper's train-from-scratch final
+    /// stage. [`QatModel::new`] builds the same network from the same draws
+    /// with each block under its searched precision.
     #[must_use]
-    pub fn build_model<R: Rng + ?Sized>(&self, rng: &mut R) -> Sequential {
-        let s = &self.space;
-        let mut net = Sequential::new()
-            .push(Conv2d::same(
-                s.input_channels,
-                s.stem_channels,
-                3,
-                s.stem_stride,
-                rng,
-            ))
-            .push(edd_nn::BatchNorm2d::new(s.stem_channels))
-            .push(Activation::Relu6);
-        for (i, b) in self.blocks.iter().enumerate() {
-            let cin = s.block_in_channels(i);
-            net = net.push(MbConv::new(
-                cin,
-                b.out_channels,
-                b.kernel,
-                b.expansion,
-                b.stride,
-                rng,
-            ));
-        }
-        let last_c = s.blocks.last().map_or(s.stem_channels, |b| b.out_channels);
-        net.push(Conv2d::new(last_c, s.head_channels, 1, 1, 0, false, rng))
-            .push(edd_nn::BatchNorm2d::new(s.head_channels))
-            .push(Activation::Relu6)
-            .push(GlobalAvgPool)
-            .push(Flatten)
-            .push(Linear::new(s.head_channels, s.num_classes, rng))
+    pub fn build_model<R: Rng + ?Sized>(&self, rng: &mut R) -> QatModel {
+        QatModel::build(self, false, rng)
     }
 
     /// One-line-per-block description in the style of paper Fig. 4
@@ -218,8 +197,10 @@ impl DerivedArch {
     /// Returns a `serde_json` error for malformed input, or for an
     /// architecture its space cannot describe: a block count other than the
     /// plan's, a block choice off the space's menus or plan, a zero size or
-    /// menu entry, an even kernel on the menu, or a quantization menu entry
-    /// below 2 bits (the narrowest symmetric grid with a nonzero level).
+    /// menu entry, an even kernel on the menu, a quantization menu entry
+    /// below 2 bits (the narrowest symmetric grid with a nonzero level), or
+    /// a network whose parameters, or one of whose input images, would hold
+    /// more than 2^26 values.
     pub fn from_json(s: &str) -> serde_json::Result<DerivedArch> {
         let arch: DerivedArch = serde_json::from_str(s)?;
         arch.check().map_err(serde::DeError::custom)?;
@@ -290,7 +271,66 @@ impl DerivedArch {
                 ));
             }
         }
+        // Sizes multiply unchecked in the shape and allocation code, so
+        // bound them here, before anything is built.
+        let elements = |dims: &[usize]| dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+        let image = [s.input_channels, s.image_size, s.image_size];
+        if elements(&image).is_none_or(|n| n > MAX_ELEMENTS) {
+            return Err(format!(
+                "space.image_size and space.input_channels: one input image would hold more \
+                 than {MAX_ELEMENTS} values"
+            ));
+        }
+        let mut total = 0usize;
+        for (field, dims) in self.parameter_shapes() {
+            total = elements(&dims)
+                .and_then(|n| total.checked_add(n))
+                .filter(|&t| t <= MAX_ELEMENTS)
+                .ok_or_else(|| {
+                    format!("{field}: the network would hold more than {MAX_ELEMENTS} parameters")
+                })?;
+        }
         Ok(())
+    }
+
+    /// The shape of every parameter tensor of the network that
+    /// [`build_model`](Self::build_model) builds, with the fields that size
+    /// it; each batch norm's γ and β are one `[2, c]` entry.
+    fn parameter_shapes(&self) -> Vec<(String, Vec<usize>)> {
+        let s = &self.space;
+        let mut shapes = vec![
+            (
+                "space.stem_channels × space.input_channels".to_string(),
+                vec![s.stem_channels, s.input_channels, 3, 3],
+            ),
+            ("space.stem_channels".into(), vec![2, s.stem_channels]),
+        ];
+        for (i, b) in self.blocks.iter().enumerate() {
+            let cin = s.block_in_channels(i);
+            let field = |name: &str| format!("blocks[{i}].{name}");
+            if b.expansion > 1 {
+                shapes.push((field("expansion"), vec![cin, b.expansion, cin]));
+                shapes.push((field("expansion"), vec![2, cin, b.expansion]));
+            }
+            shapes.push((field("kernel"), vec![cin, b.expansion, b.kernel, b.kernel]));
+            shapes.push((field("expansion"), vec![2, cin, b.expansion]));
+            shapes.push((
+                field("out_channels"),
+                vec![b.out_channels, cin, b.expansion],
+            ));
+            shapes.push((field("out_channels"), vec![2, b.out_channels]));
+        }
+        let last_c = s.blocks.last().map_or(s.stem_channels, |b| b.out_channels);
+        shapes.extend([
+            ("space.head_channels".into(), vec![s.head_channels, last_c]),
+            ("space.head_channels".into(), vec![2, s.head_channels]),
+            (
+                "space.num_classes".into(),
+                vec![s.head_channels, s.num_classes],
+            ),
+            ("space.num_classes".into(), vec![s.num_classes]),
+        ]);
+        shapes
     }
 }
 
@@ -396,5 +436,80 @@ mod tests {
             let err = DerivedArch::from_json(&arch.to_json().unwrap()).expect_err(want);
             assert!(err.to_string().contains(want), "want `{want}` in: {err}");
         }
+    }
+
+    /// Sizes multiply unchecked in the shape and allocation code, where
+    /// 2^40 would abort on a failed allocation or wrap; each such size is
+    /// rejected, naming its field, before anything is built.
+    #[test]
+    fn from_json_rejects_sizes_past_the_cap() {
+        const HUGE: usize = 1 << 40;
+        type Edit = fn(&mut DerivedArch);
+        let cases: [(&str, Edit); 8] = [
+            ("space.head_channels", |a| a.space.head_channels = HUGE),
+            ("space.num_classes", |a| a.space.num_classes = HUGE),
+            ("space.stem_channels", |a| a.space.stem_channels = HUGE),
+            ("space.input_channels", |a| a.space.input_channels = HUGE),
+            ("space.image_size", |a| a.space.image_size = HUGE),
+            ("blocks[1].expansion", |a| {
+                a.space.expansion_choices.push(HUGE);
+                a.blocks[1].expansion = HUGE;
+            }),
+            ("blocks[2].kernel", |a| {
+                a.space.kernel_choices.push(HUGE + 1);
+                a.blocks[2].kernel = HUGE + 1;
+            }),
+            ("blocks[0].out_channels", |a| {
+                a.space.blocks[0].out_channels = HUGE;
+                a.blocks[0].out_channels = HUGE;
+            }),
+        ];
+        for (want, mutate) in cases {
+            let mut arch = derived();
+            mutate(&mut arch);
+            let err = DerivedArch::from_json(&arch.to_json().unwrap()).expect_err(want);
+            assert!(err.to_string().contains(want), "want `{want}` in: {err}");
+        }
+    }
+
+    /// The widest network the paper's ImageNet space can derive (k7, e6 in
+    /// every block) stays well under the cap.
+    #[test]
+    fn paper_scale_archs_fit_under_the_cap() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let space = SearchSpace::paper_imagenet(vec![4, 8, 16]);
+        let target = DeviceTarget::FpgaRecursive(FpgaDevice::zcu102());
+        let params = ArchParams::init(&space, &target, &mut rng);
+        let mut arch = DerivedArch::from_params(&space, &target, &params);
+        assert_eq!(
+            DerivedArch::from_json(&arch.to_json().unwrap()).unwrap(),
+            arch
+        );
+        for b in &mut arch.blocks {
+            (b.kernel, b.expansion) = (7, 6);
+        }
+        let total: usize = arch
+            .parameter_shapes()
+            .iter()
+            .map(|(_, dims)| dims.iter().product::<usize>())
+            .sum();
+        assert!(total < MAX_ELEMENTS / 8, "{total} parameters");
+        assert_eq!(
+            DerivedArch::from_json(&arch.to_json().unwrap()).unwrap(),
+            arch
+        );
+    }
+
+    /// The cap counts exactly the parameters the built network holds.
+    #[test]
+    fn parameter_shapes_count_every_parameter() {
+        let d = derived();
+        let counted: usize = d
+            .parameter_shapes()
+            .iter()
+            .map(|(_, dims)| dims.iter().product::<usize>())
+            .sum();
+        let model = d.build_model(&mut StdRng::seed_from_u64(12));
+        assert_eq!(counted, model.num_parameters());
     }
 }

@@ -1,21 +1,25 @@
-//! Quantization-aware final training of a derived architecture.
+//! The float network of a derived architecture, with quantization-aware
+//! final training.
 //!
 //! The paper's §5 final step trains the searched DNN from scratch with its
 //! searched implementation — including the per-block weight bit-widths the
-//! co-search chose. [`QatModel`] builds the derived network with each
+//! co-search chose. [`QatModel::new`] builds the derived network with each
 //! block's convolutions running through the straight-through fake
 //! quantizer at its searched precision, so the trained weights adapt to
-//! their quantization grids (true QAT, versus the post-training
-//! quantization a plain [`DerivedArch::build_model`] would need).
+//! their quantization grids (true QAT). [`DerivedArch::build_model`] builds
+//! the same network, from the same random draws, with no block quantized:
+//! the full-precision training that post-training quantization starts from.
 
 use crate::derive::DerivedArch;
 use edd_nn::{BatchNorm2d, Conv2d, Linear, MbConv, Module, QuantSpec, QuantizableModule};
 use edd_tensor::{Result, Tensor};
 use rand::Rng;
 
-/// A derived network whose blocks train under their searched per-block
+/// A derived network: stem, MBConv blocks, head and classifier. Built by
+/// [`QatModel::new`], its blocks train under their searched per-block
 /// weight precisions (stem, head and classifier stay full precision, as is
-/// standard for first/last layers).
+/// standard for first/last layers); built by [`DerivedArch::build_model`],
+/// every block runs full precision.
 pub struct QatModel {
     stem: Conv2d,
     stem_bn: BatchNorm2d,
@@ -38,6 +42,13 @@ impl QatModel {
     /// searched precision is 32-bit (or wider) run full precision.
     #[must_use]
     pub fn new<R: Rng + ?Sized>(arch: &DerivedArch, rng: &mut R) -> Self {
+        Self::build(arch, true, rng)
+    }
+
+    /// The network of `arch` with fresh weights, drawn in the same order
+    /// whether or not `quantize` is set; without it no block carries a
+    /// [`QuantSpec`] ([`DerivedArch::build_model`]).
+    pub(crate) fn build<R: Rng + ?Sized>(arch: &DerivedArch, quantize: bool, rng: &mut R) -> Self {
         let s = &arch.space;
         let stem = Conv2d::same(s.input_channels, s.stem_channels, 3, s.stem_stride, rng);
         let stem_bn = BatchNorm2d::new(s.stem_channels);
@@ -45,7 +56,7 @@ impl QatModel {
         for (i, b) in arch.blocks.iter().enumerate() {
             let cin = s.block_in_channels(i);
             let mb = MbConv::new(cin, b.out_channels, b.kernel, b.expansion, b.stride, rng);
-            let spec = (b.quant_bits < 32).then(|| QuantSpec::bits(b.quant_bits));
+            let spec = (quantize && b.quant_bits < 32).then(|| QuantSpec::bits(b.quant_bits));
             blocks.push((mb, spec));
         }
         let last_c = s.blocks.last().map_or(s.stem_channels, |b| b.out_channels);
@@ -164,6 +175,19 @@ mod tests {
         let x = Tensor::constant(Array::randn(&[2, 3, 16, 16], 1.0, &mut rng));
         let y = model.forward(&x).unwrap();
         assert_eq!(y.shape(), vec![2, 4]);
+    }
+
+    #[test]
+    fn build_model_is_the_same_network_with_no_block_quantized() {
+        let arch = derived();
+        let qat = QatModel::new(&arch, &mut StdRng::seed_from_u64(35));
+        let float = arch.build_model(&mut StdRng::seed_from_u64(35));
+        assert!(qat.blocks().iter().any(|(_, spec)| spec.is_some()));
+        assert!(float.blocks().iter().all(|(_, spec)| spec.is_none()));
+        assert_eq!(qat.num_parameters(), float.num_parameters());
+        for (a, b) in qat.parameters().iter().zip(float.parameters()) {
+            assert_eq!(a.value().data(), b.value().data());
+        }
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //! The sweep's pin (frozen-statistics arch steps, so eval-mode batch norm
 //! forward and backward) lives in `sweep_determinism.rs`.
 
-use edd_core::{CoSearch, CoSearchConfig, DeviceTarget, SearchSpace};
+use edd_core::{ArchParams, CoSearch, CoSearchConfig, DerivedArch, DeviceTarget, SearchSpace};
 use edd_data::{SynthConfig, SynthDataset};
 use edd_hw::FpgaDevice;
+use edd_nn::{evaluate, train_epoch, Module};
+use edd_tensor::optim::Sgd;
 use edd_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -69,5 +71,56 @@ fn cosearch_matches_pinned_hashes() {
         (fnv1a(result.bytes()), fnv1a(logit_bytes)),
         (WANT_RESULT, WANT_LOGITS),
         "CoSearch result bytes or eval-mode logits drifted from the pinned hashes"
+    );
+}
+
+/// The paper's final step (§5): the derived network trained from scratch.
+/// `build_model` of a seeded four-block tiny-space architecture (its
+/// fourth block has stride 2) trains three epochs with SGD; every
+/// parameter's bits, the eval-mode logits of one validation batch (which
+/// read the batch norms' running statistics) and the eval loss are pinned.
+/// It uses only `Module`, `train_epoch` and `evaluate`, so it pins the
+/// training bits whatever type `build_model` returns.
+#[test]
+fn final_training_matches_pinned_hashes() {
+    const WANT: (u64, u64, u32) = (
+        7_533_566_349_637_577_293,
+        10_684_356_413_818_370_215,
+        1_065_680_926,
+    );
+
+    let mut rng = StdRng::seed_from_u64(2027);
+    let space = SearchSpace::tiny(4, 16, 4, vec![4, 8, 16]);
+    let target = DeviceTarget::FpgaRecursive(FpgaDevice::zcu102());
+    let params = ArchParams::init(&space, &target, &mut rng);
+    let arch = DerivedArch::from_params(&space, &target, &params);
+    let model = arch.build_model(&mut rng);
+    let data = SynthDataset::new(SynthConfig::tiny());
+    let train = data.split(2, 8, 1);
+    let val = data.split(1, 8, 2);
+    let mut opt = Sgd::new(model.parameters(), 0.05, 0.9, 1e-4);
+    for _ in 0..3 {
+        train_epoch(&model, &mut opt, &train).expect("training");
+    }
+    let eval = evaluate(&model, &val).expect("evaluation");
+    let logits = model
+        .forward(&Tensor::constant(val[0].images.clone()))
+        .expect("eval-mode forward");
+
+    let bits =
+        |v: &[f32]| -> Vec<u8> { v.iter().flat_map(|x| x.to_bits().to_le_bytes()).collect() };
+    let param_bytes: Vec<u8> = model
+        .parameters()
+        .iter()
+        .flat_map(|p| bits(p.value().data()))
+        .collect();
+    assert_eq!(
+        (
+            fnv1a(param_bytes),
+            fnv1a(bits(logits.value().data())),
+            eval.loss.to_bits()
+        ),
+        WANT,
+        "final training's weights, eval-mode logits or eval loss drifted from the pins"
     );
 }

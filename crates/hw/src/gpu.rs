@@ -205,48 +205,6 @@ pub fn eval_gpu(net: &NetworkShape, precision: GpuPrecision, device: &GpuDevice)
     }
 }
 
-/// A per-`(op, q)` latency lookup table — the object the differentiable
-/// search actually consumes, standing in for the paper's normalized
-/// measured values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GpuLatencyLut {
-    /// `lut[i][j]` = latency (ms) of op `i` at precision `j` (index into
-    /// [`GpuPrecision::all`]).
-    pub lut: Vec<[f64; 3]>,
-}
-
-impl GpuLatencyLut {
-    /// Builds the table for `ops` on `device`.
-    #[must_use]
-    pub fn build(ops: &[OpShape], device: &GpuDevice) -> Self {
-        let lut = ops
-            .iter()
-            .map(|op| {
-                let mut row = [0.0; 3];
-                for (j, p) in GpuPrecision::all().iter().enumerate() {
-                    row[j] = op_latency_ms(op, *p, device);
-                }
-                row
-            })
-            .collect();
-        GpuLatencyLut { lut }
-    }
-
-    /// Latency of op `i` at `precision`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub fn latency(&self, i: usize, precision: GpuPrecision) -> f64 {
-        let j = GpuPrecision::all()
-            .iter()
-            .position(|p| *p == precision)
-            .expect("all precisions enumerated");
-        self.lut[i][j]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,18 +277,6 @@ mod tests {
         let ratio =
             p.layer_overhead_ms(GpuPrecision::Fp16) / p.layer_overhead_ms(GpuPrecision::Fp32);
         assert!((ratio - 0.75).abs() < 1e-9);
-    }
-
-    #[test]
-    fn lut_matches_direct_model() {
-        let d = GpuDevice::gtx_1080_ti();
-        let ops = vec![big_op(), OpShape::mbconv(32, 32, 3, 4, 28, 28, 1)];
-        let lut = GpuLatencyLut::build(&ops, &d);
-        for (i, op) in ops.iter().enumerate() {
-            for p in GpuPrecision::all() {
-                assert_eq!(lut.latency(i, p), op_latency_ms(op, p, &d));
-            }
-        }
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!   (DNNBuilder-style, per-stage IPs) accelerator models with ZCU102 and
 //!   ZC706 device descriptors, plus post-search implementation tuning;
 //! * [`gpu`] — a roofline latency model with Titan RTX / GTX 1080 Ti / P100
-//!   descriptors and the per-`(op, q)` latency LUT the search consumes.
+//!   descriptors, which the search tabulates per `(op, q)` (`edd-core`'s
+//!   `PerfTables`).
 //!
 //! All models are pure math (no autodiff): the differentiable mirror lives
 //! in `edd-core`, which pulls coefficients from here.
@@ -32,6 +33,6 @@ pub use fpga::{
     RecursiveImpl,
 };
 pub use gpu::energy::{network_energy_mj, op_energy_mj as gpu_op_energy_mj, GpuPower};
-pub use gpu::{eval_gpu, GpuDevice, GpuLatencyLut, GpuPrecision, GpuReport};
+pub use gpu::{eval_gpu, GpuDevice, GpuPrecision, GpuReport};
 pub use metrics::HwPoint;
 pub use shapes::{LayerKind, LayerShape, NetworkShape, OpShape};

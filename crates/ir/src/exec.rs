@@ -222,8 +222,10 @@ impl CompiledModel {
 
     /// Runs the model on an NCHW float batch, returning
     /// `[batch, num_classes]` logits: every int8 value is computed into
-    /// its planned region of one arena buffer, and the logits are the only
-    /// allocation.
+    /// its planned region of one arena buffer, and the logits `Array` is
+    /// the only allocation. It comes from the thread's buffer pool like any
+    /// `Array`, so repeated calls reuse one buffer once the logits reach the
+    /// pool's smallest length.
     ///
     /// # Errors
     ///
@@ -239,12 +241,15 @@ impl CompiledModel {
             )));
         }
         let batch = shape[0];
-        Array::from_vec(self.run(x.data(), batch)?, &[batch, self.num_classes])
+        let mut logits = Array::zeros(&[batch, self.num_classes]);
+        self.run(x.data(), batch, logits.data_mut())?;
+        Ok(logits)
     }
 
     /// The forward pass over `batch` images of `images` (checked by the
-    /// callers), returning the row-major `batch × num_classes` logits.
-    fn run(&self, images: &[f32], batch: usize) -> Result<Vec<f32>> {
+    /// callers), writing the row-major `batch × num_classes` logits into
+    /// `logits`.
+    fn run(&self, images: &[f32], batch: usize, logits: &mut [f32]) -> Result<()> {
         let Some(len) = self.plan_bytes.checked_mul(batch) else {
             let [c, h, w] = self.input_shape;
             return Err(TensorError::InvalidShape {
@@ -253,7 +258,7 @@ impl CompiledModel {
             });
         };
         let mut buf = scratch::alloc_i8(len);
-        let mut logits = None;
+        let mut wrote_logits = false;
         for (id, kernel) in self.table.kernels.iter().enumerate() {
             let inputs = &self.table.inputs[id];
             let out = self.slots[id].at(batch);
@@ -291,10 +296,18 @@ impl CompiledModel {
                     let (x, y) = split(&mut buf, src(0), out)?;
                     q_global_avg_pool_into(x, h * w, y)?;
                 }
-                Kernel::Linear(l) => logits = Some(l.logits(&buf[src(0)], batch)?),
+                Kernel::Linear(l) => {
+                    l.logits(&buf[src(0)], batch, logits)?;
+                    wrote_logits = true;
+                }
             }
         }
-        logits.ok_or_else(|| TensorError::InvalidArgument("the logits were never computed".into()))
+        if !wrote_logits {
+            return Err(TensorError::InvalidArgument(
+                "the logits were never computed".into(),
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -431,7 +444,9 @@ impl BatchModel for CompiledModel {
                 images.len()
             )));
         }
-        self.run(images, batch)
+        let mut logits = vec![0.0; batch * self.num_classes];
+        self.run(images, batch, &mut logits)?;
+        Ok(logits)
     }
 }
 
@@ -551,16 +566,30 @@ mod tests {
     #[test]
     fn infer_batch_leaves_the_buffer_pool_steady() {
         let (m, _) = compile(&float_graph(), &PassConfig::all()).unwrap();
-        let x = input(32);
-        // Warm-up fills the pool's bins for this batch's buffer lengths.
-        for _ in 0..3 {
-            m.infer_batch(x.data(), 32).unwrap();
+        // At 342 images the 3-class logits reach the pool's smallest
+        // recycled length, so a forward that parked a buffer it never
+        // takes back would grow the pool on every call.
+        let recycled = edd_tensor::recycle::MIN_RECYCLE_ELEMS.div_ceil(3);
+        for batch in [32, recycled] {
+            let x = input(batch);
+            let serve = || {
+                m.infer_batch(x.data(), batch).unwrap();
+                m.forward(&x).unwrap();
+            };
+            // Warm-up fills the pool's bins for this batch's buffer lengths.
+            for _ in 0..3 {
+                serve();
+            }
+            let before = edd_tensor::recycle::retained_bytes();
+            for _ in 0..100 {
+                serve();
+            }
+            assert_eq!(
+                edd_tensor::recycle::retained_bytes(),
+                before,
+                "batch {batch}"
+            );
         }
-        let before = edd_tensor::recycle::retained_bytes();
-        for _ in 0..100 {
-            m.infer_batch(x.data(), 32).unwrap();
-        }
-        assert_eq!(edd_tensor::recycle::retained_bytes(), before);
     }
 
     #[test]

@@ -522,7 +522,9 @@ impl PulsedState {
                 }
                 (Kernel::Linear(l), ..) => {
                     for i in fed(0) {
-                        logits.push(Row::F(l.logits(&made[i], 1)?));
+                        let mut row = vec![0.0; table.facts[id].shape[0]];
+                        l.logits(&made[i], 1, &mut row)?;
+                        logits.push(Row::F(row));
                     }
                 }
                 _ => return Err(invalid("pulse: node/state mismatch (corrupted state)")),

@@ -196,57 +196,6 @@ impl QuantizableModule for MbConv {
     }
 }
 
-/// Depthwise-separable convolution (`dw-k×k` + pointwise `1×1`), the "Sep"
-/// stem block in the published EDD-Net architectures (Fig. 4).
-#[derive(Debug)]
-pub struct SepConv {
-    depthwise: DwConv2d,
-    dw_bn: BatchNorm2d,
-    pointwise: Conv2d,
-    pw_bn: BatchNorm2d,
-}
-
-impl SepConv {
-    /// Creates a separable convolution block.
-    #[must_use]
-    pub fn new<R: Rng + ?Sized>(
-        in_c: usize,
-        out_c: usize,
-        kernel: usize,
-        stride: usize,
-        rng: &mut R,
-    ) -> Self {
-        SepConv {
-            depthwise: DwConv2d::same(in_c, kernel, stride, rng),
-            dw_bn: BatchNorm2d::new(in_c),
-            pointwise: Conv2d::new(in_c, out_c, 1, 1, 0, false, rng),
-            pw_bn: BatchNorm2d::new(out_c),
-        }
-    }
-}
-
-impl Module for SepConv {
-    fn forward(&self, x: &Tensor) -> Result<Tensor> {
-        let h = self.depthwise.forward(x)?;
-        let h = self.dw_bn.forward_relu6(&h)?;
-        let h = self.pointwise.forward(&h)?;
-        self.pw_bn.forward(&h)
-    }
-
-    fn parameters(&self) -> Vec<Tensor> {
-        let mut p = self.depthwise.parameters();
-        p.extend(self.dw_bn.parameters());
-        p.extend(self.pointwise.parameters());
-        p.extend(self.pw_bn.parameters());
-        p
-    }
-
-    fn set_training(&self, training: bool) {
-        self.dw_bn.set_training(training);
-        self.pw_bn.set_training(training);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,16 +261,6 @@ mod tests {
             .map(|(a, b)| (a - b).abs())
             .sum();
         assert!(diff > 1e-4, "3-bit quantization should perturb outputs");
-    }
-
-    #[test]
-    fn sepconv_shapes() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let sep = SepConv::new(32, 16, 3, 1, &mut rng);
-        let x = Tensor::constant(Array::randn(&[1, 32, 8, 8], 1.0, &mut rng));
-        let y = sep.forward(&x).unwrap();
-        assert_eq!(y.shape(), vec![1, 16, 8, 8]);
-        assert!(!sep.parameters().is_empty());
     }
 
     #[test]

@@ -730,23 +730,28 @@ impl QLinear {
     }
 
     /// Runs the quantized classifier on a batch-major `[batch, in_features]`
-    /// int8 slice, returning the `batch × out_features` float logits,
-    /// row-major: the network's one output allocation. The caller vouches
-    /// for the input's scale, as in [`QConv2d::forward_into`].
+    /// int8 slice, writing the `batch × out_features` float logits,
+    /// row-major, into `out`, the network's one output buffer, which the
+    /// caller owns. The caller vouches for the input's scale, as in
+    /// [`QConv2d::forward_into`].
     ///
     /// # Errors
     ///
-    /// Rejects a slice whose length is not `batch · in_features`.
-    pub fn logits(&self, x: &[i8], batch: usize) -> Result<Vec<f32>> {
+    /// Rejects an input slice whose length is not `batch · in_features`,
+    /// or an output slice whose length is not `batch · out_features`.
+    pub fn logits(&self, x: &[i8], batch: usize, out: &mut [f32]) -> Result<()> {
         let sp = &self.spec;
-        if batch.checked_mul(sp.in_features) != Some(x.len()) {
+        if batch.checked_mul(sp.in_features) != Some(x.len())
+            || batch.checked_mul(sp.out_features) != Some(out.len())
+        {
             return Err(TensorError::InvalidArgument(format!(
-                "QLinear: {} values are not {batch} rows of {}",
+                "QLinear: {} inputs and {} outputs are not {batch} rows of {} and {}",
                 x.len(),
-                sp.in_features
+                out.len(),
+                sp.in_features,
+                sp.out_features
             )));
         }
-        let mut out = vec![0.0f32; batch * sp.out_features];
         let mut acc = scratch::alloc_i32(batch * sp.out_features);
         let mut a_k4 = scratch::alloc_i8(pack::packed_lhs_len(batch, sp.in_features));
         pack::pack_lhs_i8(&mut a_k4, x, batch, sp.in_features);
@@ -774,7 +779,7 @@ impl QLinear {
                 *d = a as f32 * sp.in_scale * sw + bias;
             }
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -1081,7 +1086,9 @@ mod tests {
         ));
         let mut xq = vec![0i8; x.len()];
         quantize_i8_into(&mut xq, x.data(), in_scale, ACT_QMAX);
-        let got = q.logits(&xq, 3).unwrap();
+        let mut got = [0.0; 12];
+        q.logits(&xq, 3, &mut got).unwrap();
+        assert!(q.logits(&xq, 3, &mut got[1..]).is_err());
         for (g, f) in got.iter().zip(float.value().data()) {
             assert!((g - f).abs() <= 0.02, "got {g}, float {f}");
         }

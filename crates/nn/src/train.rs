@@ -58,23 +58,6 @@ pub fn train_epoch(
     opt: &mut dyn Optimizer,
     batches: &[Batch],
 ) -> Result<EpochStats> {
-    train_epoch_with(model, opt, batches, 0.0)
-}
-
-/// Like [`train_epoch`], with label smoothing `epsilon` on the
-/// cross-entropy target (the regularizer typically used when training
-/// NAS-derived networks from scratch). `epsilon = 0` is plain
-/// cross-entropy.
-///
-/// # Errors
-///
-/// Propagates any shape error raised by the model or an invalid `epsilon`.
-pub fn train_epoch_with(
-    model: &dyn Module,
-    opt: &mut dyn Optimizer,
-    batches: &[Batch],
-    epsilon: f32,
-) -> Result<EpochStats> {
     model.set_training(true);
     let _span = telemetry::span("nn.train_epoch");
     let mut loss_sum = 0.0;
@@ -85,11 +68,7 @@ pub fn train_epoch_with(
         opt.zero_grad();
         let x = Tensor::constant(batch.images.clone());
         let logits = model.forward(&x)?;
-        let loss = if epsilon > 0.0 {
-            logits.cross_entropy_smooth(&batch.labels, epsilon)?
-        } else {
-            logits.cross_entropy(&batch.labels)?
-        };
+        let loss = logits.cross_entropy(&batch.labels)?;
         loss.backward();
         opt.step();
         // End of step: no scratch buffer may outlive the forward/backward
@@ -152,12 +131,11 @@ pub fn evaluate(model: &dyn Module, batches: &[Batch]) -> Result<EpochStats> {
 mod tests {
     use super::*;
     use crate::linear::Linear;
-    use crate::sequential::{Flatten, Sequential};
     use edd_tensor::optim::Adam;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// Two linearly-separable blobs as 1x2x2 "images".
+    /// Two linearly-separable blobs as flat 4-feature "images".
     fn toy_batches(rng: &mut StdRng) -> Vec<Batch> {
         use rand::Rng;
         let mut batches = Vec::new();
@@ -173,7 +151,7 @@ mod tests {
                 labels.push(class);
             }
             batches.push(Batch {
-                images: Array::from_vec(images, &[16, 1, 2, 2]).unwrap(),
+                images: Array::from_vec(images, &[16, 4]).unwrap(),
                 labels,
             });
         }
@@ -181,26 +159,9 @@ mod tests {
     }
 
     #[test]
-    fn label_smoothing_variant_learns_too() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let net = Sequential::new()
-            .push(Flatten)
-            .push(Linear::new(4, 2, &mut rng));
-        let mut opt = Adam::new(net.parameters(), 0.05);
-        let batches = toy_batches(&mut rng);
-        for _ in 0..10 {
-            train_epoch_with(&net, &mut opt, &batches, 0.1).unwrap();
-        }
-        let eval = evaluate(&net, &batches).unwrap();
-        assert!(eval.top1 > 0.9, "top1 {}", eval.top1);
-    }
-
-    #[test]
     fn training_reduces_loss_and_learns() {
         let mut rng = StdRng::seed_from_u64(1);
-        let net = Sequential::new()
-            .push(Flatten)
-            .push(Linear::new(4, 2, &mut rng));
+        let net = Linear::new(4, 2, &mut rng);
         let mut opt = Adam::new(net.parameters(), 0.05);
         let batches = toy_batches(&mut rng);
         let first = train_epoch(&net, &mut opt, &batches).unwrap();

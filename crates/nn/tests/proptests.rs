@@ -2,9 +2,7 @@
 //! invariants, normalization statistics, and quantization monotonicity
 //! across randomly drawn layer configurations.
 
-use edd_nn::{
-    BatchNorm2d, Conv2d, DwConv2d, MbConv, Module, QuantSpec, QuantizableModule, SepConv,
-};
+use edd_nn::{BatchNorm2d, Conv2d, DwConv2d, MbConv, Module, QuantSpec, QuantizableModule};
 use edd_tensor::{Array, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -115,18 +113,6 @@ proptest! {
         let v = y.value_clone();
         let mean = v.data().iter().sum::<f32>() / v.len() as f32;
         prop_assert!(mean.abs() < 0.1, "normalized mean {mean}");
-    }
-
-    #[test]
-    fn sepconv_shape(
-        cin in 1usize..5,
-        cout in 1usize..5,
-        seed in 0u64..500,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let sep = SepConv::new(cin, cout, 3, 1, &mut rng);
-        let x = Tensor::constant(Array::randn(&[1, cin, 8, 8], 1.0, &mut rng));
-        prop_assert_eq!(sep.forward(&x).unwrap().shape(), vec![1, cout, 8, 8]);
     }
 
     #[test]

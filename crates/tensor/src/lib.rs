@@ -21,9 +21,9 @@
 //!   steady-state step allocation-free (every `Array` drop feeds the pool);
 //! * [`Tensor`] — a define-by-run autodiff graph node with operations
 //!   covering everything the EDD supernet needs: convolutions (standard and
-//!   depthwise), batch normalization, pooling, softmax / cross-entropy,
-//!   Gumbel-Softmax sampling, straight-through fake quantization, smooth
-//!   maximum (Log-Sum-Exp), and elementwise math;
+//!   depthwise), batch normalization, global average pooling, softmax /
+//!   cross-entropy, Gumbel-Softmax sampling, straight-through fake
+//!   quantization, smooth maximum (Log-Sum-Exp), and elementwise math;
 //! * [`optim`] — SGD (momentum) and Adam optimizers plus gradient clipping
 //!   and a cosine learning-rate schedule;
 //! * [`qkernel`] — the integer inference substrate: symmetric int8/int4

@@ -346,24 +346,6 @@ impl Tensor {
         ))
     }
 
-    /// Elementwise negation.
-    #[must_use]
-    pub fn neg(&self) -> Tensor {
-        let value = self.value().map(|v| -v);
-        let a = self.clone();
-        Tensor::from_op(
-            value,
-            vec![self.clone()],
-            Box::new(move |g| {
-                if a.requires_grad() {
-                    let mut g = g;
-                    g.map_inplace(|v| -v);
-                    a.accumulate_grad_owned(g);
-                }
-            }),
-        )
-    }
-
     /// Adds a scalar constant to every element.
     #[must_use]
     pub fn add_scalar(&self, s: f32) -> Tensor {
@@ -619,14 +601,6 @@ mod tests {
         y.backward();
         assert_eq!(a.grad().unwrap().data(), &[1.0 / 3.0]);
         assert!((b.grad().unwrap().data()[0] - (-6.0 / 9.0)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn neg_grad() {
-        let a = t(vec![4.0], &[1]);
-        let y = a.neg().sum();
-        y.backward();
-        assert_eq!(a.grad().unwrap().data(), &[-1.0]);
     }
 
     #[test]

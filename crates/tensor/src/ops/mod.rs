@@ -7,7 +7,6 @@ mod matmul;
 mod norm;
 mod pool;
 mod reduce;
-mod shape_ops;
 pub mod softmax;
 mod unary;
 

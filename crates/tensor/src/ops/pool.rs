@@ -1,83 +1,10 @@
-//! Pooling ops: average pooling, global average pooling and max pooling,
-//! in NCHW layout.
+//! Global average pooling in NCHW layout.
 
 use crate::array::Array;
 use crate::error::{Result, TensorError};
 use crate::tensor::Tensor;
 
 impl Tensor {
-    /// Average pooling with square window `k` and stride `stride` (no
-    /// padding). Input `[b, c, h, w]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error unless the input is rank-4 and `k <= h, w`.
-    pub fn avg_pool2d(&self, k: usize, stride: usize) -> Result<Tensor> {
-        let shape = self.shape();
-        if shape.len() != 4 {
-            return Err(TensorError::InvalidShape {
-                shape,
-                reason: "avg_pool2d expects NCHW".into(),
-            });
-        }
-        let (b, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
-        if k == 0 || stride == 0 || k > h || k > w {
-            return Err(TensorError::InvalidArgument(format!(
-                "avg_pool2d window {k}/stride {stride} invalid for {h}x{w}"
-            )));
-        }
-        let oh = (h - k) / stride + 1;
-        let ow = (w - k) / stride + 1;
-        // Every output element is written below, so the buffer can start
-        // uninitialized (pool-recycled). The input is read through the
-        // value guard instead of cloned.
-        let xval = self.value();
-        let mut out = Array::uninit(&[b, c, oh, ow]);
-        let norm = 1.0 / (k * k) as f32;
-        for bc in 0..b * c {
-            let src = &xval.data()[bc * h * w..(bc + 1) * h * w];
-            let dst = &mut out.data_mut()[bc * oh * ow..(bc + 1) * oh * ow];
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = 0.0;
-                    for ky in 0..k {
-                        let row = (oy * stride + ky) * w + ox * stride;
-                        acc += src[row..row + k].iter().sum::<f32>();
-                    }
-                    dst[oy * ow + ox] = acc * norm;
-                }
-            }
-        }
-        drop(xval);
-        let a = self.clone();
-        Ok(Tensor::from_op(
-            out,
-            vec![self.clone()],
-            Box::new(move |g| {
-                if !a.requires_grad() {
-                    return;
-                }
-                let mut dx = Array::zeros(&[b, c, h, w]);
-                for bc in 0..b * c {
-                    let gy = &g.data()[bc * oh * ow..(bc + 1) * oh * ow];
-                    let dst = &mut dx.data_mut()[bc * h * w..(bc + 1) * h * w];
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            let gv = gy[oy * ow + ox] * norm;
-                            for ky in 0..k {
-                                let row = (oy * stride + ky) * w + ox * stride;
-                                for v in &mut dst[row..row + k] {
-                                    *v += gv;
-                                }
-                            }
-                        }
-                    }
-                }
-                a.accumulate_grad_owned(dx);
-            }),
-        ))
-    }
-
     /// Global average pooling: `[b, c, h, w] -> [b, c]`.
     ///
     /// # Errors
@@ -123,97 +50,11 @@ impl Tensor {
             }),
         ))
     }
-
-    /// Max pooling with square window `k` and stride `stride` (no padding).
-    /// Gradient routes to the (first) argmax element of each window.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error unless the input is rank-4 and `k <= h, w`.
-    pub fn max_pool2d(&self, k: usize, stride: usize) -> Result<Tensor> {
-        let shape = self.shape();
-        if shape.len() != 4 {
-            return Err(TensorError::InvalidShape {
-                shape,
-                reason: "max_pool2d expects NCHW".into(),
-            });
-        }
-        let (b, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
-        if k == 0 || stride == 0 || k > h || k > w {
-            return Err(TensorError::InvalidArgument(format!(
-                "max_pool2d window {k}/stride {stride} invalid for {h}x{w}"
-            )));
-        }
-        let oh = (h - k) / stride + 1;
-        let ow = (w - k) / stride + 1;
-        // Output fully written below (uninit ok); input read via guard.
-        let xval = self.value();
-        let mut out = Array::uninit(&[b, c, oh, ow]);
-        let mut argmax = vec![0usize; b * c * oh * ow];
-        for bc in 0..b * c {
-            let src = &xval.data()[bc * h * w..(bc + 1) * h * w];
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_i = 0;
-                    for ky in 0..k {
-                        for kx in 0..k {
-                            let i = (oy * stride + ky) * w + ox * stride + kx;
-                            if src[i] > best {
-                                best = src[i];
-                                best_i = i;
-                            }
-                        }
-                    }
-                    let oi = bc * oh * ow + oy * ow + ox;
-                    out.data_mut()[oi] = best;
-                    argmax[oi] = best_i;
-                }
-            }
-        }
-        drop(xval);
-        let a = self.clone();
-        Ok(Tensor::from_op(
-            out,
-            vec![self.clone()],
-            Box::new(move |g| {
-                if !a.requires_grad() {
-                    return;
-                }
-                let mut dx = Array::zeros(&[b, c, h, w]);
-                for bc in 0..b * c {
-                    for oi in 0..oh * ow {
-                        let flat = bc * oh * ow + oi;
-                        dx.data_mut()[bc * h * w + argmax[flat]] += g.data()[flat];
-                    }
-                }
-                a.accumulate_grad_owned(dx);
-            }),
-        ))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn avg_pool_known() {
-        let x = Tensor::param(
-            Array::from_vec((0..16).map(|v| v as f32).collect(), &[1, 1, 4, 4]).unwrap(),
-        );
-        let y = x.avg_pool2d(2, 2).unwrap();
-        assert_eq!(y.shape(), vec![1, 1, 2, 2]);
-        assert_eq!(y.value().data(), &[2.5, 4.5, 10.5, 12.5]);
-    }
-
-    #[test]
-    fn avg_pool_grad_spreads_uniformly() {
-        let x = Tensor::param(Array::zeros(&[1, 1, 2, 2]));
-        let y = x.avg_pool2d(2, 2).unwrap();
-        y.sum().backward();
-        assert_eq!(x.grad().unwrap().data(), &[0.25; 4]);
-    }
 
     #[test]
     fn global_avg_pool_means_planes() {
@@ -239,20 +80,7 @@ mod tests {
     }
 
     #[test]
-    fn max_pool_picks_max_and_routes_grad() {
-        let x = Tensor::param(Array::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 2, 2]).unwrap());
-        let y = x.max_pool2d(2, 2).unwrap();
-        assert_eq!(y.value().data(), &[4.0]);
-        y.sum().backward();
-        assert_eq!(x.grad().unwrap().data(), &[0.0, 0.0, 0.0, 1.0]);
-    }
-
-    #[test]
     fn pool_validates() {
-        let x = Tensor::param(Array::zeros(&[1, 1, 2, 2]));
-        assert!(x.avg_pool2d(3, 1).is_err());
-        assert!(x.avg_pool2d(0, 1).is_err());
-        assert!(x.max_pool2d(2, 0).is_err());
         let x3 = Tensor::param(Array::zeros(&[2, 2, 2]));
         assert!(x3.global_avg_pool().is_err());
     }

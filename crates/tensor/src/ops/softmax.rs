@@ -1,5 +1,5 @@
-//! Softmax-family ops: softmax, log-softmax and fused softmax cross-entropy,
-//! each with a hand-derived backward pass.
+//! Softmax-family ops: softmax and fused softmax cross-entropy, each with a
+//! hand-derived backward pass.
 
 use crate::array::Array;
 use crate::error::{Result, TensorError};
@@ -74,49 +74,6 @@ impl Tensor {
         ))
     }
 
-    /// Log-softmax along the last axis.
-    ///
-    /// Backward: `dx = g − softmax(x) · Σg` per row.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for rank-0 input.
-    pub fn log_softmax(&self) -> Result<Tensor> {
-        let shape = self.shape();
-        if shape.is_empty() {
-            return Err(TensorError::InvalidShape {
-                shape,
-                reason: "log_softmax requires rank >= 1".into(),
-            });
-        }
-        let s = softmax_last_axis(&self.value());
-        let value = s.map(|v| v.max(1e-30).ln());
-        let a = self.clone();
-        let s_saved = s;
-        Ok(Tensor::from_op(
-            value,
-            vec![self.clone()],
-            Box::new(move |g| {
-                if !a.requires_grad() {
-                    return;
-                }
-                let shape = s_saved.shape().to_vec();
-                let c = *shape.last().unwrap();
-                // Full overwrite per row, so uninit (pool-recycled) is safe.
-                let mut dx = Array::uninit(&shape);
-                kernel::par_rows(dx.data_mut(), c, |r, drow| {
-                    let srow = &s_saved.data()[r * c..(r + 1) * c];
-                    let grow = &g.data()[r * c..(r + 1) * c];
-                    let gsum: f32 = grow.iter().sum();
-                    for i in 0..c {
-                        drow[i] = grow[i] - srow[i] * gsum;
-                    }
-                });
-                a.accumulate_grad_owned(dx);
-            }),
-        ))
-    }
-
     /// Fused mean softmax cross-entropy between logits `[batch, classes]`
     /// and integer class `labels` (one per row); returns a scalar loss.
     ///
@@ -167,85 +124,6 @@ impl Tensor {
                     let lab = labels[r];
                     for (k, v) in row.iter_mut().enumerate() {
                         let t = if k == lab { 1.0 } else { 0.0 };
-                        *v = (*v - t) * scale;
-                    }
-                });
-                a.accumulate_grad_owned(dx);
-            }),
-        ))
-    }
-}
-
-impl Tensor {
-    /// Label-smoothed mean softmax cross-entropy: the target distribution
-    /// puts `1 − ε` on the true class and `ε/(C−1)` on the others — the
-    /// regularizer commonly used when training NAS-derived networks from
-    /// scratch.
-    ///
-    /// Backward is `(softmax − target) / batch`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on the same conditions as [`Tensor::cross_entropy`],
-    /// or when `epsilon` is outside `[0, 1)`.
-    pub fn cross_entropy_smooth(&self, labels: &[usize], epsilon: f32) -> Result<Tensor> {
-        if !(0.0..1.0).contains(&epsilon) {
-            return Err(TensorError::InvalidArgument(format!(
-                "label smoothing epsilon {epsilon} outside [0, 1)"
-            )));
-        }
-        let shape = self.shape();
-        if shape.len() != 2 {
-            return Err(TensorError::InvalidShape {
-                shape,
-                reason: "cross_entropy_smooth expects [batch, classes] logits".into(),
-            });
-        }
-        let (b, c) = (shape[0], shape[1]);
-        if labels.len() != b {
-            return Err(TensorError::InvalidArgument(format!(
-                "labels length {} != batch {b}",
-                labels.len()
-            )));
-        }
-        if let Some(&bad) = labels.iter().find(|&&l| l >= c) {
-            return Err(TensorError::InvalidArgument(format!(
-                "label {bad} out of range for {c} classes"
-            )));
-        }
-        if c < 2 {
-            return Err(TensorError::InvalidShape {
-                shape,
-                reason: "label smoothing needs at least 2 classes".into(),
-            });
-        }
-        let on = 1.0 - epsilon;
-        let off = epsilon / (c as f32 - 1.0);
-        let probs = softmax_last_axis(&self.value());
-        // loss = -sum_k target_k * log p_k, averaged over the batch.
-        let mut loss = 0.0f32;
-        for (r, &lab) in labels.iter().enumerate() {
-            for k in 0..c {
-                let t = if k == lab { on } else { off };
-                loss -= t * probs.data()[r * c + k].max(1e-30).ln();
-            }
-        }
-        loss /= b as f32;
-        let a = self.clone();
-        let labels = labels.to_vec();
-        Ok(Tensor::from_op(
-            Array::scalar(loss),
-            vec![self.clone()],
-            Box::new(move |g| {
-                if !a.requires_grad() {
-                    return;
-                }
-                let scale = g.item() / b as f32;
-                let mut dx = probs.clone();
-                kernel::par_rows(dx.data_mut(), c, |r, row| {
-                    let lab = labels[r];
-                    for (k, v) in row.iter_mut().enumerate() {
-                        let t = if k == lab { on } else { off };
                         *v = (*v - t) * scale;
                     }
                 });
@@ -348,16 +226,6 @@ mod tests {
     }
 
     #[test]
-    fn log_softmax_matches_log_of_softmax() {
-        let x = Tensor::param(Array::from_vec(vec![0.5, 1.5, -0.5], &[1, 3]).unwrap());
-        let ls = x.log_softmax().unwrap();
-        let s = softmax_last_axis(&x.value());
-        for (l, p) in ls.value().data().iter().zip(s.data()) {
-            assert!((l - p.ln()).abs() < 1e-5);
-        }
-    }
-
-    #[test]
     fn cross_entropy_perfect_prediction_small() {
         let logits = Tensor::param(
             Array::from_vec(vec![100.0, 0.0, 0.0, 0.0, 100.0, 0.0], &[2, 3]).unwrap(),
@@ -391,46 +259,6 @@ mod tests {
         assert!(logits.cross_entropy(&[0, 3]).is_err()); // label out of range
         let bad = Tensor::param(Array::zeros(&[6]));
         assert!(bad.cross_entropy(&[0]).is_err()); // wrong rank
-    }
-
-    #[test]
-    fn smooth_ce_reduces_to_plain_at_zero_epsilon() {
-        let logits = Tensor::param(Array::from_vec(vec![1.0, 2.0, -0.5], &[1, 3]).unwrap());
-        let plain = logits.cross_entropy(&[1]).unwrap().item();
-        let smooth = logits.cross_entropy_smooth(&[1], 0.0).unwrap().item();
-        assert!((plain - smooth).abs() < 1e-6);
-    }
-
-    #[test]
-    fn smooth_ce_penalizes_overconfidence() {
-        // With smoothing, an extremely confident correct prediction costs
-        // more than a calibrated one.
-        let confident = Tensor::param(Array::from_vec(vec![50.0, 0.0, 0.0], &[1, 3]).unwrap());
-        let calibrated = Tensor::param(Array::from_vec(vec![3.0, 0.0, 0.0], &[1, 3]).unwrap());
-        let lc = confident.cross_entropy_smooth(&[0], 0.1).unwrap().item();
-        let lk = calibrated.cross_entropy_smooth(&[0], 0.1).unwrap().item();
-        assert!(lc > lk, "confident {lc} vs calibrated {lk}");
-    }
-
-    #[test]
-    fn smooth_ce_gradient_formula() {
-        let logits = Tensor::param(Array::from_vec(vec![0.5, -0.5], &[1, 2]).unwrap());
-        let eps = 0.2f32;
-        logits.cross_entropy_smooth(&[0], eps).unwrap().backward();
-        let g = logits.grad().unwrap();
-        let p = softmax_last_axis(&logits.value());
-        assert!((g.data()[0] - (p.data()[0] - 0.8)).abs() < 1e-6);
-        assert!((g.data()[1] - (p.data()[1] - 0.2)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn smooth_ce_validates() {
-        let logits = Tensor::param(Array::zeros(&[1, 3]));
-        assert!(logits.cross_entropy_smooth(&[0], 1.0).is_err());
-        assert!(logits.cross_entropy_smooth(&[0], -0.1).is_err());
-        assert!(logits.cross_entropy_smooth(&[5], 0.1).is_err());
-        let one_class = Tensor::param(Array::zeros(&[1, 1]));
-        assert!(one_class.cross_entropy_smooth(&[0], 0.1).is_err());
     }
 
     #[test]

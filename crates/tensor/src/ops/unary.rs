@@ -62,16 +62,6 @@ impl Tensor {
         })
     }
 
-    /// Elementwise logistic sigmoid.
-    #[must_use]
-    pub fn sigmoid(&self) -> Tensor {
-        let sig = |v: f32| 1.0 / (1.0 + (-v).exp());
-        unary(self, sig, move |v| {
-            let s = sig(v);
-            s * (1.0 - s)
-        })
-    }
-
     /// Rectified linear unit `max(v, 0)`.
     #[must_use]
     pub fn relu(&self) -> Tensor {
@@ -86,21 +76,6 @@ impl Tensor {
             self,
             |v| v.clamp(0.0, 6.0),
             |v| if v > 0.0 && v < 6.0 { 1.0 } else { 0.0 },
-        )
-    }
-
-    /// Swish / SiLU activation `x · σ(x)` — used by MnasNet-class models
-    /// with squeeze-excite blocks.
-    #[must_use]
-    pub fn swish(&self) -> Tensor {
-        let sig = |v: f32| 1.0 / (1.0 + (-v).exp());
-        unary(
-            self,
-            move |v| v * sig(v),
-            move |v| {
-                let s = sig(v);
-                s + v * s * (1.0 - s)
-            },
         )
     }
 
@@ -227,15 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn sigmoid_midpoint() {
-        let a = t(vec![0.0]);
-        let y = a.sigmoid();
-        assert_eq!(y.value().data()[0], 0.5);
-        y.sum().backward();
-        assert_eq!(a.grad().unwrap().data()[0], 0.25);
-    }
-
-    #[test]
     fn relu_masks_negatives() {
         let a = t(vec![-1.0, 2.0]);
         let y = a.relu();
@@ -277,18 +243,6 @@ mod tests {
         y.sum().backward();
         // In-range passes gradient; out-of-range blocked.
         assert_eq!(a.grad().unwrap().data(), &[1.0, 0.0]);
-    }
-
-    #[test]
-    fn swish_values_and_grad() {
-        let a = t(vec![0.0, 2.0]);
-        let y = a.swish();
-        assert_eq!(y.value().data()[0], 0.0);
-        let expect = 2.0 / (1.0 + (-2.0f32).exp());
-        assert!((y.value().data()[1] - expect).abs() < 1e-6);
-        y.sum().backward();
-        // swish'(0) = 0.5
-        assert!((a.grad().unwrap().data()[0] - 0.5).abs() < 1e-6);
     }
 
     #[test]

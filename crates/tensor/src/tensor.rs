@@ -6,7 +6,6 @@
 //! that accumulates gradients into every node with `requires_grad`.
 
 use crate::array::Array;
-use crate::error::Result;
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::{Arc, RwLock, RwLockReadGuard};
@@ -361,22 +360,6 @@ impl Tensor {
         }
         order
     }
-
-    /// Builds a constant one-hot vector tensor of length `n`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `index >= n`.
-    pub fn one_hot(index: usize, n: usize) -> Result<Tensor> {
-        if index >= n {
-            return Err(crate::error::TensorError::InvalidArgument(format!(
-                "one_hot index {index} out of range {n}"
-            )));
-        }
-        let mut a = Array::zeros(&[n]);
-        a.data_mut()[index] = 1.0;
-        Ok(Tensor::constant(a))
-    }
 }
 
 #[cfg(test)]
@@ -422,13 +405,6 @@ mod tests {
         let d = p.detach();
         assert!(!d.requires_grad());
         assert_eq!(d.item(), 3.0);
-    }
-
-    #[test]
-    fn one_hot_constructs() {
-        let t = Tensor::one_hot(2, 4).unwrap();
-        assert_eq!(t.value().data(), &[0.0, 0.0, 1.0, 0.0]);
-        assert!(Tensor::one_hot(4, 4).is_err());
     }
 
     #[test]

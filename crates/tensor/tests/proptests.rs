@@ -134,7 +134,7 @@ proptest! {
                     .tanh()
                     .mul(&ar)
                     .unwrap()
-                    .sigmoid()
+                    .exp()
                     .sum()
             },
             1e-2,
@@ -173,41 +173,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn concat_then_narrow_recovers_parts(
-        rows_a in 1usize..4,
-        rows_b in 1usize..4,
-        cols in 1usize..5,
-        seed in 0u64..500,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let a = Tensor::constant(Array::randn(&[rows_a, cols], 1.0, &mut rng));
-        let b = Tensor::constant(Array::randn(&[rows_b, cols], 1.0, &mut rng));
-        let c = Tensor::concat(&[a.clone(), b.clone()], 0).unwrap();
-        let a2 = c.narrow(0, 0, rows_a).unwrap().value_clone();
-        let b2 = c.narrow(0, rows_a, rows_b).unwrap().value_clone();
-        let av = a.value_clone();
-        let bv = b.value_clone();
-        prop_assert_eq!(a2.data(), av.data());
-        prop_assert_eq!(b2.data(), bv.data());
-    }
-
-    #[test]
-    fn pad_preserves_mass_and_roundtrips(
-        b in 1usize..3,
-        c in 1usize..3,
-        hw in 2usize..6,
-        pad in 1usize..3,
-        seed in 0u64..500,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let x = Tensor::constant(Array::randn(&[b, c, hw, hw], 1.0, &mut rng));
-        let p = x.pad2d(pad).unwrap();
-        let (ps, xs) = (p.value_clone().sum(), x.value_clone().sum());
-        prop_assert!((ps - xs).abs() < 1e-3);
-        prop_assert_eq!(p.shape(), vec![b, c, hw + 2 * pad, hw + 2 * pad]);
-    }
-
-    #[test]
     fn conv_gradcheck_random_geometry(
         cin in 1usize..3,
         cout in 1usize..3,
@@ -227,35 +192,6 @@ proptest! {
             3,
         );
         prop_assert!(report.max_rel_error < 5e-2, "{:?}", report);
-    }
-
-    #[test]
-    fn smooth_ce_gradcheck(
-        classes in 2usize..6,
-        eps_pct in 0u32..40,
-        seed in 0u64..100,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let logits = Tensor::param(Array::randn(&[2, classes], 1.0, &mut rng));
-        let labels = vec![0usize, classes - 1];
-        let epsilon = eps_pct as f32 / 100.0;
-        let lr = logits.clone();
-        let report = check_gradients(
-            &[logits],
-            move || lr.cross_entropy_smooth(&labels, epsilon).unwrap(),
-            1e-2,
-            1,
-        );
-        prop_assert!(report.max_rel_error < 3e-2, "{:?}", report);
-    }
-
-    #[test]
-    fn swish_gradcheck(seed in 0u64..200) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let x = Tensor::param(Array::randn(&[8], 1.5, &mut rng));
-        let xr = x.clone();
-        let report = check_gradients(&[x], move || xr.swish().sum(), 1e-2, 1);
-        prop_assert!(report.max_rel_error < 2e-2, "{:?}", report);
     }
 
     #[test]

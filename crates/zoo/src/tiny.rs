@@ -3,39 +3,62 @@
 //! sampling from an EDD search space (the random-search control).
 
 use edd_core::{
-    calibrate, lower_to_graph, BlockChoice, Calibration, DerivedArch, DeviceTarget, QatModel,
-    SearchSpace,
+    calibrate, lower_to_graph, BlockChoice, BlockPlan, Calibration, DerivedArch, DeviceTarget,
+    QatModel, SearchSpace,
 };
 use edd_ir::{CompiledModel, PassConfig, PassReport};
-use edd_nn::{Activation, BatchNorm2d, Conv2d, Flatten, GlobalAvgPool, Linear, MbConv, Sequential};
 use edd_tensor::Array;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// A small MobileNet-V2-style classifier for `image_size²` RGB inputs:
-/// stem 3×3 → three MBConv stages → 1×1 head → GAP → linear.
+/// stem 3×3 → five MBConv blocks (k3; e1, then e6) → 1×1 head → GAP →
+/// linear, built at full precision by [`DerivedArch::build_model`].
 #[must_use]
 pub fn tiny_mobilenet_v2<R: Rng + ?Sized>(
     image_size: usize,
     num_classes: usize,
     rng: &mut R,
-) -> Sequential {
-    let _ = image_size; // fully convolutional; kept for call-site clarity
-    Sequential::new()
-        .push(Conv2d::same(3, 16, 3, 1, rng))
-        .push(BatchNorm2d::new(16))
-        .push(Activation::Relu6)
-        .push(MbConv::new(16, 16, 3, 1, 1, rng))
-        .push(MbConv::new(16, 24, 3, 6, 2, rng))
-        .push(MbConv::new(24, 24, 3, 6, 1, rng))
-        .push(MbConv::new(24, 32, 3, 6, 2, rng))
-        .push(MbConv::new(32, 32, 3, 6, 1, rng))
-        .push(Conv2d::new(32, 64, 1, 1, 0, false, rng))
-        .push(BatchNorm2d::new(64))
-        .push(Activation::Relu6)
-        .push(GlobalAvgPool)
-        .push(Flatten)
-        .push(Linear::new(64, num_classes, rng))
+) -> QatModel {
+    // (out_channels, expansion, stride) per block.
+    let plan = [(16, 1, 1), (24, 6, 2), (24, 6, 1), (32, 6, 2), (32, 6, 1)];
+    let space = SearchSpace {
+        name: "tiny-mnv2".into(),
+        input_channels: 3,
+        image_size,
+        num_classes,
+        stem_channels: 16,
+        stem_stride: 1,
+        blocks: plan
+            .iter()
+            .map(|&(out_channels, _, stride)| BlockPlan {
+                out_channels,
+                stride,
+            })
+            .collect(),
+        kernel_choices: vec![3],
+        expansion_choices: vec![1, 6],
+        quant_bits: vec![32],
+        head_channels: 64,
+    };
+    let blocks = plan
+        .iter()
+        .map(|&(out_channels, expansion, stride)| BlockChoice {
+            kernel: 3,
+            expansion,
+            out_channels,
+            stride,
+            quant_bits: 32,
+            parallel_factor: None,
+        })
+        .collect();
+    DerivedArch {
+        name: space.name.clone(),
+        target: "hand-crafted".into(),
+        blocks,
+        space,
+    }
+    .build_model(rng)
 }
 
 /// A fixed, deterministic derived architecture for exercising the integer

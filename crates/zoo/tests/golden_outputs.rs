@@ -15,9 +15,13 @@
 use edd_core::{calibrate, lower_to_graph, DerivedArch, QatModel};
 use edd_hw::{predicted_throughput_fps, AccelDevice};
 use edd_ir::{PassConfig, PulsedModel};
+use edd_nn::{evaluate, train_epoch, Batch, Module};
 use edd_runtime::StreamSession;
-use edd_tensor::Array;
-use edd_zoo::{compile_tiny_zoo, synthetic_signal, tiny_derived_arch, tiny_quant_arch};
+use edd_tensor::optim::Sgd;
+use edd_tensor::{Array, Tensor};
+use edd_zoo::{
+    compile_tiny_zoo, synthetic_signal, tiny_derived_arch, tiny_mobilenet_v2, tiny_quant_arch,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -164,5 +168,52 @@ fn quant_demo_weight_bytes_and_stage1_rates_match_pins() {
         [fps(&[16; 5]), fps(&[8; 5]), fps(&[8, 4, 8, 8, 8])],
         ["723312.7", "1446625.3", "1659233.3"],
         "Stage-1 img/s at uniform 16, uniform 8 and mixed 4/8/8 bits"
+    );
+}
+
+/// The float side of the zoo: `tiny_mobilenet_v2(16, 6, ..)` trained three
+/// epochs with SGD on two seeded batches of random images with fixed
+/// labels. Every parameter's bits, the eval-mode logits of the first batch
+/// (which read the batch norms' running statistics) and the eval loss are
+/// pinned. It uses only `Module`, `train_epoch` and `evaluate`, so it pins
+/// the training bits whatever type `tiny_mobilenet_v2` returns.
+#[test]
+fn tiny_mobilenet_v2_training_matches_pinned_hashes() {
+    const WANT: (u64, u64, u32) = (
+        17_288_221_350_554_897_475,
+        9_795_842_256_327_072_630,
+        1_072_248_185,
+    );
+
+    let mut rng = StdRng::seed_from_u64(2026);
+    let net = tiny_mobilenet_v2(16, 6, &mut rng);
+    let batches: Vec<Batch> = (0..2)
+        .map(|_| Batch {
+            images: Array::randn(&[BATCH, 3, 16, 16], 1.0, &mut rng),
+            labels: (0..BATCH).map(|i| i % 6).collect(),
+        })
+        .collect();
+    let mut opt = Sgd::new(net.parameters(), 0.05, 0.9, 1e-4);
+    for _ in 0..3 {
+        train_epoch(&net, &mut opt, &batches).expect("training");
+    }
+    let eval = evaluate(&net, &batches[..1]).expect("evaluation");
+    let logits = net
+        .forward(&Tensor::constant(batches[0].images.clone()))
+        .expect("eval-mode forward");
+
+    let params: Vec<f32> = net
+        .parameters()
+        .iter()
+        .flat_map(|p| p.value().data().to_vec())
+        .collect();
+    assert_eq!(
+        (
+            fnv1a(params),
+            fnv1a(logits.value().data().iter().copied()),
+            eval.loss.to_bits()
+        ),
+        WANT,
+        "tiny MobileNet-V2's trained weights, eval-mode logits or eval loss drifted"
     );
 }

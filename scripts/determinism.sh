@@ -59,7 +59,9 @@ cargo test --locked -q -p edd-zoo --test pulse_determinism
 # is all stride 1.
 cargo test --locked -q -p edd-ir --test pulse_delay
 # Golden leg: the tiny zoo's logits and one pulsed stream's windows must
-# hash to the values pinned in the test on every leg of the matrix.
+# hash to the values pinned in the test on every leg of the matrix, and so
+# must the float side of the zoo: tiny_mobilenet_v2 trained three epochs
+# (its weights, eval-mode logits and eval loss).
 cargo test --locked -q -p edd-zoo --test golden_outputs
 # Work pin: the RHS panel bytes each body of pack_rhs_i8 writes per
 # batch-1 forward of edd-tiny-int8 (vector vs scalar walk) must equal the
@@ -72,8 +74,10 @@ cargo test --locked -q -p edd-zoo --test pack_bytes
 # hold at every thread count and SIMD mode.
 cargo test --locked -q -p edd-zoo --test forward_allocations
 # Float-stack golden leg: a one-target search's result bytes and eval-mode
-# logits must hash to the pinned values (the 3-target sweep's pin runs in
-# the sweep leg above).
+# logits must hash to the pinned values, and so must the paper's final
+# step, a derived network from build_model trained three epochs (its
+# weights, eval-mode logits and eval loss). The 3-target sweep's pin runs
+# in the sweep leg above.
 cargo test --locked -q -p edd-core --test golden_search
 
 echo "DETERMINISM_RESULT: PASS"

@@ -231,6 +231,29 @@ fn eval_rejects_a_zero_stem_stride() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A head of 2^40 channels used to abort on a failed allocation while
+/// building the model; the size cap rejects it first, with a message.
+#[test]
+fn compile_rejects_an_arch_past_the_size_cap() {
+    let mut arch = edd::zoo::tiny_derived_arch();
+    arch.space.head_channels = 1 << 40;
+    let path = std::env::temp_dir().join(format!("edd_cli_huge_arch_{}.json", std::process::id()));
+    std::fs::write(&path, arch.to_json().unwrap()).unwrap();
+    let artifact = path.with_extension("eddm");
+    fails_with(
+        &[
+            "compile",
+            "--arch",
+            path.to_str().unwrap(),
+            "--out",
+            artifact.to_str().unwrap(),
+        ],
+        "space.head_channels",
+    );
+    assert!(!artifact.exists());
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn compile_rejects_an_empty_batch_and_writes_nothing() {
     let artifact = std::env::temp_dir().join(format!("edd_cli_batch0_{}.eddm", std::process::id()));
