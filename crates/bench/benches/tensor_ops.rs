@@ -1,12 +1,15 @@
 //! Criterion micro-benchmarks of the autodiff substrate: the dense kernels
 //! (GEMM, im2col convolution, depthwise convolution, batch norm) that
 //! dominate supernet training time, in both forward and backward modes,
-//! plus the int8 engine's pointwise-convolution path, its depthwise layer
-//! and bias + requantize epilogue, and one pushed row of pulsed streaming.
+//! plus the int8 engine's pointwise-convolution path, its depthwise layer,
+//! bias + requantize epilogue, residual add and input quantize, and one
+//! pushed row of pulsed streaming.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use edd_ir::{PassConfig, PulsedModel};
-use edd_nn::qlayers::{QConv2d, QConvSource, QConvSpec, QDwConv2d, QDwConvSource, QDwConvSpec};
+use edd_nn::qlayers::{
+    QAddTables, QConv2d, QConvSource, QConvSpec, QDwConv2d, QDwConvSource, QDwConvSpec,
+};
 use edd_runtime::StreamSession;
 use edd_tensor::kernel::pack;
 use edd_tensor::qkernel::{quantize_i8_into, requantize_rows_into, Requant, RowEpilogue};
@@ -224,8 +227,8 @@ fn bench_qconv_pointwise(c: &mut Criterion) {
 }
 
 /// The int8 depthwise layer, `QDwConv2d::forward_into` at batch 1: the tiny
-/// zoo's three 16×16 shapes (AVX2 paired-tap body with the requantizing
-/// epilogue), and one stride-2 plane, which the scalar body runs.
+/// zoo's three 16×16 shapes and one stride-2 shape, all on the AVX2
+/// paired-tap bodies with the requantizing epilogue.
 fn bench_qdwconv(c: &mut Criterion) {
     let mut group = c.benchmark_group("qdwconv");
     let mut rng = StdRng::seed_from_u64(23);
@@ -291,6 +294,42 @@ fn bench_requantize_rows(c: &mut Criterion) {
     group.finish();
 }
 
+/// One residual add of `edd-tiny-int8` at batch 32 (16 channels × 16 × 16
+/// per image), both operands requantized onto the output grid. The
+/// operands are activation-like (σ = 20 steps, so few sums clamp), and the
+/// add runs in place as the engine runs it, so each iteration first
+/// restores the 128 KiB first operand.
+fn bench_qadd(c: &mut Criterion) {
+    let mut group = c.benchmark_group("qadd");
+    let mut rng = StdRng::seed_from_u64(31);
+    let a0 = quantized(&Array::randn(&[32, 16, 16, 16], 1.0, &mut rng));
+    let b = quantized(&Array::randn(&[32, 16, 16, 16], 1.0, &mut rng));
+    let mut a = a0.clone();
+    let add = QAddTables::new(
+        Some(Requant::from_scale(0.83)),
+        Some(Requant::from_scale(0.61)),
+    );
+    group.bench_function("16x16x16_b32", |bench| {
+        bench.iter(|| {
+            a.copy_from_slice(&a0);
+            add.add_assign(black_box(&mut a), black_box(&b));
+        });
+    });
+    group.finish();
+}
+
+/// The input quantize of `edd-tiny-int8` at batch 32: 3 × 16 × 16 floats
+/// per image onto the int8 grid.
+fn bench_quantize(c: &mut Criterion) {
+    let mut group = c.benchmark_group("quantize");
+    let x = Array::randn(&[32, 3, 16, 16], 1.0, &mut StdRng::seed_from_u64(37));
+    let mut q = vec![0i8; x.len()];
+    group.bench_function("3x16x16_b32", |bench| {
+        bench.iter(|| quantize_i8_into(black_box(&mut q), black_box(x.data()), 0.05, 127));
+    });
+    group.finish();
+}
+
 /// µs per pulse: one row pushed through each tiny-zoo engine's pulsed
 /// twin at hop h/2. A window and a hop of warm-up first prime every ring
 /// and start windows cycling; the rows then loop over a fixed signal.
@@ -329,6 +368,8 @@ criterion_group!(
     bench_qconv_pointwise,
     bench_qdwconv,
     bench_requantize_rows,
+    bench_qadd,
+    bench_quantize,
     bench_stream_push
 );
 criterion_main!(benches);

@@ -464,7 +464,7 @@ mod tests {
     use crate::graph::{ConvOp, GraphMeta, LinearOp, Node, QAddOp};
     use crate::passes::{compile, PassConfig};
     use crate::pulse::PulsedProgram;
-    use edd_nn::{QConvSource, QConvSpec, QLinearSpec};
+    use edd_nn::{QConvSource, QConvSpec, QDwConvSource, QDwConvSpec, QLinearSpec};
 
     /// Small annotated float graph exercising every executable op
     /// (conv, relu6, residual add, gap, linear).
@@ -702,6 +702,49 @@ mod tests {
                 "{err}"
             );
         }
+    }
+
+    #[test]
+    fn a_zero_depthwise_kernel_is_rejected_by_both_executors() {
+        // `Graph::facts` is the check that keeps a zero kernel away from
+        // `qkernel::dw_tap_pairs`.
+        let src = QDwConvSource {
+            w: &[0.1; 2 * 9],
+            channels: 2,
+            kernel: 3,
+            stride: 1,
+            padding: 1,
+            bias: None,
+        };
+        let mut spec = QDwConvSpec::quantize(&src, 8, 0.1, 0.1, false);
+        spec.kernel = 0;
+        let g = lowered(|g, q| {
+            let dw = add_node(g, "dw", Op::QDwConv(Box::new(spec)), vec![q]);
+            pooled_head(g, dw)
+        });
+        for err in both_errors(&g) {
+            assert!(
+                err.contains("conv kernel and stride must be positive"),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn inputs_of_the_wrong_length_are_rejected_before_the_quantize() {
+        // The checks that keep `quantize_i8_into`'s two slices one length:
+        // the batch input's shape and element count, and a pushed row's
+        // length.
+        let (m, _) = compile(&float_graph(), &PassConfig::all()).unwrap();
+        let x = Array::zeros(&[1, 2, 5, 4]);
+        let err = m.forward(&x).unwrap_err().to_string();
+        assert!(err.contains("expects [b, 2, 5, 5] input"), "{err}");
+        let err = m.infer_batch(&[0.0; 49], 1).unwrap_err().to_string();
+        assert!(err.contains("expected 50 values"), "{err}");
+        let program = PulsedProgram::from_graph(m.graph()).unwrap();
+        let mut state = crate::pulse::PulsedState::new(&program);
+        assert!(state.push_row(&program, &[0.0; 9]).is_err());
+        assert!(state.push_row(&program, &[0.0; 11]).is_err());
     }
 
     #[test]

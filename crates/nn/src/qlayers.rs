@@ -815,12 +815,17 @@ pub fn q_global_avg_pool_into(x: &[i8], plane: usize, out: &mut [i8]) -> Result<
 /// An i8 operand has only 256 values, so each operand's requantization is
 /// tabulated once when the add is compiled: `term_a[v as u8]` is operand
 /// `a`'s value `v` on the output grid. Per element the add is then two
-/// table loads, an add and a clamp, with no 64-bit multiply-and-shift. The
-/// batch and pulsed executors both run this one add.
+/// table loads, an add and a clamp, with no 64-bit multiply-and-shift.
+/// [`new`](Self::new) also decides once whether every sum of one entry of
+/// each table fits an i32; if so, a plain i32 add equals the saturating
+/// one and the AVX2 gather body may run ([`qkernel::add_tables_into`]).
+/// The batch and pulsed executors both run this one add.
 #[derive(Clone, Debug)]
 pub struct QAddTables {
     term_a: Box<[i32; 256]>,
     term_b: Box<[i32; 256]>,
+    /// [`qkernel::add_terms_fit`] of the two tables.
+    fit: bool,
 }
 
 impl QAddTables {
@@ -835,14 +840,18 @@ impl QAddTables {
             }
             t
         };
+        let (term_a, term_b) = (table(rq_a), table(rq_b));
+        let fit = qkernel::add_terms_fit(&term_a, &term_b);
         QAddTables {
-            term_a: table(rq_a),
-            term_b: table(rq_b),
+            term_a,
+            term_b,
+            fit,
         }
     }
 
     /// The residual add in place on the first operand:
-    /// `a[i] = clamp(term_a[a[i]] + term_b[b[i]], -127, 127)`.
+    /// `a[i] = clamp(term_a[a[i]] + term_b[b[i]], -127, 127)`, the sum
+    /// saturating in i32.
     ///
     /// The operands have one length: both `edd-ir` executors are built
     /// through one validation, whose `Graph::facts` rejects a `QAdd` whose
@@ -850,11 +859,7 @@ impl QAddTables {
     /// shorter operand nothing is added.
     pub fn add_assign(&self, a: &mut [i8], b: &[i8]) {
         debug_assert_eq!(a.len(), b.len(), "QAddTables: operand lengths differ");
-        for (x, &y) in a.iter_mut().zip(b) {
-            let sum = self.term_a[usize::from(*x as u8)]
-                .saturating_add(self.term_b[usize::from(y as u8)]);
-            *x = sum.clamp(-ACT_QMAX, ACT_QMAX) as i8;
-        }
+        qkernel::add_tables_into(a, b, &self.term_a, &self.term_b, self.fit);
     }
 }
 

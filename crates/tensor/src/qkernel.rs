@@ -81,17 +81,98 @@ pub fn scale_for(range: f32, bits: u32) -> f32 {
 }
 
 /// Quantizes `src` onto the symmetric grid with the given `scale`, clamping
-/// to `[-qmax, qmax]`: `dst[i] = clamp(round(src[i] / scale))`.
+/// to `[-qmax, qmax]`: `dst[i] = ((src[i] · (1 / scale)).round() as
+/// i32).clamp(-qmax, qmax)`, so NaN maps to 0. With AVX2 a body of 8 values
+/// per step runs (`quantize_avx2`), equal to that expression for every
+/// f32; the values each body took are added to [`crate::stats`] once per
+/// call.
 ///
-/// # Panics
-///
-/// Panics if lengths differ or `qmax` is outside `[1, 127]`.
+/// The engine never passes slices of different lengths, since the
+/// executors check the input's shape (`CompiledModel::forward`,
+/// `infer_batch`) and a pushed row's length (`PulsedState::push_row`)
+/// before they quantize; past the shorter slice nothing is written. Its
+/// `qmax` is `ACT_QMAX` or [`qmax`]`(bits)`, both in `1..=127`; any other
+/// value is clamped into that range.
 pub fn quantize_i8_into(dst: &mut [i8], src: &[f32], scale: f32, qmax: i32) {
-    assert_eq!(dst.len(), src.len(), "quantize_i8_into: length mismatch");
-    assert!((1..=127).contains(&qmax), "quantize_i8_into: bad qmax");
+    debug_assert_eq!(
+        dst.len(),
+        src.len(),
+        "quantize_i8_into: lengths (the executors check input shapes and row lengths)"
+    );
+    debug_assert!(
+        (1..=127).contains(&qmax),
+        "quantize_i8_into: qmax (ACT_QMAX and qmax(bits) lie in 1..=127)"
+    );
+    let qmax = qmax.clamp(1, 127);
+    let n = dst.len().min(src.len());
+    let (dst, src) = (&mut dst[..n], &src[..n]);
     let inv = 1.0 / scale;
+    #[cfg(target_arch = "x86_64")]
+    if n >= 8 && crate::kernel::use_avx2() {
+        // SAFETY: AVX2 verified just above, and both slices hold `n >= 8`
+        // values.
+        unsafe { quantize_avx2(dst, src, inv, qmax) };
+        crate::stats::record_quantize_elems(n, 0);
+        return;
+    }
+    quantize_scalar(dst, src, inv, qmax);
+    crate::stats::record_quantize_elems(0, n);
+}
+
+/// The scalar quantize body, the reference [`quantize_avx2`] equals.
+fn quantize_scalar(dst: &mut [i8], src: &[f32], inv: f32, qmax: i32) {
     for (d, &v) in dst.iter_mut().zip(src) {
         *d = ((v * inv).round() as i32).clamp(-qmax, qmax) as i8;
+    }
+}
+
+/// AVX2 quantize body, 8 values per step with the last group anchored at
+/// the end (it recomputes overlapped values identically). Per lane it
+/// forms the scalar body's result exactly:
+///
+/// - `x = v · inv` is the same single f32 multiply;
+/// - `f32::round` rounds half away from zero: from `t = trunc(x)` the
+///   remainder `x - t` is exact (`|x| < 1` gives `t = 0`, otherwise
+///   `t <= x < 2t` in magnitude, Sterbenz), so `t + sign(x)` when
+///   `|x - t| >= 0.5`, else `t`, is `x.round()`; for `|x| >= 2^23` and
+///   ±inf the remainder is 0 or NaN and `t` stands;
+/// - `as i32` maps NaN to 0, so NaN lanes are masked to 0;
+/// - clamping the rounded float to `±qmax` before the conversion equals
+///   clamping the saturated i32 after it, and the clamped lanes convert
+///   exactly and narrow without saturating.
+///
+/// # Safety
+///
+/// The CPU must support AVX2; `dst` and `src` hold the same `n >= 8`
+/// values.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn quantize_avx2(dst: &mut [i8], src: &[f32], inv: f32, qmax: i32) {
+    use std::arch::x86_64::*;
+    let n = dst.len();
+    debug_assert!(n >= 8 && src.len() == n);
+    let inv = _mm256_set1_ps(inv);
+    let (half, one, sign) = (
+        _mm256_set1_ps(0.5),
+        _mm256_set1_ps(1.0),
+        _mm256_set1_ps(-0.0),
+    );
+    let (lo, hi) = (_mm256_set1_ps(-qmax as f32), _mm256_set1_ps(qmax as f32));
+    let mut j = 0;
+    loop {
+        // SAFETY: j + 8 <= n bounds the 32-byte load and the 8-byte store.
+        let x = _mm256_mul_ps(_mm256_loadu_ps(src.as_ptr().add(j)), inv);
+        let t = _mm256_round_ps::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(x);
+        let frac = _mm256_andnot_ps(sign, _mm256_sub_ps(x, t));
+        let step = _mm256_or_ps(_mm256_and_ps(sign, x), one);
+        let away = _mm256_and_ps(_mm256_cmp_ps::<_CMP_GE_OQ>(frac, half), step);
+        let rounded = _mm256_and_ps(_mm256_add_ps(t, away), _mm256_cmp_ps::<_CMP_ORD_Q>(x, x));
+        let q = _mm256_cvtps_epi32(_mm256_min_ps(_mm256_max_ps(rounded, lo), hi));
+        store8(dst.as_mut_ptr().add(j), q);
+        if j + 8 >= n {
+            break;
+        }
+        j = (j + 8).min(n - 8);
     }
 }
 
@@ -507,6 +588,106 @@ unsafe fn store8(dst: *mut i8, v: std::arch::x86_64::__m256i) {
 }
 
 // ---------------------------------------------------------------------------
+// Residual add
+// ---------------------------------------------------------------------------
+
+/// Whether every sum of one entry of `term_a` and one of `term_b` fits an
+/// i32, so that a plain i32 add of two entries equals their
+/// `saturating_add`: the largest and the smallest possible sums are
+/// checked once, in i64.
+#[must_use]
+pub fn add_terms_fit(term_a: &[i32; 256], term_b: &[i32; 256]) -> bool {
+    let ext = |t: &[i32; 256]| {
+        let (lo, hi) = t
+            .iter()
+            .fold((i32::MAX, i32::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+        (i64::from(lo), i64::from(hi))
+    };
+    let ((lo_a, hi_a), (lo_b, hi_b)) = (ext(term_a), ext(term_b));
+    lo_a + lo_b >= i64::from(i32::MIN) && hi_a + hi_b <= i64::from(i32::MAX)
+}
+
+/// The int8 residual add through per-operand tables, in place on `a`:
+/// `a[i] = clamp(term_a[a[i] as u8].saturating_add(term_b[b[i] as u8]),
+/// -127, 127)`, the tables holding each operand's value on the output grid
+/// for all 256 bytes.
+///
+/// `fit` is [`add_terms_fit`] of the two tables, decided once when they
+/// are built. When it holds and the CPU has AVX2, whole groups of 8 run
+/// the gather body (`add_tables_avx2`): a plain i32 add equals the
+/// saturating one there. Every other element runs the scalar loop. The
+/// elements each body took are added to [`crate::stats`] once per call.
+/// Past the shorter operand nothing is added.
+pub fn add_tables_into(
+    a: &mut [i8],
+    b: &[i8],
+    term_a: &[i32; 256],
+    term_b: &[i32; 256],
+    fit: bool,
+) {
+    let n = a.len().min(b.len());
+    let mut vector = 0;
+    #[cfg(target_arch = "x86_64")]
+    if fit && crate::kernel::use_avx2() {
+        // SAFETY: AVX2 verified just above, and both slices are cut to
+        // `n`. (`fit` is what makes the result equal the scalar loop's.)
+        vector = unsafe { add_tables_avx2(&mut a[..n], &b[..n], term_a, term_b) };
+    }
+    add_tables_scalar(&mut a[vector..n], &b[vector..n], term_a, term_b);
+    crate::stats::record_qadd_elems(vector, n - vector);
+}
+
+/// The scalar table add, the reference [`add_tables_avx2`] equals inside
+/// the domain of [`add_terms_fit`].
+fn add_tables_scalar(a: &mut [i8], b: &[i8], term_a: &[i32; 256], term_b: &[i32; 256]) {
+    for (x, &y) in a.iter_mut().zip(b) {
+        let sum = term_a[usize::from(*x as u8)].saturating_add(term_b[usize::from(y as u8)]);
+        *x = sum.clamp(-127, 127) as i8;
+    }
+}
+
+/// AVX2 table add over the whole groups of 8: each operand's 8 bytes are
+/// zero-extended into gather indices, `_mm256_i32gather_epi32` reads the 8
+/// table entries of each, and their plain i32 sum is clamped to ±127 and
+/// stored as 8 bytes. That equals the scalar loop when every sum of one
+/// entry of each table fits an i32 ([`add_terms_fit`]). The add is in
+/// place, so a group never overlaps one already written; returns how many
+/// leading elements it added (a multiple of 8).
+///
+/// # Safety
+///
+/// The CPU must support AVX2, and `a` and `b` have one length.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn add_tables_avx2(
+    a: &mut [i8],
+    b: &[i8],
+    term_a: &[i32; 256],
+    term_b: &[i32; 256],
+) -> usize {
+    use std::arch::x86_64::*;
+    debug_assert_eq!(a.len(), b.len());
+    let (lo, hi) = (_mm256_set1_epi32(-127), _mm256_set1_epi32(127));
+    let mut j = 0;
+    while j + 8 <= a.len() {
+        // SAFETY: j + 8 <= len bounds both 8-byte loads and the store; a
+        // zero-extended byte indexes one of a table's 256 entries.
+        let ia = _mm256_cvtepu8_epi32(_mm_loadl_epi64(a.as_ptr().add(j).cast()));
+        let ib = _mm256_cvtepu8_epi32(_mm_loadl_epi64(b.as_ptr().add(j).cast()));
+        let sum = _mm256_add_epi32(
+            _mm256_i32gather_epi32::<4>(term_a.as_ptr(), ia),
+            _mm256_i32gather_epi32::<4>(term_b.as_ptr(), ib),
+        );
+        store8(
+            a.as_mut_ptr().add(j),
+            _mm256_max_epi32(lo, _mm256_min_epi32(hi, sum)),
+        );
+        j += 8;
+    }
+    j
+}
+
+// ---------------------------------------------------------------------------
 // Integer GEMM
 // ---------------------------------------------------------------------------
 
@@ -836,15 +1017,19 @@ pub fn qim2col_into(out: &mut [i8], input: &[i8], geom: &Conv2dGeometry) {
 /// are then `pairs[c · k · kp .. (c + 1) · k · kp]` with
 /// `kp = k.div_ceil(2)`.
 ///
-/// # Panics
-///
-/// Panics if `k` is zero or `w` is not a whole number of `k`-wide rows.
+/// The engine's taps are whole rows: `Graph::facts` rejects a zero kernel
+/// ("conv kernel and stride must be positive"), and the artifact decoder
+/// and `QDwConvSpec::quantize` a weight length other than `channels · k²`.
+/// A zero `k` gives no pairs, and a partial last row is dropped.
 #[must_use]
 pub fn dw_tap_pairs(w: &[i8], k: usize) -> Vec<i32> {
-    assert!(
+    debug_assert!(
         k > 0 && w.len().is_multiple_of(k),
-        "dw_tap_pairs: taps are not whole rows"
+        "dw_tap_pairs: taps are not whole rows (facts() rejects a zero kernel)"
     );
+    if k == 0 {
+        return Vec::new();
+    }
     let half = |v: i8| u32::from(i16::from(v) as u16);
     w.chunks_exact(k)
         .flat_map(|row| {
@@ -863,12 +1048,14 @@ pub fn dw_tap_pairs(w: &[i8], k: usize) -> Vec<i32> {
 /// `pairs[ch·k·kp ..]` (`kp = k.div_ceil(2)`) and the epilogue `rows[ch]`.
 /// Stride, padding and plane size come from `geom`, read as one channel.
 ///
-/// Dispatched per plane: a stride-1 plane with `out_w >= 8` whose
-/// epilogue is in the vector domain runs the paired-tap AVX2 body, every
-/// other plane the scalar body; both equal [`RowEpilogue::apply`] of the
-/// exact i32 stencil sum. The AVX2 body's i16 staging plane comes from the
-/// scratch arena once per call, and the planes and requantized rows each
-/// body took are added to [`crate::stats`] once per call.
+/// Dispatched per plane: a stride-1 or stride-2 plane with `out_w >= 8`
+/// whose epilogue is in the vector domain runs the paired-tap AVX2 body,
+/// every other plane the scalar body; both equal [`RowEpilogue::apply`] of
+/// the exact i32 stencil sum. The AVX2 body's i16 stage of the whole padded
+/// plane comes from the scratch arena once per call and is zeroed once:
+/// each plane writes only its interior, so the border stays zero. The
+/// planes and requantized rows each body took are added to
+/// [`crate::stats`] once per call.
 pub fn qdw_planes_into(
     out: &mut [i8],
     input: &[i8],
@@ -904,12 +1091,13 @@ pub fn qdw_planes_into(
         return;
     }
     let stage_len = padded(geom.in_w)
-        .and_then(|pw| pw.checked_mul(geom.in_h))
+        .zip(padded(geom.in_h))
+        .and_then(|(pw, ph)| pw.checked_mul(ph))
         .and_then(|n| n.checked_add(1));
-    let vector_shape = crate::kernel::use_avx2() && geom.stride == 1 && geom.out_w() >= 8;
+    let vector_shape = crate::kernel::use_avx2() && geom.stride <= 2 && geom.out_w() >= 8;
     let mut stage = stage_len
         .filter(|_| vector_shape)
-        .map(crate::scratch::alloc_i16);
+        .map(crate::scratch::alloc_i16_zeroed);
     let (mut planes, mut vector) = (0, 0);
     for (o_img, x_img) in out
         .chunks_exact_mut(c * plane_out)
@@ -928,11 +1116,12 @@ pub fn qdw_planes_into(
                 (Some(stage), Some(ts)) => {
                     // SAFETY: AVX2 is on (both options are `Some` only
                     // then), the kernel fits the padded plane, the shape is
-                    // stride 1 with `out_w >= 8`, the chunks have the
-                    // plane lengths, the stage holds `in_h · (in_w + 2 ·
-                    // padding) + 1` elements, and `ts` is `ep`'s vector
-                    // shift.
-                    unsafe { qdw_plane_s1_avx2(o, x, pair, ep, ts, geom, stage) };
+                    // stride 1 or 2 with `out_w >= 8`, the chunks have the
+                    // plane lengths, the stage holds `(in_h + 2 · padding)
+                    // · (in_w + 2 · padding) + 1` elements whose border no
+                    // plane writes (zeroed at allocation), and `ts` is
+                    // `ep`'s vector shift.
+                    unsafe { qdw_plane_avx2(o, x, pair, ep, ts, geom, stage) };
                     vector += 1;
                 }
                 _ => qdw_plane_scalar(o, x, taps, ep, geom),
@@ -943,37 +1132,51 @@ pub fn qdw_planes_into(
     crate::stats::record_requant_rows(vector, planes - vector);
 }
 
-/// AVX2 stride-1 depthwise plane, two taps per multiply, requantized in
-/// registers and stored as int8.
+/// AVX2 depthwise plane, two taps per multiply, requantized in registers
+/// and stored as int8.
 ///
-/// The input is widened once into the i16 staging plane; vertical padding
-/// is a per-output-row tap clip. In that plane the taps `(kx, kx + 1)` of
-/// output `j` are the adjacent i16 pair at `j + kx`, so one unaligned
-/// 32-byte load at `kx` holds them for the even outputs `j = 0, 2, …, 14`
-/// of a 16-wide group and a load at `kx + 1` holds them for the odd ones.
-/// `_mm256_madd_epi16` against the broadcast `(w[kx], w[kx + 1])` pair
-/// forms both products and their sum exactly (`|x·w| <= 128·127`), with
-/// no shuffle inside the tap loop; an odd kernel's last tap is paired with
-/// a zero weight. The accumulators start at the bias, which the vector
-/// domain's headroom keeps exact. The even and odd accumulators are
-/// requantized ([`Rq8`]) and interleaved once per group as they narrow to
-/// bytes. Two interior rows (no vertical clip) share each weight broadcast;
-/// clipped rows go one at a time. Outputs go 16 per group when
-/// `ow >= 16` and 8 per group (128-bit loads) otherwise; the last group is
-/// anchored at the row end, recomputing overlapped outputs — identical
-/// values, integer math.
+/// The input is widened into the interior of the zero-bordered i16 stage
+/// (one `cvtepi8_epi16` load and one 32-byte store per 16 columns), so
+/// every output row reads all `k` tap rows from the stage and no tap is
+/// clipped. A stage row holds `pw = in_w + 2 · padding` elements; output
+/// `(oy, j)` reads its tap row `ky` from stage row `oy · stride + ky` at
+/// column `j · stride + kx`. `_mm256_madd_epi16` against the broadcast
+/// `(w[kx], w[kx + 1])` pair forms both products and their sum exactly
+/// (`|x·w| <= 128·127`); an odd kernel's last tap is paired with a zero
+/// weight. The accumulators start at the bias, which the vector domain's
+/// headroom keeps exact, and are requantized by [`Rq8`].
+///
+/// - **Stride 1.** In the stage the pair `(kx, kx + 1)` of output `j` is
+///   the adjacent i16 pair at `j + kx`, so one unaligned 32-byte load at
+///   `kx` holds it for the even outputs `j = 0, 2, …, 14` of a 16-wide
+///   group and a load at `kx + 1` for the odd ones, with no shuffle in the
+///   tap loop. Two rows share each weight broadcast ([`rows16`]); planes
+///   with `8 <= out_w < 16` run one row at a time with 128-bit loads
+///   ([`row8`]).
+/// - **Stride 2.** The pair of output `j` sits at `2j + kx`, so one
+///   32-byte load at `2 · x0 + kx` holds the pairs of the 8 outputs
+///   `x0..x0 + 8`: one load, one multiply-add and one add per tap pair
+///   ([`row8_s2`]).
+///
+/// The last group of a row is anchored at the row end, recomputing
+/// overlapped outputs — identical values, integer math.
+///
+/// [`rows16`]: DwRun::rows16
+/// [`row8`]: DwRun::row8
+/// [`row8_s2`]: DwRun::row8_s2
 ///
 /// # Safety
 ///
-/// The CPU must support AVX2; `geom.stride == 1`, `geom.out_w() >= 8`,
-/// `input.len() == in_h · in_w`, `out.len() == out_h · out_w`,
-/// `pairs.len() == k · k.div_ceil(2)`, `stage.len() > in_h · (in_w + 2 ·
-/// padding)` (the staging plane plus one slack element), the kernel fits
-/// the padded plane, and `ep` is in the vector domain with `ts` its
+/// The CPU must support AVX2; `geom.stride` is 1 or 2, `geom.out_w() >=
+/// 8`, `input.len() == in_h · in_w`, `out.len() == out_h · out_w`,
+/// `pairs.len() == k · k.div_ceil(2)`, `stage.len() > (in_h + 2 · padding)
+/// · (in_w + 2 · padding)` (the padded plane plus one slack element) with
+/// every element outside the interior rows and columns zero, the kernel
+/// fits the padded plane, and `ep` is in the vector domain with `ts` its
 /// `31 - shift`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn qdw_plane_s1_avx2(
+unsafe fn qdw_plane_avx2(
     out: &mut [i8],
     input: &[i8],
     pairs: &[i32],
@@ -987,58 +1190,90 @@ unsafe fn qdw_plane_s1_avx2(
     let (oh, ow) = (geom.out_h(), geom.out_w());
     let pad = geom.padding;
     let pw = iw + 2 * pad;
-    debug_assert!(geom.stride == 1 && ow >= 8);
+    debug_assert!(geom.stride <= 2 && ow >= 8);
     debug_assert_eq!((input.len(), out.len()), (ih * iw, oh * ow));
     debug_assert_eq!(pairs.len(), k * k.div_ceil(2));
-    debug_assert!(stage.len() > ih * pw);
-    for (prow, irow) in stage.chunks_exact_mut(pw).zip(input.chunks_exact(iw)) {
-        prow[..pad].fill(0);
-        for (d, &s) in prow[pad..pad + iw].iter_mut().zip(irow) {
-            *d = i16::from(s);
-        }
-        prow[pad + iw..].fill(0);
+    debug_assert!(stage.len() > (ih + 2 * pad) * pw);
+    for (r, irow) in input.chunks_exact(iw).enumerate() {
+        widen_row(&mut stage[(r + pad) * pw + pad..][..iw], irow);
     }
-    // Stride 1: ow = pw - k + 1. The odd-output load of an odd kernel's
-    // last (zero-weight) pair reads one element past the last row.
-    stage[ih * pw] = 0;
     let run = DwRun {
         stage: stage.as_ptr(),
         pw,
-        pad,
         ow,
         kp: k.div_ceil(2),
         pairs,
         rq: Rq8::new(ep, ts),
     };
     let op = out.as_mut_ptr();
-    let interior = |oy: usize| oy >= pad && oy + k <= ih + pad;
-    let mut oy = 0;
-    while oy < oh {
-        if ow >= 16 && oy + 1 < oh && interior(oy) && interior(oy + 1) {
-            run.rows16::<2>(op, oy, 0..k);
+    if geom.stride == 2 {
+        for oy in 0..oh {
+            run.row8_s2(op, oy);
+        }
+    } else if ow < 16 {
+        for oy in 0..oh {
+            run.row8(op, oy);
+        }
+    } else {
+        let mut oy = 0;
+        while oy + 2 <= oh {
+            run.rows16::<2>(op, oy);
             oy += 2;
-            continue;
         }
-        // Vertical clip: taps whose source row falls outside the image
-        // contribute zero, exactly as the scalar body's row check.
-        let ky0 = pad.saturating_sub(oy).min(k);
-        let ky1 = k.min((ih + pad).saturating_sub(oy));
-        if ow >= 16 {
-            run.rows16::<1>(op, oy, ky0..ky1);
-        } else {
-            run.row8(op, oy, ky0..ky1);
+        if oy < oh {
+            run.rows16::<1>(op, oy);
         }
-        oy += 1;
     }
 }
 
-/// One plane's staging pointer, geometry, tap pairs and requantizer, as
-/// the AVX2 depthwise row bodies read them.
+/// Sign-extends one input row into its stage row: 16 values per step with
+/// one `cvtepi8_epi16` load and one 32-byte store, the last group anchored
+/// at the row end; rows narrower than 16 go one value at a time.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn widen_row(dst: &mut [i16], src: &[i8]) {
+    use std::arch::x86_64::*;
+    let n = dst.len().min(src.len());
+    if n < 16 {
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d = i16::from(s);
+        }
+        return;
+    }
+    let mut j = 0;
+    loop {
+        // SAFETY: j + 16 <= n bounds the 16-byte load and the 32-byte
+        // store.
+        let v = _mm256_cvtepi8_epi16(_mm_loadu_si128(src.as_ptr().add(j).cast()));
+        _mm256_storeu_si256(dst.as_mut_ptr().add(j).cast(), v);
+        if j + 16 >= n {
+            break;
+        }
+        j = (j + 16).min(n - 16);
+    }
+}
+
+/// One plane's stage pointer, geometry, tap pairs and requantizer, as the
+/// AVX2 depthwise row bodies read them.
+///
+/// Every load of the bodies ends at most one element past its stage row:
+/// the next row's first element, or the stage's slack element after the
+/// last row. A stride-1 group starts at `x0 <= ow - 16` (`ow - 8` for
+/// [`row8`](Self::row8)), so its last load, at tap offset `2p + 1 <= k`,
+/// ends at `x0 + 15 + k <= ow - 1 + k = pw`. A stride-2 group starts at
+/// `2 · x0 <= 2 · ow - 16`, so its last load, at `2p <= k - 1`, ends at
+/// `2 · ow - 2 + k <= pw` (`2 · (ow - 1) <= pw - k`). The element there
+/// meets a zero weight when the kernel is odd, and is never reached when
+/// it is even.
 #[cfg(target_arch = "x86_64")]
 struct DwRun<'a> {
     stage: *const i16,
     pw: usize,
-    pad: usize,
     ow: usize,
     kp: usize,
     pairs: &'a [i32],
@@ -1047,27 +1282,24 @@ struct DwRun<'a> {
 
 #[cfg(target_arch = "x86_64")]
 impl DwRun<'_> {
-    /// Output rows `oy..oy + R`, 16 outputs per group, over tap rows `ky`
-    /// (the full kernel when `R > 1`).
+    /// Stride-1 output rows `oy..oy + R`, 16 outputs per group, over all
+    /// `k` tap rows.
     ///
     /// # Safety
     ///
-    /// The CPU must support AVX2; `ow >= 16`; every row `oy + r + ky - pad`
-    /// for `r < R`, `ky` in `ky` lies in the staged plane; `out` holds the
-    /// `oh · ow` plane. A group starts at `x0 <= ow - 16`, so a load at tap
-    /// offset `2p + 1 <= k` ends at `row·pw + ow - 1 + k = row·pw + pw`: the
-    /// next row's first element or the slack element.
+    /// The CPU must support AVX2; the plane is stride 1 with `ow >= 16`;
+    /// `oy + R <= oh`; `out` holds the `oh · ow` plane; the stage holds the
+    /// padded plane plus the slack element (see the type docs).
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn rows16<const R: usize>(&self, out: *mut i8, oy: usize, ky: std::ops::Range<usize>) {
+    unsafe fn rows16<const R: usize>(&self, out: *mut i8, oy: usize) {
         use std::arch::x86_64::*;
         let mut x0 = 0usize;
         loop {
             let mut even = [self.rq.bias; R];
             let mut odd = [self.rq.bias; R];
-            for ky in ky.clone() {
-                let wrow = &self.pairs[ky * self.kp..(ky + 1) * self.kp];
-                let row0 = self.stage.add((oy + ky - self.pad) * self.pw + x0);
+            for (ky, wrow) in self.pairs.chunks_exact(self.kp).enumerate() {
+                let row0 = self.stage.add((oy + ky) * self.pw + x0);
                 for (p, &pair) in wrow.iter().enumerate() {
                     let wv = _mm256_set1_epi32(pair);
                     for r in 0..R {
@@ -1090,22 +1322,21 @@ impl DwRun<'_> {
         }
     }
 
-    /// Output row `oy` of a plane with `8 <= ow < 16`: 8 outputs per group
-    /// with 128-bit loads, the second group anchored at `ow - 8`.
+    /// Stride-1 output row `oy` of a plane with `8 <= ow < 16`: 8 outputs
+    /// per group with 128-bit loads, the second group anchored at `ow - 8`.
     ///
     /// # Safety
     ///
     /// As [`rows16`](Self::rows16) with `R = 1`, for `ow >= 8`.
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn row8(&self, out: *mut i8, oy: usize, ky: std::ops::Range<usize>) {
+    unsafe fn row8(&self, out: *mut i8, oy: usize) {
         use std::arch::x86_64::*;
         let bias = _mm256_castsi256_si128(self.rq.bias);
         for x0 in [0, self.ow - 8] {
             let (mut even, mut odd) = (bias, bias);
-            for ky in ky.clone() {
-                let wrow = &self.pairs[ky * self.kp..(ky + 1) * self.kp];
-                let base = self.stage.add((oy + ky - self.pad) * self.pw + x0);
+            for (ky, wrow) in self.pairs.chunks_exact(self.kp).enumerate() {
+                let base = self.stage.add((oy + ky) * self.pw + x0);
                 for (p, &pair) in wrow.iter().enumerate() {
                     let wv = _mm_set1_epi32(pair);
                     let a = _mm_loadu_si128(base.add(2 * p).cast());
@@ -1126,6 +1357,37 @@ impl DwRun<'_> {
                 out.add(oy * self.ow + x0).cast(),
                 _mm_packs_epi16(words, words),
             );
+        }
+    }
+
+    /// Stride-2 output row `oy`, 8 outputs per group: per tap pair, one
+    /// 32-byte load at `2 · x0 + 2p` of stage row `2 · oy + ky` holds the
+    /// `(2p, 2p + 1)` pairs of outputs `x0..x0 + 8`, in output order.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2; the plane is stride 2 with `ow >= 8`;
+    /// `oy < oh`; `out` holds the `oh · ow` plane; the stage holds the
+    /// padded plane plus the slack element (see the type docs).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn row8_s2(&self, out: *mut i8, oy: usize) {
+        use std::arch::x86_64::*;
+        let mut x0 = 0usize;
+        loop {
+            let mut acc = self.rq.bias;
+            for (ky, wrow) in self.pairs.chunks_exact(self.kp).enumerate() {
+                let base = self.stage.add((2 * oy + ky) * self.pw + 2 * x0);
+                for (p, &pair) in wrow.iter().enumerate() {
+                    let v = _mm256_loadu_si256(base.add(2 * p).cast());
+                    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(v, _mm256_set1_epi32(pair)));
+                }
+            }
+            store8(out.add(oy * self.ow + x0), self.rq.apply(acc));
+            if x0 + 8 >= self.ow {
+                break;
+            }
+            x0 = (x0 + 8).min(self.ow - 8);
         }
     }
 }
@@ -1308,6 +1570,15 @@ mod tests {
     }
 
     #[test]
+    fn qmax_of_any_bit_width_is_a_quantize_qmax() {
+        // `qmax(bits)` is the check that keeps `quantize_i8_into`'s qmax
+        // in 1..=127, whatever width a spec or artifact carries.
+        for bits in [0, 1, 2, 4, 8, 9, 16, 32, u32::MAX] {
+            assert!((1..=127).contains(&qmax(bits)), "bits={bits}");
+        }
+    }
+
+    #[test]
     fn pack_unpack_i4_roundtrip() {
         let mut rng = StdRng::seed_from_u64(3);
         for len in [0usize, 1, 2, 7, 8, 33] {
@@ -1320,18 +1591,28 @@ mod tests {
         }
     }
 
+    /// Serializes the tests that read the process-global depthwise plane
+    /// counters against the other tests in this binary that move them.
+    static DW_COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn dispatched_kernels_match_scalar_bodies() {
+        let _counters = DW_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
         let mut rng = StdRng::seed_from_u64(13);
 
         // Depthwise planes over every shape class the dispatch can see:
-        // ow < 8 and stride 2 (scalar), ow in 8..16, 16n and 16n + r
-        // (paired-tap AVX2 kernel, with 2-row blocks wherever two interior
-        // rows meet and single rows at the clipped borders), and the pulse
-        // strip (in_h = k, pad 0). Activations sit at 127 and −128, the
-        // largest products the kernel forms. Two channels per call, both
-        // in the vector domain: one with a positive bias and the full
-        // clamp, one with a negative bias and a ReLU6 clamp.
+        // ow < 8 (scalar), stride 1 with ow in 8..16, 16n and 16n + r
+        // (paired-tap AVX2 kernel, 2-row blocks and an odd last row),
+        // stride 2 with ow >= 8 (the 8-output stride-2 body), every
+        // padding up to "same", and the pulse strip (in_h = k, pad 0).
+        // Activations sit at 127 and −128, the largest products the kernel
+        // forms. Two channels per call, both in the vector domain: one with
+        // a positive bias and the full clamp, one with a negative bias and
+        // a ReLU6 clamp. The plane counters must show every stride-1 and
+        // stride-2 plane with ow >= 8 on the AVX2 body.
+        let avx2 = crate::kernel::use_avx2();
+        let before = crate::stats::snapshot();
+        let (mut want_planes, mut stride2_vector) = ([0u64; 2], 0);
         let extremes: Vec<i8> = (0..2 * 40 * 40)
             .map(|_| if rng.gen_bool(0.5) { 127 } else { -128 })
             .collect();
@@ -1362,6 +1643,9 @@ mod tests {
                             };
                             let input = &extremes[..2 * in_h * in_w];
                             let plane = geom.out_h() * geom.out_w();
+                            let vector = avx2 && geom.out_w() >= 8;
+                            want_planes[usize::from(vector)] += 2;
+                            stride2_vector += u64::from(vector && stride == 2);
                             let mut got = vec![0x55i8; 2 * plane];
                             qdw_planes_into(&mut got, input, &w, &pairs, &rows, &geom);
                             let mut want = vec![-0x55i8; 2 * plane];
@@ -1380,6 +1664,19 @@ mod tests {
                 }
             }
         }
+        let after = crate::stats::snapshot();
+        assert_eq!(
+            [
+                after.dw_planes_scalar - before.dw_planes_scalar,
+                after.dw_planes_vector - before.dw_planes_vector,
+            ],
+            want_planes,
+            "(scalar, vector) depthwise planes"
+        );
+        assert_eq!(stride2_vector > 0, avx2, "stride-2 planes on the AVX2 body");
+
+        check_quantize_bodies();
+        check_add_bodies();
 
         // Prepacked path over a grid that covers every k % 4 (the partial
         // K-group the vector pack leaves to the scalar walk), n below,
@@ -1489,6 +1786,119 @@ mod tests {
             for (i, (&g, &a)) in got.iter().zip(&acc).enumerate() {
                 assert_eq!(g, rows[i / cols].apply(a), "cols={cols} at {i}");
             }
+        }
+    }
+
+    /// The quantize dispatch against its scalar body at `qmax` 1, 7 and
+    /// 127, over ±0, subnormals, every tie ±(n + ½) for n ≤ 130 with both
+    /// float neighbours, ±2^23, ±2^24, ±2^31 and beyond, ±`f32::MAX`, ±inf
+    /// and NaN, at scales that keep the ties (1, ½), spread them (0.05),
+    /// flip signs (−2) and divide by zero (0), in every length 0..=40.
+    fn check_quantize_bodies() {
+        let mut vals = vec![0.0f32, -0.0, f32::MAX, -f32::MAX, f32::INFINITY];
+        vals.extend([f32::NEG_INFINITY, f32::NAN, -f32::NAN]);
+        for sub in [f32::from_bits(1), f32::from_bits(0x007f_ffff), 1e-40] {
+            vals.extend([sub, -sub]);
+        }
+        for m in 0..=130u8 {
+            let tie = f32::from(m) + 0.5;
+            for t in [tie, -tie] {
+                vals.extend([t.next_down(), t, t.next_up()]);
+            }
+        }
+        for e in [23, 24, 31, 32, 40, 100] {
+            let p = 2.0f32.powi(e);
+            vals.extend([
+                p,
+                -p,
+                p.next_down(),
+                -p.next_down(),
+                p.next_up(),
+                -p.next_up(),
+            ]);
+        }
+        for qmax in [1, 7, 127] {
+            for scale in [1.0f32, 0.5, 0.05, -2.0, 0.0] {
+                for len in 0..=40 {
+                    // Every value in a window of each length; the last
+                    // window may be shorter.
+                    for chunk in vals.chunks(len.max(1)) {
+                        let src = &chunk[..len.min(chunk.len())];
+                        let mut got = vec![0x55i8; src.len()];
+                        quantize_i8_into(&mut got, src, scale, qmax);
+                        let mut want = vec![-0x55i8; src.len()];
+                        quantize_scalar(&mut want, src, 1.0 / scale, qmax);
+                        assert_eq!(got, want, "qmax={qmax} scale={scale} {src:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The table add's dispatch against its scalar body over every (a, b)
+    /// byte pair, in every length 0..=40, for tables inside the exact
+    /// domain (identity, two requantizers, entries exactly at ±2^30 whose
+    /// extreme sums are exactly `i32::MAX` and `i32::MIN`) and outside it
+    /// (2^30 in both tables, an entry at 2^30 + 1, a saturating
+    /// requantizer). The element counters must show the domain's groups
+    /// of 8 on the gather body under AVX2.
+    fn check_add_bodies() {
+        let table = |f: &dyn Fn(i32) -> i32| {
+            let mut t = Box::new([0i32; 256]);
+            for v in -128..=127i32 {
+                t[usize::from(v as i8 as u8)] = f(v);
+            }
+            t
+        };
+        let rq = |real: f64| {
+            let rq = Requant::from_scale(real);
+            table(&move |v| rq.apply(v))
+        };
+        const EDGE: i32 = 1 << 30;
+        let edge = |top: i32, scale: i32| {
+            table(&move |v| match v {
+                127 => top,
+                -128 => -EDGE,
+                _ => v * scale,
+            })
+        };
+        let cases = [
+            (table(&|v| v), table(&|v| v), true),
+            (rq(0.7), rq(1.3), true),
+            (edge(EDGE, 1), edge(EDGE - 1, 3), true),
+            (edge(EDGE, 1), edge(EDGE, 3), false),
+            (edge(EDGE + 1, 1), edge(EDGE - 1, 3), false),
+            (rq(f64::from(1 << 25)), table(&|v| v), false),
+        ];
+        let a_all: Vec<i8> = (0..1 << 16).map(|i: u32| (i >> 8) as u8 as i8).collect();
+        let b_all: Vec<i8> = (0..1 << 16).map(|i: u32| i as u8 as i8).collect();
+        let avx2 = crate::kernel::use_avx2();
+        for (ta, tb, fit) in &cases {
+            assert_eq!(add_terms_fit(ta, tb), *fit, "{:?}", (ta[127], tb[127]));
+            let before = crate::stats::snapshot();
+            let mut want_vector = 0;
+            let mut check = |a: &[i8], b: &[i8]| {
+                let mut got = a.to_vec();
+                add_tables_into(&mut got, b, ta, tb, *fit);
+                let mut want = a.to_vec();
+                add_tables_scalar(&mut want, b, ta, tb);
+                assert_eq!(got, want, "fit={fit} len={}", a.len());
+                if *fit && avx2 {
+                    want_vector += a.len() / 8 * 8;
+                }
+            };
+            check(&a_all, &b_all);
+            for len in 0..=40 {
+                for start in (0..a_all.len() - len).step_by(997) {
+                    check(&a_all[start..start + len], &b_all[start..start + len]);
+                }
+            }
+            let after = crate::stats::snapshot();
+            assert_eq!(
+                after.qadd_elems_vector - before.qadd_elems_vector,
+                want_vector as u64,
+                "fit={fit}"
+            );
         }
     }
 
@@ -1637,6 +2047,7 @@ mod tests {
 
     #[test]
     fn qdw_plane_matches_direct_convolution() {
+        let _counters = DW_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
         let mut rng = StdRng::seed_from_u64(19);
         let geom = Conv2dGeometry {
             in_channels: 1,

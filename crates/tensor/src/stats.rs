@@ -55,6 +55,14 @@ static REQUANT_ROWS_SCALAR: AtomicU64 = AtomicU64::new(0);
 static DW_PLANES_VECTOR: AtomicU64 = AtomicU64::new(0);
 /// Int8 depthwise planes run by the scalar body.
 static DW_PLANES_SCALAR: AtomicU64 = AtomicU64::new(0);
+/// Int8 residual-add elements summed by the AVX2 gather body.
+static QADD_ELEMS_VECTOR: AtomicU64 = AtomicU64::new(0);
+/// Int8 residual-add elements summed by the scalar loop.
+static QADD_ELEMS_SCALAR: AtomicU64 = AtomicU64::new(0);
+/// Float values quantized to int8 by the AVX2 body.
+static QUANTIZE_ELEMS_VECTOR: AtomicU64 = AtomicU64::new(0);
+/// Float values quantized to int8 by the scalar loop.
+static QUANTIZE_ELEMS_SCALAR: AtomicU64 = AtomicU64::new(0);
 
 /// Point-in-time snapshot of the kernel-runtime counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -115,9 +123,22 @@ pub struct KernelStats {
     /// Int8 depthwise planes run by the paired-tap AVX2 body of
     /// [`qdw_planes_into`](crate::qkernel::qdw_planes_into).
     pub dw_planes_vector: u64,
-    /// Int8 depthwise planes run by its scalar body (stride 2, `out_w < 8`,
-    /// an epilogue outside the vector domain, or no AVX2).
+    /// Int8 depthwise planes run by its scalar body (stride above 2,
+    /// `out_w < 8`, an epilogue outside the vector domain, or no AVX2).
     pub dw_planes_scalar: u64,
+    /// Int8 residual-add elements summed by the AVX2 gather body of
+    /// [`add_tables_into`](crate::qkernel::add_tables_into).
+    pub qadd_elems_vector: u64,
+    /// Int8 residual-add elements summed by its scalar loop: every element
+    /// without AVX2 or outside the tables' exact domain, otherwise the
+    /// `len % 8` tail.
+    pub qadd_elems_scalar: u64,
+    /// Float values quantized by the AVX2 body of
+    /// [`quantize_i8_into`](crate::qkernel::quantize_i8_into).
+    pub quantize_elems_vector: u64,
+    /// Float values quantized by its scalar loop (calls below 8 values, or
+    /// no AVX2).
+    pub quantize_elems_scalar: u64,
 }
 
 impl KernelStats {
@@ -158,6 +179,10 @@ pub fn snapshot() -> KernelStats {
         requant_rows_scalar: REQUANT_ROWS_SCALAR.load(Ordering::Relaxed),
         dw_planes_vector: DW_PLANES_VECTOR.load(Ordering::Relaxed),
         dw_planes_scalar: DW_PLANES_SCALAR.load(Ordering::Relaxed),
+        qadd_elems_vector: QADD_ELEMS_VECTOR.load(Ordering::Relaxed),
+        qadd_elems_scalar: QADD_ELEMS_SCALAR.load(Ordering::Relaxed),
+        quantize_elems_vector: QUANTIZE_ELEMS_VECTOR.load(Ordering::Relaxed),
+        quantize_elems_scalar: QUANTIZE_ELEMS_SCALAR.load(Ordering::Relaxed),
     }
 }
 
@@ -185,6 +210,10 @@ pub fn reset() {
     REQUANT_ROWS_SCALAR.store(0, Ordering::Relaxed);
     DW_PLANES_VECTOR.store(0, Ordering::Relaxed);
     DW_PLANES_SCALAR.store(0, Ordering::Relaxed);
+    QADD_ELEMS_VECTOR.store(0, Ordering::Relaxed);
+    QADD_ELEMS_SCALAR.store(0, Ordering::Relaxed);
+    QUANTIZE_ELEMS_VECTOR.store(0, Ordering::Relaxed);
+    QUANTIZE_ELEMS_SCALAR.store(0, Ordering::Relaxed);
 }
 
 /// Counts one GEMM dispatch for the given shape class (crate-internal:
@@ -235,6 +264,20 @@ pub(crate) fn record_requant_rows(vector: usize, scalar: usize) {
 pub(crate) fn record_dw_planes(vector: usize, scalar: usize) {
     add_nonzero(&DW_PLANES_VECTOR, vector);
     add_nonzero(&DW_PLANES_SCALAR, scalar);
+}
+
+/// Accounts one residual-add call: the elements its vector and scalar
+/// bodies summed.
+pub(crate) fn record_qadd_elems(vector: usize, scalar: usize) {
+    add_nonzero(&QADD_ELEMS_VECTOR, vector);
+    add_nonzero(&QADD_ELEMS_SCALAR, scalar);
+}
+
+/// Accounts one quantize call: the values its vector and scalar bodies
+/// converted.
+pub(crate) fn record_quantize_elems(vector: usize, scalar: usize) {
+    add_nonzero(&QUANTIZE_ELEMS_VECTOR, vector);
+    add_nonzero(&QUANTIZE_ELEMS_SCALAR, scalar);
 }
 
 /// One relaxed add, skipped when there is nothing to count.

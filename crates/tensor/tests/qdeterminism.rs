@@ -15,8 +15,9 @@
 use edd_tensor::kernel::pack::{pack_lhs_i8, pack_rhs_i8, packed_lhs_len, packed_rhs_len};
 use edd_tensor::kernel::set_num_threads;
 use edd_tensor::qkernel::{
-    dw_tap_pairs, pack_i4, qdw_planes_into, qim2col_into, qmatmul_naive, qmatmul_prepacked_into,
-    requantize_rows_into, unpack_i4_into, Requant, RowEpilogue,
+    add_tables_into, add_terms_fit, dw_tap_pairs, pack_i4, qdw_planes_into, qim2col_into,
+    qmatmul_naive, qmatmul_prepacked_into, quantize_i8_into, requantize_rows_into, unpack_i4_into,
+    Requant, RowEpilogue,
 };
 use edd_tensor::Conv2dGeometry;
 use rand::rngs::StdRng;
@@ -31,14 +32,25 @@ fn qdata(len: usize, seed: u64) -> Vec<i8> {
 }
 
 /// Everything one [`run_workload`] pass produces.
-type Workload = (Vec<i8>, Vec<i32>, Vec<i8>, Vec<i8>, Vec<i8>, Vec<i32>);
+type Workload = (
+    Vec<i8>,
+    Vec<i32>,
+    Vec<i8>,
+    Vec<i8>,
+    Vec<i8>,
+    Vec<i32>,
+    Vec<i8>,
+    Vec<i8>,
+);
 
 /// One pass over every quantized inference primitive, sized so the GEMMs
 /// cross the `QPAR_MIN_MACS` threshold and actually fan out on the pool:
 /// int4 pack/unpack round-trip, qim2col lowering, the threaded prepacked
 /// qGEMM (panel packs + maddubs GEMM) over the lowered columns, per-row
-/// fixed-point requantization, the depthwise stencil, and a second
-/// prepacked GEMM with row and column tails.
+/// fixed-point requantization, the depthwise stencil, a second prepacked
+/// GEMM with row and column tails, the input quantize and the residual
+/// table add. The quantize and the add are checked against their scalar
+/// expressions, so each `EDD_SIMD` leg checks the body it dispatches to.
 fn run_workload() -> Workload {
     // int4 weights, bit-packed then unpacked exactly as QWeights does per
     // forward call.
@@ -130,7 +142,44 @@ fn run_workload() -> Workload {
         "prepacked GEMM must equal the naive product"
     );
 
-    (cols, acc, out, dw, panels, prepacked)
+    // Input quantize over values that include rounding ties, with a
+    // 5-value tail after the 8-value groups.
+    let mut rng = StdRng::seed_from_u64(77);
+    let x: Vec<f32> = (0..1_029)
+        .map(|i| {
+            if i % 3 == 0 {
+                f32::from(rng.gen_range(-300i16..300)) / 2.0
+            } else {
+                rng.gen_range(-150.0f32..150.0)
+            }
+        })
+        .collect();
+    let mut xq = vec![0i8; x.len()];
+    quantize_i8_into(&mut xq, &x, 1.0, 127);
+    for (&q, &v) in xq.iter().zip(&x) {
+        assert_eq!(q, (v.round() as i32).clamp(-127, 127) as i8, "quantize {v}");
+    }
+
+    // Residual add of two requantized operands in place, through the
+    // tables the engine builds, over a 1 029-element tail case.
+    let table = |real: f64| {
+        let rq = Requant::from_scale(real);
+        let mut t = Box::new([0i32; 256]);
+        for v in i8::MIN..=i8::MAX {
+            t[usize::from(v as u8)] = rq.apply(i32::from(v));
+        }
+        t
+    };
+    let (ta, tb) = (table(0.71), table(1.37));
+    let (a, b) = (qdata(1_029, 88), qdata(1_029, 99));
+    let mut sum = a.clone();
+    add_tables_into(&mut sum, &b, &ta, &tb, add_terms_fit(&ta, &tb));
+    for ((&s, &x), &y) in sum.iter().zip(&a).zip(&b) {
+        let want = ta[usize::from(x as u8)].saturating_add(tb[usize::from(y as u8)]);
+        assert_eq!(i32::from(s), want.clamp(-127, 127), "add {x} + {y}");
+    }
+
+    (cols, acc, out, dw, panels, prepacked, xq, sum)
 }
 
 #[test]

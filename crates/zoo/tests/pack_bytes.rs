@@ -1,7 +1,8 @@
 //! Exact work pins of the int8 engine: the bytes of RHS panels that each
 //! body of `pack_rhs_i8` writes during one batch-1 forward of
 //! `edd-tiny-int8`, and, for every tiny-zoo engine, the output rows each
-//! requantizer path takes and the depthwise planes each body runs.
+//! requantizer path takes, the depthwise planes each body runs, and the
+//! residual-add elements and quantized input values each body takes.
 //!
 //! A regression from an AVX2 body back to a scalar one keeps every output
 //! bit, so no golden hash sees it, and its cost hides in timing noise.
@@ -22,6 +23,14 @@
 //! the scalar ones. `edd-tiny-int8` requantizes 608 rows per image: 368
 //! conv output channels and 240 depthwise planes (80 + 96 + 64).
 //!
+//! *Residual adds and the input quantize.* Every residual add of the zoo
+//! has tables whose sums fit an i32, and every add and the quantize run
+//! whole groups of 8, so under AVX2 all of their elements take the vector
+//! bodies and under `EDD_SIMD=scalar` all take the scalar loops.
+//! Each engine adds 3 × 4 096 elements (three residual blocks of 16
+//! channels × 16 × 16) and quantizes 768 input values (3 × 16 × 16) per
+//! image.
+//!
 //! The counters are process-global, so this file is its own test binary
 //! with a single test.
 
@@ -36,12 +45,12 @@ use rand::SeedableRng;
 const TOTAL: u64 = 84_992;
 /// The stem's partial last K-group: 256 columns × 4 taps.
 const STEM_PARTIAL_GROUP: u64 = 1_024;
-/// Requantized rows and depthwise planes per batch-1 forward of each
-/// tiny-zoo engine.
-const EPILOGUE: [(&str, u64, u64); 3] = [
-    ("edd-tiny-quant-demo", 512, 192),
-    ("edd-tiny-int8", 608, 240),
-    ("edd-tiny-int4", 608, 240),
+/// Requantized rows, depthwise planes, residual-add elements and quantized
+/// input values per batch-1 forward of each tiny-zoo engine.
+const EPILOGUE: [(&str, u64, u64, u64, u64); 3] = [
+    ("edd-tiny-quant-demo", 512, 192, 12_288, 768),
+    ("edd-tiny-int8", 608, 240, 12_288, 768),
+    ("edd-tiny-int4", 608, 240, 12_288, 768),
 ];
 
 #[test]
@@ -57,7 +66,9 @@ fn tiny_forward_work_matches_pins() {
     // Largest pool first, so the workers exist when smaller counts run.
     for threads in [7, 2, 1] {
         set_num_threads(threads);
-        for ((name, model, _), (pin_name, rows, planes)) in zoo.iter().zip(EPILOGUE) {
+        for ((name, model, _), (pin_name, rows, planes, adds, quantized)) in
+            zoo.iter().zip(EPILOGUE)
+        {
             assert_eq!(name, pin_name);
             let before = stats::snapshot();
             model.forward(&x).expect("forward");
@@ -79,6 +90,24 @@ fn tiny_forward_work_matches_pins() {
                 want,
                 "{name}: (vector, scalar) requantized rows and (vector, scalar) depthwise \
                  planes per forward at {threads} threads, EDD_SIMD={}",
+                simd_label()
+            );
+            let elems = (
+                d(|s| s.qadd_elems_vector),
+                d(|s| s.qadd_elems_scalar),
+                d(|s| s.quantize_elems_vector),
+                d(|s| s.quantize_elems_scalar),
+            );
+            let want = if avx2 {
+                (adds, 0, quantized, 0)
+            } else {
+                (0, adds, 0, quantized)
+            };
+            assert_eq!(
+                elems,
+                want,
+                "{name}: (vector, scalar) residual-add elements and (vector, scalar) quantized \
+                 values per forward at {threads} threads, EDD_SIMD={}",
                 simd_label()
             );
             if name == "edd-tiny-int8" {
