@@ -10,7 +10,6 @@ use edd_ir::{PassConfig, PulsedModel};
 use edd_nn::qlayers::{
     QAddTables, QConv2d, QConvSource, QConvSpec, QDwConv2d, QDwConvSource, QDwConvSpec,
 };
-use edd_runtime::StreamSession;
 use edd_tensor::kernel::pack;
 use edd_tensor::qkernel::{quantize_i8_into, requantize_rows_into, Requant, RowEpilogue};
 use edd_tensor::{Array, Tensor};
@@ -339,17 +338,17 @@ fn bench_stream_push(c: &mut Criterion) {
         let g = model.graph();
         let [ch, h, w] = g.meta.input_shape;
         let hop = h / 2;
-        let mut session = StreamSession::new(PulsedModel::from_graph(g, hop).unwrap());
+        let mut pulsed = PulsedModel::from_graph(g, hop).unwrap();
         let signal = synthetic_signal(ch, w, 4 * h, 0x5EED);
         for row in &signal[..h + hop] {
-            session.push(row).unwrap();
+            pulsed.push(row).unwrap();
         }
         let mut next = h + hop;
         group.bench_function(name, |bench| {
             bench.iter(|| {
                 let row = &signal[next % signal.len()];
                 next += 1;
-                black_box(session.push(row).unwrap())
+                black_box(pulsed.push(row).unwrap())
             });
         });
     }

@@ -197,7 +197,9 @@ impl DerivedArch {
     /// Returns a `serde_json` error for malformed input, or for an
     /// architecture its space cannot describe: a block count other than the
     /// plan's, a block choice off the space's menus or plan, a zero size or
-    /// menu entry, an even kernel on the menu, a quantization menu entry
+    /// menu entry, a kernel on the menu other than 3, 5 and 7 or a block
+    /// stride other than 1 and 2 (the depthwise stencils `Tensor::dwconv2d`
+    /// runs), a quantization menu entry
     /// below 2 bits (the narrowest symmetric grid with a nonzero level), or
     /// a network whose parameters, or one of whose input images, would hold
     /// more than 2^26 values.
@@ -223,17 +225,18 @@ impl DerivedArch {
         if let Some(i) = s
             .blocks
             .iter()
-            .position(|p| p.out_channels == 0 || p.stride == 0)
+            .position(|p| p.out_channels == 0 || !matches!(p.stride, 1 | 2))
         {
+            // A block's stride is its depthwise conv's, and the f32
+            // depthwise stencils run strides 1 and 2.
             return Err(format!(
-                "space.blocks[{i}]: out_channels and stride must be positive"
+                "space.blocks[{i}]: out_channels must be positive and stride 1 or 2"
             ));
         }
-        if s.kernel_choices.iter().any(|k| k % 2 == 0) {
-            // A same-padded even kernel changes the plane size, so the
-            // block's residual add no longer fits.
+        if s.kernel_choices.iter().any(|k| !matches!(k, 3 | 5 | 7)) {
+            // The f32 depthwise conv runs only its 3, 5 and 7 stencils.
             return Err(format!(
-                "space.kernel_choices {:?} must be odd",
+                "space.kernel_choices {:?} must be drawn from 3, 5 and 7",
                 s.kernel_choices
             ));
         }
@@ -412,7 +415,7 @@ mod tests {
     #[test]
     fn from_json_rejects_archs_their_space_cannot_describe() {
         type Edit = fn(&mut DerivedArch);
-        let cases: [(&str, Edit); 14] = [
+        let cases: [(&str, Edit); 15] = [
             ("blocks[1].kernel", |a| a.blocks[1].kernel = 0),
             ("blocks[0].kernel", |a| a.blocks[0].kernel = 2),
             ("blocks[2].expansion", |a| a.blocks[2].expansion = 0),
@@ -427,6 +430,7 @@ mod tests {
             ("space.stem_stride", |a| a.space.stem_stride = 0),
             ("space.num_classes", |a| a.space.num_classes = 0),
             ("space.blocks[2]", |a| a.space.blocks[2].stride = 0),
+            ("space.blocks[1]", |a| a.space.blocks[1].stride = 3),
             ("space.quant_bits", |a| a.space.quant_bits[0] = 1),
             ("space.kernel_choices", |a| a.space.kernel_choices.push(2)),
         ];
@@ -455,7 +459,7 @@ mod tests {
                 a.space.expansion_choices.push(HUGE);
                 a.blocks[1].expansion = HUGE;
             }),
-            ("blocks[2].kernel", |a| {
+            ("space.kernel_choices", |a| {
                 a.space.kernel_choices.push(HUGE + 1);
                 a.blocks[2].kernel = HUGE + 1;
             }),

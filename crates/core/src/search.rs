@@ -16,7 +16,7 @@ use crate::supernet::SuperNet;
 use crate::sweep::{SweepOutcome, SweepSearch};
 use crate::target::DeviceTarget;
 use edd_nn::Batch;
-use edd_runtime::telemetry::{CsvSink, Event, EventKind, Sink, Value};
+use edd_runtime::telemetry::Value;
 use edd_tensor::Result;
 use rand::Rng;
 use std::path::{Path, PathBuf};
@@ -172,33 +172,25 @@ pub(crate) fn fnv1a_hex(bytes: &[u8]) -> String {
 impl SearchOutcome {
     /// Serializes the epoch history as CSV (header + one row per epoch),
     /// for plotting search curves.
-    ///
-    /// The history is replayed through a telemetry
-    /// [`CsvSink`] so the CSV is, by
-    /// construction, the same projection of `search.epoch` events a live
-    /// sink observes during the run.
     #[must_use]
     pub fn history_csv(&self) -> String {
         history_to_csv(&self.history)
     }
 }
 
-/// Replays `history` through a telemetry [`CsvSink`] so the CSV is, by
-/// construction, the same projection of `search.epoch` events a live sink
-/// observes. Shared by [`SearchOutcome::history_csv`] and the sweep's
-/// flattened multi-target history export.
+/// The [`EPOCH_CSV_COLUMNS`] header, then one row per record of its
+/// [`epoch_fields`]: the fields of the `search.epoch` event a live sink
+/// observes, in column order. Shared by [`SearchOutcome::history_csv`] and
+/// the sweep's flattened multi-target history export.
 pub(crate) fn history_to_csv(history: &[EpochRecord]) -> String {
-    let sink = CsvSink::new(EPOCH_EVENT, &EPOCH_CSV_COLUMNS);
+    let mut csv = EPOCH_CSV_COLUMNS.join(",");
+    csv.push('\n');
     for h in history {
-        let fields = epoch_fields(h);
-        sink.emit(&Event {
-            kind: EventKind::Event,
-            name: EPOCH_EVENT,
-            value: None,
-            fields: &fields,
-        });
+        let row: Vec<String> = epoch_fields(h).iter().map(|(_, v)| v.to_string()).collect();
+        csv.push_str(&row.join(","));
+        csv.push('\n');
     }
-    sink.to_csv()
+    csv
 }
 
 /// A configured single-target co-search: a [`SweepSearch`] over one
@@ -438,8 +430,7 @@ mod tests {
 
     #[test]
     fn history_csv_matches_legacy_format() {
-        // The CSV is now produced by replaying history through a telemetry
-        // CsvSink; the bytes must match the original hand-formatted export.
+        // The bytes must match the original hand-formatted export.
         let (mut search, train, val, mut rng) = tiny_search(true);
         let outcome = search.run(&train, &val, &mut rng).unwrap();
         let mut expect = String::from(

@@ -506,7 +506,7 @@ mod tests {
     use crate::graph::{ConvOp, DwConvOp, LinearOp};
     use crate::passes::{lower, PassConfig};
     use crate::pulse::PulsedModel;
-    use edd_runtime::{BatchModel, StreamModel};
+    use edd_runtime::BatchModel;
 
     /// A lowered graph with every serializable op, via the real pipeline.
     fn lowered() -> Graph {

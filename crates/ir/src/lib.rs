@@ -32,7 +32,9 @@
 //!    carried state at O(window) independent of stream length. Each conv
 //!    runs its strips of carried rows through the batch layer's strip
 //!    front, so the stream is bitwise equal to the batch executor on the
-//!    same windows.
+//!    same windows. It counts its pushes and windows, and its mid-stream
+//!    state saves to a blob sealed in the same CRC container as the
+//!    artifacts, under its own magic.
 //!
 //! The crate deliberately knows nothing about search, training, or
 //! calibration — `edd-core` builds annotated float graphs out of its
@@ -52,4 +54,4 @@ pub use graph::{
 };
 pub use passes::{compile, lower, PassConfig, PassReport};
 pub use patch::Patch;
-pub use pulse::{PulsedModel, PulsedProgram, PulsedState, Row};
+pub use pulse::{PulsedModel, PulsedProgram, PulsedState, Row, StreamWindow};

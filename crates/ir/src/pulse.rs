@@ -31,10 +31,15 @@
 //!
 //! **Delay.** [`PulsedProgram::delay`] computes, by structural recursion,
 //! the index of the last input row that must arrive before the first
-//! output row can be emitted. [`PulsedModel`] turns the per-window
-//! machinery into an [`edd_runtime::StreamModel`]: overlapping windows
-//! share the immutable program, each with a recycled [`PulsedState`], and
-//! `push(slice)` yields at most one completed window per pushed row.
+//! output row can be emitted.
+//!
+//! **Streams.** [`PulsedModel`] is the sliding-window stream: overlapping
+//! windows share the immutable program, each with a recycled
+//! [`PulsedState`], and `push(slice)` yields at most one completed
+//! [`StreamWindow`] per pushed row. It counts its pushes, windows and peak
+//! carried bytes, reports them as `pulse.*` telemetry, and saves its
+//! mid-stream state as a CRC-sealed blob ([`PULSE_STATE_MAGIC`]) that
+//! restores bit for bit.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -43,12 +48,26 @@ use std::sync::Arc;
 use crate::exec::{Kernel, NodeTable};
 use crate::graph::{DType, Graph, Op};
 use edd_nn::ACT_QMAX;
-use edd_runtime::{ByteReader, ByteWriter, StreamModel, StreamWindow};
+use edd_runtime::{
+    decode_container_as, encode_container_as, telemetry, ByteReader, ByteWriter, SnapshotError,
+};
 use edd_tensor::qkernel::{quantize_i8_into, Requant};
 use edd_tensor::{scratch, Result, TensorError};
 
+/// Leading magic of a pulse-state blob ([`PulsedModel::save_state`]).
+pub const PULSE_STATE_MAGIC: [u8; 8] = *b"EDDPULS\0";
+
+/// The one pulse-state payload version this build reads and writes.
+/// Version 1 was a hand-rolled `EDD-PULSE-STATE` header without a CRC.
+pub const PULSE_STATE_VERSION: u32 = 2;
+
 fn invalid(msg: impl Into<String>) -> TensorError {
     TensorError::InvalidArgument(msg.into())
+}
+
+/// A pulse-state blob that does not decode.
+fn corrupt(e: SnapshotError) -> TensorError {
+    invalid(format!("pulse state: {e}"))
 }
 
 /// One row the output node emitted: the logits of a window classifier,
@@ -85,15 +104,16 @@ impl ConvGeom {
         self.in_w + 2 * self.padding
     }
 
-    /// The ring's `(base, pushed, emitted)` after `fed` real rows of a
-    /// window (`fed <= in_rows`). Every push sequence that feeds `fed`
-    /// rows reaches exactly these counters.
-    fn ring_counters(&self, fed: usize) -> (usize, usize, usize) {
-        let pushed = match fed {
-            0 => 0,
-            f if f == self.in_rows => f + 2 * self.padding,
-            f => f + self.padding,
-        };
+    /// Padded rows one window pushes: its real rows and the zero rows of
+    /// the top and bottom padding.
+    fn window_pushes(&self) -> usize {
+        self.in_rows + 2 * self.padding
+    }
+
+    /// The ring's `(base, emitted)` once `pushed` padded rows of a window
+    /// are in: it carries the padded rows `base..pushed`, and has emitted
+    /// `emitted` output rows.
+    fn ring_counters(&self, pushed: usize) -> (usize, usize) {
         let emitted = if pushed < self.kernel {
             0
         } else {
@@ -104,7 +124,16 @@ impl ConvGeom {
         } else {
             (emitted * self.stride).min(pushed)
         };
-        (base, pushed, emitted)
+        (base, emitted)
+    }
+
+    /// Whether a push sequence leaves the ring at `pushed` between two
+    /// input rows: nothing yet, the top padding and `1..in_rows` real
+    /// rows, or the whole window.
+    fn reachable(&self, pushed: usize) -> bool {
+        pushed == 0
+            || (pushed > self.padding && pushed < self.in_rows + self.padding)
+            || pushed == self.window_pushes()
     }
 }
 
@@ -304,30 +333,20 @@ const _: () = {
     assert_send_sync::<PulsedProgram>();
 };
 
-/// Ring of carried (horizontally padded) rows for one conv node.
+/// Ring of carried (horizontally padded) rows for one conv node: the
+/// padded rows `base..pushed` of [`ConvGeom::ring_counters`].
 #[derive(Debug, Default)]
 struct Ring {
     rows: VecDeque<Vec<i8>>,
-    /// Padded-row index of `rows.front()`.
-    base: usize,
-    /// Padded rows pushed so far (top padding included).
+    /// Padded rows pushed this window, top padding included; the ring's
+    /// other counters follow from it.
     pushed: usize,
-    /// Real rows received so far this window.
-    fed_real: usize,
-    /// Output rows emitted so far this window.
-    emitted: usize,
-    /// Whether the top padding rows have been rolled in.
-    primed: bool,
 }
 
 impl Ring {
     fn clear(&mut self) {
         self.rows.clear();
-        self.base = 0;
         self.pushed = 0;
-        self.fed_real = 0;
-        self.emitted = 0;
-        self.primed = false;
     }
 
     fn bytes(&self) -> usize {
@@ -396,12 +415,6 @@ impl PulsedState {
             })
             .collect();
         PulsedState { ns, rows_fed: 0 }
-    }
-
-    /// Input rows fed so far this window.
-    #[must_use]
-    pub fn rows_fed(&self) -> usize {
-        self.rows_fed
     }
 
     /// Bytes of carried activation state currently held.
@@ -544,32 +557,19 @@ impl PulsedState {
         })
     }
 
-    /// Serializes the carried state into `w` (geometry not included; the
-    /// bytes only restore onto a state built from the same program).
-    pub fn save(&self, w: &mut ByteWriter) {
-        w.put_u64(self.rows_fed as u64);
+    /// Writes the carried node state into `w`: per ring its pushed count
+    /// and rows, per add its two queues, per pool its sums and rows. The
+    /// geometry and the rows fed are not written; the bytes only restore
+    /// onto a state of the same program.
+    fn save(&self, w: &mut ByteWriter) {
         for n in &self.ns {
             match n {
                 NState::None => {}
                 NState::Ring(r) => {
-                    w.put_u64(r.base as u64);
                     w.put_u64(r.pushed as u64);
-                    w.put_u64(r.fed_real as u64);
-                    w.put_u64(r.emitted as u64);
-                    w.put_u8(u8::from(r.primed));
-                    w.put_u32(r.rows.len() as u32);
-                    for row in &r.rows {
-                        w.put_i8_slice(row);
-                    }
+                    put_rows(w, &r.rows);
                 }
-                NState::Pair(qs) => {
-                    for q in qs {
-                        w.put_u32(q.len() as u32);
-                        for row in q {
-                            w.put_i8_slice(row);
-                        }
-                    }
-                }
+                NState::Pair(qs) => qs.iter().for_each(|q| put_rows(w, q)),
                 NState::Pool { sums, rows } => {
                     w.put_i32_slice(sums);
                     w.put_u64(*rows as u64);
@@ -578,96 +578,40 @@ impl PulsedState {
         }
     }
 
-    /// Restores state written by [`PulsedState::save`], validating every
-    /// decoded row length against the program geometry and every counter
-    /// against the values a push sequence can reach.
-    ///
-    /// # Errors
-    ///
-    /// Errors when the bytes run dry or disagree with the geometry.
-    pub fn restore(&mut self, program: &PulsedProgram, r: &mut ByteReader<'_>) -> Result<()> {
-        let snap = |e: edd_runtime::snapshot::SnapshotError| invalid(format!("pulse restore: {e}"));
-        self.rows_fed = r.get_u64().map_err(snap)? as usize;
-        if self.rows_fed > program.window_rows() {
-            return Err(invalid(format!(
-                "pulse restore: {} rows fed to a window of {}",
-                self.rows_fed,
-                program.window_rows()
-            )));
-        }
+    /// Reads node state written by [`PulsedState::save`], checking every
+    /// row length against the program geometry and every counter against
+    /// the values a push sequence can reach.
+    fn restore(&mut self, program: &PulsedProgram, r: &mut ByteReader<'_>) -> Result<()> {
         for (id, n) in self.ns.iter_mut().enumerate() {
             match (&program.geoms[id], n) {
                 (Geom::Ring(geom), NState::Ring(ring)) => {
-                    let base = r.get_u64().map_err(snap)?;
-                    let pushed = r.get_u64().map_err(snap)?;
-                    let fed_real = r.get_u64().map_err(snap)?;
-                    let emitted = r.get_u64().map_err(snap)?;
-                    let primed = r.get_u8().map_err(snap)?;
-                    // The counters follow from the real rows fed. Any
-                    // others would index outside the ring on the next push.
-                    let reachable = usize::try_from(fed_real)
+                    // `push_ring_row` takes the ring's first k rows as the
+                    // next output row's strip: that holds only for a count
+                    // a push sequence leaves, and the rows it carries.
+                    let pushed = r.get_u64().map_err(corrupt)?;
+                    let pushed = usize::try_from(pushed)
                         .ok()
-                        .filter(|&f| f <= geom.in_rows)
-                        .is_some_and(|f| {
-                            let (b, p, e) = geom.ring_counters(f);
-                            (base, pushed, emitted, primed)
-                                == (b as u64, p as u64, e as u64, u8::from(f > 0))
-                        });
-                    if !reachable {
+                        .filter(|&p| geom.reachable(p))
+                        .ok_or_else(|| {
+                            invalid(format!(
+                                "pulse state: a conv ring count of {pushed} pushed rows is \
+                                 unreachable"
+                            ))
+                        })?;
+                    let rows = get_rows(r, geom.c_in * geom.padded_w())?;
+                    let (base, _) = geom.ring_counters(pushed);
+                    if rows.len() != pushed - base {
                         return Err(invalid(format!(
-                            "pulse restore: conv ring counters (base {base}, pushed {pushed}, \
-                             fed {fed_real}, emitted {emitted}, primed {primed}) are unreachable"
+                            "pulse state: a conv ring holds {} rows, its count {}",
+                            rows.len(),
+                            pushed - base
                         )));
                     }
-                    ring.base = base as usize;
-                    ring.pushed = pushed as usize;
-                    ring.fed_real = fed_real as usize;
-                    ring.emitted = emitted as usize;
-                    ring.primed = primed == 1;
-                    let count = r.get_u32().map_err(snap)? as usize;
-                    // Every row carries at least its 8-byte length prefix,
-                    // so a count the remaining bytes cannot hold is corrupt
-                    // — reject it before it sizes an allocation.
-                    if count > r.remaining() / 8 {
-                        return Err(invalid(format!(
-                            "pulse restore: ring of {count} rows overruns the {} bytes left",
-                            r.remaining()
-                        )));
-                    }
-                    if count != ring.pushed - ring.base {
-                        return Err(invalid(format!(
-                            "pulse restore: ring holds {count} rows, its counters {}",
-                            ring.pushed - ring.base
-                        )));
-                    }
-                    let row_len = geom.c_in * geom.padded_w();
-                    let mut rows = VecDeque::with_capacity(count);
-                    for _ in 0..count {
-                        let row = r.get_i8_vec().map_err(snap)?;
-                        if row.len() != row_len {
-                            return Err(invalid(format!(
-                                "pulse restore: ring row of {} bytes, expected {row_len}",
-                                row.len()
-                            )));
-                        }
-                        rows.push_back(row);
-                    }
-                    ring.rows = rows;
+                    *ring = Ring { rows, pushed };
                 }
                 (Geom::Pair { row_len }, NState::Pair(qs)) => {
                     for q in qs.iter_mut() {
-                        let count = r.get_u32().map_err(snap)? as usize;
-                        q.clear();
-                        for _ in 0..count {
-                            let row = r.get_i8_vec().map_err(snap)?;
-                            if row.len() != *row_len {
-                                return Err(invalid(format!(
-                                    "pulse restore: add row of {} bytes, expected {row_len}",
-                                    row.len()
-                                )));
-                            }
-                            q.push_back(row);
-                        }
+                        *q = get_rows(r, *row_len)?;
                     }
                 }
                 (
@@ -678,14 +622,14 @@ impl PulsedState {
                     },
                     NState::Pool { sums, rows },
                 ) => {
-                    let s = r.get_i32_vec().map_err(snap)?;
+                    let s = r.get_i32_vec().map_err(corrupt)?;
                     if s.len() != *channels {
                         return Err(invalid(format!(
-                            "pulse restore: pool of {} channels, expected {channels}",
+                            "pulse state: pool of {} channels, expected {channels}",
                             s.len()
                         )));
                     }
-                    let filled = r.get_u64().map_err(snap)?;
+                    let filled = r.get_u64().map_err(corrupt)?;
                     // Each pooled row adds at most 128 · in_w to a
                     // channel's sum; larger sums would overflow the i32
                     // accumulator before the window ends.
@@ -694,7 +638,7 @@ impl PulsedState {
                         || s.iter().any(|&v| u64::from(v.unsigned_abs()) > bound)
                     {
                         return Err(invalid(format!(
-                            "pulse restore: pool of {filled} rows out of {in_rows} \
+                            "pulse state: pool of {filled} rows out of {in_rows} \
                              holds an unreachable sum"
                         )));
                     }
@@ -706,6 +650,41 @@ impl PulsedState {
         }
         Ok(())
     }
+}
+
+/// Writes a row count and the length-prefixed rows.
+fn put_rows(w: &mut ByteWriter, rows: &VecDeque<Vec<i8>>) {
+    w.put_u32(rows.len() as u32);
+    for row in rows {
+        w.put_i8_slice(row);
+    }
+}
+
+/// Reads rows written by [`put_rows`], each of which must be `row_len`
+/// bytes.
+fn get_rows(r: &mut ByteReader<'_>, row_len: usize) -> Result<VecDeque<Vec<i8>>> {
+    let count = r.get_u32().map_err(corrupt)? as usize;
+    // Every row carries at least its 8-byte length prefix, so a count the
+    // remaining bytes cannot hold is corrupt — reject it before it sizes
+    // an allocation.
+    if count > r.remaining() / 8 {
+        return Err(invalid(format!(
+            "pulse state: {count} rows overrun the {} bytes left",
+            r.remaining()
+        )));
+    }
+    let mut rows = VecDeque::with_capacity(count);
+    for _ in 0..count {
+        let row = r.get_i8_vec().map_err(corrupt)?;
+        if row.len() != row_len {
+            return Err(invalid(format!(
+                "pulse state: a row of {} bytes, expected {row_len}",
+                row.len()
+            )));
+        }
+        rows.push_back(row);
+    }
+    Ok(rows)
 }
 
 /// Feeds the int8 rows `made[fed]` to a conv's ring: each is stored
@@ -721,13 +700,12 @@ fn feed_ring(
 ) -> Result<()> {
     let (c, wp, p) = (geom.c_in, geom.padded_w(), geom.padding);
     for i in fed {
-        if ring.fed_real >= geom.in_rows {
+        if ring.pushed >= geom.window_pushes() {
             return Err(invalid(
                 "pulse conv: received more rows than the window holds",
             ));
         }
-        if !ring.primed {
-            ring.primed = true;
+        if ring.pushed == 0 {
             for _ in 0..p {
                 push_ring_row(ring, geom, strip, vec![0i8; c * wp], made)?;
             }
@@ -740,8 +718,7 @@ fn feed_ring(
             dst[p..p + geom.in_w].copy_from_slice(src);
         }
         push_ring_row(ring, geom, strip, padded, made)?;
-        ring.fed_real += 1;
-        if ring.fed_real == geom.in_rows {
+        if ring.pushed == geom.in_rows + p {
             // Bottom padding: the window is complete, replay the trailing
             // zero rows now, in this same sweep.
             for _ in 0..p {
@@ -765,54 +742,68 @@ fn push_ring_row(
     row: Vec<i8>,
     made: &mut Vec<Vec<i8>>,
 ) -> Result<()> {
-    let (k, s, wp) = (geom.kernel, geom.stride, geom.padded_w());
-    if ring.emitted < geom.out_h {
+    let (k, wp) = (geom.kernel, geom.padded_w());
+    let (_, emitted) = geom.ring_counters(ring.pushed);
+    if emitted < geom.out_h {
         ring.rows.push_back(row);
-    } else {
-        // Every output row is out; nothing downstream can read this.
-        ring.base += 1;
     }
-    let u = ring.pushed;
+    // Otherwise every output row is out; nothing downstream can read it.
     ring.pushed += 1;
-    if u + 1 >= k && (u + 1 - k).is_multiple_of(s) {
-        let j = (u + 1 - k) / s;
-        if j < geom.out_h {
-            // Assemble the [1, c, k, w+2p] strip the layer's strip front
-            // consumes: the last k padded rows, channel-major.
-            let first = u + 1 - k;
-            let mut x = scratch::alloc_i8(geom.c_in * k * wp);
-            for kr in 0..k {
-                let src = &ring.rows[first + kr - ring.base];
-                for (ch, src) in src.chunks_exact(wp).enumerate() {
-                    x[(ch * k + kr) * wp..][..wp].copy_from_slice(src);
-                }
+    let (base, now) = geom.ring_counters(ring.pushed);
+    if now > emitted {
+        // Output row `emitted` reads the padded rows from `emitted · s`,
+        // which are the ring's first k: assemble the [1, c, k, w+2p]
+        // strip the layer's strip front consumes, channel-major.
+        let mut x = scratch::alloc_i8(geom.c_in * k * wp);
+        for (kr, src) in ring.rows.iter().take(k).enumerate() {
+            for (ch, src) in src.chunks_exact(wp).enumerate() {
+                x[(ch * k + kr) * wp..][..wp].copy_from_slice(src);
             }
-            let mut y = vec![0i8; geom.out_row];
-            strip(&x, [1, geom.c_in, k, wp], &mut y)?;
-            made.push(y);
-            ring.emitted += 1;
         }
+        let mut y = vec![0i8; geom.out_row];
+        strip(&x, [1, geom.c_in, k, wp], &mut y)?;
+        made.push(y);
     }
-    // Trim everything below the next output row's first padded row; for
-    // stride 1 this leaves exactly kernel - 1 carried rows after an
-    // emission — the O(window) bound.
-    let next_start = ring.emitted * s;
-    while ring.base < next_start && !ring.rows.is_empty() {
-        ring.rows.pop_front();
-        ring.base += 1;
-    }
-    if ring.emitted == geom.out_h {
-        ring.base += ring.rows.len();
-        ring.rows.clear();
-    }
+    // Keep the rows `base..pushed`: everything below the next output
+    // row's first padded row goes, so for stride 1 exactly kernel - 1
+    // rows stay carried after an emission — the O(window) bound.
+    let drop = ring.rows.len().saturating_sub(ring.pushed - base);
+    ring.rows.drain(..drop);
     Ok(())
 }
 
-/// One in-flight sliding window.
+/// One completed sliding-window classification emitted by a stream.
+///
+/// Windows are indexed in arrival order; `start_row` is the absolute
+/// stream row at which the window began, so `start_row + window_rows - 1`
+/// is the row whose arrival completed it (the pulse delay made explicit).
+#[derive(Debug, Clone, PartialEq)]
+pub struct StreamWindow {
+    /// Zero-based index of the window in the stream.
+    pub index: u64,
+    /// Absolute stream row index of the window's first slice.
+    pub start_row: u64,
+    /// `[num_classes]` logits, bitwise-equal to the batch engine run on
+    /// the same window.
+    pub logits: Vec<f32>,
+}
+
+impl StreamWindow {
+    /// Index of the highest logit (the predicted class).
+    #[must_use]
+    pub fn argmax(&self) -> usize {
+        self.logits
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+            .map_or(0, |(i, _)| i)
+    }
+}
+
+/// One in-flight sliding window; it started at row `index · hop`.
 #[derive(Debug)]
 struct Active {
     index: u64,
-    start: u64,
     state: PulsedState,
 }
 
@@ -822,15 +813,42 @@ struct Active {
 /// rows, at most `ceil(window/hop)` run concurrently (all sharing the
 /// immutable program), and completed windows recycle their state through
 /// a free pool — so memory is O(window · depth), independent of how long
-/// the stream runs. Implements [`StreamModel`].
+/// the stream runs.
+///
+/// Contract:
+///
+/// - [`PulsedModel::push`] accepts exactly `program().slice_len()` floats
+///   and returns at most one window (window starts are a hop of at least one
+///   row apart, so two windows never complete on the same row).
+/// - Outputs are bitwise-identical to running the batch engine on the
+///   same `window_rows`-row windows, whatever `EDD_NUM_THREADS` or
+///   `EDD_SIMD` says.
+/// - Carried state ([`PulsedModel::state_bytes`]) depends on the model
+///   geometry and the window/hop sizes, never on how many rows the
+///   stream has already delivered.
+/// - [`PulsedModel::save_state`]/[`PulsedModel::restore_state`]
+///   round-trip the full mid-signal state, so a resumed stream continues
+///   bit for bit.
+///
+/// Every push bumps the `pulse.pushes` counter and refreshes the
+/// `pulse.state_bytes` gauge; every emitted window bumps `pulse.windows`
+/// and emits a `pulse.window` event. The model keeps the same numbers
+/// ([`PulsedModel::pushes`], [`PulsedModel::windows_emitted`],
+/// [`PulsedModel::peak_state_bytes`]) for callers without a sink.
 #[derive(Debug)]
 pub struct PulsedModel {
     program: Arc<PulsedProgram>,
     hop: usize,
     active: VecDeque<Active>,
     free: Vec<PulsedState>,
-    /// Rows pushed since the stream began.
+    /// Rows pushed since the stream began (saved with the state).
     t: u64,
+    /// Pushes this model accepted.
+    pushes: u64,
+    /// Windows this model emitted.
+    windows: u64,
+    /// Largest carried state after any push, in bytes.
+    peak_state_bytes: usize,
 }
 
 impl PulsedModel {
@@ -857,6 +875,9 @@ impl PulsedModel {
             active: VecDeque::new(),
             free: Vec::new(),
             t: 0,
+            pushes: 0,
+            windows: 0,
+            peak_state_bytes: 0,
         })
     }
 
@@ -870,37 +891,43 @@ impl PulsedModel {
         Self::new(Arc::new(PulsedProgram::from_graph(graph)?), hop)
     }
 
-    /// The shared program.
+    /// The shared program: slice length, window rows, classes and delay.
     #[must_use]
     pub fn program(&self) -> &Arc<PulsedProgram> {
         &self.program
     }
-}
 
-impl StreamModel for PulsedModel {
-    type Error = TensorError;
-
-    fn slice_len(&self) -> usize {
-        self.program.slice_len()
+    /// Pushes this model accepted.
+    #[must_use]
+    pub fn pushes(&self) -> u64 {
+        self.pushes
     }
 
-    fn window_rows(&self) -> usize {
-        self.program.window_rows()
+    /// Windows this model emitted.
+    #[must_use]
+    pub fn windows_emitted(&self) -> u64 {
+        self.windows
     }
 
-    fn hop_rows(&self) -> usize {
-        self.hop
+    /// Largest carried state after any accepted push, in bytes.
+    #[must_use]
+    pub fn peak_state_bytes(&self) -> usize {
+        self.peak_state_bytes
     }
 
-    fn num_classes(&self) -> usize {
-        self.program.num_classes()
+    /// Bytes of carried state currently held (rings, queues, partial
+    /// pools) — the number the O(window) memory bound is stated over.
+    #[must_use]
+    pub fn state_bytes(&self) -> usize {
+        self.active.iter().map(|a| a.state.state_bytes()).sum()
     }
 
-    fn delay_rows(&self) -> usize {
-        self.program.delay()
-    }
-
-    fn push(&mut self, slice: &[f32]) -> Result<Option<StreamWindow>> {
+    /// Feeds one slice; returns the window (if any) completed by it.
+    ///
+    /// # Errors
+    ///
+    /// Errors when the slice length is wrong or a layer fails.
+    pub fn push(&mut self, slice: &[f32]) -> Result<Option<StreamWindow>> {
         if slice.len() != self.program.slice_len() {
             return Err(invalid(format!(
                 "stream push: expected {} floats per slice, got {}",
@@ -912,14 +939,14 @@ impl StreamModel for PulsedModel {
             .t
             .checked_add(1)
             .ok_or_else(|| invalid("stream push: the row counter is exhausted"))?;
-        if self.t.is_multiple_of(self.hop as u64) {
+        let hop = self.hop as u64;
+        if self.t.is_multiple_of(hop) {
             let state = self
                 .free
                 .pop()
                 .unwrap_or_else(|| PulsedState::new(&self.program));
             self.active.push_back(Active {
-                index: self.t / self.hop as u64,
-                start: self.t,
+                index: self.t / hop,
                 state,
             });
         }
@@ -929,7 +956,7 @@ impl StreamModel for PulsedModel {
             if let Some(Row::F(logits)) = outs.into_iter().next() {
                 completed = Some(StreamWindow {
                     index: a.index,
-                    start_row: a.start,
+                    start_row: a.index * hop,
                     logits,
                 });
             }
@@ -938,75 +965,87 @@ impl StreamModel for PulsedModel {
         if completed.is_some() {
             // Window starts are a hop (>= 1 row) apart, so only the
             // oldest window can have completed on this row.
-            if let Some(mut done) = self.active.pop_front() {
-                done.state.reset();
-                self.free.push(done.state);
-            }
+            let done = self.active.pop_front();
+            self.recycle(done);
+        }
+        self.pushes += 1;
+        telemetry::counter("pulse.pushes", 1);
+        let state = self.state_bytes();
+        self.peak_state_bytes = self.peak_state_bytes.max(state);
+        telemetry::gauge("pulse.state_bytes", state);
+        if let Some(w) = &completed {
+            self.windows += 1;
+            telemetry::counter("pulse.windows", 1);
+            telemetry::event(
+                "pulse.window",
+                &[
+                    ("index", telemetry::Value::U64(w.index)),
+                    ("start_row", telemetry::Value::U64(w.start_row)),
+                    ("state_bytes", telemetry::Value::U64(state as u64)),
+                ],
+            );
         }
         Ok(completed)
     }
 
-    fn reset(&mut self) {
-        while let Some(mut a) = self.active.pop_front() {
+    /// Resets `windows` and returns their states to the free pool.
+    fn recycle(&mut self, windows: impl IntoIterator<Item = Active>) {
+        for mut a in windows {
             a.state.reset();
             self.free.push(a.state);
         }
-        self.t = 0;
     }
 
-    fn state_bytes(&self) -> usize {
-        self.active.iter().map(|a| a.state.state_bytes()).sum()
-    }
-
-    fn save_state(&self) -> Vec<u8> {
+    /// Serializes the full mid-stream state (not the weights) as a
+    /// [`PULSE_STATE_MAGIC`] container: the rows pushed, the hop, the
+    /// program's node count, and each window in flight (its index and its
+    /// node state).
+    #[must_use]
+    pub fn save_state(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        w.put_str("EDD-PULSE-STATE");
-        w.put_u32(1); // version
         w.put_u64(self.t);
         w.put_u64(self.hop as u64);
         w.put_u32(self.program.geoms.len() as u32);
         w.put_u32(self.active.len() as u32);
         for a in &self.active {
             w.put_u64(a.index);
-            w.put_u64(a.start);
             a.state.save(&mut w);
         }
-        w.into_bytes()
+        encode_container_as(&PULSE_STATE_MAGIC, PULSE_STATE_VERSION, &w.into_bytes())
     }
 
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<()> {
-        let mut r = ByteReader::new(bytes);
-        let snap = |e: edd_runtime::snapshot::SnapshotError| invalid(format!("pulse restore: {e}"));
-        let magic = r.get_str().map_err(snap)?;
-        if magic != "EDD-PULSE-STATE" {
-            return Err(invalid("pulse restore: not a pulse state blob"));
-        }
-        let version = r.get_u32().map_err(snap)?;
-        if version != 1 {
+    /// Restores a state produced by [`PulsedModel::save_state`] on a
+    /// model built from the same program with the same hop. A rejected
+    /// blob leaves the stream as it was.
+    ///
+    /// # Errors
+    ///
+    /// Errors when the container does not verify (magic, version, CRC)
+    /// or the payload does not decode against this model's geometry.
+    pub fn restore_state(&mut self, bytes: &[u8]) -> Result<()> {
+        let payload =
+            decode_container_as(&PULSE_STATE_MAGIC, PULSE_STATE_VERSION, bytes).map_err(corrupt)?;
+        let mut r = ByteReader::new(&payload);
+        let t = r.get_u64().map_err(corrupt)?;
+        let hop = r.get_u64().map_err(corrupt)?;
+        if hop != self.hop as u64 {
             return Err(invalid(format!(
-                "pulse restore: unsupported version {version}"
-            )));
-        }
-        let t = r.get_u64().map_err(snap)?;
-        let hop = r.get_u64().map_err(snap)? as usize;
-        if hop != self.hop {
-            return Err(invalid(format!(
-                "pulse restore: snapshot hop {hop} does not match model hop {}",
+                "pulse state: hop {hop} does not match the model's hop {}",
                 self.hop
             )));
         }
-        let nodes = r.get_u32().map_err(snap)? as usize;
+        let nodes = r.get_u32().map_err(corrupt)? as usize;
         if nodes != self.program.geoms.len() {
             return Err(invalid(format!(
-                "pulse restore: snapshot program has {nodes} nodes, this one {}",
+                "pulse state: a program of {nodes} nodes, this one has {}",
                 self.program.geoms.len()
             )));
         }
         let window = self.program.window_rows();
-        let count = r.get_u32().map_err(snap)? as usize;
+        let count = r.get_u32().map_err(corrupt)? as usize;
         if count > window.div_ceil(self.hop) {
             return Err(invalid(format!(
-                "pulse restore: {count} windows in flight, at most {} fit",
+                "pulse state: {count} windows in flight, at most {} fit",
                 window.div_ceil(self.hop)
             )));
         }
@@ -1014,44 +1053,38 @@ impl StreamModel for PulsedModel {
         // fit: a rejected blob leaves the live stream as it was.
         let mut windows = VecDeque::with_capacity(count);
         let decoded = (0..count).try_for_each(|_| -> Result<()> {
-            let index = r.get_u64().map_err(snap)?;
-            let start = r.get_u64().map_err(snap)?;
+            let index = r.get_u64().map_err(corrupt)?;
             let mut state = self
                 .free
                 .pop()
                 .unwrap_or_else(|| PulsedState::new(&self.program));
             let restored = state.restore(&self.program, &mut r);
-            let rows_fed = state.rows_fed;
-            let prev = windows.back().map(|a: &Active| a.index);
-            windows.push_back(Active {
-                index,
-                start,
-                state,
-            });
-            restored?;
             // Windows open every hop rows, oldest first, and are fed every
             // row from their start until the last one completes them.
-            let fits = prev.is_none_or(|p| p.checked_add(1) == Some(index))
-                && index.checked_mul(self.hop as u64) == Some(start)
-                && t.checked_sub(start) == Some(rows_fed as u64)
-                && rows_fed < window;
-            if !fits {
+            let fed = index
+                .checked_mul(hop)
+                .and_then(|start| t.checked_sub(start))
+                .and_then(|fed| usize::try_from(fed).ok())
+                .filter(|&fed| fed > 0 && fed < window);
+            let follows = windows
+                .back()
+                .is_none_or(|a: &Active| a.index.checked_add(1) == Some(index));
+            state.rows_fed = fed.unwrap_or(0);
+            windows.push_back(Active { index, state });
+            restored?;
+            if fed.is_none() || !follows {
                 return Err(invalid(format!(
-                    "pulse restore: window {index} from row {start} with {rows_fed} rows \
-                     fed does not fit a stream at row {t}"
+                    "pulse state: window {index} does not fit a stream at row {t} with hop {hop}"
                 )));
             }
             Ok(())
         });
         if let Err(e) = decoded {
-            for mut a in windows {
-                a.state.reset();
-                self.free.push(a.state);
-            }
+            self.recycle(windows);
             return Err(e);
         }
-        self.reset();
-        self.active = windows;
+        let live = std::mem::replace(&mut self.active, windows);
+        self.recycle(live);
         self.t = t;
         Ok(())
     }
@@ -1187,8 +1220,8 @@ mod tests {
         let g = float_graph();
         let (batch, _) = compile(&g, &PassConfig::all()).unwrap();
         let mut model = PulsedModel::from_graph(batch.graph(), 2).unwrap();
-        assert_eq!(model.window_rows(), 6);
-        assert_eq!(model.slice_len(), 10);
+        assert_eq!(model.program().window_rows(), 6);
+        assert_eq!(model.program().slice_len(), 10);
         // A 16-row stream = windows starting at rows 0, 2, 4, .., 10.
         let stream: Vec<Vec<f32>> = (0..16)
             .map(|r| {
@@ -1267,52 +1300,123 @@ mod tests {
         assert_eq!(want, got);
     }
 
+    /// The payload of a pulse-state blob.
+    fn payload(blob: &[u8]) -> Vec<u8> {
+        decode_container_as(&PULSE_STATE_MAGIC, PULSE_STATE_VERSION, blob).unwrap()
+    }
+
+    /// `payload` sealed as a pulse-state blob, with a valid CRC.
+    fn seal(payload: &[u8]) -> Vec<u8> {
+        encode_container_as(&PULSE_STATE_MAGIC, PULSE_STATE_VERSION, payload)
+    }
+
+    #[test]
+    fn model_counts_pushes_windows_and_peak_state() {
+        let g = float_graph();
+        let (batch, _) = compile(&g, &PassConfig::all()).unwrap();
+        let mut model = PulsedModel::from_graph(batch.graph(), 2).unwrap();
+        let mut windows = Vec::new();
+        let mut peak = 0;
+        for r in 0..11 {
+            // A rejected push counts nothing and moves nothing.
+            let before = model.save_state();
+            assert!(model.push(&[0.0; 3]).is_err());
+            assert_eq!(model.pushes(), r as u64);
+            assert_eq!(model.save_state(), before);
+            windows.extend(model.push(&stream_row(r)).unwrap());
+            peak = peak.max(model.state_bytes());
+        }
+        // Windows of 6 rows start at rows 0, 2, 4 and complete at rows 5,
+        // 7, 9; the one from row 6 needs row 11.
+        let starts: Vec<u64> = windows.iter().map(|w| w.start_row).collect();
+        assert_eq!(starts, [0, 2, 4]);
+        assert_eq!(model.pushes(), 11);
+        assert_eq!(model.windows_emitted(), 3);
+        assert!(peak > 0);
+        assert_eq!(model.peak_state_bytes(), peak);
+        let w = StreamWindow {
+            index: 0,
+            start_row: 0,
+            logits: vec![0.25, -1.0, 0.75],
+        };
+        assert_eq!(w.argmax(), 2);
+    }
+
+    #[test]
+    fn restore_names_the_format_of_an_old_or_corrupted_blob() {
+        let g = float_graph();
+        let (batch, _) = compile(&g, &PassConfig::all()).unwrap();
+        let mut model = PulsedModel::from_graph(batch.graph(), 3).unwrap();
+        // A fresh stream at hop 3 as version 1 saved it: a string magic
+        // and a version in front of the header, and no CRC.
+        let mut v1 = ByteWriter::new();
+        v1.put_str("EDD-PULSE-STATE");
+        v1.put_u32(1);
+        v1.put_u64(0); // rows pushed
+        v1.put_u64(3); // hop
+        v1.put_u32(model.program.geoms.len() as u32);
+        v1.put_u32(0); // windows in flight
+        let err = model
+            .restore_state(&v1.into_bytes())
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("not a pulse state file"), "{err}");
+        model.push(&stream_row(0)).unwrap();
+        let blob = model.save_state();
+        let old = encode_container_as(&PULSE_STATE_MAGIC, 1, &payload(&blob));
+        let err = model.restore_state(&old).unwrap_err().to_string();
+        assert!(err.contains("pulse state format version 1"), "{err}");
+        for byte in [24, 40, blob.len() - 1] {
+            let mut bad = blob.clone();
+            bad[byte] ^= 0x10;
+            let err = model.restore_state(&bad).unwrap_err().to_string();
+            assert!(err.contains("pulse state") && err.contains("CRC"), "{err}");
+        }
+        assert!(model.restore_state(&blob).is_ok());
+    }
+
     #[test]
     fn restore_rejects_a_hostile_ring_row_count() {
-        // A well-formed header (magic, version, hop, node count), one
-        // active window with zeroed counters, and a first conv ring
-        // claiming u32::MAX rows: restore must fail, not size a
-        // `VecDeque` from the count.
+        // A CRC-valid blob whose header fits the model (one row pushed at
+        // hop 3, one window in flight) and whose first conv ring, with
+        // the top padding and one real row pushed, claims u32::MAX rows:
+        // restore must fail, not size a `VecDeque` from the count.
         let g = float_graph();
         let (batch, _) = compile(&g, &PassConfig::all()).unwrap();
         let mut model = PulsedModel::from_graph(batch.graph(), 3).unwrap();
         let mut w = ByteWriter::new();
-        w.put_str("EDD-PULSE-STATE");
-        w.put_u32(1);
-        w.put_u64(0); // rows pushed
+        w.put_u64(1); // rows pushed
         w.put_u64(3); // hop
         w.put_u32(model.program.geoms.len() as u32);
-        w.put_u32(1); // active windows
+        w.put_u32(1); // windows in flight
         w.put_u64(0); // window index
-        w.put_u64(0); // window start
-        w.put_u64(0); // rows fed
-        for _ in 0..4 {
-            w.put_u64(0); // base, pushed, fed_real, emitted
-        }
-        w.put_u8(0); // primed
+        w.put_u64(2); // ring rows pushed
         w.put_u32(u32::MAX); // ring rows
-        let blob = w.into_bytes();
-        assert_eq!(blob.len(), 112);
+        let blob = seal(&w.into_bytes());
+        assert_eq!(blob.len(), 24 + 44);
         let err = model.restore_state(&blob).unwrap_err().to_string();
-        assert!(err.contains("overruns"), "{err}");
+        assert!(err.contains("overrun"), "{err}");
     }
 
     #[test]
-    fn restore_rejects_unreachable_ring_counters() {
-        // A real blob after one pushed row at hop 3, with the first conv
-        // ring's `base` moved past the rows it holds: the next push would
-        // index the ring at `first + kr - base`, below zero.
+    fn restore_rejects_a_ring_count_no_push_sequence_reaches() {
+        // A real blob after one pushed row at hop 3, resealed with the
+        // first conv ring's count (k3, padding 1, 6 rows: it reaches 0,
+        // 2..=6 and 8) moved into the top padding, past the last real row
+        // without the bottom padding, or past the window.
         let g = float_graph();
         let (batch, _) = compile(&g, &PassConfig::all()).unwrap();
         let mut model = PulsedModel::from_graph(batch.graph(), 3).unwrap();
         model.push(&[0.25; 10]).unwrap();
-        let mut blob = model.save_state();
-        assert_eq!(blob[75..83], 0u64.to_le_bytes(), "ring base");
-        assert_eq!(blob[83..91], 2u64.to_le_bytes(), "ring rows pushed");
-        blob[75..83].copy_from_slice(&1000u64.to_le_bytes());
-        let mut fresh = PulsedModel::from_graph(batch.graph(), 3).unwrap();
-        let err = fresh.restore_state(&blob).unwrap_err().to_string();
-        assert!(err.contains("unreachable"), "{err}");
+        let body = payload(&model.save_state());
+        assert_eq!(body[32..40], 2u64.to_le_bytes(), "ring rows pushed");
+        for pushed in [1u64, 7, 9, u64::MAX] {
+            let mut bad = body.clone();
+            bad[32..40].copy_from_slice(&pushed.to_le_bytes());
+            let mut fresh = PulsedModel::from_graph(batch.graph(), 3).unwrap();
+            let err = fresh.restore_state(&seal(&bad)).unwrap_err().to_string();
+            assert!(err.contains("unreachable"), "{pushed}: {err}");
+        }
     }
 
     /// Row `r` of the test streams: a fixed pattern over the 10 input
@@ -1326,9 +1430,9 @@ mod tests {
     #[test]
     fn rejected_blob_leaves_the_live_stream_untouched() {
         // Four rows into a stream at hop 3, two windows are in flight. The
-        // model's own blob cut short by 3 bytes fails in the second window;
-        // the stream must stay as it was, not keep the first window and a
-        // zeroed row counter.
+        // model's own payload cut short by 3 bytes and resealed fails in
+        // the second window; the stream must stay as it was, not keep the
+        // first window and a zeroed row counter.
         let g = float_graph();
         let (batch, _) = compile(&g, &PassConfig::all()).unwrap();
         let mut model = PulsedModel::from_graph(batch.graph(), 3).unwrap();
@@ -1339,14 +1443,15 @@ mod tests {
         }
         assert_eq!(model.active.len(), 2);
         let blob = model.save_state();
-        assert!(model.restore_state(&blob[..blob.len() - 3]).is_err());
+        let body = payload(&blob);
+        assert!(model.restore_state(&seal(&body[..body.len() - 3])).is_err());
         assert_eq!(
             model.save_state(),
             blob,
             "a rejected blob changed the state"
         );
         let mut emitted = 0;
-        for r in 4..4 + 2 * model.window_rows() {
+        for r in 4..4 + 2 * model.program().window_rows() {
             let got = model.push(&stream_row(r)).unwrap();
             emitted += usize::from(got.is_some());
             assert_eq!(got, twin.push(&stream_row(r)).unwrap(), "row {r}");
@@ -1357,10 +1462,10 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
-        /// Structure-aware fuzzing of the pulse-state decoder: a real
-        /// mid-stream blob gets one u64 overwritten (with a random or an
-        /// extreme value), one bit flipped, or its tail cut, and is
-        /// restored into the live model. Restoring it and then pushing a
+        /// Structure-aware fuzzing of the pulse-state decoder past the
+        /// CRC: a real mid-stream blob's payload gets one u64 overwritten
+        /// (with a random or an extreme value), one bit flipped, or its
+        /// tail cut, is resealed, and is restored into the live model. Restoring it and then pushing a
         /// full window must not panic, and a blob that restores must
         /// re-save to bytes that restore to the same bytes. A blob that is
         /// rejected must leave the model as it was: the same saved bytes,
@@ -1384,28 +1489,28 @@ mod tests {
             let saved = model.save_state();
             let mut twin = PulsedModel::from_graph(batch.graph(), 3).unwrap();
             proptest::prop_assert!(twin.restore_state(&saved).is_ok(), "a real blob is rejected");
-            let mut blob = saved.clone();
-            let pos = usize::try_from(pos % blob.len() as u64).unwrap();
+            let mut body = payload(&saved);
+            let pos = usize::try_from(pos % body.len() as u64).unwrap();
             match kind {
                 0 | 1 => {
-                    let at = pos.min(blob.len() - 8);
+                    let at = pos.min(body.len() - 8);
                     let v = if kind == 0 { value } else { extreme };
-                    blob[at..at + 8].copy_from_slice(&v.to_le_bytes());
+                    body[at..at + 8].copy_from_slice(&v.to_le_bytes());
                 }
-                2 => blob[pos] ^= 1 << (value % 8),
-                _ => blob.truncate(pos),
+                2 => body[pos] ^= 1 << (value % 8),
+                _ => body.truncate(pos),
             }
-            if model.restore_state(&blob).is_ok() {
+            if model.restore_state(&seal(&body)).is_ok() {
                 let again = model.save_state();
                 let mut back = PulsedModel::from_graph(batch.graph(), 3).unwrap();
                 proptest::prop_assert!(back.restore_state(&again).is_ok(), "re-saved blob is rejected");
                 proptest::prop_assert_eq!(back.save_state(), again);
-                for r in 0..model.window_rows() {
+                for r in 0..model.program().window_rows() {
                     let _ = model.push(&stream_row(cut + r));
                 }
             } else {
                 proptest::prop_assert_eq!(model.save_state(), saved, "a rejected blob changed the state");
-                for r in 0..model.window_rows() {
+                for r in 0..model.program().window_rows() {
                     let row = stream_row(cut + r);
                     proptest::prop_assert_eq!(model.push(&row).unwrap(), twin.push(&row).unwrap());
                 }

@@ -9,21 +9,17 @@
 //!   (temp + fsync + rename) and keep-last-K retention. The search loop in
 //!   `edd-core` serializes its full state (weights, Θ/Φ/pf, optimizer
 //!   moments, RNG, epoch) into this container so an interrupted search
-//!   resumes bit-identically.
+//!   resumes bit-identically. `edd-ir`'s `.eddm` model artifacts and its
+//!   pulsed streams' state blobs reuse the container under their own
+//!   magic, so all three byte inputs pass one CRC-checked decoder
+//!   ([`decode_container_as`]).
 //! - **Structured telemetry** ([`telemetry`]): counters, gauges, events,
 //!   and hierarchical span timers behind a [`telemetry::Sink`] trait, with
-//!   a JSONL backend for traces, a CSV backend for legacy history output,
-//!   and a no-op backend that keeps disabled instrumentation off the hot
-//!   path.
+//!   a JSONL backend for traces and a no-op backend that keeps disabled
+//!   instrumentation off the hot path.
 //! - **Batched inference** ([`infer`]): the model-agnostic [`BatchModel`]
 //!   trait, which the integer engine in `edd-ir` implements and the
 //!   serving front end runs.
-//! - **Streaming (pulsed) inference** ([`stream`]): a
-//!   `push(slice) -> Option<window>` [`StreamModel`] contract for
-//!   continuous signals under a bounded memory budget, with a
-//!   [`StreamSession`] wrapper feeding `pulse.*` counters and a carried
-//!   state-bytes gauge into the telemetry sink. The pulsed executor in
-//!   `edd-ir` implements it.
 //! - **Multi-tenant dynamic batching** ([`serve`]): an async front end
 //!   over [`BatchModel`] — a pure, clock-injected [`serve::Batcher`]
 //!   state machine (deterministically testable without threads or wall
@@ -43,7 +39,6 @@ pub mod crc32;
 pub mod infer;
 pub mod serve;
 pub mod snapshot;
-pub mod stream;
 pub mod telemetry;
 
 pub use crc32::crc32;
@@ -57,5 +52,4 @@ pub use snapshot::{
     read as read_snapshot, write_atomic, write_atomic_raw, ByteReader, ByteWriter, SectionWriter,
     Sections, SnapshotError,
 };
-pub use stream::{StreamModel, StreamSession, StreamStats, StreamWindow};
-pub use telemetry::{CsvSink, Event, EventKind, Histogram, JsonlSink, NoopSink, Sink, Span, Value};
+pub use telemetry::{Event, EventKind, Histogram, JsonlSink, NoopSink, Sink, Span, Value};

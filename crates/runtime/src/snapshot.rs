@@ -120,12 +120,13 @@ impl std::fmt::Display for SnapshotError {
 impl std::error::Error for SnapshotError {}
 
 /// What the formats that share this container are called in messages:
-/// training snapshots, `edd-ir`'s compiled-model artifacts, or the magic's
-/// own text for any other.
+/// training snapshots, `edd-ir`'s compiled-model artifacts and pulse-state
+/// blobs, or the magic's own text for any other.
 fn format_name(magic: &[u8; 8]) -> String {
     match magic {
         b"EDDSNAP\0" => "snapshot".into(),
         b"EDDMODL\0" => "model artifact".into(),
+        b"EDDPULS\0" => "pulse state".into(),
         other => String::from_utf8_lossy(other)
             .trim_end_matches('\0')
             .to_owned(),

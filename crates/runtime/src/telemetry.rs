@@ -11,9 +11,6 @@
 //! - [`NoopSink`] — the default; drops everything.
 //! - [`JsonlSink`] — one JSON object per line to a file, suitable for
 //!   `jq`/pandas post-processing (`--trace-out` in the CLI).
-//! - [`CsvSink`] — accumulates one named event stream into CSV rows; used
-//!   to keep `history_csv()` output byte-identical while the search loop
-//!   emits through the sink API.
 //!
 //! Event names are `.`-separated (`search.epoch`, `kernel.pool.jobs`);
 //! span paths are `/`-separated and nest per thread
@@ -405,67 +402,6 @@ impl Sink for JsonlSink {
     }
 }
 
-/// Accumulates one event stream (`event_name`) into in-memory CSV rows.
-///
-/// Each matching event contributes one row; each configured column is
-/// looked up among the event's fields by name (missing fields render
-/// empty). Used as the adapter that keeps the legacy history CSV output
-/// byte-identical.
-#[derive(Debug)]
-pub struct CsvSink {
-    event_name: String,
-    columns: Vec<String>,
-    rows: Mutex<String>,
-}
-
-impl CsvSink {
-    /// Collects events named `event_name` into rows of `columns`.
-    #[must_use]
-    pub fn new(event_name: &str, columns: &[&str]) -> Self {
-        CsvSink {
-            event_name: event_name.to_owned(),
-            columns: columns.iter().map(|c| (*c).to_owned()).collect(),
-            rows: Mutex::new(String::new()),
-        }
-    }
-
-    /// Header line plus all accumulated rows, `\n`-terminated.
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        let mut out = self.columns.join(",");
-        out.push('\n');
-        out.push_str(
-            &self
-                .rows
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        );
-        out
-    }
-}
-
-impl Sink for CsvSink {
-    fn emit(&self, event: &Event<'_>) {
-        if event.kind != EventKind::Event || event.name != self.event_name {
-            return;
-        }
-        let mut row = String::with_capacity(64);
-        for (i, col) in self.columns.iter().enumerate() {
-            if i > 0 {
-                row.push(',');
-            }
-            if let Some((_, v)) = event.fields.iter().find(|(k, _)| k == col) {
-                let _ = write!(row, "{v}");
-            }
-        }
-        row.push('\n');
-        self.rows
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push_str(&row);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Global sink registry
 // ---------------------------------------------------------------------------
@@ -644,36 +580,6 @@ mod tests {
             Value::F64(f64::from(0.1f32)).to_string(),
             "0.10000000149011612"
         );
-    }
-
-    #[test]
-    fn csv_sink_matches_manual_format() {
-        let sink = CsvSink::new("search.epoch", &["epoch", "loss", "tau"]);
-        sink.emit(&Event {
-            kind: EventKind::Event,
-            name: "search.epoch",
-            value: None,
-            fields: &[
-                ("epoch", Value::U64(0)),
-                ("loss", Value::F32(0.25)),
-                ("tau", Value::F32(5.0)),
-                ("extra", Value::U64(9)), // not a column: ignored
-            ],
-        });
-        // Wrong name / wrong kind: ignored.
-        sink.emit(&Event {
-            kind: EventKind::Event,
-            name: "other",
-            value: None,
-            fields: &[("epoch", Value::U64(1))],
-        });
-        sink.emit(&Event {
-            kind: EventKind::Gauge,
-            name: "search.epoch",
-            value: Some(Value::U64(1)),
-            fields: &[],
-        });
-        assert_eq!(sink.to_csv(), "epoch,loss,tau\n0,0.25,5\n");
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Backfill tests for the PR-3/PR-5 runtime surface: the telemetry
 //! [`Histogram`] percentile estimator (p50/p95/p99 against known sample
-//! sets) and counter/CSV sink behavior under concurrent emission.
+//! sets) and counter sink behavior under concurrent emission.
 
 use edd_runtime::telemetry::{self, Event, EventKind, Sink, Value};
-use edd_runtime::{CsvSink, Histogram};
+use edd_runtime::Histogram;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -139,29 +139,4 @@ fn counters_accumulate_across_threads_through_the_global_sink() {
     // Emissions after clear_global go to the no-op sink, not here.
     telemetry::counter("test.hits", 100);
     assert_eq!(sink.serve.load(Ordering::Relaxed), 4 * 250 * 2);
-}
-
-#[test]
-fn csv_sink_renders_missing_fields_empty_and_keeps_row_order() {
-    let sink = CsvSink::new("serve.model", &["model", "p50_us", "p99_us"]);
-    sink.emit(&Event {
-        kind: EventKind::Event,
-        name: "serve.model",
-        value: None,
-        fields: &[
-            ("model", Value::Str("tiny-a".into())),
-            ("p50_us", Value::U64(120)),
-            ("p99_us", Value::U64(900)),
-        ],
-    });
-    sink.emit(&Event {
-        kind: EventKind::Event,
-        name: "serve.model",
-        value: None,
-        fields: &[("model", Value::Str("tiny-b".into()))], // percentiles missing
-    });
-    assert_eq!(
-        sink.to_csv(),
-        "model,p50_us,p99_us\ntiny-a,120,900\ntiny-b,,\n"
-    );
 }

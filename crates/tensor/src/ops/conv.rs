@@ -26,13 +26,12 @@ const DW_GROUP: usize = 8;
 /// weight-gradient pass.
 const DW_GROUP2: usize = 16;
 
-/// Shapes the padded-plane stencils cover: the search space's 3/5/7
-/// depthwise menu at stride 1 or 2, padded by less than the kernel (the
-/// gather-form `dx` pads `gy` by `k - 1 - pad` columns). Everything else
-/// takes the tap-by-tap fallbacks, [`dw_plane_taps`] and
-/// [`dw_plane_backward_taps`].
-fn is_stencil(g: &Conv2dGeometry) -> bool {
-    matches!(g.kernel, 3 | 5 | 7) && matches!(g.stride, 1 | 2) && g.padding < g.kernel
+/// The depthwise shapes [`Tensor::dwconv2d`] runs, all on the
+/// padded-plane stencils: the search space's 3/5/7 kernel menu at stride 1
+/// or 2, padded by less than the kernel (the gather-form `dx` pads `gy` by
+/// `k - 1 - pad` columns).
+fn is_stencil(kernel: usize, stride: usize, padding: usize) -> bool {
+    matches!(kernel, 3 | 5 | 7) && matches!(stride, 1 | 2) && padding < kernel
 }
 
 /// Row stride of the padded input plane [`pad_input`] writes: `ow + k - 1`
@@ -57,25 +56,17 @@ fn padded_grad_geom(g: &Conv2dGeometry) -> (usize, usize) {
     }
 }
 
-/// Scratch `f32`s one forward plane needs: its padded input (none on the
-/// fallback path). Taken once per worker and reused across its planes.
+/// Scratch `f32`s one forward plane needs: its padded input. Taken once
+/// per worker and reused across its planes.
 fn forward_scratch_len(g: &Conv2dGeometry) -> usize {
-    if is_stencil(g) {
-        g.in_h * padded_input_stride(g)
-    } else {
-        0
-    }
+    g.in_h * padded_input_stride(g)
 }
 
 /// Scratch `f32`s one backward plane needs: the padded input for `dW`, the
 /// padded output gradient for `dx`, and one column-parity row of `dx` at
 /// stride 2. Taken once per worker and reused across its planes.
 fn backward_scratch_len(g: &Conv2dGeometry) -> usize {
-    if is_stencil(g) {
-        forward_scratch_len(g) + g.out_h() * padded_grad_geom(g).0 + g.in_w.div_ceil(2)
-    } else {
-        0
-    }
+    forward_scratch_len(g) + g.out_h() * padded_grad_geom(g).0 + g.in_w.div_ceil(2)
 }
 
 /// Copies one input plane into `xp` with horizontal zero padding, in rows
@@ -237,8 +228,9 @@ fn gather_groups<const T: usize, const G: usize, const L: u8>(
 /// or 2, over the padded plane [`pad_input`] writes into `xp`. Vertical
 /// clipping stays range-based per output row.
 ///
-/// Bitwise identity with the tap-skipping fallback: per element the taps
-/// accumulate in ascending `(ky, kx)` order either way, and the extra
+/// Bitwise identity with a convolution that skips the padding taps (the
+/// tests' per-element oracle): per element the taps accumulate in
+/// ascending `(ky, kx)` order either way, and the extra
 /// zero-pad taps contribute `kv * ±0.0`. Because every accumulator starts
 /// at `+0.0`, it can never *become* `-0.0` (in round-to-nearest `x + (-x)`
 /// is `+0.0` for `x != 0`, and `+0.0 + -0.0` is `+0.0`), and adding `±0.0`
@@ -281,8 +273,9 @@ const DX_SUB_TAPS: usize = 28;
 /// Gather-form input gradient of one plane at stride 1 or 2, overwriting
 /// `dx`: `dx[sy, sx] = Σ ker[ky, kx] · gy[oy, ox]` over the taps with
 /// `oy = (sy + pad - ky) / s` and `ox = (sx + pad - kx) / s` exact, from
-/// `+0.0` in ascending `(ky, kx)` — the order in which the scatter fallback
-/// adds them, so the bits match; taps that land in `gy`'s zero padding add
+/// `+0.0` in ascending `(ky, kx)` — the order of a per-element convolution
+/// that skips the padding taps, so the bits match; taps that land in `gy`'s
+/// zero padding add
 /// `±0.0`, exact by the [`dw_plane_stencil`] argument.
 ///
 /// `gy` is first copied into `gbuf` with `lead` zero columns on each row
@@ -423,8 +416,7 @@ fn dw_cols<const K: usize, const G: usize, const L: u8>(
 /// This association is fixed by the code alone — the same loops compile
 /// for both dispatch paths, sharing a pass never changes a lane's sum,
 /// and no length depends on the thread count — so scalar and AVX2 agree
-/// bitwise. It is not the tap-by-tap fallback's association, so the low
-/// bits differ from [`dw_plane_backward_taps`].
+/// bitwise.
 #[inline(always)]
 fn dw_grad_plane<const K: usize, const L: u8>(
     dw: &mut [f32],
@@ -476,11 +468,10 @@ fn dw_grad_plane<const K: usize, const L: u8>(
 }
 
 kernel::avx2_dispatch! {
-    /// One depthwise output plane. The search space's 3/5/7 kernels at
-    /// stride 1 and 2 run the const-width stencil ([`dw_plane_stencil`]:
-    /// fully unrolled tap chain over a padded copy of the plane in
-    /// `xp`); every other shape takes the tap-by-tap loop. Per output
-    /// element the taps accumulate in `(ky, kx)` order on both paths.
+    /// One depthwise output plane: the const-width stencil
+    /// ([`dw_plane_stencil`]: fully unrolled tap chain over a padded copy
+    /// of the plane in `xp`). Per output element the taps accumulate in
+    /// `(ky, kx)` order.
     dw_plane_forward / dw_plane_forward_scalar / dw_plane_forward_avx2,
     (dst: &mut [f32], src: &[f32], ker: &[f32], xp: &mut [f32], g: &Conv2dGeometry)
 }
@@ -493,62 +484,21 @@ fn dw_plane_forward_scalar(
     xp: &mut [f32],
     g: &Conv2dGeometry,
 ) {
-    if is_stencil(g) {
-        match g.kernel {
-            3 => return dw_plane_stencil::<3>(dst, src, ker, xp, g),
-            5 => return dw_plane_stencil::<5>(dst, src, ker, xp, g),
-            7 => return dw_plane_stencil::<7>(dst, src, ker, xp, g),
-            _ => {}
-        }
-    }
-    dw_plane_taps(dst, src, ker, g);
-}
-
-/// General tap-by-tap depthwise plane: `k*k` shifted-scaled row
-/// accumulations over precomputed valid ranges.
-#[inline(always)]
-fn dw_plane_taps(dst: &mut [f32], src: &[f32], ker: &[f32], g: &Conv2dGeometry) {
-    let (h, w, k, stride, pad) = (g.in_h, g.in_w, g.kernel, g.stride, g.padding);
-    let (oh, ow) = (g.out_h(), g.out_w());
-    dst.fill(0.0);
-    for ky in 0..k {
-        let (oy0, oy1) = valid_out_range(ky, pad, stride, h, oh);
-        for kx in 0..k {
-            let kv = ker[ky * k + kx];
-            let (ox0, ox1) = valid_out_range(kx, pad, stride, w, ow);
-            if ox0 >= ox1 {
-                continue;
-            }
-            for oy in oy0..oy1 {
-                // In-bounds by construction of the valid ranges.
-                let sy = oy * stride + ky - pad;
-                let sx0 = ox0 * stride + kx - pad;
-                let dst_row = &mut dst[oy * ow + ox0..oy * ow + ox1];
-                if stride == 1 {
-                    let src_row = &src[sy * w + sx0..sy * w + sx0 + (ox1 - ox0)];
-                    for (d, &s) in dst_row.iter_mut().zip(src_row) {
-                        *d += kv * s;
-                    }
-                } else {
-                    let src_row = &src[sy * w..(sy + 1) * w];
-                    for (j, d) in dst_row.iter_mut().enumerate() {
-                        *d += kv * src_row[sx0 + j * stride];
-                    }
-                }
-            }
-        }
+    match g.kernel {
+        3 => dw_plane_stencil::<3>(dst, src, ker, xp, g),
+        5 => dw_plane_stencil::<5>(dst, src, ker, xp, g),
+        7 => dw_plane_stencil::<7>(dst, src, ker, xp, g),
+        k => unreachable!("dwconv2d admits kernels 3, 5 and 7, not {k}"),
     }
 }
 
 kernel::avx2_dispatch! {
-    /// Depthwise backward for one (image, channel) plane. The stencil
-    /// shapes compute `dx` in gather form ([`dx_plane_stencil`], bitwise
-    /// equal to the scatter fallback) and `dW` register-blocked
-    /// ([`dw_grad_plane`], its own fixed association), using `buf`
-    /// (sized by [`backward_scratch_len`]) for the padded planes; every
-    /// other shape takes [`dw_plane_backward_taps`]. The caller reduces
-    /// per-image `dw` partials in batch order, so results stay bitwise
-    /// identical across thread counts and SIMD modes.
+    /// Depthwise backward for one (image, channel) plane: `dx` in gather
+    /// form ([`dx_plane_stencil`]) and `dW` register-blocked
+    /// ([`dw_grad_plane`], its own fixed association), using `buf` (sized
+    /// by [`backward_scratch_len`]) for the padded planes. The caller
+    /// reduces per-image `dw` partials in batch order, so results stay
+    /// bitwise identical across thread counts and SIMD modes.
     #[allow(clippy::too_many_arguments)] // one plane's operands, kept flat
     dw_plane_backward / dw_plane_backward_scalar / dw_plane_backward_avx2,
     (
@@ -573,15 +523,12 @@ fn dw_plane_backward_scalar(
     buf: &mut [f32],
     g: &Conv2dGeometry,
 ) {
-    if is_stencil(g) {
-        match g.kernel {
-            3 => return dw_backward_stencil::<3, 2, 1>(dx, dw, src, ker, gy, buf, g),
-            5 => return dw_backward_stencil::<5, 3, 2>(dx, dw, src, ker, gy, buf, g),
-            7 => return dw_backward_stencil::<7, 4, 3>(dx, dw, src, ker, gy, buf, g),
-            _ => {}
-        }
+    match g.kernel {
+        3 => dw_backward_stencil::<3, 2, 1>(dx, dw, src, ker, gy, buf, g),
+        5 => dw_backward_stencil::<5, 3, 2>(dx, dw, src, ker, gy, buf, g),
+        7 => dw_backward_stencil::<7, 4, 3>(dx, dw, src, ker, gy, buf, g),
+        k => unreachable!("dwconv2d admits kernels 3, 5 and 7, not {k}"),
     }
-    dw_plane_backward_taps(dx, dw, src, ker, gy, g);
 }
 
 /// Stencil backward of one plane; `TE`/`TO` are the stride-2 `dx` tap
@@ -607,81 +554,6 @@ fn dw_backward_stencil<const K: usize, const TE: usize, const TO: usize>(
             dw_grad_plane::<K, TAPS_ASC>(dw, gy, xp, g);
         } else {
             dw_grad_plane::<K, TAPS_PHASED>(dw, gy, xp, g);
-        }
-    }
-}
-
-/// Tap-by-tap depthwise backward: the `k*k` taps walk precomputed valid
-/// output ranges, so the inner loops are branch-free — `dx` rows
-/// accumulate shifted axpy passes over contiguous `gy` rows (per element
-/// in ascending `(ky, kx)` order) and each `dw` tap reduces row dot
-/// products ([`kernel::dot8`], fixed eight-lane association).
-#[inline(always)]
-fn dw_plane_backward_taps(
-    dx: Option<&mut [f32]>,
-    dw: Option<&mut [f32]>,
-    src: &[f32],
-    ker: &[f32],
-    gy: &[f32],
-    g: &Conv2dGeometry,
-) {
-    let (h, w, k, stride, pad) = (g.in_h, g.in_w, g.kernel, g.stride, g.padding);
-    let (oh, ow) = (g.out_h(), g.out_w());
-    if let Some(dx) = dx {
-        for ky in 0..k {
-            let (oy0, oy1) = valid_out_range(ky, pad, stride, h, oh);
-            for kx in 0..k {
-                let kv = ker[ky * k + kx];
-                let (ox0, ox1) = valid_out_range(kx, pad, stride, w, ow);
-                if ox0 >= ox1 {
-                    continue;
-                }
-                for oy in oy0..oy1 {
-                    // In-bounds by construction of the valid ranges.
-                    let sy = oy * stride + ky - pad;
-                    let sx0 = ox0 * stride + kx - pad;
-                    let gy_row = &gy[oy * ow + ox0..oy * ow + ox1];
-                    if stride == 1 {
-                        let dst_row = &mut dx[sy * w + sx0..sy * w + sx0 + (ox1 - ox0)];
-                        for (d, &gv) in dst_row.iter_mut().zip(gy_row) {
-                            *d += kv * gv;
-                        }
-                    } else {
-                        let dst_row = &mut dx[sy * w..(sy + 1) * w];
-                        for (j, &gv) in gy_row.iter().enumerate() {
-                            dst_row[sx0 + j * stride] += kv * gv;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    if let Some(dw) = dw {
-        for ky in 0..k {
-            let (oy0, oy1) = valid_out_range(ky, pad, stride, h, oh);
-            for kx in 0..k {
-                let (ox0, ox1) = valid_out_range(kx, pad, stride, w, ow);
-                if ox0 >= ox1 {
-                    continue;
-                }
-                let mut acc = 0.0f32;
-                for oy in oy0..oy1 {
-                    let sy = oy * stride + ky - pad;
-                    let sx0 = ox0 * stride + kx - pad;
-                    let gy_row = &gy[oy * ow + ox0..oy * ow + ox1];
-                    if stride == 1 {
-                        acc += kernel::dot8(gy_row, &src[sy * w + sx0..sy * w + sx0 + (ox1 - ox0)]);
-                    } else {
-                        let src_row = &src[sy * w..(sy + 1) * w];
-                        let mut row = 0.0f32;
-                        for (j, &gv) in gy_row.iter().enumerate() {
-                            row += gv * src_row[sx0 + j * stride];
-                        }
-                        acc += row;
-                    }
-                }
-                dw[ky * k + kx] += acc;
-            }
         }
     }
 }
@@ -954,12 +826,14 @@ impl Tensor {
     /// `k×k` filter.
     ///
     /// * `self` — input `[batch, c, h, w]`
-    /// * `weight` — `[c, k, k]`
+    /// * `weight` — `[c, k, k]`, `k` one of the search space's 3, 5 and 7
     /// * `bias` — optional `[c]`
     ///
     /// # Errors
     ///
-    /// Returns an error on rank/shape mismatches.
+    /// Returns an error on rank/shape mismatches, and for a kernel outside
+    /// {3, 5, 7}, a stride outside {1, 2} or a padding of at least the
+    /// kernel: the shapes the stencils do not cover.
     pub fn dwconv2d(
         &self,
         weight: &Tensor,
@@ -978,8 +852,11 @@ impl Tensor {
             });
         }
         let k = w_shape[1];
-        if stride == 0 {
-            return Err(TensorError::InvalidArgument("stride must be >= 1".into()));
+        if !is_stencil(k, stride, padding) {
+            return Err(TensorError::InvalidArgument(format!(
+                "dwconv2d: kernel {k}, stride {stride}, padding {padding}; the depthwise \
+                 stencils take kernels 3, 5 and 7, strides 1 and 2, and padding below the kernel"
+            )));
         }
         if h + 2 * padding < k || w + 2 * padding < k {
             return Err(TensorError::InvalidShape {
@@ -1250,15 +1127,22 @@ mod tests {
 
     #[test]
     fn dwconv_known_values() {
-        // 2 channels, k=1 kernels [2],[3] scale channels independently.
+        // 2 channels of 3x3, k=3 at padding 1: a box filter sums each
+        // zero-padded neighbourhood of channel 0, and a centre tap of 3
+        // scales channel 1 on its own.
         let x = Tensor::param(
-            Array::from_vec((0..8).map(|v| v as f32).collect(), &[1, 2, 2, 2]).unwrap(),
+            Array::from_vec((0..18).map(|v| v as f32).collect(), &[1, 2, 3, 3]).unwrap(),
         );
-        let w = Tensor::param(Array::from_vec(vec![2.0, 3.0], &[2, 1, 1]).unwrap());
-        let y = x.dwconv2d(&w, None, 1, 0).unwrap();
+        let mut ker = vec![1.0; 9];
+        ker.extend([0.0, 0.0, 0.0, 0.0, 3.0, 0.0, 0.0, 0.0, 0.0]);
+        let w = Tensor::param(Array::from_vec(ker, &[2, 3, 3]).unwrap());
+        let y = x.dwconv2d(&w, None, 1, 1).unwrap();
         assert_eq!(
             y.value().data(),
-            &[0.0, 2.0, 4.0, 6.0, 12.0, 15.0, 18.0, 21.0]
+            &[
+                8.0, 15.0, 12.0, 21.0, 36.0, 27.0, 20.0, 33.0, 24.0, //
+                27.0, 30.0, 33.0, 36.0, 39.0, 42.0, 45.0, 48.0, 51.0,
+            ]
         );
     }
 
@@ -1450,9 +1334,10 @@ mod tests {
     #[test]
     fn depthwise_bodies_match_oracles_on_the_shape_grid() {
         // k {1,3,5,7} x stride {1,2} x pad 0..=k x planes 1..=20 square:
-        // 8-lane groups, group tails, planes narrower than their padding,
-        // and (k = 1, pad = k) the fallback. Two wide planes add 16-lane
-        // groups at stride 2 and anchored last groups.
+        // 8-lane groups, group tails and planes narrower than their
+        // padding on the stencils, and (k = 1, pad = k) the shapes
+        // `dwconv2d` rejects. Two wide planes add 16-lane groups at
+        // stride 2 and anchored last groups.
         let planes = (1..=20usize)
             .flat_map(|h| (1..=20usize).map(move |w| (h, w)))
             .chain([(33, 33), (16, 40)]);
@@ -1463,6 +1348,17 @@ mod tests {
                 for stride in [1usize, 2] {
                     for pad in 0..=k {
                         if h + 2 * pad < k || w + 2 * pad < k {
+                            continue;
+                        }
+                        cases += 1;
+                        if !is_stencil(k, stride, pad) {
+                            let x = Tensor::param(Array::zeros(&[1, 1, h, w]));
+                            let ker = Tensor::param(Array::zeros(&[1, k, k]));
+                            let err = x.dwconv2d(&ker, None, stride, pad).unwrap_err();
+                            assert!(
+                                matches!(&err, TensorError::InvalidArgument(m) if m.contains("stencils")),
+                                "k{k} s{stride} p{pad} on {h}x{w}: {err}"
+                            );
                             continue;
                         }
                         let g = plane(h, w, k, stride, pad);
@@ -1496,7 +1392,6 @@ mod tests {
                                 "dw[{t}] {got} vs {want} (tol {tol}) {g:?}"
                             );
                         }
-                        cases += 1;
                     }
                 }
             }

@@ -638,10 +638,15 @@ pub fn add_tables_into(
 }
 
 /// The scalar table add, the reference [`add_tables_avx2`] equals inside
-/// the domain of [`add_terms_fit`].
+/// the domain of [`add_terms_fit`]. The sum is exact in i64, so no
+/// saturating add precedes the clamp: the result equals the saturated i32
+/// sum clamped to ±127 for every input, and the loop keeps one
+/// data-dependent branch per element instead of two, which is what an
+/// unpredictable clamp costs.
 fn add_tables_scalar(a: &mut [i8], b: &[i8], term_a: &[i32; 256], term_b: &[i32; 256]) {
     for (x, &y) in a.iter_mut().zip(b) {
-        let sum = term_a[usize::from(*x as u8)].saturating_add(term_b[usize::from(y as u8)]);
+        let sum =
+            i64::from(term_a[usize::from(*x as u8)]) + i64::from(term_b[usize::from(y as u8)]);
         *x = sum.clamp(-127, 127) as i8;
     }
 }

@@ -18,7 +18,7 @@
 //! thread only, so the test harness's other threads cannot disturb it.
 
 use edd_ir::{PassConfig, PulsedModel};
-use edd_runtime::{BatchModel, StreamModel};
+use edd_runtime::BatchModel;
 use edd_tensor::{scratch, Array};
 use edd_zoo::{compile_tiny_zoo, synthetic_signal};
 use rand::rngs::StdRng;

@@ -16,7 +16,6 @@ use edd_core::{calibrate, lower_to_graph, DerivedArch, QatModel};
 use edd_hw::{predicted_throughput_fps, AccelDevice};
 use edd_ir::{PassConfig, PulsedModel};
 use edd_nn::{evaluate, train_epoch, Batch, Module};
-use edd_runtime::StreamSession;
 use edd_tensor::optim::Sgd;
 use edd_tensor::{Array, Tensor};
 use edd_zoo::{
@@ -69,11 +68,10 @@ fn pulsed_stream_matches_pinned_hash() {
     let (_, model, _) = compile_tiny_zoo(ZOO_SEED, &PassConfig::all()).remove(1);
     let [c, h, w] = model.graph().meta.input_shape;
     let signal = synthetic_signal(c, w, 3 * h, 2026);
-    let pulsed = PulsedModel::from_graph(model.graph(), h / 4).expect("pulse");
-    let mut session = StreamSession::new(pulsed);
+    let mut pulsed = PulsedModel::from_graph(model.graph(), h / 4).expect("pulse");
     let mut windows = Vec::new();
     for row in &signal {
-        if let Some(win) = session.push(row).expect("push") {
+        if let Some(win) = pulsed.push(row).expect("push") {
             windows.push(win);
         }
     }
@@ -98,12 +96,11 @@ fn zoo_weight_and_pulse_state_bytes_match_pins() {
             .map(|(name, m, _)| {
                 let g = m.graph();
                 let [c, h, w] = g.meta.input_shape;
-                let pulsed = PulsedModel::from_graph(g, h / 2).expect("pulse");
-                let mut session = StreamSession::new(pulsed);
+                let mut pulsed = PulsedModel::from_graph(g, h / 2).expect("pulse");
                 for row in &synthetic_signal(c, w, 3 * h, 2026) {
-                    session.push(row).expect("push");
+                    pulsed.push(row).expect("push");
                 }
-                let peak = session.stats().peak_state_bytes;
+                let peak = pulsed.peak_state_bytes();
                 (name.clone(), g.weight_bytes(), peak)
             })
             .collect();

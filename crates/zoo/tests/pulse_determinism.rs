@@ -12,8 +12,7 @@
 //! equivalence inherits for free since pulsed and batch paths execute the
 //! same `edd-nn` kernels on the same i32-exact accumulators.
 
-use edd_ir::{CompiledModel, Graph, PassConfig, PulsedModel};
-use edd_runtime::{StreamModel, StreamSession, StreamWindow};
+use edd_ir::{CompiledModel, Graph, PassConfig, PulsedModel, StreamWindow};
 use edd_tensor::Array;
 use edd_zoo::{compile_tiny_zoo, signal_window, synthetic_signal};
 
@@ -25,15 +24,14 @@ fn bits(xs: &[f32]) -> Vec<u32> {
 }
 
 /// Streams `signal` through `pulsed`, returning every emitted window.
-fn stream_all(pulsed: PulsedModel, signal: &[Vec<f32>]) -> (Vec<StreamWindow>, usize) {
-    let mut session = StreamSession::new(pulsed);
+fn stream_all(mut pulsed: PulsedModel, signal: &[Vec<f32>]) -> (Vec<StreamWindow>, usize) {
     let mut out = Vec::new();
     for row in signal {
-        if let Some(w) = session.push(row).expect("push") {
+        if let Some(w) = pulsed.push(row).expect("push") {
             out.push(w);
         }
     }
-    (out, session.stats().peak_state_bytes)
+    (out, pulsed.peak_state_bytes())
 }
 
 /// Asserts every window in `windows` matches `oracle` run on the same
@@ -79,8 +77,8 @@ fn pulsed_matches_batch_on_every_zoo_engine() {
         let signal = synthetic_signal(c, w, h + 3 * h / 2, SIGNAL_SEED);
         for hop in [h / 2, (h / 3).max(1) + 1] {
             let pulsed = PulsedModel::from_graph(g, hop).expect("pulse");
-            assert_eq!(pulsed.window_rows(), h);
-            assert_eq!(pulsed.delay_rows(), h - 1, "{name}: classifier delay");
+            assert_eq!(pulsed.program().window_rows(), h);
+            assert_eq!(pulsed.program().delay(), h - 1, "{name}: classifier delay");
             let (windows, _) = stream_all(pulsed, &signal);
             assert_windows_match_batch(&name, &oracle, &signal, &windows, [c, h, w]);
             // Window starts are hop-spaced from row 0.
@@ -125,7 +123,7 @@ fn streaming_resume_mid_signal_is_bitwise() {
 
     let (reference, _) = stream_all(PulsedModel::from_graph(&g, hop).expect("pulse"), &signal);
 
-    let mut first = StreamSession::new(PulsedModel::from_graph(&g, hop).expect("pulse"));
+    let mut first = PulsedModel::from_graph(&g, hop).expect("pulse");
     let mut resumed_windows = Vec::new();
     for row in &signal[..cut] {
         if let Some(win) = first.push(row).expect("push") {
@@ -135,7 +133,7 @@ fn streaming_resume_mid_signal_is_bitwise() {
     let snapshot = first.save_state();
     drop(first);
 
-    let mut second = StreamSession::new(PulsedModel::from_graph(&g, hop).expect("pulse"));
+    let mut second = PulsedModel::from_graph(&g, hop).expect("pulse");
     second.restore_state(&snapshot).expect("restore");
     for row in &signal[cut..] {
         if let Some(win) = second.push(row).expect("push") {

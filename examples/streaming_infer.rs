@@ -16,7 +16,6 @@ use edd::core::{calibrate, lower_to_graph, QatModel};
 use edd::data::{SynthConfig, SynthDataset};
 use edd::ir::{PassConfig, PulsedModel};
 use edd::nn::Module;
-use edd::runtime::{StreamModel, StreamSession};
 use edd::tensor::optim::Sgd;
 use edd::tensor::Array;
 use edd::zoo::{signal_window, synthetic_signal};
@@ -51,12 +50,12 @@ fn main() {
     let graph = oracle.graph();
     let [channels, window, width] = graph.meta.input_shape;
     let hop = 4;
-    let pulsed = PulsedModel::from_graph(graph, hop).expect("pulse conversion");
+    let mut pulsed = PulsedModel::from_graph(graph, hop).expect("pulse conversion");
     println!(
         "\npulsed `{}`: {} floats/slice, window {window} rows, hop {hop}, delay {} rows",
         arch.name,
-        pulsed.slice_len(),
-        pulsed.delay_rows()
+        pulsed.program().slice_len(),
+        pulsed.program().delay()
     );
 
     // Stream a 64-row synthetic signal one row at a time, interrupting at
@@ -64,23 +63,22 @@ fn main() {
     let rows = 64;
     let cut = 23;
     let signal = synthetic_signal(channels, width, rows, 42);
-    let mut session = StreamSession::new(pulsed);
     let mut windows = Vec::new();
     for row in &signal[..cut] {
-        if let Some(w) = session.push(row).expect("push") {
+        if let Some(w) = pulsed.push(row).expect("push") {
             windows.push(w);
         }
     }
-    let snapshot = session.save_state();
+    let snapshot = pulsed.save_state();
     println!(
         "interrupted at row {cut}: {} window(s) out, {} bytes of state serialized",
         windows.len(),
         snapshot.len()
     );
-    let mut session = StreamSession::new(PulsedModel::from_graph(graph, hop).expect("pulse"));
-    session.restore_state(&snapshot).expect("restore");
+    let mut pulsed = PulsedModel::from_graph(graph, hop).expect("pulse");
+    pulsed.restore_state(&snapshot).expect("restore");
     for row in &signal[cut..] {
-        if let Some(w) = session.push(row).expect("push") {
+        if let Some(w) = pulsed.push(row).expect("push") {
             windows.push(w);
         }
     }
@@ -106,11 +104,10 @@ fn main() {
             w.argmax()
         );
     }
-    let stats = session.stats();
     println!(
         "\n{} windows classified from a {rows}-row stream; peak carried state \
-         {} bytes, independent of stream length",
+         {} bytes after the resume, independent of stream length",
         windows.len(),
-        stats.peak_state_bytes
+        pulsed.peak_state_bytes()
     );
 }

@@ -58,6 +58,11 @@ cargo test --locked -q -p edd-zoo --test pulse_determinism
 # check over stride-2 convs and over k > 1 convs at zero padding; the zoo
 # is all stride 1.
 cargo test --locked -q -p edd-ir --test pulse_delay
+# Pulse unit leg: edd-ir's own pulse tests, pulsed vs batch on a small
+# graph with every executable op, save/restore mid-window, the counters,
+# and the fuzz of the CRC-sealed pulse-state decoder (mutated payloads
+# must restore or fail cleanly, leaving the live stream untouched).
+cargo test --locked -q -p edd-ir --lib pulse
 # Golden leg: the tiny zoo's logits and one pulsed stream's windows must
 # hash to the values pinned in the test on every leg of the matrix, and so
 # must the float side of the zoo: tiny_mobilenet_v2 trained three epochs

@@ -738,27 +738,25 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
         ));
     }
 
-    use edd::runtime::StreamModel as _;
-    let pulsed =
+    let mut pulsed =
         edd::ir::PulsedModel::from_graph(oracle.graph(), hop).map_err(|e| e.to_string())?;
+    let program = pulsed.program();
     println!(
         "\npulsed `{}`: {} floats/slice, window {window} rows, hop {hop}, \
          delay {} rows, {} classes",
         meta.name,
-        pulsed.slice_len(),
-        pulsed.delay_rows(),
-        pulsed.num_classes()
+        program.slice_len(),
+        program.delay(),
+        program.num_classes()
     );
 
     let signal = edd::zoo::synthetic_signal(channels, width, rows, seed);
-    let mut session = edd::runtime::StreamSession::new(pulsed);
     let mut windows = Vec::new();
     for row in &signal {
-        if let Some(w) = session.push(row).map_err(|e| e.to_string())? {
+        if let Some(w) = pulsed.push(row).map_err(|e| e.to_string())? {
             windows.push(w);
         }
     }
-    let stats = session.stats();
 
     let shown = windows.len().min(10);
     for w in &windows[..shown] {
@@ -779,12 +777,13 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
     }
     println!(
         "classified {} window(s) from {} pushed slice(s); class histogram {hist:?}",
-        stats.windows, stats.pushes
+        pulsed.windows_emitted(),
+        pulsed.pushes()
     );
     println!(
         "peak carried state {} bytes — bounded by the window geometry, \
          independent of the {rows}-row stream",
-        stats.peak_state_bytes
+        pulsed.peak_state_bytes()
     );
 
     if verify {
