@@ -328,6 +328,7 @@ mod tests {
     use edd_data::{SynthConfig, SynthDataset};
     use edd_hw::FpgaDevice;
     use edd_runtime::telemetry;
+    use edd_tensor::Tensor;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -380,6 +381,30 @@ mod tests {
         assert!(outcome.history[2].expected_res > 0.0);
         // Losses should be finite and positive.
         assert!(outcome.history.iter().all(|h| h.train_loss.is_finite()));
+    }
+
+    /// Each phase differentiates only what it steps. The optimizers consume
+    /// the gradients of the leaves they step, so a gradient left on any
+    /// leaf after a phase is one that phase computed for nothing.
+    #[test]
+    fn each_phase_leaves_no_gradient_on_the_leaves_it_does_not_step() {
+        let no_grad = |leaves: Vec<Tensor>| leaves.iter().all(|t| t.grad().is_none());
+        let thawed = |s: &CoSearch| {
+            let mut leaves = s.supernet().weight_params();
+            leaves.extend(s.arch().all_params());
+            leaves.iter().all(Tensor::requires_grad)
+        };
+        // Epoch 0 is warm-up: weight steps and validation only.
+        let (mut search, train, val, mut rng) = tiny_search(true);
+        search.run_until(&train, &val, &mut rng, 1).unwrap();
+        assert!(no_grad(search.arch().all_params()), "a weight step");
+        assert!(thawed(&search));
+        // Epoch 1 ends in arch steps, then validation.
+        let (mut search, train, val, mut rng) = tiny_search(true);
+        let outcome = search.run_until(&train, &val, &mut rng, 2).unwrap();
+        assert!(outcome.history[1].expected_perf > 0.0, "no arch step ran");
+        assert!(no_grad(search.supernet().weight_params()), "an arch step");
+        assert!(thawed(&search));
     }
 
     #[test]

@@ -35,10 +35,17 @@
 //!   construction RNG, and the per-target tasks fan out over
 //!   [`edd_tensor::kernel::pool`] with the supernet frozen
 //!   (`set_training(false)`). Freezing batch norm is what frees the phase
-//!   of shared mutable state. Backward passes also accumulate into the
-//!   shared weight leaves, but those gradients are lock-protected and
-//!   discarded — the weight phase zeroes them before every read — so the
-//!   only cross-target interaction is benign lock contention.
+//!   of shared mutable state.
+//!
+//! Each phase differentiates only the leaves it steps. The weight phase
+//! runs with every target's `(Θ, Φ, pf)` frozen, and the arch steps and
+//! validation with the weights frozen ([`Tensor::set_requires_grad`],
+//! restored when the phase ends, errors included). An op built only from
+//! frozen leaves keeps no backward, so an arch step's backward stops at the
+//! first block's straight-through coefficient and computes no weight,
+//! batch-norm-affine, stem or first-block gradient; validation builds no
+//! graph; and the parallel arch tasks never write into the shared weight
+//! leaves.
 //!
 //! The Gumbel-Softmax temperature anneals geometrically from `tau_start` to
 //! `tau_end`. After the final epoch each target's argmax architecture is
@@ -190,8 +197,7 @@ impl TargetState {
         let mut expected_res = 0.0;
         for (batch, x) in batches.iter().zip(inputs) {
             // Clears stale gradients on this target's arch leaves. The shared
-            // weight leaves are not zeroed here (that would race with sibling
-            // tasks): the weight phase zeroes them before every read.
+            // weights are frozen for this phase, so no backward touches them.
             a_opt.zero_grad();
             let (logits, _) = supernet.forward_sampled(x, &self.arch, tau, rng)?;
             let acc_loss = logits.cross_entropy(&batch.labels)?;
@@ -770,8 +776,10 @@ impl SweepSearch {
         }
         for epoch in start..end {
             let tau = self.tau_at(epoch);
-            let (sums, weight_ms) =
-                self.weight_phase((train, &train_inputs), &mut w_opt, epoch, tau, rng)?;
+            let (sums, weight_ms) = {
+                let _arch = Frozen::new(self.targets.iter().flat_map(|t| t.arch.all_params()));
+                self.weight_phase((train, &train_inputs), &mut w_opt, epoch, tau, rng)?
+            };
             let do_arch = epoch >= self.config.warmup_epochs;
             let arch: (&[Batch], &[Tensor]) = if !do_arch {
                 (&[], &[])
@@ -781,10 +789,13 @@ impl SweepSearch {
                 (train, &train_inputs)
             };
             let val = (val, &val_inputs[..]);
-            let done = if self.targets.len() == 1 {
-                vec![self.solo_epoch(&mut a_opts[0], arch, val, epoch, tau, rng)?]
-            } else {
-                self.parallel_epochs(&mut a_opts, arch, val, epoch, tau)?
+            let done = {
+                let _weights = Frozen::new(self.supernet.weight_params());
+                if self.targets.len() == 1 {
+                    vec![self.solo_epoch(&mut a_opts[0], arch, val, epoch, tau, rng)?]
+                } else {
+                    self.parallel_epochs(&mut a_opts, arch, val, epoch, tau)?
+                }
             };
             telemetry::counter("sweep.epochs", 1);
             if do_arch {
@@ -1003,6 +1014,34 @@ impl SweepSearch {
             state.history.push(record);
         }
         emit_kernel_gauges();
+    }
+}
+
+/// Leaves that one search phase does not step, frozen
+/// ([`Tensor::set_requires_grad`]) until the guard drops: on every exit
+/// path, `?` returns included, each leaf gets its old flag back.
+struct Frozen(Vec<(Tensor, bool)>);
+
+impl Frozen {
+    fn new(leaves: impl IntoIterator<Item = Tensor>) -> Self {
+        Frozen(
+            leaves
+                .into_iter()
+                .map(|t| {
+                    let was = t.requires_grad();
+                    t.set_requires_grad(false);
+                    (t, was)
+                })
+                .collect(),
+        )
+    }
+}
+
+impl Drop for Frozen {
+    fn drop(&mut self) {
+        for (t, was) in &self.0 {
+            t.set_requires_grad(*was);
+        }
     }
 }
 
@@ -1353,6 +1392,41 @@ mod tests {
             "one weight step per batch and epoch"
         );
         assert_eq!(three, one, "a 3-target sweep repeats weight steps");
+    }
+
+    /// A phase that fails part-way hands every leaf back thawed: a
+    /// training label out of range fails the weight phase (arch leaves
+    /// frozen) through its `?`, and a validation label out of range fails
+    /// the first arch step (weights frozen), for one target on the driver
+    /// thread and for three on the pool.
+    #[test]
+    fn a_failed_phase_thaws_every_leaf() {
+        for targets in [sweep_targets()[..1].to_vec(), sweep_targets()] {
+            for corrupt_train in [true, false] {
+                let (mut sweep, mut train, mut val, mut rng) = tiny_sweep_of(targets.clone());
+                let split = if corrupt_train { &mut train } else { &mut val };
+                split[0].labels[0] = 99;
+                let err = sweep.run(&train, &val, &mut rng).unwrap_err();
+                let what = format!("{} targets, corrupt train {corrupt_train}", targets.len());
+                assert!(err.to_string().contains("label 99"), "{what}: {err}");
+                let mut leaves = sweep.supernet.weight_params();
+                leaves.extend(sweep.targets.iter().flat_map(|t| t.arch.all_params()));
+                assert!(leaves.iter().all(Tensor::requires_grad), "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn frozen_restores_each_leafs_own_flag() {
+        let live = Tensor::param(edd_tensor::Array::zeros(&[2]));
+        let off = Tensor::param(edd_tensor::Array::zeros(&[2]));
+        off.set_requires_grad(false);
+        {
+            let _frozen = Frozen::new([live.clone(), off.clone()]);
+            assert!(!live.requires_grad() && !off.requires_grad());
+        }
+        assert!(live.requires_grad());
+        assert!(!off.requires_grad());
     }
 
     #[test]

@@ -127,13 +127,15 @@ impl ConvGeom {
         (base, emitted)
     }
 
-    /// Whether a push sequence leaves the ring at `pushed` between two
-    /// input rows: nothing yet, the top padding and `1..in_rows` real
-    /// rows, or the whole window.
-    fn reachable(&self, pushed: usize) -> bool {
-        pushed == 0
-            || (pushed > self.padding && pushed < self.in_rows + self.padding)
-            || pushed == self.window_pushes()
+    /// Padded rows pushed once `real` input rows of a window are in: the
+    /// top padding rolls in with the first, the bottom padding with the
+    /// last.
+    fn pushed_after(&self, real: usize) -> usize {
+        match real {
+            0 => 0,
+            r if r >= self.in_rows => self.window_pushes(),
+            r => r + self.padding,
+        }
     }
 }
 
@@ -315,6 +317,27 @@ impl PulsedProgram {
             (Kernel::Linear(_), _) => self.node_delay(inputs[0], 0),
             _ => self.node_delay(inputs[0], j),
         }
+    }
+
+    /// Rows each node has made, by id, once `fed` input rows of a window
+    /// have been pushed: the per-node rules of [`PulsedProgram::delay`]'s
+    /// recursion run forward over the ids (every node's inputs come
+    /// first), so shared subgraphs are counted once.
+    fn rows_made(&self, fed: usize) -> Vec<usize> {
+        let mut made = vec![0; self.geoms.len()];
+        for id in 0..made.len() {
+            let of = |port: usize| made[self.table.inputs[id][port]];
+            let rows = match (&self.table.kernels[id], &self.geoms[id]) {
+                (Kernel::Skip, _) => 0,
+                (Kernel::Input | Kernel::Quantize { .. }, _) => fed,
+                (_, Geom::Ring(geom)) => geom.ring_counters(geom.pushed_after(of(0))).1,
+                (_, Geom::Pair { .. }) => of(0).min(of(1)),
+                (_, Geom::Pool { in_rows, .. }) => usize::from(of(0) == *in_rows),
+                _ => of(0),
+            };
+            made[id] = rows;
+        }
+        made
     }
 
     /// Pulse delay: the index of the input row whose arrival emits the
@@ -578,40 +601,56 @@ impl PulsedState {
         }
     }
 
-    /// Reads node state written by [`PulsedState::save`], checking every
-    /// row length against the program geometry and every counter against
-    /// the values a push sequence can reach.
-    fn restore(&mut self, program: &PulsedProgram, r: &mut ByteReader<'_>) -> Result<()> {
+    /// Reads node state written by [`PulsedState::save`] for a window fed
+    /// `fed` rows, checking every row length against the program geometry
+    /// and every counter and row count against the ones those rows leave
+    /// ([`PulsedProgram::rows_made`]).
+    fn restore(
+        &mut self,
+        program: &PulsedProgram,
+        fed: usize,
+        r: &mut ByteReader<'_>,
+    ) -> Result<()> {
+        let made = program.rows_made(fed);
         for (id, n) in self.ns.iter_mut().enumerate() {
+            let made_by = |port: usize| made[program.table.inputs[id][port]];
             match (&program.geoms[id], n) {
                 (Geom::Ring(geom), NState::Ring(ring)) => {
                     // `push_ring_row` takes the ring's first k rows as the
-                    // next output row's strip: that holds only for a count
-                    // a push sequence leaves, and the rows it carries.
+                    // next output row's strip, and `feed_ring` stops at the
+                    // window's last row: both hold only for the count the
+                    // rows fed leave, and the rows it carries.
+                    let want = geom.pushed_after(made_by(0));
                     let pushed = r.get_u64().map_err(corrupt)?;
-                    let pushed = usize::try_from(pushed)
-                        .ok()
-                        .filter(|&p| geom.reachable(p))
-                        .ok_or_else(|| {
-                            invalid(format!(
-                                "pulse state: a conv ring count of {pushed} pushed rows is \
-                                 unreachable"
-                            ))
-                        })?;
+                    if pushed != want as u64 {
+                        return Err(invalid(format!(
+                            "pulse state: a conv ring count of {pushed} pushed rows is \
+                             unreachable after {fed} rows fed, which push {want}"
+                        )));
+                    }
                     let rows = get_rows(r, geom.c_in * geom.padded_w())?;
-                    let (base, _) = geom.ring_counters(pushed);
-                    if rows.len() != pushed - base {
+                    let (base, _) = geom.ring_counters(want);
+                    if rows.len() != want - base {
                         return Err(invalid(format!(
                             "pulse state: a conv ring holds {} rows, its count {}",
                             rows.len(),
-                            pushed - base
+                            want - base
                         )));
                     }
-                    *ring = Ring { rows, pushed };
+                    *ring = Ring { rows, pushed: want };
                 }
                 (Geom::Pair { row_len }, NState::Pair(qs)) => {
-                    for q in qs.iter_mut() {
+                    // Each queue holds its operand's rows not yet paired.
+                    for (port, q) in qs.iter_mut().enumerate() {
                         *q = get_rows(r, *row_len)?;
+                        let want = made_by(port) - made[id];
+                        if q.len() != want {
+                            return Err(invalid(format!(
+                                "pulse state: an add queue holds {} rows, {want} after {fed} \
+                                 rows fed",
+                                q.len()
+                            )));
+                        }
                     }
                 }
                 (
@@ -633,17 +672,20 @@ impl PulsedState {
                     // Each pooled row adds at most 128 · in_w to a
                     // channel's sum; larger sums would overflow the i32
                     // accumulator before the window ends.
-                    let bound = filled.saturating_mul(*in_w as u64).saturating_mul(128);
-                    if filled > *in_rows as u64
+                    let want = made_by(0);
+                    let bound = (want as u64)
+                        .saturating_mul(*in_w as u64)
+                        .saturating_mul(128);
+                    if filled != want as u64
                         || s.iter().any(|&v| u64::from(v.unsigned_abs()) > bound)
                     {
                         return Err(invalid(format!(
                             "pulse state: pool of {filled} rows out of {in_rows} \
-                             holds an unreachable sum"
+                             holds an unreachable sum after {fed} rows fed"
                         )));
                     }
                     *sums = s;
-                    *rows = filled as usize;
+                    *rows = want;
                 }
                 _ => {}
             }
@@ -1054,11 +1096,6 @@ impl PulsedModel {
         let mut windows = VecDeque::with_capacity(count);
         let decoded = (0..count).try_for_each(|_| -> Result<()> {
             let index = r.get_u64().map_err(corrupt)?;
-            let mut state = self
-                .free
-                .pop()
-                .unwrap_or_else(|| PulsedState::new(&self.program));
-            let restored = state.restore(&self.program, &mut r);
             // Windows open every hop rows, oldest first, and are fed every
             // row from their start until the last one completes them.
             let fed = index
@@ -1069,15 +1106,19 @@ impl PulsedModel {
             let follows = windows
                 .back()
                 .is_none_or(|a: &Active| a.index.checked_add(1) == Some(index));
-            state.rows_fed = fed.unwrap_or(0);
-            windows.push_back(Active { index, state });
-            restored?;
-            if fed.is_none() || !follows {
+            let Some(fed) = fed.filter(|_| follows) else {
                 return Err(invalid(format!(
                     "pulse state: window {index} does not fit a stream at row {t} with hop {hop}"
                 )));
-            }
-            Ok(())
+            };
+            let mut state = self
+                .free
+                .pop()
+                .unwrap_or_else(|| PulsedState::new(&self.program));
+            let restored = state.restore(&self.program, fed, &mut r);
+            state.rows_fed = fed;
+            windows.push_back(Active { index, state });
+            restored
         });
         if let Err(e) = decoded {
             self.recycle(windows);
@@ -1416,6 +1457,87 @@ mod tests {
             let mut fresh = PulsedModel::from_graph(batch.graph(), 3).unwrap();
             let err = fresh.restore_state(&seal(&bad)).unwrap_err().to_string();
             assert!(err.contains("unreachable"), "{pushed}: {err}");
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_ring_count_its_window_has_not_fed() {
+        // One row pushed at hop 3: the first conv ring (k3, padding 1, 6
+        // rows) has pushed its top padding and that row. A blob that moves
+        // the ring's count to the whole window, 8 (a count some push
+        // sequence reaches), and drops its rows is consistent on its own,
+        // but not with its window's one row fed: restored, every later
+        // push would fail with "more rows than the window holds".
+        let g = float_graph();
+        let (batch, _) = compile(&g, &PassConfig::all()).unwrap();
+        let mut model = PulsedModel::from_graph(batch.graph(), 3).unwrap();
+        let mut twin = PulsedModel::from_graph(batch.graph(), 3).unwrap();
+        let mut forged = PulsedModel::from_graph(batch.graph(), 3).unwrap();
+        for m in [&mut model, &mut twin, &mut forged] {
+            m.push(&stream_row(0)).unwrap();
+        }
+        let ring = forged.active[0]
+            .state
+            .ns
+            .iter_mut()
+            .find_map(|n| match n {
+                NState::Ring(r) => Some(r),
+                _ => None,
+            })
+            .unwrap();
+        assert_eq!((ring.pushed, ring.rows.len()), (2, 2));
+        *ring = Ring {
+            rows: VecDeque::new(),
+            pushed: 8,
+        };
+        let blob = model.save_state();
+        let err = model
+            .restore_state(&forged.save_state())
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("unreachable after 1 rows fed"), "{err}");
+        assert_eq!(
+            model.save_state(),
+            blob,
+            "a rejected blob changed the state"
+        );
+        let mut emitted = 0;
+        for r in 1..1 + 2 * model.program().window_rows() {
+            let got = model.push(&stream_row(r)).unwrap();
+            emitted += usize::from(got.is_some());
+            assert_eq!(got, twin.push(&stream_row(r)).unwrap(), "row {r}");
+        }
+        assert!(emitted > 0);
+    }
+
+    #[test]
+    fn rows_made_match_a_real_stream_after_every_push() {
+        // Every window's carried counters after every push of a stream at
+        // hop 2 are the ones `rows_made` derives from its rows fed.
+        let g = float_graph();
+        let (batch, _) = compile(&g, &PassConfig::all()).unwrap();
+        let mut model = PulsedModel::from_graph(batch.graph(), 2).unwrap();
+        let program = Arc::clone(model.program());
+        for r in 0..16 {
+            model.push(&stream_row(r)).unwrap();
+            for a in &model.active {
+                let made = program.rows_made(a.state.rows_fed);
+                for (id, n) in a.state.ns.iter().enumerate() {
+                    let of = |port: usize| made[program.table.inputs[id][port]];
+                    match (&program.geoms[id], n) {
+                        (Geom::Ring(geom), NState::Ring(ring)) => {
+                            assert_eq!(ring.pushed, geom.pushed_after(of(0)), "row {r} node {id}");
+                        }
+                        (Geom::Pair { .. }, NState::Pair([qa, qb])) => {
+                            assert_eq!([qa.len(), qb.len()], [of(0) - made[id], of(1) - made[id]]);
+                        }
+                        (Geom::Pool { .. }, NState::Pool { rows, .. }) => {
+                            assert_eq!(*rows, of(0), "row {r} node {id}");
+                        }
+                        _ => {}
+                    }
+                }
+            }
         }
     }
 

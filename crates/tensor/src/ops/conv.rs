@@ -726,11 +726,17 @@ impl Tensor {
                 let ckk = in_c * k * k;
                 // Per-image output buffers (chunk size 0 when a gradient is
                 // not needed): disjoint writes keep the batch-parallel pass
-                // bitwise independent of the thread count.
+                // bitwise independent of the thread count. The GEMMs
+                // overwrite their outputs; only col2im accumulates, so only
+                // its dx starts zeroed.
                 let xlen = if need_x { img } else { 0 };
                 let wlen = if need_w { out_c * ckk } else { 0 };
-                let mut dxd = crate::recycle::take_zeroed(b * xlen);
-                let mut dwp = scratch::alloc_zeroed(b * wlen);
+                let mut dxd = if identity_cols {
+                    crate::recycle::take(b * xlen)
+                } else {
+                    crate::recycle::take_zeroed(b * xlen)
+                };
+                let mut dwp = scratch::alloc(b * wlen);
                 {
                     let gd = g.data();
                     // The input is re-read through the parent handle at
@@ -953,14 +959,14 @@ impl Tensor {
                 if !need_x && !need_w {
                     return;
                 }
-                // Per-image buffers (chunk 0 when unused); dw partials are
-                // reduced in image order below for thread-count-independent
-                // results.
+                // Per-image buffers (chunk 0 when unused), every element
+                // overwritten by the stencils; dw partials are reduced in
+                // image order below for thread-count-independent results.
                 let img = c * h * w;
                 let xlen = if need_x { img } else { 0 };
                 let wlen = if need_w { c * k * k } else { 0 };
-                let mut dxd = crate::recycle::take_zeroed(b * xlen);
-                let mut dwp = scratch::alloc_zeroed(b * wlen);
+                let mut dxd = crate::recycle::take(b * xlen);
+                let mut dwp = scratch::alloc(b * wlen);
                 {
                     let gd = g.data();
                     // Operands re-read through the parent handles (read

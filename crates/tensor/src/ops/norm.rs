@@ -279,12 +279,22 @@ fn reduce_plane(acc: &mut [f32], h: usize, w: usize) -> f32 {
 /// Shared implementation of training-mode batch norm, optionally fusing the
 /// ReLU6 activation into the same op node.
 ///
-/// The fused path is bitwise identical to `batch_norm2d_train` followed by
-/// `relu6()`: the forward clamp applies the same expression to the same
-/// pre-activation, and the backward masks the incoming gradient with the
-/// ReLU6 derivative of the recomputed pre-activation (same inputs, same
-/// expression, same bits as the forward) before running the exact same
-/// per-channel reduction loops the unfused backward runs.
+/// Forward and backward each walk a channel once, in one per-channel task,
+/// while its `b` planes are still in cache:
+/// - forward: `μ = Σ sum8 / n` and `σ² = Σ sq_dev_sum8 / n` over the
+///   channel's images, then its output planes through [`bn_plane`];
+/// - backward: the output gradient, masked by ReLU6′ of the recomputed
+///   pre-activation when fused (`gm`, into a per-worker `b × plane`
+///   scratch), `dβ = Σ sum8(gm)` and `dγ = Σ dot_norm8(gm, x)` over the
+///   images, then `dx = (γ·inv_std/n)·(n·gm − dβ − x̂·dγ)` when `x` needs
+///   it.
+///
+/// Every value keeps the association of the formulation this replaced, a
+/// pass over the whole tensor per step (statistics, output, mask,
+/// reductions, dx), which the tests keep as the oracle. The fused path is
+/// bitwise identical to `batch_norm2d_train` followed by `relu6()`: the
+/// forward clamp applies the same expression to the same pre-activation,
+/// and once the gradient is masked the backward is the unfused one.
 fn bn2d_train_impl(
     x: &Tensor,
     gamma: &Tensor,
@@ -304,58 +314,37 @@ fn bn2d_train_impl(
     // uninitialized (pool-recycled without zeroing). The normalized
     // activations are NOT materialized: the backward recomputes
     // `(x - mu) * inv_std` from the parent input and the saved statistics
-    // — same expression, same inputs, same bits — which saves a
-    // full-tensor buffer and its write pass on every training step.
+    // — same expression, same inputs, same bits.
     let mut out = Array::uninit(&shape);
-    let affine;
     {
-        // The input is read through the value guard for the whole forward
-        // pass instead of being cloned; the guard drops before the op node
-        // is built.
-        let xv = x.value();
-        let xd = xv.data();
-
-        // Channel statistics via the kernel layer's lane-parallel
-        // reductions: fixed association (deterministic) but no sequential
-        // float dependency chain, so the passes vectorize.
-        {
-            // One pool task per channel: each task owns mean[ci]/var[ci], so
-            // the SendPtr windows are disjoint and the per-channel values are
-            // independent of how tasks land on workers.
-            let mean_p = SendPtr::new(mean.data_mut().as_mut_ptr());
-            let var_p = SendPtr::new(var.data_mut().as_mut_ptr());
-            per_channel(c, elems, &|ci| {
-                let mut acc = 0.0f32;
-                for bi in 0..b {
-                    let base = (bi * c + ci) * plane;
-                    acc += kernel::sum8(&xd[base..base + plane]);
-                }
-                let mu = acc / n;
-                let mut vacc = 0.0f32;
-                for bi in 0..b {
-                    let base = (bi * c + ci) * plane;
-                    vacc += kernel::sq_dev_sum8(&xd[base..base + plane], mu);
-                }
-                (unsafe { mean_p.slice(ci, 1) })[0] = mu;
-                (unsafe { var_p.slice(ci, 1) })[0] = vacc / n;
-            });
-        }
-
-        // Output pass, channel-parallel with disjoint per-channel plane
-        // windows: the normalized value feeds the affine (and optional
-        // clamp) while still in register.
-        affine = channel_affines(&mean, &var, eps, gamma, beta);
-        {
-            let out_p = SendPtr::new(out.data_mut().as_mut_ptr());
-            per_channel(c, elems, &|ci| {
-                for bi in 0..b {
-                    let base = (bi * c + ci) * plane;
-                    let ys = unsafe { out_p.slice(base, plane) };
-                    bn_plane(ys, &xd[base..base + plane], affine[ci], fuse_relu6);
-                }
-            });
-        }
+        // The operands are read through their value guards for the whole
+        // forward pass instead of being cloned; the guards drop before the
+        // op node is built.
+        let (xv, gv, bv) = (x.value(), gamma.value(), beta.value());
+        let (xd, gd, bd) = (xv.data(), gv.data(), bv.data());
+        let mean_p = SendPtr::new(mean.data_mut().as_mut_ptr());
+        let var_p = SendPtr::new(var.data_mut().as_mut_ptr());
+        let out_p = SendPtr::new(out.data_mut().as_mut_ptr());
+        per_channel(c, elems, &|ci| {
+            let at = |bi: usize| (bi * c + ci) * plane;
+            let xs = |bi: usize| &xd[at(bi)..at(bi) + plane];
+            let mu = (0..b).fold(0.0f32, |s, bi| s + kernel::sum8(xs(bi))) / n;
+            let v = (0..b).fold(0.0f32, |s, bi| s + kernel::sq_dev_sum8(xs(bi), mu)) / n;
+            let a = ChannelAffine::new(mu, v, eps, gd[ci], bd[ci]);
+            for bi in 0..b {
+                // SAFETY: channel ci's planes belong to this task.
+                let ys = unsafe { out_p.slice(at(bi), plane) };
+                bn_plane(ys, xs(bi), a, fuse_relu6);
+            }
+            // SAFETY: slot ci belongs to this task.
+            unsafe {
+                mean_p.slice(ci, 1)[0] = mu;
+                var_p.slice(ci, 1)[0] = v;
+            }
+        });
     }
+    // The same constants the forward used: same expression, same inputs.
+    let affine = channel_affines(&mean, &var, eps, gamma, beta);
 
     let x_t = x.clone();
     let g_t = gamma.clone();
@@ -363,102 +352,74 @@ fn bn2d_train_impl(
     // The per-channel constants are captured by value: the backward
     // closure must never read its own output tensor (it runs under that
     // node's write lock), and mean/var are not recoverable from the
-    // parents without re-running the reductions. The normalized
-    // activations are recomputed from the parent input plus these
-    // constants instead of being saved.
+    // parents without re-running the reductions.
     let output = Tensor::from_op(
         out,
         vec![x.clone(), gamma.clone(), beta.clone()],
         Box::new(move |g| {
-            // The parent input is read through its value guard for the
-            // whole backward pass; normalized activations are recomputed
-            // per element as `(x - mu) * inv_std` — identical bits to the
-            // buffer the forward used to save. The guard is scoped so it
-            // drops before gradients are accumulated into the parents.
-            let (dbeta, dgamma, dx) = {
+            let mut dbeta = Array::zeros(&[c]);
+            let mut dgamma = Array::zeros(&[c]);
+            let mut dx = x_t.requires_grad().then(|| Array::uninit(&[b, c, h, w]));
+            {
+                // The parent input is read through its value guard, which
+                // drops before gradients are accumulated into the parents.
                 let xv = x_t.value();
                 let xd = xv.data();
-
-                // With the fused activation, first mask the incoming
-                // gradient by the ReLU6 derivative of the recomputed
-                // pre-activation — after this the remaining math is exactly
-                // the plain BN backward, so fused and unfused gradients
-                // agree bit for bit.
-                let masked = if fuse_relu6 {
-                    let mut gs = Array::uninit(&[b, c, h, w]);
-                    {
-                        let gs_p = SendPtr::new(gs.data_mut().as_mut_ptr());
-                        per_channel(c, elems, &|ci| {
-                            let a = affine[ci];
+                let gd = g.data();
+                let dbeta_p = SendPtr::new(dbeta.data_mut().as_mut_ptr());
+                let dgamma_p = SendPtr::new(dgamma.data_mut().as_mut_ptr());
+                let dx_p = dx.as_mut().map(|d| SendPtr::new(d.data_mut().as_mut_ptr()));
+                per_channel_with(
+                    c,
+                    elems,
+                    // The masked gradient of one channel, reused across the
+                    // worker's channels.
+                    || scratch::alloc(if fuse_relu6 { b * plane } else { 0 }),
+                    |masked, ci| {
+                        let a = affine[ci];
+                        let at = |bi: usize| (bi * c + ci) * plane;
+                        if fuse_relu6 {
                             for bi in 0..b {
-                                let base = (bi * c + ci) * plane;
-                                let gsl = &g.data()[base..base + plane];
-                                let xs = &xd[base..base + plane];
-                                let ms = unsafe { gs_p.slice(base, plane) };
-                                for ((m, &gv), &x) in ms.iter_mut().zip(gsl).zip(xs) {
+                                let ms = &mut masked[bi * plane..(bi + 1) * plane];
+                                let p = at(bi)..at(bi) + plane;
+                                for ((m, &gv), &x) in ms.iter_mut().zip(&gd[p.clone()]).zip(&xd[p])
+                                {
                                     *m = gv * relu6_grad(a.pre(x));
                                 }
                             }
-                        });
-                    }
-                    Some(gs)
-                } else {
-                    None
-                };
-                let gd: &[f32] = match &masked {
-                    Some(a) => a.data(),
-                    None => g.data(),
-                };
-
-                // Per-channel reductions of the (masked) output gradient,
-                // channel-parallel with disjoint [ci] output slots.
-                let mut dbeta = Array::zeros(&[c]);
-                let mut dgamma = Array::zeros(&[c]);
-                {
-                    let dbeta_p = SendPtr::new(dbeta.data_mut().as_mut_ptr());
-                    let dgamma_p = SendPtr::new(dgamma.data_mut().as_mut_ptr());
-                    per_channel(c, elems, &|ci| {
-                        let a = affine[ci];
-                        let mut sb = 0.0f32;
-                        let mut sg = 0.0f32;
-                        for bi in 0..b {
-                            let base = (bi * c + ci) * plane;
-                            let gs = &gd[base..base + plane];
-                            sb += kernel::sum8(gs);
-                            sg += kernel::dot_norm8(gs, &xd[base..base + plane], a.mu, a.inv_std);
                         }
-                        (unsafe { dbeta_p.slice(ci, 1) })[0] = sb;
-                        (unsafe { dgamma_p.slice(ci, 1) })[0] = sg;
-                    });
-                }
-                let dx = if x_t.requires_grad() {
-                    // dx = gamma * inv_std / n * (n*g - sum(g) - xhat * sum(g*xhat)),
-                    // computed before dbeta/dgamma are moved into their parents.
-                    let mut dx = Array::uninit(&[b, c, h, w]);
-                    {
-                        let dx_p = SendPtr::new(dx.data_mut().as_mut_ptr());
-                        per_channel(c, elems, &|ci| {
-                            let a = affine[ci];
-                            let sg = dbeta.data()[ci];
-                            let sgx = dgamma.data()[ci];
+                        let masked: &[f32] = masked;
+                        // Image bi's plane of the (masked) output gradient.
+                        let gm = |bi: usize| {
+                            if fuse_relu6 {
+                                &masked[bi * plane..(bi + 1) * plane]
+                            } else {
+                                &gd[at(bi)..at(bi) + plane]
+                            }
+                        };
+                        let xs = |bi: usize| &xd[at(bi)..at(bi) + plane];
+                        let sb = (0..b).fold(0.0f32, |s, bi| s + kernel::sum8(gm(bi)));
+                        let sg = (0..b).fold(0.0f32, |s, bi| {
+                            s + kernel::dot_norm8(gm(bi), xs(bi), a.mu, a.inv_std)
+                        });
+                        if let Some(dx_p) = &dx_p {
                             let k = a.gamma * a.inv_std / n;
                             for bi in 0..b {
-                                let base = (bi * c + ci) * plane;
-                                let gs = &gd[base..base + plane];
-                                let xs = &xd[base..base + plane];
-                                let ds = unsafe { dx_p.slice(base, plane) };
-                                for ((d, &gv), &x) in ds.iter_mut().zip(gs).zip(xs) {
-                                    *d = k * (n * gv - sg - a.xhat(x) * sgx);
+                                // SAFETY: channel ci's planes belong to this task.
+                                let ds = unsafe { dx_p.slice(at(bi), plane) };
+                                for ((d, &gv), &x) in ds.iter_mut().zip(gm(bi)).zip(xs(bi)) {
+                                    *d = k * (n * gv - sb - a.xhat(x) * sg);
                                 }
                             }
-                        });
-                    }
-                    Some(dx)
-                } else {
-                    None
-                };
-                (dbeta, dgamma, dx)
-            };
+                        }
+                        // SAFETY: slot ci belongs to this task.
+                        unsafe {
+                            dbeta_p.slice(ci, 1)[0] = sb;
+                            dgamma_p.slice(ci, 1)[0] = sg;
+                        }
+                    },
+                );
+            }
             if let Some(dx) = dx {
                 x_t.accumulate_grad_owned(dx);
             }
@@ -1046,6 +1007,139 @@ mod tests {
                     "{name} presence, {what}"
                 );
                 assert_eq!(grad_bits(f), grad_bits(c), "{name}, {what}");
+            }
+        }
+    }
+
+    /// Training-mode batch norm as it was built before it walked each
+    /// channel once: one pass over the whole tensor per step (statistics,
+    /// output, then the ReLU6 mask, the reductions and dx), sequential. The
+    /// single-pass op must equal it bit for bit. Returns the output, mean,
+    /// variance, dx, dγ and dβ for the output gradient `g`.
+    fn train_oracle(case: &EvalCase, eps: f32, relu6: bool) -> [Vec<f32>; 6] {
+        let &[b, c, h, w] = case.x.shape() else {
+            panic!("NCHW")
+        };
+        let (plane, len) = (h * w, case.x.len());
+        let n = (b * plane) as f32;
+        let (xd, gd) = (case.x.data(), case.seed.data());
+        let planes =
+            |ci: usize| (0..b).map(move |bi| (bi * c + ci) * plane..(bi * c + ci + 1) * plane);
+        let (mut mean, mut var) = (vec![0.0f32; c], vec![0.0f32; c]);
+        for ci in 0..c {
+            let mut acc = 0.0f32;
+            for p in planes(ci) {
+                acc += kernel::sum8(&xd[p]);
+            }
+            mean[ci] = acc / n;
+            let mut vacc = 0.0f32;
+            for p in planes(ci) {
+                vacc += kernel::sq_dev_sum8(&xd[p], mean[ci]);
+            }
+            var[ci] = vacc / n;
+        }
+        let affine: Vec<ChannelAffine> = (0..c)
+            .map(|ci| {
+                let (g, be) = (case.gamma.data()[ci], case.beta.data()[ci]);
+                ChannelAffine::new(mean[ci], var[ci], eps, g, be)
+            })
+            .collect();
+        let channel = |i: usize| affine[(i / plane) % c];
+        let out: Vec<f32> = (0..len)
+            .map(|i| {
+                let y = channel(i).pre(xd[i]);
+                if relu6 {
+                    y.clamp(0.0, 6.0)
+                } else {
+                    y
+                }
+            })
+            .collect();
+        let gm: Vec<f32> = (0..len)
+            .map(|i| {
+                if relu6 {
+                    gd[i] * relu6_grad(channel(i).pre(xd[i]))
+                } else {
+                    gd[i]
+                }
+            })
+            .collect();
+        let (mut dbeta, mut dgamma) = (vec![0.0f32; c], vec![0.0f32; c]);
+        for (ci, a) in affine.iter().enumerate() {
+            for p in planes(ci) {
+                dbeta[ci] += kernel::sum8(&gm[p.clone()]);
+                dgamma[ci] += kernel::dot_norm8(&gm[p.clone()], &xd[p], a.mu, a.inv_std);
+            }
+        }
+        let dx = (0..len)
+            .map(|i| {
+                let (a, ci) = (channel(i), (i / plane) % c);
+                let k = a.gamma * a.inv_std / n;
+                k * (n * gm[i] - dbeta[ci] - a.xhat(xd[i]) * dgamma[ci])
+            })
+            .collect();
+        [out, mean, var, dx, dgamma, dbeta]
+    }
+
+    /// Runs the train op on `case` with the leaves `grads` says need
+    /// gradients, and asserts every value against [`train_oracle`].
+    fn check_train(case: &EvalCase, relu6: bool, grads: [bool; 3]) {
+        const EPS: f32 = 1e-5;
+        let want = train_oracle(case, EPS, relu6);
+        let leaves = case.leaves(grads);
+        let [x, g, b] = &leaves;
+        let bn = if relu6 {
+            x.batch_norm2d_relu6_train(g, b, EPS)
+        } else {
+            x.batch_norm2d_train(g, b, EPS)
+        }
+        .unwrap();
+        let what = format!("shape {:?} relu6 {relu6} grads {grads:?}", case.x.shape());
+        let got = [
+            bn.output.value_clone(),
+            bn.batch_mean.clone(),
+            bn.batch_var.clone(),
+        ];
+        for ((got, want), name) in got.iter().zip(&want).zip(["y", "mean", "var"]) {
+            assert_eq!(bits(got.data()), bits(want), "{name}, {what}");
+        }
+        if !grads.contains(&true) {
+            return;
+        }
+        bn.output.backward_with(case.seed.clone());
+        for ((leaf, want), name) in leaves.iter().zip(&want[3..]).zip(["dx", "dgamma", "dbeta"]) {
+            let got = leaf.grad().map(|a| bits(a.data()));
+            let want = leaf.requires_grad().then(|| bits(want));
+            assert_eq!(got, want, "{name}, {what}");
+        }
+    }
+
+    #[test]
+    fn train_matches_three_pass_oracle_bitwise_over_grid() {
+        let mut rng = StdRng::seed_from_u64(53);
+        for b in 1..=9 {
+            // Planes of 1, 9, 14, 16, 25 and 39 values: under, over and on
+            // the eight-lane width.
+            for (h, w) in [(1, 1), (3, 3), (2, 7), (4, 4), (5, 5), (3, 13)] {
+                let case = EvalCase::new([b, 5, h, w], &mut rng);
+                for relu6 in [false, true] {
+                    for mask in 0..8u8 {
+                        check_train(&case, relu6, [mask & 1 != 0, mask & 2 != 0, mask & 4 != 0]);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn train_matches_three_pass_oracle_bitwise_on_pooled_shapes() {
+        // Large enough to fan the channels out over the worker pool.
+        let mut rng = StdRng::seed_from_u64(59);
+        for shape in [[16, 16, 16, 16], [9, 8, 13, 11], [32, 3, 6, 6]] {
+            let case = EvalCase::new(shape, &mut rng);
+            for relu6 in [false, true] {
+                check_train(&case, relu6, [true; 3]);
+                check_train(&case, relu6, [false, true, true]);
             }
         }
     }

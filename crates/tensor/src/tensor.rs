@@ -150,6 +150,24 @@ impl Tensor {
         self.read().requires_grad
     }
 
+    /// Freezes (`false`) or thaws (`true`) a leaf. An op whose parents are
+    /// all frozen keeps no backward, and a backward computes no gradient
+    /// for a frozen parent. Ops read the flag both when they are built and
+    /// when their backward runs, so flip it only between a backward and
+    /// the next forward. A frozen leaf keeps whatever gradient it holds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this node is an op result that has a backward.
+    pub fn set_requires_grad(&self, requires_grad: bool) {
+        let mut inner = self.write();
+        assert!(
+            inner.backward.is_none(),
+            "set_requires_grad freezes leaves, not op results"
+        );
+        inner.requires_grad = requires_grad;
+    }
+
     /// A stable identity for this graph node (two handles compare equal iff
     /// they alias the same node).
     #[must_use]
@@ -432,6 +450,31 @@ mod tests {
         let y2 = x.mul_scalar(3.0);
         y2.backward();
         assert_eq!(x.grad().unwrap().item(), 6.0);
+    }
+
+    #[test]
+    fn an_op_of_frozen_leaves_has_no_backward() {
+        let w = Tensor::param(Array::from_vec(vec![2.0, 3.0], &[2]).unwrap());
+        let x = Tensor::param(Array::from_vec(vec![5.0, 7.0], &[2]).unwrap());
+        w.set_requires_grad(false);
+        // Built only from a frozen leaf and a constant: a dead end.
+        let dead = w.mul_scalar(3.0).add(&Tensor::scalar(1.0)).unwrap();
+        assert!(!dead.requires_grad());
+        assert!(dead.read().backward.is_none() && dead.read().parents.is_empty());
+        // Mixed with a live leaf: gradient reaches only the live one.
+        w.mul(&x).unwrap().sum().backward();
+        assert_eq!(x.grad().unwrap().data(), &[2.0, 3.0]);
+        assert!(w.grad().is_none());
+        w.set_requires_grad(true);
+        w.mul(&x).unwrap().sum().backward();
+        assert_eq!(w.grad().unwrap().data(), &[5.0, 7.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not op results")]
+    fn set_requires_grad_rejects_op_results() {
+        let x = Tensor::param(Array::scalar(1.0));
+        x.mul_scalar(2.0).set_requires_grad(false);
     }
 
     #[test]
